@@ -21,59 +21,59 @@ import (
 // ("intro-refuse" or "intro-lend"): the pair whose introduction attempt
 // is waiting out the period T.
 type IntroWait struct {
-	Newcomer   id.ID `json:"newcomer"`
-	Introducer id.ID `json:"introducer"`
+	Newcomer   id.ID
+	Introducer id.ID
 }
 
 // SignerRecord is one registered identity: a real signer's captured state,
 // or a marker for a stateless null identity re-derived from the ID.
 type SignerRecord struct {
-	ID     id.ID                  `json:"id"`
-	Null   bool                   `json:"null,omitempty"`
-	Signer *transport.SignerState `json:"signer,omitempty"`
+	ID     id.ID
+	Null   bool
+	Signer *transport.SignerState
 }
 
 // TombRecord is one retained verification-only identity of a departed
 // signer.
 type TombRecord struct {
-	ID  id.ID  `json:"id"`
-	Pub []byte `json:"pub"`
+	ID  id.ID
+	Pub []byte
 }
 
 // BootNonceRecord is one accepted bootstrap credit at a score manager.
 type BootNonceRecord struct {
-	Peer  id.ID  `json:"peer"`
-	Nonce uint64 `json:"nonce"`
+	Peer  id.ID
+	Nonce uint64
 }
 
 // SMRecord is the lending bookkeeping of one score-manager node.
 type SMRecord struct {
-	Node       id.ID             `json:"node"`
-	SeenLend   []uint64          `json:"seenLend,omitempty"`
-	SeenReward []uint64          `json:"seenReward,omitempty"`
-	BootNonce  []BootNonceRecord `json:"bootNonce,omitempty"`
-	Flagged    []id.ID           `json:"flagged,omitempty"`
+	Node       id.ID
+	SeenLend   []uint64
+	SeenReward []uint64
+	BootNonce  []BootNonceRecord
+	Flagged    []id.ID
 }
 
 // StakeRecord is one admission stake with its lifecycle state.
 type StakeRecord struct {
-	Newcomer   id.ID      `json:"newcomer"`
-	Introducer id.ID      `json:"introducer"`
-	Amount     float64    `json:"amount"`
-	Nonce      uint64     `json:"nonce"`
-	State      StakeState `json:"state"`
+	Newcomer   id.ID
+	Introducer id.ID
+	Amount     float64
+	Nonce      uint64
+	State      StakeState
 }
 
 // State is the protocol's full serializable state, with every map-backed
 // structure flattened into ascending-key order for deterministic encoding.
 type State struct {
-	Signers []SignerRecord `json:"signers,omitempty"`
-	Tombs   []TombRecord   `json:"tombs,omitempty"`
-	SM      []SMRecord     `json:"sm,omitempty"`
-	Stakes  []StakeRecord  `json:"stakes,omitempty"`
-	Flagged []id.ID        `json:"flagged,omitempty"`
-	Nonce   uint64         `json:"nonce"`
-	Stats   Stats          `json:"stats"`
+	Signers []SignerRecord
+	Tombs   []TombRecord
+	SM      []SMRecord
+	Stakes  []StakeRecord
+	Flagged []id.ID
+	Nonce   uint64
+	Stats   Stats
 }
 
 // sortedIDKeys returns the map's keys in ascending identifier order.

@@ -10,11 +10,13 @@ package watch
 import "strings"
 
 // simSuffixes are the import-path suffixes of the deterministic
-// simulation packages. internal/rng is deliberately absent: it is the
-// sanctioned wrapper all stochastic behavior must flow through.
-// internal/fleet and cmd/* are deliberately absent: coordinator
-// heartbeats, worker deadlines and CLI progress timing are wall-clock
-// by nature and never feed simulation output bytes.
+// simulation packages. internal/checkpoint is among them: its encoder
+// defines checkpoint output bytes and its decoder reads untrusted files.
+// internal/rng is deliberately absent: it is the sanctioned wrapper all
+// stochastic behavior must flow through. internal/fleet and cmd/* are
+// deliberately absent: coordinator heartbeats, worker deadlines and CLI
+// progress timing are wall-clock by nature and never feed simulation
+// output bytes.
 var simSuffixes = []string{
 	"internal/world",
 	"internal/lending",
@@ -27,6 +29,7 @@ var simSuffixes = []string{
 	"internal/sim",
 	"internal/arena",
 	"internal/transport",
+	"internal/checkpoint",
 }
 
 // SimPackage reports whether the import path names a package under the

@@ -11,6 +11,7 @@ func TestSimPackage(t *testing.T) {
 		{"internal/world", true},
 		{"sim.example/internal/sim", true},
 		{"repro/internal/lending", true},
+		{"repro/internal/checkpoint", true}, // defines checkpoint bytes, reads untrusted files
 		{"repro/internal/fleet", false},     // orchestration edge
 		{"repro/internal/rng", false},       // the sanctioned wrapper
 		{"repro/cmd/replend-sim", false},    // CLI edge

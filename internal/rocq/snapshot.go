@@ -14,24 +14,24 @@ import "repro/internal/id"
 
 // SubjectRecord is the serializable evidence slot for one subject.
 type SubjectRecord struct {
-	Subject id.ID   `json:"subject"`
-	S       float64 `json:"s"`
-	W       float64 `json:"w"`
-	Reports int64   `json:"reports"`
+	Subject id.ID
+	S       float64
+	W       float64
+	Reports int64
 }
 
 // CredRecord is the serializable credibility the store holds for one
 // reporter.
 type CredRecord struct {
-	Reporter id.ID   `json:"reporter"`
-	Cred     float64 `json:"cred"`
+	Reporter id.ID
+	Cred     float64
 }
 
 // StoreState is the serializable state of a score-manager store.
 type StoreState struct {
-	Subjects []SubjectRecord `json:"subjects,omitempty"`
-	Cred     []CredRecord    `json:"cred,omitempty"`
-	Reports  int64           `json:"reports,omitempty"`
+	Subjects []SubjectRecord
+	Cred     []CredRecord
+	Reports  int64
 }
 
 // ExportState captures the store's evidence, credibilities and report
@@ -78,9 +78,9 @@ func (s *Store) RestoreState(st StoreState) {
 // PartnerRecord is the serializable first-hand experience a peer holds
 // about one partner.
 type PartnerRecord struct {
-	Partner id.ID   `json:"partner"`
-	Sum     float64 `json:"sum"`
-	Count   int64   `json:"count"`
+	Partner id.ID
+	Sum     float64
+	Count   int64
 }
 
 // ExportState captures the opinion book's experience in ascending partner

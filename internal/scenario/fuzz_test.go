@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/id"
 	"repro/internal/sim"
 	"repro/internal/world"
 )
@@ -70,8 +71,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for _, s := range sealed {
 		f.Add(s)
 	}
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"magic":"replend-checkpoint/v1","kind":"world","sha256":"","body":{}}`))
+	// A bare magic (a truncated envelope) and a sound envelope around an
+	// empty world snapshot, which decodes but cannot restore.
+	f.Add([]byte(checkpoint.Magic))
+	empty, err := checkpoint.Seal(checkpoint.KindWorld, &world.Snapshot{Version: world.SnapshotVersion})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, body, err := checkpoint.Open(data)
 		if err != nil {
@@ -94,6 +101,20 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
+// sealedBody seals a world snapshot and returns the body of the file.
+func sealedBody(f *testing.F, s *world.Snapshot) []byte {
+	f.Helper()
+	data, err := checkpoint.Seal(checkpoint.KindWorld, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, body, err := checkpoint.Open(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return body
+}
+
 // FuzzSnapshotBody skips the envelope digest (which rejects almost every
 // mutation) and fuzzes the body documents directly, so the decoder and
 // restore validation see structurally interesting corruption.
@@ -102,14 +123,26 @@ func FuzzSnapshotBody(f *testing.F) {
 	for _, b := range bodies {
 		f.Add(b)
 	}
-	f.Add([]byte(`{"version":1}`))
-	// Hostile v4 arena-table shapes: duplicate ordinals, a free-list
-	// entry colliding with an assigned slot, and an ordinal with no
-	// backing record elsewhere in the document. Restore must reject all
-	// of them rather than build a corrupt arena.
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":0},{"peer":"01","ord":0}]}`))
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":1}],"ordFree":[1]}`))
-	f.Add([]byte(`{"version":4,"ordinals":[{"peer":"00","ord":-3}],"ordFree":[0,0]}`))
+	f.Add(sealedBody(f, &world.Snapshot{Version: 1}))
+	// Hostile arena-table shapes, cut from a real snapshot so they pass
+	// the decoder and reach Restore: two peers on one ordinal, a
+	// free-list entry colliding with an assigned slot, and an ordinal
+	// that backs no state elsewhere in the document. Restore must reject
+	// all of them rather than build a corrupt arena.
+	for _, mutate := range []func(s *world.Snapshot){
+		func(s *world.Snapshot) { s.Ordinals[1].Ord = s.Ordinals[0].Ord },
+		func(s *world.Snapshot) { s.OrdFree = append(s.OrdFree, s.Ordinals[0].Ord) },
+		func(s *world.Snapshot) {
+			s.Ordinals = append(s.Ordinals, world.OrdinalRecord{Peer: id.HashString("unbacked"), Ord: int32(len(s.Ordinals) + len(s.OrdFree))})
+		},
+	} {
+		s, err := world.DecodeSnapshotBody(bodies[1])
+		if err != nil {
+			f.Fatal(err)
+		}
+		mutate(s)
+		f.Add(sealedBody(f, s))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if st, err := DecodeRunStateBody(body); err == nil {
 			_, _ = Resume(st)

@@ -18,25 +18,26 @@ import (
 	"repro/internal/world"
 )
 
-// RunStateVersion is the scenario checkpoint format version.
-const RunStateVersion = 1
+// RunStateVersion is the scenario checkpoint format version. Version 2
+// moved the body to the binary checkpoint codec.
+const RunStateVersion = 2
 
 // LabelRecord is one bound injection label.
 type LabelRecord struct {
-	Label string `json:"label"`
-	Peer  id.ID  `json:"peer"`
+	Label string
+	Peer  id.ID
 }
 
 // RunState is the serializable state of an executing scenario.
 type RunState struct {
-	Version  int                `json:"version"`
-	Spec     json.RawMessage    `json:"spec"`
-	Next     int                `json:"next"`
-	Done     bool               `json:"done,omitempty"`
-	Labels   []LabelRecord      `json:"labels,omitempty"`   // ascending label
-	Outcomes []InjectionOutcome `json:"outcomes,omitempty"` // execution order
-	Crashed  []id.ID            `json:"crashed,omitempty"`  // crash order (Recover replays it)
-	World    *world.Snapshot    `json:"world"`
+	Version  int
+	Spec     json.RawMessage // the spec as JSON (Spec.JSON)
+	Next     int
+	Done     bool
+	Labels   []LabelRecord      // ascending label
+	Outcomes []InjectionOutcome // execution order
+	Crashed  []id.ID            // crash order (Recover replays it)
+	World    *world.Snapshot
 }
 
 // Snapshot captures the run's state. Like world.Snapshot, it requires a

@@ -15,18 +15,18 @@ import (
 
 // State is the serializable state of either selector kind.
 type State struct {
-	Kind Kind      `json:"kind"`
-	Src  [4]uint64 `json:"src"`
+	Kind Kind
+	Src  [4]uint64
 
 	// Uniform: the peers slice in its exact (swap-delete shaped) order.
-	Peers []id.ID `json:"peers,omitempty"`
+	Peers []id.ID
 
 	// ScaleFree: slot-indexed peer table with tombstones, plus the stub
 	// multiset. Alive is encoded alongside; Live and the index are derived.
-	Degree []int64 `json:"degree,omitempty"`
-	Alive  []bool  `json:"alive,omitempty"`
-	Stubs  []int32 `json:"stubs,omitempty"`
-	Attach int     `json:"attach,omitempty"`
+	Degree []int64
+	Alive  []bool
+	Stubs  []int32
+	Attach int
 }
 
 // ExportState captures the selector's state. It fails on selector

@@ -21,8 +21,8 @@ import (
 // never sign anything — and the full Ed25519 private key otherwise (the
 // public key is its suffix and is re-derived on restore).
 type SignerState struct {
-	Src  [4]uint64 `json:"src"`
-	Priv []byte    `json:"priv,omitempty"`
+	Src  [4]uint64
+	Priv []byte
 }
 
 // Export captures the signer's state for a checkpoint.

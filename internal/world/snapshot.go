@@ -33,7 +33,6 @@ package world
 // which no payload can describe.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/arena"
@@ -60,8 +59,9 @@ import (
 // histogram. Version 4 added the arena memory layout: per-peer state
 // lives in ordinal-addressed slots, and the ordinal table plus its
 // free-list are captured verbatim so a restored world recycles slots in
-// the same order the uncut run would.
-const SnapshotVersion = 4
+// the same order the uncut run would. Version 5 moved the body to the
+// binary checkpoint codec, with typed event payloads in EventRecord.
+const SnapshotVersion = 5
 
 // Event payload types. Each pending-event kind the world schedules has
 // one; the payload pins everything the matching *Body constructor needs.
@@ -69,183 +69,191 @@ type (
 	// genPayload tags the self-rescheduling Poisson chains ("arrival",
 	// "departure") with the process generation they were armed under.
 	genPayload struct {
-		Gen int64 `json:"gen"`
+		Gen int64
 	}
 	// peerPayload tags events bound to one peer ("stake-timeout",
 	// "rejoin").
 	peerPayload struct {
-		Peer id.ID `json:"peer"`
+		Peer id.ID
 	}
 	// sessionPayload tags events guarded by an admission time
 	// ("session-end", "stake-expiry", "lease-expiry").
 	sessionPayload struct {
-		Peer   id.ID    `json:"peer"`
-		Joined sim.Tick `json:"joined"`
+		Peer   id.ID
+		Joined sim.Tick
 	}
 	// deltaPayload tags scheduled parameter changes; the event name is
 	// caller-chosen, so the payload kind identifies deltas.
 	deltaPayload struct {
-		Delta Delta `json:"delta"`
+		Delta Delta
 	}
 	// replayPayload tags the pending event of the trace-replay chain
 	// ("wk-replay") with the index of the trace event it re-drives.
 	replayPayload struct {
-		Idx int64 `json:"idx"`
+		Idx int64
 	}
 )
 
 // EventRecord is one pending event: its firing tick, diagnostic name,
 // original sequence number (intra-tick FIFO position) and typed payload.
+// Exactly the payload field of Kind is set; "transaction" and "sample"
+// events carry none.
 type EventRecord struct {
-	At   sim.Tick        `json:"at"`
-	Name string          `json:"name"`
-	Seq  int64           `json:"seq"`
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data,omitempty"`
+	At   sim.Tick
+	Name string
+	Seq  int64
+	Kind string
+
+	Gen     *genPayload
+	Peer    *peerPayload
+	Session *sessionPayload
+	Intro   *lending.IntroWait
+	Replay  *replayPayload
+	Delta   *deltaPayload
 }
 
 // PeerRecord is one peer object — live or departed-but-rejoinable.
 type PeerRecord struct {
-	ID          id.ID                `json:"id"`
-	Class       peer.Class           `json:"class"`
-	Style       peer.Style           `json:"style"`
-	JoinedAt    sim.Tick             `json:"joinedAt"`
-	Completed   int                  `json:"completed"`
-	Audited     bool                 `json:"audited,omitempty"`
-	Introducer  id.ID                `json:"introducer"`
-	Flagged     bool                 `json:"flagged,omitempty"`
-	DefectAt    sim.Tick             `json:"defectAt,omitempty"`
-	Cohort      string               `json:"cohort,omitempty"`
-	PlanOrdinal int64                `json:"planOrdinal,omitempty"`
-	PlanSeq     int64                `json:"planSeq,omitempty"`
-	Plan        *workload.Plan       `json:"plan,omitempty"`
-	Opinions    []rocq.PartnerRecord `json:"opinions,omitempty"`
+	ID          id.ID
+	Class       peer.Class
+	Style       peer.Style
+	JoinedAt    sim.Tick
+	Completed   int
+	Audited     bool
+	Introducer  id.ID
+	Flagged     bool
+	DefectAt    sim.Tick
+	Cohort      string
+	PlanOrdinal int64
+	PlanSeq     int64
+	Plan        *workload.Plan
+	Opinions    []rocq.PartnerRecord
 }
 
 // DepartedRecord is one offline peer eligible to rejoin, with the
 // signing identity it left under (neither field set when it departed
 // without one).
 type DepartedRecord struct {
-	Peer   PeerRecord             `json:"peer"`
-	Null   bool                   `json:"null,omitempty"`
-	Signer *transport.SignerState `json:"signer,omitempty"`
+	Peer   PeerRecord
+	Null   bool
+	Signer *transport.SignerState
 }
 
 // StoreRecord is the reputation store hosted at one overlay node.
 type StoreRecord struct {
-	Node  id.ID           `json:"node"`
-	State rocq.StoreState `json:"state"`
+	Node  id.ID
+	State rocq.StoreState
 }
 
 // RepRecord is one entry of the sampling cache.
 type RepRecord struct {
-	Peer id.ID   `json:"peer"`
-	Rep  float64 `json:"rep"`
+	Peer id.ID
+	Rep  float64
 }
 
 // SMDepRecord is one recorded ownership arc of a cached placement.
 type SMDepRecord struct {
-	Key   id.ID `json:"key"`
-	Owner id.ID `json:"owner"`
-	Skip  bool  `json:"skip,omitempty"`
+	Key   id.ID
+	Owner id.ID
+	Skip  bool
 }
 
 // SMCacheRecord is one peer's cached score-manager placement. Stores and
 // refs are re-resolved on restore; the manager set and the dependency
 // arcs are captured verbatim.
 type SMCacheRecord struct {
-	Peer   id.ID         `json:"peer"`
-	SMs    []id.ID       `json:"sms"`
-	Padded bool          `json:"padded,omitempty"`
-	Deps   []SMDepRecord `json:"deps,omitempty"`
+	Peer   id.ID
+	SMs    []id.ID
+	Padded bool
+	Deps   []SMDepRecord
 }
 
 // SMDepsRecord is one owner's slice of the placement index, in its exact
 // live order — stale slots included, since scan order feeds the
 // deterministic dirty-marking sequence.
 type SMDepsRecord struct {
-	Owner id.ID   `json:"owner"`
-	Peers []id.ID `json:"peers"`
+	Owner id.ID
+	Peers []id.ID
 }
 
 // RandState is the position of every random stream the world owns
 // directly (the topology selector's stream travels inside its own
 // state; signer streams inside the lending state).
 type RandState struct {
-	Arrival   [4]uint64 `json:"arrival"`
-	Workload  [4]uint64 `json:"workload"`
-	Behave    [4]uint64 `json:"behave"`
-	Key       [4]uint64 `json:"key"`
-	Churn     [4]uint64 `json:"churn"`
-	WkArrival [4]uint64 `json:"wkArrival"`
-	Cohort    [4]uint64 `json:"cohort"`
+	Arrival   [4]uint64
+	Workload  [4]uint64
+	Behave    [4]uint64
+	Key       [4]uint64
+	Churn     [4]uint64
+	WkArrival [4]uint64
+	Cohort    [4]uint64
 }
 
 // Snapshot is the versioned, serializable state of a started world.
 type Snapshot struct {
-	Version int           `json:"version"`
-	Config  config.Config `json:"config"`
-	Policy  string        `json:"policy"`
+	Version int
+	Config  config.Config
+	Policy  string
 
-	Now     sim.Tick      `json:"now"`
-	NextSeq int64         `json:"nextSeq"`
-	Events  []EventRecord `json:"events,omitempty"`
+	Now     sim.Tick
+	NextSeq int64
+	Events  []EventRecord
 
-	Rand RandState `json:"rand"`
+	Rand RandState
 
-	Seq          int64   `json:"seq"`
-	ArrClock     float64 `json:"arrClock"`
-	ArrivalGen   int64   `json:"arrivalGen"`
-	DepartClk    float64 `json:"departClk"`
-	DepartGen    int64   `json:"departGen"`
-	WkReplayNext int64   `json:"wkReplayNext,omitempty"`
+	Seq          int64
+	ArrClock     float64
+	ArrivalGen   int64
+	DepartClk    float64
+	DepartGen    int64
+	WkReplayNext int64
 
-	Peers    []PeerRecord     `json:"peers,omitempty"`    // every attached node, ascending ID
-	Admitted []id.ID          `json:"admitted,omitempty"` // members in admission order
-	Departed []DepartedRecord `json:"departed,omitempty"` // ascending ID
-	Wiped    []id.ID          `json:"wiped,omitempty"`    // ascending ID
+	Peers    []PeerRecord     // every attached node, ascending ID
+	Admitted []id.ID          // members in admission order
+	Departed []DepartedRecord // ascending ID
+	Wiped    []id.ID          // ascending ID
 
-	Stores   []StoreRecord  `json:"stores,omitempty"` // ascending node ID
-	Topology topology.State `json:"topology"`
-	Lending  lending.State  `json:"lending"`
+	Stores   []StoreRecord // ascending node ID
+	Topology topology.State
+	Lending  lending.State
 
-	Crashed  []id.ID         `json:"crashed,omitempty"` // ascending ID
-	BusStats transport.Stats `json:"busStats"`
+	Crashed  []id.ID // ascending ID
+	BusStats transport.Stats
 
-	RepSum    float64     `json:"repSum"`
-	RepCached []RepRecord `json:"repCached,omitempty"` // ascending peer ID
-	DirtyRep  []id.ID     `json:"dirtyRep,omitempty"`  // insertion order, verbatim
+	RepSum    float64
+	RepCached []RepRecord // ascending peer ID
+	DirtyRep  []id.ID     // insertion order, verbatim
 
-	SMCache    []SMCacheRecord `json:"smCache,omitempty"` // ascending peer ID
-	SMDeps     []SMDepsRecord  `json:"smDeps,omitempty"`  // ascending owner ID
-	SMDepSlots int             `json:"smDepSlots"`
+	SMCache    []SMCacheRecord // ascending peer ID
+	SMDeps     []SMDepsRecord  // ascending owner ID
+	SMDepSlots int             // summed length of every SMDeps entry
 
 	// Arrivals carries the in-flight arrival ticks (peers inside the
 	// waiting period), so a resumed run observes the same admission
 	// latencies the uncut run would.
-	Arrivals []ArrivalRecord `json:"arrivals,omitempty"` // ascending peer ID
+	Arrivals []ArrivalRecord // ascending peer ID
 
 	// Ordinals and OrdFree carry the peer arena verbatim — the assigned
 	// slot of every identifier in ascending ordinal order, and the
 	// free-list oldest-first — so snapshot∘restore∘snapshot is idempotent
 	// and a restored world hands out the same slots the uncut run would.
-	Ordinals []OrdinalRecord `json:"ordinals,omitempty"`
-	OrdFree  []int32         `json:"ordFree,omitempty"`
+	Ordinals []OrdinalRecord
+	OrdFree  []int32
 
-	Metrics Metrics `json:"metrics"`
+	Metrics Metrics
 }
 
 // ArrivalRecord is one in-flight arrival: the tick the peer asked for an
 // introduction.
 type ArrivalRecord struct {
-	Peer id.ID    `json:"peer"`
-	At   sim.Tick `json:"at"`
+	Peer id.ID
+	At   sim.Tick
 }
 
 // OrdinalRecord is one assigned slot of the world's peer arena.
 type OrdinalRecord struct {
-	Peer id.ID `json:"peer"`
-	Ord  int32 `json:"ord"`
+	Peer id.ID
+	Ord  int32
 }
 
 // Snapshot captures the world's full state. The world must be started,
@@ -385,7 +393,7 @@ func (w *World) Snapshot() (*Snapshot, error) {
 }
 
 // Encode serializes the snapshot into a sealed checkpoint file: a
-// deterministic JSON body inside a digest-verified envelope.
+// deterministic binary body inside a digest-verified envelope.
 func (s *Snapshot) Encode() ([]byte, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("world: cannot encode snapshot version %d (want %d)", s.Version, SnapshotVersion)
@@ -627,11 +635,18 @@ func Restore(s *Snapshot) (*World, error) {
 		}
 		w.smCache[rec.Peer] = e
 	}
+	indexed := 0
 	for _, rec := range s.SMDeps {
 		if _, dup := w.smDeps[rec.Owner]; dup {
 			return nil, fmt.Errorf("world: restore: duplicate placement-index owner %s", rec.Owner.Short())
 		}
 		w.smDeps[rec.Owner] = append([]id.ID(nil), rec.Peers...)
+		indexed += len(rec.Peers)
+	}
+	// The slot count bounds stale index slots (it triggers the rebuild),
+	// so it must be the count it claims to be.
+	if s.SMDepSlots != indexed {
+		return nil, fmt.Errorf("world: restore: placement index holds %d slots, snapshot claims %d", indexed, s.SMDepSlots)
 	}
 	w.smDepSlots = s.SMDepSlots
 
@@ -663,6 +678,14 @@ func Restore(s *Snapshot) (*World, error) {
 		sl.inFlight = true
 		sl.arrivedAt = rec.At
 	}
+	// The world releases a slot once its last per-peer field clears, so
+	// every assigned ordinal a snapshot holds backs some state; an empty
+	// one would never be released.
+	for ord := range w.slots {
+		if pid, ok := w.ords.ID(arena.Ordinal(ord)); ok && w.slots[ord].empty() {
+			return nil, fmt.Errorf("world: restore: ordinal %d of %s backs no peer state", ord, pid.Short())
+		}
+	}
 
 	events := make([]sim.PendingEvent, len(s.Events))
 	for i, rec := range s.Events {
@@ -692,123 +715,96 @@ func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
 		}
 		return fmt.Errorf("world: pending event %q at tick %d has payload %T, which belongs to %v", ev.Name, ev.At, ev.Payload, allowed)
 	}
-	var payload any
 	switch p := ev.Payload.(type) {
 	case nil:
 		if err := names("transaction", "sample"); err != nil {
 			return rec, fmt.Errorf("world: pending event %q at tick %d has no checkpoint payload", ev.Name, ev.At)
 		}
 		rec.Kind = ev.Name
-		return rec, nil
 	case genPayload:
 		if err := names("arrival", "departure"); err != nil {
 			return rec, err
 		}
-		rec.Kind, payload = ev.Name, p
+		rec.Kind, rec.Gen = ev.Name, &p
 	case peerPayload:
 		if err := names("stake-timeout", "rejoin"); err != nil {
 			return rec, err
 		}
-		rec.Kind, payload = ev.Name, p
+		rec.Kind, rec.Peer = ev.Name, &p
 	case sessionPayload:
 		if err := names("session-end", "stake-expiry", "lease-expiry"); err != nil {
 			return rec, err
 		}
-		rec.Kind, payload = ev.Name, p
+		rec.Kind, rec.Session = ev.Name, &p
 	case lending.IntroWait:
 		if err := names("intro-refuse", "intro-lend"); err != nil {
 			return rec, err
 		}
-		rec.Kind, payload = ev.Name, p
+		rec.Kind, rec.Intro = ev.Name, &p
 	case replayPayload:
 		if err := names("wk-replay"); err != nil {
 			return rec, err
 		}
-		rec.Kind, payload = ev.Name, p
+		rec.Kind, rec.Replay = ev.Name, &p
 	case deltaPayload:
-		rec.Kind, payload = "delta", p
+		rec.Kind, rec.Delta = "delta", &p
 	default:
 		return rec, fmt.Errorf("world: cannot checkpoint pending event %q at tick %d (payload %T)", ev.Name, ev.At, ev.Payload)
 	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return rec, fmt.Errorf("world: encoding payload of %q: %w", ev.Name, err)
-	}
-	rec.Data = data
 	return rec, nil
 }
 
-// decodeEventPayload parses an event record's payload by kind,
-// validating the kind/name pairing encodeEvent enforced.
+// decodeEventPayload returns an event record's payload, validating the
+// kind/name pairing encodeEvent enforced and that the record carries
+// its kind's payload and no other.
 func decodeEventPayload(rec EventRecord) (any, error) {
-	wantName := func() error {
-		if rec.Name != rec.Kind {
-			return fmt.Errorf("world: event kind %q under name %q", rec.Kind, rec.Name)
-		}
-		return nil
-	}
+	var payload any
 	switch rec.Kind {
 	case "transaction", "sample":
-		if err := wantName(); err != nil {
-			return nil, err
-		}
-		if len(rec.Data) != 0 {
-			return nil, fmt.Errorf("world: event %q carries unexpected payload data", rec.Kind)
-		}
-		return nil, nil
 	case "arrival", "departure":
-		var p genPayload
-		if err := wantName(); err != nil {
-			return nil, err
+		if rec.Gen != nil {
+			payload = *rec.Gen
 		}
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
-		}
-		return p, nil
 	case "stake-timeout", "rejoin":
-		var p peerPayload
-		if err := wantName(); err != nil {
-			return nil, err
+		if rec.Peer != nil {
+			payload = *rec.Peer
 		}
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
-		}
-		return p, nil
 	case "session-end", "stake-expiry", "lease-expiry":
-		var p sessionPayload
-		if err := wantName(); err != nil {
-			return nil, err
+		if rec.Session != nil {
+			payload = *rec.Session
 		}
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
-		}
-		return p, nil
 	case "intro-refuse", "intro-lend":
-		var p lending.IntroWait
-		if err := wantName(); err != nil {
-			return nil, err
+		if rec.Intro != nil {
+			payload = *rec.Intro
 		}
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
-		}
-		return p, nil
 	case "wk-replay":
-		var p replayPayload
-		if err := wantName(); err != nil {
-			return nil, err
+		if rec.Replay != nil {
+			payload = *rec.Replay
 		}
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
-		}
-		return p, nil
 	case "delta":
-		var p deltaPayload
-		if err := checkpoint.Unmarshal(rec.Data, &p); err != nil {
-			return nil, fmt.Errorf("world: event %q: %w", rec.Kind, err)
+		if rec.Delta != nil {
+			payload = *rec.Delta
 		}
-		return p, nil
+	default:
+		return nil, fmt.Errorf("world: unknown pending-event kind %q", rec.Kind)
 	}
-	return nil, fmt.Errorf("world: unknown pending-event kind %q", rec.Kind)
+	if rec.Kind != "delta" && rec.Name != rec.Kind {
+		return nil, fmt.Errorf("world: event kind %q under name %q", rec.Kind, rec.Name)
+	}
+	set := 0
+	for _, present := range []bool{rec.Gen != nil, rec.Peer != nil, rec.Session != nil, rec.Intro != nil, rec.Replay != nil, rec.Delta != nil} {
+		if present {
+			set++
+		}
+	}
+	want := 1
+	if rec.Kind == "transaction" || rec.Kind == "sample" {
+		want = 0
+	}
+	if set != want || (want == 1 && payload == nil) {
+		return nil, fmt.Errorf("world: event %q does not carry exactly its kind's payload", rec.Kind)
+	}
+	return payload, nil
 }
 
 // rebuildEvent maps a restored pending event back to its closure.

@@ -11,10 +11,12 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/churn"
 	"repro/internal/config"
+	"repro/internal/id"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -297,5 +299,63 @@ func TestDecodeSnapshotRejectsDefects(t *testing.T) {
 	}
 	if _, err := skew.Encode(); err == nil {
 		t.Fatal("version-skewed snapshot should be rejected by Encode")
+	}
+}
+
+// TestRestoreRejectsHostileArenas feeds Restore snapshots whose arena
+// table or placement-index count no world could have written. Each is
+// cut from a real snapshot, so it passes the decoder and reaches the
+// check it targets; Restore must refuse it rather than build a corrupt
+// arena.
+func TestRestoreRejectsHostileArenas(t *testing.T) {
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(800); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if len(snap.Ordinals) < 2 || snap.SMDepSlots == 0 {
+		t.Fatalf("fixture too small: %d ordinals, %d placement slots", len(snap.Ordinals), snap.SMDepSlots)
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *Snapshot)
+		want   string
+	}{
+		{"pristine", func(*Snapshot) {}, ""},
+		{"duplicate ordinal", func(s *Snapshot) { s.Ordinals[1].Ord = s.Ordinals[0].Ord }, "claimed twice"},
+		{"free-list collision", func(s *Snapshot) { s.OrdFree = append(s.OrdFree, s.Ordinals[0].Ord) }, "claimed twice"},
+		{"negative ordinal", func(s *Snapshot) { s.Ordinals[0].Ord = -3 }, "out of range"},
+		{"unbacked ordinal", func(s *Snapshot) {
+			s.Ordinals = append(s.Ordinals, OrdinalRecord{Peer: id.HashString("unbacked"), Ord: int32(len(s.Ordinals) + len(s.OrdFree))})
+		}, "backs no peer state"},
+		{"placement slot count off by one", func(s *Snapshot) { s.SMDepSlots++ }, "placement index holds"},
+		{"negative placement slot count", func(s *Snapshot) { s.SMDepSlots = -1 << 40 }, "placement index holds"},
+	}
+	for _, tc := range cases {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.mutate(s)
+		_, err = Restore(s)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }
