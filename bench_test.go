@@ -22,6 +22,7 @@ package repro
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/rocq"
+	"repro/internal/scenario"
 	"repro/internal/world"
 )
 
@@ -247,6 +249,26 @@ func BenchmarkTransactionTick(b *testing.B) {
 	if err := w.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkWorldNew measures building a churn-active founding community:
+// the mega built-in cut to 5,000 founders. With churn on, every founder's
+// join repairs the cached placements it invalidates, which is most of the
+// build. allocs_per_founder (heap objects allocated per founder, from the
+// runtime's malloc count) repeats to within a few objects per build, so
+// BENCH_10.json gates it where wall clock cannot be.
+func BenchmarkWorldNew(b *testing.B) {
+	cfg := scenario.Mega().Base
+	cfg.NumInit = 5_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if _, err := world.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*cfg.NumInit), "allocs_per_founder")
 }
 
 // BenchmarkDHTLookup measures greedy finger-table routing on a 4096-node

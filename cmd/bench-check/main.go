@@ -7,7 +7,10 @@
 // populations, success rates, admission counts — everything reportShape
 // emits) reproduce exactly on any machine; the band only absorbs the
 // limited precision of the benchmark output format. Timings (ns/op,
-// B/op, allocs/op) are machine-dependent and are never gated.
+// B/op, allocs/op) are machine-dependent and are never gated. An
+// allocation count a benchmark reports under its own unit, such as
+// BenchmarkWorldNew's allocs_per_founder, repeats to a few objects
+// under one Go release and is gated like a shape metric.
 //
 // Usage:
 //

@@ -382,7 +382,7 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 	othersAvailable := r.size > 1 || !r.Contains(peer)
 	maxReplica := numSM * 8 // generous: hash collisions across replicas are rare
 	for rep := 0; rep < maxReplica && len(managers) < numSM; rep++ {
-		key := r.replicaKey(peer, rep)
+		key := r.replicaKey(peer, rep, numSM)
 		owner := r.successorID(key)
 		if track != nil {
 			track(key, owner)
@@ -420,14 +420,20 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 // the keys are a pure function of the identifier, so each is hashed at
 // most once per membership stint (the cache is dropped when the member
 // leaves). Non-member queries compute without caching — only Leave evicts,
-// so memoising them would leak for the ring's lifetime.
-func (r *Ring) replicaKey(peer id.ID, rep int) id.ID {
+// so memoising them would leak for the ring's lifetime. A member's memo
+// is allocated once with room for numSM+2 keys: a placement reads numSM
+// keys plus, rarely, a few more when owners repeat, and growing by
+// doubling from one key would allocate four times per member.
+func (r *Ring) replicaKey(peer id.ID, rep, numSM int) id.ID {
 	keys := r.replicaKeys[peer]
 	if rep < len(keys) {
 		return keys[rep]
 	}
 	if !r.Contains(peer) {
 		return peer.Replica(rep)
+	}
+	if keys == nil {
+		keys = make([]id.ID, 0, numSM+2)
 	}
 	for len(keys) <= rep {
 		keys = append(keys, peer.Replica(len(keys)))

@@ -90,3 +90,35 @@ func TestOnChangeObservesEveryMutation(t *testing.T) {
 		t.Fatal("non-mutating calls notified the observer")
 	}
 }
+
+func TestDropPlaceholderRecyclesOnlyEmptySlots(t *testing.T) {
+	s := NewStore(DefaultParams())
+	notified := 0
+	s.SetOnChange(func(id.ID) { notified++ })
+	empty, held := id.FromUint64(1), id.FromUint64(2)
+	s.Ref(empty)
+	s.Ref(held).Init(0.7)
+	notified = 0
+
+	s.DropPlaceholder(empty)
+	s.DropPlaceholder(empty) // a padded placement repeats its managers
+	s.DropPlaceholder(held)  // evidence stays: an orphaned replica, not a placeholder
+	if live, capacity := s.ArenaSlots(); live != 1 || capacity != 2 {
+		t.Fatalf("ArenaSlots() = (%d, %d), want (1, 2)", live, capacity)
+	}
+	if v, ok := s.Query(held); !ok || v != 0.7 {
+		t.Fatalf("held subject reads %v (%v) after a drop, want 0.7", v, ok)
+	}
+	if notified != 0 {
+		t.Fatalf("dropping placeholders notified the observer %d times", notified)
+	}
+	// The recycled slot went onto the free-list once: two new subjects
+	// take the freed slot and one fresh slot, never the same slot twice.
+	a, b := s.Ref(id.FromUint64(3)), s.Ref(id.FromUint64(4))
+	if a == b {
+		t.Fatal("a doubly recycled slot was handed to two subjects")
+	}
+	if _, capacity := s.ArenaSlots(); capacity != 3 {
+		t.Fatalf("capacity %d after reuse, want 3", capacity)
+	}
+}

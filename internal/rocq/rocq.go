@@ -29,7 +29,7 @@ package rocq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/id"
 )
@@ -123,7 +123,9 @@ type Opinion struct {
 }
 
 // OpinionBook tracks a peer's first-hand experience with every partner it
-// has transacted with.
+// has transacted with. The partner map is allocated by the first Record:
+// a founding community of n peers would otherwise hold n empty maps
+// before the first transaction.
 type OpinionBook struct {
 	//replend:allow snapshotfields fixed at DefaultParams for every peer (restorePeer rebuilds books with them); params carry no run state
 	params   Params
@@ -141,7 +143,7 @@ func NewOpinionBook(p Params) *OpinionBook {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
-	return &OpinionBook{params: p, partners: make(map[id.ID]*opinionState)}
+	return &OpinionBook{params: p}
 }
 
 // Record folds one experience rating (in [0,1]; the paper's model uses the
@@ -154,6 +156,9 @@ func (b *OpinionBook) Record(partner id.ID, rating float64) Opinion {
 	}
 	st := b.partners[partner]
 	if st == nil {
+		if b.partners == nil {
+			b.partners = make(map[id.ID]*opinionState)
+		}
 		st = &opinionState{}
 		b.partners[partner] = st
 	}
@@ -219,7 +224,9 @@ type Store struct {
 	w      []float64 // total opinion weights, by slot
 	meta   []subjectMeta
 	free   []int32 // LIFO free-list of forgotten slots
-	cred   map[id.ID]float64
+	// cred is allocated by the first report: most stores in a freshly
+	// built world hold only initialised subjects and hear from no one.
+	cred map[id.ID]float64
 
 	known   int // subjects with evidence (present slots)
 	reports int64
@@ -242,8 +249,8 @@ type Store struct {
 // hot query paths are array reads instead of map lookups); present
 // distinguishes real evidence from such placeholders, and is what Query,
 // Known and Subjects report. A slot index stays bound to its subject
-// until Forget recycles it, so a Ref stays valid as long as its subject
-// is not forgotten.
+// until Forget or DropPlaceholder recycles it, so a Ref stays valid as
+// long as its subject is not forgotten and its placeholder not dropped.
 type subjectMeta struct {
 	subject id.ID // the subject this slot is about (for change notification)
 	reports int64
@@ -259,7 +266,6 @@ func NewStore(p Params) *Store {
 	return &Store{
 		params: p,
 		index:  make(map[id.ID]int32),
-		cred:   make(map[id.ID]float64),
 	}
 }
 
@@ -319,9 +325,12 @@ const initWeight = 20
 // it for the founding community members, which the paper assumes "are
 // honest and cooperative" from the start.
 func (s *Store) Init(subject id.ID, rep float64) {
-	idx := s.slot(subject)
+	s.initSlot(s.slot(subject), rep)
+}
+
+func (s *Store) initSlot(idx int32, rep float64) {
 	s.materialize(idx)
-	s.meta[idx] = subjectMeta{subject: subject, present: true}
+	s.meta[idx] = subjectMeta{subject: s.meta[idx].subject, present: true}
 	s.w[idx] = initWeight
 	s.s[idx] = clamp01(rep) * (initWeight + s.params.PriorWeight)
 	s.notify(idx)
@@ -365,6 +374,12 @@ func (s *Store) Ref(subject id.ID) Ref {
 	return Ref{store: s, idx: s.slot(subject)}
 }
 
+// Store returns the store the handle points into.
+func (r Ref) Store() *Store { return r.store }
+
+// Init is Store.Init through the pre-resolved handle.
+func (r Ref) Init(rep float64) { r.store.initSlot(r.idx, rep) }
+
 // Forget drops the subject's slot entirely and recycles its index —
 // used when the subject's node has left the network for good, so the
 // store need not retain (or keep a placeholder for) evidence nobody can
@@ -379,6 +394,21 @@ func (s *Store) Forget(subject id.ID) {
 		s.known--
 		s.notify(idx)
 	}
+	s.recycle(subject, idx)
+}
+
+// DropPlaceholder recycles the subject's slot if it holds no evidence —
+// the placement that pre-resolved it has moved to other managers, so
+// nothing can read the placeholder again. A slot with evidence stays.
+// Dropping twice is a no-op, and a drop never notifies the observer.
+func (s *Store) DropPlaceholder(subject id.ID) {
+	if idx, ok := s.index[subject]; ok && !s.meta[idx].present {
+		s.recycle(subject, idx)
+	}
+}
+
+// recycle unbinds the subject's slot and returns it to the free-list.
+func (s *Store) recycle(subject id.ID, idx int32) {
 	delete(s.index, subject)
 	s.s[idx], s.w[idx] = 0, 0
 	s.meta[idx] = subjectMeta{}
@@ -453,6 +483,9 @@ func (s *Store) updateCred(reporter id.ID, cred, opinion, aggregate float64) {
 	c := cred + s.params.CredGain*(target-cred)
 	if c < s.params.CredMin {
 		c = s.params.CredMin
+	}
+	if s.cred == nil {
+		s.cred = make(map[id.ID]float64)
 	}
 	s.cred[reporter] = clamp01(c)
 }
@@ -549,15 +582,20 @@ func (s *Store) Adopt(subject id.ID, sn Snapshot) {
 // SubjectIDs returns the subjects with stored evidence in ascending
 // identifier order — the deterministic iteration the churn handoff needs
 // when a node's store is enumerated at departure. The arena makes this a
-// linear slice scan instead of a map iteration.
+// linear slice scan instead of a map iteration. A store without evidence
+// returns nil: every founder's join scans its successor's store before
+// any founder has been initialised.
 func (s *Store) SubjectIDs() []id.ID {
+	if s.known == 0 {
+		return nil
+	}
 	out := make([]id.ID, 0, s.known)
 	for i := range s.meta {
 		if s.meta[i].present {
 			out = append(out, s.meta[i].subject)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, id.ID.Cmp)
 	return out
 }
 

@@ -1,8 +1,10 @@
 package rocq
 
-import "sort"
+import (
+	"slices"
 
-import "repro/internal/id"
+	"repro/internal/id"
+)
 
 // Checkpoint support. A Store's behaviour is fully determined by the
 // evidence in its present slots, its per-reporter credibilities and the
@@ -38,17 +40,22 @@ type StoreState struct {
 // counter in deterministic order.
 func (s *Store) ExportState() StoreState {
 	out := StoreState{Reports: s.reports}
-	for i := range s.meta {
-		if !s.meta[i].present {
-			continue
+	if s.known > 0 {
+		out.Subjects = make([]SubjectRecord, 0, s.known)
+		for i := range s.meta {
+			if s.meta[i].present {
+				out.Subjects = append(out.Subjects, SubjectRecord{Subject: s.meta[i].subject, S: s.s[i], W: s.w[i], Reports: s.meta[i].reports})
+			}
 		}
-		out.Subjects = append(out.Subjects, SubjectRecord{Subject: s.meta[i].subject, S: s.s[i], W: s.w[i], Reports: s.meta[i].reports})
+		slices.SortFunc(out.Subjects, func(a, b SubjectRecord) int { return a.Subject.Cmp(b.Subject) })
 	}
-	sort.Slice(out.Subjects, func(i, j int) bool { return out.Subjects[i].Subject.Less(out.Subjects[j].Subject) })
-	for reporter, c := range s.cred {
-		out.Cred = append(out.Cred, CredRecord{Reporter: reporter, Cred: c})
+	if len(s.cred) > 0 {
+		out.Cred = make([]CredRecord, 0, len(s.cred))
+		for reporter, c := range s.cred {
+			out.Cred = append(out.Cred, CredRecord{Reporter: reporter, Cred: c})
+		}
+		slices.SortFunc(out.Cred, func(a, b CredRecord) int { return a.Reporter.Cmp(b.Reporter) })
 	}
-	sort.Slice(out.Cred, func(i, j int) bool { return out.Cred[i].Reporter.Less(out.Cred[j].Reporter) })
 	return out
 }
 
@@ -61,7 +68,10 @@ func (s *Store) RestoreState(st StoreState) {
 	s.w = make([]float64, 0, len(st.Subjects))
 	s.meta = make([]subjectMeta, 0, len(st.Subjects))
 	s.free = nil
-	s.cred = make(map[id.ID]float64, len(st.Cred))
+	s.cred = nil
+	if len(st.Cred) > 0 {
+		s.cred = make(map[id.ID]float64, len(st.Cred))
+	}
 	s.known = len(st.Subjects)
 	s.reports = st.Reports
 	for _, rec := range st.Subjects {
@@ -86,17 +96,24 @@ type PartnerRecord struct {
 // ExportState captures the opinion book's experience in ascending partner
 // order.
 func (b *OpinionBook) ExportState() []PartnerRecord {
+	if len(b.partners) == 0 {
+		return nil
+	}
 	out := make([]PartnerRecord, 0, len(b.partners))
 	for partner, st := range b.partners {
 		out = append(out, PartnerRecord{Partner: partner, Sum: st.sum, Count: st.count})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Partner.Less(out[j].Partner) })
+	slices.SortFunc(out, func(a, b PartnerRecord) int { return a.Partner.Cmp(b.Partner) })
 	return out
 }
 
 // RestoreState overwrites the opinion book's experience with checkpointed
 // values.
 func (b *OpinionBook) RestoreState(recs []PartnerRecord) {
+	b.partners = nil
+	if len(recs) == 0 {
+		return
+	}
 	b.partners = make(map[id.ID]*opinionState, len(recs))
 	for _, rec := range recs {
 		b.partners[rec.Partner] = &opinionState{sum: rec.Sum, count: rec.Count}

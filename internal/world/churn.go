@@ -581,9 +581,8 @@ func (w *World) applyHandoff(records []handoffRecord) {
 			w.markRepDirty(rec.subject)
 			continue
 		}
-		e := w.smEntry(rec.subject) // placement after the leave
-		for _, st := range e.stores {
-			if !st.Known(rec.subject) {
+		for _, r := range w.smEntry(rec.subject).refs { // placement after the leave
+			if st := r.Store(); !st.Known(rec.subject) {
 				st.Adopt(rec.subject, snap)
 				w.m.Churn.Migrated++
 			}

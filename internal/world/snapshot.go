@@ -623,14 +623,12 @@ func Restore(s *Snapshot) (*World, error) {
 		for _, d := range rec.Deps {
 			e.deps = append(e.deps, smDep{key: d.Key, owner: d.Owner, skip: d.Skip})
 		}
-		e.stores = make([]*rocq.Store, len(e.sms))
 		e.refs = make([]rocq.Ref, len(e.sms))
 		for i, n := range e.sms {
 			st, ok := w.storeAt(n)
 			if !ok {
 				return nil, fmt.Errorf("world: restore: placement of %s references missing store %s", rec.Peer.Short(), n.Short())
 			}
-			e.stores[i] = st
 			e.refs[i] = st.Ref(rec.Peer)
 		}
 		w.smCache[rec.Peer] = e

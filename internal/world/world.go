@@ -18,6 +18,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/baseline"
@@ -114,13 +115,14 @@ type World struct {
 	repSum   float64
 	dirtyRep []id.ID // insertion-ordered for deterministic flushing
 
-	// smCache caches score-manager assignments (and their resolved
-	// stores) per peer. Invalidation is incremental: each entry records
-	// the ownership arcs its placement consulted, and smDeps indexes the
-	// entries by the member that answered, so a join or leave evicts only
-	// the peers whose successor set can actually change instead of the
-	// whole cache (the old whole-epoch scheme collapsed to a ~0% hit rate
-	// under arrivals, recomputing placement on every transaction).
+	// smCache caches score-manager assignments (and handles to the
+	// peer's slot in each manager's store) per peer. Invalidation is
+	// incremental: each entry records the ownership arcs its placement
+	// consulted, and smDeps indexes the entries by the member that
+	// answered, so a join or leave evicts only the peers whose successor
+	// set can actually change instead of the whole cache (the old
+	// whole-epoch scheme collapsed to a ~0% hit rate under arrivals,
+	// recomputing placement on every transaction).
 	smCache map[id.ID]*smCacheEntry
 	// smDeps maps an owner member to the peers whose cached entry depended
 	// on it when filled. The index is lazy: eviction leaves stale slice
@@ -247,15 +249,15 @@ func (w *World) ArenaSlots() (live, capacity int) {
 }
 
 // smCacheEntry is one peer's cached placement: the score-manager set, the
-// pre-resolved stores behind it (so the per-transaction QuerySet path does
-// no map lookups), and the ownership arcs the placement depends on. Each
-// dep (key, owner) means "owner was the first member clockwise from key";
-// the entry stays valid exactly as long as every such decision would
-// repeat, which eviction enforces on membership changes.
+// pre-resolved handles to the peer's slot in each manager's store (so the
+// per-transaction query and report paths do no map lookups), and the
+// ownership arcs the placement depends on. Each dep (key, owner) means
+// "owner was the first member clockwise from key"; the entry stays valid
+// exactly as long as every such decision would repeat, which eviction
+// enforces on membership changes.
 type smCacheEntry struct {
 	sms    []id.ID
-	stores []*rocq.Store
-	refs   []rocq.Ref // the peer's own slot in each manager store
+	refs   []rocq.Ref // refs[i]: the peer's slot in sms[i]'s store
 	deps   []smDep
 	padded bool // placement cycled because fewer than numSM distinct owners exist
 }
@@ -577,11 +579,9 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 	}
 	e.sms = sms
 	e.padded = len(sms) > 1 && id.Contains(sms[:len(sms)-1], sms[len(sms)-1])
-	e.stores = make([]*rocq.Store, len(sms))
 	e.refs = make([]rocq.Ref, len(sms))
 	for i, n := range sms {
-		e.stores[i] = w.Store(n)
-		e.refs[i] = e.stores[i].Ref(p)
+		e.refs[i] = w.Store(n).Ref(p)
 	}
 	if cacheable {
 		w.smCache[p] = e
@@ -650,6 +650,11 @@ func (e *smCacheEntry) dependsOn(owner id.ID) bool {
 // needed that was never recorded, or dedup merged owners below numSM so
 // the real walk would examine further replicas); the caller evicts and the
 // next use recomputes from the ring.
+//
+// A repair usually swaps one manager, so managers that stay keep their
+// handle and only entrants resolve a slot. A manager that left drops the
+// peer's slot if it never received evidence: nothing else references a
+// placeholder, which would otherwise last until the peer is forgotten.
 func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 	if e.padded {
 		return false
@@ -681,15 +686,31 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 	if len(sms) < numSM {
 		return false
 	}
-	e.sms = sms
-	e.stores = make([]*rocq.Store, 0, numSM)
-	e.refs = make([]rocq.Ref, 0, numSM)
-	for _, n := range sms {
-		st := w.Store(n)
-		e.stores = append(e.stores, st)
-		e.refs = append(e.refs, st.Ref(p))
+	refs := make([]rocq.Ref, len(sms))
+	for i, n := range sms {
+		if j := slices.Index(e.sms, n); j >= 0 {
+			refs[i] = e.refs[j]
+		} else {
+			refs[i] = w.Store(n).Ref(p)
+		}
 	}
+	for j, n := range e.sms {
+		if !id.Contains(sms, n) {
+			e.refs[j].Store().DropPlaceholder(p)
+		}
+	}
+	e.sms, e.refs = sms, refs
 	return true
+}
+
+// evictEntry drops the peer's cached placement; the next use recomputes
+// it from the ring. Like a repair, it drops the evidence-free slots the
+// placement's handles pre-created (repeats in a padded set are no-ops).
+func (w *World) evictEntry(p id.ID, e *smCacheEntry) {
+	delete(w.smCache, p)
+	for _, r := range e.refs {
+		r.Store().DropPlaceholder(p)
+	}
 }
 
 // noteRingJoin repairs the cached placements a new member invalidates. A
@@ -759,7 +780,7 @@ func (w *World) noteRingJoin(x id.ID) {
 				live = append(live, p)
 			}
 		} else {
-			delete(w.smCache, p)
+			w.evictEntry(p, e)
 		}
 	}
 	w.smDepSlots -= len(peers) - len(live)
@@ -790,7 +811,7 @@ func (w *World) noteRingLeave(x, succ id.ID) {
 		}
 		w.markRepDirty(p) // the manager set changes with the leaver's arcs
 		if succ == p || succ == x || w.ring.Size() <= 1 {
-			delete(w.smCache, p)
+			w.evictEntry(p, e)
 			continue
 		}
 		for j := range e.deps {
@@ -803,7 +824,7 @@ func (w *World) noteRingLeave(x, succ id.ID) {
 			w.smDeps[succ] = append(w.smDeps[succ], p)
 			w.smDepSlots++
 		} else {
-			delete(w.smCache, p)
+			w.evictEntry(p, e)
 		}
 	}
 	w.smDepSlots -= len(peers)
@@ -862,8 +883,8 @@ func (w *World) createFounders() error {
 	// Founders start fully reputed; their score managers now exist, so
 	// initialise their state.
 	for _, p := range w.admittedPeers {
-		for _, st := range w.smEntry(p.ID).stores {
-			st.Init(p.ID, w.cfg.FounderRep)
+		for _, r := range w.smEntry(p.ID).refs {
+			r.Init(w.cfg.FounderRep)
 		}
 	}
 	return w.err
@@ -1202,8 +1223,8 @@ func (w *World) finishArrival(p *peer.Peer) {
 			w.fail(fmt.Errorf("sim: arrival: %w", err))
 			return
 		}
-		for _, st := range w.smEntry(p.ID).stores {
-			st.Init(p.ID, w.policy.InitialReputation())
+		for _, r := range w.smEntry(p.ID).refs {
+			r.Init(w.policy.InitialReputation())
 		}
 		w.admit(p, w.engine.Now())
 		if p.Class == peer.Cooperative {

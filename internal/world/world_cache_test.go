@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/id"
 	"repro/internal/peer"
@@ -13,14 +14,25 @@ import (
 
 // TestScoreManagerCacheMatchesFreshPlacement is the cache oracle: across a
 // randomized join/leave/crash sequence, the cached ScoreManagers result for
-// every live peer must always equal a fresh ring.ScoreManagers call. This
-// pins the incremental invalidation rule (arc-dependency eviction) against
-// the ground truth it claims to track.
+// every live peer must always equal a fresh ring.ScoreManagers call, and
+// every cached store handle must equal a fresh resolution of the peer's
+// slot in that manager's store. This pins the incremental invalidation
+// rule (arc-dependency eviction) against the ground truth it claims to
+// track, and guards the handles a repair keeps from the old set. With
+// churn on, every founder join already repairs cached placements (state
+// migration fills the successor's entry), so the check starts right
+// after New.
 func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
+	t.Run("static", func(t *testing.T) { testCacheOracle(t, churn.Params{}) })
+	t.Run("churn", func(t *testing.T) { testCacheOracle(t, churn.Params{Migrate: true}) })
+}
+
+func testCacheOracle(t *testing.T, cp churn.Params) {
 	cfg := config.Default()
 	cfg.NumInit = 30
 	cfg.Lambda = 0
 	cfg.Seed = 3
+	cfg.Churn = cp
 	w, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +42,17 @@ func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
 	var extras []*peer.Peer
 	checkAll := func(step int) {
 		t.Helper()
+		for _, pid := range sortedWorldIDs(w.smCache) {
+			e := w.smCache[pid]
+			if len(e.refs) != len(e.sms) {
+				t.Fatalf("step %d: peer %s: %d handles for %d managers", step, pid.Short(), len(e.refs), len(e.sms))
+			}
+			for i, n := range e.sms {
+				if e.refs[i] != w.Store(n).Ref(pid) {
+					t.Fatalf("step %d: peer %s: cached handle %d (manager %s) is not the peer's slot in that store", step, pid.Short(), i, n.Short())
+				}
+			}
+		}
 		for _, pid := range w.slotIDsSorted(func(s *worldSlot) bool { return s.pr != nil }) {
 			if !w.ring.Contains(pid) {
 				continue
@@ -50,6 +73,7 @@ func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
 		}
 	}
 
+	checkAll(-1)
 	for step := 0; step < 400; step++ {
 		switch op := src.Intn(10); {
 		case op < 5: // join a new node
@@ -84,6 +108,39 @@ func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
 		if w.Err() != nil {
 			t.Fatalf("step %d: world failed: %v", step, w.Err())
 		}
+	}
+}
+
+// TestNewLeavesNoOrphanedPlaceholders pins placeholder hygiene: a store
+// slot without evidence exists only as a handle of its subject's cached
+// placement. With churn on, every founder join repairs cached placements;
+// a repair or eviction that moves a manager away must recycle the peer's
+// empty slot there, or it lingers unreachable until the peer is forgotten.
+func TestNewLeavesNoOrphanedPlaceholders(t *testing.T) {
+	cfg := config.Default()
+	cfg.Lambda = 0
+	cfg.Churn = churn.Params{Mu: 0.05, CrashFrac: 0.25}
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenced := map[id.ID]int{} // store node -> evidence-free slots cached placements hold
+	for _, pid := range sortedWorldIDs(w.smCache) {
+		sms := w.smCache[pid].sms
+		for i, n := range sms {
+			if !id.Contains(sms[:i], n) && !w.Store(n).Known(pid) {
+				referenced[n]++
+			}
+		}
+	}
+	orphans := 0
+	for _, node := range w.slotIDsSorted(func(s *worldSlot) bool { return s.store != nil }) {
+		st, _ := w.storeAt(node)
+		slots, _ := st.ArenaSlots()
+		orphans += slots - st.Subjects() - referenced[node]
+	}
+	if orphans != 0 {
+		t.Fatalf("%d store slots hold no evidence and back no cached placement", orphans)
 	}
 }
 
