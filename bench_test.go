@@ -271,6 +271,49 @@ func BenchmarkWorldNew(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*cfg.NumInit), "allocs_per_founder")
 }
 
+// BenchmarkGrowthFootprint measures the paper's headline run — the
+// Fig-1 world at Table-1 settings, λ = 0.1, seed 1 — cut to 20,000
+// ticks. Each iteration builds and runs one world untimed as a warm-up,
+// then builds and runs a second one and reports allocs_per_tick (heap
+// objects allocated per tick, from the runtime's malloc count) and
+// heap_bytes_per_peer (the live heap the world holds after a collection,
+// per admitted peer). BENCH_10.json gates allocs_per_tick.
+func BenchmarkGrowthFootprint(b *testing.B) {
+	cfg := config.Default()
+	cfg.Lambda = 0.1
+	cfg.NumTrans = 20_000
+	cfg.Seed = 1
+	run := func() *world.World {
+		w, err := world.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Run(); err != nil {
+			b.Fatal(err)
+		}
+		return w
+	}
+	var allocs, heapBytes, peers float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		w := run()
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		allocs += float64(after.Mallocs - before.Mallocs)
+		heapBytes += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		peers += float64(w.PopulationSize())
+		runtime.KeepAlive(w)
+	}
+	b.ReportMetric(allocs/float64(int64(b.N)*cfg.NumTrans), "allocs_per_tick")
+	b.ReportMetric(heapBytes/peers, "heap_bytes_per_peer")
+}
+
 // BenchmarkDHTLookup measures greedy finger-table routing on a 4096-node
 // ring.
 func BenchmarkDHTLookup(b *testing.B) {

@@ -74,6 +74,17 @@ func (o *Ordinals) Assign(pid id.ID) Ordinal {
 	return ord
 }
 
+// Intern returns pid's ordinal, assigning one on first sight. A table
+// that only ever interns is a handle table: with no Release, ordinals
+// are never reused, so an ordinal names one identity for the table's
+// lifetime.
+func (o *Ordinals) Intern(pid id.ID) Ordinal {
+	if ord, ok := o.index[pid]; ok {
+		return ord
+	}
+	return o.Assign(pid)
+}
+
 // Release returns pid's ordinal to the free-list. Releasing an unknown
 // id is a programming error.
 func (o *Ordinals) Release(pid id.ID) {

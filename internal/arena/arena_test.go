@@ -35,6 +35,26 @@ func TestOrdinalsAssignDenseAndRecycleLIFO(t *testing.T) {
 	}
 }
 
+func TestOrdinalsInternIsGetOrAssign(t *testing.T) {
+	o := NewOrdinals()
+	a, b := pid(1), pid(2)
+	if got := o.Intern(a); got != 0 {
+		t.Fatalf("first intern = %d, want 0", got)
+	}
+	if got := o.Intern(b); got != 1 {
+		t.Fatalf("second intern = %d, want 1", got)
+	}
+	if got := o.Intern(a); got != 0 {
+		t.Fatalf("re-intern = %d, want the original 0", got)
+	}
+	if ord, ok := o.Get(b); !ok || ord != 1 {
+		t.Fatalf("Get after Intern = (%d, %v), want (1, true)", ord, ok)
+	}
+	if o.Len() != 2 || o.Cap() != 2 {
+		t.Fatalf("Len=%d Cap=%d, want 2/2", o.Len(), o.Cap())
+	}
+}
+
 func TestOrdinalsLookupAndID(t *testing.T) {
 	o := NewOrdinals()
 	a := pid(7)

@@ -26,9 +26,10 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/rocq"
@@ -266,6 +267,11 @@ type Stats struct {
 // version wins; otherwise the snapshot with the median read value is
 // taken (deterministic tie-breaking by full snapshot ordering). The
 // boolean is false when no survivor exists — a wipeout.
+//
+// Reconcile sorts snaps in place, so it reorders its argument: the
+// handoff runs it once per migrated record, and a copy per call would
+// be garbage on every join. The order ties only identical snapshots, so
+// the result does not depend on the input order.
 func Reconcile(snaps []rocq.Snapshot) (rocq.Snapshot, bool) {
 	switch len(snaps) {
 	case 0:
@@ -273,12 +279,11 @@ func Reconcile(snaps []rocq.Snapshot) (rocq.Snapshot, bool) {
 	case 1:
 		return snaps[0], true
 	}
-	sorted := append([]rocq.Snapshot(nil), snaps...)
-	sort.Slice(sorted, func(i, j int) bool { return snapLess(sorted[i], sorted[j]) })
-	// Majority scan over the sorted copy: equal snapshots are adjacent.
+	slices.SortFunc(snaps, snapCmp)
+	// Majority scan over the sorted survivors: equal snapshots are adjacent.
 	runStart, best, bestLen := 0, 0, 1
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) && sorted[i] == sorted[runStart] {
+	for i := 1; i <= len(snaps); i++ {
+		if i < len(snaps) && snaps[i] == snaps[runStart] {
 			continue
 		}
 		if n := i - runStart; n > bestLen {
@@ -286,25 +291,27 @@ func Reconcile(snaps []rocq.Snapshot) (rocq.Snapshot, bool) {
 		}
 		runStart = i
 	}
-	if 2*bestLen > len(sorted) {
-		return sorted[best], true
+	if 2*bestLen > len(snaps) {
+		return snaps[best], true
 	}
 	// No majority: the median-by-value survivor.
-	return sorted[len(sorted)/2], true
+	return snaps[len(snaps)/2], true
 }
 
-// snapLess orders snapshots by read value, then by the full evidence
+// snapCmp orders snapshots by read value, then by the full evidence
 // tuple, so reconciliation is deterministic.
-func snapLess(a, b rocq.Snapshot) bool {
-	av, bv := a.Value(), b.Value()
-	if av != bv {
-		return av < bv
+func snapCmp(a, b rocq.Snapshot) int {
+	if c := cmp.Compare(a.Value(), b.Value()); c != 0 {
+		return c
 	}
-	if a.S != b.S {
-		return a.S < b.S
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
 	}
-	if a.W != b.W {
-		return a.W < b.W
+	if c := cmp.Compare(a.W, b.W); c != 0 {
+		return c
 	}
-	return a.Reports < b.Reports
+	if c := cmp.Compare(a.Reports, b.Reports); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Prior, b.Prior)
 }

@@ -25,12 +25,25 @@
 // aggregate and subsequent positive feedback pulls it back up, matching
 // the paper's "the introducer can recoup its reputation in time by
 // behaving cooperatively with other peers".
+//
+// Stores and opinion books key their per-identity maps on dense int32
+// handles from an arena.Ordinals table rather than on 20-byte
+// identifiers. A world shares one handle table among every store and
+// book it builds; a store or book built standalone owns a private one.
+// The table only interns, never releases, so a handle names one identity
+// for the table's lifetime: a store keeps a forgotten peer's credibility
+// as a reporter and a peer keeps its opinion of a forgotten partner, and
+// a recycled number would alias both. Reads by identifier look it up
+// without interning it; only writes intern. Handles never feed output
+// bytes: exports map them back to identifiers and sort, and restores
+// intern again.
 package rocq
 
 import (
 	"fmt"
 	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/id"
 )
 
@@ -129,7 +142,8 @@ type Opinion struct {
 type OpinionBook struct {
 	//replend:allow snapshotfields fixed at DefaultParams for every peer (restorePeer rebuilds books with them); params carry no run state
 	params   Params
-	partners map[id.ID]*opinionState
+	handles  *arena.Ordinals
+	partners map[arena.Ordinal]opinionState
 }
 
 type opinionState struct {
@@ -137,40 +151,54 @@ type opinionState struct {
 	count int64
 }
 
-// NewOpinionBook returns an empty book using the given parameters.
+// NewOpinionBook returns an empty book using the given parameters, with a
+// handle table of its own.
 func NewOpinionBook(p Params) *OpinionBook {
+	return NewOpinionBookOn(p, arena.NewOrdinals())
+}
+
+// NewOpinionBookOn returns an empty book that numbers partners in the
+// given shared handle table.
+func NewOpinionBookOn(p Params, handles *arena.Ordinals) *OpinionBook {
 	if err := p.Validate(); err != nil {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
-	return &OpinionBook{params: p}
+	return &OpinionBook{params: p, handles: handles}
 }
 
 // Record folds one experience rating (in [0,1]; the paper's model uses the
 // binary values 1 = satisfied, 0 = not satisfied) into the opinion of the
 // given partner and returns the updated opinion.
 func (b *OpinionBook) Record(partner id.ID, rating float64) Opinion {
+	return b.RecordHandle(b.handles.Intern(partner), rating)
+}
+
+// RecordHandle is Record for a partner already numbered in the book's
+// handle table.
+func (b *OpinionBook) RecordHandle(partner arena.Ordinal, rating float64) Opinion {
 	if rating < 0 || rating > 1 {
 		//replend:allow nopanic caller-contract invariant: behaviour styles emit only 0 or 1 ratings
 		panic(fmt.Sprintf("rocq: rating %v out of [0,1]", rating))
 	}
-	st := b.partners[partner]
-	if st == nil {
-		if b.partners == nil {
-			b.partners = make(map[id.ID]*opinionState)
-		}
-		st = &opinionState{}
-		b.partners[partner] = st
+	if b.partners == nil {
+		b.partners = make(map[arena.Ordinal]opinionState)
 	}
+	st := b.partners[partner]
 	st.sum += rating
 	st.count++
+	b.partners[partner] = st
 	return b.opinion(st)
 }
 
 // Opinion returns the current opinion of a partner and whether any
 // experience with it exists.
 func (b *OpinionBook) Opinion(partner id.ID) (Opinion, bool) {
-	st, ok := b.partners[partner]
+	h, ok := b.handles.Get(partner)
+	if !ok {
+		return Opinion{}, false
+	}
+	st, ok := b.partners[h]
 	if !ok {
 		return Opinion{}, false
 	}
@@ -181,7 +209,7 @@ func (b *OpinionBook) Opinion(partner id.ID) (Opinion, bool) {
 // experience.
 func (b *OpinionBook) Partners() int { return len(b.partners) }
 
-func (b *OpinionBook) opinion(st *opinionState) Opinion {
+func (b *OpinionBook) opinion(st opinionState) Opinion {
 	mean := st.sum / float64(st.count)
 	// Quality grows with the number of experiences (saturation term) and
 	// shrinks when the experiences are inconsistent: a half-good,
@@ -211,22 +239,23 @@ func minf(a, b float64) float64 {
 // Memory layout: subject slots live in a struct-of-arrays arena — the
 // hot weighted sums and weights (read on every Query) in two flat
 // float64 slices, the cold bookkeeping in a parallel meta slice — and
-// the id index maps a subject to its slot index. Forget returns slots
-// to a LIFO free-list, so churn recycles them instead of growing the
-// arena without bound. Arena indices never feed output bytes:
-// SubjectIDs and ExportState sort by identifier, exactly as the old
-// map-backed layout did.
+// the index maps a subject's handle to its slot index. Forget returns
+// slots to a LIFO free-list, so churn recycles them instead of growing
+// the arena without bound. Neither slot indices nor handles feed output
+// bytes: SubjectIDs and ExportState sort by identifier, exactly as the
+// old map-backed layout did.
 type Store struct {
 	//replend:allow snapshotfields fixed at DefaultParams for every store (world.Restore rebuilds them so); params carry no run state
-	params Params
-	index  map[id.ID]int32
-	s      []float64 // weighted opinion sums (plus lending adjustments), by slot
-	w      []float64 // total opinion weights, by slot
-	meta   []subjectMeta
-	free   []int32 // LIFO free-list of forgotten slots
+	params  Params
+	handles *arena.Ordinals // numbers subjects and reporters (see the package doc)
+	index   map[arena.Ordinal]int32
+	s       []float64 // weighted opinion sums (plus lending adjustments), by slot
+	w       []float64 // total opinion weights, by slot
+	meta    []subjectMeta
+	free    []int32 // LIFO free-list of forgotten slots
 	// cred is allocated by the first report: most stores in a freshly
 	// built world hold only initialised subjects and hear from no one.
-	cred map[id.ID]float64
+	cred map[arena.Ordinal]float64
 
 	known   int // subjects with evidence (present slots)
 	reports int64
@@ -252,20 +281,28 @@ type Store struct {
 // until Forget or DropPlaceholder recycles it, so a Ref stays valid as
 // long as its subject is not forgotten and its placeholder not dropped.
 type subjectMeta struct {
-	subject id.ID // the subject this slot is about (for change notification)
 	reports int64
-	present bool // the store has actually heard about this subject
+	subject arena.Ordinal // the subject this slot is about (for change notification)
+	present bool          // the store has actually heard about this subject
 }
 
-// NewStore returns an empty score-manager store.
+// NewStore returns an empty score-manager store with a handle table of
+// its own.
 func NewStore(p Params) *Store {
+	return NewStoreOn(p, arena.NewOrdinals())
+}
+
+// NewStoreOn returns an empty score-manager store that numbers subjects
+// and reporters in the given shared handle table.
+func NewStoreOn(p Params, handles *arena.Ordinals) *Store {
 	if err := p.Validate(); err != nil {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
 	return &Store{
-		params: p,
-		index:  make(map[id.ID]int32),
+		params:  p,
+		handles: handles,
+		index:   make(map[arena.Ordinal]int32),
 	}
 }
 
@@ -281,14 +318,30 @@ func (s *Store) SetOnChange(fn func(subject id.ID)) { s.onChange = fn }
 // notify reports a mutation of the slot's subject to the observer.
 func (s *Store) notify(idx int32) {
 	if s.onChange != nil {
-		s.onChange(s.meta[idx].subject)
+		s.onChange(s.subjectID(idx))
 	}
 }
 
-// slot returns the subject's slot index, creating an empty (non-present)
-// placeholder — from the free-list if churn released one — if the store
-// has no slot for it yet.
+// lookup returns the subject's slot index without interning the
+// subject.
+func (s *Store) lookup(subject id.ID) (int32, bool) {
+	h, ok := s.handles.Get(subject)
+	if !ok {
+		return 0, false
+	}
+	idx, ok := s.index[h]
+	return idx, ok
+}
+
+// slot returns the subject's slot index, interning the subject and
+// creating an empty (non-present) placeholder — from the free-list if
+// churn released one — if the store has no slot for it yet.
 func (s *Store) slot(subject id.ID) int32 {
+	return s.slotOf(s.handles.Intern(subject))
+}
+
+// slotOf is slot for a subject's handle.
+func (s *Store) slotOf(subject arena.Ordinal) int32 {
 	if idx, ok := s.index[subject]; ok {
 		return idx
 	}
@@ -338,7 +391,7 @@ func (s *Store) initSlot(idx int32, rep float64) {
 
 // Known reports whether the store holds state for the subject.
 func (s *Store) Known(subject id.ID) bool {
-	idx, ok := s.index[subject]
+	idx, ok := s.lookup(subject)
 	return ok && s.meta[idx].present
 }
 
@@ -351,15 +404,15 @@ func (s *Store) value(idx int32) float64 {
 // store has never heard of it (a fresh score manager after churn, or a
 // peer that was never admitted).
 func (s *Store) Query(subject id.ID) (float64, bool) {
-	idx, ok := s.index[subject]
+	idx, ok := s.lookup(subject)
 	if !ok || !s.meta[idx].present {
 		return 0, false
 	}
 	return s.value(idx), true
 }
 
-// Ref is a stable handle to one subject's slot in this store: Query
-// through it is two array reads, no hashing. The handle stays valid as
+// Ref is a stable reference to one subject's slot in this store: Query
+// through it is two array reads, no hashing. The reference stays valid as
 // long as its subject is not forgotten (slots are reset in place, and a
 // slot index stays bound to its subject until Forget recycles it) and
 // observes evidence that arrives after it was taken.
@@ -368,16 +421,22 @@ type Ref struct {
 	idx   int32
 }
 
-// Ref resolves a handle for the subject, pre-creating an empty slot that
-// Query, Known and Subjects ignore until evidence arrives.
+// Ref resolves a reference to the subject's slot, pre-creating an empty
+// slot that Query, Known and Subjects ignore until evidence arrives.
 func (s *Store) Ref(subject id.ID) Ref {
-	return Ref{store: s, idx: s.slot(subject)}
+	return s.RefHandle(s.handles.Intern(subject))
 }
 
-// Store returns the store the handle points into.
+// RefHandle is Ref for a subject already numbered in the store's handle
+// table.
+func (s *Store) RefHandle(subject arena.Ordinal) Ref {
+	return Ref{store: s, idx: s.slotOf(subject)}
+}
+
+// Store returns the store the reference points into.
 func (r Ref) Store() *Store { return r.store }
 
-// Init is Store.Init through the pre-resolved handle.
+// Init is Store.Init through the pre-resolved reference.
 func (r Ref) Init(rep float64) { r.store.initSlot(r.idx, rep) }
 
 // Forget drops the subject's slot entirely and recycles its index —
@@ -386,6 +445,14 @@ func (r Ref) Init(rep float64) { r.store.initSlot(r.idx, rep) }
 // query again. Callers must ensure no Ref for the subject outlives the
 // forget: the slot index may be rebound to another subject.
 func (s *Store) Forget(subject id.ID) {
+	if h, ok := s.handles.Get(subject); ok {
+		s.ForgetHandle(h)
+	}
+}
+
+// ForgetHandle is Forget for a subject already numbered in the store's
+// handle table.
+func (s *Store) ForgetHandle(subject arena.Ordinal) {
 	idx, ok := s.index[subject]
 	if !ok {
 		return
@@ -402,20 +469,28 @@ func (s *Store) Forget(subject id.ID) {
 // nothing can read the placeholder again. A slot with evidence stays.
 // Dropping twice is a no-op, and a drop never notifies the observer.
 func (s *Store) DropPlaceholder(subject id.ID) {
+	if h, ok := s.handles.Get(subject); ok {
+		s.DropPlaceholderHandle(h)
+	}
+}
+
+// DropPlaceholderHandle is DropPlaceholder for a subject already numbered
+// in the store's handle table.
+func (s *Store) DropPlaceholderHandle(subject arena.Ordinal) {
 	if idx, ok := s.index[subject]; ok && !s.meta[idx].present {
 		s.recycle(subject, idx)
 	}
 }
 
 // recycle unbinds the subject's slot and returns it to the free-list.
-func (s *Store) recycle(subject id.ID, idx int32) {
+func (s *Store) recycle(subject arena.Ordinal, idx int32) {
 	delete(s.index, subject)
 	s.s[idx], s.w[idx] = 0, 0
 	s.meta[idx] = subjectMeta{}
 	s.free = append(s.free, idx)
 }
 
-// Query is Store.Query through the pre-resolved handle.
+// Query is Store.Query through the pre-resolved reference.
 func (r Ref) Query() (float64, bool) {
 	if !r.store.meta[r.idx].present {
 		return 0, false
@@ -425,6 +500,14 @@ func (r Ref) Query() (float64, bool) {
 
 // Credibility returns the store's current credibility for a reporter.
 func (s *Store) Credibility(reporter id.ID) float64 {
+	h, ok := s.handles.Get(reporter)
+	if !ok {
+		return s.params.CredInit
+	}
+	return s.credibility(h)
+}
+
+func (s *Store) credibility(reporter arena.Ordinal) float64 {
 	c, ok := s.cred[reporter]
 	if !ok {
 		return s.params.CredInit
@@ -438,22 +521,29 @@ func (s *Store) Credibility(reporter id.ID) float64 {
 // the resulting aggregate. A report about an unknown subject creates the
 // subject at the zero prior first — an unintroduced peer starts at 0.
 func (s *Store) Report(reporter, subject id.ID, op Opinion) {
-	s.reportTo(s.slot(subject), reporter, op)
+	s.reportTo(s.slot(subject), s.handles.Intern(reporter), op)
 }
 
-// Report folds the report into the handle's subject, sparing the
+// Report folds the report into the reference's subject, sparing the
 // subject-map lookup on the per-transaction feedback path.
 func (r Ref) Report(reporter id.ID, op Opinion) {
+	r.store.reportTo(r.idx, r.store.handles.Intern(reporter), op)
+}
+
+// ReportHandle is Ref.Report for a reporter already numbered in the
+// store's handle table — the form the simulator's feedback path uses, so
+// one report resolves the reporter once, not once per score manager.
+func (r Ref) ReportHandle(reporter arena.Ordinal, op Opinion) {
 	r.store.reportTo(r.idx, reporter, op)
 }
 
-func (s *Store) reportTo(idx int32, reporter id.ID, op Opinion) {
+func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 	if op.Value < 0 || op.Value > 1 || op.Quality < 0 || op.Quality > 1 {
 		//replend:allow nopanic caller-contract invariant: OpinionBook clamps opinions to [0,1] before they reach a store
 		panic(fmt.Sprintf("rocq: report out of range: %+v", op))
 	}
 	s.reports++
-	cred := s.Credibility(reporter)
+	cred := s.credibility(reporter)
 	s.materialize(idx)
 	w := cred * op.Quality
 	s.s[idx] += w * op.Value
@@ -474,7 +564,7 @@ func (s *Store) reportTo(idx int32, reporter id.ID, op Opinion) {
 // reporters that agree with the aggregate become more credible, reporters
 // that consistently deviate (for instance the paper's uncooperative peers,
 // which always report 0) lose influence.
-func (s *Store) updateCred(reporter id.ID, cred, opinion, aggregate float64) {
+func (s *Store) updateCred(reporter arena.Ordinal, cred, opinion, aggregate float64) {
 	d := opinion - aggregate
 	if d < 0 {
 		d = -d
@@ -485,7 +575,7 @@ func (s *Store) updateCred(reporter id.ID, cred, opinion, aggregate float64) {
 		c = s.params.CredMin
 	}
 	if s.cred == nil {
-		s.cred = make(map[id.ID]float64)
+		s.cred = make(map[arena.Ordinal]float64)
 	}
 	s.cred[reporter] = clamp01(c)
 }
@@ -562,7 +652,7 @@ func (sn Snapshot) Value() float64 {
 // Export captures the subject's stored evidence, and false when the store
 // holds none.
 func (s *Store) Export(subject id.ID) (Snapshot, bool) {
-	idx, ok := s.index[subject]
+	idx, ok := s.lookup(subject)
 	if !ok || !s.meta[idx].present {
 		return Snapshot{}, false
 	}
@@ -592,11 +682,17 @@ func (s *Store) SubjectIDs() []id.ID {
 	out := make([]id.ID, 0, s.known)
 	for i := range s.meta {
 		if s.meta[i].present {
-			out = append(out, s.meta[i].subject)
+			out = append(out, s.subjectID(int32(i)))
 		}
 	}
 	slices.SortFunc(out, id.ID.Cmp)
 	return out
+}
+
+// subjectID returns the identifier of the slot's subject.
+func (s *Store) subjectID(idx int32) id.ID {
+	pid, _ := s.handles.ID(s.meta[idx].subject)
+	return pid
 }
 
 // ArenaSlots returns (live, capacity) of the store's subject arena: how
@@ -629,7 +725,7 @@ func QuerySet(stores []*Store, subject id.ID) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// QueryRefs is QuerySet over pre-resolved handles — the form the
+// QueryRefs is QuerySet over pre-resolved references — the form the
 // simulator's per-tick query path uses, since it avoids rehashing the
 // subject once per manager on every read.
 func QueryRefs(refs []Ref) (float64, bool) {

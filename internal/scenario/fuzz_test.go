@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/id"
+	"repro/internal/rocq"
 	"repro/internal/sim"
 	"repro/internal/world"
 )
@@ -115,6 +116,19 @@ func sealedBody(f *testing.F, s *world.Snapshot) []byte {
 	return body
 }
 
+// storeWith returns the index of the snapshot's first store whose state
+// satisfies pred.
+func storeWith(f *testing.F, s *world.Snapshot, pred func(rocq.StoreState) bool) int {
+	f.Helper()
+	for i := range s.Stores {
+		if pred(s.Stores[i].State) {
+			return i
+		}
+	}
+	f.Fatal("seed snapshot holds no matching store")
+	return -1
+}
+
 // FuzzSnapshotBody skips the envelope digest (which rejects almost every
 // mutation) and fuzzes the body documents directly, so the decoder and
 // restore validation see structurally interesting corruption.
@@ -128,12 +142,32 @@ func FuzzSnapshotBody(f *testing.F) {
 	// the decoder and reach Restore: two peers on one ordinal, a
 	// free-list entry colliding with an assigned slot, and an ordinal
 	// that backs no state elsewhere in the document. Restore must reject
-	// all of them rather than build a corrupt arena.
+	// all of them rather than build a corrupt arena. Then hostile ROCQ
+	// records, cut the same way: a store listing one subject twice, a
+	// store listing one reporter twice, and a partner record with count 0
+	// and sum 1, whose next Record would read an opinion of 2.
 	for _, mutate := range []func(s *world.Snapshot){
 		func(s *world.Snapshot) { s.Ordinals[1].Ord = s.Ordinals[0].Ord },
 		func(s *world.Snapshot) { s.OrdFree = append(s.OrdFree, s.Ordinals[0].Ord) },
 		func(s *world.Snapshot) {
 			s.Ordinals = append(s.Ordinals, world.OrdinalRecord{Peer: id.HashString("unbacked"), Ord: int32(len(s.Ordinals) + len(s.OrdFree))})
+		},
+		func(s *world.Snapshot) {
+			st := &s.Stores[storeWith(f, s, func(st rocq.StoreState) bool { return len(st.Subjects) > 0 })].State
+			st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1])
+		},
+		func(s *world.Snapshot) {
+			st := &s.Stores[storeWith(f, s, func(st rocq.StoreState) bool { return len(st.Cred) > 0 })].State
+			st.Cred = append([]rocq.CredRecord{st.Cred[0]}, st.Cred...)
+		},
+		func(s *world.Snapshot) {
+			for i := range s.Peers {
+				if ops := s.Peers[i].Opinions; len(ops) > 0 {
+					ops[0].Count, ops[0].Sum = 0, 1
+					return
+				}
+			}
+			f.Fatal("seed snapshot holds no opinions")
 		},
 	} {
 		s, err := world.DecodeSnapshotBody(bodies[1])

@@ -332,9 +332,11 @@ func (w *World) forgetDeparted(pid id.ID) {
 		s.departed = nil
 		w.peerSlab.Free(d.peer)
 	}
-	for ord := range w.slots {
-		if st := w.slots[ord].store; st != nil {
-			st.Forget(pid)
+	if h, ok := w.handles.Get(pid); ok {
+		for ord := range w.slots {
+			if st := w.slots[ord].store; st != nil {
+				st.ForgetHandle(h)
+			}
 		}
 	}
 	w.releaseIfEmpty(pid)
@@ -609,7 +611,7 @@ func (w *World) migrateAfterJoin(x id.ID) {
 			if !id.Contains(sms, x) {
 				continue // the joiner took none of this record's replica keys
 			}
-			var snaps []rocq.Snapshot
+			snaps := w.snapScratch[:0]
 			succIsManager := false
 			for i, m := range sms {
 				if m == x || id.Contains(sms[:i], m) {
@@ -632,6 +634,7 @@ func (w *World) migrateAfterJoin(x id.ID) {
 					snaps = append(snaps, snap)
 				}
 			}
+			w.snapScratch = snaps
 			if snap, ok := churn.Reconcile(snaps); ok {
 				dst := w.Store(x)
 				if !dst.Known(subject) {
@@ -665,7 +668,7 @@ func (w *World) pullSelfSkipTakeover(x, subject id.ID) {
 	if dst.Known(subject) {
 		return
 	}
-	var snaps []rocq.Snapshot
+	snaps := w.snapScratch[:0]
 	for i, m := range sms {
 		if m == x || id.Contains(sms[:i], m) {
 			continue
@@ -687,6 +690,7 @@ func (w *World) pullSelfSkipTakeover(x, subject id.ID) {
 			}
 		}
 	}
+	w.snapScratch = snaps
 	if snap, ok := churn.Reconcile(snaps); ok {
 		dst.Adopt(subject, snap)
 		w.m.Churn.Migrated++

@@ -493,7 +493,10 @@ func Restore(s *Snapshot) (*World, error) {
 		if sl.pr != nil {
 			return nil, fmt.Errorf("world: restore: duplicate peer %s", rec.ID.Short())
 		}
-		p := w.restorePeer(rec)
+		p, err := w.restorePeer(rec)
+		if err != nil {
+			return nil, err
+		}
 		if err := w.ring.Join(p.ID); err != nil {
 			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
 		}
@@ -539,9 +542,10 @@ func Restore(s *Snapshot) (*World, error) {
 		if sl.store != nil {
 			return nil, fmt.Errorf("world: restore: duplicate store for %s", rec.Node.Short())
 		}
-		st := rocq.NewStore(rocq.DefaultParams())
-		st.RestoreState(rec.State)
-		st.SetOnChange(w.markRepDirty)
+		st := w.newStore()
+		if err := st.RestoreState(rec.State); err != nil {
+			return nil, fmt.Errorf("world: restore: store at %s: %w", rec.Node.Short(), err)
+		}
 		sl.store = st
 	}
 
@@ -554,7 +558,11 @@ func Restore(s *Snapshot) (*World, error) {
 		if sl.departed != nil {
 			return nil, fmt.Errorf("world: restore: duplicate departed peer %s", pid.Short())
 		}
-		d := &departedPeer{peer: w.restorePeer(rec.Peer)}
+		p, err := w.restorePeer(rec.Peer)
+		if err != nil {
+			return nil, err
+		}
+		d := &departedPeer{peer: p}
 		switch {
 		case rec.Null && rec.Signer != nil:
 			return nil, fmt.Errorf("world: restore: departed %s has both null and signer identity", pid.Short())
@@ -624,12 +632,13 @@ func Restore(s *Snapshot) (*World, error) {
 			e.deps = append(e.deps, smDep{key: d.Key, owner: d.Owner, skip: d.Skip})
 		}
 		e.refs = make([]rocq.Ref, len(e.sms))
+		h := w.handles.Intern(rec.Peer)
 		for i, n := range e.sms {
 			st, ok := w.storeAt(n)
 			if !ok {
 				return nil, fmt.Errorf("world: restore: placement of %s references missing store %s", rec.Peer.Short(), n.Short())
 			}
-			e.refs[i] = st.Ref(rec.Peer)
+			e.refs[i] = st.RefHandle(h)
 		}
 		w.smCache[rec.Peer] = e
 	}
@@ -887,7 +896,7 @@ func peerRecord(p *peer.Peer) PeerRecord {
 
 // restorePeer rebuilds one peer object, in the world's slab, from its
 // record.
-func (w *World) restorePeer(rec PeerRecord) *peer.Peer {
+func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
 	p := w.newPeer(rec.ID, rec.Class, rec.Style)
 	p.JoinedAt = rec.JoinedAt
 	p.Completed = rec.Completed
@@ -902,8 +911,10 @@ func (w *World) restorePeer(rec PeerRecord) *peer.Peer {
 		cp := *rec.Plan
 		p.Plan = &cp
 	}
-	p.Opinions.RestoreState(rec.Opinions)
-	return p
+	if err := p.Opinions.RestoreState(rec.Opinions); err != nil {
+		return nil, fmt.Errorf("world: restore: peer %s: %w", rec.ID.Short(), err)
+	}
+	return p, nil
 }
 
 // copySeries detaches a metrics series from the live world.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/id"
 	"repro/internal/metrics"
+	"repro/internal/rocq"
 	"repro/internal/sim"
 )
 
@@ -356,6 +357,96 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 			t.Errorf("%s: Restore accepted the snapshot", tc.name)
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRestoreRejectsHostileROCQRecords feeds Restore snapshots whose
+// store or opinion-book records no world could have written: a store
+// listing one subject twice, a store listing one reporter twice, and
+// partner records whose count or sum Record could not have produced.
+// Each is cut from a real snapshot, so it passes the decoder; Restore
+// must refuse it and name the node or peer, rather than restore a store
+// that exports differently or a book whose next report panics.
+func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(800); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	// The first store with subjects, the first with credibilities and the
+	// first peer with opinions carry the mutations.
+	subjects, creds, opinions := -1, -1, -1
+	for i, st := range snap.Stores {
+		if subjects < 0 && len(st.State.Subjects) > 0 {
+			subjects = i
+		}
+		if creds < 0 && len(st.State.Cred) > 0 {
+			creds = i
+		}
+	}
+	for i, p := range snap.Peers {
+		if len(p.Opinions) > 0 {
+			opinions = i
+			break
+		}
+	}
+	if subjects < 0 || creds < 0 || opinions < 0 {
+		t.Fatalf("fixture too small: store with subjects %d, with credibilities %d, peer with opinions %d", subjects, creds, opinions)
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *Snapshot)
+		want   []string
+	}{
+		{"pristine", func(*Snapshot) {}, nil},
+		{"duplicate subject", func(s *Snapshot) {
+			st := &s.Stores[subjects].State
+			st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1])
+		}, []string{"store at " + snap.Stores[subjects].Node.Short(), "not strictly ascending"}},
+		{"duplicate reporter", func(s *Snapshot) {
+			st := &s.Stores[creds].State
+			dup := st.Cred[0]
+			dup.Cred /= 2
+			st.Cred = append([]rocq.CredRecord{dup}, st.Cred...)
+		}, []string{"store at " + snap.Stores[creds].Node.Short(), "not strictly ascending"}},
+		{"partner count zero", func(s *Snapshot) {
+			s.Peers[opinions].Opinions[0].Count, s.Peers[opinions].Opinions[0].Sum = 0, 1
+		}, []string{"peer " + snap.Peers[opinions].ID.Short(), "count 0"}},
+		{"partner sum above count", func(s *Snapshot) {
+			rec := &s.Peers[opinions].Opinions[0]
+			rec.Sum = float64(rec.Count) + 1
+		}, []string{"peer " + snap.Peers[opinions].ID.Short(), "outside [0,"}},
+	}
+	for _, tc := range cases {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.mutate(s)
+		_, err = Restore(s)
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want != nil && err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+		case tc.want != nil:
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+				}
+			}
 		}
 	}
 }

@@ -102,6 +102,15 @@ type World struct {
 	peerSlab      arena.Slab[peer.Peer]
 	admittedPeers []*peer.Peer // members in admission order
 
+	// handles numbers every identity the world's ROCQ state has seen —
+	// subjects, reporters and partners — for all stores and opinion
+	// books, which key their maps on these int32 handles instead of
+	// 20-byte ids. Unlike ords it never releases, so a handle is never
+	// reused: stores keep forgotten reporters' credibility and books keep
+	// opinions of forgotten partners. Handles never feed output bytes.
+	//replend:allow snapshotfields handle table, not state: restore rebuilds it as it restores stores and books, and exports map handles back to ids
+	handles *arena.Ordinals
+
 	// Membership churn (see churn.go): the departure process and clocks;
 	// departed peers and the wipeout marks live in the slot arena.
 	churnProc *churn.Process
@@ -115,7 +124,7 @@ type World struct {
 	repSum   float64
 	dirtyRep []id.ID // insertion-ordered for deterministic flushing
 
-	// smCache caches score-manager assignments (and handles to the
+	// smCache caches score-manager assignments (and references to the
 	// peer's slot in each manager's store) per peer. Invalidation is
 	// incremental: each entry records the ownership arcs its placement
 	// consulted, and smDeps indexes the entries by the member that
@@ -132,6 +141,11 @@ type World struct {
 	// staleness stays bounded.
 	smDeps     map[id.ID][]id.ID
 	smDepSlots int // total index slots, live and stale
+
+	// snapScratch is the join-time migration's survivor buffer, reused
+	// record after record so a pull allocates nothing per record.
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	snapScratch []rocq.Snapshot
 
 	seq        int64   // peer id sequence
 	arrClock   float64 // continuous arrival clock for the Poisson process
@@ -224,7 +238,7 @@ func (w *World) livePeer(pid id.ID) *peer.Peer {
 func (w *World) newPeer(pid id.ID, class peer.Class, style peer.Style) *peer.Peer {
 	p := w.peerSlab.Alloc()
 	p.ID, p.Class, p.Style = pid, class, style
-	p.Opinions = rocq.NewOpinionBook(rocq.DefaultParams())
+	p.Opinions = rocq.NewOpinionBookOn(rocq.DefaultParams(), w.handles)
 	return p
 }
 
@@ -249,8 +263,8 @@ func (w *World) ArenaSlots() (live, capacity int) {
 }
 
 // smCacheEntry is one peer's cached placement: the score-manager set, the
-// pre-resolved handles to the peer's slot in each manager's store (so the
-// per-transaction query and report paths do no map lookups), and the
+// pre-resolved references to the peer's slot in each manager's store (so
+// the per-transaction query and report paths do no map lookups), and the
 // ownership arcs the placement depends on. Each dep (key, owner) means
 // "owner was the first member clockwise from key"; the entry stays valid
 // exactly as long as every such decision would repeat, which eviction
@@ -382,6 +396,7 @@ func newBare(cfg config.Config) (*World, error) {
 		behaveRand:   root.Split(),
 		keyRand:      root.Split(),
 		ords:         arena.NewOrdinals(),
+		handles:      arena.NewOrdinals(),
 		smCache:      make(map[id.ID]*smCacheEntry),
 		smDeps:       make(map[id.ID][]id.ID),
 		policy:       baseline.MidSpectrum{},
@@ -580,8 +595,9 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 	e.sms = sms
 	e.padded = len(sms) > 1 && id.Contains(sms[:len(sms)-1], sms[len(sms)-1])
 	e.refs = make([]rocq.Ref, len(sms))
+	h := w.handles.Intern(p)
 	for i, n := range sms {
-		e.refs[i] = w.Store(n).Ref(p)
+		e.refs[i] = w.Store(n).RefHandle(h)
 	}
 	if cacheable {
 		w.smCache[p] = e
@@ -652,8 +668,9 @@ func (e *smCacheEntry) dependsOn(owner id.ID) bool {
 // next use recomputes from the ring.
 //
 // A repair usually swaps one manager, so managers that stay keep their
-// handle and only entrants resolve a slot. A manager that left drops the
-// peer's slot if it never received evidence: nothing else references a
+// reference and only entrants resolve a slot, through the peer's handle
+// resolved once for the repair. A manager that left drops the peer's
+// slot if it never received evidence: nothing else references a
 // placeholder, which would otherwise last until the peer is forgotten.
 func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 	if e.padded {
@@ -687,16 +704,17 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 		return false
 	}
 	refs := make([]rocq.Ref, len(sms))
+	h := w.handles.Intern(p)
 	for i, n := range sms {
 		if j := slices.Index(e.sms, n); j >= 0 {
 			refs[i] = e.refs[j]
 		} else {
-			refs[i] = w.Store(n).Ref(p)
+			refs[i] = w.Store(n).RefHandle(h)
 		}
 	}
 	for j, n := range e.sms {
 		if !id.Contains(sms, n) {
-			e.refs[j].Store().DropPlaceholder(p)
+			e.refs[j].Store().DropPlaceholderHandle(h)
 		}
 	}
 	e.sms, e.refs = sms, refs
@@ -705,11 +723,12 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 
 // evictEntry drops the peer's cached placement; the next use recomputes
 // it from the ring. Like a repair, it drops the evidence-free slots the
-// placement's handles pre-created (repeats in a padded set are no-ops).
+// placement's references pre-created (repeats in a padded set are no-ops).
 func (w *World) evictEntry(p id.ID, e *smCacheEntry) {
 	delete(w.smCache, p)
+	h := w.handles.Intern(p)
 	for _, r := range e.refs {
-		r.Store().DropPlaceholder(p)
+		r.Store().DropPlaceholderHandle(h)
 	}
 }
 
@@ -844,11 +863,17 @@ func (w *World) QueryReputation(pid id.ID) (float64, bool) {
 func (w *World) Store(node id.ID) *rocq.Store {
 	s := w.ensureSlot(node)
 	if s.store == nil {
-		st := rocq.NewStore(rocq.DefaultParams())
-		st.SetOnChange(w.markRepDirty)
-		s.store = st
+		s.store = w.newStore()
 	}
 	return s.store
+}
+
+// newStore builds an empty store on the world's handle table, reporting
+// evidence mutations into the sampling dirty set.
+func (w *World) newStore() *rocq.Store {
+	st := rocq.NewStoreOn(rocq.DefaultParams(), w.handles)
+	st.SetOnChange(w.markRepDirty)
+	return st
 }
 
 // storeAt returns the store hosted at a node without allocating one.
@@ -1329,13 +1354,15 @@ func (w *World) transact() {
 }
 
 // report sends rater's updated opinion about subject to subject's score
-// managers (whose placement entry the caller already holds).
+// managers (whose placement entry the caller already holds). Both
+// identities resolve to handles once, not once per manager.
 func (w *World) report(rater, subject *peer.Peer, subjectEntry *smCacheEntry) {
 	now := w.engine.Now()
 	rating := rater.RateAt(now, subject.BehavesWellAt(now))
-	op := rater.Opinions.Record(subject.ID, rating)
+	raterH := w.handles.Intern(rater.ID)
+	op := rater.Opinions.RecordHandle(w.handles.Intern(subject.ID), rating)
 	for _, ref := range subjectEntry.refs {
-		ref.Report(rater.ID, op)
+		ref.ReportHandle(raterH, op)
 	}
 }
 
