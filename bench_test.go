@@ -13,8 +13,8 @@
 //
 // Each iteration runs the full (scaled) experiment; the reported metric is
 // therefore end-to-end experiment regeneration cost. Micro-benchmarks for
-// the substrates (DHT lookups, ROCQ updates, transaction throughput) are
-// alongside.
+// the substrates (score-manager placement, ROCQ updates, transaction
+// throughput) are alongside.
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -30,7 +30,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/id"
 	"repro/internal/overlay"
-	"repro/internal/rng"
 	"repro/internal/rocq"
 	"repro/internal/scenario"
 	"repro/internal/world"
@@ -312,31 +311,6 @@ func BenchmarkGrowthFootprint(b *testing.B) {
 	}
 	b.ReportMetric(allocs/float64(int64(b.N)*cfg.NumTrans), "allocs_per_tick")
 	b.ReportMetric(heapBytes/peers, "heap_bytes_per_peer")
-}
-
-// BenchmarkDHTLookup measures greedy finger-table routing on a 4096-node
-// ring.
-func BenchmarkDHTLookup(b *testing.B) {
-	ring := overlay.NewRing()
-	var members []id.ID
-	for i := 0; i < 4096; i++ {
-		n := id.HashString(fmt.Sprintf("bench-node-%d", i))
-		if err := ring.Join(n); err != nil {
-			b.Fatal(err)
-		}
-		members = append(members, n)
-	}
-	src := rng.New(1)
-	keys := make([]id.ID, 1024)
-	for i := range keys {
-		keys[i] = id.FromUint64(src.Uint64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ring.Lookup(members[i%len(members)], keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkScoreManagerPlacement measures replica-key placement on a

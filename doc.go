@@ -3,7 +3,7 @@
 // Trento TR DIT-05-086, 2005 / ICDE 2006 workshops), grown into a small
 // simulation platform for admission economics in P2P communities.
 //
-// The tree is 21 packages: this root, and twenty under internal/, in
+// The library lives in this root and 25 packages under internal/, in
 // dependency order:
 //
 // Substrates:
@@ -14,14 +14,21 @@
 //     stochastic choice flows through a seeded stream.
 //   - internal/sim — the discrete-event engine: integer ticks, FIFO
 //     within a tick, RunUntil/Step.
-//   - internal/metrics — time series, Welford statistics, CSV.
+//   - internal/arena — dense ordinals and pointer-stable slabs for
+//     per-peer state.
+//   - internal/telemetry — the write-only event bus and the world's
+//     only event path: one Event type with its Kind vocabulary, and
+//     sinks (JSONL stream, progress counters, wall-clock spans).
+//   - internal/metrics — time series, Welford statistics, histograms,
+//     CSV.
 //   - internal/transport — the simulated message bus (instant delivery,
 //     crash injection) and pluggable signing identities (Ed25519 or the
 //     null opt-out).
 //   - internal/overlay — the Chord-like ring: treap-backed membership,
-//     finger lookups, score-manager placement.
+//     live neighbour pointers, score-manager placement.
 //   - internal/topology — random and scale-free respondent/introducer
 //     bias.
+//   - internal/checkpoint — the sealed binary state-file format.
 //
 // The paper's model:
 //
@@ -32,6 +39,8 @@
 //   - internal/churn — the membership-churn extension: departure
 //     clocks, session models, crash/rejoin draws, snapshot
 //     reconciliation, lifecycle stats.
+//   - internal/workload — rate programs, behavioural cohorts and trace
+//     record/replay over the paper's single Poisson knob.
 //   - internal/config — Table 1 plus the extension knobs (churn, stake
 //     timeout, null signing), defaults, validation, JSON.
 //   - internal/lending — the paper's contribution: signed lend orders,
@@ -53,14 +62,18 @@
 //   - internal/experiments — one runnable per paper figure/table plus
 //     the extension sweeps (whitewash, traitor, ablation, churn,
 //     sessions, stakes).
-//   - internal/core — a compact embedding API (Community).
-//   - internal/trace — structured event log with invariant checks.
+//   - internal/trace — structured event log with invariant checks, one
+//     sink on the telemetry bus.
 //   - internal/asciiplot — terminal line charts for the reports.
+//   - internal/benchgate — the BENCH shape gate behind cmd/bench-check.
+//   - internal/lint — the determinism analyzers behind
+//     cmd/replend-lint.
 //
 // The runnable tools live under cmd/ (replend-sim, replend-experiments,
-// docs-check), narrated walkthroughs under examples/ (each a thin driver
-// over a declarative scenario — see docs/scenarios.md), and the
-// benchmarks that regenerate the paper's evaluation in bench_test.go.
+// replend-lint, bench-check, docs-check), narrated walkthroughs under
+// examples/ (each a thin program over a declarative scenario — see
+// docs/scenarios.md), and the benchmarks that regenerate the paper's
+// evaluation in bench_test.go.
 // DESIGN.md holds the system inventory and experiment index;
 // EXPERIMENTS.md records paper-vs-measured outcomes; docs/economics.md
 // tells the stake-lifecycle story; docs/fleet.md the distributed runner.

@@ -1,7 +1,7 @@
 // API: the scenario subsystem as a library — the built-in "api" scenario
 // (a founder introduces B, B later introduces C: reputation lending
 // composing across generations) driven step by step, with the structured
-// protocol trace attached for inspection.
+// protocol trace attached to the world's telemetry bus for inspection.
 //
 // Run with: go run ./examples/api
 package main
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -26,7 +27,9 @@ func main() {
 	}
 	w := r.World()
 	tlog := trace.New(0)
-	w.SetTrace(tlog)
+	bus := telemetry.NewBus()
+	bus.Attach(tlog)
+	w.SetTelemetry(bus)
 
 	// Phase 1 at tick 5000: a founder introduces B.
 	if _, err := r.StepPhase(); err != nil {

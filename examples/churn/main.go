@@ -9,8 +9,7 @@
 // before being able to contact the new peer's score managers."
 //
 // The driver (1) tracks how a peer's score-manager set migrates as the
-// ring grows, (2) steps the scenario's crash-and-introduce phase, and
-// (3) measures Chord lookup hop counts on the grown ring.
+// ring grows, and (2) steps the scenario's crash-and-introduce phase.
 //
 // Run with: go run ./examples/churn
 package main
@@ -69,20 +68,6 @@ func main() {
 	fmt.Printf("introduction executed through the surviving managers: newcomer reputation %.3f (want %.2f)\n",
 		w.Reputation(outcome.Peer), spec.Base.IntroAmt)
 
-	// (3) Routing cost on the grown ring: real Chord lookups through
-	// finger tables.
-	fmt.Println("\nlookup hop counts (greedy finger routing):")
-	members := w.Ring().Members()
-	for i := 0; i < 100; i++ {
-		key := id.HashString(fmt.Sprintf("probe-%d", i))
-		if _, _, err := w.Ring().Lookup(members[i%len(members)], key); err != nil {
-			log.Fatal(err)
-		}
-	}
-	lookups, mean := w.Ring().RoutingStats()
-	fmt.Printf("n=%d: %d lookups, %.2f mean hops (log2 n = %.1f)\n",
-		w.Ring().Size(), lookups, mean, log2(float64(w.Ring().Size())))
-
 	if _, err := r.Finish(); err != nil {
 		log.Fatal(err)
 	}
@@ -92,13 +77,4 @@ func printSMs(sms []id.ID) {
 	for i, sm := range sms {
 		fmt.Printf("  replica %d -> node %s\n", i, sm.Short())
 	}
-}
-
-func log2(x float64) float64 {
-	n := 0.0
-	for x > 1 {
-		x /= 2
-		n++
-	}
-	return n
 }

@@ -96,7 +96,7 @@ func (d ID) Short() string {
 // Cmp compares two identifiers as 160-bit unsigned integers, returning
 // -1, 0, or +1. Big-endian storage lets it compare three machine words
 // instead of looping over bytes — this is the innermost operation of
-// every overlay routing step and index lookup, and random identifiers
+// every overlay index lookup, and random identifiers
 // almost always decide on the first word.
 func (d ID) Cmp(o ID) int {
 	a, b := binary.BigEndian.Uint64(d[0:8]), binary.BigEndian.Uint64(o[0:8])
@@ -177,18 +177,6 @@ func (d ID) Sub(o ID) ID {
 	return out
 }
 
-// AddPow2 returns (d + 2^k) mod 2^160. It is the finger-table offset used by
-// Chord-style routing; k must be in [0, Bits).
-func (d ID) AddPow2(k int) ID {
-	if k < 0 || k >= Bits {
-		panic(fmt.Sprintf("id: AddPow2 exponent %d out of range [0,%d)", k, Bits))
-	}
-	var p ID
-	byteIdx := Bytes - 1 - k/8
-	p[byteIdx] = 1 << (k % 8)
-	return d.Add(p)
-}
-
 // Distance returns the clockwise distance from d to o on the ring, i.e. how
 // far one must travel in the increasing direction from d to reach o.
 func (d ID) Distance(o ID) ID {
@@ -207,12 +195,6 @@ func (d ID) Between(from, to ID) bool {
 	}
 	// from == to: everything except the point itself.
 	return d.Cmp(from) != 0
-}
-
-// BetweenRightIncl reports whether d lies on the clockwise arc (from, to],
-// the membership test used for successor responsibility in Chord.
-func (d ID) BetweenRightIncl(from, to ID) bool {
-	return d.Cmp(to) == 0 || d.Between(from, to)
 }
 
 // PrefixLen returns the number of leading bits d and o share; 160 when equal.

@@ -127,25 +127,6 @@ func TestAddCommutative(t *testing.T) {
 	}
 }
 
-func TestAddPow2AgainstBigInt(t *testing.T) {
-	base := HashString("pow2")
-	for k := 0; k < Bits; k++ {
-		want := fromBig(new(big.Int).Add(toBig(base), new(big.Int).Lsh(big.NewInt(1), uint(k))))
-		if got := base.AddPow2(k); got != want {
-			t.Fatalf("AddPow2(%d) mismatch", k)
-		}
-	}
-}
-
-func TestAddPow2PanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range exponent")
-		}
-	}()
-	FromUint64(1).AddPow2(Bits)
-}
-
 func TestDistanceAsymmetry(t *testing.T) {
 	// distance(a,b) + distance(b,a) == 0 (mod 2^160) unless a == b.
 	f := func(a, b [Bytes]byte) bool {
@@ -198,16 +179,6 @@ func TestBetweenDegenerateArc(t *testing.T) {
 	}
 	if !FromUint64(8).Between(p, p) {
 		t.Fatal("any other point lies in the full-ring arc")
-	}
-}
-
-func TestBetweenRightIncl(t *testing.T) {
-	a, b := FromUint64(10), FromUint64(30)
-	if !b.BetweenRightIncl(a, b) {
-		t.Fatal("right endpoint must be included")
-	}
-	if a.BetweenRightIncl(a, b) {
-		t.Fatal("left endpoint must be excluded")
 	}
 }
 

@@ -28,13 +28,13 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `flag range-over-map loops with order-sensitive effects
 
 A range over a map whose body appends to state declared outside the
-loop, emits trace or metrics events, writes to an encoder or outer
-writer, sends on a channel, or accumulates a floating-point sum makes
-the program's observable output depend on Go's randomized map iteration
-order. Collect the keys into a slice and sort it first; the loop is
-accepted when the appended-to slice is passed to a sort call later in
-the same block. Per-key effects (writing m2[k] for the loop key k,
-integer counters) are order-independent and not flagged.`,
+loop, emits telemetry, trace or metrics events, writes to an encoder or
+outer writer, sends on a channel, or accumulates a floating-point sum
+makes the program's observable output depend on Go's randomized map
+iteration order. Collect the keys into a slice and sort it first; the
+loop is accepted when the appended-to slice is passed to a sort call
+later in the same block. Per-key effects (writing m2[k] for the loop key
+k, integer counters) are order-independent and not flagged.`,
 	Run: run,
 }
 
@@ -165,21 +165,22 @@ func checkCall(pass *analysis.Pass, rs *ast.RangeStmt, call *ast.CallExpr) {
 	name := sel.Sel.Name
 	switch {
 	case isEmitterType(recv) && emitterMethods[name]:
-		pass.Reportf(rs.For, "range over map calls %s.%s; trace/metrics event order follows map iteration order — sort the keys first", typeShort(recv), name)
+		pass.Reportf(rs.For, "range over map calls %s.%s; telemetry/trace/metrics event order follows map iteration order — sort the keys first", typeShort(recv), name)
 	case name == "Encode" || strings.HasPrefix(name, "Write"):
 		pass.Reportf(rs.For, "range over map calls %s on %s; encoded output order follows map iteration order — sort the keys first", name, types.ExprString(sel.X))
 	}
 }
 
-// emitterMethods are the mutating entry points of the trace and metrics
-// packages; their read-only accessors are order-safe.
+// emitterMethods are the mutating entry points of the telemetry, trace
+// and metrics packages — the bus and its sinks publish through Event and
+// Sample; their read-only accessors are order-safe.
 var emitterMethods = map[string]bool{
-	"Record": true, "Append": true, "Observe": true,
+	"Event": true, "Sample": true, "Append": true, "Observe": true,
 	"Inc": true, "Add": true, "Merge": true,
 }
 
-// isEmitterType reports whether t belongs to the trace or metrics
-// package (possibly behind a pointer).
+// isEmitterType reports whether t belongs to the telemetry, trace or
+// metrics package (possibly behind a pointer).
 func isEmitterType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -192,7 +193,9 @@ func isEmitterType(t types.Type) bool {
 		return false
 	}
 	path := named.Obj().Pkg().Path()
-	return strings.HasSuffix(path, "internal/trace") || strings.HasSuffix(path, "internal/metrics")
+	return strings.HasSuffix(path, "internal/telemetry") ||
+		strings.HasSuffix(path, "internal/trace") ||
+		strings.HasSuffix(path, "internal/metrics")
 }
 
 func typeShort(t types.Type) string {

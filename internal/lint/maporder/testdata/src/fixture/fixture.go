@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/id"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -113,16 +113,23 @@ func writeLocal(m map[string]int) int {
 	return n
 }
 
-// traceEmit records trace events in map order: flagged.
+// busEmit publishes telemetry events in map order: flagged.
+func busEmit(b *telemetry.Bus, m map[string]int) {
+	for k := range m { // want `telemetry/trace/metrics event order follows map iteration order`
+		b.Event(telemetry.Event{Kind: telemetry.Kind(k)})
+	}
+}
+
+// traceEmit feeds the event log in map order: flagged.
 func traceEmit(l *trace.Log, m map[string]int) {
-	for k := range m { // want `trace/metrics event order follows map iteration order`
-		l.Record(0, trace.Kind(k), id.ID{}, id.ID{}, "")
+	for k := range m { // want `telemetry/trace/metrics event order follows map iteration order`
+		l.Event(telemetry.Event{Kind: telemetry.Kind(k)})
 	}
 }
 
 // seriesEmit appends metrics samples in map order: flagged.
 func seriesEmit(s *metrics.Series, m map[int64]float64) {
-	for t, v := range m { // want `trace/metrics event order follows map iteration order`
+	for t, v := range m { // want `telemetry/trace/metrics event order follows map iteration order`
 		s.Append(t, v)
 	}
 }

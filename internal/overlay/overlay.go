@@ -4,10 +4,10 @@
 // of all feedback pertaining to a peer."
 //
 // The overlay is a Chord-style ring over the 160-bit identifier space of
-// package id. Each node keeps a predecessor pointer, a successor list and a
-// 160-entry finger table; lookups route greedily through fingers and are
-// guaranteed to terminate via successor pointers. Key k is owned by
-// successor(k), the first node clockwise from k.
+// package id. Key k is owned by successor(k), the first node clockwise
+// from k. The simulation only ever selects owners, never routes to them,
+// so the ring keeps membership, live neighbour pointers and placement,
+// and answers successor(k) from an ordered index.
 //
 // Score managers for a peer p are the owners of Hash(p ‖ r) for replica
 // indices r = 0..numSM-1 — so, exactly as the paper notes, "the score
@@ -23,17 +23,11 @@ import (
 	"repro/internal/id"
 )
 
-// SuccessorListLen is the number of successors each node tracks. Chord's
-// robustness argument wants Ω(log n); 8 covers the simulated population
-// sizes (≤ ~10k nodes) comfortably.
-const SuccessorListLen = 8
-
-// Node is one overlay member's routing state. Neighbour pointers (next,
+// Node is one overlay member's ring state. Neighbour pointers (next,
 // prev) are maintained eagerly on every join and leave — the incremental
-// analogue of Chord stabilisation fixing adjacent successors first — while
-// the finger table is repaired lazily the first time it is consulted after
-// a membership change. Joins and leaves are therefore O(log n), essential
-// because the simulated communities grow by thousands of nodes.
+// analogue of Chord stabilisation fixing adjacent successors — so joins
+// and leaves are O(log n), essential because the simulated communities
+// grow by thousands of nodes.
 type Node struct {
 	ID id.ID
 
@@ -43,52 +37,18 @@ type Node struct {
 	tLeft, tRight *Node
 	keyHi         uint64 // first 8 bytes of ID: fast-path comparand
 	prio          uint64 // deterministic heap priority
-
-	pred  id.ID
-	succs []id.ID // successor list, nearest first
-	// fingers[k] owns ID + 2^k. Allocated lazily on first repair: a full
-	// table is id.Bits identifiers (~3 KB), which only nodes that actually
-	// route ever need — at million-member scale the passive majority
-	// keeping inline tables would dominate the whole world's memory.
-	fingers    []id.ID
-	repairedAt int64 // membership epoch this state was built against
 }
 
-// Pred returns the node's predecessor pointer.
-func (n *Node) Pred() id.ID { return n.pred }
-
-// Succ returns the node's immediate successor.
-func (n *Node) Succ() id.ID {
-	if len(n.succs) == 0 {
-		return n.ID
-	}
-	return n.succs[0]
-}
-
-// Successors returns a copy of the node's successor list.
-func (n *Node) Successors() []id.ID {
-	return append([]id.ID(nil), n.succs...)
-}
-
-// Finger returns entry k of the finger table; the ring rebuilds stale
-// tables before exposing them.
-func (n *Node) Finger(k int) id.ID {
-	if n.fingers == nil {
-		return id.ID{}
-	}
-	return n.fingers[k]
-}
-
-// Ring is the overlay membership and routing oracle. The simulation is
+// Ring is the overlay membership and placement oracle. The simulation is
 // single-threaded, so Ring performs maintenance eagerly and
 // deterministically instead of running Chord's periodic stabilisation
-// protocol; the routing state it maintains per node is exactly what
-// stabilisation would converge to.
+// protocol; the neighbour pointers it maintains per node are exactly
+// what stabilisation would converge to.
 //
 // Membership lives in two structures kept in lockstep: a treap keyed by
 // identifier (O(log n) join/leave/ceiling, deterministic shape) and a
 // circular doubly-linked list threading the member nodes in ring order
-// (O(1) neighbour access for successor-list maintenance).
+// (O(1) neighbour access).
 type Ring struct {
 	nodes map[id.ID]*Node
 	slab  arena.Slab[Node] // node records; churn recycles slots
@@ -101,9 +61,6 @@ type Ring struct {
 	// placement consults them on every recompute and the SHA-1 otherwise
 	// dominates. Entries are dropped when the member leaves.
 	replicaKeys map[id.ID][]id.ID
-
-	lookups  int64
-	hopTotal int64
 }
 
 // Errors returned by Ring operations.
@@ -147,20 +104,8 @@ func (r *Ring) Contains(n id.ID) bool {
 	return ok
 }
 
-// Node returns the routing state for a member, repaired against the
-// current membership, or an error.
-func (r *Ring) Node(n id.ID) (*Node, error) {
-	node, ok := r.nodes[n]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotMember, n.Short())
-	}
-	r.repairNode(node)
-	return node, nil
-}
-
 // Join adds a node to the ring: O(log n) index insert plus an O(1) splice
-// into the neighbour list. Finger tables of existing nodes are repaired
-// lazily the next time they are consulted.
+// into the neighbour list.
 func (r *Ring) Join(n id.ID) error {
 	if _, ok := r.nodes[n]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, n.Short())
@@ -184,12 +129,11 @@ func (r *Ring) Join(n id.ID) error {
 	r.root = treapInsert(r.root, node)
 	r.size++
 	r.epoch++
-	node.repairedAt = r.epoch - 1
 	r.nodes[n] = node
 	return nil
 }
 
-// Leave removes a node (graceful departure or crash — routing-wise they are
+// Leave removes a node (graceful departure or crash — ring-wise they are
 // the same once neighbours repair).
 func (r *Ring) Leave(n id.ID) error {
 	node, ok := r.nodes[n]
@@ -218,55 +162,6 @@ func (r *Ring) NextMember(n id.ID) (id.ID, bool) {
 	return node.next.ID, true
 }
 
-// repairNode refreshes one node's predecessor, successor list and finger
-// table against current membership, if stale. Neighbour pointers are
-// already live, so the predecessor and successor list are read off the
-// ring in O(SuccessorListLen). Fingers are repaired by walking the
-// targets n+2^k in increasing clockwise distance: the owner changes only
-// when a target crosses the previous owner, so the index is consulted
-// O(distinct fingers) = O(log n) times instead of once per bit — the
-// membership walk a real Chord node performs along its neighbour list,
-// without the 160 ceiling queries that made lookups regress.
-func (r *Ring) repairNode(node *Node) {
-	if node.repairedAt == r.epoch {
-		return
-	}
-	node.pred = node.prev.ID
-	node.succs = node.succs[:0]
-	if node.fingers == nil {
-		node.fingers = make([]id.ID, id.Bits)
-	}
-	if r.size == 1 {
-		node.succs = append(node.succs, node.ID)
-		for k := 0; k < id.Bits; k++ {
-			node.fingers[k] = node.ID
-		}
-		node.repairedAt = r.epoch
-		return
-	}
-	for s, j := node.next, 0; j < SuccessorListLen && s != node; s, j = s.next, j+1 {
-		node.succs = append(node.succs, s.ID)
-	}
-	// fingers[0] targets node+1; identifiers are integers on the ring, so
-	// the open arc (node, node+1) holds no member and the owner is the
-	// live successor.
-	target := node.ID.AddPow2(0)
-	owner := node.next.ID
-	node.fingers[0] = owner
-	for k := 1; k < id.Bits; k++ {
-		prev := target
-		target = node.ID.AddPow2(k)
-		// The previous owner keeps answering while the target stays inside
-		// (prev, owner]: prev was in the owner's arc, so everything up to
-		// the owner still is. Past it, ask the membership index once.
-		if owner == prev || !target.BetweenRightIncl(prev, owner) {
-			owner = r.successorID(target)
-		}
-		node.fingers[k] = owner
-	}
-	node.repairedAt = r.epoch
-}
-
 // successorID returns the owner of key: the first member clockwise from it.
 func (r *Ring) successorID(key id.ID) id.ID {
 	if r.size == 0 {
@@ -286,72 +181,6 @@ func (r *Ring) Successor(key id.ID) (id.ID, error) {
 		return id.ID{}, ErrEmpty
 	}
 	return r.successorID(key), nil
-}
-
-// Lookup routes from the given start member to the owner of key the way a
-// real Chord node would: greedy closest-preceding-finger steps, with the
-// successor pointer as the final (and fallback) hop. It returns the owner
-// and the number of hops taken, and records them in the ring's routing
-// statistics.
-func (r *Ring) Lookup(from, key id.ID) (owner id.ID, hops int, err error) {
-	if r.size == 0 {
-		return id.ID{}, 0, ErrEmpty
-	}
-	cur, ok := r.nodes[from]
-	if !ok {
-		return id.ID{}, 0, fmt.Errorf("%w: lookup from %s", ErrNotMember, from.Short())
-	}
-	for {
-		r.repairNode(cur)
-		// Key owned by cur's immediate successor?
-		succ := cur.Succ()
-		if key.BetweenRightIncl(cur.ID, succ) {
-			r.lookups++
-			r.hopTotal += int64(hops + 1)
-			return succ, hops + 1, nil
-		}
-		next := r.closestPreceding(cur, key)
-		if next == cur.ID {
-			// Fingers degenerate (tiny ring): fall through to successor.
-			next = succ
-		}
-		cur = r.nodes[next]
-		hops++
-		if hops > r.size+id.Bits {
-			return id.ID{}, hops, fmt.Errorf("overlay: lookup for %s did not converge", key.Short())
-		}
-	}
-}
-
-// closestPreceding returns the finger of n most closely preceding key,
-// Chord's routing step.
-func (n *Node) closestPrecedingFinger(key id.ID) id.ID {
-	if n.fingers == nil {
-		return n.ID
-	}
-	for k := id.Bits - 1; k >= 0; k-- {
-		f := n.fingers[k]
-		if !f.IsZero() && f.Between(n.ID, key) {
-			return f
-		}
-	}
-	return n.ID
-}
-
-func (r *Ring) closestPreceding(n *Node, key id.ID) id.ID {
-	f := n.closestPrecedingFinger(key)
-	// A finger may point at a departed node if tables were rebuilt before a
-	// later departure; validate against membership and fall back along the
-	// successor list like real Chord does.
-	if _, ok := r.nodes[f]; ok {
-		return f
-	}
-	for _, s := range n.succs {
-		if _, ok := r.nodes[s]; ok && s.Between(n.ID, key) {
-			return s
-		}
-	}
-	return n.ID
 }
 
 // ScoreManagers returns the numSM owners of the peer's replica keys —
@@ -440,13 +269,4 @@ func (r *Ring) replicaKey(peer id.ID, rep, numSM int) id.ID {
 	}
 	r.replicaKeys[peer] = keys
 	return keys[rep]
-}
-
-// RoutingStats reports the number of lookups performed and the mean hop
-// count, for the DHT-behaviour tests and reports.
-func (r *Ring) RoutingStats() (lookups int64, meanHops float64) {
-	if r.lookups == 0 {
-		return 0, 0
-	}
-	return r.lookups, float64(r.hopTotal) / float64(r.lookups)
 }

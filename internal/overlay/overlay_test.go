@@ -3,10 +3,8 @@ package overlay
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/id"
-	"repro/internal/rng"
 )
 
 // buildRing joins n pseudo-random nodes and returns the ring plus their ids.
@@ -84,24 +82,38 @@ func TestSuccessorEmptyRing(t *testing.T) {
 	}
 }
 
+// TestNeighbourPointers pins NextMember, the world's view of the live
+// neighbour list, against the sorted membership: on a 30-node ring, after
+// every third member leaves and after fresh joins, each member's next
+// member is the one clockwise from it, and a non-member has none.
 func TestNeighbourPointers(t *testing.T) {
-	r, _ := buildRing(t, 30)
-	ms := r.Members()
-	for i, m := range ms {
-		node, err := r.Node(m)
-		if err != nil {
+	r, ids := buildRing(t, 30)
+	check := func(when string) {
+		t.Helper()
+		ms := r.Members()
+		for i, m := range ms {
+			want := ms[(i+1)%len(ms)]
+			if got, ok := r.NextMember(m); !ok || got != want {
+				t.Fatalf("%s: NextMember(%s) = %s, %v; want %s", when, m.Short(), got.Short(), ok, want.Short())
+			}
+		}
+	}
+	check("built")
+	for i := 0; i < len(ids); i += 3 {
+		if err := r.Leave(ids[i]); err != nil {
 			t.Fatal(err)
 		}
-		wantPred := ms[(i-1+len(ms))%len(ms)]
-		wantSucc := ms[(i+1)%len(ms)]
-		if node.Pred() != wantPred {
-			t.Fatalf("node %d pred = %v, want %v", i, node.Pred().Short(), wantPred.Short())
+	}
+	check("after leaves")
+	for i := 0; i < 10; i++ {
+		if err := r.Join(id.HashString(fmt.Sprintf("fresh-%d", i))); err != nil {
+			t.Fatal(err)
 		}
-		if node.Succ() != wantSucc {
-			t.Fatalf("node %d succ = %v, want %v", i, node.Succ().Short(), wantSucc.Short())
-		}
-		if len(node.Successors()) != SuccessorListLen {
-			t.Fatalf("node %d successor list has %d entries", i, len(node.Successors()))
+	}
+	check("after joins")
+	for _, n := range []id.ID{ids[0], id.HashString("never-joined")} {
+		if _, ok := r.NextMember(n); ok {
+			t.Fatalf("NextMember(%s) answered for a non-member", n.Short())
 		}
 	}
 }
@@ -112,121 +124,12 @@ func TestSingleNodeRing(t *testing.T) {
 	if err := r.Join(n); err != nil {
 		t.Fatal(err)
 	}
-	node, _ := r.Node(n)
-	if node.Pred() != n || node.Succ() != n {
+	if next, ok := r.NextMember(n); !ok || next != n {
 		t.Fatal("single node must be its own neighbour")
 	}
-	owner, hops, err := r.Lookup(n, id.FromUint64(7))
-	if err != nil || owner != n || hops != 1 {
-		t.Fatalf("lookup on singleton: %v %d %v", owner.Short(), hops, err)
-	}
-}
-
-func TestFingersPointToOwners(t *testing.T) {
-	r, _ := buildRing(t, 40)
-	m := r.Members()[3]
-	node, _ := r.Node(m)
-	for k := 0; k < id.Bits; k += 13 {
-		want, _ := r.Successor(m.AddPow2(k))
-		if node.Finger(k) != want {
-			t.Fatalf("finger %d = %v, want %v", k, node.Finger(k).Short(), want.Short())
-		}
-	}
-}
-
-func TestLookupMatchesOracleFromEveryNode(t *testing.T) {
-	r, ids := buildRing(t, 60)
-	keys := []id.ID{
-		id.HashString("key-a"), id.HashString("key-b"),
-		id.FromUint64(0), id.FromUint64(1 << 60),
-	}
-	for _, from := range ids[:10] {
-		for _, key := range keys {
-			want, _ := r.Successor(key)
-			got, hops, err := r.Lookup(from, key)
-			if err != nil {
-				t.Fatalf("lookup: %v", err)
-			}
-			if got != want {
-				t.Fatalf("lookup(%v) = %v, oracle says %v", key.Short(), got.Short(), want.Short())
-			}
-			if hops < 1 {
-				t.Fatalf("hops = %d", hops)
-			}
-		}
-	}
-}
-
-func TestLookupQuickAgainstOracle(t *testing.T) {
-	r, ids := buildRing(t, 128)
-	src := rng.New(5)
-	f := func(raw [id.Bytes]byte) bool {
-		key := id.ID(raw)
-		from := ids[src.Intn(len(ids))]
-		want, _ := r.Successor(key)
-		got, _, err := r.Lookup(from, key)
-		return err == nil && got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLookupHopsLogarithmic(t *testing.T) {
-	r, ids := buildRing(t, 1024)
-	src := rng.New(9)
-	for i := 0; i < 500; i++ {
-		var raw [id.Bytes]byte
-		for j := range raw {
-			raw[j] = byte(src.Uint64())
-		}
-		from := ids[src.Intn(len(ids))]
-		if _, _, err := r.Lookup(from, id.ID(raw)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lookups, mean := r.RoutingStats()
-	if lookups != 500 {
-		t.Fatalf("lookups = %d", lookups)
-	}
-	// log2(1024) = 10; greedy Chord averages ~log2(n)/2. Anything beyond
-	// 2*log2(n) signals broken fingers.
-	if mean > 20 {
-		t.Fatalf("mean hops %v too high for 1024 nodes", mean)
-	}
-	if mean < 1 {
-		t.Fatalf("mean hops %v impossibly low", mean)
-	}
-}
-
-func TestLookupAfterChurn(t *testing.T) {
-	r, ids := buildRing(t, 100)
-	// Remove every third node, then add fresh ones.
-	for i := 0; i < len(ids); i += 3 {
-		if err := r.Leave(ids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		if err := r.Join(id.HashString(fmt.Sprintf("fresh-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	from := r.Members()[0]
-	for i := 0; i < 50; i++ {
-		key := id.HashString(fmt.Sprintf("churn-key-%d", i))
-		want, _ := r.Successor(key)
-		got, _, err := r.Lookup(from, key)
-		if err != nil || got != want {
-			t.Fatalf("post-churn lookup mismatch: %v vs %v (%v)", got.Short(), want.Short(), err)
-		}
-	}
-}
-
-func TestLookupFromNonMember(t *testing.T) {
-	r, _ := buildRing(t, 5)
-	if _, _, err := r.Lookup(id.FromUint64(999999), id.FromUint64(1)); err == nil {
-		t.Fatal("lookup from non-member accepted")
+	owner, err := r.Successor(id.FromUint64(7))
+	if err != nil || owner != n {
+		t.Fatalf("singleton owns every key: Successor = %v, %v", owner.Short(), err)
 	}
 }
 

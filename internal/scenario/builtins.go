@@ -351,7 +351,7 @@ func FlashCrowd() *Spec {
 
 // Mega is the million-peer world ROADMAP item 1 calls for: 10^6 admitted
 // peers held in the arena memory layout (index-addressed slots, slab
-// peer records, lazy finger tables), with null signing — the fidelity
+// peer records and overlay nodes), with null signing — the fidelity
 // opt-out built for exactly this scale — light churn with the record
 // lease armed so departures recycle slots, and a short transaction tail
 // driving the batched credit-delivery bus. The point is the footprint,

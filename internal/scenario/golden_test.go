@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/lending"
 	"repro/internal/peer"
+	"repro/internal/sim"
 	"repro/internal/world"
 )
 
@@ -262,34 +262,46 @@ func TestGoldenFilesharing(t *testing.T) {
 	compareDigests(t, want, runBuiltin(t, "filesharing"))
 }
 
-// TestGoldenAPI pins "api": the introduction chain the core-API example
-// scripted (founder → B → C), replicated through the core package the way
-// the pre-refactor program drove it.
+// TestGoldenAPI pins "api": the introduction chain the embedding-API
+// example scripted (founder → B → C), replicated on the world directly
+// with the calls the pre-refactor program made: an unbounded clock the
+// test drives, background arrivals at λ = 0.02, and cooperative,
+// selective newcomers injected through a chosen introducer.
 func TestGoldenAPI(t *testing.T) {
-	c, err := core.NewCommunity(core.Options{
-		Founders:   80,
-		Seed:       7,
-		Lambda:     0.02,
-		FracUncoop: 0.25,
-	})
+	cfg := config.Default()
+	cfg.NumTrans = 1 << 40 // effectively unbounded; the test drives the clock
+	cfg.NumInit = 80
+	cfg.Seed = 7
+	cfg.Lambda = 0.02
+	cfg.FracUncoop = 0.25
+	w, err := world.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(5_000)
-	b, err := c.RequestIntroduction(core.Cooperative, c.Members()[0])
-	if err != nil {
-		t.Fatal(err)
+	w.Start()
+	advance := func(n int64) {
+		t.Helper()
+		if err := w.RunFor(sim.Tick(n)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Advance(c.WaitPeriod() + 1)
-	c.Advance(30_000)
-	cc, err := c.RequestIntroduction(core.Cooperative, b)
-	if err != nil {
-		t.Fatal(err)
+	introduce := func(introducer id.ID) id.ID {
+		t.Helper()
+		p, err := w.InjectArrival(peer.Cooperative, peer.Selective, introducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	c.Advance(c.WaitPeriod() + 1)
-	c.Advance(20_000)
-	c.World().Finish()
-	want := worldDigest(c.World(), map[string]id.ID{"b": b, "c": cc})
+	advance(5_000)
+	b := introduce(w.AdmittedPeers()[0])
+	advance(cfg.WaitPeriod + 1)
+	advance(30_000)
+	c := introduce(b)
+	advance(cfg.WaitPeriod + 1)
+	advance(20_000)
+	w.Finish()
+	want := worldDigest(w, map[string]id.ID{"b": b, "c": c})
 	want.End = 57_002
 
 	compareDigests(t, want, runBuiltin(t, "api"))

@@ -1,10 +1,11 @@
 // Package telemetry is the simulator's streaming observability layer: a
 // deterministic event bus the world, churn, lending, workload and fleet
-// layers publish into, with pluggable sinks. The classic end-of-run
-// surfaces — trace.Log's bounded event buffer and metrics.Series — are
-// two sinks among several; the streaming JSONL sink exports the same
-// records incrementally with bounded memory, which is what million-peer
-// runs and a future serve mode need.
+// layers publish into, with pluggable sinks. The bus is the world's only
+// event path: the classic end-of-run surfaces — trace.Log's bounded
+// event buffer and metrics.Series — are two sinks among several; the
+// streaming JSONL sink exports the same records incrementally with
+// bounded memory, which is what million-peer runs and a future serve
+// mode need.
 //
 // The determinism contract: telemetry is write-only from the
 // simulation's point of view. Publishing an event never draws
@@ -16,15 +17,48 @@
 // byte-identity half.
 package telemetry
 
+// Kind classifies an event.
+type Kind string
+
+// The event kinds a run can produce.
+const (
+	Arrival   Kind = "arrival"   // a peer arrived and asked for an introduction
+	Admitted  Kind = "admitted"  // the lend executed; the peer is in
+	Refused   Kind = "refused"   // the attempt ended without admission
+	AuditOK   Kind = "audit-ok"  // audit satisfied; stake returned + reward
+	AuditFail Kind = "audit-bad" // audit unsatisfied; stake forfeited
+	Flagged   Kind = "flagged"   // duplicate-introduction punishment
+	Departed  Kind = "departed"  // an admitted member left (detail: "leave" or "crash")
+	Rejoined  Kind = "rejoined"  // a departed member returned, reputation restored
+	Wipeout   Kind = "wipeout"   // every replica of a peer's reputation died at once
+	// Stake lifecycle events (detail: "refunded" or "stranded"): the
+	// audit-timeout clock resolved a pending stake, or the offline-record
+	// TTL expired a departed newcomer's stake record.
+	StakeClosed  Kind = "stake-closed"
+	StakeExpired Kind = "stake-expired"
+	// LeaseEvicted: the record lease of a departed peer expired — its
+	// reputation replicas were evicted and its rejoin eligibility dropped.
+	LeaseEvicted Kind = "lease-evict"
+)
+
+// kindOrder is the fixed rendering order of kinds; every Kind declared
+// above appears exactly once.
+var kindOrder = []Kind{Arrival, Admitted, Refused, AuditOK, AuditFail, Flagged, Departed, Rejoined, Wipeout, StakeClosed, StakeExpired, LeaseEvicted}
+
+// Kinds returns every event kind in its fixed rendering order (copy).
+func Kinds() []Kind { return append([]Kind(nil), kindOrder...) }
+
 // Event is one trace-style record flowing through the bus: who arrived,
-// who was admitted or refused, how an audit resolved. It mirrors
-// trace.Event field for field (telemetry sits below trace in the
-// dependency order, so trace adapts to it, not the reverse).
+// who was admitted or refused, how an audit resolved.
 type Event struct {
-	At     int64  `json:"at"`
-	Kind   string `json:"kind"`
-	Peer   string `json:"peer,omitempty"`
-	Other  string `json:"other,omitempty"`
+	At   int64 `json:"at"`
+	Kind Kind  `json:"kind"`
+	// Peer is the short form of the peer the event is about.
+	Peer string `json:"peer,omitempty"`
+	// Other is the counterparty when one exists (the introducer for
+	// arrival/admitted/refused/audit events).
+	Other string `json:"other,omitempty"`
+	// Detail carries the refusal reason or other annotation.
 	Detail string `json:"detail,omitempty"`
 }
 

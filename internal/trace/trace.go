@@ -1,71 +1,31 @@
 // Package trace records the structured event log of a simulation run: who
 // arrived, who introduced whom, what was lent, how audits resolved, which
-// peers were refused and why. The log supports replayable summaries for
-// debugging, JSON-lines export for external analysis, and the invariant
-// checks the test suite runs over whole simulations (for example: every
-// audit must refer to an earlier admission).
+// peers were refused and why. The log is an ordinary telemetry sink: a
+// run attaches it to the world's telemetry bus, and it keeps the events
+// it hears for replayable summaries and the invariant checks the test
+// suite runs over whole simulations (for example: every audit must refer
+// to an earlier admission).
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
-	"repro/internal/id"
+	"repro/internal/telemetry"
 )
 
-// Kind classifies an event.
-type Kind string
-
-// The event kinds a run can produce.
-const (
-	Arrival   Kind = "arrival"   // a peer arrived and asked for an introduction
-	Admitted  Kind = "admitted"  // the lend executed; the peer is in
-	Refused   Kind = "refused"   // the attempt ended without admission
-	AuditOK   Kind = "audit-ok"  // audit satisfied; stake returned + reward
-	AuditFail Kind = "audit-bad" // audit unsatisfied; stake forfeited
-	Flagged   Kind = "flagged"   // duplicate-introduction punishment
-	Departed  Kind = "departed"  // an admitted member left (detail: "leave" or "crash")
-	Rejoined  Kind = "rejoined"  // a departed member returned, reputation restored
-	Wipeout   Kind = "wipeout"   // every replica of a peer's reputation died at once
-	// Stake lifecycle events (detail: "refunded" or "stranded"): the
-	// audit-timeout clock resolved a pending stake, or the offline-record
-	// TTL expired a departed newcomer's stake record.
-	StakeClosed  Kind = "stake-closed"
-	StakeExpired Kind = "stake-expired"
-	// LeaseEvicted: the record lease of a departed peer expired — its
-	// reputation replicas were evicted and its rejoin eligibility dropped.
-	LeaseEvicted Kind = "lease-evict"
-)
-
-// Event is one recorded occurrence.
-type Event struct {
-	At   int64  `json:"at"`
-	Kind Kind   `json:"kind"`
-	Peer string `json:"peer"`
-	// Other is the counterparty when one exists (the introducer for
-	// arrival/admitted/refused/audit events).
-	Other string `json:"other,omitempty"`
-	// Detail carries the refusal reason or other annotation.
-	Detail string `json:"detail,omitempty"`
-}
-
-// kindOrder is the fixed rendering order of kinds in summaries; every
-// Kind declared above appears exactly once.
-var kindOrder = []Kind{Arrival, Admitted, Refused, AuditOK, AuditFail, Flagged, Departed, Rejoined, Wipeout, StakeClosed, StakeExpired, LeaseEvicted}
-
-// Log is an append-only event recorder. The zero value is ready to use.
-// It is not safe for concurrent use (the simulation is single-threaded).
+// Log is an append-only event recorder and a telemetry.Sink. The zero
+// value is ready to use. It is not safe for concurrent use (the
+// simulation is single-threaded).
 //
 // A bounded log retains at most limit events, but the per-kind counters
-// stay exact: every Record past the limit still increments its kind's
+// stay exact: every event past the limit still increments its kind's
 // count and the dropped total, so Summary and Count report the whole
 // run even when the event bodies are gone.
 type Log struct {
-	events  []Event
+	events  []telemetry.Event
 	limit   int
-	counts  map[Kind]int64
+	counts  map[telemetry.Kind]int64
 	dropped int64
 }
 
@@ -76,30 +36,26 @@ func New(limit int) *Log {
 	return &Log{limit: limit}
 }
 
-// Record counts one event, appending its body unless the retention limit
-// is reached (then only the exact counters advance).
-func (l *Log) Record(at int64, kind Kind, peer, other id.ID, detail string) {
-	otherShort := ""
-	if !other.IsZero() {
-		otherShort = other.Short()
-	}
-	l.recordRaw(at, kind, peer.Short(), otherShort, detail)
-}
-
-// recordRaw is Record with pre-rendered peer strings — the path the
-// telemetry Sink adapter uses, since bus events already carry shortened
-// IDs.
-func (l *Log) recordRaw(at int64, kind Kind, peer, other, detail string) {
+// Event implements telemetry.Sink: it counts one event, appending its
+// body unless the retention limit is reached (then only the exact
+// counters advance).
+func (l *Log) Event(e telemetry.Event) {
 	if l.counts == nil {
-		l.counts = make(map[Kind]int64)
+		l.counts = make(map[telemetry.Kind]int64)
 	}
-	l.counts[kind]++
+	l.counts[e.Kind]++
 	if l.limit > 0 && len(l.events) >= l.limit {
 		l.dropped++
 		return
 	}
-	l.events = append(l.events, Event{At: at, Kind: kind, Peer: peer, Other: other, Detail: detail})
+	l.events = append(l.events, e)
 }
+
+// Sample implements telemetry.Sink; the event log ignores metric samples.
+func (l *Log) Sample(telemetry.Sample) {}
+
+// Flush implements telemetry.Sink; an in-memory log has nothing to flush.
+func (l *Log) Flush() error { return nil }
 
 // Len returns the number of retained events.
 func (l *Log) Len() int { return len(l.events) }
@@ -110,19 +66,19 @@ func (l *Log) Dropped() int64 { return l.dropped }
 
 // Count returns the exact number of events of one kind recorded over the
 // whole run, including events whose bodies were dropped.
-func (l *Log) Count(kind Kind) int64 { return l.counts[kind] }
+func (l *Log) Count(kind telemetry.Kind) int64 { return l.counts[kind] }
 
 // Total returns the exact number of events recorded (retained + dropped).
 func (l *Log) Total() int64 { return int64(len(l.events)) + l.dropped }
 
 // Events returns the retained events (copy).
-func (l *Log) Events() []Event {
-	return append([]Event(nil), l.events...)
+func (l *Log) Events() []telemetry.Event {
+	return append([]telemetry.Event(nil), l.events...)
 }
 
 // Filter returns the retained events of one kind.
-func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
+func (l *Log) Filter(kind telemetry.Kind) []telemetry.Event {
+	var out []telemetry.Event
 	for _, e := range l.events {
 		if e.Kind == kind {
 			out = append(out, e)
@@ -131,31 +87,20 @@ func (l *Log) Filter(kind Kind) []Event {
 	return out
 }
 
-// WriteJSONL streams the retained events as JSON lines.
-func (l *Log) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range l.events {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("trace: encoding event: %w", err)
-		}
-	}
-	return nil
-}
-
 // Summary renders exact per-kind counts plus the first few retained
 // events of each kind, a compact debugging view of a whole run. The
 // counts cover every recorded event — dropped ones included — and a
 // trailing line reports how many event bodies the retention limit
 // discarded.
 func (l *Log) Summary(perKind int) string {
-	firsts := map[Kind][]Event{}
+	firsts := map[telemetry.Kind][]telemetry.Event{}
 	for _, e := range l.events {
 		if len(firsts[e.Kind]) < perKind {
 			firsts[e.Kind] = append(firsts[e.Kind], e)
 		}
 	}
 	var b strings.Builder
-	for _, k := range kindOrder {
+	for _, k := range telemetry.Kinds() {
 		if l.counts[k] == 0 {
 			continue
 		}
@@ -209,9 +154,9 @@ func (l *Log) Verify() []string {
 		}
 		prev = e.At
 		switch e.Kind {
-		case Arrival:
+		case telemetry.Arrival:
 			arrived[e.Peer] = true
-		case Admitted:
+		case telemetry.Admitted:
 			if !arrived[e.Peer] {
 				violations = append(violations, fmt.Sprintf("peer %s admitted without arrival", e.Peer))
 			}
@@ -219,7 +164,7 @@ func (l *Log) Verify() []string {
 				violations = append(violations, fmt.Sprintf("peer %s admitted after refusal", e.Peer))
 			}
 			admitted[e.Peer] = true
-		case Refused:
+		case telemetry.Refused:
 			if !arrived[e.Peer] {
 				violations = append(violations, fmt.Sprintf("peer %s refused without arrival", e.Peer))
 			}
@@ -227,13 +172,13 @@ func (l *Log) Verify() []string {
 				violations = append(violations, fmt.Sprintf("peer %s refused after admission", e.Peer))
 			}
 			refused[e.Peer] = true
-		case AuditOK, AuditFail:
+		case telemetry.AuditOK, telemetry.AuditFail:
 			if !admitted[e.Peer] {
 				violations = append(violations, fmt.Sprintf("peer %s audited without admission", e.Peer))
 			}
-		case Departed:
+		case telemetry.Departed:
 			departed[e.Peer] = true
-		case Rejoined:
+		case telemetry.Rejoined:
 			if !departed[e.Peer] {
 				violations = append(violations, fmt.Sprintf("peer %s rejoined without departing", e.Peer))
 			}

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,18 +9,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-func p(v uint64) id.ID { return id.FromUint64(v) }
+// ev builds the event the world publishes for peer p (and counterparty
+// other, 0 for none).
+func ev(at int64, kind telemetry.Kind, p, other uint64, detail string) telemetry.Event {
+	e := telemetry.Event{At: at, Kind: kind, Peer: id.FromUint64(p).Short(), Detail: detail}
+	if other != 0 {
+		e.Other = id.FromUint64(other).Short()
+	}
+	return e
+}
 
 func TestRecordAndFilter(t *testing.T) {
 	l := New(0)
-	l.Record(1, Arrival, p(1), p(9), "cooperative")
-	l.Record(2, Admitted, p(1), p(9), "cooperative")
-	l.Record(3, Arrival, p(2), p(9), "uncooperative")
-	l.Record(4, Refused, p(2), p(9), "refused-by-introducer")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, "cooperative"))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, "cooperative"))
+	l.Event(ev(3, telemetry.Arrival, 2, 9, "uncooperative"))
+	l.Event(ev(4, telemetry.Refused, 2, 9, "refused-by-introducer"))
 	if l.Len() != 4 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if got := l.Filter(Arrival); len(got) != 2 {
+	if got := l.Filter(telemetry.Arrival); len(got) != 2 {
 		t.Fatalf("arrivals = %d", len(got))
 	}
 	evs := l.Events()
@@ -33,44 +39,33 @@ func TestRecordAndFilter(t *testing.T) {
 
 func TestZeroOtherOmitted(t *testing.T) {
 	l := New(0)
-	l.Record(1, Flagged, p(1), id.ID{}, "duplicate introduction")
-	if l.Events()[0].Other != "" {
-		t.Fatal("zero counterparty should be omitted")
+	l.Event(ev(1, telemetry.Flagged, 1, 0, "duplicate introduction"))
+	l.Event(ev(2, telemetry.Arrival, 2, 9, ""))
+	s := l.Summary(1)
+	if !strings.Contains(s, "t=1 "+id.FromUint64(1).Short()+" (duplicate introduction)") {
+		t.Fatalf("summary shows a counterparty for an event without one:\n%s", s)
+	}
+	if !strings.Contains(s, "<-"+id.FromUint64(9).Short()) {
+		t.Fatalf("summary drops a real counterparty:\n%s", s)
 	}
 }
 
 func TestLimitDropsSilently(t *testing.T) {
 	l := New(2)
 	for i := int64(0); i < 5; i++ {
-		l.Record(i, Arrival, p(uint64(i)), id.ID{}, "")
+		l.Event(ev(i, telemetry.Arrival, uint64(i), 0, ""))
 	}
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	l := New(0)
-	l.Record(5, Admitted, p(1), p(2), "cooperative")
-	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var ev Event
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.At != 5 || ev.Kind != Admitted || ev.Detail != "cooperative" {
-		t.Fatalf("round trip = %+v", ev)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	l := New(0)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, Admitted, p(1), p(9), "")
-	l.Record(3, Arrival, p(2), p(9), "")
-	l.Record(4, Refused, p(2), p(9), "selective")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, ""))
+	l.Event(ev(3, telemetry.Arrival, 2, 9, ""))
+	l.Event(ev(4, telemetry.Refused, 2, 9, "selective"))
 	s := l.Summary(1)
 	for _, want := range []string{"arrival", "admitted", "refused", "2", "1"} {
 		if !strings.Contains(s, want) {
@@ -84,9 +79,9 @@ func TestSummary(t *testing.T) {
 
 func TestVerifyCleanLog(t *testing.T) {
 	l := New(0)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, Admitted, p(1), p(9), "")
-	l.Record(3, AuditOK, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, ""))
+	l.Event(ev(3, telemetry.AuditOK, 1, 9, ""))
 	if v := l.Verify(); len(v) != 0 {
 		t.Fatalf("clean log reported violations: %v", v)
 	}
@@ -94,7 +89,7 @@ func TestVerifyCleanLog(t *testing.T) {
 
 func TestVerifyCatchesAdmissionWithoutArrival(t *testing.T) {
 	l := New(0)
-	l.Record(1, Admitted, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Admitted, 1, 9, ""))
 	if v := l.Verify(); len(v) == 0 {
 		t.Fatal("missed admission without arrival")
 	}
@@ -102,8 +97,8 @@ func TestVerifyCatchesAdmissionWithoutArrival(t *testing.T) {
 
 func TestVerifyCatchesAuditWithoutAdmission(t *testing.T) {
 	l := New(0)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, AuditFail, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.AuditFail, 1, 9, ""))
 	if v := l.Verify(); len(v) == 0 {
 		t.Fatal("missed audit without admission")
 	}
@@ -111,9 +106,9 @@ func TestVerifyCatchesAuditWithoutAdmission(t *testing.T) {
 
 func TestVerifyCatchesAdmitAndRefuse(t *testing.T) {
 	l := New(0)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, Admitted, p(1), p(9), "")
-	l.Record(3, Refused, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, ""))
+	l.Event(ev(3, telemetry.Refused, 1, 9, ""))
 	if v := l.Verify(); len(v) == 0 {
 		t.Fatal("missed refuse-after-admit")
 	}
@@ -121,17 +116,30 @@ func TestVerifyCatchesAdmitAndRefuse(t *testing.T) {
 
 func TestVerifyCatchesTimeDisorder(t *testing.T) {
 	l := New(0)
-	l.Record(5, Arrival, p(1), p(9), "")
-	l.Record(3, Arrival, p(2), p(9), "")
+	l.Event(ev(5, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(3, telemetry.Arrival, 2, 9, ""))
 	if v := l.Verify(); len(v) == 0 {
 		t.Fatal("missed time disorder")
 	}
 }
 
+func TestVerifyCatchesRejoinWithoutDeparture(t *testing.T) {
+	l := New(0)
+	l.Event(ev(1, telemetry.Departed, 1, 0, "leave"))
+	l.Event(ev(2, telemetry.Rejoined, 1, 0, ""))
+	if v := l.Verify(); len(v) != 0 {
+		t.Fatalf("depart then rejoin reported violations: %v", v)
+	}
+	l.Event(ev(3, telemetry.Rejoined, 1, 0, ""))
+	if v := l.Verify(); len(v) != 1 {
+		t.Fatalf("second rejoin without a departure: violations %v, want one", v)
+	}
+}
+
 func TestVerifyReportsTruncation(t *testing.T) {
 	l := New(1)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, Admitted, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, ""))
 	found := false
 	for _, v := range l.Verify() {
 		if strings.Contains(v, "retention limit") {
@@ -148,8 +156,8 @@ func TestVerifyReportsTruncation(t *testing.T) {
 
 func TestVerifyExactlyAtLimitIsComplete(t *testing.T) {
 	l := New(2)
-	l.Record(1, Arrival, p(1), p(9), "")
-	l.Record(2, Admitted, p(1), p(9), "")
+	l.Event(ev(1, telemetry.Arrival, 1, 9, ""))
+	l.Event(ev(2, telemetry.Admitted, 1, 9, ""))
 	if v := l.Verify(); len(v) != 0 {
 		t.Fatalf("log filled to its limit with nothing dropped reported violations: %v", v)
 	}
@@ -158,47 +166,55 @@ func TestVerifyExactlyAtLimitIsComplete(t *testing.T) {
 func TestCountersStayExactPastLimit(t *testing.T) {
 	l := New(2)
 	for i := int64(0); i < 5; i++ {
-		l.Record(i, Arrival, p(uint64(i)), id.ID{}, "")
+		l.Event(ev(i, telemetry.Arrival, uint64(i), 0, ""))
 	}
-	l.Record(5, Admitted, p(0), id.ID{}, "")
+	l.Event(ev(5, telemetry.Admitted, 0, 0, ""))
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
 	if got := l.Dropped(); got != 4 {
 		t.Fatalf("Dropped = %d, want 4", got)
 	}
-	if got := l.Count(Arrival); got != 5 {
-		t.Fatalf("Count(Arrival) = %d, want 5", got)
+	if got := l.Count(telemetry.Arrival); got != 5 {
+		t.Fatalf("Count(telemetry.Arrival) = %d, want 5", got)
 	}
-	if got := l.Count(Admitted); got != 1 {
-		t.Fatalf("Count(Admitted) = %d, want 1", got)
+	if got := l.Count(telemetry.Admitted); got != 1 {
+		t.Fatalf("Count(telemetry.Admitted) = %d, want 1", got)
 	}
 	if got := l.Total(); got != 6 {
 		t.Fatalf("Total = %d, want 6", got)
 	}
 }
 
-func TestSinkMatchesDirectRecord(t *testing.T) {
-	direct := New(2)
-	direct.Record(1, Arrival, p(1), p(9), "cooperative")
-	direct.Record(2, Admitted, p(1), p(9), "")
-	direct.Record(3, Arrival, p(2), id.ID{}, "")
-
-	viaSink := New(2)
-	s := Sink{Log: viaSink}
-	s.Event(telemetry.Event{At: 1, Kind: "arrival", Peer: p(1).Short(), Other: p(9).Short(), Detail: "cooperative"})
-	s.Event(telemetry.Event{At: 2, Kind: "admitted", Peer: p(1).Short(), Other: p(9).Short()})
-	s.Event(telemetry.Event{At: 3, Kind: "arrival", Peer: p(2).Short()})
-	s.Sample(telemetry.Sample{At: 3, Series: "coop", Value: 1}) // ignored
-	if err := s.Flush(); err != nil {
+// TestLogIsABusSink attaches a bounded log to a telemetry bus next to
+// another sink: the log keeps exactly the events published, in order, up
+// to its limit, counts every one, and ignores samples.
+func TestLogIsABusSink(t *testing.T) {
+	published := []telemetry.Event{
+		ev(1, telemetry.Arrival, 1, 9, "cooperative"),
+		ev(2, telemetry.Admitted, 1, 9, ""),
+		ev(3, telemetry.Arrival, 2, 0, ""),
+	}
+	l, all := New(2), New(0)
+	bus := telemetry.NewBus()
+	bus.Attach(l)
+	bus.Attach(all)
+	for _, e := range published {
+		bus.Event(e)
+	}
+	bus.Sample(telemetry.Sample{At: 3, Series: "coop", Value: 1}) // ignored
+	if err := bus.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(viaSink.Events(), direct.Events()) {
-		t.Fatalf("sink events %v != direct %v", viaSink.Events(), direct.Events())
+	if !reflect.DeepEqual(all.Events(), published) {
+		t.Fatalf("log events %v != published %v", all.Events(), published)
 	}
-	if viaSink.Dropped() != direct.Dropped() || viaSink.Count(Arrival) != direct.Count(Arrival) {
-		t.Fatalf("sink counters diverge: dropped %d vs %d", viaSink.Dropped(), direct.Dropped())
+	if !reflect.DeepEqual(l.Events(), published[:2]) {
+		t.Fatalf("bounded log events %v != first two published %v", l.Events(), published[:2])
+	}
+	if l.Dropped() != 1 || l.Count(telemetry.Arrival) != 2 || l.Total() != 3 {
+		t.Fatalf("bounded log counters: dropped %d, arrivals %d, total %d", l.Dropped(), l.Count(telemetry.Arrival), l.Total())
 	}
 }
 
@@ -210,7 +226,7 @@ func TestUnboundedLogGrowsLinearly(t *testing.T) {
 	const n = 600_000
 	l := New(0)
 	for i := int64(0); i < n; i++ {
-		l.recordRaw(i, Arrival, "peer", "", "")
+		l.Event(telemetry.Event{At: i, Kind: telemetry.Arrival, Peer: "peer"})
 	}
 	if l.Len() != n {
 		t.Fatalf("unbounded log retained %d of %d events", l.Len(), n)
@@ -220,7 +236,7 @@ func TestUnboundedLogGrowsLinearly(t *testing.T) {
 func TestSummaryReportsExactCountsAndDrops(t *testing.T) {
 	l := New(1)
 	for i := int64(0); i < 3; i++ {
-		l.Record(i, Arrival, p(uint64(i)), id.ID{}, "")
+		l.Event(ev(i, telemetry.Arrival, uint64(i), 0, ""))
 	}
 	s := l.Summary(1)
 	if !strings.Contains(s, "arrival         3") {
@@ -230,7 +246,7 @@ func TestSummaryReportsExactCountsAndDrops(t *testing.T) {
 		t.Fatalf("summary does not surface the dropped count:\n%s", s)
 	}
 	unbounded := New(0)
-	unbounded.Record(1, Arrival, p(1), id.ID{}, "")
+	unbounded.Event(ev(1, telemetry.Arrival, 1, 0, ""))
 	if strings.Contains(unbounded.Summary(1), "dropped") {
 		t.Fatal("summary of a complete log mentions drops")
 	}

@@ -36,7 +36,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/rocq"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -157,7 +157,7 @@ func (w *World) Rejoin(pid id.ID) error {
 		// session clock.
 		w.redrawPlan(p)
 	}
-	w.record(trace.Rejoined, pid, id.ID{}, p.Class.String())
+	w.record(telemetry.Rejoined, pid, id.ID{}, p.Class.String())
 	w.recordWorkload(workload.Event{
 		At: int64(w.engine.Now()), Op: workload.OpRejoin,
 		Cohort: p.Cohort, Peer: pid.Short(), Plan: p.Plan,
@@ -371,7 +371,7 @@ func (w *World) departBatch(batch []leaver) {
 				cs.Crashes++
 			}
 		}
-		w.record(trace.Departed, l.pid, id.ID{}, detail)
+		w.record(telemetry.Departed, l.pid, id.ID{}, detail)
 		w.recordWorkload(workload.Event{
 			At: int64(w.engine.Now()), Op: workload.OpDepart,
 			Cohort: p.Cohort, Peer: l.pid.Short(), Detail: detail,
@@ -427,7 +427,7 @@ func (w *World) stakeExpiryBody(pid id.ID, joined sim.Tick) func() {
 		}
 		if state, ok := w.proto.ExpireStake(pid); ok {
 			w.m.Churn.StakesExpired++
-			w.record(trace.StakeExpired, pid, id.ID{}, state.String())
+			w.record(telemetry.StakeExpired, pid, id.ID{}, state.String())
 		}
 	}
 }
@@ -464,7 +464,7 @@ func (w *World) leaseExpiryBody(pid id.ID, joined sim.Tick) func() {
 }
 
 // evictLease expires a departed peer's record lease: the counter, the
-// trace record, and the same finalisation a permanent departure gets —
+// event, and the same finalisation a permanent departure gets —
 // rejoin eligibility and every replica of the record are dropped.
 func (w *World) evictLease(pid id.ID) {
 	s := w.slotOf(pid)
@@ -472,7 +472,7 @@ func (w *World) evictLease(pid id.ID) {
 		return
 	}
 	w.m.Churn.LeaseEvictions++
-	w.record(trace.LeaseEvicted, pid, id.ID{}, "")
+	w.record(telemetry.LeaseEvicted, pid, id.ID{}, "")
 	w.forgetDeparted(pid)
 }
 
@@ -579,7 +579,7 @@ func (w *World) applyHandoff(records []handoffRecord) {
 		if !ok {
 			w.m.Churn.Wipeouts++
 			w.ensureSlot(rec.subject).wiped = true
-			w.record(trace.Wipeout, rec.subject, id.ID{}, "")
+			w.record(telemetry.Wipeout, rec.subject, id.ID{}, "")
 			w.markRepDirty(rec.subject)
 			continue
 		}

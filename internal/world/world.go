@@ -34,7 +34,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -51,8 +50,6 @@ type World struct {
 	topo   topology.Selector
 	proto  *lending.Protocol
 	policy baseline.Policy // used when cfg.RequireIntroductions is false
-	//replend:allow snapshotfields observability sink, not simulation state: no run output is derived from it, and a resumed run re-traces from the cut
-	tracer *trace.Log // optional structured event log
 	//replend:allow snapshotfields observability sink, not simulation state: publishing changes no draw, and a resumed run re-publishes from the cut
 	telem *telemetry.Bus // optional streaming telemetry bus (nil = off)
 	//replend:allow snapshotfields observability-only wall-clock span recorder; write-only from the simulation's side, never read by it
@@ -470,14 +467,12 @@ func newBare(cfg config.Config) (*World, error) {
 // disables the introduction requirement.
 func (w *World) SetPolicy(p baseline.Policy) { w.policy = p }
 
-// SetTrace attaches a structured event log; nil detaches it.
-func (w *World) SetTrace(l *trace.Log) { w.tracer = l }
-
 // SetTelemetry attaches a streaming telemetry bus; nil detaches it. The
-// world publishes every trace-style event and every periodic sample
-// (plus a "population" gauge) into the bus. Telemetry is write-only:
-// attaching any combination of sinks changes no random draw and no run
-// output — the world tests pin that byte for byte.
+// bus is the world's only event path: the world publishes every event
+// and every periodic sample (plus a "population" gauge) into it, and an
+// event log (trace.Log) is one sink among others. Telemetry is
+// write-only: attaching any combination of sinks changes no random draw
+// and no run output — the world tests pin that byte for byte.
 func (w *World) SetTelemetry(b *telemetry.Bus) { w.telem = b }
 
 // SetSpans attaches a wall-clock span recorder covering the world's
@@ -490,19 +485,17 @@ func (w *World) SetSpans(s *telemetry.Spans) {
 	w.proto.SetSpans(s)
 }
 
-// record writes to the attached tracer and telemetry bus, if any.
-func (w *World) record(kind trace.Kind, p, other id.ID, detail string) {
-	at := int64(w.engine.Now())
-	if w.tracer != nil {
-		w.tracer.Record(at, kind, p, other, detail)
+// record publishes one event to the telemetry bus, if any sink listens.
+// A zero counterparty is left out of the event.
+func (w *World) record(kind telemetry.Kind, p, other id.ID, detail string) {
+	if !w.telem.Active() {
+		return
 	}
-	if w.telem.Active() {
-		ev := telemetry.Event{At: at, Kind: string(kind), Peer: p.Short(), Detail: detail}
-		if !other.IsZero() {
-			ev.Other = other.Short()
-		}
-		w.telem.Event(ev)
+	ev := telemetry.Event{At: int64(w.engine.Now()), Kind: kind, Peer: p.Short(), Detail: detail}
+	if !other.IsZero() {
+		ev.Other = other.Short()
 	}
+	w.telem.Event(ev)
 }
 
 // Engine exposes the discrete-event engine (examples drive it directly).
@@ -995,7 +988,7 @@ func (w *World) onAdmitted(newcomer, introducer id.ID, at sim.Tick) {
 		w.m.AdmissionLatency.Observe(int64(at - s.arrivedAt))
 		s.inFlight = false
 	}
-	w.record(trace.Admitted, newcomer, introducer, p.Class.String())
+	w.record(telemetry.Admitted, newcomer, introducer, p.Class.String())
 	w.admit(p, at)
 	if p.Class == peer.Cooperative {
 		w.m.AdmittedCoop++
@@ -1026,7 +1019,7 @@ func (w *World) stakeTimeoutBody(newcomer id.ID) func() {
 }
 
 // onStakeResolved counts stake-lifecycle outcomes (the refund/strand
-// counters the churn stats carry) and records them in the trace.
+// counters the churn stats carry) and publishes them as events.
 func (w *World) onStakeResolved(newcomer, introducer id.ID, state lending.StakeState, at sim.Tick) {
 	switch state {
 	case lending.StakeRefunded:
@@ -1034,7 +1027,7 @@ func (w *World) onStakeResolved(newcomer, introducer id.ID, state lending.StakeS
 	case lending.StakeStranded:
 		w.m.Churn.StakesStranded++
 	}
-	w.record(trace.StakeClosed, newcomer, introducer, state.String())
+	w.record(telemetry.StakeClosed, newcomer, introducer, state.String())
 }
 
 func (w *World) onRefused(newcomer, introducer id.ID, reason lending.Reason, at sim.Tick) {
@@ -1043,7 +1036,7 @@ func (w *World) onRefused(newcomer, introducer id.ID, reason lending.Reason, at 
 	if s := w.slotOf(newcomer); s != nil {
 		s.inFlight = false // refusals observe no admission latency
 	}
-	w.record(trace.Refused, newcomer, introducer, reason.String())
+	w.record(telemetry.Refused, newcomer, introducer, reason.String())
 	coop := p.Class == peer.Cooperative
 	switch reason {
 	case lending.RefusedByIntroducer:
@@ -1070,16 +1063,16 @@ func (w *World) onAuditOutcome(newcomer, introducer id.ID, satisfactory bool, at
 	}
 	if satisfactory {
 		w.m.AuditsSatisfied++
-		w.record(trace.AuditOK, newcomer, introducer, "")
+		w.record(telemetry.AuditOK, newcomer, introducer, "")
 	} else {
 		w.m.AuditsForfeited++
-		w.record(trace.AuditFail, newcomer, introducer, "")
+		w.record(telemetry.AuditFail, newcomer, introducer, "")
 	}
 }
 
 func (w *World) onFlagged(pid id.ID, at sim.Tick) {
 	w.m.FlaggedPeers++
-	w.record(trace.Flagged, pid, id.ID{}, "duplicate introduction")
+	w.record(telemetry.Flagged, pid, id.ID{}, "duplicate introduction")
 	if p := w.livePeer(pid); p != nil {
 		p.Flagged = true
 	}
@@ -1275,7 +1268,7 @@ func (w *World) finishArrival(p *peer.Peer) {
 		return
 	}
 	introducer := w.livePeer(introducerID)
-	w.record(trace.Arrival, p.ID, introducerID, p.Class.String())
+	w.record(telemetry.Arrival, p.ID, introducerID, p.Class.String())
 	granted := introducer.WillIntroduce(p.Class, w.cfg.ErrSel, w.behaveRand)
 	w.m.Pending++
 	w.markInFlight(p.ID)
@@ -1549,7 +1542,7 @@ func (w *World) InjectArrival(class peer.Class, style peer.Style, introducerID i
 	if err := w.attachNode(p); err != nil {
 		return id.ID{}, err
 	}
-	w.record(trace.Arrival, p.ID, introducerID, p.Class.String())
+	w.record(telemetry.Arrival, p.ID, introducerID, p.Class.String())
 	granted := introducer.WillIntroduce(p.Class, w.cfg.ErrSel, w.behaveRand)
 	w.m.Pending++
 	w.markInFlight(p.ID)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/rng"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 func churnTestConfig() config.Config {
@@ -471,8 +471,7 @@ func TestLeaseEvictionsDropStaleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &trace.Log{}
-	w.SetTrace(tr)
+	tr := attachLog(w)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +482,7 @@ func TestLeaseEvictionsDropStaleRecords(t *testing.T) {
 	if m.Churn.Rejoins == 0 {
 		t.Fatalf("no rejoins beat the lease; both outcomes must be exercised: %+v", m.Churn)
 	}
-	if got := tr.Count(trace.LeaseEvicted); got != m.Churn.LeaseEvictions {
+	if got := tr.Count(telemetry.LeaseEvicted); got != m.Churn.LeaseEvictions {
 		t.Fatalf("trace recorded %d lease evictions, counter says %d", got, m.Churn.LeaseEvictions)
 	}
 	// Every eviction finalised its peer: whoever is still departed is
