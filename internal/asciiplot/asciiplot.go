@@ -153,26 +153,3 @@ func Render(opt Options, series ...*metrics.Series) string {
 	}
 	return b.String()
 }
-
-// RenderXY draws y against x (not against time) — the axes of the paper's
-// Figure 1, which plots uncooperative count against cooperative count.
-func RenderXY(opt Options, name string, xs, ys []float64) string {
-	if len(xs) != len(ys) {
-		panic("asciiplot: RenderXY length mismatch")
-	}
-	s := &metrics.Series{Name: name}
-	// Re-index onto a synthetic monotone axis by sorting on x.
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ { // insertion sort keeps it dependency-free
-		for j := i; j > 0 && xs[idx[j-1]] > xs[idx[j]]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
-	for _, i := range idx {
-		s.Points = append(s.Points, metrics.Point{T: int64(xs[i]), V: ys[i]})
-	}
-	return Render(opt, s)
-}

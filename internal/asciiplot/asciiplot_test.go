@@ -88,25 +88,3 @@ func TestRenderTinyDimensionsClamped(t *testing.T) {
 		t.Fatal("empty render")
 	}
 }
-
-func TestRenderXY(t *testing.T) {
-	xs := []float64{300, 100, 200}
-	ys := []float64{30, 10, 20}
-	out := RenderXY(Options{Width: 30, Height: 5}, "xy", xs, ys)
-	if !strings.Contains(out, "*") {
-		t.Fatalf("no glyphs:\n%s", out)
-	}
-	// X axis must span the sorted x range.
-	if !strings.Contains(out, "100") || !strings.Contains(out, "300") {
-		t.Fatalf("x range missing:\n%s", out)
-	}
-}
-
-func TestRenderXYMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RenderXY(Options{}, "bad", []float64{1}, []float64{1, 2})
-}

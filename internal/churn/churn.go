@@ -158,9 +158,6 @@ func (p *Process) SrcState() [4]uint64 { return p.src.State() }
 // one.
 func (p *Process) RestoreSrc(s [4]uint64) { p.src.SetState(s) }
 
-// Params returns the parameters currently in force.
-func (p *Process) Params() Params { return p.params }
-
 // DepartureGap draws the next inter-departure time of the global Poisson
 // clock. It panics when Mu is zero (the caller must not arm the clock).
 func (p *Process) DepartureGap() float64 {

@@ -10,7 +10,9 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/churn"
@@ -189,18 +191,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MarshalJSON is the default struct encoding; provided symmetrically with
-// Load for experiment files.
-func (c Config) JSON() ([]byte, error) {
-	return json.MarshalIndent(c, "", "  ")
-}
-
 // Load parses a configuration from JSON, applying defaults for absent
-// fields, and validates it.
+// fields, and validates it. Decoding is strict: an unknown field (a
+// misspelt parameter, or a scenario spec passed as a config) and data
+// after the object are errors, not silently ignored.
 func Load(data []byte) (Config, error) {
 	c := Default()
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("config: parsing: %w", err)
+	}
+	if dec.More() {
+		return Config{}, errors.New("config: trailing data after the configuration")
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	orig := Default()
 	orig.Lambda = 0.1
 	orig.Seed = 99
-	data, err := orig.JSON()
+	data, err := json.MarshalIndent(orig, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,14 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	if _, err := Load([]byte(`{"numSM": 0}`)); err == nil {
 		t.Fatal("invalid config loaded")
 	}
-	if _, err := Load([]byte(`{not json`)); err == nil || !strings.Contains(err.Error(), "parsing") {
-		t.Fatalf("bad JSON: %v", err)
+	for _, c := range []struct{ name, in, wantErr string }{
+		{"syntax", `{not json`, "parsing"},
+		{"unknown field", `{"lamda": 0.3, "seed": 3}`, `"lamda"`},
+		{"scenario spec", `{"name": "quickstart", "base": {"numInit": 20}}`, `"name"`},
+		{"trailing data", `{"seed": 3} {"seed": 4}`, "trailing data"},
+	} {
+		if _, err := Load([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantErr)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -387,11 +389,75 @@ func TestDeterministicUnitErrorFailsFast(t *testing.T) {
 	}
 }
 
-// TestRunJobUnknownKind covers the worker-side guard.
+// TestRunJobUnknownKind covers the worker-side guard, including the
+// retired segment kind: it must fail closed with a unit error, not panic.
 func TestRunJobUnknownKind(t *testing.T) {
-	res := RunJob(&Job{Unit: 7, Kind: "nonsense"})
-	if res.Err == "" || res.Unit != 7 {
-		t.Fatalf("unknown kind not reported: %+v", res)
+	for _, kind := range []string{"nonsense", "segment"} {
+		res := RunJob(&Job{Unit: 7, Kind: kind})
+		if want := fmt.Sprintf("unknown job kind %q", kind); res.Err != want || res.Unit != 7 {
+			t.Fatalf("kind %q: got %+v, want unit 7 with error %q", kind, res, want)
+		}
+	}
+}
+
+// TestHelloVersionMismatchRejected: a worker speaking the previous
+// protocol version is dropped at hello and never receives a job; the
+// batch finishes on a current worker with RunJob's results.
+func TestHelloVersionMismatchRejected(t *testing.T) {
+	real := PipeSpawn()
+	var gotJob atomic.Bool
+	staleDone := make(chan struct{})
+	spawned := 0
+	spawn := func(i int) (io.ReadWriteCloser, error) {
+		spawned++
+		if spawned > 1 {
+			return real(i)
+		}
+		coord, worker := pipePair()
+		go func() {
+			defer close(staleDone)
+			defer worker.Close()
+			if writeFrame(worker, &envelope{Type: msgHello, Hello: &hello{Proto: ProtoVersion - 1}}) != nil {
+				return
+			}
+			for {
+				env, err := readFrame(worker)
+				if err != nil {
+					return
+				}
+				if env.Type == msgJob {
+					gotJob.Store(true)
+				}
+			}
+		}()
+		return coord, nil
+	}
+	jobs := tinyJobs(t, 3)
+	want := make([][]byte, len(jobs))
+	for i := range jobs {
+		j := jobs[i]
+		j.Unit = i
+		want[i] = mustJSON(t, RunJob(&j))
+	}
+	f, err := New(Config{Workers: 2, Spawn: spawn, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := f.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close() // ends the stale worker's transport even if it was admitted
+	<-staleDone
+	if gotJob.Load() {
+		t.Fatal("a worker with a stale protocol version received a job")
+	}
+	for i, res := range got {
+		res.Epoch = 0
+		if !bytes.Equal(mustJSON(t, res), want[i]) {
+			t.Fatalf("unit %d differs from RunJob", i)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type journalRecord struct {
 // TelemetrySummary is the fleet-wide telemetry record appended to the
 // journal when a batch completes: observability only, never replayed
 // into results. A batch resumed by a second coordinator appends its own
-// summary; replay keeps the last.
+// summary after the first.
 type TelemetrySummary struct {
 	// Units is the batch size.
 	Units int `json:"units"`
@@ -63,7 +63,6 @@ type TelemetrySummary struct {
 type Journal struct {
 	file      *os.File
 	completed []*Result // by unit index; nil where incomplete
-	summary   *TelemetrySummary
 }
 
 // BatchSignature fingerprints a batch's work independently of how the
@@ -90,8 +89,9 @@ func BatchSignature(jobs []Job) (string, error) {
 // journal must belong to the same batch — same signature and unit count
 // — or OpenJournal refuses, rather than silently discarding or mixing
 // state; completed results recorded by the previous coordinator are
-// loaded and available through Completed. A partial final line (the
-// previous coordinator died mid-append) is dropped and truncated away.
+// loaded, and RunJournaled merges them without dispatching. A partial
+// final line (the previous coordinator died mid-append) is dropped and
+// truncated away.
 func OpenJournal(path string, jobs []Job) (*Journal, error) {
 	sig, err := BatchSignature(jobs)
 	if err != nil {
@@ -154,11 +154,8 @@ func OpenJournal(path string, jobs []Job) (*Journal, error) {
 		if rec.Result == nil && rec.Telemetry == nil {
 			break // a line from no version of this code; treat as a torn tail
 		}
-		if rec.Telemetry != nil {
-			// Observability record; a resumed batch appends another, so
-			// the last one wins.
-			j.summary = rec.Telemetry
-		} else {
+		// A telemetry record is observability only; replay skips it.
+		if rec.Telemetry == nil {
 			res := rec.Result
 			if res.Unit < 0 || res.Unit >= len(jobs) {
 				f.Close()
@@ -191,25 +188,6 @@ func OpenJournal(path string, jobs []Job) (*Journal, error) {
 	return j, nil
 }
 
-// Completed returns the units already recorded, by unit index (nil
-// where incomplete).
-func (j *Journal) Completed() []*Result {
-	out := make([]*Result, len(j.completed))
-	copy(out, j.completed)
-	return out
-}
-
-// CompletedCount returns how many units the journal has recorded.
-func (j *Journal) CompletedCount() int {
-	n := 0
-	for _, r := range j.completed {
-		if r != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // append durably records one completed unit. Called with the fleet lock
 // held; each record is synced before the result is merged, so a crash
 // after the merge can never lose a unit the caller saw complete.
@@ -223,17 +201,8 @@ func (j *Journal) append(res *Result) error {
 
 // appendSummary durably records the batch's fleet telemetry summary.
 func (j *Journal) appendSummary(s *TelemetrySummary) error {
-	if err := j.appendRecord(&journalRecord{Telemetry: s}); err != nil {
-		return err
-	}
-	j.summary = s
-	return nil
+	return j.appendRecord(&journalRecord{Telemetry: s})
 }
-
-// Summary returns the journal's fleet telemetry summary: the one the
-// completed batch appended (or, after replay, the last one recorded).
-// Nil while the batch is incomplete.
-func (j *Journal) Summary() *TelemetrySummary { return j.summary }
 
 // appendRecord writes and syncs one tagged line.
 func (j *Journal) appendRecord(rec *journalRecord) error {

@@ -1,8 +1,7 @@
 package fleet
 
-// Segment and journal tests: time-sharded chains must reproduce the
-// uninterrupted run byte for byte, and a journaled batch resumed by a
-// fresh coordinator must re-dispatch only the incomplete units.
+// Journal tests: a journaled batch resumed by a fresh coordinator must
+// re-dispatch only the incomplete units.
 
 import (
 	"bytes"
@@ -14,139 +13,17 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/internal/config"
-	"repro/internal/rng"
-	"repro/internal/scenario"
-	"repro/internal/world"
 )
 
-// worldCheckpoint seals a freshly started world for the given config.
-func worldCheckpoint(t *testing.T, cfg config.Config) []byte {
-	t.Helper()
-	w, err := world.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start()
-	snap, err := w.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestSegmentedMatchesDirectExecution: a run phase-split into chained
-// checkpoint segments must produce the same result payload as the same
-// run executed in one piece, for both checkpoint kinds.
-func TestSegmentedMatchesDirectExecution(t *testing.T) {
-	f, err := New(Config{Workers: 3, Spawn: PipeSpawn(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// World-kind chains, two seeds.
-	var plans []SegmentPlan
-	var want [][]byte
-	for _, seed := range []uint64{rng.DeriveSeed(42, 0), rng.DeriveSeed(42, 1)} {
-		c := config.Default()
-		c.NumInit = 30
-		c.NumTrans = 2_000
-		c.Lambda = 0.05
-		c.WaitPeriod = 100
-		c.Seed = seed
-		plans = append(plans, SegmentPlan{
-			Checkpoint: worldCheckpoint(t, c),
-			Cuts:       EvenCuts(0, c.NumTrans, 4),
-		})
-		ref, err := world.New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Run(); err != nil {
-			t.Fatal(err)
-		}
-		direct, err := json.Marshal(&ConfigResult{Metrics: *ref.Metrics(), Proto: ref.Protocol().Stats()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, direct)
-	}
-	// One scenario-kind chain.
-	spec, err := scenario.Get("quickstart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := spec.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, err := st.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans = append(plans, SegmentPlan{Checkpoint: start, Cuts: EvenCuts(0, spec.Base.NumTrans, 3)})
-	refSpec, err := scenario.Get("quickstart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := refSpec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	directScenario, err := json.Marshal(&ScenarioResult{
-		Metrics:         out.Metrics,
-		Proto:           out.Proto,
-		Outcomes:        out.Outcomes,
-		FinalReputation: out.FinalReputation,
-		Members:         out.Members,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, directScenario)
-
-	results, err := f.RunSegmented(plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		var got []byte
-		switch {
-		case res.Segment.Config != nil:
-			got, err = json.Marshal(res.Segment.Config)
-		case res.Segment.Scenario != nil:
-			got, err = json.Marshal(res.Segment.Scenario)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("chain %d: segmented result differs from direct execution", i)
+// completedUnits counts the units a journal has recorded.
+func completedUnits(j *Journal) int {
+	n := 0
+	for _, r := range j.completed {
+		if r != nil {
+			n++
 		}
 	}
-}
-
-func TestEvenCuts(t *testing.T) {
-	cuts := EvenCuts(0, 4000, 4)
-	if !reflect.DeepEqual(cuts, []int64{1000, 2000, 3000}) {
-		t.Fatalf("EvenCuts(0,4000,4) = %v", cuts)
-	}
-	if got := EvenCuts(0, 100, 1); got != nil {
-		t.Fatalf("single segment should need no cuts, got %v", got)
-	}
-	if got := EvenCuts(0, 2, 5); got != nil {
-		t.Fatalf("run shorter than the segment count should need no cuts, got %v", got)
-	}
+	return n
 }
 
 // recordingSpawn runs units in-process and records which unit indices
@@ -228,7 +105,7 @@ func TestJournalResumeSkipsCompletedUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if n := j2.CompletedCount(); n != 4 {
+	if n := completedUnits(j2); n != 4 {
 		t.Fatalf("reloaded journal has %d completed units, want 4", n)
 	}
 	var mu sync.Mutex
@@ -309,7 +186,7 @@ func TestJournalDropsTornTail(t *testing.T) {
 		t.Fatalf("torn tail should be dropped, got %v", err)
 	}
 	defer j2.Close()
-	if n := j2.CompletedCount(); n != 2 {
+	if n := completedUnits(j2); n != 2 {
 		t.Fatalf("torn-tail journal has %d completed units, want 2", n)
 	}
 }

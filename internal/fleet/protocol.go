@@ -36,8 +36,10 @@ import (
 // that resume a checkpoint, run a tick budget and return the re-sealed
 // checkpoint). Version 3 added worker telemetry on heartbeat frames (the
 // Status payload), which the coordinator renders as a live progress
-// table and folds into the journal's telemetry summary.
-const ProtoVersion = 3
+// table and folds into the journal's telemetry summary. Version 4
+// removed the segment kind, so a version-3 peer that could still send or
+// expect one is refused at hello.
+const ProtoVersion = 4
 
 // maxFrame bounds a single frame (a job with an embedded spec, or a
 // result with its sampled series). Runs that legitimately exceed this are
@@ -68,11 +70,6 @@ const (
 	// KindConfig executes a plain configured world (optionally under a
 	// named baseline bootstrap policy) under the job's seed.
 	KindConfig = "config"
-	// KindSegment resumes a sealed checkpoint, runs it to the job's
-	// target tick and returns the re-sealed checkpoint — or, on the final
-	// segment, finishes the run and returns its result payload. The unit
-	// carries no seed: the checkpoint's RNG state is the seed.
-	KindSegment = "segment"
 )
 
 // envelope is one protocol frame.
@@ -133,15 +130,6 @@ type Job struct {
 	Policy string `json:"policy,omitempty"`
 	// NullSign runs the unit with null signing identities.
 	NullSign bool `json:"nullSign,omitempty"`
-	// Checkpoint is the sealed snapshot a KindSegment unit resumes from
-	// (either checkpoint kind; the worker dispatches on the envelope tag).
-	Checkpoint []byte `json:"checkpoint,omitempty"`
-	// Until is the absolute tick a KindSegment unit runs to before
-	// re-sealing its state. Ignored when Final is set.
-	Until int64 `json:"until,omitempty"`
-	// Final asks a KindSegment unit to finish the run instead of
-	// checkpointing again, returning the result payload.
-	Final bool `json:"final,omitempty"`
 }
 
 // Result is one finished unit.
@@ -157,20 +145,6 @@ type Result struct {
 	// Scenario is the payload of a KindScenario unit.
 	Scenario *ScenarioResult `json:"scenario,omitempty"`
 	// Config is the payload of a KindConfig unit.
-	Config *ConfigResult `json:"config,omitempty"`
-	// Segment is the payload of a KindSegment unit.
-	Segment *SegmentResult `json:"segment,omitempty"`
-}
-
-// SegmentResult is the payload of one checkpoint segment: either the
-// re-sealed checkpoint at the target tick (intermediate segments) or the
-// finished run's result (Final segments).
-type SegmentResult struct {
-	// Checkpoint is the sealed snapshot at the job's Until tick.
-	Checkpoint []byte `json:"checkpoint,omitempty"`
-	// Scenario is the finished run of a scenario-kind checkpoint (Final).
-	Scenario *ScenarioResult `json:"scenario,omitempty"`
-	// Config is the finished run of a world-kind checkpoint (Final).
 	Config *ConfigResult `json:"config,omitempty"`
 }
 

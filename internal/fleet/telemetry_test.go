@@ -5,7 +5,10 @@ package fleet
 // journal's fleet telemetry summary record.
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -169,8 +172,8 @@ func (b *syncBuffer) String() string {
 }
 
 // TestJournalTelemetrySummary pins that a completed journaled batch ends
-// with a telemetry summary record, that reopening the journal replays
-// it, and that the summary never counts as a unit result.
+// with a telemetry summary record, that reopening the journal keeps it,
+// and that the summary never counts as a unit result.
 func TestJournalTelemetrySummary(t *testing.T) {
 	jobs := tinyJobs(t, 3)
 	path := filepath.Join(t.TempDir(), "batch.journal")
@@ -186,27 +189,41 @@ func TestJournalTelemetrySummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	sum := j.Summary()
-	if sum == nil {
-		t.Fatal("completed batch recorded no telemetry summary")
-	}
+	j.Close()
+	sum := lastSummary(t, path)
 	if sum.Units != 3 || sum.Workers == 0 || sum.ElapsedSeconds <= 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	j.Close()
 
-	// Reopen: the summary replays, and every unit is still complete —
-	// the summary line was not mistaken for a result.
+	// Reopen: every unit is still complete — the summary line was not
+	// mistaken for a result — and it was not truncated as a torn tail.
 	j2, err := OpenJournal(path, tinyJobs(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.CompletedCount() != 3 {
-		t.Fatalf("reopened journal has %d completed units, want 3", j2.CompletedCount())
+	if n := completedUnits(j2); n != 3 {
+		t.Fatalf("reopened journal has %d completed units, want 3", n)
 	}
-	got := j2.Summary()
-	if got == nil || *got != *sum {
-		t.Fatalf("replayed summary = %+v, want %+v", got, sum)
+	if got := lastSummary(t, path); got != sum {
+		t.Fatalf("summary after reopen = %+v, want %+v", got, sum)
 	}
+}
+
+// lastSummary decodes the telemetry summary on a journal's last line.
+func lastSummary(t *testing.T, path string) TelemetrySummary {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	var rec journalRecord
+	if err := json.Unmarshal(lines[len(lines)-1], &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Telemetry == nil {
+		t.Fatalf("journal's last line is not a telemetry summary: %s", lines[len(lines)-1])
+	}
+	return *rec.Telemetry
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/world"
 )
@@ -33,7 +31,7 @@ func RunJobWithProgress(job *Job, progress *telemetry.Progress) (res *Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("unit %d panicked: %v", job.Unit, r)
-			res.Scenario, res.Config, res.Segment = nil, nil, nil
+			res.Scenario, res.Config = nil, nil
 		}
 	}()
 	var bus *telemetry.Bus
@@ -56,13 +54,6 @@ func RunJobWithProgress(job *Job, progress *telemetry.Progress) (res *Result) {
 			return res
 		}
 		res.Config = cr
-	case KindSegment:
-		sr, err := runSegmentUnit(job, bus)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Segment = sr
 	default:
 		res.Err = fmt.Sprintf("unknown job kind %q", job.Kind)
 	}
@@ -93,89 +84,6 @@ func runScenarioUnit(job *Job, bus *telemetry.Bus) (*ScenarioResult, error) {
 		FinalReputation: out.FinalReputation,
 		Members:         out.Members,
 	}, nil
-}
-
-// runSegmentUnit resumes a sealed checkpoint and advances it: to the
-// job's target tick (returning the re-sealed state) or, when Final, to
-// the end of the run (returning the result payload). Both checkpoint
-// kinds are accepted; dispatch is on the envelope's kind tag.
-func runSegmentUnit(job *Job, bus *telemetry.Bus) (*SegmentResult, error) {
-	kind, body, err := checkpoint.Open(job.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case checkpoint.KindScenario:
-		st, err := scenario.DecodeRunStateBody(body)
-		if err != nil {
-			return nil, err
-		}
-		r, err := scenario.Resume(st)
-		if err != nil {
-			return nil, err
-		}
-		r.World().SetTelemetry(bus)
-		if job.Final {
-			out, err := r.Finish()
-			if err != nil {
-				return nil, err
-			}
-			return &SegmentResult{Scenario: &ScenarioResult{
-				Metrics:         out.Metrics,
-				Proto:           out.Proto,
-				Outcomes:        out.Outcomes,
-				FinalReputation: out.FinalReputation,
-				Members:         out.Members,
-			}}, nil
-		}
-		if err := r.RunToTick(sim.Tick(job.Until)); err != nil {
-			return nil, err
-		}
-		next, err := r.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		data, err := next.Encode()
-		if err != nil {
-			return nil, err
-		}
-		return &SegmentResult{Checkpoint: data}, nil
-	case checkpoint.KindWorld:
-		snap, err := world.DecodeSnapshotBody(body)
-		if err != nil {
-			return nil, err
-		}
-		w, err := world.Restore(snap)
-		if err != nil {
-			return nil, err
-		}
-		w.SetTelemetry(bus)
-		if job.Final {
-			if end := sim.Tick(w.Config().NumTrans); w.Engine().Now() < end {
-				if err := w.RunFor(end - w.Engine().Now()); err != nil {
-					return nil, err
-				}
-			}
-			w.Finish()
-			return &SegmentResult{Config: &ConfigResult{Metrics: *w.Metrics(), Proto: w.Protocol().Stats()}}, nil
-		}
-		if until := sim.Tick(job.Until); w.Engine().Now() < until {
-			if err := w.RunFor(until - w.Engine().Now()); err != nil {
-				return nil, err
-			}
-		}
-		next, err := w.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		data, err := next.Encode()
-		if err != nil {
-			return nil, err
-		}
-		return &SegmentResult{Checkpoint: data}, nil
-	default:
-		return nil, fmt.Errorf("segment checkpoint of unknown kind %q", kind)
-	}
 }
 
 // runConfigUnit executes a configured-world replica, optionally under a

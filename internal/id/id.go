@@ -11,8 +11,6 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
-	"fmt"
 )
 
 // Bits is the width of an identifier in bits.
@@ -24,30 +22,6 @@ const Bytes = Bits / 8
 // ID is a 160-bit identifier on the ring, stored big-endian: ID[0] is the
 // most significant byte. The zero value is the identifier 0.
 type ID [Bytes]byte
-
-// ErrBadLength reports an attempt to decode an identifier from a byte slice
-// or hex string of the wrong length.
-var ErrBadLength = errors.New("id: wrong length for a 160-bit identifier")
-
-// FromBytes builds an ID from exactly 20 bytes.
-func FromBytes(b []byte) (ID, error) {
-	var out ID
-	if len(b) != Bytes {
-		return out, fmt.Errorf("%w: got %d bytes", ErrBadLength, len(b))
-	}
-	copy(out[:], b)
-	return out, nil
-}
-
-// FromHex decodes a 40-character hex string into an ID.
-func FromHex(s string) (ID, error) {
-	var out ID
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return out, fmt.Errorf("id: decoding hex: %w", err)
-	}
-	return FromBytes(b)
-}
 
 // Hash maps arbitrary data onto the ring using SHA-1.
 func Hash(data []byte) ID {
@@ -148,41 +122,6 @@ func (d ID) IsZero() bool {
 	return true
 }
 
-// Add returns (d + o) mod 2^160.
-func (d ID) Add(o ID) ID {
-	var out ID
-	var carry uint16
-	for i := Bytes - 1; i >= 0; i-- {
-		s := uint16(d[i]) + uint16(o[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
-}
-
-// Sub returns (d - o) mod 2^160, i.e. the clockwise distance from o to d.
-func (d ID) Sub(o ID) ID {
-	var out ID
-	var borrow int16
-	for i := Bytes - 1; i >= 0; i-- {
-		s := int16(d[i]) - int16(o[i]) - borrow
-		if s < 0 {
-			s += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(s)
-	}
-	return out
-}
-
-// Distance returns the clockwise distance from d to o on the ring, i.e. how
-// far one must travel in the increasing direction from d to reach o.
-func (d ID) Distance(o ID) ID {
-	return o.Sub(d)
-}
-
 // Between reports whether d lies on the clockwise arc (from, to), exclusive
 // of both endpoints. When from == to the arc is the whole ring minus that
 // single point, matching Chord's convention.
@@ -195,29 +134,4 @@ func (d ID) Between(from, to ID) bool {
 	}
 	// from == to: everything except the point itself.
 	return d.Cmp(from) != 0
-}
-
-// PrefixLen returns the number of leading bits d and o share; 160 when equal.
-func (d ID) PrefixLen(o ID) int {
-	for i := 0; i < Bytes; i++ {
-		x := d[i] ^ o[i]
-		if x == 0 {
-			continue
-		}
-		n := 0
-		for mask := byte(0x80); mask != 0 && x&mask == 0; mask >>= 1 {
-			n++
-		}
-		return i*8 + n
-	}
-	return Bits
-}
-
-// Bit returns bit k of the identifier, where k=0 is the most significant
-// bit. It panics if k is out of [0, Bits).
-func (d ID) Bit(k int) int {
-	if k < 0 || k >= Bits {
-		panic(fmt.Sprintf("id: Bit index %d out of range [0,%d)", k, Bits))
-	}
-	return int(d[k/8]>>(7-k%8)) & 1
 }

@@ -6,59 +6,11 @@ import (
 	"testing/quick"
 )
 
-// toBig converts an ID to a big.Int for cross-checking ring arithmetic
+// toBig converts an ID to a big.Int for cross-checking ring order
 // against an independent implementation.
 func toBig(d ID) *big.Int { return new(big.Int).SetBytes(d[:]) }
 
 var ringMod = new(big.Int).Lsh(big.NewInt(1), Bits)
-
-func fromBig(v *big.Int) ID {
-	m := new(big.Int).Mod(v, ringMod)
-	b := m.Bytes()
-	var out ID
-	copy(out[Bytes-len(b):], b)
-	return out
-}
-
-func TestFromBytesRoundTrip(t *testing.T) {
-	h := HashString("peer-42")
-	got, err := FromBytes(h[:])
-	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
-	}
-	if got != h {
-		t.Fatalf("round trip mismatch: %v != %v", got, h)
-	}
-}
-
-func TestFromBytesWrongLength(t *testing.T) {
-	if _, err := FromBytes(make([]byte, 19)); err == nil {
-		t.Fatal("expected error for 19-byte input")
-	}
-	if _, err := FromBytes(make([]byte, 21)); err == nil {
-		t.Fatal("expected error for 21-byte input")
-	}
-}
-
-func TestFromHexRoundTrip(t *testing.T) {
-	orig := HashString("hex-test")
-	got, err := FromHex(orig.String())
-	if err != nil {
-		t.Fatalf("FromHex: %v", err)
-	}
-	if got != orig {
-		t.Fatalf("round trip mismatch: %v != %v", got, orig)
-	}
-}
-
-func TestFromHexRejectsGarbage(t *testing.T) {
-	if _, err := FromHex("zz"); err == nil {
-		t.Fatal("expected error for non-hex input")
-	}
-	if _, err := FromHex("abcd"); err == nil {
-		t.Fatal("expected error for short hex input")
-	}
-}
 
 func TestHashDeterministic(t *testing.T) {
 	a := HashString("alpha")
@@ -92,52 +44,6 @@ func TestUint64RoundTrip(t *testing.T) {
 		if got := FromUint64(v).Uint64(); got != v {
 			t.Errorf("FromUint64(%d).Uint64() = %d", v, got)
 		}
-	}
-}
-
-func TestAddSubAgainstBigInt(t *testing.T) {
-	f := func(a, b [Bytes]byte) bool {
-		x, y := ID(a), ID(b)
-		wantAdd := fromBig(new(big.Int).Add(toBig(x), toBig(y)))
-		wantSub := fromBig(new(big.Int).Sub(toBig(x), toBig(y)))
-		return x.Add(y) == wantAdd && x.Sub(y) == wantSub
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddSubInverse(t *testing.T) {
-	f := func(a, b [Bytes]byte) bool {
-		x, y := ID(a), ID(b)
-		return x.Add(y).Sub(y) == x && x.Sub(y).Add(y) == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddCommutative(t *testing.T) {
-	f := func(a, b [Bytes]byte) bool {
-		x, y := ID(a), ID(b)
-		return x.Add(y) == y.Add(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDistanceAsymmetry(t *testing.T) {
-	// distance(a,b) + distance(b,a) == 0 (mod 2^160) unless a == b.
-	f := func(a, b [Bytes]byte) bool {
-		x, y := ID(a), ID(b)
-		if x == y {
-			return x.Distance(y).IsZero()
-		}
-		return x.Distance(y).Add(y.Distance(x)).IsZero()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -185,6 +91,10 @@ func TestBetweenDegenerateArc(t *testing.T) {
 // Between must agree with a model using big.Int arithmetic on clockwise
 // distances: d in (from,to) iff dist(from,d) < dist(from,to), d != from.
 func TestBetweenAgainstDistanceModel(t *testing.T) {
+	// dist is the clockwise distance from a to b: (b - a) mod 2^160.
+	dist := func(a, b ID) *big.Int {
+		return new(big.Int).Mod(new(big.Int).Sub(toBig(b), toBig(a)), ringMod)
+	}
 	f := func(a, b, c [Bytes]byte) bool {
 		from, to, d := ID(a), ID(b), ID(c)
 		if d == from || d == to {
@@ -193,7 +103,7 @@ func TestBetweenAgainstDistanceModel(t *testing.T) {
 		if from == to {
 			return d.Between(from, to)
 		}
-		want := from.Distance(d).Less(from.Distance(to))
+		want := dist(from, d).Cmp(dist(from, to)) < 0
 		return d.Between(from, to) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -208,38 +118,6 @@ func TestCmpOrdering(t *testing.T) {
 	}
 	if !a.Less(b) || b.Less(a) {
 		t.Fatal("Less ordering broken")
-	}
-}
-
-func TestPrefixLen(t *testing.T) {
-	a := FromUint64(0)
-	if got := a.PrefixLen(a); got != Bits {
-		t.Fatalf("PrefixLen(self) = %d, want %d", got, Bits)
-	}
-	var topBit ID
-	topBit[0] = 0x80
-	if got := a.PrefixLen(topBit); got != 0 {
-		t.Fatalf("PrefixLen differing at bit 0 = %d, want 0", got)
-	}
-	var bit9 ID
-	bit9[1] = 0x40
-	if got := a.PrefixLen(bit9); got != 9 {
-		t.Fatalf("PrefixLen differing at bit 9 = %d, want 9", got)
-	}
-}
-
-func TestBit(t *testing.T) {
-	var v ID
-	v[0] = 0x80
-	v[Bytes-1] = 0x01
-	if v.Bit(0) != 1 {
-		t.Fatal("bit 0 should be set")
-	}
-	if v.Bit(1) != 0 {
-		t.Fatal("bit 1 should be clear")
-	}
-	if v.Bit(Bits-1) != 1 {
-		t.Fatal("last bit should be set")
 	}
 }
 

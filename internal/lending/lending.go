@@ -504,10 +504,10 @@ func (p *Protocol) UnregisterPeer(pid id.ID) {
 	// Departed peers keep no intro record: a rejoin re-admits through its
 	// surviving reputation, not through the old introduction, and refused
 	// peers must not leak records. The flagged set is deliberately kept:
-	// it is punishment history, and Flagged may be queried after
-	// departure. With a stake timeout configured the record survives the
-	// departure instead — the timeout clock must still be able to refund
-	// the introducer — and the world's TTL expiry drops it later.
+	// it is punishment history, so it outlives the peer. With a stake
+	// timeout configured the record survives the departure instead — the
+	// timeout clock must still be able to refund the introducer — and the
+	// world's TTL expiry drops it later.
 	if !p.retainStakes {
 		delete(p.intro, pid)
 	}
@@ -533,18 +533,6 @@ func (p *Protocol) ArenaSlots() (live, capacity int) {
 // identities of departed peers (leak instrumentation for tests; always
 // zero under null signing, whose identities are re-derived on demand).
 func (p *Protocol) Tombstones() int { return len(p.tombs) }
-
-// Flagged reports whether the peer was caught double-introducing.
-func (p *Protocol) Flagged(pid id.ID) bool { return p.flagged[pid] }
-
-// IntroducerOf returns the introducer recorded for a newcomer.
-func (p *Protocol) IntroducerOf(newcomer id.ID) (id.ID, bool) {
-	rec, ok := p.intro[newcomer]
-	if !ok {
-		return id.ID{}, false
-	}
-	return rec.introducer, true
-}
 
 // smState returns (allocating) the lending state of a node.
 func (p *Protocol) smState(node id.ID) *smLendState {

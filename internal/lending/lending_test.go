@@ -202,7 +202,7 @@ func TestSuccessfulIntroduction(t *testing.T) {
 	if st.Requests != 1 || st.Granted != 1 || st.Admitted != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got, ok := h.proto.IntroducerOf(newcomer); !ok || got != intro {
+	if rec, ok := h.proto.intro[newcomer]; !ok || rec.introducer != intro {
 		t.Fatal("introducer not recorded")
 	}
 }
@@ -330,7 +330,7 @@ func TestDuplicateIntroductionPunished(t *testing.T) {
 	h.proto.Begin(newcomer, introB, true)
 	h.engine.RunUntil(2000)
 
-	if !h.proto.Flagged(newcomer) {
+	if !h.proto.flagged[newcomer] {
 		t.Fatal("double-introduced peer not flagged")
 	}
 	if len(h.flagged) != 1 || h.flagged[0] != newcomer {

@@ -84,15 +84,6 @@ func (s StakeState) String() string {
 // drop-at-departure behaviour byte for byte.
 func (p *Protocol) SetRetainStakes(on bool) { p.retainStakes = on }
 
-// StakeStateOf returns the lifecycle state of the newcomer's stake.
-func (p *Protocol) StakeStateOf(newcomer id.ID) (StakeState, bool) {
-	rec, ok := p.intro[newcomer]
-	if !ok {
-		return 0, false
-	}
-	return rec.state, true
-}
-
 // HasStake reports whether a stake record exists for the newcomer, in any
 // state — the world uses it to decide whether a departure needs a TTL
 // expiry timer.

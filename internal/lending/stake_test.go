@@ -30,8 +30,8 @@ func (h *harness) vanish(pid id.ID) {
 func TestStakeLifecycleStates(t *testing.T) {
 	h := newHarness(t)
 	_, newcomer, _, newSMs := admitThrough(t, h)
-	if st, ok := h.proto.StakeStateOf(newcomer); !ok || st != StakePending {
-		t.Fatalf("stake after lend = %v (%v), want pending", st, ok)
+	if rec, ok := h.proto.intro[newcomer]; !ok || rec.state != StakePending {
+		t.Fatalf("stake record after lend = %+v (%v), want pending", rec, ok)
 	}
 	ps := h.proto.Stats()
 	if math.Abs(ps.StakedMass-0.1) > 1e-9 || math.Abs(ps.PendingMass-0.1) > 1e-9 {
@@ -41,8 +41,8 @@ func TestStakeLifecycleStates(t *testing.T) {
 		h.net.Store(sm).Init(newcomer, 0.8)
 	}
 	h.proto.Audit(newcomer)
-	if st, _ := h.proto.StakeStateOf(newcomer); st != StakeSettled {
-		t.Fatalf("stake after satisfied audit = %v, want settled", st)
+	if rec, ok := h.proto.intro[newcomer]; !ok || rec.state != StakeSettled {
+		t.Fatalf("stake record after satisfied audit = %+v (%v), want settled", rec, ok)
 	}
 	ps = h.proto.Stats()
 	if math.Abs(ps.SettledMass-0.1) > 1e-9 || math.Abs(ps.PendingMass) > 1e-9 {

@@ -38,11 +38,6 @@ func SimPackage(path string) bool {
 	return matches(path, simSuffixes)
 }
 
-// SimPackages returns the watched suffix list (for docs and tests).
-func SimPackages() []string {
-	return append([]string(nil), simSuffixes...)
-}
-
 // telemetrySuffixes are the observability packages under the write-only
 // telemetry contract. They are deliberately not simSuffixes: progress
 // tickers and span recorders are wall-clock by nature, so rngpurity's
@@ -57,11 +52,6 @@ var telemetrySuffixes = []string{
 // under the write-only telemetry contract.
 func TelemetryPackage(path string) bool {
 	return matches(path, telemetrySuffixes)
-}
-
-// TelemetryPackages returns the watched suffix list (for docs and tests).
-func TelemetryPackages() []string {
-	return append([]string(nil), telemetrySuffixes...)
 }
 
 // matches reports whether path equals or ends in one of the suffixes.

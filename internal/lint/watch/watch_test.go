@@ -24,11 +24,3 @@ func TestSimPackage(t *testing.T) {
 		}
 	}
 }
-
-func TestSimPackagesReturnsACopy(t *testing.T) {
-	a := SimPackages()
-	a[0] = "mutated"
-	if b := SimPackages(); b[0] == "mutated" {
-		t.Fatal("SimPackages exposes the internal slice")
-	}
-}

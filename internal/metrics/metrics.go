@@ -14,23 +14,6 @@ import (
 	"strings"
 )
 
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Value++ }
-
-// Add adds n (which must be non-negative) to the counter.
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("metrics: negative Add on a Counter")
-	}
-	c.Value += n
-}
-
 // Point is one sample of a time series.
 type Point struct {
 	T Tick
@@ -111,9 +94,6 @@ func (r *Running) Observe(v float64) {
 	r.m2 += d * (v - r.mean)
 }
 
-// N returns the number of samples observed.
-func (r *Running) N() int64 { return r.n }
-
 // Mean returns the sample mean (0 with no samples).
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -134,29 +114,6 @@ func (r *Running) Min() float64 { return r.min }
 // Max returns the largest observed sample (0 with no samples).
 func (r *Running) Max() float64 { return r.max }
 
-// Merge folds another accumulator into this one (parallel-run reduction,
-// Chan et al. formula).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval for the mean (0 with <2 samples).
 func (r *Running) CI95() float64 {
@@ -166,61 +123,12 @@ func (r *Running) CI95() float64 {
 	return 1.96 * r.StdDev() / math.Sqrt(float64(r.n))
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice or a
-// percentile outside [0,100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic("metrics: percentile out of [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MergeSeries averages several same-shaped series pointwise: the reduction
-// used for the paper's "each experiment is repeated 10 times and the
-// results averaged". All series must have identical sample times; it panics
-// otherwise (replicas are deterministic, so shape mismatch is a bug), and
-// the panic names the offending series. Merge paths that fold in results
-// from outside the process (the fleet) should use MergeSeriesChecked so a
-// malformed payload fails the run with context instead of crashing it.
-func MergeSeries(name string, runs []*Series) *Series {
-	out, err := MergeSeriesChecked(name, runs)
-	if err != nil {
-		panic("metrics: " + err.Error())
-	}
-	return out
-}
-
-// MergeSeriesChecked is MergeSeries with the shape validation surfaced as
-// an error instead of a panic. The error names the merged series, the
-// replica index and the series name of the mismatching input.
+// MergeSeriesChecked averages several same-shaped series pointwise: the
+// reduction used for the paper's "each experiment is repeated 10 times
+// and the results averaged". All series must have identical sample
+// times. A mismatch is an error, not a panic, because the fleet merges
+// results from outside the process: the error names the merged series,
+// the replica index and the series name of the mismatching input.
 func MergeSeriesChecked(name string, runs []*Series) (*Series, error) {
 	if len(runs) == 0 {
 		return &Series{Name: name}, nil

@@ -137,15 +137,11 @@ func (p *Peer) Defected(now sim.Tick) bool {
 	return p.DefectAt > 0 && now >= p.DefectAt
 }
 
-// BehavesWell reports the objective quality of the peer's conduct inside a
-// transaction: cooperative peers provide good service and reciprocate;
-// uncooperative peers freeride or furnish corrupted content.
-func (p *Peer) BehavesWell() bool {
-	return p.Class == Cooperative
-}
-
-// BehavesWellAt is BehavesWell with traitor semantics: a defected peer
-// behaves like an uncooperative one from its defection tick onward.
+// BehavesWellAt reports the objective quality of the peer's conduct
+// inside a transaction at tick now: cooperative peers provide good
+// service and reciprocate; uncooperative peers freeride or furnish
+// corrupted content. A traitor that has defected behaves like an
+// uncooperative peer from its defection tick onward.
 func (p *Peer) BehavesWellAt(now sim.Tick) bool {
 	return p.Class == Cooperative && !p.Defected(now)
 }

@@ -44,11 +44,16 @@ func TestWillServeTracksReputation(t *testing.T) {
 }
 
 func TestBehavesWell(t *testing.T) {
-	if !newPeer(Cooperative, Naive).BehavesWell() {
+	if !newPeer(Cooperative, Naive).BehavesWellAt(0) {
 		t.Fatal("cooperative peer must behave well")
 	}
-	if newPeer(Uncooperative, Naive).BehavesWell() {
+	if newPeer(Uncooperative, Naive).BehavesWellAt(0) {
 		t.Fatal("uncooperative peer must not behave well")
+	}
+	traitor := newPeer(Cooperative, Naive)
+	traitor.DefectAt = 100
+	if !traitor.BehavesWellAt(99) || traitor.BehavesWellAt(100) {
+		t.Fatal("a traitor must behave well until its defection tick and not from it on")
 	}
 }
 

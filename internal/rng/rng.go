@@ -4,9 +4,8 @@
 // the property the test suite and the multi-run experiment harness rely on.
 //
 // The generator is xoshiro256**, seeded via splitmix64, with samplers for
-// the distributions the paper needs: uniform, Bernoulli, exponential
-// (Poisson inter-arrival times), Poisson counts, geometric, normal and
-// bounded power-law (the scale-free topology's degree bias).
+// the distributions the simulator draws from: uniform, Bernoulli,
+// exponential (Poisson inter-arrival times) and weighted choice.
 package rng
 
 import (
@@ -90,12 +89,6 @@ func DeriveSeed(root, key uint64) uint64 {
 	return out
 }
 
-// Derive returns a Source seeded by the keyed split of (root, key). See
-// DeriveSeed.
-func Derive(root, key uint64) *Source {
-	return New(DeriveSeed(root, key))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	// 53 high-quality bits into the mantissa.
@@ -152,118 +145,6 @@ func (r *Source) Exp(lambda float64) float64 {
 		if u > 0 {
 			return -math.Log(u) / lambda
 		}
-	}
-}
-
-// Poisson returns a Poisson-distributed count with the given mean. For
-// small means it uses Knuth's product method; for large means a normal
-// approximation with continuity correction, which is ample for simulation
-// workload generation. It panics if mean < 0.
-func (r *Source) Poisson(mean float64) int {
-	switch {
-	case mean < 0:
-		panic("rng: Poisson with negative mean")
-	case mean == 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		n := int(math.Round(r.Norm(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. It panics unless 0 < p <= 1.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric needs 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-}
-
-// Norm returns a normally distributed sample with the given mean and
-// standard deviation, via the Marsaglia polar method.
-func (r *Source) Norm(mean, stddev float64) float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// PowerLawIndex draws an index in [0, n) with probability proportional to
-// (i+1)^(-alpha) — a bounded discrete power law. With alpha=0 the draw is
-// uniform. It is used for scale-free respondent/introducer selection when a
-// full preferential-attachment graph is not required. It panics if n <= 0
-// or alpha < 0.
-func (r *Source) PowerLawIndex(n int, alpha float64) int {
-	if n <= 0 {
-		panic("rng: PowerLawIndex with non-positive n")
-	}
-	if alpha < 0 {
-		panic("rng: PowerLawIndex with negative alpha")
-	}
-	if alpha == 0 || n == 1 {
-		return r.Intn(n)
-	}
-	// Inverse-CDF on the continuous envelope, then reject to correct for
-	// discretisation. For the simulator's n (thousands) the envelope is
-	// tight and rejection is rare.
-	for {
-		u := r.Float64()
-		var x float64
-		if alpha == 1 {
-			x = math.Exp(u * math.Log(float64(n)+1))
-		} else {
-			max := math.Pow(float64(n)+1, 1-alpha)
-			x = math.Pow(u*(max-1)+1, 1/(1-alpha))
-		}
-		i := int(x) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i < n {
-			return i
-		}
-	}
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

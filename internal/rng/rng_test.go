@@ -166,153 +166,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonSmallMean(t *testing.T) {
-	r := New(9)
-	const mean = 2.5
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Poisson(mean))
-	}
-	got := sum / n
-	if math.Abs(got-mean) > 0.05 {
-		t.Fatalf("Poisson(%v) sample mean %v", mean, got)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	r := New(10)
-	const mean = 200.0
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.Poisson(mean)
-		if v < 0 {
-			t.Fatalf("negative Poisson count %d", v)
-		}
-		sum += float64(v)
-	}
-	got := sum / n
-	if math.Abs(got-mean)/mean > 0.02 {
-		t.Fatalf("Poisson(%v) sample mean %v", mean, got)
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if New(1).Poisson(0) != 0 {
-		t.Fatal("Poisson(0) must be 0")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(11)
-	const p = 0.25
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	want := (1 - p) / p // mean failures before success
-	got := sum / n
-	if math.Abs(got-want) > 0.1 {
-		t.Fatalf("Geometric(%v) mean %v, want ~%v", p, got, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Fatal("Geometric(1) must be 0")
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	r := New(12)
-	const mean, sd = 5.0, 2.0
-	var sum, sumsq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Norm(mean, sd)
-		sum += v
-		sumsq += v * v
-	}
-	m := sum / n
-	variance := sumsq/n - m*m
-	if math.Abs(m-mean) > 0.05 {
-		t.Fatalf("Norm mean %v, want ~%v", m, mean)
-	}
-	if math.Abs(math.Sqrt(variance)-sd) > 0.05 {
-		t.Fatalf("Norm stddev %v, want ~%v", math.Sqrt(variance), sd)
-	}
-}
-
-func TestPowerLawIndexBounds(t *testing.T) {
-	r := New(13)
-	for i := 0; i < 50000; i++ {
-		v := r.PowerLawIndex(100, 1.0)
-		if v < 0 || v >= 100 {
-			t.Fatalf("PowerLawIndex out of range: %d", v)
-		}
-	}
-}
-
-func TestPowerLawIndexSkew(t *testing.T) {
-	r := New(14)
-	const n = 200000
-	counts := make([]int, 50)
-	for i := 0; i < n; i++ {
-		counts[r.PowerLawIndex(50, 1.5)]++
-	}
-	if counts[0] < counts[10] {
-		t.Fatalf("power law not skewed: counts[0]=%d counts[10]=%d", counts[0], counts[10])
-	}
-	if counts[0] < counts[49]*5 {
-		t.Fatalf("head/tail ratio too small: %d vs %d", counts[0], counts[49])
-	}
-}
-
-func TestPowerLawIndexAlphaZeroUniform(t *testing.T) {
-	r := New(15)
-	const n = 100000
-	counts := make([]int, 10)
-	for i := 0; i < n; i++ {
-		counts[r.PowerLawIndex(10, 0)]++
-	}
-	for v, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-0.1) > 0.01 {
-			t.Fatalf("alpha=0 not uniform: value %d frequency %v", v, frac)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(16)
-	for trial := 0; trial < 100; trial++ {
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				t.Fatalf("invalid permutation %v", p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(17)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle altered elements: %v", xs)
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	r := New(18)
 	weights := []float64{1, 0, 3}
@@ -363,7 +216,7 @@ func TestDeriveSeedIsPureAndKeyed(t *testing.T) {
 		t.Fatal("adjacent roots derive the same child seed")
 	}
 	// The derived stream must not be the root stream.
-	root, child := New(42), Derive(42, 0)
+	root, child := New(42), New(DeriveSeed(42, 0))
 	same := 0
 	for i := 0; i < 64; i++ {
 		if root.Uint64() == child.Uint64() {
@@ -378,7 +231,7 @@ func TestDeriveSeedIsPureAndKeyed(t *testing.T) {
 func TestDeriveStreamsAreIndependent(t *testing.T) {
 	// Adjacent keys (the replica layout) must give uncorrelated streams:
 	// a crude equidistribution check over the XOR of paired draws.
-	a, b := Derive(1, 1), Derive(1, 2)
+	a, b := New(DeriveSeed(1, 1)), New(DeriveSeed(1, 2))
 	ones := 0
 	const draws = 1024
 	for i := 0; i < draws; i++ {

@@ -87,9 +87,6 @@ func (r *Run) Outcomes() []InjectionOutcome {
 	return append([]InjectionOutcome(nil), r.outcomes...)
 }
 
-// PhasesRemaining reports how many phases have not executed yet.
-func (r *Run) PhasesRemaining() int { return len(r.spec.Phases) - r.next }
-
 // StepPhase advances the clock to the next phase's tick and executes its
 // actions in order: set, crash, depart, inject, rejoin, recover. It
 // returns the executed phase, or nil when every phase has already run.

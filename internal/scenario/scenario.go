@@ -17,6 +17,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/config"
@@ -164,14 +165,18 @@ type Output struct {
 var seriesNames = map[string]bool{"coop": true, "uncoop": true, "coop-reputation": true}
 
 // Load parses a scenario from JSON. Absent Base fields take the paper's
-// Table 1 defaults; unknown fields are rejected (they are almost always
-// typos in hand-written files); the result is validated.
+// Table 1 defaults; unknown fields and data after the spec are rejected
+// (they are almost always typos or paste errors in hand-written files);
+// the result is validated.
 func Load(data []byte) (*Spec, error) {
 	s := &Spec{Base: config.Default()}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("scenario: parsing: %w", err)
+	}
+	if dec.More() {
+		return nil, errors.New("scenario: trailing data after the spec")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -39,6 +39,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		{"syntax", `{"name": `, "parsing"},
 		{"unknown top-level field", `{"name": "x", "phasez": []}`, "phasez"},
 		{"unknown base field", `{"name": "x", "base": {"lamda": 0.1}}`, "lamda"},
+		{"trailing data", `{"name": "x"} {"name": "y"}`, "trailing data"},
 		{"missing name", `{"base": {"numInit": 10}}`, "missing name"},
 		{"invalid base", `{"name": "x", "base": {"numSM": 0}}`, "NumSM"},
 		{"phase before schedule cursor",

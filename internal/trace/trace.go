@@ -76,17 +76,6 @@ func (l *Log) Events() []telemetry.Event {
 	return append([]telemetry.Event(nil), l.events...)
 }
 
-// Filter returns the retained events of one kind.
-func (l *Log) Filter(kind telemetry.Kind) []telemetry.Event {
-	var out []telemetry.Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Summary renders exact per-kind counts plus the first few retained
 // events of each kind, a compact debugging view of a whole run. The
 // counts cover every recorded event — dropped ones included — and a

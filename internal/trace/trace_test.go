@@ -28,8 +28,8 @@ func TestRecordAndFilter(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if got := l.Filter(telemetry.Arrival); len(got) != 2 {
-		t.Fatalf("arrivals = %d", len(got))
+	if got := l.Count(telemetry.Arrival); got != 2 {
+		t.Fatalf("arrivals = %d", got)
 	}
 	evs := l.Events()
 	if evs[0].Other == "" || evs[0].Peer == "" {

@@ -88,13 +88,6 @@ func (s *Signer) materialize() {
 	s.pub, s.priv = pub, priv
 }
 
-// Public returns the public key, which peers distribute alongside their
-// identifier when they join.
-func (s *Signer) Public() ed25519.PublicKey {
-	s.materialize()
-	return s.pub
-}
-
 // GeneratedPublic returns the public key only if the keypair has already
 // been derived (i.e. the signer has signed or been asked for its key),
 // without forcing derivation. Consumers use it to decide whether any
@@ -206,19 +199,6 @@ func (o LendOrder) Encode() []byte {
 	return buf
 }
 
-// DecodeLendOrder parses the canonical byte form.
-func DecodeLendOrder(b []byte) (LendOrder, error) {
-	var o LendOrder
-	if len(b) != 2*id.Bytes+16 {
-		return o, fmt.Errorf("transport: lend order has %d bytes, want %d", len(b), 2*id.Bytes+16)
-	}
-	copy(o.Introducer[:], b[:id.Bytes])
-	copy(o.NewPeer[:], b[id.Bytes:2*id.Bytes])
-	o.Amount = math.Float64frombits(binary.BigEndian.Uint64(b[2*id.Bytes : 2*id.Bytes+8]))
-	o.Nonce = binary.BigEndian.Uint64(b[2*id.Bytes+8:])
-	return o, nil
-}
-
 // Envelope is a signed lend order plus the public key needed to verify it.
 type Envelope struct {
 	Order LendOrder
@@ -226,28 +206,9 @@ type Envelope struct {
 	Pub   ed25519.PublicKey
 }
 
-// ErrBadSignature reports a failed envelope verification.
-var ErrBadSignature = errors.New("transport: signature verification failed")
-
 // Sign wraps the order in a verified envelope.
 func (s *Signer) Sign(o LendOrder) Envelope {
 	s.materialize()
 	body := o.Encode()
 	return Envelope{Order: o, Sig: ed25519.Sign(s.priv, body), Pub: s.pub}
-}
-
-// Verify checks the envelope's signature against its own public key and,
-// when expected is non-nil, that the key matches the one on record for the
-// introducer (otherwise any keypair could impersonate any peer).
-func (e Envelope) Verify(expected ed25519.PublicKey) error {
-	if len(e.Pub) != ed25519.PublicKeySize {
-		return fmt.Errorf("%w: bad public key size %d", ErrBadSignature, len(e.Pub))
-	}
-	if expected != nil && !e.Pub.Equal(expected) {
-		return fmt.Errorf("%w: public key does not match introducer's registered key", ErrBadSignature)
-	}
-	if !ed25519.Verify(e.Pub, e.Order.Encode(), e.Sig) {
-		return ErrBadSignature
-	}
-	return nil
 }

@@ -1,7 +1,10 @@
 package transport
 
 import (
-	"errors"
+	"bytes"
+	"crypto/ed25519"
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -162,48 +165,29 @@ func TestRegisterNilHandlerPanics(t *testing.T) {
 	NewBus().Register(id.FromUint64(1), nil)
 }
 
+// decodeLendOrder parses LendOrder.Encode's canonical byte form. It is
+// the round-trip oracle: the signed bytes must carry every field.
+func decodeLendOrder(b []byte) LendOrder {
+	var o LendOrder
+	copy(o.Introducer[:], b[:id.Bytes])
+	copy(o.NewPeer[:], b[id.Bytes:2*id.Bytes])
+	o.Amount = math.Float64frombits(binary.BigEndian.Uint64(b[2*id.Bytes : 2*id.Bytes+8]))
+	o.Nonce = binary.BigEndian.Uint64(b[2*id.Bytes+8:])
+	return o
+}
+
 func TestLendOrderEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(intro, np [id.Bytes]byte, amount float64, nonce uint64) bool {
 		o := LendOrder{Introducer: id.ID(intro), NewPeer: id.ID(np), Amount: amount, Nonce: nonce}
-		dec, err := DecodeLendOrder(o.Encode())
-		if err != nil {
+		enc := o.Encode()
+		if len(enc) != 2*id.Bytes+16 {
 			return false
 		}
 		// NaN never round-trips by ==; compare bit patterns via re-encode.
-		return string(dec.Encode()) == string(o.Encode())
+		return string(decodeLendOrder(enc).Encode()) == string(enc)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecodeLendOrderRejectsWrongLength(t *testing.T) {
-	if _, err := DecodeLendOrder(make([]byte, 10)); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestSignVerify(t *testing.T) {
-	s, err := NewSigner(rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := LendOrder{Introducer: id.FromUint64(1), NewPeer: id.FromUint64(2), Amount: 0.1, Nonce: 42}
-	env := s.Sign(o)
-	if err := env.Verify(s.Public()); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	if err := env.Verify(nil); err != nil {
-		t.Fatalf("verify without expected key: %v", err)
-	}
-}
-
-func TestVerifyRejectsTamperedOrder(t *testing.T) {
-	s, _ := NewSigner(rng.New(1))
-	env := s.Sign(LendOrder{Introducer: id.FromUint64(1), NewPeer: id.FromUint64(2), Amount: 0.1, Nonce: 1})
-	env.Order.Amount = 0.9
-	if err := env.Verify(s.Public()); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("tampered order verified: %v", err)
 	}
 }
 
@@ -211,25 +195,54 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 	s1, _ := NewSigner(rng.New(1))
 	s2, _ := NewSigner(rng.New(2))
 	env := s1.Sign(LendOrder{Nonce: 1})
-	if err := env.Verify(s2.Public()); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("wrong expected key accepted: %v", err)
+	if s2.PublicEquals(env.Pub) {
+		t.Fatal("another signer's key accepted")
 	}
 }
 
 func TestVerifyRejectsImpersonation(t *testing.T) {
-	// Attacker signs with its own key but claims to be the introducer.
+	// Attacker signs with its own key but claims to be the introducer:
+	// the signature is valid, so only the key binding can refuse it.
 	attacker, _ := NewSigner(rng.New(3))
-	victimKey, _ := NewSigner(rng.New(4))
+	victim, _ := NewSigner(rng.New(4))
 	env := attacker.Sign(LendOrder{Introducer: id.FromUint64(7), Nonce: 1})
-	if err := env.Verify(victimKey.Public()); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("impersonation accepted: %v", err)
+	if !attacker.VerifyEnvelope(env) {
+		t.Fatal("attacker's own signature should verify")
+	}
+	if victim.PublicEquals(env.Pub) {
+		t.Fatal("impersonation accepted")
+	}
+}
+
+// TestVerifyRejectsTruncatedKey: ed25519.Verify panics on a key of the
+// wrong size, so every identity must refuse one at PublicEquals, before
+// VerifyEnvelope sees it.
+func TestVerifyRejectsTruncatedKey(t *testing.T) {
+	s, _ := NewSigner(rng.New(5))
+	owner := id.FromUint64(5)
+	env := s.Sign(LendOrder{Introducer: owner, Nonce: 1})
+	null := NewNullIdentity(owner)
+	for _, c := range []struct {
+		name  string
+		ident Identity
+		pub   ed25519.PublicKey
+	}{
+		{"signer", s, env.Pub},
+		{"tombstone", s.Tombstone(), env.Pub},
+		{"null", null, null.Sign(env.Order).Pub},
+	} {
+		if c.ident.PublicEquals(c.pub[:len(c.pub)-1]) {
+			t.Fatalf("%s accepted a %d-byte key", c.name, len(c.pub)-1)
+		}
 	}
 }
 
 func TestSignerDeterministic(t *testing.T) {
 	a, _ := NewSigner(rng.New(7))
 	b, _ := NewSigner(rng.New(7))
-	if !a.Public().Equal(b.Public()) {
-		t.Fatal("same seed must produce same keypair")
+	o := LendOrder{Introducer: id.FromUint64(1), NewPeer: id.FromUint64(2), Amount: 0.1, Nonce: 42}
+	ea, eb := a.Sign(o), b.Sign(o)
+	if !ea.Pub.Equal(eb.Pub) || !bytes.Equal(ea.Sig, eb.Sig) {
+		t.Fatal("same seed must produce the same keypair and signature")
 	}
 }
