@@ -214,22 +214,6 @@ func BenchmarkChurnMacro(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnNullSign is BenchmarkChurnMacro with signing switched to
-// null identities — the measured value of the explicit Ed25519 opt-out
-// on the churn sweep (compare the two directly; BENCH_3.json also
-// records the opt-out on the admission-heavy Fig-1 macro, where the
-// signature floor is ~22% of the wall clock).
-func BenchmarkChurnNullSign(b *testing.B) {
-	if testing.Short() {
-		b.Skip("macro benchmark: minutes of simulated churn")
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunChurn(nil, experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1, NullSign: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 

@@ -30,27 +30,25 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "replend-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one command line, writing the tables to stdout.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("replend-experiments", flag.ContinueOnError)
 	var (
 		scale    = fs.Float64("scale", 0.1, "workload scale (1 = full paper scale)")
@@ -75,7 +73,7 @@ func run(args []string) error {
 		return err
 	}
 	if *pprofAddr != "" {
-		if err := startPprof(*pprofAddr); err != nil {
+		if err := cli.ServePprof(*pprofAddr, logf); err != nil {
 			return err
 		}
 	}
@@ -84,7 +82,7 @@ func run(args []string) error {
 	}
 	if *list {
 		for _, name := range experiments.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}
@@ -103,7 +101,7 @@ func run(args []string) error {
 		SeedBase: *seed,
 	}
 	if *wkArg != "" {
-		spec, err := loadWorkload(*wkArg)
+		spec, err := cli.LoadWorkload(*wkArg)
 		if err != nil {
 			return err
 		}
@@ -117,53 +115,24 @@ func run(args []string) error {
 		return fmt.Errorf("-progress renders the fleet table; give it a fleet with -workers")
 	}
 	if useFleet {
-		cfg := fleet.Config{Workers: *workers, Listen: *fleetListen, Token: *fleetToken, Logf: logf}
-		if *progress {
-			cfg.Progress = os.Stderr
-		}
-		if *workers > 0 {
-			spawn, err := fleet.SelfSpawn()
-			if err != nil {
-				return err
-			}
-			cfg.Spawn = spawn
-		}
-		f, err := fleet.New(cfg)
+		f, err := cli.NewFleet(*workers, *fleetListen, *fleetToken, *progress, logf)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if *fleetListen != "" {
-			logf("fleet accepting remote workers on %s", f.Addr())
-		}
 		opt.Fleet = f
 	}
 	if *telemPath != "" {
-		out := io.Writer(os.Stdout)
-		var file *os.File
-		if *telemPath != "-" {
-			f, err := os.Create(*telemPath)
-			if err != nil {
-				return fmt.Errorf("-telemetry: %w", err)
-			}
-			file, out = f, f
-		}
-		stream := telemetry.NewStreamSink(out)
 		bus := telemetry.NewBus()
-		bus.Attach(stream)
+		closeStream, err := cli.OpenTelemetry(*telemPath, stdout, bus, logf)
+		if err != nil {
+			return err
+		}
 		opt.Telemetry = bus
 		defer func() {
-			if err := bus.Flush(); err != nil {
-				logf("-telemetry: %v", err)
-				return
+			if cerr := closeStream(); err == nil {
+				err = cerr
 			}
-			if file != nil {
-				if err := file.Close(); err != nil {
-					logf("-telemetry: %v", err)
-					return
-				}
-			}
-			logf("telemetry: %d records streamed (peak %d retained)", stream.Written(), stream.PeakRetained())
 		}()
 	}
 	for _, name := range names {
@@ -174,9 +143,9 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		table := rep.Table()
-		fmt.Println(table)
+		fmt.Fprintln(stdout, table)
 		if plot := experiments.PlotOf(rep); plot != "" {
-			fmt.Println(plot)
+			fmt.Fprintln(stdout, plot)
 			table += "\n" + plot
 		}
 		logf("(%s in %v)", name, time.Since(start).Round(time.Millisecond))
@@ -190,34 +159,6 @@ func run(args []string) error {
 	}
 	logf("results written to %s", *outDir)
 	return nil
-}
-
-// startPprof binds addr and serves net/http/pprof on it for the life of
-// the process. The bind happens synchronously so a bad address fails the
-// run instead of logging into the void.
-func startPprof(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("-pprof: %w", err)
-	}
-	logf("pprof serving on http://%s/debug/pprof/", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, nil); err != nil {
-			logf("pprof server stopped: %v", err)
-		}
-	}()
-	return nil
-}
-
-// loadWorkload resolves a -workload argument: a path to a JSON workload
-// spec, or the name of a built-in preset.
-func loadWorkload(nameOrPath string) (*workload.Spec, error) {
-	if data, err := os.ReadFile(nameOrPath); err == nil {
-		return workload.LoadSpec(data)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return workload.Preset(nameOrPath)
 }
 
 // logf is the progress/log channel: stderr, never stdout — stdout belongs

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ func TestRunSingleExperimentWritesOutputs(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
 		"-scale", "0.04", "-runs", "1", "-seed", "5", "-out", dir, "fig3",
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,28 +39,30 @@ func TestRunSingleExperimentWritesOutputs(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-scale", "0.04", "-runs", "1", "-out", t.TempDir(), "figX"}); err == nil {
+	if err := run([]string{"-scale", "0.04", "-runs", "1", "-out", t.TempDir(), "figX"}, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-runs", "x"}); err == nil {
+	if err := run([]string{"-runs", "x"}, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
 
 // TestTelemetryByteIdenticalOutputs: the same experiment with -telemetry
-// attached (which also forces replicas sequential) must write the
-// byte-identical table and CSV.
+// attached (which also forces replicas sequential, whatever -parallel
+// asks for) must write the byte-identical table and CSV, and two
+// instrumented runs must write the byte-identical stream: replicas may
+// not publish onto the shared bus concurrently.
 func TestTelemetryByteIdenticalOutputs(t *testing.T) {
-	refDir, gotDir := t.TempDir(), t.TempDir()
-	base := []string{"-scale", "0.04", "-runs", "2", "-seed", "5"}
-	if err := run(append(append([]string{}, base...), "-out", refDir, "fig3")); err != nil {
+	refDir, gotDir, againDir := t.TempDir(), t.TempDir(), t.TempDir()
+	base := []string{"-scale", "0.04", "-runs", "2", "-parallel", "4", "-seed", "5"}
+	if err := run(append(append([]string{}, base...), "-out", refDir, "fig3"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	telem := filepath.Join(gotDir, "run.jsonl")
-	if err := run(append(append([]string{}, base...), "-out", gotDir, "-telemetry", telem, "fig3")); err != nil {
+	if err := run(append(append([]string{}, base...), "-out", gotDir, "-telemetry", telem, "fig3"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig3.txt", "fig3.csv"} {
@@ -89,18 +92,29 @@ func TestTelemetryByteIdenticalOutputs(t *testing.T) {
 	if err := json.Unmarshal(first, &rec); err != nil || (rec.T != "event" && rec.T != "sample") {
 		t.Fatalf("first telemetry line is not a tagged record: %s", first)
 	}
+	again := filepath.Join(againDir, "run.jsonl")
+	if err := run(append(append([]string{}, base...), "-out", againDir, "-telemetry", again, "fig3"), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	againStream, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream, againStream) {
+		t.Fatal("two identical instrumented runs streamed different telemetry")
+	}
 }
 
 // TestObserveFlagValidation pins the observability flag interlocks.
 func TestObserveFlagValidation(t *testing.T) {
 	telem := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := run([]string{"-workers", "2", "-telemetry", telem, "fig3"}); err == nil {
+	if err := run([]string{"-workers", "2", "-telemetry", telem, "fig3"}, io.Discard); err == nil {
 		t.Fatal("-telemetry with a fleet accepted")
 	}
-	if err := run([]string{"-progress", "fig3"}); err == nil {
+	if err := run([]string{"-progress", "fig3"}, io.Discard); err == nil {
 		t.Fatal("-progress without a fleet accepted")
 	}
-	if err := run([]string{"-pprof", "not-an-address", "fig3"}); err == nil {
+	if err := run([]string{"-pprof", "not-an-address", "fig3"}, io.Discard); err == nil {
 		t.Fatal("unbindable -pprof address accepted")
 	}
 }

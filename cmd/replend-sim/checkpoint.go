@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/world"
@@ -73,9 +72,9 @@ func writeScenarioCheckpoint(spec *scenario.Spec, at int64, path string) error {
 	return nil
 }
 
-// resumeCheckpoint restores a sealed state of either kind and runs it to
+// resume restores a sealed state of either kind and runs it to
 // completion, printing the same summary the uninterrupted run prints.
-func resumeCheckpoint(path, csvPath string, ob obs, out io.Writer) error {
+func (s single) resume(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -95,29 +94,7 @@ func resumeCheckpoint(path, csvPath string, ob obs, out io.Writer) error {
 			return err
 		}
 		logf("resuming scenario %q from tick %d", r.Spec().Name, r.World().Engine().Now())
-		finishObs, err := ob.attach(r.World(), "scenario "+r.Spec().Name)
-		if err != nil {
-			return err
-		}
-		res, err := r.Finish()
-		if err != nil {
-			return err
-		}
-		if err := finishObs(); err != nil {
-			return err
-		}
-		fmt.Fprint(out, res.Summary())
-		if csvPath != "" {
-			csv, err := res.CSV()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
-				return err
-			}
-			logf("series written to %s", csvPath)
-		}
-		return nil
+		return s.runOne(r.World(), r.Spec().Name, r.Finish)
 	case checkpoint.KindWorld:
 		snap, err := world.DecodeSnapshotBody(body)
 		if err != nil {
@@ -128,29 +105,15 @@ func resumeCheckpoint(path, csvPath string, ob obs, out io.Writer) error {
 			return err
 		}
 		logf("resuming world from tick %d", w.Engine().Now())
-		finishObs, err := ob.attach(w, "replend-sim")
-		if err != nil {
-			return err
-		}
-		if end := sim.Tick(w.Config().NumTrans); w.Engine().Now() < end {
-			if err := w.RunFor(end - w.Engine().Now()); err != nil {
-				return err
+		return s.runOne(w, "", func() (*scenario.Result, error) {
+			if end := sim.Tick(w.Config().NumTrans); w.Engine().Now() < end {
+				if err := w.RunFor(end - w.Engine().Now()); err != nil {
+					return nil, err
+				}
 			}
-		}
-		w.Finish()
-		if err := finishObs(); err != nil {
-			return err
-		}
-		printSummary(w)
-		if csvPath != "" {
-			m := w.Metrics()
-			csv := metrics.CSV(m.CoopCount, m.UncoopCount, m.CoopReputation)
-			if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
-				return err
-			}
-			logf("series written to %s", csvPath)
-		}
-		return nil
+			w.Finish()
+			return worldResult(w), nil
+		})
 	default:
 		return fmt.Errorf("checkpoint %s has unknown kind %q", path, kind)
 	}

@@ -43,10 +43,10 @@ import (
 	"os"
 
 	"repro/internal/baseline"
+	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -54,40 +54,46 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "replend-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one command line, writing results to stdout.
+func run(args []string, stdout io.Writer) error {
 	if len(args) > 0 && args[0] == "scenarios" {
-		return scenariosCmd(args[1:], os.Stdout)
+		return scenariosCmd(args[1:], stdout)
 	}
 	if len(args) > 0 && args[0] == "checkpoint" {
-		return checkpointCmd(args[1:], os.Stdout)
+		return checkpointCmd(args[1:], stdout)
 	}
 	fs := flag.NewFlagSet("replend-sim", flag.ContinueOnError)
+	// The configuration flags write straight into the Table 1 defaults.
+	cfg := config.Default()
+	fs.IntVar(&cfg.NumInit, "init", cfg.NumInit, "initial cooperative peers")
+	fs.Int64Var(&cfg.NumTrans, "ticks", cfg.NumTrans, "transactions (= simulation time units)")
+	fs.Float64Var(&cfg.Lambda, "lambda", cfg.Lambda, "new-peer Poisson arrival rate per tick")
+	fs.Float64Var(&cfg.FracUncoop, "frac-uncoop", cfg.FracUncoop, "fraction of arrivals that are uncooperative")
+	fs.Float64Var(&cfg.FracNaive, "frac-naive", cfg.FracNaive, "fraction of cooperative peers that are naive introducers")
+	fs.Float64Var(&cfg.ErrSel, "err-sel", cfg.ErrSel, "selective introducer error rate")
+	fs.Func("topology", "topology: random or powerlaw (default "+string(cfg.Topology)+")", func(s string) (err error) {
+		cfg.Topology, err = topology.ParseKind(s)
+		return err
+	})
+	fs.Int64Var(&cfg.WaitPeriod, "wait", cfg.WaitPeriod, "introduction waiting period T")
+	fs.IntVar(&cfg.AuditTrans, "audit-trans", cfg.AuditTrans, "completed transactions before the newcomer audit")
+	fs.Float64Var(&cfg.IntroAmt, "intro-amt", cfg.IntroAmt, "reputation lent per introduction")
+	fs.Float64Var(&cfg.Reward, "reward", cfg.Reward, "reward for introducing a cooperative peer")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.BoolVar(&cfg.NullSign, "null-sign", cfg.NullSign, "replace Ed25519 signing with cheap null identities (fidelity opt-out for huge sweeps)")
+	fs.Int64Var(&cfg.StakeTimeout, "stake-timeout", cfg.StakeTimeout, "audit deadline in ticks for admission stakes: pending stakes are refunded to survivors (or stranded), offline peers' stake records expire under the same TTL; 0 disables")
 	var (
 		configPath = fs.String("config", "", "JSON configuration file (fields default to Table 1)")
 		scenPath   = fs.String("scenario", "", "scenario file (or built-in name) to execute instead of a flag-built config")
 		runs       = fs.Int("runs", 1, "with -scenario: seed-offset replicas to run and aggregate")
-		numInit    = fs.Int("init", 500, "initial cooperative peers")
-		ticks      = fs.Int64("ticks", 500000, "transactions (= simulation time units)")
-		lambda     = fs.Float64("lambda", 0.01, "new-peer Poisson arrival rate per tick")
-		fracUncoop = fs.Float64("frac-uncoop", 0.25, "fraction of arrivals that are uncooperative")
-		fracNaive  = fs.Float64("frac-naive", 0.3, "fraction of cooperative peers that are naive introducers")
-		errSel     = fs.Float64("err-sel", 0.10, "selective introducer error rate")
-		topo       = fs.String("topology", "powerlaw", "topology: random or powerlaw")
-		wait       = fs.Int64("wait", 1000, "introduction waiting period T")
-		auditTrans = fs.Int("audit-trans", 20, "completed transactions before the newcomer audit")
-		introAmt   = fs.Float64("intro-amt", 0.1, "reputation lent per introduction")
-		reward     = fs.Float64("reward", 0.02, "reward for introducing a cooperative peer")
-		seed       = fs.Uint64("seed", 1, "random seed")
 		noIntro    = fs.Bool("no-introductions", false, "open admission instead of reputation lending")
-		nullSign   = fs.Bool("null-sign", false, "replace Ed25519 signing with cheap null identities (fidelity opt-out for huge sweeps)")
 		mu         = fs.Float64("mu", 0, "membership departure rate per tick (0 = the paper's model, no departures)")
-		stakeTO    = fs.Int64("stake-timeout", 0, "audit deadline in ticks for admission stakes: pending stakes are refunded to survivors (or stranded), offline peers' stake records expire under the same TTL; 0 disables")
 		policyName = fs.String("policy", "mid-spectrum", "bootstrap policy with -no-introductions: complaints-based, positive-only, mid-spectrum, fixed-credit")
 		csvPath    = fs.String("csv", "", "write population/reputation time series as CSV to this file")
 		wkArg      = fs.String("workload", "", "workload spec overriding the config's: a JSON file or a built-in preset (diurnal, flash-crowd, heavytail-cohorts)")
@@ -112,12 +118,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: flags go first, and the subcommands are scenarios and checkpoint", fs.Arg(0))
+	}
 	if *pprofAddr != "" {
-		if err := startPprof(*pprofAddr); err != nil {
+		if err := cli.ServePprof(*pprofAddr, logf); err != nil {
 			return err
 		}
 	}
-	ob := obs{telemetryPath: *telemPath, progress: *progress}
 	if *worker {
 		return fleet.ServeWorker(os.Stdin, os.Stdout, fleet.WorkerOptions{Logf: logf})
 	}
@@ -129,18 +137,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *telemPath != "" && (*runs > 1 || *workers > 0 || *fleetListen != "" || *ckptOut != "") {
+	useFleet := *workers > 0 || *fleetListen != ""
+	if *telemPath != "" && (*runs > 1 || useFleet || *ckptOut != "") {
 		return fmt.Errorf("-telemetry streams one in-process run; it is mutually exclusive with -runs > 1, fleet flags and -checkpoint-out")
 	}
 	if *progress && *ckptOut != "" {
 		return fmt.Errorf("-progress tracks a full run; it is mutually exclusive with -checkpoint-out")
 	}
-	if *progress && *runs > 1 && *workers == 0 && *fleetListen == "" {
+	if *progress && *runs > 1 && !useFleet {
 		return fmt.Errorf("-progress with -runs > 1 renders the fleet table; give it a fleet with -workers")
 	}
-	if *recPath != "" && (*runs > 1 || *workers > 0 || *fleetListen != "" || *ckptOut != "" || *ckptIn != "") {
+	if *recPath != "" && (*runs > 1 || useFleet || *ckptOut != "" || *ckptIn != "") {
 		return fmt.Errorf("-record captures a single uninterrupted in-process run; it is mutually exclusive with -runs > 1, fleet flags and checkpointing")
 	}
+	one := single{csvPath: *csvPath, recPath: *recPath, telemetryPath: *telemPath, progress: *progress, stdout: stdout}
 	if *ckptIn != "" {
 		if *scenPath != "" || *configPath != "" || *ckptOut != "" {
 			return fmt.Errorf("-checkpoint-in resumes a finished state description; it is mutually exclusive with -scenario, -config and -checkpoint-out")
@@ -148,10 +158,10 @@ func run(args []string) error {
 		if wkOver != nil {
 			return fmt.Errorf("-checkpoint-in resumes a sealed state; it is mutually exclusive with -workload and -replay")
 		}
-		if *workers > 0 || *fleetListen != "" {
+		if useFleet {
 			return fmt.Errorf("-checkpoint-in runs in-process; it takes no fleet flags")
 		}
-		return resumeCheckpoint(*ckptIn, *csvPath, ob, os.Stdout)
+		return one.resume(*ckptIn)
 	}
 	if *ckptOut != "" && *ckptAt <= 0 {
 		return fmt.Errorf("-checkpoint-out needs -checkpoint-at <tick> > 0")
@@ -160,58 +170,62 @@ func run(args []string) error {
 		if *configPath != "" {
 			return fmt.Errorf("-scenario and -config are mutually exclusive")
 		}
+		if *ckptOut != "" && (*runs > 1 || useFleet) {
+			return fmt.Errorf("-checkpoint-out captures a single run; it is mutually exclusive with -runs > 1 and fleet flags")
+		}
+		if *runs <= 1 && useFleet {
+			return fmt.Errorf("-workers shards replicas; give it work with -runs > 1")
+		}
+		spec, err := loadScenario(*scenPath)
+		if err != nil {
+			return err
+		}
+		if wkOver != nil {
+			spec.Base.Workload = wkOver
+		}
 		if *ckptOut != "" {
-			if *runs > 1 || *workers > 0 || *fleetListen != "" {
-				return fmt.Errorf("-checkpoint-out captures a single run; it is mutually exclusive with -runs > 1 and fleet flags")
-			}
-			spec, err := loadScenario(*scenPath)
+			return writeScenarioCheckpoint(spec, *ckptAt, *ckptOut)
+		}
+		if *runs <= 1 {
+			r, err := spec.Start()
 			if err != nil {
 				return err
 			}
-			if wkOver != nil {
-				spec.Base.Workload = wkOver
-			}
-			return writeScenarioCheckpoint(spec, *ckptAt, *ckptOut)
+			return one.runOne(r.World(), spec.Name, r.Finish)
 		}
-		return runScenario(*scenPath, *runs, *csvPath, *workers, *fleetListen, *fleetToken, *journal, wkOver, *recPath, ob, os.Stdout)
+		opt := experiments.Options{Runs: *runs, Journal: *journal}
+		if useFleet {
+			f, err := cli.NewFleet(*workers, *fleetListen, *fleetToken, *progress, logf)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			opt.Fleet = f
+		}
+		reps, err := experiments.RunScenarioReplicas(spec, opt)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, experiments.ScenarioTable(reps))
+		return writeCSV(*csvPath, reps[0].Result)
 	}
-	if *workers > 0 || *fleetListen != "" {
+	if useFleet {
 		return fmt.Errorf("-workers and -fleet-listen need -scenario (only replica sweeps shard)")
 	}
 	if *journal != "" {
 		return fmt.Errorf("-fleet-journal needs a fleet (-workers or -fleet-listen)")
 	}
 
-	cfg := config.Default()
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
 			return err
 		}
-		cfg, err = config.Load(data)
-		if err != nil {
+		if cfg, err = config.Load(data); err != nil {
 			return err
 		}
 	} else {
-		kind, err := topology.ParseKind(*topo)
-		if err != nil {
-			return err
-		}
-		cfg.NumInit = *numInit
-		cfg.NumTrans = *ticks
-		cfg.Lambda = *lambda
-		cfg.FracUncoop = *fracUncoop
-		cfg.FracNaive = *fracNaive
-		cfg.ErrSel = *errSel
-		cfg.Topology = kind
-		cfg.WaitPeriod = *wait
-		cfg.AuditTrans = *auditTrans
-		cfg.IntroAmt = *introAmt
-		cfg.Reward = *reward
-		cfg.Seed = *seed
 		cfg.RequireIntroductions = !*noIntro
-		cfg.NullSign = *nullSign
-		cfg.StakeTimeout = *stakeTO
 		if *mu > 0 {
 			// The flag-built churn process uses the steady-state defaults;
 			// scenario files expose the full parameter set.
@@ -224,13 +238,12 @@ func run(args []string) error {
 	if wkOver != nil {
 		cfg.Workload = wkOver
 	}
-
 	w, err := world.New(cfg)
 	if err != nil {
 		return err
 	}
 	if !cfg.RequireIntroductions {
-		pol, err := policyByName(*policyName)
+		pol, err := baseline.ByName(*policyName)
 		if err != nil {
 			return err
 		}
@@ -239,36 +252,83 @@ func run(args []string) error {
 	if *ckptOut != "" {
 		return writeWorldCheckpoint(w, *ckptAt, *ckptOut)
 	}
+	return one.runOne(w, "", func() (*scenario.Result, error) {
+		if err := w.Run(); err != nil {
+			return nil, err
+		}
+		return worldResult(w), nil
+	})
+}
+
+// single routes one in-process run's results: the -csv series, the
+// -record trace, the -telemetry stream and -progress ticker, and the
+// summary on stdout.
+type single struct {
+	csvPath, recPath, telemetryPath string
+	progress                        bool
+	stdout                          io.Writer
+}
+
+// runOne is the tail every single in-process run shares. It attaches
+// the -record recorder and the observers to w, lets play run the world
+// to its end, detaches them, writes the trace, and reports the result
+// play returns: the summary on stdout and, with -csv, its series. name
+// is the scenario's, or empty for a plain configured world.
+func (s single) runOne(w *world.World, name string, play func() (*scenario.Result, error)) error {
 	var rec *workload.Recorder
-	if *recPath != "" {
-		rec = workload.NewRecorder(workload.Header{Seed: cfg.Seed})
+	if s.recPath != "" {
+		rec = workload.NewRecorder(workload.Header{Scenario: name, Seed: w.Config().Seed})
 		w.SetWorkloadRecorder(rec)
 	}
-	finishObs, err := ob.attach(w, "replend-sim")
+	label := "replend-sim"
+	if name != "" {
+		label = "scenario " + name
+	}
+	finishObs, err := s.observe(w, label)
 	if err != nil {
 		return err
 	}
-	if err := w.Run(); err != nil {
+	res, err := play()
+	if err != nil {
 		return err
 	}
 	if err := finishObs(); err != nil {
 		return err
 	}
-
-	printSummary(w)
 	if rec != nil {
-		if err := writeTrace(*recPath, rec); err != nil {
+		if err := writeTrace(s.recPath, rec); err != nil {
 			return err
 		}
 	}
-	if *csvPath != "" {
-		m := w.Metrics()
-		csv := metrics.CSV(m.CoopCount, m.UncoopCount, m.CoopReputation)
-		if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
-			return err
-		}
-		logf("series written to %s", *csvPath)
+	fmt.Fprint(s.stdout, res.Summary())
+	return writeCSV(s.csvPath, res)
+}
+
+// worldResult reports a finished plain world — flag-built, -config or
+// resumed — as a nameless scenario, so it prints and writes its series
+// the way every scenario run does.
+func worldResult(w *world.World) *scenario.Result {
+	return &scenario.Result{
+		Spec:    &scenario.Spec{Base: w.Config()},
+		Metrics: *w.Metrics(),
+		Proto:   w.Protocol().Stats(),
+		Members: w.PopulationSize(),
 	}
+}
+
+// writeCSV writes a run's series to path; an empty path writes nothing.
+func writeCSV(path string, res *scenario.Result) error {
+	if path == "" {
+		return nil
+	}
+	csv, err := res.CSV()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		return err
+	}
+	logf("series written to %s", path)
 	return nil
 }
 
@@ -279,13 +339,8 @@ func run(args []string) error {
 func workloadOverride(wkArg, repPath string) (*workload.Spec, error) {
 	var spec *workload.Spec
 	if wkArg != "" {
-		if data, err := os.ReadFile(wkArg); err == nil {
-			if spec, err = workload.LoadSpec(data); err != nil {
-				return nil, fmt.Errorf("%s: %w", wkArg, err)
-			}
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		} else if spec, err = workload.Preset(wkArg); err != nil {
+		var err error
+		if spec, err = cli.LoadWorkload(wkArg); err != nil {
 			return nil, err
 		}
 	}
@@ -335,106 +390,6 @@ func loadScenario(nameOrPath string) (*scenario.Spec, error) {
 	return scenario.Get(nameOrPath)
 }
 
-// runScenario executes a scenario (optionally replicated, optionally on
-// a worker fleet) and prints the summary; with -csv it writes the
-// spec-selected series of the primary run (the spec's own seed). A
-// non-nil wkOver replaces the spec's workload block; a non-empty
-// recPath exports the (single) run's workload trace.
-func runScenario(nameOrPath string, runs int, csvPath string, workers int, fleetListen, fleetToken, journal string, wkOver *workload.Spec, recPath string, ob obs, out io.Writer) error {
-	spec, err := loadScenario(nameOrPath)
-	if err != nil {
-		return err
-	}
-	if wkOver != nil {
-		spec.Base.Workload = wkOver
-	}
-	opt := experiments.Options{Runs: runs, Journal: journal}
-	if workers > 0 || fleetListen != "" {
-		if runs <= 1 {
-			return fmt.Errorf("-workers shards replicas; give it work with -runs > 1")
-		}
-		f, err := newLocalFleet(workers, fleetListen, fleetToken, ob.progress)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opt.Fleet = f
-	}
-	var primary *scenario.Result
-	if runs <= 1 {
-		r, err := spec.Start()
-		if err != nil {
-			return err
-		}
-		var rec *workload.Recorder
-		if recPath != "" {
-			rec = workload.NewRecorder(workload.Header{Scenario: spec.Name, Seed: spec.Base.Seed})
-			r.World().SetWorkloadRecorder(rec)
-		}
-		finishObs, err := ob.attach(r.World(), "scenario "+spec.Name)
-		if err != nil {
-			return err
-		}
-		res, err := r.Finish()
-		if err != nil {
-			return err
-		}
-		if err := finishObs(); err != nil {
-			return err
-		}
-		if rec != nil {
-			if err := writeTrace(recPath, rec); err != nil {
-				return err
-			}
-		}
-		primary = res
-		fmt.Fprint(out, res.Summary())
-	} else {
-		reps, err := experiments.RunScenarioReplicas(spec, opt)
-		if err != nil {
-			return err
-		}
-		primary = reps[0].Result
-		fmt.Fprintln(out, experiments.ScenarioTable(reps))
-	}
-	if csvPath != "" {
-		csv, err := primary.CSV()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
-			return err
-		}
-		logf("series written to %s", csvPath)
-	}
-	return nil
-}
-
-// newLocalFleet builds the coordinator for -workers/-fleet-listen: n
-// copies of this binary in -worker mode, plus an optional TCP join
-// listener for remote workers.
-func newLocalFleet(n int, listen, token string, progress bool) (*fleet.Fleet, error) {
-	cfg := fleet.Config{Workers: n, Listen: listen, Token: token, Logf: logf}
-	if progress {
-		cfg.Progress = os.Stderr
-	}
-	if n > 0 {
-		spawn, err := fleet.SelfSpawn()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Spawn = spawn
-	}
-	f, err := fleet.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if listen != "" {
-		logf("fleet accepting remote workers on %s", f.Addr())
-	}
-	return f, nil
-}
-
 // logf is the progress/log channel: stderr, never stdout — stdout belongs
 // to results (and to protocol frames in worker mode).
 func logf(format string, args ...any) {
@@ -476,54 +431,4 @@ func scenariosCmd(args []string, out io.Writer) error {
 		return nil
 	}
 	return fmt.Errorf("unknown scenarios subcommand %q (want list, describe or dump)", args[0])
-}
-
-func policyByName(name string) (baseline.Policy, error) {
-	for _, p := range baseline.All() {
-		if p.Name() == name || (name == "fixed-credit" && p.Name() == "fixed-credit(0.1)") {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
-}
-
-func printSummary(w *world.World) {
-	m := w.Metrics()
-	ps := w.Protocol().Stats()
-	cfg := w.Config()
-	fmt.Printf("reputation lending simulation — seed %d, %d ticks, λ=%g, topology %s\n",
-		cfg.Seed, cfg.NumTrans, cfg.Lambda, cfg.Topology)
-	fmt.Printf("population:   %d peers (%d cooperative, %d uncooperative, %d founders)\n",
-		w.PopulationSize(), m.CoopInSystem, m.UncoopInSystem, m.Founders)
-	fmt.Printf("arrivals:     %d cooperative, %d uncooperative\n", m.ArrivalsCoop, m.ArrivalsUncoop)
-	fmt.Printf("admitted:     %d cooperative, %d uncooperative\n", m.AdmittedCoop, m.AdmittedUncoop)
-	fmt.Printf("refused:      %d by introducer, %d for introducer reputation, %d no introducer, %d pending at end\n",
-		m.RefusedSelectiveCoop+m.RefusedSelectiveUncoop,
-		m.RefusedRepCoop+m.RefusedRepUncoop, m.RefusedNoIntroducer, m.Pending)
-	fmt.Printf("transactions: %d served, %d denied\n", m.Served, m.Denied)
-	fmt.Printf("success rate: %.4f (decisions by cooperative respondents)\n", m.SuccessRate())
-	fmt.Printf("audits:       %d satisfied (stake+reward returned), %d forfeited\n",
-		m.AuditsSatisfied, m.AuditsForfeited)
-	fmt.Printf("protocol:     %d lends granted, %d duplicate-introduction punishments\n",
-		ps.Granted, ps.DuplicateAttempts)
-	if c := m.Churn; c.Departures+c.Crashes+c.Rejoins+c.Migrated+c.Wipeouts > 0 {
-		fmt.Printf("churn:        %d departures, %d crashes, %d rejoins; %d records migrated, %d wiped out\n",
-			c.Departures, c.Crashes, c.Rejoins, c.Migrated, c.Wipeouts)
-	}
-	if cfg.Churn.LeaseTTL > 0 {
-		fmt.Printf("leases:       %d records evicted (TTL %d)\n", m.Churn.LeaseEvictions, cfg.Churn.LeaseTTL)
-	}
-	for _, c := range m.Cohorts {
-		fmt.Printf("cohort %-14s %d arrivals, %d admitted, %d in system; %d departures, %d crashes, %d rejoins\n",
-			fmt.Sprintf("%q:", c.Name), c.Arrivals, c.Admitted, c.InSystem, c.Departures, c.Crashes, c.Rejoins)
-	}
-	if cfg.StakeTimeout > 0 {
-		c := m.Churn
-		fmt.Printf("stakes:       %d refunded, %d stranded, %d expired records (timeout %d); mass %.2f staked = %.2f settled + %.2f refunded + %.2f stranded + %.2f pending\n",
-			c.StakesRefunded, c.StakesStranded, c.StakesExpired, cfg.StakeTimeout,
-			ps.StakedMass, ps.SettledMass, ps.RefundedMass, ps.StrandedMass, ps.PendingMass)
-	}
-	if last, ok := m.CoopReputation.Last(); ok {
-		fmt.Printf("reputation:   mean cooperative reputation %.4f at end\n", last.V)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,14 +13,33 @@ import (
 	"time"
 )
 
+// tinySummary is the stdout of the tiny flag-built run below, pinned
+// when the flag path printed through its own summary writer; reporting
+// through scenario.Result must not move a byte of it.
+const tinySummary = `reputation lending simulation — seed 3, 3000 ticks, λ=0.05, topology powerlaw
+population:   164 peers (145 cooperative, 19 uncooperative, 40 founders)
+arrivals:     120 cooperative, 40 uncooperative
+admitted:     105 cooperative, 19 uncooperative
+refused:      18 by introducer, 12 for introducer reputation, 0 no introducer, 6 pending at end
+transactions: 2275 served, 725 denied
+success rate: 0.8308 (decisions by cooperative respondents)
+audits:       33 satisfied (stake+reward returned), 1 forfeited
+protocol:     142 lends granted, 0 duplicate-introduction punishments
+reputation:   mean cooperative reputation 0.7836 at end
+`
+
 func TestRunTinySimulation(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "series.csv")
+	var stdout bytes.Buffer
 	err := run([]string{
 		"-init", "40", "-ticks", "3000", "-lambda", "0.05",
 		"-wait", "100", "-seed", "3", "-csv", csv,
-	})
+	}, &stdout)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stdout.String() != tinySummary {
+		t.Fatalf("summary moved:\n--- got ---\n%s--- want ---\n%s", stdout.String(), tinySummary)
 	}
 	data, err := os.ReadFile(csv)
 	if err != nil {
@@ -37,21 +57,40 @@ func TestRunNoIntroductionsPolicyPath(t *testing.T) {
 	err := run([]string{
 		"-init", "40", "-ticks", "2000", "-lambda", "0.05",
 		"-no-introductions", "-policy", "complaints-based",
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-topology", "mesh"}); err == nil {
+	if err := run([]string{"-topology", "mesh"}, io.Discard); err == nil {
 		t.Fatal("bad topology accepted")
 	}
-	if err := run([]string{"-init", "40", "-ticks", "1000", "-no-introductions", "-policy", "nope"}); err == nil {
+	if err := run([]string{"-init", "40", "-ticks", "1000", "-no-introductions", "-policy", "nope"}, io.Discard); err == nil {
 		t.Fatal("bad policy accepted")
 	}
-	if err := run([]string{"-intro-amt", "0.9"}); err == nil {
+	if err := run([]string{"-intro-amt", "0.9"}, io.Discard); err == nil {
 		t.Fatal("intro-amt above the floor accepted")
+	}
+}
+
+// TestRunRejectsStrayArguments: a positional argument the flag parser
+// stops at (a misspelt subcommand, or a word in the middle of the flags)
+// must fail the run and name the argument, not silently start the
+// default run or drop every flag after it.
+func TestRunRejectsStrayArguments(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"scenario", "list"}, "scenario"},
+		{[]string{"-init", "10", "-ticks", "20", "stray", "-ticks", "999999"}, "stray"},
+	} {
+		err := run(c.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), `"`+c.name+`"`) {
+			t.Errorf("run(%q) = %v, want an error naming %q", c.args, err, c.name)
+		}
 	}
 }
 
@@ -61,15 +100,15 @@ func TestRunConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-config", path}); err != nil {
+	if err := run([]string{"-config", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-config", filepath.Join(t.TempDir(), "absent.json")}); err == nil {
+	if err := run([]string{"-config", filepath.Join(t.TempDir(), "absent.json")}, io.Discard); err == nil {
 		t.Fatal("missing config accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(bad, []byte(`{"numSM": 0}`), 0o644)
-	if err := run([]string{"-config", bad}); err == nil {
+	if err := run([]string{"-config", bad}, io.Discard); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -119,7 +158,7 @@ func TestRunScenarioFromFileAndBuiltin(t *testing.T) {
 		t.Fatal(err)
 	}
 	csv := filepath.Join(dir, "series.csv")
-	if err := run([]string{"-scenario", spec, "-csv", csv}); err != nil {
+	if err := run([]string{"-scenario", spec, "-csv", csv}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(csv)
@@ -130,15 +169,15 @@ func TestRunScenarioFromFileAndBuiltin(t *testing.T) {
 		t.Fatalf("csv header wrong: %q", string(data)[:50])
 	}
 
-	if err := run([]string{"-scenario", "nope"}); err == nil {
+	if err := run([]string{"-scenario", "nope"}, io.Discard); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if err := run([]string{"-scenario", spec, "-config", spec}); err == nil {
+	if err := run([]string{"-scenario", spec, "-config", spec}, io.Discard); err == nil {
 		t.Fatal("-scenario with -config accepted")
 	}
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte(`{"name": "x", "base": {"numSM": 0}}`), 0o644)
-	if err := run([]string{"-scenario", bad}); err == nil {
+	if err := run([]string{"-scenario", bad}, io.Discard); err == nil {
 		t.Fatal("invalid scenario file accepted")
 	}
 }
@@ -151,19 +190,8 @@ func TestRunScenarioReplicasFlag(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-scenario", spec, "-runs", "3"}); err != nil {
+	if err := run([]string{"-scenario", spec, "-runs", "3"}, io.Discard); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"complaints-based", "positive-only", "mid-spectrum", "fixed-credit"} {
-		if _, err := policyByName(name); err != nil {
-			t.Errorf("policy %q: %v", name, err)
-		}
-	}
-	if _, err := policyByName("bogus"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -237,31 +265,36 @@ func TestWorkerModeSpeaksProtocolOnStdout(t *testing.T) {
 
 // TestWorkersFlagValidation rejects fleet flags without shardable work.
 func TestWorkersFlagValidation(t *testing.T) {
-	if err := run([]string{"-workers", "2", "-ticks", "2000"}); err == nil {
+	if err := run([]string{"-workers", "2", "-ticks", "2000"}, io.Discard); err == nil {
 		t.Fatal("-workers without -scenario accepted")
 	}
-	if err := run([]string{"-scenario", "sm-wipeout", "-workers", "2"}); err == nil {
+	if err := run([]string{"-scenario", "sm-wipeout", "-workers", "2"}, io.Discard); err == nil {
 		t.Fatal("-workers with a single run accepted")
 	}
 }
 
 // TestCheckpointRoundTripWorldCLI: a flag-built run checkpointed at a
-// mid tick and resumed must emit the byte-identical CSV series of the
-// uninterrupted run.
+// mid tick and resumed must print the byte-identical summary and emit the
+// byte-identical CSV series of the uninterrupted run.
 func TestCheckpointRoundTripWorldCLI(t *testing.T) {
 	dir := t.TempDir()
 	flags := []string{"-init", "40", "-ticks", "3000", "-lambda", "0.05", "-wait", "100", "-seed", "3"}
 	ref := filepath.Join(dir, "ref.csv")
-	if err := run(append(append([]string{}, flags...), "-csv", ref)); err != nil {
+	var refOut bytes.Buffer
+	if err := run(append(append([]string{}, flags...), "-csv", ref), &refOut); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(dir, "world.ckpt")
-	if err := run(append(append([]string{}, flags...), "-checkpoint-at", "1500", "-checkpoint-out", ckpt)); err != nil {
+	if err := run(append(append([]string{}, flags...), "-checkpoint-at", "1500", "-checkpoint-out", ckpt), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	resumed := filepath.Join(dir, "resumed.csv")
-	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed}); err != nil {
+	var resumedOut bytes.Buffer
+	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed}, &resumedOut); err != nil {
 		t.Fatal(err)
+	}
+	if refOut.String() != resumedOut.String() {
+		t.Fatalf("resumed run's summary differs from the uninterrupted run's:\n--- uninterrupted ---\n%s--- resumed ---\n%s", refOut.String(), resumedOut.String())
 	}
 	want, err := os.ReadFile(ref)
 	if err != nil {
@@ -281,11 +314,11 @@ func TestCheckpointRoundTripWorldCLI(t *testing.T) {
 func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.csv")
-	if err := run([]string{"-scenario", "quickstart", "-csv", ref}); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-csv", ref}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(dir, "run.ckpt")
-	if err := run([]string{"-scenario", "quickstart", "-checkpoint-at", "11000", "-checkpoint-out", ckpt}); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-checkpoint-at", "11000", "-checkpoint-out", ckpt}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var info bytes.Buffer
@@ -298,7 +331,7 @@ func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 		}
 	}
 	resumed := filepath.Join(dir, "resumed.csv")
-	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed}); err != nil {
+	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(ref)
@@ -318,19 +351,19 @@ func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 func TestCheckpointFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "x.ckpt")
-	if err := run([]string{"-checkpoint-out", ckpt}); err == nil {
+	if err := run([]string{"-checkpoint-out", ckpt}, io.Discard); err == nil {
 		t.Fatal("-checkpoint-out without -checkpoint-at accepted")
 	}
-	if err := run([]string{"-scenario", "quickstart", "-checkpoint-at", "999999", "-checkpoint-out", ckpt}); err == nil {
+	if err := run([]string{"-scenario", "quickstart", "-checkpoint-at", "999999", "-checkpoint-out", ckpt}, io.Discard); err == nil {
 		t.Fatal("-checkpoint-at past the end of the run accepted")
 	}
-	if err := run([]string{"-checkpoint-in", ckpt, "-scenario", "quickstart"}); err == nil {
+	if err := run([]string{"-checkpoint-in", ckpt, "-scenario", "quickstart"}, io.Discard); err == nil {
 		t.Fatal("-checkpoint-in with -scenario accepted")
 	}
-	if err := run([]string{"-checkpoint-in", filepath.Join(dir, "absent.ckpt")}); err == nil {
+	if err := run([]string{"-checkpoint-in", filepath.Join(dir, "absent.ckpt")}, io.Discard); err == nil {
 		t.Fatal("missing checkpoint file accepted")
 	}
-	if err := run([]string{"-fleet-journal", filepath.Join(dir, "j"), "-ticks", "2000"}); err == nil {
+	if err := run([]string{"-fleet-journal", filepath.Join(dir, "j"), "-ticks", "2000"}, io.Discard); err == nil {
 		t.Fatal("-fleet-journal without a fleet accepted")
 	}
 	if err := checkpointCmd([]string{"bogus"}, os.Stdout); err == nil {
@@ -341,7 +374,7 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	if err := checkpointCmd([]string{"info", garbage}, os.Stdout); err == nil {
 		t.Fatal("garbage checkpoint file accepted by info")
 	}
-	if err := run([]string{"-checkpoint-in", garbage}); err == nil {
+	if err := run([]string{"-checkpoint-in", garbage}, io.Discard); err == nil {
 		t.Fatal("garbage checkpoint file accepted by -checkpoint-in")
 	}
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,12 +54,12 @@ func TestTelemetryByteIdenticalFlagRun(t *testing.T) {
 	dir := t.TempDir()
 	flags := []string{"-init", "40", "-ticks", "3000", "-lambda", "0.05", "-wait", "100", "-seed", "3"}
 	ref := filepath.Join(dir, "ref.csv")
-	if err := run(append(append([]string{}, flags...), "-csv", ref)); err != nil {
+	if err := run(append(append([]string{}, flags...), "-csv", ref), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := filepath.Join(dir, "got.csv")
 	telem := filepath.Join(dir, "run.jsonl")
-	if err := run(append(append([]string{}, flags...), "-csv", got, "-telemetry", telem, "-progress")); err != nil {
+	if err := run(append(append([]string{}, flags...), "-csv", got, "-telemetry", telem, "-progress"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readFile(t, ref), readFile(t, got)) {
@@ -72,12 +73,12 @@ func TestTelemetryByteIdenticalFlagRun(t *testing.T) {
 func TestTelemetryByteIdenticalScenario(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.csv")
-	if err := run([]string{"-scenario", "quickstart", "-csv", ref}); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-csv", ref}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := filepath.Join(dir, "got.csv")
 	telem := filepath.Join(dir, "run.jsonl")
-	if err := run([]string{"-scenario", "quickstart", "-csv", got, "-telemetry", telem, "-progress"}); err != nil {
+	if err := run([]string{"-scenario", "quickstart", "-csv", got, "-telemetry", telem, "-progress"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readFile(t, ref), readFile(t, got)) {
@@ -93,16 +94,16 @@ func TestTelemetryByteIdenticalAcrossResume(t *testing.T) {
 	dir := t.TempDir()
 	flags := []string{"-init", "40", "-ticks", "3000", "-lambda", "0.05", "-wait", "100", "-seed", "3"}
 	ref := filepath.Join(dir, "ref.csv")
-	if err := run(append(append([]string{}, flags...), "-csv", ref)); err != nil {
+	if err := run(append(append([]string{}, flags...), "-csv", ref), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(dir, "world.ckpt")
-	if err := run(append(append([]string{}, flags...), "-checkpoint-at", "1500", "-checkpoint-out", ckpt)); err != nil {
+	if err := run(append(append([]string{}, flags...), "-checkpoint-at", "1500", "-checkpoint-out", ckpt), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	resumed := filepath.Join(dir, "resumed.csv")
 	telem := filepath.Join(dir, "tail.jsonl")
-	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed, "-telemetry", telem, "-progress"}); err != nil {
+	if err := run([]string{"-checkpoint-in", ckpt, "-csv", resumed, "-telemetry", telem, "-progress"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readFile(t, ref), readFile(t, resumed)) {
@@ -114,20 +115,20 @@ func TestTelemetryByteIdenticalAcrossResume(t *testing.T) {
 // TestObserveFlagValidation pins the observability flag interlocks.
 func TestObserveFlagValidation(t *testing.T) {
 	telem := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-telemetry", telem}); err == nil {
+	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-telemetry", telem}, io.Discard); err == nil {
 		t.Fatal("-telemetry with -runs > 1 accepted")
 	}
-	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-workers", "2", "-telemetry", telem}); err == nil {
+	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-workers", "2", "-telemetry", telem}, io.Discard); err == nil {
 		t.Fatal("-telemetry with a fleet accepted")
 	}
 	if err := run([]string{"-ticks", "2000", "-checkpoint-at", "500", "-checkpoint-out",
-		filepath.Join(t.TempDir(), "x.ckpt"), "-telemetry", telem}); err == nil {
+		filepath.Join(t.TempDir(), "x.ckpt"), "-telemetry", telem}, io.Discard); err == nil {
 		t.Fatal("-telemetry with -checkpoint-out accepted")
 	}
-	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-progress"}); err == nil {
+	if err := run([]string{"-scenario", "quickstart", "-runs", "3", "-progress"}, io.Discard); err == nil {
 		t.Fatal("-progress with multiple runs and no fleet accepted")
 	}
-	if err := run([]string{"-ticks", "2000", "-pprof", "not-an-address"}); err == nil {
+	if err := run([]string{"-ticks", "2000", "-pprof", "not-an-address"}, io.Discard); err == nil {
 		t.Fatal("unbindable -pprof address accepted")
 	}
 }

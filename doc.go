@@ -3,7 +3,7 @@
 // Trento TR DIT-05-086, 2005 / ICDE 2006 workshops), grown into a small
 // simulation platform for admission economics in P2P communities.
 //
-// The library lives in this root and 25 packages under internal/, in
+// The library lives in this root and 26 packages under internal/, in
 // dependency order:
 //
 // Substrates:
@@ -58,10 +58,13 @@
 //   - internal/scenario — declarative JSON workloads: base config,
 //     timed phases, selectors, a registry of golden-pinned built-ins.
 //   - internal/fleet — the distributed runner sharding replica work
-//     units over worker processes and machines, byte-identically.
+//     units over worker processes and machines, byte-identically; its
+//     RunJob is the one replica executor, in-process too.
 //   - internal/experiments — one runnable per paper figure/table plus
 //     the extension sweeps (whitewash, traitor, ablation, churn,
 //     sessions, stakes).
+//   - internal/cli — the set-up the two commands share: -pprof,
+//     -workload, the local fleet behind -workers, the -telemetry sink.
 //   - internal/trace — structured event log with invariant checks, one
 //     sink on the telemetry bus.
 //   - internal/asciiplot — terminal line charts for the reports.

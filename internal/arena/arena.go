@@ -176,12 +176,10 @@ type Slab[T any] struct {
 	chunks [][]T
 	next   int // index into the last chunk
 	free   []*T
-	live   int
 }
 
 // Alloc returns a zeroed record.
 func (s *Slab[T]) Alloc() *T {
-	s.live++
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -202,8 +200,4 @@ func (s *Slab[T]) Free(p *T) {
 	var zero T
 	*p = zero
 	s.free = append(s.free, p)
-	s.live--
 }
-
-// Live returns the number of records currently allocated.
-func (s *Slab[T]) Live() int { return s.live }

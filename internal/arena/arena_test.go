@@ -165,9 +165,6 @@ func TestSlabPointerStabilityAcrossGrowth(t *testing.T) {
 			t.Fatalf("record %d corrupted after growth: %d", i, p.v)
 		}
 	}
-	if s.Live() != len(ptrs) {
-		t.Fatalf("Live = %d, want %d", s.Live(), len(ptrs))
-	}
 }
 
 func TestSlabFreeZeroesAndRecycles(t *testing.T) {
@@ -185,8 +182,5 @@ func TestSlabFreeZeroesAndRecycles(t *testing.T) {
 	}
 	if b.v != 0 || b.next != nil {
 		t.Fatalf("recycled record not zeroed: %+v", b)
-	}
-	if s.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", s.Live())
 	}
 }

@@ -13,9 +13,8 @@
 //   - Mid-spectrum (positive and negative feedback, e.g. EigenTrust-like):
 //     "a new peer enters in the middle of the spectrum" — initial 0.5.
 //   - Fixed credit (BitTorrent / Scrivener style): "a small amount of
-//     initial credit to each new peer … to get them started" — a small
-//     initial reputation, by default the same 0.1 the lending scheme
-//     stakes, but granted for free.
+//     initial credit to each new peer … to get them started" — the same
+//     0.1 the lending scheme stakes, but granted for free.
 //
 // The experiment harness runs each policy through the same simulation
 // world as the lending scheme to regenerate the paper's qualitative
@@ -59,25 +58,15 @@ func (MidSpectrum) Name() string { return "mid-spectrum" }
 // InitialReputation implements Policy.
 func (MidSpectrum) InitialReputation() float64 { return 0.5 }
 
-// FixedCredit grants every newcomer a free fixed bootstrap credit.
-type FixedCredit struct {
-	// Amount is the credit granted; zero values default to 0.1 (the
-	// default lending stake, granted here without a lender).
-	Amount float64
-}
+// FixedCredit grants every newcomer a free bootstrap credit of 0.1, the
+// default lending stake, granted here without a lender.
+type FixedCredit struct{}
 
 // Name implements Policy.
-func (f FixedCredit) Name() string { return fmt.Sprintf("fixed-credit(%g)", f.amount()) }
+func (FixedCredit) Name() string { return "fixed-credit(0.1)" }
 
 // InitialReputation implements Policy.
-func (f FixedCredit) InitialReputation() float64 { return f.amount() }
-
-func (f FixedCredit) amount() float64 {
-	if f.Amount <= 0 {
-		return 0.1
-	}
-	return f.Amount
-}
+func (FixedCredit) InitialReputation() float64 { return 0.1 }
 
 // All returns the full baseline suite in report order.
 func All() []Policy {
@@ -85,9 +74,9 @@ func All() []Policy {
 }
 
 // ByName resolves a policy by its Name() string. The bare alias
-// "fixed-credit" resolves to the default-amount fixed credit, matching the
-// CLI's -policy spelling; fleet workers use this to reconstruct the
-// coordinator's policy from its wire name.
+// "fixed-credit" resolves to the fixed credit, matching the CLI's -policy
+// spelling; replica units use this to rebuild a policy from the name
+// their job carries.
 func ByName(name string) (Policy, error) {
 	for _, p := range All() {
 		if p.Name() == name || (name == "fixed-credit" && p.Name() == "fixed-credit(0.1)") {

@@ -11,7 +11,6 @@ func TestPolicyValues(t *testing.T) {
 		{PositiveOnly{}, 0.0},
 		{MidSpectrum{}, 0.5},
 		{FixedCredit{}, 0.1},
-		{FixedCredit{Amount: 0.25}, 0.25},
 	}
 	for _, c := range cases {
 		if got := c.p.InitialReputation(); got != c.want {
@@ -36,8 +35,15 @@ func TestAllCoversDistinctNames(t *testing.T) {
 	}
 }
 
-func TestFixedCreditDefaultsOnNonPositive(t *testing.T) {
-	if got := (FixedCredit{Amount: -1}).InitialReputation(); got != 0.1 {
-		t.Fatalf("negative amount should default to 0.1, got %v", got)
+// TestByName resolves every policy by its report name and the CLI's
+// -policy spellings, including the bare fixed-credit alias.
+func TestByName(t *testing.T) {
+	for _, name := range []string{"complaints-based", "positive-only", "mid-spectrum", "fixed-credit", "fixed-credit(0.1)"} {
+		if _, err := ByName(name); err != nil {
+			t.Errorf("policy %q: %v", name, err)
+		}
+	}
+	if _, err := ByName("bogus"); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -121,5 +122,15 @@ func TestFleetBaselinePolicyReplicas(t *testing.T) {
 	}
 	if a, b := inproc.Table(), fleeted.Table(); a != b {
 		t.Fatalf("baseline tables differ:\n--- in-process ---\n%s\n--- fleet ---\n%s", a, b)
+	}
+}
+
+// TestRunJobsInProcessUnitErrorFailsBatch: without a fleet, a failing
+// unit fails the batch with the unit's own message, as a fleet does.
+func TestRunJobsInProcessUnitErrorFailsBatch(t *testing.T) {
+	jobs := []fleet.Job{{Kind: fleet.KindConfig, Config: json.RawMessage(`{"numTrans":-4}`), Seed: 1}}
+	_, err := runJobs(Options{Runs: 1}.withDefaults(), jobs)
+	if err == nil || !strings.Contains(err.Error(), "NumTrans") {
+		t.Fatalf("err = %v, want the unit's NumTrans error", err)
 	}
 }

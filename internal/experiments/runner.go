@@ -15,12 +15,10 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/config"
 	"repro/internal/fleet"
-	"repro/internal/lending"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
-	"repro/internal/world"
 )
 
 // Options scales an experiment. The zero value means paper scale: the
@@ -37,14 +35,12 @@ type Options struct {
 	// SeedBase offsets the replica seeds, so different experiments (and
 	// different sweep points) draw independent randomness.
 	SeedBase uint64
-	// NullSign runs every replica with null signing identities — the
-	// explicit Ed25519 opt-out for huge sweeps (config.NullSign).
-	NullSign bool
 	// Fleet, when non-nil, dispatches replicas to the fleet's worker
-	// processes instead of running them on in-process goroutines. Replica
-	// seeds are keyed splits of (SeedBase, replicaIndex) either way, so
-	// the two backends produce byte-identical results; Parallel is
-	// ignored (the fleet's worker count is the parallelism).
+	// processes instead of running them on in-process goroutines. Both
+	// backends execute the same jobs through fleet.RunJob, with replica
+	// seeds that are keyed splits of (SeedBase, replicaIndex), so they
+	// produce byte-identical results; Parallel is ignored (the fleet's
+	// worker count is the parallelism).
 	Fleet *fleet.Fleet
 	// Journal, when non-empty with Fleet, is the path of a coordinator
 	// crash journal for the batch: completed units are durably recorded
@@ -65,20 +61,6 @@ type Options struct {
 	// worlds live in worker processes). Write-only: results are
 	// byte-identical with or without it.
 	Telemetry *telemetry.Bus
-}
-
-// runFleetBatch dispatches one batch on opt.Fleet, under the coordinator
-// journal when one is configured.
-func runFleetBatch(opt Options, jobs []fleet.Job) ([]*fleet.Result, error) {
-	if opt.Journal == "" {
-		return opt.Fleet.Run(jobs)
-	}
-	j, err := fleet.OpenJournal(opt.Journal, jobs)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	return opt.Fleet.RunJournaled(jobs, j)
 }
 
 // withDefaults fills unset options with paper-scale values.
@@ -130,37 +112,49 @@ func (o Options) apply(c config.Config) config.Config {
 	return c
 }
 
-// Replica is the outcome of one simulation run.
-type Replica struct {
-	Metrics world.Metrics
-	Proto   lending.Stats
-}
+// Replica is the outcome of one simulation run: the payload of its
+// configured-world unit.
+type Replica = fleet.ConfigResult
 
-// forEachReplica runs fn for the replica indices 0..opt.Runs-1, at most
-// opt.Parallel at a time, and returns the first error. It is the shared
-// parallelism substrate for both configuration replicas and declarative
-// scenario replicas; opt must already have defaults applied.
-func forEachReplica(opt Options, fn func(i int) error) error {
-	errs := make([]error, opt.Runs)
+// runJobs executes one batch of replica units and returns their results
+// in job order. With opt.Fleet the jobs go to the fleet's workers, under
+// the coordinator journal when one is set; otherwise they run here
+// through fleet.RunJob, the function every worker executes, at most
+// opt.Parallel at a time and publishing into opt.Telemetry. Either way a
+// unit's error fails the batch with the unit's message. opt must already
+// have defaults applied.
+func runJobs(opt Options, jobs []fleet.Job) ([]*fleet.Result, error) {
+	if opt.Fleet != nil {
+		if opt.Journal == "" {
+			return opt.Fleet.Run(jobs)
+		}
+		j, err := fleet.OpenJournal(opt.Journal, jobs)
+		if err != nil {
+			return nil, err
+		}
+		defer j.Close()
+		return opt.Fleet.RunJournaled(jobs, j)
+	}
+	results := make([]*fleet.Result, len(jobs))
 	sem := make(chan struct{}, opt.Parallel)
 	var wg sync.WaitGroup
-	for i := 0; i < opt.Runs; i++ {
-		i := i
+	for i := range jobs {
+		jobs[i].Unit = i
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = fn(i)
+			results[i] = fleet.RunJobOn(&jobs[i], opt.Telemetry)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("experiments: replica failed: %w", err)
+	for _, r := range results {
+		if r.Err != "" {
+			return nil, fmt.Errorf("unit %d: %s", r.Unit, r.Err)
 		}
 	}
-	return nil
+	return results, nil
 }
 
 // replicaSeed gives replica i of a data point its own root seed: replica 0
@@ -194,50 +188,16 @@ func sweepSeed(base uint64, i int) uint64 {
 // keyed split (replica indices stay far below it).
 const sweepKeyBase = 1 << 40
 
-// runReplicas executes opt.Runs independent seeded replicas of cfg in
-// parallel and returns them in seed order. policy may be nil (lending
-// admissions) or a baseline bootstrap rule used when cfg disables
-// introductions. With a fleet attached the replicas run on worker
-// processes instead; either way replica i is the pure function of
-// (SeedBase, i) the keyed seed split defines.
+// runReplicas executes opt.Runs independent seeded replicas of cfg and
+// returns them in seed order. policy may be nil (lending admissions) or a
+// baseline bootstrap rule used when cfg disables introductions; it
+// travels by name, as the fleet ships it. Replica i is the pure function
+// of (SeedBase, i) the keyed seed split defines, on either backend.
 func runReplicas(cfg config.Config, opt Options, policy baseline.Policy) ([]Replica, error) {
 	opt = opt.withDefaults()
-	if opt.Fleet != nil {
-		return runReplicasFleet(cfg, opt, policy)
-	}
-	out := make([]Replica, opt.Runs)
-	err := forEachReplica(opt, func(i int) error {
-		c := cfg
-		c.Seed = replicaSeed(opt.SeedBase, i)
-		if opt.NullSign {
-			c.NullSign = true
-		}
-		w, err := world.New(c)
-		if err != nil {
-			return err
-		}
-		if policy != nil {
-			w.SetPolicy(policy)
-		}
-		w.SetTelemetry(opt.Telemetry)
-		if err := w.Run(); err != nil {
-			return err
-		}
-		out[i] = Replica{Metrics: *w.Metrics(), Proto: w.Protocol().Stats()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runReplicasFleet is the distributed backend of runReplicas: one fleet
-// work unit per replica, merged back in unit order.
-func runReplicasFleet(cfg config.Config, opt Options, policy baseline.Policy) ([]Replica, error) {
 	data, err := json.Marshal(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: encoding config for the fleet: %w", err)
+		return nil, fmt.Errorf("experiments: encoding config: %w", err)
 	}
 	policyName := ""
 	if policy != nil {
@@ -245,24 +205,18 @@ func runReplicasFleet(cfg config.Config, opt Options, policy baseline.Policy) ([
 	}
 	jobs := make([]fleet.Job, opt.Runs)
 	for i := range jobs {
-		jobs[i] = fleet.Job{
-			Kind:     fleet.KindConfig,
-			Config:   data,
-			Seed:     replicaSeed(opt.SeedBase, i),
-			Policy:   policyName,
-			NullSign: opt.NullSign,
-		}
+		jobs[i] = fleet.Job{Kind: fleet.KindConfig, Config: data, Seed: replicaSeed(opt.SeedBase, i), Policy: policyName}
 	}
-	results, err := runFleetBatch(opt, jobs)
+	results, err := runJobs(opt, jobs)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fleet batch: %w", err)
+		return nil, fmt.Errorf("experiments: replica batch: %w", err)
 	}
 	out := make([]Replica, len(results))
 	for i, r := range results {
-		if r == nil || r.Config == nil {
-			return nil, fmt.Errorf("experiments: fleet returned no payload for replica %d", i)
+		if r.Config == nil {
+			return nil, fmt.Errorf("experiments: no payload for replica %d", i)
 		}
-		out[i] = Replica{Metrics: r.Config.Metrics, Proto: r.Config.Proto}
+		out[i] = *r.Config
 	}
 	return out, nil
 }

@@ -15,8 +15,8 @@ type ScenarioReplica struct {
 	Result *scenario.Result
 }
 
-// RunScenarioReplicas executes opt.Runs replicas of a scenario spec in
-// parallel on the shared replica runner — or, with opt.Fleet attached, on
+// RunScenarioReplicas executes opt.Runs replicas of a scenario spec on
+// the shared replica runner — in-process, or with opt.Fleet attached on
 // the fleet's worker processes, with byte-identical results. Replica i
 // runs with the keyed split of the spec's own seed, so replica 0 is
 // exactly the run the spec describes; phases, injections and faults
@@ -27,65 +27,31 @@ func RunScenarioReplicas(spec *scenario.Spec, opt Options) ([]ScenarioReplica, e
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	if opt.Fleet != nil {
-		return runScenarioReplicasFleet(spec, opt)
-	}
-	out := make([]ScenarioReplica, opt.Runs)
-	err := forEachReplica(opt, func(i int) error {
-		sp := *spec // shallow copy: Base is a value, phases are read-only
-		sp.Base.Seed = replicaSeed(spec.Base.Seed, i)
-		r, err := sp.Start()
-		if err != nil {
-			return fmt.Errorf("scenario %q seed %d: %w", sp.Name, sp.Base.Seed, err)
-		}
-		r.World().SetTelemetry(opt.Telemetry)
-		res, err := r.Finish()
-		if err != nil {
-			return fmt.Errorf("scenario %q seed %d: %w", sp.Name, sp.Base.Seed, err)
-		}
-		out[i] = ScenarioReplica{Seed: sp.Base.Seed, Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runScenarioReplicasFleet is the distributed backend of
-// RunScenarioReplicas: the validated spec is dispatched once per replica
-// with that replica's keyed seed, and each worker's wire result is
-// rebuilt into the scenario.Result the in-process path would have
-// produced (the spec pointer is re-attached coordinator-side — workers
-// never echo it back).
-func runScenarioReplicasFleet(spec *scenario.Spec, opt Options) ([]ScenarioReplica, error) {
 	data, err := spec.JSON()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: encoding scenario %q for the fleet: %w", spec.Name, err)
+		return nil, fmt.Errorf("experiments: encoding scenario %q: %w", spec.Name, err)
 	}
 	jobs := make([]fleet.Job, opt.Runs)
 	for i := range jobs {
-		jobs[i] = fleet.Job{
-			Kind: fleet.KindScenario,
-			Spec: data,
-			Seed: replicaSeed(spec.Base.Seed, i),
-		}
+		jobs[i] = fleet.Job{Kind: fleet.KindScenario, Spec: data, Seed: replicaSeed(spec.Base.Seed, i)}
 	}
-	results, err := runFleetBatch(opt, jobs)
+	results, err := runJobs(opt, jobs)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fleet batch for scenario %q: %w", spec.Name, err)
+		return nil, fmt.Errorf("experiments: replicas of scenario %q: %w", spec.Name, err)
 	}
 	out := make([]ScenarioReplica, len(results))
 	for i, r := range results {
-		if r == nil || r.Scenario == nil {
-			return nil, fmt.Errorf("experiments: fleet returned no payload for scenario replica %d", i)
+		if r.Scenario == nil {
+			return nil, fmt.Errorf("experiments: no payload for scenario replica %d", i)
 		}
 		if r.Scenario.FinalReputation == nil {
-			// The wire drops empty maps; the in-process path always
-			// allocates one, and the results must match byte for byte.
+			// The wire drops an empty map; a finished run always
+			// allocates one, and the backends must match byte for byte.
 			r.Scenario.FinalReputation = map[string]float64{}
 		}
-		sp := *spec // the per-replica spec copy the in-process path builds
+		// A unit's result carries no spec: each replica gets its own
+		// seeded copy of the one dispatched.
+		sp := *spec
 		sp.Base.Seed = jobs[i].Seed
 		out[i] = ScenarioReplica{Seed: sp.Base.Seed, Result: &scenario.Result{
 			Spec:            &sp,

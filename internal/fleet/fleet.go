@@ -15,7 +15,7 @@ import (
 )
 
 // SpawnFunc creates the transport to one local worker (conventionally a
-// child process running `<binary> -worker`, see ExecSpawn). Closing the
+// child process running `<binary> -worker`, see SelfSpawn). Closing the
 // returned transport must terminate the worker.
 type SpawnFunc func(workerIndex int) (io.ReadWriteCloser, error)
 
@@ -733,26 +733,15 @@ func sortedWorkerIDs(m map[int]*workerConn) []int {
 // ---------------------------------------------------------------------------
 // Local worker spawning.
 
-// ExecSpawn returns a SpawnFunc that launches the given command line and
+// SelfSpawn returns a SpawnFunc that launches the running binary in
+// -worker mode (both replend-sim and replend-experiments expose it) and
 // speaks the protocol over the child's stdin/stdout; the child's stderr
-// passes through to this process's stderr. The conventional command is
-// the running binary itself with "-worker" (both replend-sim and
-// replend-experiments expose that mode).
-func ExecSpawn(command []string) SpawnFunc {
-	return func(int) (io.ReadWriteCloser, error) {
-		if len(command) == 0 {
-			return nil, errors.New("fleet: empty worker command")
-		}
-		return startProc(command)
-	}
-}
-
-// SelfSpawn is ExecSpawn for the running binary in -worker mode — the
-// standard local fleet layout.
+// passes through to this process's stderr. It is the standard local
+// fleet layout.
 func SelfSpawn() (SpawnFunc, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resolving own binary: %w", err)
 	}
-	return ExecSpawn([]string{exe, "-worker"}), nil
+	return func(int) (io.ReadWriteCloser, error) { return startProc([]string{exe, "-worker"}) }, nil
 }

@@ -38,7 +38,7 @@ func pipePair() (coord io.ReadWriteCloser, worker io.ReadWriteCloser) {
 // speaking the full wire protocol over in-memory pipes — everything but
 // the process isolation. The equivalence tests use it to drive the real
 // coordinator/worker path without build-and-exec cost; production fleets
-// use ExecSpawn/SelfSpawn (separate processes) or TCP joins.
+// use SelfSpawn (separate processes) or TCP joins.
 func PipeSpawn() SpawnFunc {
 	return func(int) (io.ReadWriteCloser, error) {
 		coord, worker := pipePair()

@@ -128,8 +128,6 @@ type Job struct {
 	Seed uint64 `json:"seed"`
 	// Policy names a baseline bootstrap policy (KindConfig only, optional).
 	Policy string `json:"policy,omitempty"`
-	// NullSign runs the unit with null signing identities.
-	NullSign bool `json:"nullSign,omitempty"`
 }
 
 // Result is one finished unit.

@@ -11,22 +11,20 @@ import (
 )
 
 // RunJob executes one work unit in this process and returns its result.
-// It is the worker's whole computational surface — the coordinator path
-// and the in-process replica runner both reduce a unit to exactly this
-// (build the world from the payload, seed it from the job, run it, read
-// the metrics), which is what the equivalence goldens pin. A panic inside
-// the unit is reported as a deterministic unit error rather than killing
-// the worker: the same job would panic identically on every retry, so the
-// coordinator must fail the batch with the message, not cycle workers.
-func RunJob(job *Job) *Result { return RunJobWithProgress(job, nil) }
+// It is the one replica executor: fleet workers and the in-process
+// replica runner both reduce a unit to exactly this (build the world
+// from the payload, seed it from the job, run it, read the metrics), so
+// the two backends differ only by the wire. A panic inside the unit is
+// reported as a deterministic unit error rather than killing the
+// process: the same job would panic identically on every retry, so the
+// batch must fail with the message, not cycle workers.
+func RunJob(job *Job) *Result { return RunJobOn(job, nil) }
 
-// RunJobWithProgress is RunJob with a telemetry gauge attached to the
-// unit's world, so a concurrent observer (the worker heartbeat) can read
-// the unit's tick as it advances. The gauge rides a write-only telemetry
-// bus: attaching it changes no draw and no output, which the world's
-// determinism tests pin byte for byte — fleet results stay identical to
-// in-process results with or without it.
-func RunJobWithProgress(job *Job, progress *telemetry.Progress) (res *Result) {
+// RunJobOn is RunJob with the unit's world publishing into bus (nil for
+// none): the worker's progress gauge, or the in-process runner's
+// -telemetry stream. The bus is write-only: attaching it changes no draw
+// and no output, which the world's determinism tests pin byte for byte.
+func RunJobOn(job *Job, bus *telemetry.Bus) (res *Result) {
 	res = &Result{Unit: job.Unit, Epoch: job.Epoch}
 	defer func() {
 		if r := recover(); r != nil {
@@ -34,11 +32,6 @@ func RunJobWithProgress(job *Job, progress *telemetry.Progress) (res *Result) {
 			res.Scenario, res.Config = nil, nil
 		}
 	}()
-	var bus *telemetry.Bus
-	if progress != nil {
-		bus = telemetry.NewBus()
-		bus.Attach(progress)
-	}
 	switch job.Kind {
 	case KindScenario:
 		sr, err := runScenarioUnit(job, bus)
@@ -94,9 +87,6 @@ func runConfigUnit(job *Job, bus *telemetry.Bus) (*ConfigResult, error) {
 		return nil, err
 	}
 	cfg.Seed = job.Seed
-	if job.NullSign {
-		cfg.NullSign = true
-	}
 	w, err := world.New(cfg)
 	if err != nil {
 		return nil, err

@@ -140,8 +140,10 @@ func ServeWorker(r io.Reader, w io.Writer, opt WorkerOptions) error {
 			}
 			opt.Logf("fleet worker: unit %d (%s) started", env.Job.Unit, env.Job.Kind)
 			progress := &telemetry.Progress{}
+			bus := telemetry.NewBus()
+			bus.Attach(progress)
 			state.begin(env.Job.Unit, progress)
-			res := RunJobWithProgress(env.Job, progress)
+			res := RunJobOn(env.Job, bus)
 			state.end()
 			if res.Err != "" {
 				opt.Logf("fleet worker: unit %d failed: %s", env.Job.Unit, res.Err)

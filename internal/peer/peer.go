@@ -112,16 +112,6 @@ type Peer struct {
 	Plan *workload.Plan
 }
 
-// New returns a peer of the given class and style.
-func New(pid id.ID, class Class, style Style, params rocq.Params) *Peer {
-	return &Peer{
-		ID:       pid,
-		Class:    class,
-		Style:    style,
-		Opinions: rocq.NewOpinionBook(params),
-	}
-}
-
 // WillServe decides whether the peer responds to a request from a peer
 // with the given reputation: "a correctly functioning peer will respond to
 // a peer requesting the service with a probability that is equal to the

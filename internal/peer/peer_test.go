@@ -10,7 +10,7 @@ import (
 )
 
 func newPeer(class Class, style Style) *Peer {
-	return New(id.FromUint64(1), class, style, rocq.DefaultParams())
+	return &Peer{ID: id.FromUint64(1), Class: class, Style: style, Opinions: rocq.NewOpinionBook(rocq.DefaultParams())}
 }
 
 func TestClassAndStyleStrings(t *testing.T) {
@@ -151,18 +151,5 @@ func TestAssignStyleCoopFraction(t *testing.T) {
 	frac := float64(naive) / n
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("naive fraction %v, want ~0.3", frac)
-	}
-}
-
-func TestNewPeerFields(t *testing.T) {
-	p := New(id.FromUint64(9), Uncooperative, Naive, rocq.DefaultParams())
-	if p.ID != id.FromUint64(9) || p.Class != Uncooperative || p.Style != Naive {
-		t.Fatal("constructor fields wrong")
-	}
-	if p.Opinions == nil || p.Opinions.Partners() != 0 {
-		t.Fatal("opinion book not initialised")
-	}
-	if p.Completed != 0 || p.Audited || p.Flagged {
-		t.Fatal("zero-state fields wrong")
 	}
 }

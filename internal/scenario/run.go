@@ -409,13 +409,18 @@ func (res *Result) CSV() (string, error) {
 	return metrics.CSV(list...), nil
 }
 
-// Summary renders the run's headline numbers as text.
+// Summary renders the run's headline numbers as text. A nameless spec
+// is a plain configured world, not a scenario, and is titled as one.
 func (res *Result) Summary() string {
 	m := &res.Metrics
 	cfg := res.Spec.Base
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %q — seed %d, %d ticks, λ=%g, topology %s\n",
-		res.Spec.Name, cfg.Seed, cfg.NumTrans, cfg.Lambda, cfg.Topology)
+	title := fmt.Sprintf("scenario %q", res.Spec.Name)
+	if res.Spec.Name == "" {
+		title = "reputation lending simulation"
+	}
+	fmt.Fprintf(&b, "%s — seed %d, %d ticks, λ=%g, topology %s\n",
+		title, cfg.Seed, cfg.NumTrans, cfg.Lambda, cfg.Topology)
 	fmt.Fprintf(&b, "population:   %d peers (%d cooperative, %d uncooperative, %d founders)\n",
 		res.Members, m.CoopInSystem, m.UncoopInSystem, m.Founders)
 	fmt.Fprintf(&b, "arrivals:     %d cooperative, %d uncooperative\n", m.ArrivalsCoop, m.ArrivalsUncoop)

@@ -79,19 +79,6 @@ func (st *RunState) Encode() ([]byte, error) {
 	return checkpoint.Seal(checkpoint.KindScenario, st)
 }
 
-// DecodeRunState parses a sealed scenario checkpoint, verifying the
-// envelope digest, the kind tag and the format version.
-func DecodeRunState(data []byte) (*RunState, error) {
-	kind, body, err := checkpoint.Open(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind != checkpoint.KindScenario {
-		return nil, fmt.Errorf("scenario: checkpoint kind %q is not a scenario run", kind)
-	}
-	return DecodeRunStateBody(body)
-}
-
 // DecodeRunStateBody parses the body of an already-opened scenario
 // checkpoint envelope.
 func DecodeRunStateBody(body []byte) (*RunState, error) {

@@ -6,9 +6,9 @@ package scenario
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/sim"
 )
 
@@ -20,6 +20,16 @@ func runOutput(t *testing.T, res *Result) string {
 		t.Fatalf("CSV: %v", err)
 	}
 	return res.Summary() + "\n" + csv
+}
+
+// openRunState decodes a sealed scenario checkpoint the way the CLI
+// resumes one: checkpoint.Open, then DecodeRunStateBody.
+func openRunState(data []byte) (*RunState, error) {
+	_, body, err := checkpoint.Open(data)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRunStateBody(body)
 }
 
 func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
@@ -61,9 +71,9 @@ func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			dec, err := DecodeRunState(data)
+			dec, err := openRunState(data)
 			if err != nil {
-				t.Fatalf("DecodeRunState: %v", err)
+				t.Fatalf("opening run state: %v", err)
 			}
 			resumed, err := Resume(dec)
 			if err != nil {
@@ -133,9 +143,9 @@ func TestMegaScenarioReducedScale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	dec, err := DecodeRunState(data)
+	dec, err := openRunState(data)
 	if err != nil {
-		t.Fatalf("DecodeRunState: %v", err)
+		t.Fatalf("opening run state: %v", err)
 	}
 	resumed, err := Resume(dec)
 	if err != nil {
@@ -171,12 +181,12 @@ func TestScenarioResumeRejectsDefects(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 
-	if _, err := DecodeRunState(data[:len(data)-7]); err == nil {
+	if _, err := openRunState(data[:len(data)-7]); err == nil {
 		t.Fatal("truncated scenario checkpoint should be rejected")
 	}
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/3] ^= 0x08
-	if _, err := DecodeRunState(corrupt); err == nil {
+	if _, err := openRunState(corrupt); err == nil {
 		t.Fatal("bit-flipped scenario checkpoint should be rejected")
 	}
 	// A world checkpoint must not decode as a scenario run.
@@ -188,8 +198,11 @@ func TestScenarioResumeRejectsDefects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("world Encode: %v", err)
 	}
-	if _, err := DecodeRunState(wdata); err == nil || !strings.Contains(err.Error(), "not a scenario run") {
-		t.Fatalf("world checkpoint decoded as scenario run (err=%v)", err)
+	if kind, _, err := checkpoint.Open(wdata); err != nil || kind != checkpoint.KindWorld {
+		t.Fatalf("world checkpoint opened as kind %q (err=%v)", kind, err)
+	}
+	if _, err := openRunState(wdata); err == nil {
+		t.Fatal("world checkpoint body decoded as scenario run state")
 	}
 	// Version skew and cursor overrun are rejected by Resume.
 	skew := *st

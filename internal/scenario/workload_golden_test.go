@@ -134,7 +134,7 @@ func TestWorkloadCheckpointMidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRunState(data)
+	dec, err := openRunState(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ const DefaultFlushEvery = 256
 //	{"t":"event","at":12,"kind":"arrival","peer":"ab12cd34"}
 //	{"t":"sample","at":500,"series":"coop","v":100}
 //
-// The sink never retains more than its flush threshold of records
-// (DefaultFlushEvery unless SetFlushEvery changed it); PeakRetained
+// The sink never retains more than DefaultFlushEvery records; PeakRetained
 // exposes the high-water mark so tests can assert the ceiling held.
 // Write errors are sticky: the first one is kept, later records are
 // dropped, and Flush reports it.
@@ -54,14 +53,6 @@ func NewStreamSink(w io.Writer) *StreamSink {
 	s := &StreamSink{w: w, flushEvery: DefaultFlushEvery}
 	s.enc = json.NewEncoder(&s.buf)
 	return s
-}
-
-// SetFlushEvery changes the retained-record ceiling (minimum 1).
-func (s *StreamSink) SetFlushEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.flushEvery = n
 }
 
 // Event implements Sink.

@@ -111,9 +111,11 @@ type countWriter struct{ n *int64 }
 
 func (w countWriter) Write(p []byte) (int, error) { *w.n += int64(len(p)); return len(p), nil }
 
+// TestStreamSinkFlushEveryFloor: at the lowest threshold, 1, every
+// record is flushed as it arrives.
 func TestStreamSinkFlushEveryFloor(t *testing.T) {
 	s := NewStreamSink(io.Discard)
-	s.SetFlushEvery(0)
+	s.flushEvery = 1
 	s.Event(Event{At: 1, Kind: "arrival"})
 	s.Event(Event{At: 2, Kind: "arrival"})
 	if s.PeakRetained() != 1 {
@@ -127,7 +129,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 
 func TestStreamSinkStickyError(t *testing.T) {
 	s := NewStreamSink(failWriter{})
-	s.SetFlushEvery(1)
+	s.flushEvery = 1
 	s.Event(Event{At: 1, Kind: "arrival"})
 	err := s.Flush()
 	if err == nil || !strings.Contains(err.Error(), "disk full") {

@@ -166,12 +166,6 @@ func (w *World) Rejoin(pid id.ID) error {
 	return w.err
 }
 
-// DepartedPeers returns the identifiers of peers currently offline but
-// eligible to rejoin, in ascending identifier order.
-func (w *World) DepartedPeers() []id.ID {
-	return w.slotIDsSorted(func(s *worldSlot) bool { return s.departed != nil })
-}
-
 // IsDeparted reports whether the peer is offline but eligible to rejoin.
 func (w *World) IsDeparted(pid id.ID) bool {
 	s := w.slotOf(pid)

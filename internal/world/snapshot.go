@@ -401,20 +401,6 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return checkpoint.Seal(checkpoint.KindWorld, s)
 }
 
-// DecodeSnapshot parses a sealed world checkpoint, verifying the
-// envelope digest, the kind tag and the format version. Corrupt,
-// truncated or version-skewed inputs yield errors, never panics.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	kind, body, err := checkpoint.Open(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind != checkpoint.KindWorld {
-		return nil, fmt.Errorf("world: checkpoint kind %q is not a world snapshot", kind)
-	}
-	return DecodeSnapshotBody(body)
-}
-
 // DecodeSnapshotBody parses the body of an already-opened world
 // checkpoint envelope.
 func DecodeSnapshotBody(body []byte) (*Snapshot, error) {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/id"
@@ -66,6 +67,16 @@ func fingerprint(t *testing.T, w *World) []byte {
 	return buf.Bytes()
 }
 
+// openSnapshot decodes a sealed world checkpoint the way the CLI
+// resumes one: checkpoint.Open, then DecodeSnapshotBody.
+func openSnapshot(data []byte) (*Snapshot, error) {
+	_, body, err := checkpoint.Open(data)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSnapshotBody(body)
+}
+
 // roundTrip encodes, decodes and restores a world, asserting
 // double-checkpoint idempotence along the way.
 func roundTrip(t *testing.T, w *World) *World {
@@ -78,7 +89,7 @@ func roundTrip(t *testing.T, w *World) *World {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	dec, err := DecodeSnapshot(data)
+	dec, err := openSnapshot(data)
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
@@ -176,7 +187,7 @@ func TestSnapshotScriptedChurn(t *testing.T) {
 		}
 	}
 	after := func(w *World) {
-		departed := w.DepartedPeers()
+		departed := departedPeers(w)
 		if len(departed) == 0 {
 			t.Fatal("no departed peers to rejoin")
 		}
@@ -282,15 +293,15 @@ func TestDecodeSnapshotRejectsDefects(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 
-	if _, err := DecodeSnapshot(data[:len(data)/2]); err == nil {
+	if _, err := openSnapshot(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated checkpoint should be rejected")
 	}
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0x20
-	if _, err := DecodeSnapshot(corrupt); err == nil {
+	if _, err := openSnapshot(corrupt); err == nil {
 		t.Fatal("bit-flipped checkpoint should be rejected")
 	}
-	if _, err := DecodeSnapshot([]byte(`{"magic":"other","kind":"world","sha256":"","body":{}}`)); err == nil {
+	if _, err := openSnapshot([]byte(`{"magic":"other","kind":"world","sha256":"","body":{}}`)); err == nil {
 		t.Fatal("wrong magic should be rejected")
 	}
 	skew := *snap
@@ -344,7 +355,7 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 		{"negative placement slot count", func(s *Snapshot) { s.SMDepSlots = -1 << 40 }, "placement index holds"},
 	}
 	for _, tc := range cases {
-		s, err := DecodeSnapshot(data)
+		s, err := openSnapshot(data)
 		if err != nil {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}
@@ -430,7 +441,7 @@ func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
 		}, []string{"peer " + snap.Peers[opinions].ID.Short(), "outside [0,"}},
 	}
 	for _, tc := range cases {
-		s, err := DecodeSnapshot(data)
+		s, err := openSnapshot(data)
 		if err != nil {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}

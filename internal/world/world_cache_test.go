@@ -9,7 +9,6 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/rng"
-	"repro/internal/rocq"
 )
 
 // TestScoreManagerCacheMatchesFreshPlacement is the cache oracle: across a
@@ -77,7 +76,7 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 	for step := 0; step < 400; step++ {
 		switch op := src.Intn(10); {
 		case op < 5: // join a new node
-			p := peer.New(id.HashString(fmt.Sprintf("cache-prop-%d", step)), peer.Cooperative, peer.Naive, rocq.DefaultParams())
+			p := w.newPeer(id.HashString(fmt.Sprintf("cache-prop-%d", step)), peer.Cooperative, peer.Naive)
 			if err := w.attachNode(p); err != nil {
 				t.Fatal(err)
 			}

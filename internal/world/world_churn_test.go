@@ -12,6 +12,12 @@ import (
 	"repro/internal/telemetry"
 )
 
+// departedPeers lists the peers currently offline but eligible to
+// rejoin, in ascending identifier order.
+func departedPeers(w *World) []id.ID {
+	return w.slotIDsSorted(func(s *worldSlot) bool { return s.departed != nil })
+}
+
 func churnTestConfig() config.Config {
 	c := config.Default()
 	c.NumInit = 40
@@ -82,7 +88,7 @@ func TestChurnConservesOpinionMass(t *testing.T) {
 		for _, p := range w.admittedPeers {
 			tracked = append(tracked, p.ID)
 		}
-		tracked = append(tracked, w.DepartedPeers()...)
+		tracked = append(tracked, departedPeers(w)...)
 		for _, pid := range tracked {
 			if w.WipedOut(pid) {
 				continue // the counted exception: every replica died at once
@@ -137,7 +143,7 @@ func TestChurnConservesOpinionMass(t *testing.T) {
 				}
 			}
 		default: // rejoin someone
-			if offline := w.DepartedPeers(); len(offline) > 0 {
+			if offline := departedPeers(w); len(offline) > 0 {
 				if err := w.Rejoin(offline[src.Intn(len(offline))]); err != nil {
 					t.Fatal(err)
 				}
@@ -415,7 +421,7 @@ func TestPermanentDeparturesDoNotAccrete(t *testing.T) {
 	if m.Churn.Departures+m.Churn.Crashes < 100 {
 		t.Fatalf("leak regression needs real churn, got %+v", m.Churn)
 	}
-	if got := len(w.DepartedPeers()); got != 0 {
+	if got := len(departedPeers(w)); got != 0 {
 		t.Fatalf("%d permanently departed peers retained for rejoin", got)
 	}
 	if got := w.Protocol().Tombstones(); got != 0 {
@@ -489,7 +495,7 @@ func TestLeaseEvictionsDropStaleRecords(t *testing.T) {
 	// inside the TTL window (plus events not yet fired), never the
 	// cumulative count of peers whose downtime ran long.
 	ttlWindow := int(float64(c.Churn.LeaseTTL)*c.Churn.Mu) + 1
-	if got, max := len(w.DepartedPeers()), 4*ttlWindow+4; got > max {
+	if got, max := len(departedPeers(w)), 4*ttlWindow+4; got > max {
 		t.Fatalf("%d peers still rejoin-eligible (TTL window %d): evictions are not finalising", got, ttlWindow)
 	}
 	// Evicted records are gone from every store: present slots track the
@@ -500,7 +506,7 @@ func TestLeaseEvictionsDropStaleRecords(t *testing.T) {
 			slots += st.Subjects()
 		}
 	}
-	if max := (w.PopulationSize() + int(m.Pending) + len(w.DepartedPeers())) * c.NumSM * 2; slots > max {
+	if max := (w.PopulationSize() + int(m.Pending) + len(departedPeers(w))) * c.NumSM * 2; slots > max {
 		t.Fatalf("stores hold %d present slots for %d live peers (evicted records accreting)",
 			slots, w.PopulationSize())
 	}

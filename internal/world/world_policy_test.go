@@ -64,7 +64,7 @@ func TestFixedCreditGrantsExactAmount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetPolicy(baseline.FixedCredit{Amount: 0.35})
+	w.SetPolicy(baseline.FixedCredit{})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestFixedCreditGrantsExactAmount(t *testing.T) {
 			continue // founder, or feedback already moved the value
 		}
 		found = true
-		if rep := w.Reputation(pid); rep < 0.34 || rep > 0.36 {
-			t.Fatalf("fixed credit granted %v, want 0.35", rep)
+		if rep := w.Reputation(pid); rep < 0.09 || rep > 0.11 {
+			t.Fatalf("fixed credit granted %v, want 0.1", rep)
 		}
 	}
 	if !found {

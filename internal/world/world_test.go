@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/config"
+	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -29,6 +30,25 @@ func TestNewValidatesConfig(t *testing.T) {
 	c.NumSM = 0
 	if _, err := New(c); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestNewPeerFields pins the world's peer constructor: identity and
+// behaviour fields as given, a fresh opinion book, zero run state.
+func TestNewPeerFields(t *testing.T) {
+	w, err := New(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.newPeer(id.FromUint64(9), peer.Uncooperative, peer.Naive)
+	if p.ID != id.FromUint64(9) || p.Class != peer.Uncooperative || p.Style != peer.Naive {
+		t.Fatal("constructor fields wrong")
+	}
+	if p.Opinions == nil || p.Opinions.Partners() != 0 {
+		t.Fatal("opinion book not initialised")
+	}
+	if p.Completed != 0 || p.Audited || p.Flagged {
+		t.Fatal("zero-state fields wrong")
 	}
 }
 
