@@ -244,7 +244,12 @@ type Protocol struct {
 	// tampered order ride on a previously verified signature). The
 	// bipartite fan-out re-delivers the same envelope O(numSM²) times per
 	// introduction; verifying each copy afresh would make Ed25519 dominate
-	// the simulation.
+	// the simulation. The memo lives for one fan-out: executeLend and
+	// Audit clear it when their fan-out returns, since every production
+	// delivery is synchronous and no copy of the envelope is left to
+	// verify. A delivery delayed past the clear (only tests delay the
+	// bus) misses the memo and runs the full Ed25519 check, which gives
+	// the same answer.
 	//replend:allow snapshotfields pure verification memo: dropping it on restore re-verifies the same envelopes to the same results
 	sigCache map[string]verifiedSig
 
@@ -635,6 +640,7 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	// for every manager, so per-send interface boxing is pure allocation.
 	var payload any = env
 	p.fanOut(introducer, kindLend, payload, introSMs)
+	clear(p.sigCache)
 
 	// Admission check: did any of the newcomer's managers accept a credit?
 	accepted := false
@@ -803,6 +809,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 			var payload any = rewardMsg{order: order, sign: sign, reward: p.params.Reward}
 			p.fanOut(from, kindReward, payload, introSMs)
 		}
+		clear(p.sigCache)
 	} else {
 		p.stats.AuditsForfeited++
 		p.close(rec, StakeSettled)

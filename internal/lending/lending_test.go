@@ -442,6 +442,42 @@ func TestAuditIdempotentAndUnknownNoop(t *testing.T) {
 	}
 }
 
+// TestSignatureMemoLivesForOneFanOut checks that the verification memo
+// holds nothing once a lend or a satisfactory audit has returned: on the
+// synchronous bus no copy of the signed envelope is left to verify, and
+// a memo kept for the whole run grew by one entry per signature.
+func TestSignatureMemoLivesForOneFanOut(t *testing.T) {
+	h := newHarness(t)
+	intro, introSMs := h.addPeer("introducer", 1.0)
+	newcomer, newSMs := h.addPeer("newcomer", -1)
+	h.proto.Begin(newcomer, intro, true)
+	h.engine.RunUntil(1000)
+	if len(h.admitted) != 1 {
+		t.Fatalf("admitted = %v", h.admitted)
+	}
+	if n := len(h.proto.sigCache); n != 0 {
+		t.Fatalf("memo holds %d envelopes after the lend fan-out", n)
+	}
+	for _, sm := range newSMs {
+		h.net.Store(sm).Init(newcomer, 0.8)
+	}
+	for _, sm := range introSMs {
+		h.net.Store(sm).Init(intro, 0.7)
+	}
+	h.proto.Audit(newcomer)
+	if len(h.audits) != 1 || !h.audits[0] {
+		t.Fatalf("audits = %v", h.audits)
+	}
+	if n := len(h.proto.sigCache); n != 0 {
+		t.Fatalf("memo holds %d envelopes after the reward fan-out", n)
+	}
+	for _, sm := range introSMs {
+		if v, _ := h.net.Store(sm).Query(intro); math.Abs(v-0.82) > 1e-9 {
+			t.Fatalf("introducer SM balance %v, want 0.82", v)
+		}
+	}
+}
+
 func TestRewardCappedAtOne(t *testing.T) {
 	h := newHarness(t)
 	intro, introSMs := h.addPeer("introducer", 1.0)

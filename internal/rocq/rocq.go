@@ -26,7 +26,7 @@
 // the paper's "the introducer can recoup its reputation in time by
 // behaving cooperatively with other peers".
 //
-// Stores and opinion books key their per-identity maps on dense int32
+// Stores and opinion books key their per-identity tables on dense int32
 // handles from an arena.Ordinals table rather than on 20-byte
 // identifiers. A world shares one handle table among every store and
 // book it builds; a store or book built standalone owns a private one.
@@ -37,9 +37,20 @@
 // without interning it; only writes intern. Handles never feed output
 // bytes: exports map them back to identifiers and sort, and restores
 // intern again.
+//
+// Each per-handle table is a set of columns kept sorted by handle and
+// searched by binary search, nil until its first write: a handle column
+// and a parallel value column for credibilities (12 B an entry) and
+// partners (20 B), one column of (handle, slot) pairs for a store's
+// subject index (8 B). A Swiss map spent about 31 B on each 12-byte
+// credibility. The handle table interns identities in first-seen order,
+// so a reporter or partner seen for the first time is usually the
+// newest identity of all and its entry lands at the end of its column:
+// inserting by shifting the tail costs little here.
 package rocq
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -111,6 +122,24 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// insertAt inserts v at position i of a column, shifting the tail up by
+// one. A full column doubles its capacity, starting from 8, so parallel
+// columns that see the same inserts keep the same capacity and grow in
+// lockstep.
+func insertAt[T any](col []T, i int, v T) []T {
+	if len(col) == cap(col) {
+		grown := make([]T, len(col)+1, max(8, 2*cap(col)))
+		copy(grown, col[:i])
+		grown[i] = v
+		copy(grown[i+1:], col[i:])
+		return grown
+	}
+	col = col[:len(col)+1]
+	copy(col[i+1:], col[i:])
+	col[i] = v
+	return col
+}
+
 // clamp01 restricts v to [0,1].
 func clamp01(v float64) float64 {
 	switch {
@@ -136,14 +165,16 @@ type Opinion struct {
 }
 
 // OpinionBook tracks a peer's first-hand experience with every partner it
-// has transacted with. The partner map is allocated by the first Record:
-// a founding community of n peers would otherwise hold n empty maps
-// before the first transaction.
+// has transacted with, in two parallel columns sorted by partner handle.
+// The columns are allocated by the first Record: a founding community of
+// n peers would otherwise hold n empty tables before the first
+// transaction.
 type OpinionBook struct {
 	//replend:allow snapshotfields fixed at DefaultParams for every peer (restorePeer rebuilds books with them); params carry no run state
 	params   Params
 	handles  *arena.Ordinals
-	partners map[arena.Ordinal]opinionState
+	partnerH []arena.Ordinal // partner handles, ascending
+	partners []opinionState  // partners[i] is the experience with partnerH[i]
 }
 
 type opinionState struct {
@@ -181,14 +212,15 @@ func (b *OpinionBook) RecordHandle(partner arena.Ordinal, rating float64) Opinio
 		//replend:allow nopanic caller-contract invariant: behaviour styles emit only 0 or 1 ratings
 		panic(fmt.Sprintf("rocq: rating %v out of [0,1]", rating))
 	}
-	if b.partners == nil {
-		b.partners = make(map[arena.Ordinal]opinionState)
+	i, ok := slices.BinarySearch(b.partnerH, partner)
+	if !ok {
+		b.partnerH = insertAt(b.partnerH, i, partner)
+		b.partners = insertAt(b.partners, i, opinionState{})
 	}
-	st := b.partners[partner]
+	st := &b.partners[i]
 	st.sum += rating
 	st.count++
-	b.partners[partner] = st
-	return b.opinion(st)
+	return b.opinion(*st)
 }
 
 // Opinion returns the current opinion of a partner and whether any
@@ -198,16 +230,16 @@ func (b *OpinionBook) Opinion(partner id.ID) (Opinion, bool) {
 	if !ok {
 		return Opinion{}, false
 	}
-	st, ok := b.partners[h]
+	i, ok := slices.BinarySearch(b.partnerH, h)
 	if !ok {
 		return Opinion{}, false
 	}
-	return b.opinion(st), true
+	return b.opinion(b.partners[i]), true
 }
 
 // Partners returns the number of distinct partners with recorded
 // experience.
-func (b *OpinionBook) Partners() int { return len(b.partners) }
+func (b *OpinionBook) Partners() int { return len(b.partnerH) }
 
 func (b *OpinionBook) opinion(st opinionState) Opinion {
 	mean := st.sum / float64(st.count)
@@ -239,23 +271,27 @@ func minf(a, b float64) float64 {
 // Memory layout: subject slots live in a struct-of-arrays arena — the
 // hot weighted sums and weights (read on every Query) in two flat
 // float64 slices, the cold bookkeeping in a parallel meta slice — and
-// the index maps a subject's handle to its slot index. Forget returns
-// slots to a LIFO free-list, so churn recycles them instead of growing
-// the arena without bound. Neither slot indices nor handles feed output
-// bytes: SubjectIDs and ExportState sort by identifier, exactly as the
-// old map-backed layout did.
+// the index, a column of (handle, slot) pairs sorted by handle, finds a
+// subject's slot. Forget returns slots to a LIFO free-list, so churn
+// recycles them instead of growing the arena without bound. Neither
+// slot indices nor handles feed output bytes: SubjectIDs and
+// ExportState sort by identifier, exactly as the old map-backed layout
+// did.
 type Store struct {
 	//replend:allow snapshotfields fixed at DefaultParams for every store (world.Restore rebuilds them so); params carry no run state
 	params  Params
 	handles *arena.Ordinals // numbers subjects and reporters (see the package doc)
-	index   map[arena.Ordinal]int32
-	s       []float64 // weighted opinion sums (plus lending adjustments), by slot
-	w       []float64 // total opinion weights, by slot
+	index   []indexEntry    // subject handle → slot, ascending by handle
+	s       []float64       // weighted opinion sums (plus lending adjustments), by slot
+	w       []float64       // total opinion weights, by slot
 	meta    []subjectMeta
 	free    []int32 // LIFO free-list of forgotten slots
-	// cred is allocated by the first report: most stores in a freshly
-	// built world hold only initialised subjects and hear from no one.
-	cred map[arena.Ordinal]float64
+	// credH and cred hold the reporter credibilities as parallel columns
+	// ascending by reporter handle. The first report allocates them: most
+	// stores in a freshly built world hold only initialised subjects and
+	// hear from no one.
+	credH []arena.Ordinal
+	cred  []float64
 
 	known   int // subjects with evidence (present slots)
 	reports int64
@@ -275,7 +311,7 @@ type Store struct {
 // ±amount and then fades as further evidence accumulates — the paper's
 // "recoup … by behaving cooperatively".
 // A slot may exist before any evidence arrives (Ref pre-resolves slots so
-// hot query paths are array reads instead of map lookups); present
+// hot query paths are array reads instead of index searches); present
 // distinguishes real evidence from such placeholders, and is what Query,
 // Known and Subjects report. A slot index stays bound to its subject
 // until Forget or DropPlaceholder recycles it, so a Ref stays valid as
@@ -285,6 +321,15 @@ type subjectMeta struct {
 	subject arena.Ordinal // the subject this slot is about (for change notification)
 	present bool          // the store has actually heard about this subject
 }
+
+// indexEntry binds a subject's handle to its slot.
+type indexEntry struct {
+	subject arena.Ordinal
+	slot    int32
+}
+
+// bySubject orders index entries by subject handle.
+func bySubject(e indexEntry, subject arena.Ordinal) int { return cmp.Compare(e.subject, subject) }
 
 // NewStore returns an empty score-manager store with a handle table of
 // its own.
@@ -299,11 +344,7 @@ func NewStoreOn(p Params, handles *arena.Ordinals) *Store {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
-	return &Store{
-		params:  p,
-		handles: handles,
-		index:   make(map[arena.Ordinal]int32),
-	}
+	return &Store{params: p, handles: handles}
 }
 
 // Subjects returns the number of subjects with stored reputation.
@@ -329,8 +370,17 @@ func (s *Store) lookup(subject id.ID) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	idx, ok := s.index[h]
-	return idx, ok
+	pos, ok := s.find(h)
+	if !ok {
+		return 0, false
+	}
+	return s.index[pos].slot, true
+}
+
+// find returns the position of the subject's index entry, or the
+// position to insert it at, and whether the entry is there.
+func (s *Store) find(subject arena.Ordinal) (int, bool) {
+	return slices.BinarySearchFunc(s.index, subject, bySubject)
 }
 
 // slot returns the subject's slot index, interning the subject and
@@ -342,8 +392,9 @@ func (s *Store) slot(subject id.ID) int32 {
 
 // slotOf is slot for a subject's handle.
 func (s *Store) slotOf(subject arena.Ordinal) int32 {
-	if idx, ok := s.index[subject]; ok {
-		return idx
+	pos, ok := s.find(subject)
+	if ok {
+		return s.index[pos].slot
 	}
 	var idx int32
 	if n := len(s.free); n > 0 {
@@ -357,7 +408,7 @@ func (s *Store) slotOf(subject arena.Ordinal) int32 {
 		s.w = append(s.w, 0)
 		s.meta = append(s.meta, subjectMeta{subject: subject})
 	}
-	s.index[subject] = idx
+	s.index = insertAt(s.index, pos, indexEntry{subject: subject, slot: idx})
 	return idx
 }
 
@@ -453,15 +504,15 @@ func (s *Store) Forget(subject id.ID) {
 // ForgetHandle is Forget for a subject already numbered in the store's
 // handle table.
 func (s *Store) ForgetHandle(subject arena.Ordinal) {
-	idx, ok := s.index[subject]
+	pos, ok := s.find(subject)
 	if !ok {
 		return
 	}
-	if s.meta[idx].present {
+	if idx := s.index[pos].slot; s.meta[idx].present {
 		s.known--
 		s.notify(idx)
 	}
-	s.recycle(subject, idx)
+	s.recycle(pos)
 }
 
 // DropPlaceholder recycles the subject's slot if it holds no evidence —
@@ -477,14 +528,16 @@ func (s *Store) DropPlaceholder(subject id.ID) {
 // DropPlaceholderHandle is DropPlaceholder for a subject already numbered
 // in the store's handle table.
 func (s *Store) DropPlaceholderHandle(subject arena.Ordinal) {
-	if idx, ok := s.index[subject]; ok && !s.meta[idx].present {
-		s.recycle(subject, idx)
+	if pos, ok := s.find(subject); ok && !s.meta[s.index[pos].slot].present {
+		s.recycle(pos)
 	}
 }
 
-// recycle unbinds the subject's slot and returns it to the free-list.
-func (s *Store) recycle(subject arena.Ordinal, idx int32) {
-	delete(s.index, subject)
+// recycle removes the index entry at pos and returns its slot to the
+// free-list.
+func (s *Store) recycle(pos int) {
+	idx := s.index[pos].slot
+	s.index = slices.Delete(s.index, pos, pos+1)
 	s.s[idx], s.w[idx] = 0, 0
 	s.meta[idx] = subjectMeta{}
 	s.free = append(s.free, idx)
@@ -500,19 +553,12 @@ func (r Ref) Query() (float64, bool) {
 
 // Credibility returns the store's current credibility for a reporter.
 func (s *Store) Credibility(reporter id.ID) float64 {
-	h, ok := s.handles.Get(reporter)
-	if !ok {
-		return s.params.CredInit
+	if h, ok := s.handles.Get(reporter); ok {
+		if i, ok := slices.BinarySearch(s.credH, h); ok {
+			return s.cred[i]
+		}
 	}
-	return s.credibility(h)
-}
-
-func (s *Store) credibility(reporter arena.Ordinal) float64 {
-	c, ok := s.cred[reporter]
-	if !ok {
-		return s.params.CredInit
-	}
-	return c
+	return s.params.CredInit
 }
 
 // Report folds one (opinion, quality) report about subject from reporter
@@ -525,7 +571,7 @@ func (s *Store) Report(reporter, subject id.ID, op Opinion) {
 }
 
 // Report folds the report into the reference's subject, sparing the
-// subject-map lookup on the per-transaction feedback path.
+// subject-index search on the per-transaction feedback path.
 func (r Ref) Report(reporter id.ID, op Opinion) {
 	r.store.reportTo(r.idx, r.store.handles.Intern(reporter), op)
 }
@@ -543,7 +589,12 @@ func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 		panic(fmt.Sprintf("rocq: report out of range: %+v", op))
 	}
 	s.reports++
-	cred := s.credibility(reporter)
+	// One search serves both the read and the write of the credibility.
+	pos, found := slices.BinarySearch(s.credH, reporter)
+	cred := s.params.CredInit
+	if found {
+		cred = s.cred[pos]
+	}
 	s.materialize(idx)
 	w := cred * op.Quality
 	s.s[idx] += w * op.Value
@@ -556,15 +607,20 @@ func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 		s.w[idx] = s.params.WindowWeight
 	}
 	s.meta[idx].reports++
-	s.updateCred(reporter, cred, op.Value, s.value(idx))
+	if c := s.nextCred(cred, op.Value, s.value(idx)); found {
+		s.cred[pos] = c
+	} else {
+		s.credH = insertAt(s.credH, pos, reporter)
+		s.cred = insertAt(s.cred, pos, c)
+	}
 	s.notify(idx)
 }
 
-// updateCred moves the reporter's credibility toward 1−|opinion−aggregate|:
+// nextCred moves a reporter's credibility toward 1−|opinion−aggregate|:
 // reporters that agree with the aggregate become more credible, reporters
 // that consistently deviate (for instance the paper's uncooperative peers,
 // which always report 0) lose influence.
-func (s *Store) updateCred(reporter arena.Ordinal, cred, opinion, aggregate float64) {
+func (s *Store) nextCred(cred, opinion, aggregate float64) float64 {
 	d := opinion - aggregate
 	if d < 0 {
 		d = -d
@@ -574,10 +630,7 @@ func (s *Store) updateCred(reporter arena.Ordinal, cred, opinion, aggregate floa
 	if c < s.params.CredMin {
 		c = s.params.CredMin
 	}
-	if s.cred == nil {
-		s.cred = make(map[arena.Ordinal]float64)
-	}
-	s.cred[reporter] = clamp01(c)
+	return clamp01(c)
 }
 
 // adjust shifts the subject's read value by exactly delta (before

@@ -1,7 +1,9 @@
 package rocq
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/arena"
@@ -12,7 +14,7 @@ import (
 // evidence in its present slots, its per-reporter credibilities and the
 // total report counter; non-present placeholder slots exist only to give
 // Refs stable addresses and are recreated on demand after a restore, so
-// they are not captured. All map-backed state is exported as slices in
+// they are not captured. Every handle-keyed table is exported in
 // ascending identifier order, which makes the encoding deterministic —
 // the same store always serializes to the same bytes.
 
@@ -51,11 +53,11 @@ func (s *Store) ExportState() StoreState {
 		}
 		slices.SortFunc(out.Subjects, func(a, b SubjectRecord) int { return a.Subject.Cmp(b.Subject) })
 	}
-	if len(s.cred) > 0 {
-		out.Cred = make([]CredRecord, 0, len(s.cred))
-		for reporter, c := range s.cred {
+	if len(s.credH) > 0 {
+		out.Cred = make([]CredRecord, len(s.credH))
+		for i, reporter := range s.credH {
 			pid, _ := s.handles.ID(reporter)
-			out.Cred = append(out.Cred, CredRecord{Reporter: pid, Cred: c})
+			out.Cred[i] = CredRecord{Reporter: pid, Cred: s.cred[i]}
 		}
 		slices.SortFunc(out.Cred, func(a, b CredRecord) int { return a.Reporter.Cmp(b.Reporter) })
 	}
@@ -65,9 +67,13 @@ func (s *Store) ExportState() StoreState {
 // RestoreState overwrites the store's evidence, credibilities and report
 // counter with checkpointed values. Existing slots — including non-present
 // placeholders — are discarded; callers re-resolve any Refs they held.
-// A state ExportState could not have written — subjects or reporters not
-// in strictly ascending order, which covers duplicates — is refused with
-// an error and leaves the store untouched.
+// A state no run could have written is refused with an error and leaves
+// the store untouched: subjects or reporters not in strictly ascending
+// order (which covers duplicates), a credibility outside [CredMin, 1], a
+// negative or non-finite S or W, or a negative report count. Reports add
+// non-negative weight, adjustments clamp S at 0 and the credibility
+// update floors and clamps, so every run stays inside these bounds; a
+// restored state outside them could make Query return NaN.
 func (s *Store) RestoreState(st StoreState) error {
 	if err := ascending(st.Subjects, func(r SubjectRecord) id.ID { return r.Subject }); err != nil {
 		return fmt.Errorf("rocq: restore: subject %w", err)
@@ -75,28 +81,71 @@ func (s *Store) RestoreState(st StoreState) error {
 	if err := ascending(st.Cred, func(r CredRecord) id.ID { return r.Reporter }); err != nil {
 		return fmt.Errorf("rocq: restore: reporter %w", err)
 	}
-	s.index = make(map[arena.Ordinal]int32, len(st.Subjects))
+	if st.Reports < 0 {
+		return fmt.Errorf("rocq: restore: report count %d is negative", st.Reports)
+	}
+	for _, rec := range st.Subjects {
+		switch {
+		case !nonNegative(rec.S) || !nonNegative(rec.W):
+			return fmt.Errorf("rocq: restore: subject %s has S %v, W %v, want finite and non-negative", rec.Subject.Short(), rec.S, rec.W)
+		case rec.Reports < 0:
+			return fmt.Errorf("rocq: restore: subject %s has report count %d, want non-negative", rec.Subject.Short(), rec.Reports)
+		}
+	}
+	for _, rec := range st.Cred {
+		if !(rec.Cred >= s.params.CredMin && rec.Cred <= 1) {
+			return fmt.Errorf("rocq: restore: reporter %s has credibility %v outside [%v, 1]", rec.Reporter.Short(), rec.Cred, s.params.CredMin)
+		}
+	}
+	s.index = make([]indexEntry, len(st.Subjects))
 	s.s = make([]float64, 0, len(st.Subjects))
 	s.w = make([]float64, 0, len(st.Subjects))
 	s.meta = make([]subjectMeta, 0, len(st.Subjects))
 	s.free = nil
-	s.cred = nil
-	if len(st.Cred) > 0 {
-		s.cred = make(map[arena.Ordinal]float64, len(st.Cred))
-	}
 	s.known = len(st.Subjects)
 	s.reports = st.Reports
-	for _, rec := range st.Subjects {
+	for i, rec := range st.Subjects {
 		h := s.handles.Intern(rec.Subject)
-		s.index[h] = int32(len(s.meta))
+		s.index[i] = indexEntry{subject: h, slot: int32(i)}
 		s.s = append(s.s, rec.S)
 		s.w = append(s.w, rec.W)
 		s.meta = append(s.meta, subjectMeta{subject: h, reports: rec.Reports, present: true})
 	}
-	for _, rec := range st.Cred {
-		s.cred[s.handles.Intern(rec.Reporter)] = rec.Cred
+	// Records arrive in identifier order, and the table may have numbered
+	// these identities in any order: sort each table by handle once.
+	slices.SortFunc(s.index, func(a, b indexEntry) int { return bySubject(a, b.subject) })
+	cred := make([]handleValue[float64], len(st.Cred))
+	for i, rec := range st.Cred {
+		cred[i] = handleValue[float64]{s.handles.Intern(rec.Reporter), rec.Cred}
 	}
+	s.credH, s.cred = columns(cred)
 	return nil
+}
+
+// nonNegative reports whether v is a finite number no less than 0.
+func nonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// handleValue is one entry of a handle-keyed table on its way from a
+// checkpoint into columns.
+type handleValue[V any] struct {
+	h arena.Ordinal
+	v V
+}
+
+// columns sorts restored entries by handle and splits them into a handle
+// column and a parallel value column, each of exactly the needed
+// capacity. No entries give nil columns.
+func columns[V any](entries []handleValue[V]) ([]arena.Ordinal, []V) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(entries, func(a, b handleValue[V]) int { return cmp.Compare(a.h, b.h) })
+	hs := make([]arena.Ordinal, len(entries))
+	vs := make([]V, len(entries))
+	for i, e := range entries {
+		hs[i], vs[i] = e.h, e.v
+	}
+	return hs, vs
 }
 
 // PartnerRecord is the serializable first-hand experience a peer holds
@@ -110,13 +159,13 @@ type PartnerRecord struct {
 // ExportState captures the opinion book's experience in ascending partner
 // order.
 func (b *OpinionBook) ExportState() []PartnerRecord {
-	if len(b.partners) == 0 {
+	if len(b.partnerH) == 0 {
 		return nil
 	}
-	out := make([]PartnerRecord, 0, len(b.partners))
-	for partner, st := range b.partners {
+	out := make([]PartnerRecord, len(b.partnerH))
+	for i, partner := range b.partnerH {
 		pid, _ := b.handles.ID(partner)
-		out = append(out, PartnerRecord{Partner: pid, Sum: st.sum, Count: st.count})
+		out[i] = PartnerRecord{Partner: pid, Sum: b.partners[i].sum, Count: b.partners[i].count}
 	}
 	slices.SortFunc(out, func(a, b PartnerRecord) int { return a.Partner.Cmp(b.Partner) })
 	return out
@@ -139,14 +188,11 @@ func (b *OpinionBook) RestoreState(recs []PartnerRecord) error {
 			return fmt.Errorf("rocq: restore: partner %s has sum %v outside [0, %d]", rec.Partner.Short(), rec.Sum, rec.Count)
 		}
 	}
-	b.partners = nil
-	if len(recs) == 0 {
-		return nil
+	partners := make([]handleValue[opinionState], len(recs))
+	for i, rec := range recs {
+		partners[i] = handleValue[opinionState]{b.handles.Intern(rec.Partner), opinionState{sum: rec.Sum, count: rec.Count}}
 	}
-	b.partners = make(map[arena.Ordinal]opinionState, len(recs))
-	for _, rec := range recs {
-		b.partners[b.handles.Intern(rec.Partner)] = opinionState{sum: rec.Sum, count: rec.Count}
-	}
+	b.partnerH, b.partners = columns(partners)
 	return nil
 }
 

@@ -33,20 +33,33 @@ func TestStoreStateRoundTrip(t *testing.T) {
 
 // TestStoreRestoreRejectsHostileStates feeds RestoreState states no
 // export could have written. A duplicated subject used to restore as two
-// subjects, and a duplicated reporter silently kept the last value.
+// subjects, a duplicated reporter silently kept the last value, and a
+// subject with S 0 and W -PriorWeight restored a store whose Query
+// returned NaN.
 func TestStoreRestoreRejectsHostileStates(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(st *StoreState)
+		want   string
 	}{
-		{"duplicate subject", func(st *StoreState) { st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1]) }},
-		{"descending subjects", func(st *StoreState) { st.Subjects[0], st.Subjects[1] = st.Subjects[1], st.Subjects[0] }},
+		{"duplicate subject", func(st *StoreState) { st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1]) }, "not strictly ascending"},
+		{"descending subjects", func(st *StoreState) { st.Subjects[0], st.Subjects[1] = st.Subjects[1], st.Subjects[0] }, "not strictly ascending"},
 		{"duplicate reporter", func(st *StoreState) {
 			dup := st.Cred[0]
 			dup.Cred = 0.1
 			st.Cred = append([]CredRecord{dup}, st.Cred...)
-		}},
-		{"descending reporters", func(st *StoreState) { st.Cred[1], st.Cred[2] = st.Cred[2], st.Cred[1] }},
+		}, "not strictly ascending"},
+		{"descending reporters", func(st *StoreState) { st.Cred[1], st.Cred[2] = st.Cred[2], st.Cred[1] }, "not strictly ascending"},
+		{"weight cancelling the prior", func(st *StoreState) { st.Subjects[0].S, st.Subjects[0].W = 0, -DefaultParams().PriorWeight }, "want finite and non-negative"},
+		{"negative weight", func(st *StoreState) { st.Subjects[1].W = -1e-300 }, "want finite and non-negative"},
+		{"negative sum", func(st *StoreState) { st.Subjects[2].S = -0.25 }, "want finite and non-negative"},
+		{"NaN sum", func(st *StoreState) { st.Subjects[0].S = math.NaN() }, "want finite and non-negative"},
+		{"infinite weight", func(st *StoreState) { st.Subjects[0].W = math.Inf(1) }, "want finite and non-negative"},
+		{"negative subject reports", func(st *StoreState) { st.Subjects[1].Reports = -1 }, "report count -1"},
+		{"negative store reports", func(st *StoreState) { st.Reports = -3 }, "report count -3"},
+		{"credibility above 1", func(st *StoreState) { st.Cred[0].Cred = 7 }, "outside [0.05, 1]"},
+		{"credibility below the floor", func(st *StoreState) { st.Cred[2].Cred = DefaultParams().CredMin / 2 }, "outside [0.05, 1]"},
+		{"NaN credibility", func(st *StoreState) { st.Cred[1].Cred = math.NaN() }, "outside [0.05, 1]"},
 	}
 	for _, tc := range cases {
 		st := sampleStore().ExportState()
@@ -54,13 +67,33 @@ func TestStoreRestoreRejectsHostileStates(t *testing.T) {
 		s := sampleStore()
 		before := s.ExportState()
 		err := s.RestoreState(st)
-		if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
-			t.Errorf("%s: RestoreState error = %v, want an ordering error", tc.name, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestoreState error = %v, want one mentioning %q", tc.name, err, tc.want)
 			continue
 		}
 		if got := s.ExportState(); !reflect.DeepEqual(got, before) {
 			t.Errorf("%s: a refused restore modified the store", tc.name)
 		}
+	}
+}
+
+// TestStoreRestoreAcceptsBounds restores evidence on the edges of the
+// bounds RestoreState enforces, all reachable by a run. S one ulp above
+// W + PriorWeight is among them: floating-point rounding can put
+// a legitimate S there, so restore must not bound S from above.
+func TestStoreRestoreAcceptsBounds(t *testing.T) {
+	p := DefaultParams()
+	st := StoreState{
+		Subjects: []SubjectRecord{{Subject: pid(1), S: 0, W: 0, Reports: 0}, {Subject: pid(2), S: math.Nextafter(p.PriorWeight, 1), W: 0, Reports: 0}},
+		Cred:     []CredRecord{{Reporter: pid(3), Cred: p.CredMin}, {Reporter: pid(4), Cred: 1}},
+		Reports:  0,
+	}
+	s := NewStore(p)
+	if err := s.RestoreState(st); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	if v, ok := s.Query(pid(2)); !ok || v != 1 {
+		t.Fatalf("Query = %v, %v; want 1, true", v, ok)
 	}
 }
 
