@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/scenario"
@@ -159,10 +161,23 @@ func checkpointCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// printWorldInfo prints the embedded world's headline numbers.
+// printWorldInfo prints the embedded world's headline numbers, with the
+// pending events counted per kind in name order.
 func printWorldInfo(out io.Writer, s *world.Snapshot) {
 	fmt.Fprintf(out, "tick:     %d of %d\n", s.Now, s.Config.NumTrans)
 	fmt.Fprintf(out, "seed:     %d\n", s.Config.Seed)
 	fmt.Fprintf(out, "peers:    %d present (%d admitted, %d departed)\n", len(s.Peers), len(s.Admitted), len(s.Departed))
-	fmt.Fprintf(out, "events:   %d pending\n", len(s.Events))
+	perKind := map[string]int{}
+	for _, ev := range s.Events {
+		perKind[ev.Kind]++
+	}
+	kinds := make([]string, 0, len(perKind))
+	for k := range perKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for i, k := range kinds {
+		kinds[i] = fmt.Sprintf("%s %d", k, perKind[k])
+	}
+	fmt.Fprintf(out, "events:   %d pending (%s)\n", len(s.Events), strings.Join(kinds, ", "))
 }

@@ -325,7 +325,7 @@ func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 	if err := checkpointCmd([]string{"info", ckpt}, &info); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:"} {
+	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:", "pending (", "transaction 1"} {
 		if !strings.Contains(info.String(), want) {
 			t.Fatalf("checkpoint info output missing %q:\n%s", want, info.String())
 		}

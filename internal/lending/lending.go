@@ -218,6 +218,10 @@ type Protocol struct {
 	net Network
 	//replend:allow snapshotfields wiring, re-injected by the restoring world at construction
 	events Events
+	//replend:allow snapshotfields registered by New on the engine; pending waiting-period events cross a checkpoint by kind name
+	refuseKind sim.Kind
+	//replend:allow snapshotfields registered by New on the engine; pending waiting-period events cross a checkpoint by kind name
+	lendKind sim.Kind
 
 	// ords and slots are the protocol's per-peer arena: registration
 	// assigns a dense ordinal, unregistration releases it, and the slot
@@ -318,7 +322,7 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, eve
 	if engine == nil || bus == nil || net == nil {
 		return nil, errors.New("lending: engine, bus and net are all required")
 	}
-	return &Protocol{
+	p := &Protocol{
 		params:   params,
 		engine:   engine,
 		bus:      bus,
@@ -329,7 +333,10 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, eve
 		intro:    make(map[id.ID]*introRecord),
 		flagged:  make(map[id.ID]bool),
 		sigCache: make(map[string]verifiedSig),
-	}, nil
+	}
+	p.refuseKind = engine.Handle("intro-refuse", p.refuseEvent)
+	p.lendKind = engine.Handle("intro-lend", p.lendEvent)
+	return p, nil
 }
 
 // ensureSlot returns the arena slot for pid, assigning an ordinal (and
@@ -572,32 +579,32 @@ func (p *Protocol) SetBatchedDelivery(on bool) { p.unbatched = !on }
 // Begin starts one introduction attempt: the newcomer has asked the given
 // introducer, whose decision is already known (granted). Nothing is
 // revealed to the newcomer until the waiting period elapses; then either
-// the refusal is delivered or the lend executes. The scheduled events
-// carry IntroWait payloads so a checkpoint can rebuild them.
+// the refusal is delivered or the lend executes. Both events carry the
+// pair as an IntroWait payload.
 func (p *Protocol) Begin(newcomer, introducer id.ID, granted bool) {
 	p.stats.Requests++
 	wait := IntroWait{Newcomer: newcomer, Introducer: introducer}
 	if !granted {
-		p.engine.AfterPayload(p.params.Wait, "intro-refuse", wait, p.refuseBody(newcomer, introducer))
+		p.engine.After(p.params.Wait, p.refuseKind, wait)
 		return
 	}
 	p.stats.Granted++
-	p.engine.AfterPayload(p.params.Wait, "intro-lend", wait, p.lendBody(newcomer, introducer))
+	p.engine.After(p.params.Wait, p.lendKind, wait)
 }
 
-// refuseBody is the waiting-period event body delivering a refusal.
-func (p *Protocol) refuseBody(newcomer, introducer id.ID) func() {
-	return func() {
-		p.stats.RefusedSelective++
-		p.emitRefused(newcomer, introducer, RefusedByIntroducer)
-	}
+// refuseEvent is the "intro-refuse" handler: the waiting period of a
+// declined request elapsed, so the refusal is delivered.
+func (p *Protocol) refuseEvent(payload any) {
+	w := payload.(IntroWait)
+	p.stats.RefusedSelective++
+	p.emitRefused(w.Newcomer, w.Introducer, RefusedByIntroducer)
 }
 
-// lendBody is the waiting-period event body executing a granted lend.
-func (p *Protocol) lendBody(newcomer, introducer id.ID) func() {
-	return func() {
-		p.executeLend(newcomer, introducer)
-	}
+// lendEvent is the "intro-lend" handler: the waiting period of a granted
+// request elapsed, so the lend executes.
+func (p *Protocol) lendEvent(payload any) {
+	w := payload.(IntroWait)
+	p.executeLend(w.Newcomer, w.Introducer)
 }
 
 func (p *Protocol) emitRefused(newcomer, introducer id.ID, reason Reason) {

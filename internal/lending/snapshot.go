@@ -15,9 +15,9 @@ import (
 // punishment set, the nonce counter and the activity counters. The
 // signature cache is a pure performance memo rebuilt on demand, and the
 // waiting-period events in flight live in the engine's queue — they are
-// captured there and rebuilt via RebuildIntroEvent.
+// captured there, and restored under the kinds New registers.
 
-// IntroWait is the checkpoint payload of one pending waiting-period event
+// IntroWait is the payload of one pending waiting-period event
 // ("intro-refuse" or "intro-lend"): the pair whose introduction attempt
 // is waiting out the period T.
 type IntroWait struct {
@@ -208,17 +208,4 @@ func (p *Protocol) RestoreState(st State) error {
 	p.nonce = st.Nonce
 	p.stats = st.Stats
 	return nil
-}
-
-// RebuildIntroEvent reconstructs the closure of a checkpointed
-// waiting-period event from its payload. name is the event's label,
-// "intro-refuse" or "intro-lend".
-func (p *Protocol) RebuildIntroEvent(name string, w IntroWait) (func(), error) {
-	switch name {
-	case "intro-refuse":
-		return p.refuseBody(w.Newcomer, w.Introducer), nil
-	case "intro-lend":
-		return p.lendBody(w.Newcomer, w.Introducer), nil
-	}
-	return nil, fmt.Errorf("lending: unknown waiting-period event %q", name)
 }

@@ -6,53 +6,53 @@
 // Everything above it — the world's transaction loop, arrival and
 // departure clocks, audit and stake timers — is expressed as events on
 // this engine; nothing inside a run is concurrent.
+//
+// An event is plain data: a firing tick, a sequence number, a kind and
+// a payload. Each kind is registered once, by name, with the handler
+// that runs its events (Handle), so a checkpoint stores pending events
+// as (kind name, payload) records and Restore re-queues them under the
+// same handlers that ran them live.
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Tick is a point in simulation time. The paper schedules one resource
 // transaction per tick.
 type Tick int64
 
-// Event is a unit of scheduled work. Events run at a tick; events at the
-// same tick run in scheduling order (FIFO), which keeps runs deterministic.
-type Event struct {
-	At   Tick
-	Name string // diagnostic label, e.g. "transaction", "arrival", "audit"
-	Run  func()
+// Kind identifies a registered event handler. The zero Kind is never
+// registered, so an event scheduled under a forgotten registration
+// fails loudly instead of running another kind's handler.
+type Kind int32
 
-	// Payload is the event's checkpoint tag: the data a snapshot needs to
-	// rebuild Run in a fresh process. Events scheduled without a payload
-	// (plain Schedule/After) cannot cross a checkpoint unless the restoring
-	// side knows how to rebuild them from the name alone.
-	Payload any
+// Handler runs one event with the payload it was scheduled with.
+type Handler func(payload any)
 
-	seq int64 // tie-break for FIFO ordering within a tick
+// kind is one registered handler.
+type kind struct {
+	name string
+	run  Handler
 }
 
-// eventHeap orders events by (At, seq).
-type eventHeap []*Event
+// event is one queued unit of work. Events run at a tick; events at the
+// same tick run in scheduling order (seq), which keeps runs
+// deterministic.
+type event struct {
+	at      Tick
+	seq     int64
+	kind    Kind
+	payload any
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event scheduler. It is not safe for
@@ -60,15 +60,32 @@ func (h *eventHeap) Pop() any {
 // replica level (independent engines per goroutine).
 type Engine struct {
 	now     Tick
-	queue   eventHeap
+	queue   []event // binary min-heap on (at, seq)
+	kinds   []kind  // kinds[k-1] is Kind k
+	byName  map[string]Kind
 	nextSeq int64
 	ran     int64
 	stopped bool
 }
 
-// NewEngine returns an engine positioned at tick 0 with an empty queue.
+// NewEngine returns an engine positioned at tick 0 with an empty queue
+// and no registered kinds.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{byName: make(map[string]Kind)}
+}
+
+// Handle registers the handler for events of the named kind and returns
+// the Kind to schedule them under. Names are unique per engine: they are
+// what a checkpoint records and what Restore resolves.
+func (e *Engine) Handle(name string, run Handler) Kind {
+	if _, dup := e.byName[name]; dup {
+		//replend:allow nopanic kinds are registered at construction from fixed names; a duplicate is a wiring bug no run-path data reaches
+		panic(fmt.Sprintf("sim: event kind %q registered twice", name))
+	}
+	e.kinds = append(e.kinds, kind{name: name, run: run})
+	k := Kind(len(e.kinds))
+	e.byName[name] = k
+	return k
 }
 
 // Now returns the current simulation time.
@@ -80,51 +97,30 @@ func (e *Engine) Processed() int64 { return e.ran }
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule queues fn to run at the absolute tick at. Scheduling in the past
-// (before Now) is a programming error and panics: the simulator has no
-// notion of retroactive work.
-func (e *Engine) Schedule(at Tick, name string, fn func()) {
+// Schedule queues an event of kind k, carrying payload, to run at the
+// absolute tick at. Scheduling in the past (before Now) is a programming
+// error and panics: the simulator has no notion of retroactive work.
+func (e *Engine) Schedule(at Tick, k Kind, payload any) {
 	if at < e.now {
 		//replend:allow nopanic scheduling into the past is a programming error by design (documented above); no run-path data reaches here
-		panic(fmt.Sprintf("sim: scheduling %q at tick %d before now (%d)", name, at, e.now))
+		panic(fmt.Sprintf("sim: scheduling %q at tick %d before now (%d)", e.kinds[k-1].name, at, e.now))
 	}
-	ev := &Event{At: at, Name: name, Run: fn, seq: e.nextSeq}
+	e.push(event{at: at, seq: e.nextSeq, kind: k, payload: payload})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 }
 
-// After queues fn to run delay ticks from now.
-func (e *Engine) After(delay Tick, name string, fn func()) {
+// After queues an event of kind k to run delay ticks from now.
+func (e *Engine) After(delay Tick, k Kind, payload any) {
 	if delay < 0 {
 		//replend:allow nopanic negative delays are a programming error by design; event bodies clamp their draws first
-		panic(fmt.Sprintf("sim: negative delay %d for %q", delay, name))
+		panic(fmt.Sprintf("sim: negative delay %d for kind %d", delay, k))
 	}
-	e.Schedule(e.now+delay, name, fn)
+	e.Schedule(e.now+delay, k, payload)
 }
 
-// SchedulePayload is Schedule with a checkpoint tag: payload is the data a
-// snapshot uses to rebuild fn when restoring in a fresh process.
-func (e *Engine) SchedulePayload(at Tick, name string, payload any, fn func()) {
-	if at < e.now {
-		//replend:allow nopanic scheduling into the past is a programming error by design (documented above); no run-path data reaches here
-		panic(fmt.Sprintf("sim: scheduling %q at tick %d before now (%d)", name, at, e.now))
-	}
-	ev := &Event{At: at, Name: name, Run: fn, Payload: payload, seq: e.nextSeq}
-	e.nextSeq++
-	heap.Push(&e.queue, ev)
-}
-
-// AfterPayload is After with a checkpoint tag; see SchedulePayload.
-func (e *Engine) AfterPayload(delay Tick, name string, payload any, fn func()) {
-	if delay < 0 {
-		//replend:allow nopanic negative delays are a programming error by design; event bodies clamp their draws first
-		panic(fmt.Sprintf("sim: negative delay %d for %q", delay, name))
-	}
-	e.SchedulePayload(e.now+delay, name, payload, fn)
-}
-
-// PendingEvent is the checkpoint view of one queued event: everything but
-// the closure, which the restoring side rebuilds from (Name, Payload).
+// PendingEvent is the checkpoint view of one queued event: its firing
+// tick, sequence number, the registered name of its kind, and its
+// payload.
 type PendingEvent struct {
 	At      Tick
 	Name    string
@@ -133,18 +129,14 @@ type PendingEvent struct {
 }
 
 // Pendings returns the queued events in execution order (At, then
-// scheduling order). The closures themselves are not exported; a
-// checkpoint stores (Name, Payload) and rebuilds them on restore.
+// scheduling order).
 func (e *Engine) Pendings() []PendingEvent {
-	out := make([]PendingEvent, 0, len(e.queue))
-	for _, ev := range e.queue {
-		out = append(out, PendingEvent{At: ev.At, Name: ev.Name, Seq: ev.seq, Payload: ev.Payload})
+	out := make([]PendingEvent, len(e.queue))
+	for i, ev := range e.queue {
+		out[i] = PendingEvent{At: ev.at, Name: e.kinds[ev.kind-1].name, Seq: ev.seq, Payload: ev.payload}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Seq < out[j].Seq
+	slices.SortFunc(out, func(a, b PendingEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }
@@ -154,33 +146,78 @@ func (e *Engine) Pendings() []PendingEvent {
 func (e *Engine) NextSeq() int64 { return e.nextSeq }
 
 // Restore resets the engine to a checkpointed scheduler state: clock at
-// now, the given pending events re-queued with their original sequence
-// numbers (preserving intra-tick FIFO order exactly), and the sequence
-// counter at nextSeq. rebuild maps each pending event back to its closure;
-// a nil closure or non-nil error aborts the restore, leaving the engine in
-// an unspecified state the caller must discard.
-func (e *Engine) Restore(now Tick, nextSeq int64, events []PendingEvent, rebuild func(PendingEvent) (func(), error)) error {
+// now, the given pending events re-queued under the handlers registered
+// for their names with their original sequence numbers (preserving
+// intra-tick FIFO order exactly), and the sequence counter at nextSeq.
+// An event due before now, a sequence number at or past nextSeq or
+// shared by two events, or a name no handler is registered under aborts
+// the restore, leaving the engine in an unspecified state the caller
+// must discard.
+func (e *Engine) Restore(now Tick, nextSeq int64, events []PendingEvent) error {
 	e.queue = e.queue[:0]
 	e.now = now
 	e.nextSeq = nextSeq
 	e.stopped = false
-	for _, pe := range events {
+	seqs := make([]int64, len(events))
+	for i, pe := range events {
 		if pe.At < now {
 			return fmt.Errorf("sim: restore: event %q at tick %d before now (%d)", pe.Name, pe.At, now)
 		}
 		if pe.Seq >= nextSeq {
 			return fmt.Errorf("sim: restore: event %q has seq %d >= next seq %d", pe.Name, pe.Seq, nextSeq)
 		}
-		fn, err := rebuild(pe)
-		if err != nil {
-			return fmt.Errorf("sim: restore: rebuilding %q at tick %d: %w", pe.Name, pe.At, err)
+		k, ok := e.byName[pe.Name]
+		if !ok {
+			return fmt.Errorf("sim: restore: event %q at tick %d has no registered handler", pe.Name, pe.At)
 		}
-		if fn == nil {
-			return fmt.Errorf("sim: restore: no closure for %q at tick %d", pe.Name, pe.At)
+		seqs[i] = pe.Seq
+		e.push(event{at: pe.At, seq: pe.Seq, kind: k, payload: pe.Payload})
+	}
+	slices.Sort(seqs)
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] == seqs[i-1] {
+			return fmt.Errorf("sim: restore: two events share seq %d", seqs[i])
 		}
-		heap.Push(&e.queue, &Event{At: pe.At, Name: pe.Name, Run: fn, Payload: pe.Payload, seq: pe.Seq})
 	}
 	return nil
+}
+
+// push adds ev to the heap.
+func (e *Engine) push(ev event) {
+	q := append(e.queue, ev)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	e.queue = q
+}
+
+// pop removes and returns the earliest event of a non-empty heap.
+func (e *Engine) pop() event {
+	q := e.queue
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{} // the cleared slot drops its payload reference
+	q = q[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && q[child+1].before(q[child]) {
+			child++
+		}
+		if !q[child].before(q[i]) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
+	e.queue = q
+	return top
 }
 
 // Stop makes the current Run invocation return after the in-flight event
@@ -193,10 +230,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.At
+	ev := e.pop()
+	e.now = ev.at
 	e.ran++
-	ev.Run()
+	e.kinds[ev.kind-1].run(ev.payload)
 	return true
 }
 
@@ -207,7 +244,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(deadline Tick) int64 {
 	e.stopped = false
 	start := e.ran
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].At <= deadline {
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline && !e.stopped {

@@ -94,7 +94,8 @@ func runScript(s batchScript, seed uint64, batched bool) string {
 			b.Crash(dests[i])
 		}
 	}
-	eng.Schedule(0, "fanout", func() {
+	call := eng.Handle("call", func(fn any) { fn.(func())() })
+	eng.Schedule(0, call, func() {
 		if batched {
 			b.SendBatch(from, "credit", "pay", dests)
 		} else {
@@ -107,7 +108,7 @@ func runScript(s batchScript, seed uint64, batched bool) string {
 			// the delivery tick: it must run after every delivery on
 			// both paths.
 			at := eng.Now() + s.delay
-			eng.Schedule(at, "competitor", func() {
+			eng.Schedule(at, call, func() {
 				trace += fmt.Sprintf("comp@%d;", eng.Now())
 			})
 		}

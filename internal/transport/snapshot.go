@@ -68,9 +68,9 @@ func VerifyOnlyPublic(ident Identity) (ed25519.PublicKey, bool) {
 }
 
 // FaultsActive reports whether the bus has loss or delay injection
-// configured. Delayed deliveries live in the event queue as closures over
-// in-flight messages, which a checkpoint cannot serialize, so snapshotting
-// is refused while faults are active.
+// configured. Delayed deliveries live in the event queue as events
+// carrying in-flight messages, whose payloads a checkpoint cannot
+// serialize, so snapshotting is refused while faults are active.
 func (b *Bus) FaultsActive() bool { return b.lossProb > 0 || b.delay > 0 }
 
 // CrashedAddrs returns the currently crashed addresses in ascending ID

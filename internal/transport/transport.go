@@ -46,11 +46,23 @@ type Bus struct {
 	stats    Stats
 
 	// Fault injection; all zero by default = the paper's instant lossless
-	// network.
-	lossProb float64
-	delay    sim.Tick
-	engine   *sim.Engine
-	rand     *rng.Source
+	// network. Delayed deliveries are events of two kinds registered on
+	// engine: one message, or one batch.
+	lossProb    float64
+	delay       sim.Tick
+	engine      *sim.Engine
+	deliverKind sim.Kind
+	batchKind   sim.Kind
+	rand        *rng.Source
+}
+
+// delayedBatch is the payload of a delayed SendBatch: the surviving
+// destinations of one fan-out, delivered in order from one event.
+type delayedBatch struct {
+	from    id.ID
+	kind    string
+	payload any
+	to      []id.ID
 }
 
 // NewBus returns a bus with the paper's default network model: instant,
@@ -104,7 +116,9 @@ func (b *Bus) SetLoss(p float64) {
 func (b *Bus) SetFaultRand(r *rng.Source) { b.rand = r }
 
 // SetDelay configures a fixed delivery delay in ticks, scheduled on the
-// given engine. A zero delay restores synchronous delivery.
+// given engine, on which the first call registers the "deliver" and
+// "deliver-batch" event kinds. A zero delay restores synchronous
+// delivery.
 func (b *Bus) SetDelay(e *sim.Engine, d sim.Tick) {
 	if d < 0 {
 		//replend:allow nopanic construction-time misuse guard: fault injection is configured before any run starts
@@ -114,7 +128,17 @@ func (b *Bus) SetDelay(e *sim.Engine, d sim.Tick) {
 		//replend:allow nopanic construction-time misuse guard: fault injection is configured before any run starts
 		panic("transport: delay requires an engine")
 	}
-	b.engine, b.delay = e, d
+	if e != nil && e != b.engine {
+		b.engine = e
+		b.deliverKind = e.Handle("deliver", func(m any) { b.deliver(m.(Message)) })
+		b.batchKind = e.Handle("deliver-batch", func(batch any) {
+			d := batch.(delayedBatch)
+			for _, dst := range d.to {
+				b.deliver(Message{From: d.from, To: dst, Kind: d.kind, Payload: d.payload})
+			}
+		})
+	}
+	b.delay = d
 }
 
 // Stats returns a copy of the activity counters.
@@ -136,7 +160,7 @@ func (b *Bus) Send(m Message) {
 		}
 	}
 	if b.delay > 0 {
-		b.engine.After(b.delay, "deliver:"+m.Kind, func() { b.deliver(m) })
+		b.engine.After(b.delay, b.deliverKind, m)
 		return
 	}
 	b.deliver(m)
@@ -212,12 +236,8 @@ func (b *Bus) SendBatch(from id.ID, kind string, payload any, to []id.ID) {
 			}
 			live = kept
 		}
-		batch := append([]id.ID(nil), live...)
-		b.engine.After(b.delay, "deliver-batch:"+kind, func() {
-			for _, dst := range batch {
-				b.deliver(Message{From: from, To: dst, Kind: kind, Payload: payload})
-			}
-		})
+		batch := delayedBatch{from: from, kind: kind, payload: payload, to: append([]id.ID(nil), live...)}
+		b.engine.After(b.delay, b.batchKind, batch)
 		return
 	}
 	for _, dst := range to {

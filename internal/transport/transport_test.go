@@ -128,7 +128,8 @@ func TestDelayedDelivery(t *testing.T) {
 	dst := id.FromUint64(1)
 	var deliveredAt sim.Tick = -1
 	b.Register(dst, func(Message) { deliveredAt = e.Now() })
-	e.Schedule(100, "send", func() { b.Send(Message{To: dst, Kind: "x"}) })
+	send := e.Handle("send", func(m any) { b.Send(m.(Message)) })
+	e.Schedule(100, send, Message{To: dst, Kind: "x"})
 	e.Drain()
 	if deliveredAt != 110 {
 		t.Fatalf("delivered at %d, want 110", deliveredAt)

@@ -201,19 +201,17 @@ func (w *World) scheduleNextDeparture() {
 		at = w.engine.Now() + 1
 		w.departClk = float64(at)
 	}
-	w.engine.SchedulePayload(at, "departure", genPayload{Gen: gen}, w.departureBody(gen))
+	w.engine.Schedule(at, w.kinds.departure, genPayload{Gen: gen})
 }
 
-// departureBody is the departure event armed under the given process
+// departureEvent is the departure armed under the payload's process
 // generation: it aborts if a μ delta re-armed the chain since.
-func (w *World) departureBody(gen int64) func() {
-	return func() {
-		if gen != w.departGen {
-			return
-		}
-		w.handleDeparture()
-		w.scheduleNextDeparture()
+func (w *World) departureEvent(payload any) {
+	if payload.(genPayload).Gen != w.departGen {
+		return
 	}
+	w.handleDeparture()
+	w.scheduleNextDeparture()
 }
 
 // rearmDepartures cancels any in-flight departure chain and, when μ is
@@ -253,29 +251,27 @@ func (w *World) scheduleSessionEnd(p *peer.Peer) {
 // session happened to end during a population trough would become
 // immortal for the rest of the run.
 func (w *World) armSessionEnd(p *peer.Peer, joined, at sim.Tick) {
-	w.engine.SchedulePayload(at, "session-end",
-		sessionPayload{Peer: p.ID, Joined: joined}, w.sessionEndBody(p.ID, joined))
+	w.engine.Schedule(at, w.kinds.sessionEnd, sessionPayload{Peer: p.ID, Joined: joined})
 }
 
-// sessionEndBody is the session-expiry event of the peer admitted at
-// joined. The peer is resolved by identifier at fire time: a departure
-// in the interim removes it from the peer table, a rejoin bumps
-// JoinedAt — either way the stale event aborts.
-func (w *World) sessionEndBody(pid id.ID, joined sim.Tick) func() {
-	return func() {
-		if w.err != nil || !w.IsAdmitted(pid) {
-			return
-		}
-		p := w.livePeer(pid)
-		if p == nil || p.JoinedAt != joined {
-			return
-		}
-		if len(w.admittedPeers) <= w.minPopulation() {
-			w.armSessionEnd(p, joined, w.engine.Now()+sim.Tick(w.sessionExtension(p)))
-			return
-		}
-		w.churnDepart(p)
+// sessionEndEvent is the session expiry of the peer the payload names,
+// admitted at its Joined tick. The peer is resolved by identifier at
+// fire time: a departure in the interim removes it from the peer table,
+// a rejoin bumps JoinedAt — either way the stale event aborts.
+func (w *World) sessionEndEvent(payload any) {
+	sp := payload.(sessionPayload)
+	if w.err != nil || !w.IsAdmitted(sp.Peer) {
+		return
 	}
+	p := w.livePeer(sp.Peer)
+	if p == nil || p.JoinedAt != sp.Joined {
+		return
+	}
+	if len(w.admittedPeers) <= w.minPopulation() {
+		w.armSessionEnd(p, sp.Joined, w.engine.Now()+sim.Tick(w.sessionExtension(p)))
+		return
+	}
+	w.churnDepart(p)
 }
 
 // churnDepart runs one process-driven departure: crash-or-leave draw,
@@ -296,19 +292,17 @@ func (w *World) churnDepart(p *peer.Peer) {
 		w.forgetDeparted(p.ID)
 		return
 	}
-	pid := p.ID
-	w.engine.AfterPayload(sim.Tick(after), "rejoin", peerPayload{Peer: pid}, w.rejoinBody(pid))
+	w.engine.After(sim.Tick(after), w.kinds.rejoin, peerPayload{Peer: p.ID})
 }
 
-// rejoinBody is the scheduled return of a process-departed peer.
-func (w *World) rejoinBody(pid id.ID) func() {
-	return func() {
-		if w.err != nil || !w.IsDeparted(pid) {
-			return
-		}
-		if err := w.Rejoin(pid); err != nil {
-			w.fail(fmt.Errorf("sim: rejoin of %s: %w", pid.Short(), err))
-		}
+// rejoinEvent is the scheduled return of a process-departed peer.
+func (w *World) rejoinEvent(payload any) {
+	pid := payload.(peerPayload).Peer
+	if w.err != nil || !w.IsDeparted(pid) {
+		return
+	}
+	if err := w.Rejoin(pid); err != nil {
+		w.fail(fmt.Errorf("sim: rejoin of %s: %w", pid.Short(), err))
 	}
 }
 
@@ -400,29 +394,27 @@ func (w *World) scheduleStakeExpiry(p *peer.Peer) {
 	if w.cfg.StakeTimeout <= 0 || !w.proto.HasStake(p.ID) {
 		return
 	}
-	joined := p.JoinedAt
-	w.engine.AfterPayload(sim.Tick(w.cfg.StakeTimeout), "stake-expiry",
-		sessionPayload{Peer: p.ID, Joined: joined}, w.stakeExpiryBody(p.ID, joined))
+	w.engine.After(sim.Tick(w.cfg.StakeTimeout), w.kinds.stakeExpiry, sessionPayload{Peer: p.ID, Joined: p.JoinedAt})
 }
 
-// stakeExpiryBody is the offline-record TTL event for the peer that
-// departed with JoinedAt == joined. The peer is resolved by identifier:
-// it may still sit in the departed set, be back in the community (a
-// rejoin bumped JoinedAt, cancelling the timer), or be gone for good
-// (forgotten after a no-rejoin draw) — in which case no object remains,
-// JoinedAt cannot have moved, and the expiry proceeds.
-func (w *World) stakeExpiryBody(pid id.ID, joined sim.Tick) func() {
-	return func() {
-		if w.err != nil || w.IsAdmitted(pid) {
-			return
-		}
-		if p := w.peerByID(pid); p != nil && p.JoinedAt != joined {
-			return
-		}
-		if state, ok := w.proto.ExpireStake(pid); ok {
-			w.m.Churn.StakesExpired++
-			w.record(telemetry.StakeExpired, pid, id.ID{}, state.String())
-		}
+// stakeExpiryEvent is the offline-record TTL of the peer the payload
+// names, which departed with JoinedAt equal to its Joined tick. The peer
+// is resolved by identifier: it may still sit in the departed set, be
+// back in the community (a rejoin bumped JoinedAt, cancelling the
+// timer), or be gone for good (forgotten after a no-rejoin draw) — in
+// which case no object remains, JoinedAt cannot have moved, and the
+// expiry proceeds.
+func (w *World) stakeExpiryEvent(payload any) {
+	sp := payload.(sessionPayload)
+	if w.err != nil || w.IsAdmitted(sp.Peer) {
+		return
+	}
+	if p := w.peerByID(sp.Peer); p != nil && p.JoinedAt != sp.Joined {
+		return
+	}
+	if state, ok := w.proto.ExpireStake(sp.Peer); ok {
+		w.m.Churn.StakesExpired++
+		w.record(telemetry.StakeExpired, sp.Peer, id.ID{}, state.String())
 	}
 }
 
@@ -435,26 +427,24 @@ func (w *World) scheduleLeaseExpiry(p *peer.Peer) {
 	if w.cfg.Churn.LeaseTTL <= 0 {
 		return
 	}
-	joined := p.JoinedAt
-	w.engine.AfterPayload(sim.Tick(w.cfg.Churn.LeaseTTL), "lease-expiry",
-		sessionPayload{Peer: p.ID, Joined: joined}, w.leaseExpiryBody(p.ID, joined))
+	w.engine.After(sim.Tick(w.cfg.Churn.LeaseTTL), w.kinds.leaseExpiry, sessionPayload{Peer: p.ID, Joined: p.JoinedAt})
 }
 
-// leaseExpiryBody is the record-lease TTL event for the peer that
-// departed with JoinedAt == joined. Resolution mirrors stakeExpiryBody:
-// readmission or a JoinedAt bump cancels the eviction; a peer already
-// forgotten (no-rejoin draw) has no records left to evict.
-func (w *World) leaseExpiryBody(pid id.ID, joined sim.Tick) func() {
-	return func() {
-		if w.err != nil || w.IsAdmitted(pid) {
-			return
-		}
-		p := w.peerByID(pid)
-		if p == nil || p.JoinedAt != joined {
-			return
-		}
-		w.evictLease(pid)
+// leaseExpiryEvent is the record-lease TTL of the peer the payload
+// names, which departed with JoinedAt equal to its Joined tick.
+// Resolution mirrors stakeExpiryEvent: readmission or a JoinedAt bump
+// cancels the eviction; a peer already forgotten (no-rejoin draw) has no
+// records left to evict.
+func (w *World) leaseExpiryEvent(payload any) {
+	sp := payload.(sessionPayload)
+	if w.err != nil || w.IsAdmitted(sp.Peer) {
+		return
 	}
+	p := w.peerByID(sp.Peer)
+	if p == nil || p.JoinedAt != sp.Joined {
+		return
+	}
+	w.evictLease(sp.Peer)
 }
 
 // evictLease expires a departed peer's record lease: the counter, the

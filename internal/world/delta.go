@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/lending"
 	"repro/internal/sim"
 )
 
@@ -137,14 +136,7 @@ func (w *World) ApplyDelta(d Delta) error {
 	lambdaChanged := next.Lambda != w.cfg.Lambda
 	muChanged := next.Churn.Mu != w.cfg.Churn.Mu
 	w.cfg = next
-	if err := w.proto.SetParams(lending.Params{
-		IntroAmt:       next.IntroAmt,
-		Reward:         next.Reward,
-		MinIntroRep:    next.MinIntroRep,
-		AuditThreshold: next.AuditThreshold,
-		Wait:           sim.Tick(next.WaitPeriod),
-		NumSM:          next.NumSM,
-	}); err != nil {
+	if err := w.proto.SetParams(lendingParams(next)); err != nil {
 		return err // unreachable for a validated config; defensive
 	}
 	w.churnProc.SetParams(next.Churn)
@@ -163,23 +155,28 @@ func (w *World) ApplyDelta(d Delta) error {
 // it fires; an invalid combination fails the world then (Run/RunFor
 // return the error and Err reports it), so callers composing multi-phase
 // schedules should pre-validate them (scenario.Spec.Validate does). The
-// name labels the event in diagnostics.
+// name labels the event in diagnostics and in checkpoints.
 func (w *World) ScheduleDelta(at sim.Tick, name string, d Delta) {
 	if name == "" {
 		name = "phase"
 	}
-	w.engine.SchedulePayload(at, name, deltaPayload{Delta: d}, w.deltaBody(name, at, d))
+	w.engine.Schedule(at, w.kinds.delta, labeledDelta{Label: name, Delta: d})
 }
 
-// deltaBody is a scheduled parameter change. The event's name is caller-
-// chosen, so checkpoints identify deltas by payload kind, not by name.
-func (w *World) deltaBody(name string, at sim.Tick, d Delta) func() {
-	return func() {
-		if err := w.ApplyDelta(d); err != nil {
-			// Run-path failures propagate, never panic: a bad delta in
-			// one replica must fail that unit, not the whole process
-			// (which may be a fleet worker running sibling units).
-			w.fail(fmt.Errorf("world: scheduled delta %q at tick %d: %w", name, at, err))
-		}
+// labeledDelta is the payload of a scheduled delta: the change and the
+// caller's label, which a checkpoint records as the event's name.
+type labeledDelta struct {
+	Label string
+	Delta Delta
+}
+
+// deltaEvent applies a scheduled parameter change.
+func (w *World) deltaEvent(payload any) {
+	d := payload.(labeledDelta)
+	if err := w.ApplyDelta(d.Delta); err != nil {
+		// Run-path failures propagate, never panic: a bad delta in one
+		// replica must fail that unit, not the whole process (which may
+		// be a fleet worker running sibling units).
+		w.fail(fmt.Errorf("world: scheduled delta %q at tick %d: %w", d.Label, w.engine.Now(), err))
 	}
 }

@@ -16,11 +16,11 @@ package world
 //     admission list, the dirty-reputation queue, the placement-index
 //     slices), so encoding never iterates a Go map.
 //
-//   - Pending events carry typed payloads (see the *Body constructors
-//     in world.go/churn.go/delta.go): a checkpoint stores (name, seq,
-//     payload) and the restore rebuilds the exact closure, re-inserted
-//     under its original sequence number so intra-tick FIFO order is
-//     preserved.
+//   - Pending events are data: a kind, registered once with its handler
+//     (newBare and lending.New), and a typed payload. A checkpoint
+//     stores (kind name, seq, payload), and the restore re-queues each
+//     record under the handler registered for its name, at its original
+//     sequence number, so intra-tick FIFO order is preserved.
 //
 //   - Caches that are pure functions of captured state (ring structure,
 //     signature memos, store placeholder slots) are rebuilt, while
@@ -29,8 +29,8 @@ package world
 //     captured verbatim.
 //
 // Snapshots are refused while transport faults are active: delayed
-// deliveries live in the queue as closures over in-flight messages,
-// which no payload can describe.
+// deliveries are queued events carrying in-flight messages, whose
+// payloads have no record form.
 
 import (
 	"fmt"
@@ -63,8 +63,10 @@ import (
 // binary checkpoint codec, with typed event payloads in EventRecord.
 const SnapshotVersion = 5
 
-// Event payload types. Each pending-event kind the world schedules has
-// one; the payload pins everything the matching *Body constructor needs.
+// Event payload types. Each pending-event kind the world schedules but
+// "transaction" and "sample" carries one, pinning everything its handler
+// needs; EventRecord stores it as is, except labeledDelta (delta.go),
+// whose label becomes the record's name.
 type (
 	// genPayload tags the self-rescheduling Poisson chains ("arrival",
 	// "departure") with the process generation they were armed under.
@@ -82,8 +84,8 @@ type (
 		Peer   id.ID
 		Joined sim.Tick
 	}
-	// deltaPayload tags scheduled parameter changes; the event name is
-	// caller-chosen, so the payload kind identifies deltas.
+	// deltaPayload is the record form of a scheduled parameter change
+	// ("delta").
 	deltaPayload struct {
 		Delta Delta
 	}
@@ -94,10 +96,10 @@ type (
 	}
 )
 
-// EventRecord is one pending event: its firing tick, diagnostic name,
-// original sequence number (intra-tick FIFO position) and typed payload.
-// Exactly the payload field of Kind is set; "transaction" and "sample"
-// events carry none.
+// EventRecord is one pending event: its firing tick, name (its kind's,
+// or a delta's label), original sequence number (intra-tick FIFO
+// position), kind and typed payload. Exactly the payload field of Kind
+// is set; "transaction" and "sample" events carry none.
 type EventRecord struct {
 	At   sim.Tick
 	Name string
@@ -682,107 +684,89 @@ func Restore(s *Snapshot) (*World, error) {
 
 	events := make([]sim.PendingEvent, len(s.Events))
 	for i, rec := range s.Events {
-		payload, err := decodeEventPayload(rec)
-		if err != nil {
+		if events[i], err = w.decodeEvent(rec); err != nil {
 			return nil, err
 		}
-		events[i] = sim.PendingEvent{At: rec.At, Name: rec.Name, Seq: rec.Seq, Payload: payload}
 	}
 	w.started = true
-	if err := w.engine.Restore(s.Now, s.NextSeq, events, w.rebuildEvent); err != nil {
+	if err := w.engine.Restore(s.Now, s.NextSeq, events); err != nil {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
 	return w, nil
 }
 
-// encodeEvent serializes one pending event, validating that its payload
-// kind matches its name — unknown combinations mean an event this format
-// cannot rebuild, which fails the snapshot rather than dropping work.
+// encodeEvent serializes one pending event. Its kind fixes its payload
+// type, so the payload alone picks the record field; a payload no
+// record field holds (a delayed transport delivery) fails the snapshot
+// rather than dropping work.
 func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
-	rec := EventRecord{At: ev.At, Name: ev.Name, Seq: ev.Seq}
-	names := func(allowed ...string) error {
-		for _, n := range allowed {
-			if ev.Name == n {
-				return nil
-			}
-		}
-		return fmt.Errorf("world: pending event %q at tick %d has payload %T, which belongs to %v", ev.Name, ev.At, ev.Payload, allowed)
-	}
+	rec := EventRecord{At: ev.At, Name: ev.Name, Seq: ev.Seq, Kind: ev.Name}
 	switch p := ev.Payload.(type) {
 	case nil:
-		if err := names("transaction", "sample"); err != nil {
-			return rec, fmt.Errorf("world: pending event %q at tick %d has no checkpoint payload", ev.Name, ev.At)
-		}
-		rec.Kind = ev.Name
 	case genPayload:
-		if err := names("arrival", "departure"); err != nil {
-			return rec, err
-		}
-		rec.Kind, rec.Gen = ev.Name, &p
+		rec.Gen = &p
 	case peerPayload:
-		if err := names("stake-timeout", "rejoin"); err != nil {
-			return rec, err
-		}
-		rec.Kind, rec.Peer = ev.Name, &p
+		rec.Peer = &p
 	case sessionPayload:
-		if err := names("session-end", "stake-expiry", "lease-expiry"); err != nil {
-			return rec, err
-		}
-		rec.Kind, rec.Session = ev.Name, &p
+		rec.Session = &p
 	case lending.IntroWait:
-		if err := names("intro-refuse", "intro-lend"); err != nil {
-			return rec, err
-		}
-		rec.Kind, rec.Intro = ev.Name, &p
+		rec.Intro = &p
 	case replayPayload:
-		if err := names("wk-replay"); err != nil {
-			return rec, err
-		}
-		rec.Kind, rec.Replay = ev.Name, &p
-	case deltaPayload:
-		rec.Kind, rec.Delta = "delta", &p
+		rec.Replay = &p
+	case labeledDelta:
+		rec.Name, rec.Delta = p.Label, &deltaPayload{Delta: p.Delta}
 	default:
 		return rec, fmt.Errorf("world: cannot checkpoint pending event %q at tick %d (payload %T)", ev.Name, ev.At, ev.Payload)
 	}
 	return rec, nil
 }
 
-// decodeEventPayload returns an event record's payload, validating the
-// kind/name pairing encodeEvent enforced and that the record carries
-// its kind's payload and no other.
-func decodeEventPayload(rec EventRecord) (any, error) {
-	var payload any
+// decodeEvent turns an event record back into a pending event,
+// validating that the record carries exactly its kind's payload, under
+// the kind's own name unless it is a delta, and that a replay event
+// indexes an arrival of the configured trace. The engine resolves the
+// kind name to its handler.
+func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
+	pe := sim.PendingEvent{At: rec.At, Name: rec.Kind, Seq: rec.Seq}
 	switch rec.Kind {
 	case "transaction", "sample":
 	case "arrival", "departure":
 		if rec.Gen != nil {
-			payload = *rec.Gen
+			pe.Payload = *rec.Gen
 		}
 	case "stake-timeout", "rejoin":
 		if rec.Peer != nil {
-			payload = *rec.Peer
+			pe.Payload = *rec.Peer
 		}
 	case "session-end", "stake-expiry", "lease-expiry":
 		if rec.Session != nil {
-			payload = *rec.Session
+			pe.Payload = *rec.Session
 		}
 	case "intro-refuse", "intro-lend":
 		if rec.Intro != nil {
-			payload = *rec.Intro
+			pe.Payload = *rec.Intro
 		}
 	case "wk-replay":
-		if rec.Replay != nil {
-			payload = *rec.Replay
+		if p := rec.Replay; p != nil {
+			switch {
+			case !w.replaying():
+				return pe, fmt.Errorf("world: replay event in a snapshot whose config replays no trace")
+			case p.Idx < 0 || p.Idx >= int64(len(w.cfg.Workload.Trace)):
+				return pe, fmt.Errorf("world: replay event index %d out of range (trace has %d events)", p.Idx, len(w.cfg.Workload.Trace))
+			case w.cfg.Workload.Trace[p.Idx].Op != workload.OpArrival:
+				return pe, fmt.Errorf("world: replay event index %d is not an arrival", p.Idx)
+			}
+			pe.Payload = *p
 		}
 	case "delta":
 		if rec.Delta != nil {
-			payload = *rec.Delta
+			pe.Payload = labeledDelta{Label: rec.Name, Delta: rec.Delta.Delta}
 		}
 	default:
-		return nil, fmt.Errorf("world: unknown pending-event kind %q", rec.Kind)
+		return pe, fmt.Errorf("world: unknown pending-event kind %q", rec.Kind)
 	}
 	if rec.Kind != "delta" && rec.Name != rec.Kind {
-		return nil, fmt.Errorf("world: event kind %q under name %q", rec.Kind, rec.Name)
+		return pe, fmt.Errorf("world: event kind %q under name %q", rec.Kind, rec.Name)
 	}
 	set := 0
 	for _, present := range []bool{rec.Gen != nil, rec.Peer != nil, rec.Session != nil, rec.Intro != nil, rec.Replay != nil, rec.Delta != nil} {
@@ -794,66 +778,10 @@ func decodeEventPayload(rec EventRecord) (any, error) {
 	if rec.Kind == "transaction" || rec.Kind == "sample" {
 		want = 0
 	}
-	if set != want || (want == 1 && payload == nil) {
-		return nil, fmt.Errorf("world: event %q does not carry exactly its kind's payload", rec.Kind)
+	if set != want || (want == 1 && pe.Payload == nil) {
+		return pe, fmt.Errorf("world: event %q does not carry exactly its kind's payload", rec.Kind)
 	}
-	return payload, nil
-}
-
-// rebuildEvent maps a restored pending event back to its closure.
-func (w *World) rebuildEvent(pe sim.PendingEvent) (func(), error) {
-	switch p := pe.Payload.(type) {
-	case nil:
-		switch pe.Name {
-		case "transaction":
-			return w.transactionStep, nil
-		case "sample":
-			return w.sampleStep, nil
-		}
-	case genPayload:
-		switch pe.Name {
-		case "arrival":
-			return w.arrivalBody(p.Gen), nil
-		case "departure":
-			return w.departureBody(p.Gen), nil
-		}
-	case peerPayload:
-		switch pe.Name {
-		case "stake-timeout":
-			return w.stakeTimeoutBody(p.Peer), nil
-		case "rejoin":
-			return w.rejoinBody(p.Peer), nil
-		}
-	case sessionPayload:
-		switch pe.Name {
-		case "session-end":
-			return w.sessionEndBody(p.Peer, p.Joined), nil
-		case "stake-expiry":
-			return w.stakeExpiryBody(p.Peer, p.Joined), nil
-		case "lease-expiry":
-			return w.leaseExpiryBody(p.Peer, p.Joined), nil
-		}
-	case lending.IntroWait:
-		return w.proto.RebuildIntroEvent(pe.Name, p)
-	case replayPayload:
-		if pe.Name != "wk-replay" {
-			break
-		}
-		if !w.replaying() {
-			return nil, fmt.Errorf("world: replay event in a snapshot whose config replays no trace")
-		}
-		tr := w.cfg.Workload.Trace
-		if p.Idx < 0 || p.Idx >= int64(len(tr)) {
-			return nil, fmt.Errorf("world: replay event index %d out of range (trace has %d events)", p.Idx, len(tr))
-		}
-		if tr[p.Idx].Op != workload.OpArrival {
-			return nil, fmt.Errorf("world: replay event index %d is not an arrival", p.Idx)
-		}
-		return w.replayBody(p.Idx), nil
-	case deltaPayload:
-		return w.deltaBody(pe.Name, pe.At, p.Delta), nil
-	}
-	return nil, fmt.Errorf("world: no rebuild rule for event %q (payload %T)", pe.Name, pe.Payload)
+	return pe, nil
 }
 
 // peerRecord captures one peer object.

@@ -21,12 +21,15 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rocq"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-// churnyCfg is a fast configuration that exercises every checkpointable
-// event kind: Poisson arrivals and departures, session clocks with
-// crashes and rejoins, waiting-period intro events, stake timeouts and
-// offline-stake expiries.
+// churnyCfg is a fast configuration whose pending queue, mid-run, holds
+// every event kind but three: Poisson arrivals and departures, session
+// clocks with crashes and rejoins, waiting-period intro events, stake
+// timeouts and offline-stake expiries, beside the transaction and
+// sample processes. Record leases, trace replay and scheduled deltas
+// need more (see TestEveryEventKindCrossesACheckpoint).
 func churnyCfg(seed uint64) config.Config {
 	c := config.Default()
 	c.NumInit = 25
@@ -156,6 +159,79 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 				t.Fatalf("restored run diverged from uninterrupted run (fingerprints differ: %d vs %d bytes)", len(want), len(got))
 			}
 		})
+	}
+}
+
+// TestEveryEventKindCrossesACheckpoint cuts three runs whose pending
+// queues hold, between them, all 13 event kinds the world and its
+// lending protocol register: churnyCfg with a delta scheduled past the
+// cut, churnyCfg with record leases, and a replay of churnyCfg's
+// recorded trace. Each cut must hold the kinds its case lists, and each
+// restored run must finish with its uncut run's fingerprint.
+func TestEveryEventKindCrossesACheckpoint(t *testing.T) {
+	churny := churnyCfg(2)
+	lease := churny
+	lease.Churn.LeaseTTL = 400
+	rec := workload.NewRecorder(workload.Header{Seed: churny.Seed})
+	w, err := New(churny)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.SetWorkloadRecorder(rec)
+	if err := w.Run(); err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+	replay := churny
+	replay.Workload = &workload.Spec{Trace: rec.Events()}
+
+	cases := []struct {
+		name string
+		cfg  config.Config
+		want []string
+	}{
+		{"churny", churny, []string{"transaction", "sample", "arrival", "departure", "session-end", "rejoin",
+			"stake-timeout", "stake-expiry", "intro-refuse", "intro-lend", "delta"}},
+		{"lease", lease, []string{"lease-expiry"}},
+		{"replay", replay, []string{"wk-replay"}},
+	}
+	const cut = 1500
+	frac := 0.3
+	for _, tc := range cases {
+		run := func(cutting bool) []byte {
+			w, err := New(tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: New: %v", tc.name, err)
+			}
+			w.Start()
+			w.ScheduleDelta(3000, "late-wave", Delta{FracUncoop: &frac})
+			if cutting {
+				if err := w.RunFor(cut); err != nil {
+					t.Fatalf("%s: RunFor: %v", tc.name, err)
+				}
+				snap, err := w.Snapshot()
+				if err != nil {
+					t.Fatalf("%s: Snapshot: %v", tc.name, err)
+				}
+				held := map[string]bool{}
+				for _, ev := range snap.Events {
+					held[ev.Kind] = true
+				}
+				for _, kind := range tc.want {
+					if !held[kind] {
+						t.Errorf("%s: the cut at tick %d holds no pending %q event", tc.name, cut, kind)
+					}
+				}
+				w = roundTrip(t, w)
+			}
+			if err := w.RunFor(sim.Tick(tc.cfg.NumTrans) - w.Engine().Now()); err != nil {
+				t.Fatalf("%s: RunFor: %v", tc.name, err)
+			}
+			w.Finish()
+			return fingerprint(t, w)
+		}
+		if !bytes.Equal(run(false), run(true)) {
+			t.Errorf("%s: restored run diverged from the uncut run", tc.name)
+		}
 	}
 }
 
@@ -315,10 +391,10 @@ func TestDecodeSnapshotRejectsDefects(t *testing.T) {
 }
 
 // TestRestoreRejectsHostileArenas feeds Restore snapshots whose arena
-// table or placement-index count no world could have written. Each is
-// cut from a real snapshot, so it passes the decoder and reaches the
-// check it targets; Restore must refuse it rather than build a corrupt
-// arena.
+// table, placement-index count or event queue no world could have
+// written. Each is cut from a real snapshot, so it passes the decoder
+// and reaches the check it targets; Restore must refuse it rather than
+// build a corrupt arena or queue.
 func TestRestoreRejectsHostileArenas(t *testing.T) {
 	w, err := New(churnyCfg(7))
 	if err != nil {
@@ -336,8 +412,16 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if len(snap.Ordinals) < 2 || snap.SMDepSlots == 0 {
-		t.Fatalf("fixture too small: %d ordinals, %d placement slots", len(snap.Ordinals), snap.SMDepSlots)
+	// Two events due at the same tick: were they to share a sequence
+	// number, the heap, not the record, would order them.
+	sameTick := -1
+	for i := 1; i < len(snap.Events) && sameTick < 0; i++ {
+		if snap.Events[i].At == snap.Events[i-1].At {
+			sameTick = i
+		}
+	}
+	if len(snap.Ordinals) < 2 || snap.SMDepSlots == 0 || sameTick < 0 {
+		t.Fatalf("fixture too small: %d ordinals, %d placement slots, no two events at one tick", len(snap.Ordinals), snap.SMDepSlots)
 	}
 	cases := []struct {
 		name   string
@@ -353,6 +437,7 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 		}, "backs no peer state"},
 		{"placement slot count off by one", func(s *Snapshot) { s.SMDepSlots++ }, "placement index holds"},
 		{"negative placement slot count", func(s *Snapshot) { s.SMDepSlots = -1 << 40 }, "placement index holds"},
+		{"two events share a sequence number", func(s *Snapshot) { s.Events[sameTick].Seq = s.Events[sameTick-1].Seq }, "share seq"},
 	}
 	for _, tc := range cases {
 		s, err := openSnapshot(data)

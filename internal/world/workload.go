@@ -63,7 +63,7 @@ func (w *World) scheduleNextCandidate() {
 		at = w.engine.Now() + 1
 		w.arrClock = float64(at)
 	}
-	w.engine.SchedulePayload(at, "arrival", genPayload{Gen: gen}, w.arrivalBody(gen))
+	w.engine.Schedule(at, w.kinds.arrival, genPayload{Gen: gen})
 }
 
 // thinnedArrival runs the accept step of the thinning chain: the
@@ -207,7 +207,7 @@ func (w *World) pickRequester(n int) *peer.Peer {
 // skipping non-arrival records (departures and rejoins in a trace are
 // provenance, not commands: the replayed run's own session plans
 // reproduce them). Each pending replay event carries its index so a
-// checkpoint can rebuild the chain exactly.
+// checkpoint can restore the chain exactly.
 func (w *World) scheduleReplay(idx int64) {
 	tr := w.cfg.Workload.Trace
 	for idx < int64(len(tr)) && tr[idx].Op != workload.OpArrival {
@@ -221,19 +221,18 @@ func (w *World) scheduleReplay(idx int64) {
 	if at <= w.engine.Now() {
 		at = w.engine.Now() + 1
 	}
-	w.engine.SchedulePayload(at, "wk-replay", replayPayload{Idx: idx}, w.replayBody(idx))
+	w.engine.Schedule(at, w.kinds.replay, replayPayload{Idx: idx})
 }
 
-// replayBody returns the engine callback that re-drives the idx-th
-// trace event and arms the next one.
-func (w *World) replayBody(idx int64) func() {
-	return func() {
-		if w.err != nil {
-			return
-		}
-		w.handleReplayArrival(w.cfg.Workload.Trace[idx])
-		w.scheduleReplay(idx + 1)
+// replayEvent re-drives the trace event the payload indexes and arms the
+// next one.
+func (w *World) replayEvent(payload any) {
+	if w.err != nil {
+		return
 	}
+	idx := payload.(replayPayload).Idx
+	w.handleReplayArrival(w.cfg.Workload.Trace[idx])
+	w.scheduleReplay(idx + 1)
 }
 
 // handleReplayArrival re-drives one recorded arrival. Class and style

@@ -45,6 +45,8 @@ import (
 type World struct {
 	cfg    config.Config
 	engine *sim.Engine
+	//replend:allow snapshotfields registered by newBare on every engine; pending events cross a checkpoint by kind name
+	kinds  eventKinds
 	bus    *transport.Bus
 	ring   *overlay.Ring
 	topo   topology.Selector
@@ -375,6 +377,27 @@ func New(cfg config.Config) (*World, error) {
 	return w, nil
 }
 
+// eventKinds are the engine kinds of the events the world schedules. A
+// checkpoint records pending events by kind name; the lending protocol
+// registers its two waiting-period kinds itself.
+type eventKinds struct {
+	transaction, sample, arrival, departure, sessionEnd, rejoin sim.Kind
+	stakeTimeout, stakeExpiry, leaseExpiry, replay, delta       sim.Kind
+}
+
+// lendingParams maps a configuration onto the lending protocol's
+// constants.
+func lendingParams(cfg config.Config) lending.Params {
+	return lending.Params{
+		IntroAmt:       cfg.IntroAmt,
+		Reward:         cfg.Reward,
+		MinIntroRep:    cfg.MinIntroRep,
+		AuditThreshold: cfg.AuditThreshold,
+		Wait:           sim.Tick(cfg.WaitPeriod),
+		NumSM:          cfg.NumSM,
+	}
+}
+
 // newBare builds a world's substrates without populating it: the shared
 // construction path of New (which adds the founding community) and
 // Restore (which overwrites the blank state with a checkpoint).
@@ -406,6 +429,20 @@ func newBare(cfg config.Config) (*World, error) {
 			SessionLength:    metrics.NewHistogram("session-length"),
 		},
 	}
+	e := w.engine
+	w.kinds = eventKinds{
+		transaction:  e.Handle("transaction", w.transactionEvent),
+		sample:       e.Handle("sample", w.sampleEvent),
+		arrival:      e.Handle("arrival", w.arrivalEvent),
+		departure:    e.Handle("departure", w.departureEvent),
+		sessionEnd:   e.Handle("session-end", w.sessionEndEvent),
+		rejoin:       e.Handle("rejoin", w.rejoinEvent),
+		stakeTimeout: e.Handle("stake-timeout", w.stakeTimeoutEvent),
+		stakeExpiry:  e.Handle("stake-expiry", w.stakeExpiryEvent),
+		leaseExpiry:  e.Handle("lease-expiry", w.leaseExpiryEvent),
+		replay:       e.Handle("wk-replay", w.replayEvent),
+		delta:        e.Handle("delta", w.deltaEvent),
+	}
 	topo, err := topology.New(cfg.Topology, root.Split())
 	if err != nil {
 		return nil, err
@@ -432,14 +469,7 @@ func newBare(cfg config.Config) (*World, error) {
 		w.wkMaxDemand = wl.MaxDemand()
 	}
 
-	proto, err := lending.New(lending.Params{
-		IntroAmt:       cfg.IntroAmt,
-		Reward:         cfg.Reward,
-		MinIntroRep:    cfg.MinIntroRep,
-		AuditThreshold: cfg.AuditThreshold,
-		Wait:           sim.Tick(cfg.WaitPeriod),
-		NumSM:          cfg.NumSM,
-	}, w.engine, w.bus, w, lending.Events{
+	proto, err := lending.New(lendingParams(cfg), w.engine, w.bus, w, lending.Events{
 		Admitted:      w.onAdmitted,
 		Refused:       w.onRefused,
 		AuditOutcome:  w.onAuditOutcome,
@@ -1002,20 +1032,17 @@ func (w *World) onAdmitted(newcomer, introducer id.ID, at sim.Tick) {
 		// Arm the stake's audit deadline: if the audit has not settled it
 		// by then, the timeout rule resolves it (lending.TimeoutStake is
 		// a no-op on an already-terminal stake).
-		w.engine.AfterPayload(sim.Tick(w.cfg.StakeTimeout), "stake-timeout",
-			peerPayload{Peer: newcomer}, w.stakeTimeoutBody(newcomer))
+		w.engine.After(sim.Tick(w.cfg.StakeTimeout), w.kinds.stakeTimeout, peerPayload{Peer: newcomer})
 	}
 }
 
-// stakeTimeoutBody is the stake-timeout event: resolve the newcomer's
-// stake by the timeout rule if the audit has not settled it.
-func (w *World) stakeTimeoutBody(newcomer id.ID) func() {
-	return func() {
-		if w.err != nil {
-			return
-		}
-		w.proto.TimeoutStake(newcomer)
+// stakeTimeoutEvent resolves the newcomer's stake by the timeout rule if
+// the audit has not settled it.
+func (w *World) stakeTimeoutEvent(payload any) {
+	if w.err != nil {
+		return
 	}
+	w.proto.TimeoutStake(payload.(peerPayload).Peer)
 }
 
 // onStakeResolved counts stake-lifecycle outcomes (the refund/strand
@@ -1167,25 +1194,23 @@ func (w *World) scheduleNextArrival() {
 		at = w.engine.Now() + 1
 		w.arrClock = float64(at)
 	}
-	w.engine.SchedulePayload(at, "arrival", genPayload{Gen: gen}, w.arrivalBody(gen))
+	w.engine.Schedule(at, w.kinds.arrival, genPayload{Gen: gen})
 }
 
-// arrivalBody is the arrival event armed under the given process
+// arrivalEvent is the arrival armed under the payload's process
 // generation: it aborts if a λ delta re-armed the chain since. Under a
 // nonstationary rate program the event is a thinning candidate that may
 // be discarded (see thinnedArrival); either way the chain re-arms.
-func (w *World) arrivalBody(gen int64) func() {
-	return func() {
-		if gen != w.arrivalGen {
-			return
-		}
-		if w.wkProgram != nil {
-			w.thinnedArrival()
-		} else {
-			w.handleArrival()
-		}
-		w.scheduleNextArrival()
+func (w *World) arrivalEvent(payload any) {
+	if payload.(genPayload).Gen != w.arrivalGen {
+		return
 	}
+	if w.wkProgram != nil {
+		w.thinnedArrival()
+	} else {
+		w.handleArrival()
+	}
+	w.scheduleNextArrival()
 }
 
 // rearmArrivals cancels any in-flight arrival chain and, if λ is positive
@@ -1289,15 +1314,13 @@ func (w *World) markInFlight(pid id.ID) {
 // scheduleTransactions arms the once-per-tick transaction process,
 // starting at tick 1.
 func (w *World) scheduleTransactions() {
-	w.engine.Schedule(1, "transaction", w.transactionStep)
+	w.engine.Schedule(1, w.kinds.transaction, nil)
 }
 
-// transactionStep runs one transaction and re-arms itself — a named
-// method (rather than a recursive closure) so checkpoints can rebuild
-// the pending event from its name alone.
-func (w *World) transactionStep() {
+// transactionEvent runs one transaction and re-arms the process.
+func (w *World) transactionEvent(any) {
 	w.transact()
-	w.engine.After(1, "transaction", w.transactionStep)
+	w.engine.After(1, w.kinds.transaction, nil)
 }
 
 // transact runs one resource transaction: uniform requester (demand-
@@ -1382,14 +1405,13 @@ func (w *World) Reputation(pid id.ID) float64 {
 // Sampling.
 
 func (w *World) scheduleSampling() {
-	w.engine.Schedule(0, "sample", w.sampleStep)
+	w.engine.Schedule(0, w.kinds.sample, nil)
 }
 
-// sampleStep records one sample and re-arms itself; like
-// transactionStep, a named method so checkpoints can rebuild it.
-func (w *World) sampleStep() {
+// sampleEvent records one sample and re-arms the process.
+func (w *World) sampleEvent(any) {
 	w.sample()
-	w.engine.After(sim.Tick(w.cfg.SampleEvery), "sample", w.sampleStep)
+	w.engine.After(sim.Tick(w.cfg.SampleEvery), w.kinds.sample, nil)
 }
 
 // sample records the population counts and the mean cooperative
