@@ -51,17 +51,42 @@ func reportShape(b *testing.B, keyvals ...any) {
 	}
 }
 
+// runReport runs the named experiment at benchOptions.
+func runReport(b *testing.B, name string) experiments.Report {
+	b.Helper()
+	r, err := experiments.Run(name, benchOptions(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// value returns a sweep's value at the point keyed key, under the column
+// headed header.
+func value(b *testing.B, s *experiments.Sweep, key any, header string) float64 {
+	b.Helper()
+	for _, p := range s.Points {
+		if p.Key != key {
+			continue
+		}
+		for c, col := range s.Columns {
+			if col.Header == header {
+				return p.Values[c]
+			}
+		}
+	}
+	b.Fatalf("%s has no value at %v under %q", s.Name(), key, header)
+	return 0
+}
+
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig1(benchOptions(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		f := runReport(b, "fig1").(*experiments.Sweep)
 		if i == b.N-1 {
 			reportShape(b,
-				"coop_powerlaw", f.FinalCoop["powerlaw"],
-				"uncoop_powerlaw", f.FinalUncoop["powerlaw"],
-				"slope_powerlaw", f.Slope["powerlaw"],
+				"coop_powerlaw", value(b, f, "powerlaw", "final coop"),
+				"uncoop_powerlaw", value(b, f, "powerlaw", "final uncoop"),
+				"slope_powerlaw", value(b, f, "powerlaw", "uncoop admitted per coop admitted"),
 			)
 		}
 	}
@@ -69,14 +94,11 @@ func BenchmarkFig1(b *testing.B) {
 
 func BenchmarkSuccessRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunSuccessRate(benchOptions(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := runReport(b, "successrate").(*experiments.Sweep)
 		if i == b.N-1 {
 			reportShape(b,
-				"sr_with", s.WithIntroductions.Mean(),
-				"sr_without", s.WithoutIntroductions.Mean(),
+				"sr_with", value(b, s, "introductions required", "success rate"),
+				"sr_without", value(b, s, "open admission", "success rate"),
 			)
 		}
 	}
@@ -92,8 +114,8 @@ func BenchmarkFig2(b *testing.B) {
 		}
 		if i == b.N-1 {
 			reportShape(b,
-				"final_rep_lambda_0.1", f.Final[0.1],
-				"final_rep_lambda_0.005", f.Final[0.005],
+				"final_rep_lambda_0.1", value(b, f, 0.1, "final"),
+				"final_rep_lambda_0.005", value(b, f, 0.005, "final"),
 			)
 		}
 	}
@@ -108,8 +130,8 @@ func BenchmarkFig3(b *testing.B) {
 		}
 		if i == b.N-1 {
 			reportShape(b,
-				"uncoop_all_selective", f.Uncoop[0],
-				"uncoop_all_naive", f.Uncoop[2],
+				"uncoop_all_selective", value(b, f, 0.0, "uncoop in system"),
+				"uncoop_all_naive", value(b, f, 1.0, "uncoop in system"),
 			)
 		}
 	}
@@ -124,9 +146,9 @@ func BenchmarkFig4(b *testing.B) {
 		}
 		if i == b.N-1 {
 			reportShape(b,
-				"coop_amt_0.05", f.Coop[0],
-				"coop_amt_0.45", f.Coop[2],
-				"refused_rep_amt_0.45", f.RefusedRep[2],
+				"coop_amt_0.05", value(b, f, 0.05, "coop"),
+				"coop_amt_0.45", value(b, f, 0.45, "coop"),
+				"refused_rep_amt_0.45", value(b, f, 0.45, "refused: introducer rep"),
 			)
 		}
 	}
@@ -141,9 +163,9 @@ func BenchmarkFig6(b *testing.B) {
 		}
 		if i == b.N-1 {
 			reportShape(b,
-				"coop_pct_0", f.Coop[0],
-				"coop_pct_100", f.Coop[2],
-				"uncoop_pct_100", f.Uncoop[2],
+				"coop_pct_0", value(b, f, 0.0, "coop"),
+				"coop_pct_100", value(b, f, 100.0, "coop"),
+				"uncoop_pct_100", value(b, f, 100.0, "uncoop"),
 			)
 		}
 	}
@@ -167,15 +189,10 @@ func BenchmarkCollusion(b *testing.B) {
 
 func BenchmarkBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBaselines(benchOptions(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runReport(b, "baselines").(*experiments.Sweep)
 		if i == b.N-1 {
-			for _, row := range r.Rows {
-				if row.Policy == "reputation-lending" || row.Policy == "complaints-based" {
-					b.ReportMetric(row.UncoopPerCoop, "uncoop_per_coop_"+row.Policy)
-				}
+			for _, policy := range []string{"reputation-lending", "complaints-based"} {
+				b.ReportMetric(value(b, r, policy, "uncoop per coop"), "uncoop_per_coop_"+policy)
 			}
 		}
 	}
@@ -192,7 +209,7 @@ func BenchmarkFig1Macro(b *testing.B) {
 		b.Skip("macro benchmark: minutes of simulated growth")
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig1(experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1}); err != nil {
+		if _, err := experiments.Run("fig1", experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +225,7 @@ func BenchmarkChurnMacro(b *testing.B) {
 		b.Skip("macro benchmark: minutes of simulated churn")
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunChurn(nil, experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1}); err != nil {
+		if _, err := experiments.Run("churn", experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,30 +382,23 @@ func BenchmarkRingChurn(b *testing.B) {
 
 func BenchmarkWhitewash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := experiments.RunWhitewash(benchOptions(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		w := runReport(b, "whitewash").(*experiments.Sweep)
 		if i == b.N-1 {
-			for _, row := range w.Rows {
-				if row.Policy == "reputation-lending" || row.Policy == "complaints-based" {
-					b.ReportMetric(row.ServicePerIdentity, "service_per_identity_"+row.Policy)
-				}
+			for _, policy := range []string{"reputation-lending", "complaints-based"} {
+				b.ReportMetric(value(b, w, policy, "service per identity"), "service_per_identity_"+policy)
 			}
 		}
 	}
 }
 
 func BenchmarkAblation(b *testing.B) {
+	ratios := experiments.AblationRewardRatios
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.RunAblation(benchOptions(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := runReport(b, "ablation").(*experiments.Sweep)
 		if i == b.N-1 {
 			reportShape(b,
-				"coop_reward_ratio_0", a.RewardCoop[0],
-				"coop_reward_ratio_1", a.RewardCoop[len(a.RewardCoop)-1],
+				"coop_reward_ratio_0", value(b, a, ratios[0], "coop in system"),
+				"coop_reward_ratio_1", value(b, a, ratios[len(ratios)-1], "coop in system"),
 			)
 		}
 	}
@@ -427,7 +437,7 @@ func BenchmarkChurnMacroFleet(b *testing.B) {
 	}
 	defer f.Close()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunChurn(nil, experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1, Fleet: f}); err != nil {
+		if _, err := experiments.Run("churn", experiments.Options{Runs: 2, Scale: 0.5, SeedBase: 1, Fleet: f}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,32 +50,39 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
-// TestTelemetryByteIdenticalOutputs: the same experiment with -telemetry
+// TestTelemetryByteIdenticalOutputs: an experiment run with -telemetry
 // attached (which also forces replicas sequential, whatever -parallel
-// asks for) must write the byte-identical table and CSV, and two
-// instrumented runs must write the byte-identical stream: replicas may
-// not publish onto the shared bus concurrently.
+// asks for) must write the byte-identical table and CSV and a non-empty
+// stream, and two instrumented runs must write the byte-identical stream:
+// replicas may not publish onto the shared bus concurrently. The scripted
+// experiments stream their one world.
 func TestTelemetryByteIdenticalOutputs(t *testing.T) {
+	for _, name := range []string{"fig3", "collusion", "traitor"} {
+		t.Run(name, func(t *testing.T) { checkTelemetryByteIdentical(t, name) })
+	}
+}
+
+func checkTelemetryByteIdentical(t *testing.T, name string) {
 	refDir, gotDir, againDir := t.TempDir(), t.TempDir(), t.TempDir()
 	base := []string{"-scale", "0.04", "-runs", "2", "-parallel", "4", "-seed", "5"}
-	if err := run(append(append([]string{}, base...), "-out", refDir, "fig3"), io.Discard); err != nil {
+	if err := run(append(append([]string{}, base...), "-out", refDir, name), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	telem := filepath.Join(gotDir, "run.jsonl")
-	if err := run(append(append([]string{}, base...), "-out", gotDir, "-telemetry", telem, "fig3"), io.Discard); err != nil {
+	if err := run(append(append([]string{}, base...), "-out", gotDir, "-telemetry", telem, name), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig3.txt", "fig3.csv"} {
-		ref, err := os.ReadFile(filepath.Join(refDir, name))
+	for _, file := range []string{name + ".txt", name + ".csv"} {
+		ref, err := os.ReadFile(filepath.Join(refDir, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(gotDir, name))
+		got, err := os.ReadFile(filepath.Join(gotDir, file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("%s differs between the bare and instrumented runs", name)
+			t.Fatalf("%s differs between the bare and instrumented runs", file)
 		}
 	}
 	stream, err := os.ReadFile(telem)
@@ -93,7 +100,7 @@ func TestTelemetryByteIdenticalOutputs(t *testing.T) {
 		t.Fatalf("first telemetry line is not a tagged record: %s", first)
 	}
 	again := filepath.Join(againDir, "run.jsonl")
-	if err := run(append(append([]string{}, base...), "-out", againDir, "-telemetry", again, "fig3"), io.Discard); err != nil {
+	if err := run(append(append([]string{}, base...), "-out", againDir, "-telemetry", again, name), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	againStream, err := os.ReadFile(again)

@@ -53,12 +53,13 @@ func RunCollusion(opt Options) (*Collusion, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.SetTelemetry(opt.Telemetry)
 	w.Start()
 
 	// Phase 1: the mole enters through a naive founder and behaves
 	// honestly (class Cooperative — the attack is social, not behavioural,
 	// until the clique is inside).
-	founder := firstNaive(w)
+	founder := naiveMember(w)
 	mole, err := w.InjectArrival(peer.Cooperative, peer.Naive, founder)
 	if err != nil {
 		return nil, err
@@ -111,15 +112,16 @@ func RunCollusion(opt Options) (*Collusion, error) {
 	return out, nil
 }
 
-// firstNaive returns a naive member to serve as the mole's entry point.
-func firstNaive(w *world.World) id.ID {
+// naiveMember returns a naive member to serve as a scripted entrant's
+// introducer. In an all-selective founding community any founder will do
+// (the scripted entrants behave cooperatively until inside, so a
+// selective founder grants too).
+func naiveMember(w *world.World) id.ID {
 	for _, pid := range w.AdmittedPeers() {
 		if p, ok := w.Peer(pid); ok && p.Style == peer.Naive {
 			return pid
 		}
 	}
-	// All-selective founding community: any founder will do (the mole is
-	// cooperative-behaving, so a selective founder grants too).
 	return w.AdmittedPeers()[0]
 }
 

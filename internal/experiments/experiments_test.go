@@ -3,15 +3,78 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
-	"repro/internal/topology"
 )
 
 // tiny returns options that shrink every experiment enough for CI while
 // preserving the qualitative shapes.
 func tiny() Options {
 	return Options{Runs: 2, Scale: 0.04, SeedBase: 11}
+}
+
+// runs caches the reports of tinyRun: at tiny() options every experiment
+// is the run the golden test pins, so it runs once per test binary.
+var runs = map[string]Report{}
+
+// tinyRun returns the named experiment's report at tiny() options.
+func tinyRun(t *testing.T, name string) Report {
+	t.Helper()
+	if r, ok := runs[name]; ok {
+		return r
+	}
+	r, err := Run(name, tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs[name] = r
+	return r
+}
+
+// tinySweep is tinyRun for a replica experiment.
+func tinySweep(t *testing.T, name string) *Sweep {
+	t.Helper()
+	return tinyRun(t, name).(*Sweep)
+}
+
+// column returns a sweep's values under the column headed header, one
+// per point.
+func column(t *testing.T, s *Sweep, header string) []float64 {
+	t.Helper()
+	for c, col := range s.Columns {
+		if col.Header == header {
+			out := make([]float64, len(s.Points))
+			for i, p := range s.Points {
+				out[i] = p.Values[c]
+			}
+			return out
+		}
+	}
+	t.Fatalf("%s has no column %q", s.Name(), header)
+	return nil
+}
+
+// point returns the sweep's point keyed key.
+func point(t *testing.T, s *Sweep, key any) *Point {
+	t.Helper()
+	for i := range s.Points {
+		if s.Points[i].Key == key {
+			return &s.Points[i]
+		}
+	}
+	t.Fatalf("%s has no point %v", s.Name(), key)
+	return nil
+}
+
+// value returns the point keyed key's value under the column headed header.
+func value(t *testing.T, s *Sweep, key any, header string) float64 {
+	t.Helper()
+	p := point(t, s, key)
+	for c, col := range s.Columns {
+		if col.Header == header {
+			return p.Values[c]
+		}
+	}
+	t.Fatalf("%s has no column %q", s.Name(), header)
+	return 0
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -23,7 +86,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestOptionsApplyScaling(t *testing.T) {
 	o := Options{Scale: 0.1}.withDefaults()
-	c := o.apply(fig1Config())
+	c := o.apply(growth())
 	if c.NumInit != 50 || c.NumTrans != 5000 {
 		t.Fatalf("scaled config = %+v", c)
 	}
@@ -32,29 +95,26 @@ func TestOptionsApplyScaling(t *testing.T) {
 	}
 	// Floors kick in at extreme scales.
 	o2 := Options{Scale: 0.001}.withDefaults()
-	c2 := o2.apply(fig1Config())
+	c2 := o2.apply(growth())
 	if c2.NumInit < 20 || c2.NumTrans < 2000 {
 		t.Fatalf("floors not applied: %+v", c2)
 	}
 }
 
 func TestFig1Shape(t *testing.T) {
-	f, err := RunFig1(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []topology.Kind{topology.Random, topology.PowerLaw} {
-		if f.FinalCoop[k] <= 0 {
+	f := tinySweep(t, "fig1")
+	for _, k := range []string{"random", "powerlaw"} {
+		if value(t, f, k, "final coop") <= 0 {
 			t.Fatalf("%v: no cooperative peers", k)
 		}
 		// Headline claim: uncooperative admissions grow far slower than
 		// 1/3 of cooperative admissions (the arriving ratio).
-		if f.Slope[k] >= 1.0/3 {
-			t.Fatalf("%v: slope %v not below arriving ratio 1/3", k, f.Slope[k])
+		if slope := value(t, f, k, "uncoop admitted per coop admitted"); slope >= 1.0/3 {
+			t.Fatalf("%v: slope %v not below arriving ratio 1/3", k, slope)
 		}
 		// The populations must actually grow over the run.
-		first := f.Coop[k].Points[0].V
-		last := f.Coop[k].Points[len(f.Coop[k].Points)-1].V
+		coop := point(t, f, k).series[0].Points
+		first, last := coop[0].V, coop[len(coop)-1].V
 		if last <= first {
 			t.Fatalf("%v: cooperative population did not grow (%v -> %v)", k, first, last)
 		}
@@ -68,12 +128,9 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestSuccessRateShape(t *testing.T) {
-	s, err := RunSuccessRate(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	with := s.WithIntroductions.Mean()
-	without := s.WithoutIntroductions.Mean()
+	s := tinySweep(t, "successrate")
+	with := value(t, s, "introductions required", "success rate")
+	without := value(t, s, "open admission", "success rate")
 	if with <= 0.5 || without <= 0.5 {
 		t.Fatalf("success rates too low: with=%v without=%v", with, without)
 	}
@@ -95,7 +152,7 @@ func TestFig2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, fast := f.Final[0.005], f.Final[0.1]
+	slow, fast := value(t, f, 0.005, "final"), value(t, f, 0.1, "final")
 	if slow <= 0 || fast <= 0 {
 		t.Fatalf("degenerate finals: %v %v", slow, fast)
 	}
@@ -105,11 +162,11 @@ func TestFig2Shape(t *testing.T) {
 	}
 	// The high-rate curve must dip below the low-rate curve's minimum at
 	// some point (the "overwhelmed" regime).
-	if f.Min[0.1] >= f.Min[0.005] {
-		t.Logf("note: high-λ min %v not below low-λ min %v at this tiny scale", f.Min[0.1], f.Min[0.005])
+	if low, high := value(t, f, 0.005, "min over run"), value(t, f, 0.1, "min over run"); high >= low {
+		t.Logf("note: high-λ min %v not below low-λ min %v at this tiny scale", high, low)
 	}
-	if len(f.Lambdas()) != 2 {
-		t.Fatalf("Lambdas = %v", f.Lambdas())
+	if len(f.Points) != 2 {
+		t.Fatalf("points = %v", f.Points)
 	}
 	if !strings.Contains(f.CSV(), "rep-lambda-0.1") {
 		t.Fatal("CSV missing series")
@@ -121,12 +178,12 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.FracNaive) != 3 {
-		t.Fatalf("points = %v", f.FracNaive)
+	if len(f.Points) != 3 {
+		t.Fatalf("points = %v", f.Points)
 	}
 	// More naive introducers admit more freeriders.
-	if f.Uncoop[2] <= f.Uncoop[0] {
-		t.Fatalf("uncoop not increasing in fracNaive: %v", f.Uncoop)
+	if uncoop := column(t, f, "uncoop in system"); uncoop[2] <= uncoop[0] {
+		t.Fatalf("uncoop not increasing in fracNaive: %v", uncoop)
 	}
 	if !strings.Contains(f.Table(), "naive") {
 		t.Fatal("table missing context")
@@ -140,12 +197,12 @@ func TestFig45Shape(t *testing.T) {
 	}
 	// Lending 0.45 refuses far more entries for introducer reputation
 	// than lending 0.05.
-	if f.RefusedRep[1] <= f.RefusedRep[0] {
-		t.Fatalf("rep-floor refusals not increasing with introAmt: %v", f.RefusedRep)
+	if refused := column(t, f, "refused: introducer rep"); refused[1] <= refused[0] {
+		t.Fatalf("rep-floor refusals not increasing with introAmt: %v", refused)
 	}
 	// Proportions stay comparable (the Figure 5 claim) — loose check.
-	if f.PropCoop[0] < 0.5 || f.PropCoop[1] < 0.5 {
-		t.Fatalf("cooperative majority lost: %v", f.PropCoop)
+	if prop := column(t, f, "prop coop"); prop[0] < 0.5 || prop[1] < 0.5 {
+		t.Fatalf("cooperative majority lost: %v", prop)
 	}
 	if !strings.Contains(f.Table(), "Figure 5") {
 		t.Fatal("table missing Figure 5 section")
@@ -158,25 +215,23 @@ func TestFig6Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cooperative membership falls as the arriving mix sours.
-	if !(f.Coop[0] > f.Coop[1] && f.Coop[1] > f.Coop[2]) {
-		t.Fatalf("coop not decreasing in pctUncoop: %v", f.Coop)
+	coop, uncoop := column(t, f, "coop"), column(t, f, "uncoop")
+	if !(coop[0] > coop[1] && coop[1] > coop[2]) {
+		t.Fatalf("coop not decreasing in pctUncoop: %v", coop)
 	}
 	// At 0% uncooperative arrivals, no uncooperative peers.
-	if f.Uncoop[0] != 0 {
-		t.Fatalf("uncoop at 0%% arrivals = %v", f.Uncoop[0])
+	if uncoop[0] != 0 {
+		t.Fatalf("uncoop at 0%% arrivals = %v", uncoop[0])
 	}
 	// At 100%, the community is not swamped: uncooperative membership
 	// stays below the number that tried to enter.
-	if f.Uncoop[2] <= 0 {
-		t.Fatalf("no uncoop admitted at 100%%: %v", f.Uncoop)
+	if uncoop[2] <= 0 {
+		t.Fatalf("no uncoop admitted at 100%%: %v", uncoop)
 	}
 }
 
 func TestCollusionBoundsDamage(t *testing.T) {
-	c, err := RunCollusion(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := tinyRun(t, "collusion").(*Collusion)
 	if c.ColludersTried == 0 {
 		t.Fatal("no colluders tried")
 	}
@@ -198,27 +253,19 @@ func TestCollusionBoundsDamage(t *testing.T) {
 }
 
 func TestBaselinesOrdering(t *testing.T) {
-	b, err := RunBaselines(tiny())
-	if err != nil {
-		t.Fatal(err)
+	b := tinySweep(t, "baselines")
+	if len(b.Points) != 5 {
+		t.Fatalf("rows = %d", len(b.Points))
 	}
-	if len(b.Rows) != 5 {
-		t.Fatalf("rows = %d", len(b.Rows))
-	}
-	byName := map[string]BaselineRow{}
-	for _, r := range b.Rows {
-		byName[r.Policy] = r
-	}
-	lend := byName["reputation-lending"]
-	complaints := byName["complaints-based"]
-	if lend.AdmittedCoop == 0 {
+	if value(t, b, "reputation-lending", "coop admitted") == 0 {
 		t.Fatal("lending admitted no cooperative peers")
 	}
 	// Complaints-based trusts everyone: it must admit every uncooperative
 	// arrival, far above lending's contamination ratio.
-	if complaints.UncoopPerCoop <= lend.UncoopPerCoop {
-		t.Fatalf("lending (%v) not cleaner than complaints-based (%v)",
-			lend.UncoopPerCoop, complaints.UncoopPerCoop)
+	lend := value(t, b, "reputation-lending", "uncoop per coop")
+	complaints := value(t, b, "complaints-based", "uncoop per coop")
+	if complaints <= lend {
+		t.Fatalf("lending (%v) not cleaner than complaints-based (%v)", lend, complaints)
 	}
 	if !strings.Contains(b.CSV(), "reputation-lending") {
 		t.Fatal("CSV missing lending row")
@@ -239,6 +286,16 @@ func TestRunDispatch(t *testing.T) {
 	for _, n := range Names() {
 		if n == "" {
 			t.Fatal("empty name in registry")
+		}
+	}
+	// The aliases run their experiment's report.
+	for alias, name := range map[string]string{"fig5": "fig4+fig5", "t2": "successrate"} {
+		r, err := Run(alias, Options{Runs: 1, Scale: 0.04, SeedBase: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Name() != name {
+			t.Fatalf("alias %s ran %s, want %s", alias, r.Name(), name)
 		}
 	}
 }
@@ -266,30 +323,21 @@ func TestPlotsRender(t *testing.T) {
 	if !strings.Contains(plot, "naive") || !strings.Contains(plot, "*") {
 		t.Fatalf("fig3 plot missing content:\n%s", plot)
 	}
-	// A report without a Plot method yields "".
-	var r Report = &SuccessRate{}
-	if PlotOf(r) != "" {
-		t.Fatal("non-plotter produced a plot")
+	// A sweep without a chart, and a report without a Plot method, yield "".
+	if PlotOf(&Sweep{}) != "" || PlotOf(&Collusion{}) != "" {
+		t.Fatal("report without a chart produced a plot")
 	}
 }
 
 func TestWhitewashShape(t *testing.T) {
-	w, err := RunWhitewash(tiny())
-	if err != nil {
-		t.Fatal(err)
+	w := tinySweep(t, "whitewash")
+	lend := value(t, w, "reputation-lending", "service per identity")
+	complaints := value(t, w, "complaints-based", "service per identity")
+	if complaints <= lend {
+		t.Fatalf("whitewashing not cheaper under complaints-based: lending %v vs complaints %v", lend, complaints)
 	}
-	byName := map[string]WhitewashRow{}
-	for _, r := range w.Rows {
-		byName[r.Policy] = r
-	}
-	lend := byName["reputation-lending"]
-	complaints := byName["complaints-based"]
-	if complaints.ServicePerIdentity <= lend.ServicePerIdentity {
-		t.Fatalf("whitewashing not cheaper under complaints-based: lending %v vs complaints %v",
-			lend.ServicePerIdentity, complaints.ServicePerIdentity)
-	}
-	if lend.IntroducerCost < 0 {
-		t.Fatalf("negative introducer cost: %v", lend.IntroducerCost)
+	if cost := value(t, w, "reputation-lending", "introducer reputation forfeited"); cost < 0 {
+		t.Fatalf("negative introducer cost: %v", cost)
 	}
 	if !strings.Contains(w.Table(), "Whitewashing") || !strings.Contains(w.CSV(), "complaints-based") {
 		t.Fatal("report rendering broken")
@@ -297,17 +345,15 @@ func TestWhitewashShape(t *testing.T) {
 }
 
 func TestAblationShape(t *testing.T) {
-	a, err := RunAblation(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.RewardRatio) != len(AblationRewardRatios) || len(a.AuditTrans) != len(AblationAuditTrans) {
-		t.Fatalf("sweep sizes wrong: %+v", a)
+	a := tinySweep(t, "ablation")
+	if len(a.Points) != len(AblationRewardRatios)+len(AblationAuditTrans) {
+		t.Fatalf("sweep sizes wrong: %+v", a.Points)
 	}
 	// Earlier audits complete more often within a fixed run.
-	n := len(a.AuditTrans)
-	early := a.AuditSatisfied[0] + a.AuditForfeited[0]
-	late := a.AuditSatisfied[n-1] + a.AuditForfeited[n-1]
+	done := func(at int) float64 {
+		return value(t, a, at, "audits satisfied") + value(t, a, at, "audits forfeited")
+	}
+	early, late := done(AblationAuditTrans[0]), done(AblationAuditTrans[len(AblationAuditTrans)-1])
 	if early <= late {
 		t.Fatalf("early audits (%v) did not outpace late audits (%v)", early, late)
 	}
@@ -342,23 +388,21 @@ func TestTraitorMilkingContained(t *testing.T) {
 }
 
 func TestSessionSweepShape(t *testing.T) {
-	s, err := RunSessions(nil, tiny())
-	if err != nil {
-		t.Fatal(err)
+	s := tinySweep(t, "sessions")
+	if len(s.Points) != 3 || s.Points[0].Key != "exponential" || s.Points[2].Key != "pareto" {
+		t.Fatalf("swept distributions = %v", s.Points)
 	}
-	if len(s.Dists) != 3 || s.Dists[0] != "exponential" || s.Dists[2] != "pareto" {
-		t.Fatalf("swept distributions = %v", s.Dists)
-	}
-	for i, dist := range s.Dists {
-		if s.Departed[i] == 0 {
+	for _, p := range s.Points {
+		dist := p.Key
+		if value(t, s, dist, "departed") == 0 {
 			t.Fatalf("%s: session clocks drove no departures", dist)
 		}
-		if s.FinalPop[i] <= 0 {
+		if value(t, s, dist, "final pop") <= 0 {
 			t.Fatalf("%s: community extinguished", dist)
 		}
 		// The calibration story: equal-mean session models migrate state
 		// instead of losing it.
-		if s.Migrated[i] == 0 {
+		if value(t, s, dist, "migrated") == 0 {
 			t.Fatalf("%s: no records migrated under session churn", dist)
 		}
 	}
@@ -376,34 +420,36 @@ func TestSessionSweepShape(t *testing.T) {
 // still-pending mass, and the armed points actually drain the pending
 // leak the disabled point exhibits.
 func TestStakeSweepConservesMass(t *testing.T) {
-	s, err := RunStakes(nil, tiny())
-	if err != nil {
-		t.Fatal(err)
+	s := tinySweep(t, "stakes")
+	if len(s.Points) < 3 || s.Points[0].Key != int64(0) {
+		t.Fatalf("swept timeouts = %v, want the disabled control first", s.Points)
 	}
-	if len(s.Timeouts) < 3 || s.Timeouts[0] != 0 {
-		t.Fatalf("swept timeouts = %v, want the disabled control first", s.Timeouts)
-	}
-	for i, timeout := range s.Timeouts {
-		sum := s.SettledMass[i] + s.RefundedMass[i] + s.StrandedMass[i] + s.PendingMass[i]
-		if diff := s.StakedMass[i] - sum; diff > 1e-6 || diff < -1e-6 {
+	staked, settled := column(t, s, "mass staked"), column(t, s, "mass settled")
+	refundedMass, stranded := column(t, s, "mass refunded"), column(t, s, "mass stranded")
+	pending := column(t, s, "mass pending")
+	refunded, expired := column(t, s, "refunded"), column(t, s, "expired")
+	for i, p := range s.Points {
+		timeout := p.Key
+		sum := settled[i] + refundedMass[i] + stranded[i] + pending[i]
+		if diff := staked[i] - sum; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("T=%d: staked mass %v != settled+refunded+stranded+pending %v (off by %v)",
-				timeout, s.StakedMass[i], sum, diff)
+				timeout, staked[i], sum, diff)
 		}
-		if timeout == 0 {
-			if s.Refunded[i] != 0 || s.Expired[i] != 0 {
-				t.Fatalf("disabled point ran the clock: %+v", s)
+		if timeout == int64(0) {
+			if refunded[i] != 0 || expired[i] != 0 {
+				t.Fatalf("disabled point ran the clock: %+v", p)
 			}
-			if s.PendingMass[i] <= 0 {
+			if pending[i] <= 0 {
 				t.Fatal("disabled point shows no pending leak; the sweep has nothing to recover")
 			}
 			continue
 		}
-		if s.Refunded[i] == 0 {
+		if refunded[i] == 0 {
 			t.Fatalf("T=%d: the timeout refunded nothing under churn", timeout)
 		}
-		if s.PendingMass[i] >= s.PendingMass[0] {
+		if pending[i] >= pending[0] {
 			t.Fatalf("T=%d: pending mass %v not below the disabled point's leak %v",
-				timeout, s.PendingMass[i], s.PendingMass[0])
+				timeout, pending[i], pending[0])
 		}
 	}
 	if !strings.HasPrefix(s.CSV(), "stake_timeout,") {
@@ -411,26 +457,5 @@ func TestStakeSweepConservesMass(t *testing.T) {
 	}
 	if !strings.Contains(s.Table(), "conserves") {
 		t.Fatal("table missing the conservation note")
-	}
-}
-
-func TestFig2LambdasOrdersExtrasDeterministically(t *testing.T) {
-	// Non-standard rates must come out in sorted-descending order no
-	// matter how the map happens to iterate — the table-row ordering bug
-	// replend-lint's maporder analyzer caught.
-	f := &Fig2{Reputation: map[float64]*metrics.Series{
-		0.1: nil, 0.003: nil, 0.03: nil, 0.001: nil, 0.07: nil,
-	}}
-	want := []float64{0.1, 0.001, 0.07, 0.03, 0.003}
-	for i := 0; i < 20; i++ {
-		got := f.Lambdas()
-		if len(got) != len(want) {
-			t.Fatalf("Lambdas() = %v, want %v", got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("Lambdas() = %v, want %v", got, want)
-			}
-		}
 	}
 }

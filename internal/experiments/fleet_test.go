@@ -79,49 +79,25 @@ func TestFleetScenarioReplicasByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetSweepsByteIdentical runs the Figure-1 experiment and the churn
-// and session mu-sweeps on a 3-worker fleet and demands byte-identical
-// tables and CSV series against the in-process path.
+// TestFleetSweepsByteIdentical runs every replica experiment on a
+// 3-worker fleet and demands the byte-identical table, chart and CSV the
+// golden files pin for the in-process path. Baselines and whitewash cover
+// the named-policy path: baseline bootstrap replicas (no introductions)
+// run identically on workers.
 func TestFleetSweepsByteIdentical(t *testing.T) {
-	opt := Options{Runs: 2, Scale: 0.04, SeedBase: 11}
-	fopt := opt
-	fopt.Fleet = newTestFleet(t)
-	for _, name := range []string{"fig1", "churn", "sessions", "stakes", "workload"} {
+	opt := tiny()
+	opt.Fleet = newTestFleet(t)
+	for _, name := range Names() {
+		if name == "collusion" || name == "traitor" {
+			continue // scripted single runs: no replicas to dispatch
+		}
 		t.Run(name, func(t *testing.T) {
-			inproc, err := Run(name, opt)
+			r, err := Run(name, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleeted, err := Run(name, fopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := inproc.Table(), fleeted.Table(); a != b {
-				t.Fatalf("%s tables differ:\n--- in-process ---\n%s\n--- fleet ---\n%s", name, a, b)
-			}
-			if a, b := inproc.CSV(), fleeted.CSV(); a != b {
-				t.Fatalf("%s CSV differs between fleet and in-process execution", name)
-			}
+			checkGolden(t, r)
 		})
-	}
-}
-
-// TestFleetBaselinePolicyReplicas covers the named-policy path: baseline
-// bootstrap replicas (no introductions) run identically on workers.
-func TestFleetBaselinePolicyReplicas(t *testing.T) {
-	opt := Options{Runs: 2, Scale: 0.04, SeedBase: 7}
-	fopt := opt
-	fopt.Fleet = newTestFleet(t)
-	inproc, err := RunBaselines(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleeted, err := RunBaselines(fopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := inproc.Table(), fleeted.Table(); a != b {
-		t.Fatalf("baseline tables differ:\n--- in-process ---\n%s\n--- fleet ---\n%s", a, b)
 	}
 }
 

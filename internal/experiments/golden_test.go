@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-// goldenOptions are the options the files under testdata/ were written
-// at, by `replend-experiments -all -scale 0.04 -runs 2 -seed 11`.
-func goldenOptions() Options {
-	return Options{Runs: 2, Scale: 0.04, SeedBase: 11}
-}
-
 // render returns a report's two files as replend-experiments writes them:
 // the table with its chart (if any) beneath, and the CSV.
 func render(r Report) (txt, csv string) {
@@ -27,7 +21,8 @@ func render(r Report) (txt, csv string) {
 func checkGolden(t *testing.T, r Report) {
 	t.Helper()
 	txt, csv := render(r)
-	for file, got := range map[string]string{r.Name() + ".txt": txt, r.Name() + ".csv": csv} {
+	for _, f := range []struct{ file, got string }{{r.Name() + ".txt", txt}, {r.Name() + ".csv", csv}} {
+		file, got := f.file, f.got
 		want, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
@@ -39,18 +34,15 @@ func checkGolden(t *testing.T, r Report) {
 }
 
 // TestReportsMatchGolden pins every experiment's report bytes: each name
-// in Names() runs once at goldenOptions, and its table, chart and CSV must
-// equal the files under testdata/ byte for byte. The files come from a
-// linux/amd64 build (the CI platform); a platform that fuses
-// multiply-adds may differ in the last printed digit.
+// in Names() runs once at tiny() options, and its table, chart and CSV
+// must equal the files under testdata/ byte for byte. The files were
+// written by `replend-experiments -all -scale 0.04 -runs 2 -seed 11` on
+// linux/amd64, the CI platform; a platform that fuses multiply-adds may
+// differ in the last printed digit.
 func TestReportsMatchGolden(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			r, err := Run(name, goldenOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, r)
+			checkGolden(t, tinyRun(t, name))
 		})
 	}
 }

@@ -1,11 +1,12 @@
 package experiments
 
+import "strings"
+
 // Report is a regenerated table or figure: a human-readable text table
 // (with the paper's expected shape noted underneath) and the raw CSV
 // series for plotting.
 type Report interface {
-	// Name is the experiment identifier (fig1, fig2, …, successrate,
-	// collusion, baselines).
+	// Name is the report's file stem (fig1, fig4+fig5, …, collusion).
 	Name() string
 	// Table renders the aligned text table.
 	Table() string
@@ -13,45 +14,73 @@ type Report interface {
 	CSV() string
 }
 
-// Names lists every runnable experiment identifier, in paper order.
-func Names() []string {
-	return []string{"fig1", "successrate", "fig2", "fig3", "fig4", "fig6", "collusion", "baselines", "whitewash", "ablation", "traitor", "churn", "sessions", "stakes", "workload"}
+// Plotter is implemented by reports that can render themselves as ASCII
+// charts with the same axes as the paper's figures. The CLI prints the
+// plot beneath the numeric table.
+type Plotter interface {
+	Plot() string
 }
 
-// Run dispatches one experiment by name ("fig5" is an alias of "fig4";
-// the two figures share a sweep).
+// PlotOf returns the report's chart when it has one, or "".
+func PlotOf(r Report) string {
+	if p, ok := r.(Plotter); ok {
+		if plot := p.Plot(); plot != "" {
+			return strings.TrimRight(plot, "\n") + "\n"
+		}
+	}
+	return ""
+}
+
+// registry is the one list of runnable experiments, in paper order. The
+// thirteen replica experiments are sweeps; collusion and traitor drive one
+// world through scripted phases.
+var registry = []struct {
+	name, alias string // an alias runs the same experiment
+	run         func(Options) (Report, error)
+}{
+	{"fig1", "", report(fig1)},
+	{"successrate", "t2", report(successRateSweep)},
+	{"fig2", "", report(func(o Options) (*Sweep, error) { return RunFig2(nil, o) })},
+	{"fig3", "", report(func(o Options) (*Sweep, error) { return RunFig3(nil, o) })},
+	{"fig4", "fig5", report(func(o Options) (*Sweep, error) { return RunFig45(nil, o) })}, // one sweep, both figures
+	{"fig6", "", report(func(o Options) (*Sweep, error) { return RunFig6(nil, o) })},
+	{"collusion", "", report(RunCollusion)},
+	{"baselines", "", report(baselines)},
+	{"whitewash", "", report(whitewash)},
+	{"ablation", "", report(ablation)},
+	{"traitor", "", report(RunTraitor)},
+	{"churn", "", report(churnSweep)},
+	{"sessions", "", report(sessions)},
+	{"stakes", "", report(stakes)},
+	{"workload", "", report(workloads)},
+}
+
+// report adapts a typed experiment runner to the registry.
+func report[R Report](run func(Options) (R, error)) func(Options) (Report, error) {
+	return func(opt Options) (Report, error) {
+		r, err := run(opt)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+}
+
+// Names lists every runnable experiment identifier, in paper order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// Run runs one experiment by name or alias.
 func Run(name string, opt Options) (Report, error) {
-	switch name {
-	case "fig1":
-		return RunFig1(opt)
-	case "successrate", "t2":
-		return RunSuccessRate(opt)
-	case "fig2":
-		return RunFig2(nil, opt)
-	case "fig3":
-		return RunFig3(nil, opt)
-	case "fig4", "fig5":
-		return RunFig45(nil, opt)
-	case "fig6":
-		return RunFig6(nil, opt)
-	case "collusion":
-		return RunCollusion(opt)
-	case "baselines":
-		return RunBaselines(opt)
-	case "whitewash":
-		return RunWhitewash(opt)
-	case "ablation":
-		return RunAblation(opt)
-	case "traitor":
-		return RunTraitor(opt)
-	case "churn":
-		return RunChurn(nil, opt)
-	case "sessions":
-		return RunSessions(nil, opt)
-	case "stakes":
-		return RunStakes(nil, opt)
-	case "workload":
-		return RunWorkloads(nil, opt)
+	for _, e := range registry {
+		if name == e.name || (name == e.alias && name != "") {
+			return e.run(opt.withDefaults())
+		}
 	}
 	return nil, errUnknownExperiment(name)
 }

@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4) plus the ablations called out in DESIGN.md. Each
-// experiment builds the paper's configuration, runs the required number of
-// replicas in parallel ("Each experiment is repeated 10 times and the
-// results shown are the average"), and renders a text table and CSV
-// series whose shape is directly comparable to the published plots.
+// evaluation (§4) plus the ablations called out in DESIGN.md. The paper's
+// evaluation is a set of one-parameter sweeps, each point "repeated 10
+// times and the results shown are the average", and so is every replica
+// experiment here: a Sweep declares its points (configs) and its columns
+// (reductions over a point's replicas), and one runner and one renderer
+// turn every declaration into a text table, CSV and chart whose shape is
+// directly comparable to the published plots. The collusion and traitor
+// attacks are scripted single runs instead.
 package experiments
 
 import (
@@ -54,8 +57,9 @@ type Options struct {
 	// workers replay it byte-identically.
 	Workload *workload.Spec
 	// Telemetry, when non-nil, is attached to every in-process replica
-	// world (the -telemetry flag): trace events and metric samples
-	// stream into the bus as replicas run. The bus is not synchronized,
+	// world and to the scripted collusion and traitor worlds (the
+	// -telemetry flag): trace events and metric samples stream into the
+	// bus as they run. The bus is not synchronized,
 	// so setting it forces Parallel to 1 — replicas publish one at a
 	// time, in replica order. Ignored by the fleet backend (replica
 	// worlds live in worker processes). Write-only: results are
@@ -221,14 +225,15 @@ func runReplicas(cfg config.Config, opt Options, policy baseline.Policy) ([]Repl
 	return out, nil
 }
 
-// meanOf averages an int64 field over replicas.
-func meanOf(rs []Replica, f func(Replica) int64) float64 {
+// meanOf averages a quantity over replicas as a plain sum ÷ n. Over
+// integer counts the sum is exact.
+func meanOf(rs []Replica, f func(Replica) float64) float64 {
 	if len(rs) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, r := range rs {
-		sum += float64(f(r))
+		sum += f(r)
 	}
 	return sum / float64(len(rs))
 }

@@ -53,6 +53,7 @@ func RunTraitor(opt Options) (*Traitor, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.SetTelemetry(opt.Telemetry)
 	w.Start()
 
 	// Inject a handful of traitors that will defect at mid-run.
@@ -96,15 +97,6 @@ func RunTraitor(opt Options) (*Traitor, error) {
 	out.RepAfter = meanRep(w, traitors)
 	out.ServedAfterDefection = w.Metrics().ServedToUncoop - servedBefore
 	return out, nil
-}
-
-func naiveMember(w *world.World) id.ID {
-	for _, pid := range w.AdmittedPeers() {
-		if p, ok := w.Peer(pid); ok && p.Style == peer.Naive {
-			return pid
-		}
-	}
-	return w.AdmittedPeers()[0]
 }
 
 func meanRep(w *world.World, ids []id.ID) float64 {
