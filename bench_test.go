@@ -10,6 +10,9 @@
 //	BenchmarkFig6        Figure 6  — population vs percentage of freeriding entrants
 //	BenchmarkCollusion   A1        — the §1 collusion attack under staking
 //	BenchmarkBaselines   A2        — admission-policy ablation
+//	BenchmarkWhitewash   A3        — service extracted per fresh freeriding identity
+//	BenchmarkAblation    A4        — reward-ratio and audit-trigger sweeps
+//	BenchmarkTraitor     A5        — reputation milking vs ROCQ's sliding window
 //
 // Each iteration runs the full (scaled) experiment; the reported metric is
 // therefore end-to-end experiment regeneration cost. Micro-benchmarks for

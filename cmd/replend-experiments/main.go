@@ -10,8 +10,12 @@
 //	replend-experiments -telemetry run.jsonl fig1   # stream replica telemetry
 //	replend-experiments -pprof localhost:6060 [...] # profile a long sweep
 //
-// Experiments: fig1 successrate fig2 fig3 fig4 fig6 collusion baselines
-// ("fig5" shares fig4's sweep and is included in its output).
+// Experiments (-list prints them): fig1 successrate fig2 fig3 fig4 fig6
+// collusion baselines whitewash ablation traitor churn sessions stakes
+// workload ("fig5" shares fig4's sweep and is included in its output;
+// "t2" names successrate). collusion and traitor are single scripted
+// runs of one world, so -runs and -workers do not change them; every
+// other experiment averages -runs replicas per sweep point.
 //
 // At -scale 1 the full paper-scale workloads run (Figure 2 alone is 80
 // half-million-tick simulations); -scale 0.1 reproduces the shapes in a

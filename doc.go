@@ -60,9 +60,11 @@
 //   - internal/fleet — the distributed runner sharding replica work
 //     units over worker processes and machines, byte-identically; its
 //     RunJob is the one replica executor, in-process too.
-//   - internal/experiments — one runnable per paper figure/table plus
-//     the extension sweeps (whitewash, traitor, ablation, churn,
-//     sessions, stakes).
+//   - internal/experiments — the paper's figures and tables plus the
+//     extension experiments (whitewash, ablation, churn, sessions,
+//     stakes, workload): each replica experiment is a sweep declaration
+//     (points and columns) run by one runner and rendered by one
+//     renderer; the collusion and traitor attacks are scripted runs.
 //   - internal/cli — the set-up the two commands share: -pprof,
 //     -workload, the local fleet behind -workers, the -telemetry sink.
 //   - internal/trace — structured event log with invariant checks, one

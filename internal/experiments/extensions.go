@@ -34,13 +34,17 @@ var (
 	departed = mean("departed", "departed", func(r Replica) float64 {
 		return float64(r.Metrics.Churn.Departures + r.Metrics.Churn.Crashes)
 	})
-	rejoins      = mean("rejoins", "rejoins", func(r Replica) float64 { return float64(r.Metrics.Churn.Rejoins) })
-	migrated     = mean("migrated", "migrated", func(r Replica) float64 { return float64(r.Metrics.Churn.Migrated) })
-	wipeouts     = mean("wipeouts", "wipeouts", func(r Replica) float64 { return float64(r.Metrics.Churn.Wipeouts) })
-	successCol   = stat("success rate", "success_rate", successRate)
-	meanCoopRep  = stat("mean coop rep", "mean_coop_rep", finalRep)
-	churnColumns = []Column{finalPop, departed, rejoins, migrated, wipeouts, successCol, meanCoopRep}
+	rejoins     = mean("rejoins", "rejoins", func(r Replica) float64 { return float64(r.Metrics.Churn.Rejoins) })
+	migrated    = mean("migrated", "migrated", func(r Replica) float64 { return float64(r.Metrics.Churn.Migrated) })
+	wipeouts    = mean("wipeouts", "wipeouts", func(r Replica) float64 { return float64(r.Metrics.Churn.Wipeouts) })
+	successCol  = stat("success rate", "success_rate", successRate)
+	meanCoopRep = stat("mean coop rep", "mean_coop_rep", finalRep)
 )
+
+// churnColumns are the columns of the churn and session sweeps.
+func churnColumns() []Column {
+	return []Column{finalPop, departed, rejoins, migrated, wipeouts, successCol, meanCoopRep}
+}
 
 // policyPoints runs lending on cfg at the experiment's own seed, then
 // each policy with introductions off at sweep seed i+1.
@@ -218,7 +222,7 @@ func churnSweep(opt Options) (*Sweep, error) {
 	s := &Sweep{
 		name:    "churn",
 		keyCSV:  "mu",
-		Columns: churnColumns,
+		Columns: churnColumns(),
 		Points: axis(DefaultChurnMus, func(mu float64) config.Config {
 			c := growth()
 			c.Churn.Mu = mu
@@ -254,7 +258,7 @@ func sessions(opt Options) (*Sweep, error) {
 	s := &Sweep{
 		name:    "sessions",
 		keyCSV:  "session_dist",
-		Columns: churnColumns,
+		Columns: churnColumns(),
 		Points: axis(DefaultSessionDists, func(dist string) config.Config {
 			c := growth()
 			c.Churn.SessionDist = dist

@@ -190,6 +190,14 @@ func RunFig2(lambdas []float64, opt Options) (*Sweep, error) {
 		lambdas = Fig2Lambdas
 	}
 	opt = opt.withDefaults()
+	// Each point's curve is its one averaged series.
+	curves := func(s *Sweep) []*metrics.Series {
+		out := make([]*metrics.Series, len(s.Points))
+		for i, p := range s.Points {
+			out[i] = p.series[0]
+		}
+		return out
+	}
 	s := &Sweep{
 		name: "fig2",
 		Columns: []Column{
@@ -219,25 +227,16 @@ func RunFig2(lambdas []float64, opt Options) (*Sweep, error) {
 			note:  "paper: flat and high for λ ≤ 0.05; dip then recovery for λ ∈ {0.1, 0.2}\n",
 		}},
 		series: []seriesOf{{"rep-lambda-", func(r Replica) *metrics.Series { return r.Metrics.CoopReputation }}},
-		csv:    func(s *Sweep) string { return metrics.CSV(s.curves()...) },
+		csv:    func(s *Sweep) string { return metrics.CSV(curves(s)...) },
 		plot: func(s *Sweep) string {
 			return asciiplot.Render(asciiplot.Options{
 				Title:  "mean cooperative reputation over time, per arrival rate",
 				XLabel: "time units",
 				YLabel: "reputation",
-			}, s.curves()...)
+			}, curves(s)...)
 		},
 	}
 	return s.run(opt)
-}
-
-// curves returns each point's first averaged series, in point order.
-func (s *Sweep) curves() []*metrics.Series {
-	out := make([]*metrics.Series, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.series[0]
-	}
-	return out
 }
 
 // RunFig3 reproduces Figure 3, "Number of Cooperative and Uncooperative

@@ -59,11 +59,11 @@ type Options struct {
 	// Telemetry, when non-nil, is attached to every in-process replica
 	// world and to the scripted collusion and traitor worlds (the
 	// -telemetry flag): trace events and metric samples stream into the
-	// bus as they run. The bus is not synchronized,
-	// so setting it forces Parallel to 1 — replicas publish one at a
-	// time, in replica order. Ignored by the fleet backend (replica
-	// worlds live in worker processes). Write-only: results are
-	// byte-identical with or without it.
+	// bus as they run. The bus is not synchronized, so setting it forces
+	// Parallel to 1 — replicas publish one at a time, in replica order.
+	// Ignored by the fleet backend (replica worlds live in worker
+	// processes). Write-only: results are byte-identical with or without
+	// it.
 	Telemetry *telemetry.Bus
 }
 
