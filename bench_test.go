@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -272,6 +273,51 @@ func BenchmarkWorldNew(b *testing.B) {
 	}
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*cfg.NumInit), "allocs_per_founder")
+}
+
+// BenchmarkCheckpointRoundTrip measures one checkpoint round trip of a
+// churn-active world: the mega built-in cut to 5,000 founders, run to
+// tick 1,000 untimed. Each iteration snapshots it, seals the snapshot,
+// opens the file, decodes the body and restores a world from it.
+// allocs_per_peer (heap objects allocated per peer of the population, from
+// the runtime's malloc count) repeats exactly, so BENCH_10.json gates it.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	cfg := scenario.Mega().Base
+	cfg.NumInit = 5_000
+	w, err := world.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Start()
+	if err := w.RunFor(1_000); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := w.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := snap.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, body, err := checkpoint.Open(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if snap, err = world.DecodeSnapshotBody(body); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := world.Restore(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*w.PopulationSize()), "allocs_per_peer")
 }
 
 // BenchmarkGrowthFootprint measures the paper's headline run — the

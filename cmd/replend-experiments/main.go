@@ -94,9 +94,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *all || len(names) == 0 {
 		names = experiments.Names()
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
-	}
 
 	opt := experiments.Options{
 		Runs:     *runs,
@@ -117,6 +114,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if *progress && !useFleet {
 		return fmt.Errorf("-progress renders the fleet table; give it a fleet with -workers")
+	}
+	// Only a command line that passed every check creates the directory.
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 	if useFleet {
 		f, err := cli.NewFleet(*workers, *fleetListen, *fleetToken, *progress, logf)

@@ -114,14 +114,24 @@ func checkTelemetryByteIdentical(t *testing.T, name string) {
 
 // TestObserveFlagValidation pins the observability flag interlocks.
 func TestObserveFlagValidation(t *testing.T) {
-	telem := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := run([]string{"-workers", "2", "-telemetry", telem, "fig3"}, io.Discard); err == nil {
-		t.Fatal("-telemetry with a fleet accepted")
-	}
-	if err := run([]string{"-progress", "fig3"}, io.Discard); err == nil {
-		t.Fatal("-progress without a fleet accepted")
-	}
-	if err := run([]string{"-pprof", "not-an-address", "fig3"}, io.Discard); err == nil {
-		t.Fatal("unbindable -pprof address accepted")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "results")
+	telem := filepath.Join(dir, "t.jsonl")
+	for _, tc := range []struct {
+		args []string
+		what string
+	}{
+		{[]string{"-workers", "2", "-telemetry", telem, "fig3"}, "-telemetry with a fleet"},
+		{[]string{"-progress", "fig3"}, "-progress without a fleet"},
+		{[]string{"-pprof", "not-an-address", "fig3"}, "unbindable -pprof address"},
+		{[]string{"-workload", filepath.Join(dir, "missing.json"), "fig3"}, "unreadable -workload file"},
+	} {
+		if err := run(append([]string{"-out", out}, tc.args...), io.Discard); err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
+		// A rejected command line leaves nothing behind.
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%s created the output directory (stat: %v)", tc.what, err)
+		}
 	}
 }

@@ -15,6 +15,8 @@ package arena
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/id"
 )
@@ -106,6 +108,33 @@ func (o *Ordinals) ID(ord Ordinal) (id.ID, bool) {
 		return id.ID{}, false
 	}
 	return o.ids[ord], true
+}
+
+// Reserve makes room for n more assignments, so a table about to take n
+// identities (a restore refilling it) grows once instead of step by step.
+func (o *Ordinals) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	index := make(map[id.ID]Ordinal, len(o.index)+n)
+	maps.Copy(index, o.index)
+	o.index = index
+	o.ids = slices.Grow(o.ids, n)
+	o.live = slices.Grow(o.live, n)
+}
+
+// SortedByID returns every assigned ordinal, in ascending order of the
+// identifier holding it: the one sorted walk a checkpoint export makes of
+// a table.
+func (o *Ordinals) SortedByID() []Ordinal {
+	out := make([]Ordinal, 0, len(o.index))
+	for ord, live := range o.live {
+		if live {
+			out = append(out, Ordinal(ord))
+		}
+	}
+	slices.SortFunc(out, func(a, b Ordinal) int { return o.ids[a].Cmp(o.ids[b]) })
+	return out
 }
 
 // Len returns the number of currently assigned ordinals.

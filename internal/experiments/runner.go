@@ -192,13 +192,12 @@ func sweepSeed(base uint64, i int) uint64 {
 // keyed split (replica indices stay far below it).
 const sweepKeyBase = 1 << 40
 
-// runReplicas executes opt.Runs independent seeded replicas of cfg and
-// returns them in seed order. policy may be nil (lending admissions) or a
-// baseline bootstrap rule used when cfg disables introductions; it
-// travels by name, as the fleet ships it. Replica i is the pure function
-// of (SeedBase, i) the keyed seed split defines, on either backend.
-func runReplicas(cfg config.Config, opt Options, policy baseline.Policy) ([]Replica, error) {
-	opt = opt.withDefaults()
+// replicaJobs returns the opt.Runs replica units of cfg. policy may be
+// nil (lending admissions) or a baseline bootstrap rule used when cfg
+// disables introductions; it travels by name, as the fleet ships it.
+// Replica i is the pure function of (SeedBase, i) the keyed seed split
+// defines, on either backend.
+func replicaJobs(cfg config.Config, opt Options, policy baseline.Policy) ([]fleet.Job, error) {
 	data, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: encoding config: %w", err)
@@ -211,6 +210,12 @@ func runReplicas(cfg config.Config, opt Options, policy baseline.Policy) ([]Repl
 	for i := range jobs {
 		jobs[i] = fleet.Job{Kind: fleet.KindConfig, Config: data, Seed: replicaSeed(opt.SeedBase, i), Policy: policyName}
 	}
+	return jobs, nil
+}
+
+// runReplicas executes one batch of replica units and returns their
+// replicas in job order. opt must already have defaults applied.
+func runReplicas(opt Options, jobs []fleet.Job) ([]Replica, error) {
 	results, err := runJobs(opt, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replica batch: %w", err)

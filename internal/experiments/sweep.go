@@ -8,6 +8,7 @@ import (
 	"repro/internal/asciiplot"
 	"repro/internal/baseline"
 	"repro/internal/config"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 )
 
@@ -103,16 +104,27 @@ func axis[K any](keys []K, cfg func(K) config.Config) []Point {
 }
 
 // run executes every point's replicas, averages its series and reduces
-// its columns, returning s. opt must already have defaults applied.
+// its columns, returning s. All points' replicas go out as one batch, so
+// no point waits for the one before it to finish. opt must already have
+// defaults applied.
 func (s *Sweep) run(opt Options) (*Sweep, error) {
-	for i := range s.Points {
-		p := &s.Points[i]
+	var jobs []fleet.Job
+	for _, p := range s.Points {
 		o := opt
 		o.SeedBase = sweepSeed(opt.SeedBase, p.seed)
-		rs, err := runReplicas(p.cfg, o, p.policy)
+		pj, err := replicaJobs(p.cfg, o, p.policy)
 		if err != nil {
 			return nil, err
 		}
+		jobs = append(jobs, pj...)
+	}
+	all, err := runReplicas(opt, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range s.Points {
+		p := &s.Points[i]
+		rs := all[i*opt.Runs : (i+1)*opt.Runs]
 		for _, sr := range s.series {
 			merged, err := mergeSeriesOf(rs, sr.prefix+fmt.Sprint(p.Key), sr.of)
 			if err != nil {

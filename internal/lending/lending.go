@@ -37,7 +37,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/arena"
 	"repro/internal/id"
@@ -363,24 +362,6 @@ func (p *Protocol) identityOf(pid id.ID) (transport.Identity, bool) {
 		}
 	}
 	return nil, false
-}
-
-// sortedSlotIDs returns, in ascending identifier order, the ids of every
-// slot for which has reports true — the arena replacement for sorting a
-// map's keys at export time.
-func (p *Protocol) sortedSlotIDs(has func(*lendSlot) bool) []id.ID {
-	out := make([]id.ID, 0, p.ords.Len())
-	for ord := 0; ord < p.ords.Cap(); ord++ {
-		pid, ok := p.ords.ID(arena.Ordinal(ord))
-		if !ok {
-			continue
-		}
-		if has(&p.slots[ord]) {
-			out = append(out, pid)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // verifiedSig is the content a cached signature was verified over. LendOrder

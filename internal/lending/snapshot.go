@@ -2,6 +2,7 @@ package lending
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/id"
@@ -100,9 +101,15 @@ func sortedNonces(m map[uint64]bool) []uint64 {
 // identity kinds the format does not know about.
 func (p *Protocol) ExportState() (State, error) {
 	st := State{Nonce: p.nonce, Stats: p.stats}
-	for _, pid := range p.sortedSlotIDs(func(s *lendSlot) bool { return s.ident != nil }) {
-		ident, _ := p.identityOf(pid)
-		switch ident := ident.(type) {
+	// One walk of the arena in ascending identifier order fills both
+	// per-peer tables, each made at its final length from the slot counts.
+	st.Signers = slices.Grow(st.Signers, p.identCount)
+	st.SM = slices.Grow(st.SM, p.smCount)
+	for _, ord := range p.ords.SortedByID() {
+		pid, _ := p.ords.ID(ord)
+		slot := &p.slots[ord]
+		switch ident := slot.ident.(type) {
+		case nil:
 		case *transport.Signer:
 			sst := ident.Export()
 			st.Signers = append(st.Signers, SignerRecord{ID: pid, Signer: &sst})
@@ -111,7 +118,21 @@ func (p *Protocol) ExportState() (State, error) {
 		default:
 			return State{}, fmt.Errorf("lending: cannot checkpoint identity type %T for %s", ident, pid.Short())
 		}
+		if sm := slot.sm; sm != nil {
+			rec := SMRecord{
+				Node:       pid,
+				SeenLend:   sortedNonces(sm.seenLend),
+				SeenReward: sortedNonces(sm.seenReward),
+				Flagged:    sortedIDKeys(sm.flagged),
+			}
+			rec.BootNonce = slices.Grow(rec.BootNonce, len(sm.bootNonce))
+			for _, peer := range sortedIDKeys(sm.bootNonce) {
+				rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
+			}
+			st.SM = append(st.SM, rec)
+		}
 	}
+	st.Tombs = slices.Grow(st.Tombs, len(p.tombs))
 	for _, pid := range sortedIDKeys(p.tombs) {
 		pub, ok := transport.VerifyOnlyPublic(p.tombs[pid])
 		if !ok {
@@ -119,20 +140,7 @@ func (p *Protocol) ExportState() (State, error) {
 		}
 		st.Tombs = append(st.Tombs, TombRecord{ID: pid, Pub: pub})
 	}
-	for _, node := range p.sortedSlotIDs(func(s *lendSlot) bool { return s.sm != nil }) {
-		ord, _ := p.ords.Get(node)
-		sm := p.slots[ord].sm
-		rec := SMRecord{
-			Node:       node,
-			SeenLend:   sortedNonces(sm.seenLend),
-			SeenReward: sortedNonces(sm.seenReward),
-			Flagged:    sortedIDKeys(sm.flagged),
-		}
-		for _, peer := range sortedIDKeys(sm.bootNonce) {
-			rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
-		}
-		st.SM = append(st.SM, rec)
-	}
+	st.Stakes = slices.Grow(st.Stakes, len(p.intro))
 	for _, newcomer := range sortedIDKeys(p.intro) {
 		rec := p.intro[newcomer]
 		st.Stakes = append(st.Stakes, StakeRecord{
@@ -153,6 +161,10 @@ func (p *Protocol) ExportState() (State, error) {
 // also rebuilds the bus handlers; callers restoring bus crash flags must
 // do so afterwards.
 func (p *Protocol) RestoreState(st State) error {
+	// Every signer takes a slot and a bus handler: grow both tables once.
+	p.ords.Reserve(len(st.Signers))
+	p.slots = slices.Grow(p.slots, len(st.Signers))
+	p.bus.Reserve(len(st.Signers))
 	for _, rec := range st.Signers {
 		var ident transport.Identity
 		switch {

@@ -103,6 +103,22 @@ func DefaultParams() Params {
 	}
 }
 
+// defaultParams is the one DefaultParams value shared by every store and
+// book built with the defaults, which is every store and book a world
+// builds. Nothing writes through a params pointer.
+var defaultParams = DefaultParams()
+
+// sharedParams returns a pointer to p's value: the shared defaults when p
+// equals them, else a private copy. The copy is declared in its branch
+// so that only a non-default p costs an allocation.
+func sharedParams(p Params) *Params {
+	if p == defaultParams {
+		return &defaultParams
+	}
+	own := p
+	return &own
+}
+
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	switch {
@@ -170,8 +186,8 @@ type Opinion struct {
 // n peers would otherwise hold n empty tables before the first
 // transaction.
 type OpinionBook struct {
-	//replend:allow snapshotfields fixed at DefaultParams for every peer (restorePeer rebuilds books with them); params carry no run state
-	params   Params
+	//replend:allow snapshotfields points at the shared DefaultParams value for every peer (restorePeer rebuilds books with it); params carry no run state
+	params   *Params
 	handles  *arena.Ordinals
 	partnerH []arena.Ordinal // partner handles, ascending
 	partners []opinionState  // partners[i] is the experience with partnerH[i]
@@ -195,7 +211,7 @@ func NewOpinionBookOn(p Params, handles *arena.Ordinals) *OpinionBook {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
-	return &OpinionBook{params: p, handles: handles}
+	return &OpinionBook{params: sharedParams(p), handles: handles}
 }
 
 // Record folds one experience rating (in [0,1]; the paper's model uses the
@@ -278,8 +294,8 @@ func minf(a, b float64) float64 {
 // ExportState sort by identifier, exactly as the old map-backed layout
 // did.
 type Store struct {
-	//replend:allow snapshotfields fixed at DefaultParams for every store (world.Restore rebuilds them so); params carry no run state
-	params  Params
+	//replend:allow snapshotfields points at the shared DefaultParams value for every store (world.Restore rebuilds them so); params carry no run state
+	params  *Params
 	handles *arena.Ordinals // numbers subjects and reporters (see the package doc)
 	index   []indexEntry    // subject handle → slot, ascending by handle
 	s       []float64       // weighted opinion sums (plus lending adjustments), by slot
@@ -344,7 +360,7 @@ func NewStoreOn(p Params, handles *arena.Ordinals) *Store {
 		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
 		panic(err)
 	}
-	return &Store{params: p, handles: handles}
+	return &Store{params: sharedParams(p), handles: handles}
 }
 
 // Subjects returns the number of subjects with stored reputation.

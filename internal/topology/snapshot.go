@@ -59,6 +59,7 @@ func RestoreState(st State) (Selector, error) {
 	case Random:
 		u := NewUniform(rng.FromState(st.Src))
 		u.peers = append([]id.ID(nil), st.Peers...)
+		u.index = make(map[id.ID]int, len(u.peers))
 		for i, p := range u.peers {
 			u.index[p] = i
 		}
@@ -80,6 +81,13 @@ func RestoreState(st State) (Selector, error) {
 		s.degree = append([]int64(nil), st.Degree...)
 		s.alive = append([]bool(nil), st.Alive...)
 		s.stubs = append([]int32(nil), st.Stubs...)
+		live := 0
+		for _, alive := range s.alive {
+			if alive {
+				live++
+			}
+		}
+		s.index = make(map[id.ID]int, live)
 		for i, p := range s.peers {
 			if !s.alive[i] {
 				continue

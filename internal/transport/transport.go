@@ -12,6 +12,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/id"
 	"repro/internal/rng"
@@ -84,6 +85,17 @@ func (b *Bus) Register(addr id.ID, h Handler) {
 	}
 	b.handlers[addr] = h
 	delete(b.crashed, addr)
+}
+
+// Reserve makes room for n more handlers, so registering a restored
+// community's members grows the table once instead of step by step.
+func (b *Bus) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	handlers := make(map[id.ID]Handler, len(b.handlers)+n)
+	maps.Copy(handlers, b.handlers)
+	b.handlers = handlers
 }
 
 // Unregister removes an address. Subsequent sends count as NoRoute.

@@ -34,6 +34,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/baseline"
@@ -309,20 +310,25 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	s.Metrics.AdmissionLatency = copyHistogram(w.m.AdmissionLatency)
 	s.Metrics.AuditWait = copyHistogram(w.m.AuditWait)
 	s.Metrics.SessionLength = copyHistogram(w.m.SessionLength)
-	for _, pid := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.inFlight }) {
-		ord, _ := w.ords.Get(pid)
-		s.Arrivals = append(s.Arrivals, ArrivalRecord{Peer: pid, At: w.slots[ord].arrivedAt})
-	}
-	for ord := 0; ord < len(w.slots); ord++ {
+
+	// Every table is made once, at its final length: appending from nil
+	// grows a large table about 1.25x at a time, which allocates several
+	// times what it keeps.
+	s.Ordinals = slices.Grow(s.Ordinals, w.ords.Len())
+	for ord := range w.slots {
 		if pid, ok := w.ords.ID(arena.Ordinal(ord)); ok {
 			s.Ordinals = append(s.Ordinals, OrdinalRecord{Peer: pid, Ord: int32(ord)})
 		}
 	}
-	for _, f := range w.ords.FreeList() {
+	free := w.ords.FreeList()
+	s.OrdFree = slices.Grow(s.OrdFree, len(free))
+	for _, f := range free {
 		s.OrdFree = append(s.OrdFree, int32(f))
 	}
 
-	for _, ev := range w.engine.Pendings() {
+	pending := w.engine.Pendings()
+	s.Events = slices.Grow(s.Events, len(pending))
+	for _, ev := range pending {
 		rec, err := encodeEvent(ev)
 		if err != nil {
 			return nil, err
@@ -330,35 +336,74 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		s.Events = append(s.Events, rec)
 	}
 
-	for _, pid := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.pr != nil }) {
-		s.Peers = append(s.Peers, peerRecord(w.livePeer(pid)))
+	// One walk of the arena in ascending identifier order fills every
+	// per-peer table: a first pass counts each table's records, a second
+	// appends them.
+	walk := w.ords.SortedByID()
+	var n struct{ arrivals, peers, departed, wiped, stores, reps int }
+	for _, ord := range walk {
+		sl := &w.slots[ord]
+		if sl.inFlight {
+			n.arrivals++
+		}
+		if sl.pr != nil {
+			n.peers++
+		}
+		if sl.departed != nil {
+			n.departed++
+		}
+		if sl.wiped {
+			n.wiped++
+		}
+		if sl.store != nil {
+			n.stores++
+		}
+		if sl.hasRep {
+			n.reps++
+		}
 	}
+	s.Arrivals = slices.Grow(s.Arrivals, n.arrivals)
+	s.Peers = slices.Grow(s.Peers, n.peers)
+	s.Departed = slices.Grow(s.Departed, n.departed)
+	s.Wiped = slices.Grow(s.Wiped, n.wiped)
+	s.Stores = slices.Grow(s.Stores, n.stores)
+	s.RepCached = slices.Grow(s.RepCached, n.reps)
+	for _, ord := range walk {
+		sl := &w.slots[ord]
+		pid, _ := w.ords.ID(ord)
+		if sl.inFlight {
+			s.Arrivals = append(s.Arrivals, ArrivalRecord{Peer: pid, At: sl.arrivedAt})
+		}
+		if sl.pr != nil {
+			s.Peers = append(s.Peers, peerRecord(sl.pr))
+		}
+		if d := sl.departed; d != nil {
+			rec := DepartedRecord{Peer: peerRecord(d.peer)}
+			switch ident := d.ident.(type) {
+			case nil:
+			case *transport.Signer:
+				st := ident.Export()
+				rec.Signer = &st
+			case transport.NullIdentity:
+				rec.Null = true
+			default:
+				return nil, fmt.Errorf("world: cannot checkpoint departed identity type %T for %s", ident, pid.Short())
+			}
+			s.Departed = append(s.Departed, rec)
+		}
+		if sl.wiped {
+			s.Wiped = append(s.Wiped, pid)
+		}
+		if sl.store != nil {
+			s.Stores = append(s.Stores, StoreRecord{Node: pid, State: sl.store.ExportState()})
+		}
+		if sl.hasRep {
+			s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: sl.rep})
+		}
+	}
+	s.Admitted = slices.Grow(s.Admitted, len(w.admittedPeers))
 	for _, p := range w.admittedPeers {
 		s.Admitted = append(s.Admitted, p.ID)
-	}
-	for _, pid := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.departed != nil }) {
-		ord, _ := w.ords.Get(pid)
-		d := w.slots[ord].departed
-		rec := DepartedRecord{Peer: peerRecord(d.peer)}
-		switch ident := d.ident.(type) {
-		case nil:
-		case *transport.Signer:
-			st := ident.Export()
-			rec.Signer = &st
-		case transport.NullIdentity:
-			rec.Null = true
-		default:
-			return nil, fmt.Errorf("world: cannot checkpoint departed identity type %T for %s", ident, pid.Short())
-		}
-		s.Departed = append(s.Departed, rec)
-	}
-	s.Wiped = w.slotIDsSorted(func(sl *worldSlot) bool { return sl.wiped })
-	if len(s.Wiped) == 0 {
-		s.Wiped = nil
-	}
-	for _, node := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.store != nil }) {
-		st, _ := w.storeAt(node)
-		s.Stores = append(s.Stores, StoreRecord{Node: node, State: st.ExportState()})
 	}
 
 	topo, err := topology.ExportState(w.topo)
@@ -372,24 +417,35 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	}
 	s.Lending = lend
 
-	for _, pid := range w.slotIDsSorted(func(sl *worldSlot) bool { return sl.hasRep }) {
-		ord, _ := w.ords.Get(pid)
-		s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: w.slots[ord].rep})
+	// The placement records' manager sets, arcs and index slices are cut
+	// from one backing array per table instead of one small slice each.
+	cached := sortedWorldIDs(w.smCache)
+	var nSMs, nDeps int
+	for _, pid := range cached {
+		nSMs += len(w.smCache[pid].sms)
+		nDeps += len(w.smCache[pid].deps)
 	}
-	for _, pid := range sortedWorldIDs(w.smCache) {
+	s.SMCache = slices.Grow(s.SMCache, len(cached))
+	sms, deps := make([]id.ID, 0, nSMs), make([]SMDepRecord, 0, nDeps)
+	for _, pid := range cached {
 		e := w.smCache[pid]
-		rec := SMCacheRecord{
-			Peer:   pid,
-			SMs:    append([]id.ID(nil), e.sms...),
-			Padded: e.padded,
-		}
+		from := len(sms)
+		sms = append(sms, e.sms...)
+		rec := SMCacheRecord{Peer: pid, SMs: piece(sms, from), Padded: e.padded}
+		from = len(deps)
 		for _, d := range e.deps {
-			rec.Deps = append(rec.Deps, SMDepRecord{Key: d.key, Owner: d.owner, Skip: d.skip})
+			deps = append(deps, SMDepRecord{Key: d.key, Owner: d.owner, Skip: d.skip})
 		}
+		rec.Deps = piece(deps, from)
 		s.SMCache = append(s.SMCache, rec)
 	}
-	for _, owner := range sortedWorldIDs(w.smDeps) {
-		s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: owner, Peers: append([]id.ID(nil), w.smDeps[owner]...)})
+	owners := sortedWorldIDs(w.smDeps)
+	s.SMDeps = slices.Grow(s.SMDeps, len(owners))
+	indexed := make([]id.ID, 0, w.smDepSlots)
+	for _, owner := range owners {
+		from := len(indexed)
+		indexed = append(indexed, w.smDeps[owner]...)
+		s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: owner, Peers: piece(indexed, from)})
 	}
 	return s, nil
 }
@@ -462,6 +518,13 @@ func Restore(s *Snapshot) (*World, error) {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
 	w.slots = make([]worldSlot, w.ords.Cap())
+	// Size the restored tables to the snapshot's counts before filling
+	// them. The handle table interns every identity the books, stores and
+	// placements below name; the arena's count is its usual size.
+	w.handles.Reserve(len(s.Ordinals))
+	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
+	w.smCache = make(map[id.ID]*smCacheEntry, len(s.SMCache))
+	w.smDeps = make(map[id.ID][]id.ID, len(s.SMDeps))
 	slotFor := func(pid id.ID) (*worldSlot, error) {
 		ord, ok := w.ords.Get(pid)
 		if !ok {
@@ -608,16 +671,20 @@ func Restore(s *Snapshot) (*World, error) {
 		w.dirtyRep = append(w.dirtyRep, pid)
 	}
 
+	// Placements are copied out of the snapshot, never adopted: repairs
+	// patch an entry's arcs and compact an owner's index slice in place,
+	// which would write through to the snapshot's records.
 	for _, rec := range s.SMCache {
 		if _, dup := w.smCache[rec.Peer]; dup {
 			return nil, fmt.Errorf("world: restore: duplicate placement entry %s", rec.Peer.Short())
 		}
 		e := &smCacheEntry{
 			sms:    append([]id.ID(nil), rec.SMs...),
+			deps:   make([]smDep, len(rec.Deps)),
 			padded: rec.Padded,
 		}
-		for _, d := range rec.Deps {
-			e.deps = append(e.deps, smDep{key: d.Key, owner: d.Owner, skip: d.Skip})
+		for i, d := range rec.Deps {
+			e.deps[i] = smDep{key: d.Key, owner: d.Owner, skip: d.Skip}
 		}
 		e.refs = make([]rocq.Ref, len(e.sms))
 		h := w.handles.Intern(rec.Peer)
@@ -875,6 +942,17 @@ func restoredSeries(s *metrics.Series, name string, now sim.Tick) (*metrics.Seri
 		}
 	}
 	return out, nil
+}
+
+// piece returns table[from:] capped at its length, or nil when empty: one
+// record's share of a backing array its whole table is cut from. The cap
+// means an append to one record's piece reallocates instead of writing
+// into the next record's.
+func piece[T any](table []T, from int) []T {
+	if from == len(table) {
+		return nil
+	}
+	return table[from:len(table):len(table)]
 }
 
 // sortedWorldIDs returns a map's keys in ascending identifier order.

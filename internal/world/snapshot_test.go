@@ -11,6 +11,7 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,6 +297,123 @@ func TestSnapshotScriptedChurn(t *testing.T) {
 	got := fingerprint(t, w)
 	if !bytes.Equal(want, got) {
 		t.Fatal("restored scripted-churn run diverged from uninterrupted run")
+	}
+}
+
+// TestRestoreNeverWritesThroughToSnapshot restores one snapshot twice.
+// The first restored world runs until joins and leaves have patched
+// restored placements in place; the snapshot must still encode to its
+// original bytes, and the second world, restored from it afterwards, must
+// finish with the uncut run's fingerprint. A snapshot cuts its placement
+// records from shared backing arrays, so appending to one record must
+// leave the next one unchanged.
+func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
+	cfg := churnyCfg(8)
+	end := sim.Tick(cfg.NumTrans)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := ref.Run(); err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	want := fingerprint(t, ref)
+
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(1500); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	orig, err := openSnapshot(data)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	recorded := make(map[id.ID][]SMDepRecord, len(orig.SMCache))
+	for _, rec := range orig.SMCache {
+		recorded[rec.Peer] = rec.Deps
+	}
+
+	first, err := Restore(snap)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	entries := make(map[id.ID]*smCacheEntry, len(first.smCache))
+	for pid, e := range first.smCache {
+		entries[pid] = e
+	}
+	if err := first.RunFor(end - snap.Now); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	// Count the restored entries that survived the run with their arcs
+	// patched in place; with none the check below would prove nothing.
+	patched := 0
+	for pid, e := range entries {
+		if first.smCache[pid] != e {
+			continue // evicted or recomputed
+		}
+		for i, d := range e.deps {
+			if r := recorded[pid][i]; d.key != r.Key || d.owner != r.Owner || d.skip != r.Skip {
+				patched++
+				break
+			}
+		}
+	}
+	if patched == 0 {
+		t.Fatal("no restored placement was patched in place")
+	}
+	if again, err := snap.Encode(); err != nil || !bytes.Equal(data, again) {
+		t.Fatalf("running a restored world changed the snapshot it came from (%d patched placements, err %v)", patched, err)
+	}
+
+	second, err := Restore(snap)
+	if err != nil {
+		t.Fatalf("second Restore: %v", err)
+	}
+	if err := second.RunFor(end - snap.Now); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	second.Finish()
+	if got := fingerprint(t, second); !bytes.Equal(want, got) {
+		t.Fatal("the second world restored from the snapshot diverged from the uncut run")
+	}
+
+	fresh, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	// Each table's first two records that both hold entries.
+	pair := func(n int, size func(int) int) int {
+		for i := 0; i+1 < n; i++ {
+			if size(i) > 0 && size(i+1) > 0 {
+				return i
+			}
+		}
+		t.Fatal("fixture too small: no two neighbouring records with entries")
+		return 0
+	}
+	c := pair(len(fresh.SMCache), func(i int) int { return len(fresh.SMCache[i].Deps) })
+	nextSMs, nextDeps := slices.Clone(fresh.SMCache[c+1].SMs), slices.Clone(fresh.SMCache[c+1].Deps)
+	_ = append(fresh.SMCache[c].SMs, id.ID{})
+	_ = append(fresh.SMCache[c].Deps, SMDepRecord{})
+	if !slices.Equal(fresh.SMCache[c+1].SMs, nextSMs) || !slices.Equal(fresh.SMCache[c+1].Deps, nextDeps) {
+		t.Fatal("appending to one placement record changed the next one")
+	}
+	o := pair(len(fresh.SMDeps), func(i int) int { return len(fresh.SMDeps[i].Peers) })
+	nextPeers := slices.Clone(fresh.SMDeps[o+1].Peers)
+	_ = append(fresh.SMDeps[o].Peers, id.ID{})
+	if !slices.Equal(fresh.SMDeps[o+1].Peers, nextPeers) {
+		t.Fatal("appending to one placement-index record changed the next one")
 	}
 }
 

@@ -91,10 +91,11 @@ type World struct {
 	// lets churn recycle slots, so million-peer worlds index one flat
 	// slice instead of chasing eight separate per-peer maps. Ordinals
 	// never feed output bytes — output iteration stays over sorted ids
-	// or recorded insertion orders (slotIDsSorted) — except in snapshots,
-	// where the table itself is state so restored worlds recycle slots in
-	// the same order the original would. Peer objects come from peerSlab,
-	// which packs them into chunked, pointer-stable storage.
+	// (Ordinals.SortedByID) or recorded insertion orders — except in
+	// snapshots, where the table itself is state so restored worlds
+	// recycle slots in the same order the original would. Peer objects
+	// come from peerSlab, which packs them into chunked, pointer-stable
+	// storage.
 	ords  *arena.Ordinals
 	slots []worldSlot
 	//replend:allow snapshotfields allocation pool, not state; restore re-allocates every peer object through newPeer
@@ -239,20 +240,6 @@ func (w *World) newPeer(pid id.ID, class peer.Class, style peer.Style) *peer.Pee
 	p.ID, p.Class, p.Style = pid, class, style
 	p.Opinions = rocq.NewOpinionBookOn(rocq.DefaultParams(), w.handles)
 	return p
-}
-
-// slotIDsSorted returns, in ascending identifier order, the ids whose
-// slot satisfies the predicate — the deterministic iteration the
-// snapshot encoder and the store sweeps use instead of map ranges.
-func (w *World) slotIDsSorted(pred func(*worldSlot) bool) []id.ID {
-	out := make([]id.ID, 0, w.ords.Len())
-	for ord := 0; ord < len(w.slots); ord++ {
-		if pid, ok := w.ords.ID(arena.Ordinal(ord)); ok && pred(&w.slots[ord]) {
-			out = append(out, pid)
-		}
-	}
-	sortIDs(out)
-	return out
 }
 
 // ArenaSlots reports the slot arena's occupancy: currently assigned

@@ -12,6 +12,19 @@ import (
 	"repro/internal/topology"
 )
 
+// slotIDsSorted returns, in ascending identifier order, the ids whose
+// slot satisfies the predicate.
+func (w *World) slotIDsSorted(pred func(*worldSlot) bool) []id.ID {
+	var out []id.ID
+	for _, ord := range w.ords.SortedByID() {
+		if pred(&w.slots[ord]) {
+			pid, _ := w.ords.ID(ord)
+			out = append(out, pid)
+		}
+	}
+	return out
+}
+
 // smallCfg returns a configuration scaled down for fast integration tests:
 // 60 founders, 8000 ticks, brisk arrivals.
 func smallCfg() config.Config {
