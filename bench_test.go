@@ -29,6 +29,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -332,6 +333,28 @@ func BenchmarkGrowthFootprint(b *testing.B) {
 	cfg.Lambda = 0.1
 	cfg.NumTrans = 20_000
 	cfg.Seed = 1
+	benchFootprint(b, cfg)
+}
+
+// BenchmarkChurnFootprint is BenchmarkGrowthFootprint with perfbench
+// churn's departure process: μ = λ/2, 30% crashes, half the departed
+// rejoin after a mean 2,000-tick downtime, and state migration on. It
+// adds placement repairs, the churn handoff and rejoins to the growth
+// run's paths. BENCH_10.json gates its allocs_per_tick.
+func BenchmarkChurnFootprint(b *testing.B) {
+	cfg := config.Default()
+	cfg.Lambda = 0.1
+	cfg.NumTrans = 20_000
+	cfg.Seed = 1
+	cfg.Churn = churn.Params{Mu: cfg.Lambda / 2, CrashFrac: 0.3, RejoinProb: 0.5, DowntimeMean: 2_000, Migrate: true}
+	benchFootprint(b, cfg)
+}
+
+// benchFootprint builds and runs cfg's world untimed as a warm-up, then
+// builds and runs a second one per iteration, and reports its
+// allocs_per_tick and heap_bytes_per_peer.
+func benchFootprint(b *testing.B, cfg config.Config) {
+	b.Helper()
 	run := func() *world.World {
 		w, err := world.New(cfg)
 		if err != nil {

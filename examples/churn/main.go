@@ -17,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/id"
 	"repro/internal/scenario"
@@ -35,7 +36,9 @@ func main() {
 
 	// (1) Score-manager migration under growth.
 	subject := w.AdmittedPeers()[0]
-	before := w.ScoreManagers(subject)
+	// ScoreManagers returns the placement cache's own slice, which the
+	// joins below repair in place: keep a copy to compare against.
+	before := slices.Clone(w.ScoreManagers(subject))
 	fmt.Printf("peer %s score managers at n=%d:\n", subject.Short(), w.Ring().Size())
 	printSMs(before)
 

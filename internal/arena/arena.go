@@ -151,11 +151,21 @@ func (o *Ordinals) FreeList() []Ordinal {
 	return append([]Ordinal(nil), o.free...)
 }
 
+// Assignment is one assigned ordinal of a checkpointed table.
+type Assignment struct {
+	ID  id.ID
+	Ord Ordinal
+}
+
 // Restore resets the allocator to a checkpointed state: the given
-// assignments (id → ordinal) and free-list, verbatim. Every slot in
-// [0, cap) must be accounted for exactly once across the two.
-func (o *Ordinals) Restore(assigned map[id.ID]Ordinal, free []Ordinal) error {
+// assignments and free-list, verbatim. Every slot in [0, cap) must be
+// accounted for exactly once across the two, and no identifier may hold
+// two ordinals. Records are checked in the order given, assignments
+// first, so the error names the first bad one.
+func (o *Ordinals) Restore(assigned []Assignment, free []Ordinal) error {
 	total := len(assigned) + len(free)
+	ids := make([]id.ID, total)
+	live := make([]bool, total)
 	seen := make([]bool, total)
 	claim := func(ord Ordinal) error {
 		if ord < 0 || int(ord) >= total {
@@ -168,15 +178,16 @@ func (o *Ordinals) Restore(assigned map[id.ID]Ordinal, free []Ordinal) error {
 		return nil
 	}
 	index := make(map[id.ID]Ordinal, len(assigned))
-	ids := make([]id.ID, total)
-	live := make([]bool, total)
-	for pid, ord := range assigned {
-		if err := claim(ord); err != nil {
+	for _, a := range assigned {
+		if _, dup := index[a.ID]; dup {
+			return fmt.Errorf("arena: restore: duplicate ordinal entry %s", a.ID.Short())
+		}
+		if err := claim(a.Ord); err != nil {
 			return err
 		}
-		index[pid] = ord
-		ids[ord] = pid
-		live[ord] = true
+		index[a.ID] = a.Ord
+		ids[a.Ord] = a.ID
+		live[a.Ord] = true
 	}
 	for _, ord := range free {
 		if err := claim(ord); err != nil {

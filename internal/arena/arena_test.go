@@ -114,10 +114,10 @@ func TestOrdinalsRestoreRoundTrip(t *testing.T) {
 	o.Release(pid(3))
 	o.Release(pid(6))
 
-	assigned := make(map[id.ID]Ordinal)
+	var assigned []Assignment
 	for ord := Ordinal(0); int(ord) < o.Cap(); ord++ {
 		if p, ok := o.ID(ord); ok {
-			assigned[p] = ord
+			assigned = append(assigned, Assignment{ID: p, Ord: ord})
 		}
 	}
 	free := o.FreeList()
@@ -140,13 +140,13 @@ func TestOrdinalsRestoreRoundTrip(t *testing.T) {
 
 func TestOrdinalsRestoreRejectsBadTables(t *testing.T) {
 	r := NewOrdinals()
-	if err := r.Restore(map[id.ID]Ordinal{pid(1): 0, pid(2): 0}, nil); err == nil {
+	if err := r.Restore([]Assignment{{pid(1), 0}, {pid(2), 0}}, nil); err == nil {
 		t.Fatal("duplicate ordinal accepted")
 	}
-	if err := r.Restore(map[id.ID]Ordinal{pid(1): 5}, nil); err == nil {
+	if err := r.Restore([]Assignment{{pid(1), 5}}, nil); err == nil {
 		t.Fatal("out-of-range ordinal accepted")
 	}
-	if err := r.Restore(map[id.ID]Ordinal{pid(1): 0}, []Ordinal{0}); err == nil {
+	if err := r.Restore([]Assignment{{pid(1), 0}}, []Ordinal{0}); err == nil {
 		t.Fatal("ordinal claimed by both tables accepted")
 	}
 }

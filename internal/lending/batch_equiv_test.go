@@ -153,7 +153,7 @@ func runEquivArm(t *testing.T, s equivScript, batched bool) string {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
 	for _, n := range nodes {
 		st := h.net.stores[n]
-		for _, subj := range st.SubjectIDs() {
+		for _, subj := range st.SubjectIDs(nil) {
 			v, _ := st.Query(subj)
 			fmt.Fprintf(&b, "store %s %s %.12g\n", n.Short(), subj.Short(), v)
 		}

@@ -80,6 +80,11 @@ func (p Params) Validate() error {
 // simulation world implements it on top of the overlay ring.
 type Network interface {
 	// ScoreManagers returns the current score-manager node set for a peer.
+	// The slice may be the network's own cache: it is valid until the
+	// next ring join or leave, and must not be modified or kept past
+	// one. The protocol reads each set before any event it triggers can
+	// detach a node (a refusal detaches the newcomer only after the last
+	// read), and a delayed SendBatch copies its destinations.
 	ScoreManagers(p id.ID) []id.ID
 	// Store returns the reputation store hosted at the given node.
 	Store(node id.ID) *rocq.Store
@@ -221,6 +226,8 @@ type Protocol struct {
 	refuseKind sim.Kind
 	//replend:allow snapshotfields registered by New on the engine; pending waiting-period events cross a checkpoint by kind name
 	lendKind sim.Kind
+	//replend:allow snapshotfields wiring: the dispatch method value New builds once and registers for every peer
+	handler transport.Handler
 
 	// ords and slots are the protocol's per-peer arena: registration
 	// assigns a dense ordinal, unregistration releases it, and the slot
@@ -295,22 +302,29 @@ const (
 	kindReward = "reward"
 )
 
-// creditMsg carries the signed order from an introducer's score manager to
-// a newcomer's score manager.
-type creditMsg struct {
-	env transport.Envelope
+// rewardMsg tells an introducer's score manager to return the stake plus
+// reward after a satisfactory audit; the payload is a pointer, one per
+// sending manager. The signed envelope is materialised lazily: the bus
+// delivers synchronously, and a receiving manager that has already
+// credited this audit's nonce drops the message before examining the
+// signature, so an envelope every receiver dedups is never signed at all
+// — without that, the audit fan-out costs numSM signatures apiece.
+type rewardMsg struct {
+	order  transport.LendOrder // for the pre-verification nonce dedup
+	signer transport.Identity  // the sending manager's key
+	reward float64
+	env    transport.Envelope // the signed order, once signed is set
+	signed bool
 }
 
-// rewardMsg tells an introducer's score manager to return the stake plus
-// reward after a satisfactory audit. The signed envelope is materialised
-// lazily: the bus delivers synchronously, and a receiving manager that has
-// already credited this audit's nonce drops the message before examining
-// the signature, so an envelope every receiver dedups is never signed at
-// all — without that, the audit fan-out costs numSM signatures apiece.
-type rewardMsg struct {
-	order  transport.LendOrder       // for the pre-verification nonce dedup
-	sign   func() transport.Envelope // signs the order on first need (idempotent)
-	reward float64
+// envelope signs the order on first need and returns the same envelope
+// on every later call.
+func (m *rewardMsg) envelope(p *Protocol) transport.Envelope {
+	if !m.signed {
+		m.env = p.sign(m.signer, m.order)
+		m.signed = true
+	}
+	return m.env
 }
 
 // New builds a protocol instance over the given substrate.
@@ -335,6 +349,7 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, eve
 	}
 	p.refuseKind = engine.Handle("intro-refuse", p.refuseEvent)
 	p.lendKind = engine.Handle("intro-lend", p.lendEvent)
+	p.handler = p.dispatch
 	return p, nil
 }
 
@@ -465,7 +480,7 @@ func (p *Protocol) RegisterPeer(pid id.ID, ident transport.Identity) {
 	}
 	slot.ident = ident
 	delete(p.tombs, pid) // superseded by the live identity
-	p.bus.Register(pid, p.handle(pid))
+	p.bus.Register(pid, p.handler)
 }
 
 // Identity returns the registered signing identity of a member — the
@@ -657,28 +672,30 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	}
 }
 
-// handle returns the bus handler for one node, dispatching the lending
-// message kinds. Unknown kinds are a programming error.
-func (p *Protocol) handle(node id.ID) transport.Handler {
-	return func(m transport.Message) {
-		switch m.Kind {
-		case kindLend:
-			p.onLend(node, m.Payload.(transport.Envelope))
-		case kindCredit:
-			p.onCredit(node, m.Payload.(creditMsg))
-		case kindReward:
-			p.onReward(node, m.From, m.Payload.(rewardMsg))
-		default:
-			//replend:allow nopanic the kind set is closed within this process: only this package sends on the in-memory bus
-			panic(fmt.Sprintf("lending: node %s got unknown message kind %q", node.Short(), m.Kind))
-		}
+// dispatch is the bus handler of every registered node, dispatching the
+// lending message kinds to the destination node. Unknown kinds are a
+// programming error.
+func (p *Protocol) dispatch(m transport.Message) {
+	switch m.Kind {
+	case kindLend:
+		p.onLend(m.To, m.Payload)
+	case kindCredit:
+		p.onCredit(m.To, m.Payload.(transport.Envelope))
+	case kindReward:
+		p.onReward(m.To, m.From, m.Payload.(*rewardMsg))
+	default:
+		//replend:allow nopanic the kind set is closed within this process: only this package sends on the in-memory bus
+		panic(fmt.Sprintf("lending: node %s got unknown message kind %q", m.To.Short(), m.Kind))
 	}
 }
 
 // onLend is the introducer's score manager receiving the signed order:
 // verify, deduplicate, debit the stake and fan the credit out to every
-// score manager of the newcomer.
-func (p *Protocol) onLend(node id.ID, env transport.Envelope) {
+// score manager of the newcomer. The credit carries the same signed
+// order, so the lend's boxed envelope is forwarded as it is; the message
+// kind tells the two apart.
+func (p *Protocol) onLend(node id.ID, payload any) {
+	env := payload.(transport.Envelope)
 	st := p.smState(node)
 	if st.seenLend[env.Order.Nonce] {
 		return // duplicate: dropped whatever the signature says
@@ -689,13 +706,11 @@ func (p *Protocol) onLend(node id.ID, env transport.Envelope) {
 	st.seenLend[env.Order.Nonce] = true
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
 
-	var payload any = creditMsg{env: env}
 	p.fanOut(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
 }
 
 // onCredit is the newcomer's score manager receiving the bootstrap credit.
-func (p *Protocol) onCredit(node id.ID, msg creditMsg) {
-	env := msg.env
+func (p *Protocol) onCredit(node id.ID, env transport.Envelope) {
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return
 	}
@@ -786,16 +801,8 @@ func (p *Protocol) Audit(newcomer id.ID) {
 			if !ok {
 				continue
 			}
-			var env *transport.Envelope
-			sign := func() transport.Envelope {
-				if env == nil {
-					e := p.sign(signer, order)
-					env = &e
-				}
-				return *env
-			}
-			var payload any = rewardMsg{order: order, sign: sign, reward: p.params.Reward}
-			p.fanOut(from, kindReward, payload, introSMs)
+			msg := &rewardMsg{order: order, signer: signer, reward: p.params.Reward}
+			p.fanOut(from, kindReward, msg, introSMs)
 		}
 		clear(p.sigCache)
 	} else {
@@ -817,7 +824,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 // onReward is the introducer's score manager receiving the stake return
 // after a satisfactory audit: credit introAmt + reward, "subject to the
 // reputation not exceeding 1" (Credit clamps), once per audit nonce.
-func (p *Protocol) onReward(node, from id.ID, msg rewardMsg) {
+func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
 	st := p.smState(node)
 	if st.seenReward[msg.order.Nonce] {
 		// Duplicate of an already-credited return: it would be dropped
@@ -827,7 +834,7 @@ func (p *Protocol) onReward(node, from id.ID, msg rewardMsg) {
 		// this ordering keeps the redundant copies free.
 		return
 	}
-	env := msg.sign()
+	env := msg.envelope(p)
 	if !p.verifyEnv(env, from) {
 		return // the sender must be the peer whose key signed the return
 	}

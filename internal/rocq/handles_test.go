@@ -68,7 +68,7 @@ func TestHandlesNeverReachOutput(t *testing.T) {
 	if got, want := b.book.ExportState(), a.book.ExportState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("opinion book exports differ across handle orders:\n%+v\n%+v", got, want)
 	}
-	if got, want := b.store.SubjectIDs(), a.store.SubjectIDs(); !reflect.DeepEqual(got, want) {
+	if got, want := b.store.SubjectIDs(nil), a.store.SubjectIDs(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("SubjectIDs differ across handle orders: %v vs %v", got, want)
 	}
 	for _, pid := range ids {

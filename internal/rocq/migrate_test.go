@@ -55,7 +55,7 @@ func TestSubjectIDsSortedAndPresentOnly(t *testing.T) {
 		s.Init(id.FromUint64(v), 0.5)
 	}
 	s.Ref(id.FromUint64(7)) // placeholder: must not be listed
-	got := s.SubjectIDs()
+	got := s.SubjectIDs(nil)
 	want := []uint64{1, 3, 5, 9}
 	if len(got) != len(want) {
 		t.Fatalf("SubjectIDs() = %d entries, want %d", len(got), len(want))

@@ -280,7 +280,7 @@ func compareWithOracle(t *testing.T, step int, what string, store *Store, book *
 			fail("exported credibility %d = %+v, oracle %+v", i, g, w)
 		}
 	}
-	ids := store.SubjectIDs()
+	ids := store.SubjectIDs(nil)
 	if len(ids) != len(want.Subjects) {
 		fail("SubjectIDs() lists %d subjects, oracle %d", len(ids), len(want.Subjects))
 	}

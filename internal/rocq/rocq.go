@@ -738,23 +738,25 @@ func (s *Store) Adopt(subject id.ID, sn Snapshot) {
 	s.notify(idx)
 }
 
-// SubjectIDs returns the subjects with stored evidence in ascending
-// identifier order — the deterministic iteration the churn handoff needs
-// when a node's store is enumerated at departure. The arena makes this a
-// linear slice scan instead of a map iteration. A store without evidence
-// returns nil: every founder's join scans its successor's store before
-// any founder has been initialised.
-func (s *Store) SubjectIDs() []id.ID {
+// SubjectIDs appends the subjects with stored evidence to buf in
+// ascending identifier order and returns the extended slice — the
+// deterministic iteration the churn handoff needs when a node's store is
+// enumerated at departure. The arena makes this a linear slice scan
+// instead of a map iteration, and a caller that passes the same buffer
+// back scans without allocating. A store without evidence returns buf
+// unchanged: every founder's join scans its successor's store before any
+// founder has been initialised.
+func (s *Store) SubjectIDs(buf []id.ID) []id.ID {
 	if s.known == 0 {
-		return nil
+		return buf
 	}
-	out := make([]id.ID, 0, s.known)
+	out := slices.Grow(buf, s.known)
 	for i := range s.meta {
 		if s.meta[i].present {
 			out = append(out, s.subjectID(int32(i)))
 		}
 	}
-	slices.SortFunc(out, id.ID.Cmp)
+	slices.SortFunc(out[len(buf):], id.ID.Cmp)
 	return out
 }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -177,7 +178,9 @@ func TestGoldenChurn(t *testing.T) {
 			break
 		}
 	}
-	sms := w.ScoreManagers(introducer)
+	// A copy: the injection and the run below join nodes, and a join
+	// repairs the cached set in place.
+	sms := slices.Clone(w.ScoreManagers(introducer))
 	for _, sm := range sms[:len(sms)/2] {
 		w.Bus().Crash(sm)
 	}

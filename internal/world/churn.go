@@ -34,7 +34,6 @@ import (
 	"repro/internal/churn"
 	"repro/internal/id"
 	"repro/internal/peer"
-	"repro/internal/rocq"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -56,10 +55,11 @@ type leaver struct {
 }
 
 // handoffRecord is one captured reputation record pending adoption by the
-// owners inheriting the leavers' arcs.
+// owners inheriting the leavers' arcs. Its survivors' versions, in
+// manager order, are World.handoffSnaps[from:to].
 type handoffRecord struct {
-	subject id.ID
-	snaps   []rocq.Snapshot // survivors' versions, in manager order
+	subject  id.ID
+	from, to int
 }
 
 // migrating reports whether score-manager state migration is active. It
@@ -158,10 +158,12 @@ func (w *World) Rejoin(pid id.ID) error {
 		w.redrawPlan(p)
 	}
 	w.record(telemetry.Rejoined, pid, id.ID{}, p.Class.String())
-	w.recordWorkload(workload.Event{
-		At: int64(w.engine.Now()), Op: workload.OpRejoin,
-		Cohort: p.Cohort, Peer: pid.Short(), Plan: p.Plan,
-	})
+	if w.wkRecorder != nil {
+		w.wkRecorder.Record(workload.Event{
+			At: int64(w.engine.Now()), Op: workload.OpRejoin,
+			Cohort: p.Cohort, Peer: pid.Short(), Plan: p.Plan,
+		})
+	}
 	w.admit(p, w.engine.Now())
 	return w.err
 }
@@ -360,10 +362,12 @@ func (w *World) departBatch(batch []leaver) {
 			}
 		}
 		w.record(telemetry.Departed, l.pid, id.ID{}, detail)
-		w.recordWorkload(workload.Event{
-			At: int64(w.engine.Now()), Op: workload.OpDepart,
-			Cohort: p.Cohort, Peer: l.pid.Short(), Detail: detail,
-		})
+		if w.wkRecorder != nil {
+			w.wkRecorder.Record(workload.Event{
+				At: int64(w.engine.Now()), Op: workload.OpDepart,
+				Cohort: p.Cohort, Peer: l.pid.Short(), Detail: detail,
+			})
+		}
 		succ, _ := w.ring.NextMember(l.pid) // the heir of the arcs, read before the leave
 		if err := w.ring.Leave(l.pid); err != nil {
 			w.fail(fmt.Errorf("sim: departure of %s: %w", l.pid.Short(), err))
@@ -509,45 +513,60 @@ func (w *World) removeAdmitted(p *peer.Peer) {
 // not. Orphaned replicas (slots whose node lost responsibility under an
 // earlier arc shift) are skipped — migrating them would resurrect stale
 // data.
+//
+// The records and their snapshots live in world-owned buffers that the
+// next capture overwrites. Captures are not re-entrant: nothing between
+// a capture and its applyHandoff departs or detaches a node.
 func (w *World) captureHandoff(batch []leaver) []handoffRecord {
-	dying := make(map[id.ID]bool, len(batch)) // id → graceful
-	for _, l := range batch {
-		dying[l.pid] = l.graceful
-	}
-	var out []handoffRecord
-	captured := make(map[id.ID]bool)
+	out := w.handoffRecs[:0]
+	snaps := w.handoffSnaps[:0]
+	clear(w.handoffSeen)
 	for _, l := range batch {
 		st, ok := w.storeAt(l.pid)
 		if !ok {
 			continue
 		}
-		for _, subject := range st.SubjectIDs() {
-			if captured[subject] {
+		w.subjScratch = st.SubjectIDs(w.subjScratch[:0])
+		for _, subject := range w.subjScratch {
+			if _, dup := w.handoffSeen[subject]; dup {
 				continue
 			}
 			sms := w.ScoreManagers(subject) // placement before the leave
 			if !id.Contains(sms, l.pid) {
 				continue // orphaned replica: responsibility moved earlier
 			}
-			captured[subject] = true
-			rec := handoffRecord{subject: subject}
+			w.handoffSeen[subject] = struct{}{}
+			rec := handoffRecord{subject: subject, from: len(snaps)}
 			for i, m := range sms {
 				if id.Contains(sms[:i], m) {
 					continue // padded placement repeats managers
 				}
-				if graceful, isDying := dying[m]; isDying && !graceful {
+				if crashing(batch, m) {
 					continue // a crashing replica cannot be pulled from
 				}
 				if src, ok := w.storeAt(m); ok {
 					if snap, ok := src.Export(subject); ok {
-						rec.snaps = append(rec.snaps, snap)
+						snaps = append(snaps, snap)
 					}
 				}
 			}
+			rec.to = len(snaps)
 			out = append(out, rec)
 		}
 	}
+	w.handoffRecs, w.handoffSnaps = out, snaps
 	return out
+}
+
+// crashing reports whether node leaves in the batch by crash. A batch is
+// small, so a scan beats building a set.
+func crashing(batch []leaver, node id.ID) bool {
+	for _, l := range batch {
+		if l.pid == node {
+			return !l.graceful
+		}
+	}
+	return false
 }
 
 // applyHandoff completes the migration after the leavers are gone: each
@@ -559,7 +578,7 @@ func (w *World) applyHandoff(records []handoffRecord) {
 		return
 	}
 	for _, rec := range records {
-		snap, ok := churn.Reconcile(rec.snaps)
+		snap, ok := churn.Reconcile(w.handoffSnaps[rec.from:rec.to])
 		if !ok {
 			w.m.Churn.Wipeouts++
 			w.ensureSlot(rec.subject).wiped = true
@@ -590,7 +609,8 @@ func (w *World) migrateAfterJoin(x id.ID) {
 		return
 	}
 	if src, ok := w.storeAt(succ); ok {
-		for _, subject := range src.SubjectIDs() {
+		w.subjScratch = src.SubjectIDs(w.subjScratch[:0])
+		for _, subject := range w.subjScratch {
 			sms := w.ScoreManagers(subject) // placement including the joiner
 			if !id.Contains(sms, x) {
 				continue // the joiner took none of this record's replica keys

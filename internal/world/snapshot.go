@@ -503,12 +503,9 @@ func Restore(s *Snapshot) (*World, error) {
 	// a slot through it, and installing the table plus free-list verbatim
 	// is what makes the restored world recycle slots in the uncut run's
 	// order.
-	assigned := make(map[id.ID]arena.Ordinal, len(s.Ordinals))
-	for _, rec := range s.Ordinals {
-		if _, dup := assigned[rec.Peer]; dup {
-			return nil, fmt.Errorf("world: restore: duplicate ordinal entry %s", rec.Peer.Short())
-		}
-		assigned[rec.Peer] = arena.Ordinal(rec.Ord)
+	assigned := make([]arena.Assignment, len(s.Ordinals))
+	for i, rec := range s.Ordinals {
+		assigned[i] = arena.Assignment{ID: rec.Peer, Ord: arena.Ordinal(rec.Ord)}
 	}
 	free := make([]arena.Ordinal, len(s.OrdFree))
 	for i, f := range s.OrdFree {

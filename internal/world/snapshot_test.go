@@ -573,6 +573,25 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+	// Several records out of range: every restore names the first of
+	// them in snapshot order, not whichever one a map walk meets first.
+	if len(snap.Ordinals) < 9 {
+		t.Fatalf("fixture too small: %d ordinals", len(snap.Ordinals))
+	}
+	total := int32(len(snap.Ordinals) + len(snap.OrdFree))
+	want := fmt.Sprintf("ordinal %d out of range", total+1)
+	for run := 0; run < 20; run++ {
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		for i := 1; i <= 8; i++ {
+			s.Ordinals[i].Ord = total + int32(i)
+		}
+		if _, err := Restore(s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore %d of eight out-of-range records: error %v, want one naming %q", run, err, want)
+		}
+	}
 }
 
 // TestRestoreRejectsHostileROCQRecords feeds Restore snapshots whose

@@ -36,13 +36,6 @@ func (w *World) workloadAssigning() bool {
 // advances past tick 0 (Start only schedules; no event has fired yet).
 func (w *World) SetWorkloadRecorder(r *workload.Recorder) { w.wkRecorder = r }
 
-// recordWorkload hands one event to the attached recorder, if any.
-func (w *World) recordWorkload(ev workload.Event) {
-	if w.wkRecorder != nil {
-		w.wkRecorder.Record(ev)
-	}
-}
-
 // scheduleNextCandidate arms the next candidate arrival of the
 // Lewis–Shedler thinning chain: candidates fire at the program's peak
 // rate and are accepted at fire time with probability rate(now)/peak,

@@ -146,6 +146,30 @@ type World struct {
 	// record after record so a pull allocates nothing per record.
 	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
 	snapScratch []rocq.Snapshot
+	// subjScratch receives a scanned store's subjects, for the handoff
+	// capture and the join-time migration alike.
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	subjScratch []id.ID
+	// handoffRecs and handoffSnaps hold a leave's captured records until
+	// applyHandoff adopts them; each record names its range of
+	// handoffSnaps. handoffSeen is the capture's set of subjects taken.
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	handoffRecs []handoffRecord
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	handoffSnaps []rocq.Snapshot
+	//replend:allow snapshotfields scratch set, not state: cleared before every use
+	handoffSeen map[id.ID]struct{}
+	// smScratch and refScratch hold a placement repair's new manager set
+	// and references while the entry's old ones are still being read.
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	smScratch []id.ID
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	refScratch []rocq.Ref
+
+	// repDirty is markRepDirty as a method value, built once by newBare
+	// and handed to every store as its change observer.
+	//replend:allow snapshotfields observer wiring, rebuilt by newBare; restore hands it to every store it rebuilds
+	repDirty func(id.ID)
 
 	seq        int64   // peer id sequence
 	arrClock   float64 // continuous arrival clock for the Poisson process
@@ -406,6 +430,7 @@ func newBare(cfg config.Config) (*World, error) {
 		handles:      arena.NewOrdinals(),
 		smCache:      make(map[id.ID]*smCacheEntry),
 		smDeps:       make(map[id.ID][]id.ID),
+		handoffSeen:  make(map[id.ID]struct{}),
 		policy:       baseline.MidSpectrum{},
 		m: Metrics{
 			CoopCount:        &metrics.Series{Name: "coop"},
@@ -416,6 +441,7 @@ func newBare(cfg config.Config) (*World, error) {
 			SessionLength:    metrics.NewHistogram("session-length"),
 		},
 	}
+	w.repDirty = w.markRepDirty
 	e := w.engine
 	w.kinds = eventKinds{
 		transaction:  e.Handle("transaction", w.transactionEvent),
@@ -566,7 +592,9 @@ func (w *World) fail(err error) {
 // lending.Network implementation.
 
 // ScoreManagers returns the current score-manager node set for a peer,
-// cached with incremental invalidation on membership changes.
+// cached with incremental invalidation on membership changes. The slice
+// is the cache's own: a placement repair rewrites it in place, so it is
+// valid until the next ring join or leave and must not be modified.
 func (w *World) ScoreManagers(p id.ID) []id.ID {
 	return w.smEntry(p).sms
 }
@@ -682,15 +710,19 @@ func (e *smCacheEntry) dependsOn(owner id.ID) bool {
 // resolved once for the repair. A manager that left drops the peer's
 // slot if it never received evidence: nothing else references a
 // placeholder, which would otherwise last until the peer is forgotten.
+//
+// The new set and references are built in world-owned scratch, because
+// the old ones are read to carry references over and to drop
+// placeholders, and then copied into the entry's own arrays. Writing in
+// place is safe because no holder of a ScoreManagers result keeps it
+// across a ring join or leave, and repairs run only inside one (DESIGN.md,
+// "Performance model", lists every holder).
 func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 	if e.padded {
 		return false
 	}
 	numSM := w.cfg.NumSM
-	// Fresh slices: callers may still hold the previously returned manager
-	// set (the protocol keeps one across a fan-out), so the old backing
-	// arrays must stay intact.
-	sms := make([]id.ID, 0, numSM)
+	sms := w.smScratch[:0]
 	for i := 0; i < len(e.deps) && len(sms) < numSM; i++ {
 		d := e.deps[i]
 		if d.skip {
@@ -710,24 +742,27 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 			sms = append(sms, eff)
 		}
 	}
+	w.smScratch = sms
 	if len(sms) < numSM {
 		return false
 	}
-	refs := make([]rocq.Ref, len(sms))
+	refs := w.refScratch[:0]
 	h := w.handles.Intern(p)
-	for i, n := range sms {
+	for _, n := range sms {
 		if j := slices.Index(e.sms, n); j >= 0 {
-			refs[i] = e.refs[j]
+			refs = append(refs, e.refs[j])
 		} else {
-			refs[i] = w.Store(n).RefHandle(h)
+			refs = append(refs, w.Store(n).RefHandle(h))
 		}
 	}
+	w.refScratch = refs
 	for j, n := range e.sms {
 		if !id.Contains(sms, n) {
 			e.refs[j].Store().DropPlaceholderHandle(h)
 		}
 	}
-	e.sms, e.refs = sms, refs
+	e.sms = append(e.sms[:0], sms...)
+	e.refs = append(e.refs[:0], refs...)
 	return true
 }
 
@@ -882,7 +917,7 @@ func (w *World) Store(node id.ID) *rocq.Store {
 // evidence mutations into the sampling dirty set.
 func (w *World) newStore() *rocq.Store {
 	st := rocq.NewStoreOn(rocq.DefaultParams(), w.handles)
-	st.SetOnChange(w.markRepDirty)
+	st.SetOnChange(w.repDirty)
 	return st
 }
 
@@ -1241,11 +1276,13 @@ func (w *World) finishArrival(p *peer.Peer) {
 	if cs := w.cohortStats(p.Cohort); cs != nil {
 		cs.Arrivals++
 	}
-	w.recordWorkload(workload.Event{
-		At: int64(w.engine.Now()), Op: workload.OpArrival,
-		Class: p.Class.String(), Style: p.Style.String(),
-		Cohort: p.Cohort, Peer: p.ID.Short(), Plan: p.Plan,
-	})
+	if w.wkRecorder != nil {
+		w.wkRecorder.Record(workload.Event{
+			At: int64(w.engine.Now()), Op: workload.OpArrival,
+			Class: p.Class.String(), Style: p.Style.String(),
+			Cohort: p.Cohort, Peer: p.ID.Short(), Plan: p.Plan,
+		})
+	}
 
 	if !w.cfg.RequireIntroductions {
 		// Baseline: admit immediately with the policy's bootstrap value.

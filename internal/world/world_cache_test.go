@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/churn"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/rng"
+	"repro/internal/rocq"
 )
 
 // TestScoreManagerCacheMatchesFreshPlacement is the cache oracle: across a
@@ -20,7 +22,8 @@ import (
 // track, and guards the handles a repair keeps from the old set. With
 // churn on, every founder join already repairs cached placements (state
 // migration fills the successor's entry), so the check starts right
-// after New.
+// after New. A repair writes in place: an entry that stays cached across
+// a membership change keeps its manager and handle arrays.
 func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
 	t.Run("static", func(t *testing.T) { testCacheOracle(t, churn.Params{}) })
 	t.Run("churn", func(t *testing.T) { testCacheOracle(t, churn.Params{Migrate: true}) })
@@ -72,8 +75,47 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 		}
 	}
 
+	// held notes each cached entry's arrays before a membership change;
+	// checkKept requires every entry still cached under the same pointer
+	// to keep them, and counts the entries a repair rewrote.
+	type heldEntry struct {
+		pid  id.ID
+		e    *smCacheEntry
+		sms  *id.ID
+		refs *rocq.Ref
+		was  []id.ID
+	}
+	var held []heldEntry
+	repaired := 0
+	noteHeld := func() {
+		held = held[:0]
+		for _, pid := range sortedWorldIDs(w.smCache) {
+			e := w.smCache[pid]
+			held = append(held, heldEntry{pid, e, &e.sms[0], &e.refs[0], slices.Clone(e.sms)})
+		}
+	}
+	checkKept := func(step int) {
+		t.Helper()
+		for _, h := range held {
+			if w.smCache[h.pid] != h.e {
+				continue // evicted, perhaps refilled
+			}
+			if &h.e.sms[0] != h.sms || &h.e.refs[0] != h.refs {
+				t.Fatalf("step %d: peer %s: its cached entry got new arrays instead of a repair in place", step, h.pid.Short())
+			}
+			want, err := w.ring.ScoreManagers(h.pid, cfg.NumSM)
+			if err != nil || !slices.Equal(h.e.sms, want) {
+				t.Fatalf("step %d: peer %s: kept entry %v != fresh %v (%v)", step, h.pid.Short(), h.e.sms, want, err)
+			}
+			if !slices.Equal(h.e.sms, h.was) {
+				repaired++
+			}
+		}
+	}
+
 	checkAll(-1)
 	for step := 0; step < 400; step++ {
+		noteHeld()
 		switch op := src.Intn(10); {
 		case op < 5: // join a new node
 			p := w.newPeer(id.HashString(fmt.Sprintf("cache-prop-%d", step)), peer.Cooperative, peer.Naive)
@@ -93,6 +135,7 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 				w.Bus().Crash(extras[src.Intn(len(extras))].ID)
 			}
 		}
+		checkKept(step)
 		// Query a random subset between membership events so the cache
 		// holds warm entries when the next change lands.
 		for i := 0; i < 5; i++ {
@@ -107,6 +150,9 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 		if w.Err() != nil {
 			t.Fatalf("step %d: world failed: %v", step, w.Err())
 		}
+	}
+	if repaired == 0 {
+		t.Fatal("no membership change repaired a cached entry in place")
 	}
 }
 

@@ -624,3 +624,32 @@ func TestIncrementalSamplingMatchesFullWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestHandoffCaptureAllocatesNothing pins the handoff capture's buffer
+// reuse: once warmed up, capturing a graceful leaver's records writes
+// into the world's record and snapshot buffers and allocates nothing.
+func TestHandoffCaptureAllocatesNothing(t *testing.T) {
+	w, err := New(churnyCfg(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunFor(2_000); err != nil {
+		t.Fatal(err)
+	}
+	var batch []leaver
+	for _, p := range w.admittedPeers {
+		if st, ok := w.storeAt(p.ID); ok && st.Subjects() > 0 {
+			batch = []leaver{{pid: p.ID, graceful: true}}
+			break
+		}
+	}
+	if batch == nil {
+		t.Fatal("no admitted peer hosts a record")
+	}
+	if records := w.captureHandoff(batch); len(records) == 0 {
+		t.Fatal("warm-up captured no record")
+	}
+	if got := testing.AllocsPerRun(20, func() { w.captureHandoff(batch) }); got != 0 {
+		t.Fatalf("captureHandoff allocated %v objects per call, want 0", got)
+	}
+}
