@@ -11,6 +11,7 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 )
 
 // Bits is the width of an identifier in bits.
@@ -99,6 +100,19 @@ func (d ID) Cmp(o ID) int {
 
 // Less reports whether d < o as unsigned integers.
 func (d ID) Less(o ID) bool { return d.Cmp(o) < 0 }
+
+// Ascending checks that the keys key picks from recs are strictly
+// ascending under compare, the order every checkpoint export writes, so a
+// duplicate is refused too. The error names the first key out of order
+// and the key it follows.
+func Ascending[T, K any](recs []T, key func(T) K, compare func(K, K) int) error {
+	for i := 1; i < len(recs); i++ {
+		if prev, cur := key(recs[i-1]), key(recs[i]); compare(prev, cur) >= 0 {
+			return fmt.Errorf("%v follows %v: not strictly ascending", cur, prev)
+		}
+	}
+	return nil
+}
 
 // Contains reports whether x appears in list. Intended for the small
 // fixed-size sets the overlay works with (manager sets, successor

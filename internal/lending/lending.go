@@ -84,7 +84,7 @@ type Network interface {
 	// next ring join or leave, and must not be modified or kept past
 	// one. The protocol reads each set before any event it triggers can
 	// detach a node (a refusal detaches the newcomer only after the last
-	// read), and a delayed SendBatch copies its destinations.
+	// read).
 	ScoreManagers(p id.ID) []id.ID
 	// Store returns the reputation store hosted at the given node.
 	Store(node id.ID) *rocq.Store
@@ -180,20 +180,13 @@ type introRecord struct {
 }
 
 // smLendState is the lending bookkeeping one score-manager node keeps.
+// Each map is made by its first write: most managers never see an audit
+// reward or a double introduction, and reading a nil map is a miss.
 type smLendState struct {
 	seenLend   map[uint64]bool  // lend nonces already debited here
 	seenReward map[uint64]bool  // audit-reward nonces already credited here
 	bootNonce  map[id.ID]uint64 // newcomer -> nonce of its accepted credit
 	flagged    map[id.ID]bool   // newcomers caught double-introducing
-}
-
-func newSMLendState() *smLendState {
-	return &smLendState{
-		seenLend:   make(map[uint64]bool),
-		seenReward: make(map[uint64]bool),
-		bootNonce:  make(map[id.ID]uint64),
-		flagged:    make(map[id.ID]bool),
-	}
 }
 
 // lendSlot is the per-peer arena record of the protocol: the registered
@@ -240,11 +233,6 @@ type Protocol struct {
 	//replend:allow snapshotfields derived slot-occupancy counter; restore re-creates SM lending state on demand, which recounts it
 	smCount int
 
-	// tombs retains verification-only identities of departed peers that
-	// had actually signed something: their envelopes may still be in
-	// flight (the bus supports delayed delivery) and must keep verifying.
-	// Peers that never signed leave nothing behind.
-	tombs   map[id.ID]transport.Identity
 	intro   map[id.ID]*introRecord
 	flagged map[id.ID]bool
 
@@ -255,22 +243,10 @@ type Protocol struct {
 	// bipartite fan-out re-delivers the same envelope O(numSM²) times per
 	// introduction; verifying each copy afresh would make Ed25519 dominate
 	// the simulation. The memo lives for one fan-out: executeLend and
-	// Audit clear it when their fan-out returns, since every production
-	// delivery is synchronous and no copy of the envelope is left to
-	// verify. A delivery delayed past the clear (only tests delay the
-	// bus) misses the memo and runs the full Ed25519 check, which gives
-	// the same answer.
+	// Audit clear it when their fan-out returns, since delivery is
+	// synchronous and no copy of the envelope is left to verify.
 	//replend:allow snapshotfields pure verification memo: dropping it on restore re-verifies the same envelopes to the same results
 	sigCache map[string]verifiedSig
-
-	// nullFallback, set when the community runs on null identities,
-	// lets verifyEnv re-derive a departed sender's identity from its
-	// identifier instead of keeping a tombstone per departed peer (null
-	// identities are stateless; retaining them would defeat the
-	// huge-sweep mode they exist for). Never set under real signing,
-	// where an unsigned envelope must keep failing verification.
-	//replend:allow snapshotfields derived from config.NullSign, which the world snapshot carries; restore re-applies it
-	nullFallback bool
 
 	// retainStakes keeps departed newcomers' stake records on the books
 	// so the audit-timeout clock can still resolve them; the world sets
@@ -283,13 +259,6 @@ type Protocol struct {
 	// can never alter an outcome).
 	//replend:allow snapshotfields observability-only wall-clock span recorder, re-attached by the caller after restore
 	spans *telemetry.Spans
-
-	// unbatched switches the bipartite fan-outs from the coalesced
-	// SendBatch path back to per-message Sends. The two are
-	// byte-equivalent by the transport contract; the per-message path is
-	// retained as the reference arm of the batched-bus equivalence tests.
-	//replend:allow snapshotfields delivery-mechanism toggle, byte-equivalent by contract; restore re-applies the caller's choice
-	unbatched bool
 
 	nonce uint64
 	stats Stats
@@ -342,7 +311,6 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, eve
 		net:      net,
 		events:   events,
 		ords:     arena.NewOrdinals(),
-		tombs:    make(map[id.ID]transport.Identity),
 		intro:    make(map[id.ID]*introRecord),
 		flagged:  make(map[id.ID]bool),
 		sigCache: make(map[string]verifiedSig),
@@ -405,21 +373,10 @@ func (p *Protocol) sign(ident transport.Identity, order transport.LendOrder) tra
 // verifyEnv verifies an envelope against the registered identity of
 // claimedBy, caching successful signature checks (the key-binding check
 // against the registered identity is repeated every time; only the
-// Ed25519 math is cached).
+// Ed25519 math is cached). An unregistered sender fails.
 func (p *Protocol) verifyEnv(env transport.Envelope, claimedBy id.ID) bool {
 	ident, ok := p.identityOf(claimedBy)
-	if !ok {
-		// Departed, but its envelopes may still be in flight: use the
-		// retained tombstone, or re-derive the null identity when the
-		// community runs unsigned.
-		if ident, ok = p.tombs[claimedBy]; !ok {
-			if !p.nullFallback || len(env.Sig) != 0 {
-				return false
-			}
-			ident = transport.NewNullIdentity(claimedBy)
-		}
-	}
-	if !ident.PublicEquals(env.Pub) {
+	if !ok || !ident.PublicEquals(env.Pub) {
 		return false
 	}
 	if len(env.Sig) > 0 {
@@ -435,11 +392,6 @@ func (p *Protocol) verifyEnv(env transport.Envelope, claimedBy id.ID) bool {
 	}
 	return false
 }
-
-// SetNullFallback declares that the community runs on null identities,
-// enabling stateless verification of departed senders' envelopes (see
-// the nullFallback field). The world sets it once at construction.
-func (p *Protocol) SetNullFallback(on bool) { p.nullFallback = on }
 
 // SetSpans attaches a wall-clock span recorder to the protocol's lend
 // fan-out; nil detaches it. Observability only: nothing the protocol
@@ -479,7 +431,6 @@ func (p *Protocol) RegisterPeer(pid id.ID, ident transport.Identity) {
 		p.identCount++
 	}
 	slot.ident = ident
-	delete(p.tombs, pid) // superseded by the live identity
 	p.bus.Register(pid, p.handler)
 }
 
@@ -498,9 +449,6 @@ func (p *Protocol) UnregisterPeer(pid id.ID) {
 	if ord, ok := p.ords.Get(pid); ok {
 		slot := &p.slots[ord]
 		if slot.ident != nil {
-			if t := slot.ident.Tombstone(); t != nil {
-				p.tombs[pid] = t // envelopes from this peer may still be in flight
-			}
 			p.identCount--
 		}
 		if slot.sm != nil {
@@ -537,40 +485,15 @@ func (p *Protocol) ArenaSlots() (live, capacity int) {
 	return p.ords.Len(), p.ords.Cap()
 }
 
-// Tombstones returns the number of retained verification-only
-// identities of departed peers (leak instrumentation for tests; always
-// zero under null signing, whose identities are re-derived on demand).
-func (p *Protocol) Tombstones() int { return len(p.tombs) }
-
 // smState returns (allocating) the lending state of a node.
 func (p *Protocol) smState(node id.ID) *smLendState {
 	slot := p.ensureSlot(node)
 	if slot.sm == nil {
-		slot.sm = newSMLendState()
+		slot.sm = &smLendState{}
 		p.smCount++
 	}
 	return slot.sm
 }
-
-// fanOut delivers the same payload to every destination — the bipartite
-// credit-delivery primitive. Batched by default (one bus operation);
-// the per-message reference path stays selectable for the equivalence
-// tests.
-func (p *Protocol) fanOut(from id.ID, kind string, payload any, to []id.ID) {
-	if p.unbatched {
-		for _, dst := range to {
-			p.bus.Send(transport.Message{From: from, To: dst, Kind: kind, Payload: payload})
-		}
-		return
-	}
-	p.bus.SendBatch(from, kind, payload, to)
-}
-
-// SetBatchedDelivery selects between the coalesced SendBatch fan-out
-// (the default) and per-message Sends. The two are byte-equivalent by
-// the transport contract; the toggle exists so the equivalence tests
-// can run both arms of that contract through the full protocol.
-func (p *Protocol) SetBatchedDelivery(on bool) { p.unbatched = !on }
 
 // Begin starts one introduction attempt: the newcomer has asked the given
 // introducer, whose decision is already known (granted). Nothing is
@@ -642,7 +565,7 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	// Box the payload once: the fan-out reuses the same immutable envelope
 	// for every manager, so per-send interface boxing is pure allocation.
 	var payload any = env
-	p.fanOut(introducer, kindLend, payload, introSMs)
+	p.bus.SendBatch(introducer, kindLend, payload, introSMs)
 	clear(p.sigCache)
 
 	// Admission check: did any of the newcomer's managers accept a credit?
@@ -703,10 +626,13 @@ func (p *Protocol) onLend(node id.ID, payload any) {
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return // forged or tampered order: drop silently
 	}
+	if st.seenLend == nil {
+		st.seenLend = make(map[uint64]bool)
+	}
 	st.seenLend[env.Order.Nonce] = true
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
 
-	p.fanOut(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
+	p.bus.SendBatch(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
 }
 
 // onCredit is the newcomer's score manager receiving the bootstrap credit.
@@ -727,6 +653,9 @@ func (p *Protocol) onCredit(node id.ID, env transport.Envelope) {
 		// that the new peer is trying to gain unfair advantage and
 		// therefore reduce its reputation to zero … and may flag it as a
 		// malicious peer."
+		if st.flagged == nil {
+			st.flagged = make(map[id.ID]bool)
+		}
 		st.flagged[newcomer] = true
 		p.net.Store(node).Zero(newcomer)
 		if !p.flagged[newcomer] {
@@ -737,6 +666,9 @@ func (p *Protocol) onCredit(node id.ID, env transport.Envelope) {
 			}
 		}
 		return
+	}
+	if st.bootNonce == nil {
+		st.bootNonce = make(map[id.ID]uint64)
 	}
 	st.bootNonce[newcomer] = env.Order.Nonce
 	p.net.Store(node).Credit(newcomer, env.Order.Amount)
@@ -802,7 +734,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 				continue
 			}
 			msg := &rewardMsg{order: order, signer: signer, reward: p.params.Reward}
-			p.fanOut(from, kindReward, msg, introSMs)
+			p.bus.SendBatch(from, kindReward, msg, introSMs)
 		}
 		clear(p.sigCache)
 	} else {
@@ -837,6 +769,9 @@ func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
 	env := msg.envelope(p)
 	if !p.verifyEnv(env, from) {
 		return // the sender must be the peer whose key signed the return
+	}
+	if st.seenReward == nil {
+		st.seenReward = make(map[uint64]bool)
 	}
 	st.seenReward[env.Order.Nonce] = true
 	p.net.Store(node).Credit(env.Order.Introducer, env.Order.Amount+msg.reward)

@@ -1,6 +1,7 @@
 package lending
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,12 +12,12 @@ import (
 
 // Checkpoint support. The protocol's serializable state is everything a
 // restored run's future decisions can observe: identities (with their key
-// material and generator positions), departed peers' verification
-// tombstones, per-node score-manager dedup tables, stake records, the
-// punishment set, the nonce counter and the activity counters. The
-// signature cache is a pure performance memo rebuilt on demand, and the
-// waiting-period events in flight live in the engine's queue — they are
-// captured there, and restored under the kinds New registers.
+// material and generator positions), per-node score-manager dedup tables,
+// stake records, the punishment set, the nonce counter and the activity
+// counters. The signature cache is a pure performance memo rebuilt on
+// demand, and the waiting-period events in flight live in the engine's
+// queue — they are captured there, and restored under the kinds New
+// registers.
 
 // IntroWait is the payload of one pending waiting-period event
 // ("intro-refuse" or "intro-lend"): the pair whose introduction attempt
@@ -32,13 +33,6 @@ type SignerRecord struct {
 	ID     id.ID
 	Null   bool
 	Signer *transport.SignerState
-}
-
-// TombRecord is one retained verification-only identity of a departed
-// signer.
-type TombRecord struct {
-	ID  id.ID
-	Pub []byte
 }
 
 // BootNonceRecord is one accepted bootstrap credit at a score manager.
@@ -69,7 +63,6 @@ type StakeRecord struct {
 // structure flattened into ascending-key order for deterministic encoding.
 type State struct {
 	Signers []SignerRecord
-	Tombs   []TombRecord
 	SM      []SMRecord
 	Stakes  []StakeRecord
 	Flagged []id.ID
@@ -132,14 +125,6 @@ func (p *Protocol) ExportState() (State, error) {
 			st.SM = append(st.SM, rec)
 		}
 	}
-	st.Tombs = slices.Grow(st.Tombs, len(p.tombs))
-	for _, pid := range sortedIDKeys(p.tombs) {
-		pub, ok := transport.VerifyOnlyPublic(p.tombs[pid])
-		if !ok {
-			return State{}, fmt.Errorf("lending: cannot checkpoint tombstone type %T for %s", p.tombs[pid], pid.Short())
-		}
-		st.Tombs = append(st.Tombs, TombRecord{ID: pid, Pub: pub})
-	}
 	st.Stakes = slices.Grow(st.Stakes, len(p.intro))
 	for _, newcomer := range sortedIDKeys(p.intro) {
 		rec := p.intro[newcomer]
@@ -156,11 +141,16 @@ func (p *Protocol) ExportState() (State, error) {
 }
 
 // RestoreState installs a checkpointed state into a freshly constructed
-// protocol (same params, engine, bus, net, events and null/retain flags as
-// the captured one). Signers are re-registered through RegisterPeer, which
+// protocol (same params, engine, bus, net, events and retain flag as the
+// captured one). Signers are re-registered through RegisterPeer, which
 // also rebuilds the bus handlers; callers restoring bus crash flags must
-// do so afterwards.
+// do so afterwards. A table out of the strictly ascending order every
+// export writes (which covers a duplicate record) is refused with an
+// error naming the table and the record, before anything is installed.
 func (p *Protocol) RestoreState(st State) error {
+	if err := checkOrder(st); err != nil {
+		return fmt.Errorf("lending: restore: %w", err)
+	}
 	// Every signer takes a slot and a bus handler: grow both tables once.
 	p.ords.Reserve(len(st.Signers))
 	p.slots = slices.Grow(p.slots, len(st.Signers))
@@ -181,26 +171,16 @@ func (p *Protocol) RestoreState(st State) error {
 		}
 		p.RegisterPeer(rec.ID, ident)
 	}
-	for _, rec := range st.Tombs {
-		t, err := transport.NewVerifyOnly(rec.Pub)
-		if err != nil {
-			return fmt.Errorf("lending: restore: tombstone %s: %w", rec.ID.Short(), err)
-		}
-		p.tombs[rec.ID] = t
-	}
 	for _, rec := range st.SM {
 		sm := p.smState(rec.Node)
-		for _, n := range rec.SeenLend {
-			sm.seenLend[n] = true
-		}
-		for _, n := range rec.SeenReward {
-			sm.seenReward[n] = true
-		}
-		for _, bn := range rec.BootNonce {
-			sm.bootNonce[bn.Peer] = bn.Nonce
-		}
-		for _, f := range rec.Flagged {
-			sm.flagged[f] = true
+		sm.seenLend = setOf(rec.SeenLend)
+		sm.seenReward = setOf(rec.SeenReward)
+		sm.flagged = setOf(rec.Flagged)
+		if len(rec.BootNonce) > 0 {
+			sm.bootNonce = make(map[id.ID]uint64, len(rec.BootNonce))
+			for _, bn := range rec.BootNonce {
+				sm.bootNonce[bn.Peer] = bn.Nonce
+			}
 		}
 	}
 	for _, rec := range st.Stakes {
@@ -220,4 +200,53 @@ func (p *Protocol) RestoreState(st State) error {
 	p.nonce = st.Nonce
 	p.stats = st.Stats
 	return nil
+}
+
+// checkOrder refuses any table of st, or of one of its score-manager
+// records, that is not strictly ascending.
+func checkOrder(st State) error {
+	self := func(d id.ID) id.ID { return d }
+	for _, t := range []struct {
+		name string
+		err  error
+	}{
+		{"signer", id.Ascending(st.Signers, func(r SignerRecord) id.ID { return r.ID }, id.ID.Cmp)},
+		{"score manager", id.Ascending(st.SM, func(r SMRecord) id.ID { return r.Node }, id.ID.Cmp)},
+		{"stake for", id.Ascending(st.Stakes, func(r StakeRecord) id.ID { return r.Newcomer }, id.ID.Cmp)},
+		{"flagged peer", id.Ascending(st.Flagged, self, id.ID.Cmp)},
+	} {
+		if t.err != nil {
+			return fmt.Errorf("%s %w", t.name, t.err)
+		}
+	}
+	nonce := func(n uint64) uint64 { return n }
+	for _, rec := range st.SM {
+		for _, t := range []struct {
+			name string
+			err  error
+		}{
+			{"seen-lend nonce", id.Ascending(rec.SeenLend, nonce, cmp.Compare[uint64])},
+			{"seen-reward nonce", id.Ascending(rec.SeenReward, nonce, cmp.Compare[uint64])},
+			{"boot nonce for", id.Ascending(rec.BootNonce, func(r BootNonceRecord) id.ID { return r.Peer }, id.ID.Cmp)},
+			{"flagged peer", id.Ascending(rec.Flagged, self, id.ID.Cmp)},
+		} {
+			if t.err != nil {
+				return fmt.Errorf("score manager %s: %s %w", rec.Node.Short(), t.name, t.err)
+			}
+		}
+	}
+	return nil
+}
+
+// setOf returns the keys as a set, or nil for none: a manager's map is
+// made by its first write.
+func setOf[K comparable](keys []K) map[K]bool {
+	if len(keys) == 0 {
+		return nil
+	}
+	set := make(map[K]bool, len(keys))
+	for _, k := range keys {
+		set[k] = true
+	}
+	return set
 }

@@ -117,11 +117,6 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Bool returns an unbiased random boolean.
-func (r *Source) Bool() bool {
-	return r.Uint64()&1 == 1
-}
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (r *Source) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -75,10 +75,10 @@ func (s *Store) ExportState() StoreState {
 // update floors and clamps, so every run stays inside these bounds; a
 // restored state outside them could make Query return NaN.
 func (s *Store) RestoreState(st StoreState) error {
-	if err := ascending(st.Subjects, func(r SubjectRecord) id.ID { return r.Subject }); err != nil {
+	if err := id.Ascending(st.Subjects, func(r SubjectRecord) id.ID { return r.Subject }, id.ID.Cmp); err != nil {
 		return fmt.Errorf("rocq: restore: subject %w", err)
 	}
-	if err := ascending(st.Cred, func(r CredRecord) id.ID { return r.Reporter }); err != nil {
+	if err := id.Ascending(st.Cred, func(r CredRecord) id.ID { return r.Reporter }, id.ID.Cmp); err != nil {
 		return fmt.Errorf("rocq: restore: reporter %w", err)
 	}
 	if st.Reports < 0 {
@@ -177,7 +177,7 @@ func (b *OpinionBook) ExportState() []PartnerRecord {
 // [0, count] — are refused with an error and leave the book untouched:
 // the next Record would otherwise return an opinion outside [0,1].
 func (b *OpinionBook) RestoreState(recs []PartnerRecord) error {
-	if err := ascending(recs, func(r PartnerRecord) id.ID { return r.Partner }); err != nil {
+	if err := id.Ascending(recs, func(r PartnerRecord) id.ID { return r.Partner }, id.ID.Cmp); err != nil {
 		return fmt.Errorf("rocq: restore: partner %w", err)
 	}
 	for _, rec := range recs {
@@ -193,16 +193,5 @@ func (b *OpinionBook) RestoreState(recs []PartnerRecord) error {
 		partners[i] = handleValue[opinionState]{b.handles.Intern(rec.Partner), opinionState{sum: rec.Sum, count: rec.Count}}
 	}
 	b.partnerH, b.partners = columns(partners)
-	return nil
-}
-
-// ascending checks that the records' identifiers are strictly ascending,
-// the order every export writes.
-func ascending[T any](recs []T, key func(T) id.ID) error {
-	for i := 1; i < len(recs); i++ {
-		if prev, cur := key(recs[i-1]), key(recs[i]); !prev.Less(cur) {
-			return fmt.Errorf("%s follows %s: identifiers not strictly ascending", cur.Short(), prev.Short())
-		}
-	}
 	return nil
 }

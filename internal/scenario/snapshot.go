@@ -19,8 +19,9 @@ import (
 )
 
 // RunStateVersion is the scenario checkpoint format version. Version 2
-// moved the body to the binary checkpoint codec.
-const RunStateVersion = 2
+// moved the body to the binary checkpoint codec; version 3 carries world
+// snapshot version 6.
+const RunStateVersion = 3
 
 // LabelRecord is one bound injection label.
 type LabelRecord struct {

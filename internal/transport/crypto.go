@@ -31,11 +31,6 @@ type Identity interface {
 	// VerifyEnvelope checks that the envelope's signature matches its own
 	// public key; callers check PublicEquals first.
 	VerifyEnvelope(env Envelope) bool
-	// Tombstone returns a verification-only identity able to validate
-	// signatures this identity already produced — kept after the node
-	// departs, since its envelopes may still be in flight — or nil when
-	// no such signature can exist.
-	Tombstone() Identity
 }
 
 // Signer holds a node's Ed25519 keypair, generated lazily on first use:
@@ -88,17 +83,6 @@ func (s *Signer) materialize() {
 	s.pub, s.priv = pub, priv
 }
 
-// GeneratedPublic returns the public key only if the keypair has already
-// been derived (i.e. the signer has signed or been asked for its key),
-// without forcing derivation. Consumers use it to decide whether any
-// signature from this identity can exist in flight.
-func (s *Signer) GeneratedPublic() (ed25519.PublicKey, bool) {
-	if s.priv == nil {
-		return nil, false
-	}
-	return s.pub, true
-}
-
 // PublicEquals reports whether pub is this signer's verification key,
 // deriving the keypair if needed.
 func (s *Signer) PublicEquals(pub ed25519.PublicKey) bool {
@@ -111,31 +95,6 @@ func (s *Signer) PublicEquals(pub ed25519.PublicKey) bool {
 func (s *Signer) VerifyEnvelope(env Envelope) bool {
 	return ed25519.Verify(env.Pub, env.Order.Encode(), env.Sig)
 }
-
-// Tombstone returns a verification-only identity when the signer has ever
-// derived its keypair (so a signature of its may be in flight), nil
-// otherwise.
-func (s *Signer) Tombstone() Identity {
-	pub, ok := s.GeneratedPublic()
-	if !ok {
-		return nil
-	}
-	return verifyOnly{pub: pub}
-}
-
-// verifyOnly is the tombstone of a departed Signer: it can validate the
-// departed node's past signatures but can never produce new ones.
-type verifyOnly struct{ pub ed25519.PublicKey }
-
-func (v verifyOnly) Sign(LendOrder) Envelope {
-	//replend:allow nopanic caller-contract invariant: the protocol never asks a tombstone to sign (it only verifies)
-	panic("transport: departed identity cannot sign")
-}
-func (v verifyOnly) PublicEquals(pub ed25519.PublicKey) bool { return v.pub.Equal(pub) }
-func (v verifyOnly) VerifyEnvelope(env Envelope) bool {
-	return ed25519.Verify(env.Pub, env.Order.Encode(), env.Sig)
-}
-func (v verifyOnly) Tombstone() Identity { return v }
 
 // nullTag fills the 12 public-key bytes past the 20-byte node identifier,
 // marking a null identity's pseudo-key.
@@ -167,13 +126,6 @@ func (n NullIdentity) PublicEquals(pub ed25519.PublicKey) bool { return n.pub.Eq
 func (n NullIdentity) VerifyEnvelope(env Envelope) bool {
 	return len(env.Sig) == 0 && n.pub.Equal(env.Pub)
 }
-
-// Tombstone returns nil: a null identity is a pure function of its
-// owner's identifier, so a verifier can re-derive it on demand instead
-// of retaining per-departed-peer state — retention would accrete one
-// entry per refused or departed peer for the run's lifetime, in exactly
-// the huge-sweep mode null signing exists for.
-func (n NullIdentity) Tombstone() Identity { return nil }
 
 // LendOrder is the canonical content of a signed lend instruction: who
 // lends how much to whom, with a unique nonce that score managers use to

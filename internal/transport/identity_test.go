@@ -27,31 +27,6 @@ func TestSignerImplementsIdentity(t *testing.T) {
 	}
 }
 
-func TestSignerTombstone(t *testing.T) {
-	s, err := NewSigner(rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Tombstone() != nil {
-		t.Fatal("a signer that never signed must leave no tombstone")
-	}
-	order := LendOrder{Introducer: id.FromUint64(3), Nonce: 1}
-	env := s.Sign(order)
-	tomb := s.Tombstone()
-	if tomb == nil {
-		t.Fatal("a signer that signed must leave a tombstone")
-	}
-	if !tomb.PublicEquals(env.Pub) || !tomb.VerifyEnvelope(env) {
-		t.Fatal("tombstone cannot verify the departed signer's envelope")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("tombstone Sign must panic")
-		}
-	}()
-	tomb.Sign(order)
-}
-
 func TestNullIdentity(t *testing.T) {
 	owner := id.HashString("null-peer")
 	n := NewNullIdentity(owner)
@@ -73,8 +48,5 @@ func TestNullIdentity(t *testing.T) {
 	env.Sig = []byte{1, 2, 3}
 	if n.VerifyEnvelope(env) {
 		t.Fatal("null identity accepted a signed envelope")
-	}
-	if n.Tombstone() != nil {
-		t.Fatal("null identity must leave no tombstone (verifiers re-derive it)")
 	}
 }

@@ -47,32 +47,6 @@ func SignerFromState(st SignerState) (*Signer, error) {
 	return s, nil
 }
 
-// NewVerifyOnly returns the verification-only identity for a departed
-// signer's public key — the restore path for tombstones captured in a
-// checkpoint.
-func NewVerifyOnly(pub ed25519.PublicKey) (Identity, error) {
-	if len(pub) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("transport: tombstone public key has %d bytes, want %d", len(pub), ed25519.PublicKeySize)
-	}
-	return verifyOnly{pub: append(ed25519.PublicKey(nil), pub...)}, nil
-}
-
-// VerifyOnlyPublic returns the public key of a verification-only identity
-// produced by Tombstone, or false for any other identity kind.
-func VerifyOnlyPublic(ident Identity) (ed25519.PublicKey, bool) {
-	v, ok := ident.(verifyOnly)
-	if !ok {
-		return nil, false
-	}
-	return v.pub, true
-}
-
-// FaultsActive reports whether the bus has loss or delay injection
-// configured. Delayed deliveries live in the event queue as events
-// carrying in-flight messages, whose payloads a checkpoint cannot
-// serialize, so snapshotting is refused while faults are active.
-func (b *Bus) FaultsActive() bool { return b.lossProb > 0 || b.delay > 0 }
-
 // CrashedAddrs returns the currently crashed addresses in ascending ID
 // order, for deterministic encoding.
 func (b *Bus) CrashedAddrs() []id.ID {

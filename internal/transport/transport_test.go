@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/id"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func TestSynchronousDelivery(t *testing.T) {
@@ -81,79 +81,52 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
-func TestLossProbability(t *testing.T) {
+// TestSendBatchContract pins what SendBatch promises: one Send per
+// destination in to order, crash and route checks at each destination's
+// own turn, and a message a handler sends mid-batch delivered before the
+// next destination.
+func TestSendBatchContract(t *testing.T) {
 	b := NewBus()
-	b.SetLoss(0.5)
-	b.SetFaultRand(rng.New(1))
-	dst := id.FromUint64(1)
-	delivered := 0
-	b.Register(dst, func(Message) { delivered++ })
-	const n = 10000
-	for i := 0; i < n; i++ {
-		b.Send(Message{To: dst})
-	}
-	if delivered < 4700 || delivered > 5300 {
-		t.Fatalf("delivered %d of %d with 50%% loss", delivered, n)
-	}
-	st := b.Stats()
-	if st.Dropped+int64(delivered) != n {
-		t.Fatalf("dropped+delivered != sent: %+v", st)
-	}
-}
-
-func TestLossWithoutRandPanics(t *testing.T) {
-	b := NewBus()
-	b.SetLoss(0.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	from, echo := id.FromUint64(9), id.FromUint64(10)
+	first, crashed, unrouted, second, third := id.FromUint64(1), id.FromUint64(2), id.FromUint64(3), id.FromUint64(4), id.FromUint64(5)
+	var log []string
+	b.Register(first, func(Message) {
+		if st := b.Stats(); st.Crashed != 0 || st.NoRoute != 0 {
+			t.Errorf("first destination saw later destinations counted: %+v", st)
 		}
-	}()
-	b.Send(Message{To: id.FromUint64(1)})
-}
-
-func TestSetLossValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		log = append(log, "first")
+		b.Send(Message{From: first, To: echo, Kind: "echo"})
+		b.Crash(third) // checked at its own turn, so it must not receive
+	})
+	b.Register(echo, func(Message) { log = append(log, "echo") })
+	b.Register(crashed, func(Message) { log = append(log, "crashed") })
+	b.Crash(crashed)
+	b.Register(second, func(m Message) {
+		if st := b.Stats(); st.Crashed != 1 || st.NoRoute != 1 {
+			t.Errorf("second destination's turn: stats %+v, want one crashed and one unrouted counted", st)
 		}
-	}()
-	NewBus().SetLoss(1.5)
-}
-
-func TestDelayedDelivery(t *testing.T) {
-	e := sim.NewEngine()
-	b := NewBus()
-	b.SetDelay(e, 10)
-	dst := id.FromUint64(1)
-	var deliveredAt sim.Tick = -1
-	b.Register(dst, func(Message) { deliveredAt = e.Now() })
-	send := e.Handle("send", func(m any) { b.Send(m.(Message)) })
-	e.Schedule(100, send, Message{To: dst, Kind: "x"})
-	e.Drain()
-	if deliveredAt != 110 {
-		t.Fatalf("delivered at %d, want 110", deliveredAt)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	b := NewBus()
-	var order []uint64
-	var dsts []id.ID
-	for i := uint64(1); i <= 4; i++ {
-		i := i
-		d := id.FromUint64(i)
-		dsts = append(dsts, d)
-		b.Register(d, func(Message) { order = append(order, i) })
-	}
-	b.Broadcast(id.FromUint64(9), "hello", nil, dsts)
-	if len(order) != 4 {
-		t.Fatalf("broadcast delivered %d, want 4", len(order))
-	}
-	for i, v := range order {
-		if v != uint64(i+1) {
-			t.Fatalf("broadcast order %v", order)
+		if m.From != from || m.Kind != "credit" || m.Payload != "pay" {
+			t.Errorf("second destination got %+v", m)
 		}
+		log = append(log, "second")
+	})
+	b.Register(third, func(Message) { log = append(log, "third") })
+
+	b.SendBatch(from, "credit", "pay", []id.ID{first, crashed, unrouted, second, third})
+	if got, want := fmt.Sprint(log), "[first echo second]"; got != want {
+		t.Fatalf("delivery order %s, want %s", got, want)
+	}
+	want := Stats{Sent: 6, Delivered: 3, Crashed: 2, NoRoute: 1}
+	if st := b.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+func TestSendBatchEmpty(t *testing.T) {
+	b := NewBus()
+	b.SendBatch(id.FromUint64(1), "credit", nil, nil)
+	if st := b.Stats(); st != (Stats{}) {
+		t.Fatalf("empty batch touched stats: %+v", st)
 	}
 }
 
@@ -229,7 +202,6 @@ func TestVerifyRejectsTruncatedKey(t *testing.T) {
 		pub   ed25519.PublicKey
 	}{
 		{"signer", s, env.Pub},
-		{"tombstone", s.Tombstone(), env.Pub},
 		{"null", null, null.Sign(env.Order).Pub},
 	} {
 		if c.ident.PublicEquals(c.pub[:len(c.pub)-1]) {

@@ -1,12 +1,11 @@
 package world
 
-// Differential property tests for the batched credit-delivery bus: a
-// world running the per-message reference fan-out must be
-// observably indistinguishable — snapshot bytes, time series, protocol
-// and bus counters — from one running the coalesced SendBatch path,
-// over randomized churn and workload schedules and across a mid-run
-// checkpoint cut. This is the harness that pins the arena layout and
-// the batching optimisation to the original semantics.
+// Checkpoint differential harness: a world cut mid-run, round-tripped
+// through a sealed checkpoint and resumed must be observably
+// indistinguishable — snapshot bytes, time series, protocol and bus
+// counters — from the same world run uncut, over randomized churn and
+// workload schedules. This is the harness that pins the arena layout
+// and the restore path to the original semantics.
 
 import (
 	"bytes"
@@ -49,43 +48,41 @@ func differentialCfgs() []config.Config {
 	return cfgs
 }
 
-func TestBatchedDeliveryWorldDifferential(t *testing.T) {
+// TestResumedWorldMatchesUncutRun runs each configuration uncut, then
+// again with a checkpoint round trip at half its ticks, and requires the
+// two runs' fingerprints to be byte-identical.
+func TestResumedWorldMatchesUncutRun(t *testing.T) {
 	for i, cfg := range differentialCfgs() {
 		t.Run(fmt.Sprintf("cfg=%d", i), func(t *testing.T) {
-			// Reference arm: the default batched fan-out, uninterrupted.
+			// Reference arm: the uninterrupted run.
 			ref, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
 			if err := ref.Run(); err != nil {
-				t.Fatalf("batched run: %v", err)
+				t.Fatalf("uncut run: %v", err)
 			}
 			want := fingerprint(t, ref)
 
-			// Differential arm: per-message reference delivery, with a
-			// checkpoint round-trip in the middle. The restored world
-			// comes back on the default batched path — re-selecting the
-			// reference path afterwards means the cut also separates the
-			// two delivery modes within a single run.
+			// Differential arm: the same run with a checkpoint round trip
+			// in the middle.
 			w, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			w.Protocol().SetBatchedDelivery(false)
 			w.Start()
 			cut := sim.Tick(cfg.NumTrans / 2)
 			if err := w.RunFor(cut); err != nil {
 				t.Fatalf("RunFor to cut: %v", err)
 			}
 			w = roundTrip(t, w)
-			w.Protocol().SetBatchedDelivery(false)
 			if err := w.RunFor(sim.Tick(cfg.NumTrans) - cut); err != nil {
 				t.Fatalf("RunFor tail: %v", err)
 			}
 			w.Finish()
 			got := fingerprint(t, w)
 			if !bytes.Equal(want, got) {
-				t.Fatalf("unbatched+checkpointed run diverged from batched run (%d vs %d fingerprint bytes)", len(want), len(got))
+				t.Fatalf("cut-and-resumed run diverged from the uncut run (%d vs %d fingerprint bytes)", len(want), len(got))
 			}
 		})
 	}

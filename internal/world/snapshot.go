@@ -27,10 +27,6 @@ package world
 //     caches whose *layout* feeds deterministic iteration (the
 //     placement cache and its owner index, including stale slots) are
 //     captured verbatim.
-//
-// Snapshots are refused while transport faults are active: delayed
-// deliveries are queued events carrying in-flight messages, whose
-// payloads have no record form.
 
 import (
 	"fmt"
@@ -62,7 +58,8 @@ import (
 // free-list are captured verbatim so a restored world recycles slots in
 // the same order the uncut run would. Version 5 moved the body to the
 // binary checkpoint codec, with typed event payloads in EventRecord.
-const SnapshotVersion = 5
+// Version 6 dropped the lending protocol's departed-signer tombstones.
+const SnapshotVersion = 6
 
 // Event payload types. Each pending-event kind the world schedules but
 // "transaction" and "sample" carries one, pinning everything its handler
@@ -259,10 +256,9 @@ type OrdinalRecord struct {
 	Ord  int32
 }
 
-// Snapshot captures the world's full state. The world must be started,
-// healthy, and free of transport fault injection; the world itself is
-// not modified and may keep running (the snapshot shares nothing with
-// it).
+// Snapshot captures the world's full state. The world must be started
+// and healthy; the world itself is not modified and may keep running
+// (the snapshot shares nothing with it).
 func (w *World) Snapshot() (*Snapshot, error) {
 	defer w.spans.Start("snapshot-encode")()
 	switch {
@@ -270,8 +266,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("world: cannot snapshot before Start")
 	case w.err != nil:
 		return nil, fmt.Errorf("world: cannot snapshot a failed world: %w", w.err)
-	case w.bus.FaultsActive():
-		return nil, fmt.Errorf("world: cannot snapshot with transport faults active (in-flight deliveries are not serializable)")
 	}
 	s := &Snapshot{
 		Version: SnapshotVersion,
@@ -761,8 +755,7 @@ func Restore(s *Snapshot) (*World, error) {
 
 // encodeEvent serializes one pending event. Its kind fixes its payload
 // type, so the payload alone picks the record field; a payload no
-// record field holds (a delayed transport delivery) fails the snapshot
-// rather than dropping work.
+// record field holds fails the snapshot rather than dropping work.
 func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
 	rec := EventRecord{At: ev.At, Name: ev.Name, Seq: ev.Seq, Kind: ev.Name}
 	switch p := ev.Payload.(type) {

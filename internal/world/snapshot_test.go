@@ -19,6 +19,7 @@ import (
 	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/id"
+	"repro/internal/lending"
 	"repro/internal/metrics"
 	"repro/internal/rocq"
 	"repro/internal/sim"
@@ -459,14 +460,6 @@ func TestSnapshotPreconditions(t *testing.T) {
 	if _, err := w.Snapshot(); err != nil {
 		t.Fatalf("Snapshot after Start: %v", err)
 	}
-	w.Bus().SetLoss(0.1)
-	if _, err := w.Snapshot(); err == nil {
-		t.Fatal("Snapshot with transport faults active should fail")
-	}
-	w.Bus().SetLoss(0)
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatalf("Snapshot after clearing faults: %v", err)
-	}
 }
 
 func TestDecodeSnapshotRejectsDefects(t *testing.T) {
@@ -668,6 +661,114 @@ func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}
 		tc.mutate(s)
+		_, err = Restore(s)
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want != nil && err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+		case tc.want != nil:
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsHostileLendingRecords: a lending table out of the
+// strictly ascending order every export writes — a duplicate or swapped
+// record, at the top level or inside a score manager's record — must be
+// refused with an error naming the table and the record, not restored
+// into a world that re-snapshots to other bytes.
+func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(3000); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	lend := snap.Lending
+	// The first manager records with two lend nonces, one reward nonce and
+	// two boot nonces carry the per-manager mutations.
+	lends, rewards, boots := -1, -1, -1
+	for i, rec := range lend.SM {
+		if lends < 0 && len(rec.SeenLend) >= 2 {
+			lends = i
+		}
+		if rewards < 0 && len(rec.SeenReward) >= 1 {
+			rewards = i
+		}
+		if boots < 0 && len(rec.BootNonce) >= 2 {
+			boots = i
+		}
+	}
+	if len(lend.Signers) == 0 || len(lend.Stakes) < 2 || lends < 0 || rewards < 0 || boots < 0 {
+		t.Fatalf("fixture too small: %d signers, %d stakes, manager records with lends %d, rewards %d, boots %d",
+			len(lend.Signers), len(lend.Stakes), lends, rewards, boots)
+	}
+	lastSigner := lend.Signers[len(lend.Signers)-1]
+	lastSM := lend.SM[len(lend.SM)-1]
+	manager := func(i int) string { return "score manager " + lend.SM[i].Node.Short() }
+	cases := []struct {
+		name   string
+		mutate func(l *lending.State)
+		want   []string
+	}{
+		{"pristine", func(*lending.State) {}, nil},
+		{"second copy of a stake at half its amount", func(l *lending.State) {
+			dup := l.Stakes[0]
+			dup.Amount /= 2
+			l.Stakes = append(l.Stakes, dup)
+		}, []string{"stake for " + lend.Stakes[0].Newcomer.Short(), "not strictly ascending"}},
+		{"swapped stakes", func(l *lending.State) {
+			l.Stakes[0], l.Stakes[1] = l.Stakes[1], l.Stakes[0]
+		}, []string{"stake for " + lend.Stakes[0].Newcomer.Short(), "not strictly ascending"}},
+		{"duplicate manager record", func(l *lending.State) {
+			l.SM = append(l.SM, lastSM)
+		}, []string{"score manager " + lastSM.Node.Short(), "not strictly ascending"}},
+		{"duplicate signer", func(l *lending.State) {
+			l.Signers = append(l.Signers, lastSigner)
+		}, []string{"signer " + lastSigner.ID.Short(), "not strictly ascending"}},
+		{"duplicate flagged peer", func(l *lending.State) {
+			l.Flagged = append(l.Flagged, lastSigner.ID, lastSigner.ID)
+		}, []string{"flagged peer " + lastSigner.ID.Short(), "not strictly ascending"}},
+		{"swapped lend nonces", func(l *lending.State) {
+			ns := l.SM[lends].SeenLend
+			ns[0], ns[1] = ns[1], ns[0]
+		}, []string{manager(lends), "seen-lend nonce", "not strictly ascending"}},
+		{"duplicate reward nonce", func(l *lending.State) {
+			rec := &l.SM[rewards]
+			rec.SeenReward = append(rec.SeenReward, rec.SeenReward[len(rec.SeenReward)-1])
+		}, []string{manager(rewards), "seen-reward nonce", "not strictly ascending"}},
+		{"duplicate boot nonce", func(l *lending.State) {
+			rec := &l.SM[boots]
+			dup := rec.BootNonce[len(rec.BootNonce)-1]
+			dup.Nonce++
+			rec.BootNonce = append(rec.BootNonce, dup)
+		}, []string{manager(boots), "boot nonce for", "not strictly ascending"}},
+		{"duplicate peer a manager flagged", func(l *lending.State) {
+			rec := &l.SM[0]
+			rec.Flagged = append(rec.Flagged, lastSigner.ID, lastSigner.ID)
+		}, []string{manager(0), "flagged peer " + lastSigner.ID.Short(), "not strictly ascending"}},
+	}
+	for _, tc := range cases {
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.mutate(&s.Lending)
 		_, err = Restore(s)
 		switch {
 		case tc.want == nil && err != nil:

@@ -493,9 +493,6 @@ func newBare(cfg config.Config) (*World, error) {
 		return nil, err
 	}
 	w.proto = proto
-	if cfg.NullSign {
-		proto.SetNullFallback(true)
-	}
 	if cfg.StakeTimeout > 0 {
 		// The stake-lifecycle clock is armed: records of departed
 		// newcomers must survive unregistration so the timeout can still
@@ -544,7 +541,8 @@ func (w *World) record(kind telemetry.Kind, p, other id.ID, detail string) {
 // Engine exposes the discrete-event engine (examples drive it directly).
 func (w *World) Engine() *sim.Engine { return w.engine }
 
-// Bus exposes the transport layer for fault injection in tests.
+// Bus exposes the transport layer: scenario crash phases crash and
+// recover score managers through it, and reports read its counters.
 func (w *World) Bus() *transport.Bus { return w.bus }
 
 // Ring exposes the overlay.

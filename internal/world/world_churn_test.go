@@ -397,9 +397,8 @@ func TestNullSignWorldRuns(t *testing.T) {
 }
 
 // TestPermanentDeparturesDoNotAccrete is the churn leak regression: a
-// process departure that draws no rejoin is final, so neither the
-// world's departed table nor (under null signing) the protocol's
-// tombstone table may grow with it, its reputation records must not
+// process departure that draws no rejoin is final, so the world's
+// departed table may not grow with it, its reputation records must not
 // keep riding migrations, and — with the stake clock armed — its stake
 // record must fall to the TTL instead of accreting one per departed
 // newcomer.
@@ -423,9 +422,6 @@ func TestPermanentDeparturesDoNotAccrete(t *testing.T) {
 	}
 	if got := len(departedPeers(w)); got != 0 {
 		t.Fatalf("%d permanently departed peers retained for rejoin", got)
-	}
-	if got := w.Protocol().Tombstones(); got != 0 {
-		t.Fatalf("%d tombstones retained under null signing", got)
 	}
 	// Departed peers' records were dropped: total present slots track the
 	// live population (numSM replicas each) plus bounded orphan slack,

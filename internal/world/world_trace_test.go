@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -97,47 +96,3 @@ func TestTraceInvariantsOverFullRun(t *testing.T) {
 		})
 	}
 }
-
-// TestLendingSurvivesMessageLoss injects transport-level message loss and
-// checks that the run completes with the protocol still accounting
-// consistently — the redundancy argument of the paper under a harsher
-// fault model than it assumed.
-func TestLendingSurvivesMessageLoss(t *testing.T) {
-	c := smallCfg()
-	c.NumTrans = 10000
-	w, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20% of lending messages vanish. (Feedback reports go store-direct in
-	// the simulation; the lending protocol is the messaging-dependent
-	// part.)
-	w.Bus().SetLoss(0.2)
-	w.Bus().SetFaultRand(newFaultRand())
-	log := attachLog(w)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	m := w.Metrics()
-	arrivals := m.ArrivalsCoop + m.ArrivalsUncoop
-	accounted := m.AdmittedCoop + m.AdmittedUncoop +
-		m.RefusedSelectiveCoop + m.RefusedSelectiveUncoop +
-		m.RefusedRepCoop + m.RefusedRepUncoop +
-		m.RefusedNoIntroducer + m.Pending
-	if accounted != arrivals {
-		t.Fatalf("lossy transport broke accounting: %d arrivals, %d accounted", arrivals, accounted)
-	}
-	if violations := log.Verify(); len(violations) != 0 {
-		t.Fatalf("trace invariants violated under loss:\n%v", violations)
-	}
-	// With 6 managers per side and per-message loss of 20%, effectively
-	// every introduction should still land.
-	if m.AdmittedCoop == 0 {
-		t.Fatal("no admissions under 20% message loss")
-	}
-}
-
-// newFaultRand supplies transport fault randomness decoupled from the
-// world's own streams.
-func newFaultRand() *rng.Source { return rng.New(12345) }
