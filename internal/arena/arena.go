@@ -7,10 +7,11 @@
 //
 // Determinism contract: ordinal assignment is driven entirely by the
 // simulation's (deterministic) event order, and the free-list is LIFO,
-// so the same run always produces the same id→ordinal table. Nothing
-// downstream may iterate in ordinal order when producing output bytes —
-// output iteration stays over sorted ids or recorded insertion orders,
-// exactly as before the arena layout (see docs/determinism.md).
+// so the same run always produces the same id→ordinal table. No
+// checkpoint carries the table: a restored world numbers its peers
+// afresh, in restore order. So nothing downstream may let ordinal order
+// reach an output byte — output iteration stays over sorted ids or
+// recorded insertion orders (see docs/determinism.md).
 package arena
 
 import (
@@ -143,63 +144,6 @@ func (o *Ordinals) Len() int { return len(o.index) }
 // Cap returns the total number of slots ever allocated (live + free).
 // Arena slices indexed by ordinal must hold at least Cap entries.
 func (o *Ordinals) Cap() int { return len(o.ids) }
-
-// FreeList returns a copy of the free-list, oldest release first (the
-// last entry is the next Assign's slot). Snapshots carry it so a
-// restored world recycles slots in the same order the original would.
-func (o *Ordinals) FreeList() []Ordinal {
-	return append([]Ordinal(nil), o.free...)
-}
-
-// Assignment is one assigned ordinal of a checkpointed table.
-type Assignment struct {
-	ID  id.ID
-	Ord Ordinal
-}
-
-// Restore resets the allocator to a checkpointed state: the given
-// assignments and free-list, verbatim. Every slot in [0, cap) must be
-// accounted for exactly once across the two, and no identifier may hold
-// two ordinals. Records are checked in the order given, assignments
-// first, so the error names the first bad one.
-func (o *Ordinals) Restore(assigned []Assignment, free []Ordinal) error {
-	total := len(assigned) + len(free)
-	ids := make([]id.ID, total)
-	live := make([]bool, total)
-	seen := make([]bool, total)
-	claim := func(ord Ordinal) error {
-		if ord < 0 || int(ord) >= total {
-			return fmt.Errorf("arena: restore: ordinal %d out of range [0,%d)", ord, total)
-		}
-		if seen[ord] {
-			return fmt.Errorf("arena: restore: ordinal %d claimed twice", ord)
-		}
-		seen[ord] = true
-		return nil
-	}
-	index := make(map[id.ID]Ordinal, len(assigned))
-	for _, a := range assigned {
-		if _, dup := index[a.ID]; dup {
-			return fmt.Errorf("arena: restore: duplicate ordinal entry %s", a.ID.Short())
-		}
-		if err := claim(a.Ord); err != nil {
-			return err
-		}
-		index[a.ID] = a.Ord
-		ids[a.Ord] = a.ID
-		live[a.Ord] = true
-	}
-	for _, ord := range free {
-		if err := claim(ord); err != nil {
-			return err
-		}
-	}
-	o.index = index
-	o.ids = ids
-	o.live = live
-	o.free = append([]Ordinal(nil), free...)
-	return nil
-}
 
 // slabChunk is the fixed allocation unit of a Slab. Chunks never move
 // once allocated, so pointers handed out by Alloc stay valid for the

@@ -106,51 +106,6 @@ func TestOrdinalsDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestOrdinalsRestoreRoundTrip(t *testing.T) {
-	o := NewOrdinals()
-	for i := uint64(1); i <= 8; i++ {
-		o.Assign(pid(i))
-	}
-	o.Release(pid(3))
-	o.Release(pid(6))
-
-	var assigned []Assignment
-	for ord := Ordinal(0); int(ord) < o.Cap(); ord++ {
-		if p, ok := o.ID(ord); ok {
-			assigned = append(assigned, Assignment{ID: p, Ord: ord})
-		}
-	}
-	free := o.FreeList()
-
-	r := NewOrdinals()
-	if err := r.Restore(assigned, free); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	// The restored allocator must recycle in the same order as the
-	// original.
-	want := o.Assign(pid(100))
-	got := r.Assign(pid(100))
-	if want != got {
-		t.Fatalf("post-restore Assign = %d, want %d", got, want)
-	}
-	if o.Assign(pid(101)) != r.Assign(pid(101)) {
-		t.Fatal("second post-restore Assign diverged")
-	}
-}
-
-func TestOrdinalsRestoreRejectsBadTables(t *testing.T) {
-	r := NewOrdinals()
-	if err := r.Restore([]Assignment{{pid(1), 0}, {pid(2), 0}}, nil); err == nil {
-		t.Fatal("duplicate ordinal accepted")
-	}
-	if err := r.Restore([]Assignment{{pid(1), 5}}, nil); err == nil {
-		t.Fatal("out-of-range ordinal accepted")
-	}
-	if err := r.Restore([]Assignment{{pid(1), 0}}, []Ordinal{0}); err == nil {
-		t.Fatal("ordinal claimed by both tables accepted")
-	}
-}
-
 func TestSlabPointerStabilityAcrossGrowth(t *testing.T) {
 	type rec struct{ v int }
 	var s Slab[rec]

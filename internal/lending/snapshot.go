@@ -27,11 +27,11 @@ type IntroWait struct {
 	Introducer id.ID
 }
 
-// SignerRecord is one registered identity: a real signer's captured state,
-// or a marker for a stateless null identity re-derived from the ID.
+// SignerRecord is one registered identity: a real signer's captured
+// state, or, with a nil Signer, a stateless null identity re-derived from
+// the ID.
 type SignerRecord struct {
 	ID     id.ID
-	Null   bool
 	Signer *transport.SignerState
 }
 
@@ -107,7 +107,7 @@ func (p *Protocol) ExportState() (State, error) {
 			sst := ident.Export()
 			st.Signers = append(st.Signers, SignerRecord{ID: pid, Signer: &sst})
 		case transport.NullIdentity:
-			st.Signers = append(st.Signers, SignerRecord{ID: pid, Null: true})
+			st.Signers = append(st.Signers, SignerRecord{ID: pid})
 		default:
 			return State{}, fmt.Errorf("lending: cannot checkpoint identity type %T for %s", ident, pid.Short())
 		}
@@ -157,17 +157,14 @@ func (p *Protocol) RestoreState(st State) error {
 	p.bus.Reserve(len(st.Signers))
 	for _, rec := range st.Signers {
 		var ident transport.Identity
-		switch {
-		case rec.Null:
+		if rec.Signer == nil {
 			ident = transport.NewNullIdentity(rec.ID)
-		case rec.Signer != nil:
+		} else {
 			s, err := transport.SignerFromState(*rec.Signer)
 			if err != nil {
 				return fmt.Errorf("lending: restore: signer %s: %w", rec.ID.Short(), err)
 			}
 			ident = s
-		default:
-			return fmt.Errorf("lending: restore: signer %s has neither key state nor null marker", rec.ID.Short())
 		}
 		p.RegisterPeer(rec.ID, ident)
 	}

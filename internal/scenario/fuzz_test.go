@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/id"
 	"repro/internal/rocq"
 	"repro/internal/sim"
 	"repro/internal/world"
@@ -138,20 +137,16 @@ func FuzzSnapshotBody(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add(sealedBody(f, &world.Snapshot{Version: 1}))
-	// Hostile arena-table shapes, cut from a real snapshot so they pass
-	// the decoder and reach Restore: two peers on one ordinal, a
-	// free-list entry colliding with an assigned slot, and an ordinal
-	// that backs no state elsewhere in the document. Restore must reject
-	// all of them rather than build a corrupt arena. Then hostile ROCQ
-	// records, cut the same way: a store listing one subject twice, a
-	// store listing one reporter twice, and a partner record with count 0
-	// and sum 1, whose next Record would read an opinion of 2.
-	for _, mutate := range []func(s *world.Snapshot){
-		func(s *world.Snapshot) { s.Ordinals[1].Ord = s.Ordinals[0].Ord },
-		func(s *world.Snapshot) { s.OrdFree = append(s.OrdFree, s.Ordinals[0].Ord) },
-		func(s *world.Snapshot) {
-			s.Ordinals = append(s.Ordinals, world.OrdinalRecord{Peer: id.HashString("unbacked"), Ord: int32(len(s.Ordinals) + len(s.OrdFree))})
-		},
+	// Hostile records, cut from a real snapshot so they pass the decoder
+	// and reach Restore, which must refuse each: a second copy of a peer,
+	// of a store and of a placement-index owner; then ROCQ records, a store
+	// listing one subject twice, a store listing one reporter twice, and a
+	// partner record with count 0 and sum 1, whose next Record would read
+	// an opinion of 2.
+	for i, mutate := range []func(s *world.Snapshot){
+		func(s *world.Snapshot) { s.Peers = append(s.Peers, s.Peers[len(s.Peers)-1]) },
+		func(s *world.Snapshot) { s.Stores = append(s.Stores, s.Stores[len(s.Stores)-1]) },
+		func(s *world.Snapshot) { s.SMDeps = append(s.SMDeps, s.SMDeps[len(s.SMDeps)-1]) },
 		func(s *world.Snapshot) {
 			st := &s.Stores[storeWith(f, s, func(st rocq.StoreState) bool { return len(st.Subjects) > 0 })].State
 			st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1])
@@ -175,6 +170,9 @@ func FuzzSnapshotBody(f *testing.F) {
 			f.Fatal(err)
 		}
 		mutate(s)
+		if _, err := world.Restore(s); err == nil {
+			f.Fatalf("Restore accepted hostile seed %d", i)
+		}
 		f.Add(sealedBody(f, s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -19,9 +19,10 @@ import (
 )
 
 // RunStateVersion is the scenario checkpoint format version. Version 2
-// moved the body to the binary checkpoint codec; version 3 carries world
-// snapshot version 6.
-const RunStateVersion = 3
+// moved the body to the binary checkpoint codec; version 3 carried world
+// snapshot version 6; version 4 carries world snapshot version 7 and
+// drops the finished flag, which Snapshot only ever wrote false.
+const RunStateVersion = 4
 
 // LabelRecord is one bound injection label.
 type LabelRecord struct {
@@ -34,7 +35,6 @@ type RunState struct {
 	Version  int
 	Spec     json.RawMessage // the spec as JSON (Spec.JSON)
 	Next     int
-	Done     bool
 	Labels   []LabelRecord      // ascending label
 	Outcomes []InjectionOutcome // execution order
 	Crashed  []id.ID            // crash order (Recover replays it)
@@ -60,7 +60,6 @@ func (r *Run) Snapshot() (*RunState, error) {
 		Version:  RunStateVersion,
 		Spec:     specJSON,
 		Next:     r.next,
-		Done:     r.done,
 		Outcomes: append([]InjectionOutcome(nil), r.outcomes...),
 		Crashed:  append([]id.ID(nil), r.crashed...),
 		World:    ws,
@@ -97,7 +96,8 @@ func DecodeRunStateBody(body []byte) (*RunState, error) {
 }
 
 // Resume reconstructs an executing run from a checkpointed state. The
-// embedded spec is re-validated and the world restored; Finish (or
+// embedded spec is re-validated and the world restored; the run starts
+// unfinished, as every checkpointed run was, and Finish (or
 // StepPhase/RunToTick) continues exactly where the snapshot was taken.
 func Resume(st *RunState) (*Run, error) {
 	if st.Version != RunStateVersion {
@@ -121,7 +121,6 @@ func Resume(st *RunState) (*Run, error) {
 		outcomes: append([]InjectionOutcome(nil), st.Outcomes...),
 		crashed:  append([]id.ID(nil), st.Crashed...),
 		next:     st.Next,
-		done:     st.Done,
 	}
 	for _, rec := range st.Labels {
 		if _, dup := r.labels[rec.Label]; dup {

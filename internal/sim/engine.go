@@ -254,14 +254,3 @@ func (e *Engine) RunUntil(deadline Tick) int64 {
 	}
 	return e.ran - start
 }
-
-// Drain executes every pending event. It returns the number executed. Use
-// with care: a self-rescheduling event makes Drain run forever, so the
-// simulator's periodic processes should use RunUntil.
-func (e *Engine) Drain() int64 {
-	e.stopped = false
-	start := e.ran
-	for !e.stopped && e.Step() {
-	}
-	return e.ran - start
-}

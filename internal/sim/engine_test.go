@@ -20,7 +20,8 @@ func TestScheduleRunsInTimeOrder(t *testing.T) {
 	e.Schedule(30, call, func() { order = append(order, 3) })
 	e.Schedule(10, call, func() { order = append(order, 1) })
 	e.Schedule(20, call, func() { order = append(order, 2) })
-	e.Drain()
+	for e.Step() {
+	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
 	}
@@ -36,7 +37,8 @@ func TestSameTickFIFO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Schedule(5, record, i)
 	}
-	e.Drain()
+	for e.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-tick events not FIFO: %v", order)
@@ -51,7 +53,8 @@ func TestAfterRelative(t *testing.T) {
 	e.Schedule(100, call, func() {
 		e.After(50, call, func() { at = e.Now() })
 	})
-	e.Drain()
+	for e.Step() {
+	}
 	if at != 150 {
 		t.Fatalf("After fired at %d, want 150", at)
 	}
@@ -61,7 +64,8 @@ func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	call := calls(e)
 	e.Schedule(10, call, func() {})
-	e.Drain()
+	for e.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -135,7 +139,7 @@ func TestStopMidRun(t *testing.T) {
 	for i := Tick(1); i <= 10; i++ {
 		e.Schedule(i, tick, nil)
 	}
-	e.Drain()
+	e.RunUntil(100)
 	if count != 4 {
 		t.Fatalf("executed %d events after Stop, want 4", count)
 	}
@@ -166,7 +170,8 @@ func TestProcessedCount(t *testing.T) {
 	for i := Tick(0); i < 5; i++ {
 		e.Schedule(i, nop, nil)
 	}
-	e.Drain()
+	for e.Step() {
+	}
 	if e.Processed() != 5 {
 		t.Fatalf("Processed = %d, want 5", e.Processed())
 	}
@@ -182,7 +187,8 @@ func TestQuickTimeMonotonic(t *testing.T) {
 		for _, at := range times {
 			e.Schedule(Tick(at), record, Tick(at))
 		}
-		e.Drain()
+		for e.Step() {
+		}
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
@@ -235,7 +241,8 @@ func TestRestoreRunsTheSameHandlers(t *testing.T) {
 	a.RunUntil(3)
 	now, next, pending := a.Now(), a.NextSeq(), a.Pendings()
 	cut := len(ref)
-	a.Drain()
+	for a.Step() {
+	}
 
 	b, _ := logEngine(&got, "note", "echo")
 	if err := b.Restore(now, next, pending); err != nil {
@@ -244,7 +251,8 @@ func TestRestoreRunsTheSameHandlers(t *testing.T) {
 	if b.Pending() != len(pending) || b.NextSeq() != next || b.Now() != now {
 		t.Fatalf("restored engine: pending %d now %d next %d, want %d %d %d", b.Pending(), b.Now(), b.NextSeq(), len(pending), now, next)
 	}
-	b.Drain()
+	for b.Step() {
+	}
 	if want := strings.Join(ref[cut:], " "); strings.Join(got, " ") != want {
 		t.Fatalf("restored run diverged:\n got %v\nwant %s", got, want)
 	}

@@ -11,7 +11,7 @@ import (
 // selectors builds one of each kind over the same peer set.
 func selectors(t *testing.T, n int) []Selector {
 	t.Helper()
-	out := []Selector{NewUniform(rng.New(1)), NewScaleFree(rng.New(2), DefaultAttachEdges)}
+	out := []Selector{NewUniform(rng.New(1)), NewScaleFree(rng.New(2))}
 	for _, s := range out {
 		for i := 0; i < n; i++ {
 			s.Add(id.HashString(fmt.Sprintf("peer-%d", i)))
@@ -83,7 +83,7 @@ func TestRemoveDownToOne(t *testing.T) {
 }
 
 func TestScaleFreeRemovalChurn(t *testing.T) {
-	s := NewScaleFree(rng.New(9), DefaultAttachEdges)
+	s := NewScaleFree(rng.New(9))
 	src := rng.New(10)
 	var live []id.ID
 	for step := 0; step < 2_000; step++ {

@@ -26,7 +26,6 @@ type State struct {
 	Degree []int64
 	Alive  []bool
 	Stubs  []int32
-	Attach int
 }
 
 // ExportState captures the selector's state. It fails on selector
@@ -47,7 +46,6 @@ func ExportState(sel Selector) (State, error) {
 			Degree: append([]int64(nil), s.degree...),
 			Alive:  append([]bool(nil), s.alive...),
 			Stubs:  append([]int32(nil), s.stubs...),
-			Attach: s.attach,
 		}, nil
 	}
 	return State{}, fmt.Errorf("topology: cannot checkpoint selector type %T", sel)
@@ -68,15 +66,11 @@ func RestoreState(st State) (Selector, error) {
 		}
 		return u, nil
 	case PowerLaw:
-		attach := st.Attach
-		if attach == 0 {
-			attach = DefaultAttachEdges
-		}
 		if len(st.Degree) != len(st.Peers) || len(st.Alive) != len(st.Peers) {
 			return nil, fmt.Errorf("topology: restore: scale-free slot tables disagree (%d peers, %d degrees, %d alive)",
 				len(st.Peers), len(st.Degree), len(st.Alive))
 		}
-		s := NewScaleFree(rng.FromState(st.Src), attach)
+		s := NewScaleFree(rng.FromState(st.Src))
 		s.peers = append([]id.ID(nil), st.Peers...)
 		s.degree = append([]int64(nil), st.Degree...)
 		s.alive = append([]bool(nil), st.Alive...)

@@ -9,8 +9,8 @@
 // topology").
 //
 // The scale-free topology is realised as a Barabási–Albert preferential
-// attachment process: every arriving peer attaches to AttachEdges existing
-// peers chosen proportionally to degree, and respondents are then drawn
+// attachment process: every arriving peer attaches to two existing peers
+// chosen proportionally to degree, and respondents are then drawn
 // proportionally to degree — which converges to the power-law degree
 // distribution the paper stipulates.
 package topology
@@ -71,7 +71,7 @@ func New(kind Kind, src *rng.Source) (Selector, error) {
 	case Random:
 		return NewUniform(src), nil
 	case PowerLaw:
-		return NewScaleFree(src, DefaultAttachEdges), nil
+		return NewScaleFree(src), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
 }
@@ -144,16 +144,15 @@ func (u *Uniform) Contains(peer id.ID) bool {
 // ---------------------------------------------------------------------------
 // Scale-free (Barabási–Albert preferential attachment).
 
-// DefaultAttachEdges is the number of edges each arriving peer creates.
-const DefaultAttachEdges = 2
+// attachEdges is the number of edges each arriving peer creates.
+const attachEdges = 2
 
 // ScaleFree selects peers proportionally to their degree in a graph grown
 // by preferential attachment. Departed peers leave tombstone slots (stubs
 // index into the peers slice, so slots are never reused); their stubs are
 // compacted away on removal, which keeps every live stub drawable.
 type ScaleFree struct {
-	src    *rng.Source
-	attach int
+	src *rng.Source
 
 	peers  []id.ID
 	index  map[id.ID]int
@@ -167,16 +166,12 @@ type ScaleFree struct {
 }
 
 // NewScaleFree returns an empty scale-free selector where each arrival
-// attaches to attach existing peers.
-func NewScaleFree(src *rng.Source, attach int) *ScaleFree {
-	if attach < 1 {
-		//replend:allow nopanic construction-time misuse guard: attach is validated by config before any run starts
-		panic("topology: attach edges must be >= 1")
-	}
-	return &ScaleFree{src: src, attach: attach, index: make(map[id.ID]int)}
+// attaches to attachEdges existing peers.
+func NewScaleFree(src *rng.Source) *ScaleFree {
+	return &ScaleFree{src: src, index: make(map[id.ID]int)}
 }
 
-// Add wires a new peer into the graph: it attaches to up to attach
+// Add wires a new peer into the graph: it attaches to up to attachEdges
 // distinct existing peers chosen proportionally to degree. A re-added
 // (rejoining) peer attaches afresh, like a newcomer.
 func (s *ScaleFree) Add(peer id.ID) {
@@ -227,14 +222,14 @@ func (s *ScaleFree) Remove(peer id.ID) {
 	s.stubs = kept
 }
 
-// pickAttachTargets draws up to attach distinct live existing peers,
+// pickAttachTargets draws up to attachEdges distinct live existing peers,
 // preferentially by degree.
 func (s *ScaleFree) pickAttachTargets(newIdx int) []int {
 	existing := s.live - 1 // live peers other than the one being added
 	if existing == 0 {
 		return nil
 	}
-	want := s.attach
+	want := attachEdges
 	if want > existing {
 		want = existing
 	}

@@ -109,7 +109,7 @@ func TestUniformContainsLen(t *testing.T) {
 }
 
 func TestScaleFreeEmptyAndSingle(t *testing.T) {
-	s := NewScaleFree(rng.New(1), 2)
+	s := NewScaleFree(rng.New(1))
 	if _, ok := s.Pick(id.ID{}); ok {
 		t.Fatal("pick from empty scale-free succeeded")
 	}
@@ -125,7 +125,7 @@ func TestScaleFreeEmptyAndSingle(t *testing.T) {
 }
 
 func TestScaleFreeDegreesGrow(t *testing.T) {
-	s := NewScaleFree(rng.New(2), 2)
+	s := NewScaleFree(rng.New(2))
 	const n = 500
 	for i := 0; i < n; i++ {
 		s.Add(peerN(i))
@@ -157,7 +157,7 @@ func TestScaleFreeDegreesGrow(t *testing.T) {
 }
 
 func TestScaleFreePickMatchesDegreeBias(t *testing.T) {
-	s := NewScaleFree(rng.New(4), 2)
+	s := NewScaleFree(rng.New(4))
 	const n = 300
 	for i := 0; i < n; i++ {
 		s.Add(peerN(i))
@@ -190,7 +190,7 @@ func TestScaleFreePickMatchesDegreeBias(t *testing.T) {
 }
 
 func TestScaleFreeNeverPicksExcluded(t *testing.T) {
-	s := NewScaleFree(rng.New(5), 2)
+	s := NewScaleFree(rng.New(5))
 	for i := 0; i < 20; i++ {
 		s.Add(peerN(i))
 	}
@@ -211,7 +211,7 @@ func TestScaleFreeNeverPicksExcluded(t *testing.T) {
 }
 
 func TestScaleFreeDuplicatePanics(t *testing.T) {
-	s := NewScaleFree(rng.New(1), 2)
+	s := NewScaleFree(rng.New(1))
 	s.Add(peerN(0))
 	defer func() {
 		if recover() == nil {
@@ -219,19 +219,10 @@ func TestScaleFreeDuplicatePanics(t *testing.T) {
 		}
 	}()
 	s.Add(peerN(0))
-}
-
-func TestScaleFreeAttachValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewScaleFree(rng.New(1), 0)
 }
 
 func TestScaleFreeDegreeUnknownPeer(t *testing.T) {
-	s := NewScaleFree(rng.New(1), 2)
+	s := NewScaleFree(rng.New(1))
 	if s.Degree(peerN(9)) != 0 {
 		t.Fatal("unknown peer should have degree 0")
 	}
@@ -239,7 +230,7 @@ func TestScaleFreeDegreeUnknownPeer(t *testing.T) {
 
 func TestScaleFreeDeterministic(t *testing.T) {
 	run := func() []int64 {
-		s := NewScaleFree(rng.New(42), 2)
+		s := NewScaleFree(rng.New(42))
 		for i := 0; i < 100; i++ {
 			s.Add(peerN(i))
 		}

@@ -137,14 +137,7 @@ func (w *World) Rejoin(pid id.ID) error {
 	d := s.departed
 	s.departed = nil // the slot's ordinal carries straight over to the readmission
 	p := d.peer
-	ident := d.ident
-	if ident == nil {
-		// Departed before ever signing (or under null signing): a fresh
-		// identity is indistinguishable.
-		if err := w.attachNode(p); err != nil {
-			return err
-		}
-	} else if err := w.attachNodeIdentity(p, ident); err != nil {
+	if err := w.attachNodeIdentity(p, d.ident); err != nil {
 		return err
 	}
 	w.m.Churn.Rejoins++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/sim"
 )
 
 // Delta is a set of parameter changes applicable to a running world: the
@@ -147,36 +146,4 @@ func (w *World) ApplyDelta(d Delta) error {
 		w.rearmDepartures()
 	}
 	return nil
-}
-
-// ScheduleDelta queues a delta to be applied when the simulation reaches
-// the given tick — the scheduled phase hook. The delta is validated
-// against the configuration that will be current at that tick only when
-// it fires; an invalid combination fails the world then (Run/RunFor
-// return the error and Err reports it), so callers composing multi-phase
-// schedules should pre-validate them (scenario.Spec.Validate does). The
-// name labels the event in diagnostics and in checkpoints.
-func (w *World) ScheduleDelta(at sim.Tick, name string, d Delta) {
-	if name == "" {
-		name = "phase"
-	}
-	w.engine.Schedule(at, w.kinds.delta, labeledDelta{Label: name, Delta: d})
-}
-
-// labeledDelta is the payload of a scheduled delta: the change and the
-// caller's label, which a checkpoint records as the event's name.
-type labeledDelta struct {
-	Label string
-	Delta Delta
-}
-
-// deltaEvent applies a scheduled parameter change.
-func (w *World) deltaEvent(payload any) {
-	d := payload.(labeledDelta)
-	if err := w.ApplyDelta(d.Delta); err != nil {
-		// Run-path failures propagate, never panic: a bad delta in one
-		// replica must fail that unit, not the whole process (which may
-		// be a fleet worker running sibling units).
-		w.fail(fmt.Errorf("world: scheduled delta %q at tick %d: %w", d.Label, w.engine.Now(), err))
-	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/arena"
 	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/config"
@@ -53,18 +52,20 @@ import (
 // the replay cursor, and per-peer cohort/plan state. Version 3 added the
 // telemetry-era observability state: the duration histograms inside
 // Metrics and the in-flight arrival ticks behind the admission-latency
-// histogram. Version 4 added the arena memory layout: per-peer state
-// lives in ordinal-addressed slots, and the ordinal table plus its
-// free-list are captured verbatim so a restored world recycles slots in
-// the same order the uncut run would. Version 5 moved the body to the
-// binary checkpoint codec, with typed event payloads in EventRecord.
-// Version 6 dropped the lending protocol's departed-signer tombstones.
-const SnapshotVersion = 6
+// histogram. Version 4 added the arena memory layout's ordinal table and
+// free-list. Version 5 moved the body to the binary checkpoint codec,
+// with typed event payloads in EventRecord. Version 6 dropped the lending
+// protocol's departed-signer tombstones. Version 7 dropped what no
+// resumed run can observe: the arena's ordinal table and free-list (a
+// restored world numbers its slots in restore order), the "delta" event
+// kind nothing schedules, the event name that repeated its kind, the
+// placement index's slot count (the sum of its slices' lengths) and the
+// null-identity markers (a departed peer without a signer is null).
+const SnapshotVersion = 7
 
 // Event payload types. Each pending-event kind the world schedules but
 // "transaction" and "sample" carries one, pinning everything its handler
-// needs; EventRecord stores it as is, except labeledDelta (delta.go),
-// whose label becomes the record's name.
+// needs; EventRecord stores it as is.
 type (
 	// genPayload tags the self-rescheduling Poisson chains ("arrival",
 	// "departure") with the process generation they were armed under.
@@ -82,11 +83,6 @@ type (
 		Peer   id.ID
 		Joined sim.Tick
 	}
-	// deltaPayload is the record form of a scheduled parameter change
-	// ("delta").
-	deltaPayload struct {
-		Delta Delta
-	}
 	// replayPayload tags the pending event of the trace-replay chain
 	// ("wk-replay") with the index of the trace event it re-drives.
 	replayPayload struct {
@@ -94,13 +90,12 @@ type (
 	}
 )
 
-// EventRecord is one pending event: its firing tick, name (its kind's,
-// or a delta's label), original sequence number (intra-tick FIFO
-// position), kind and typed payload. Exactly the payload field of Kind
-// is set; "transaction" and "sample" events carry none.
+// EventRecord is one pending event: its firing tick, original sequence
+// number (intra-tick FIFO position), kind and typed payload. Exactly the
+// payload field of Kind is set; "transaction" and "sample" events carry
+// none.
 type EventRecord struct {
 	At   sim.Tick
-	Name string
 	Seq  int64
 	Kind string
 
@@ -109,7 +104,6 @@ type EventRecord struct {
 	Session *sessionPayload
 	Intro   *lending.IntroWait
 	Replay  *replayPayload
-	Delta   *deltaPayload
 }
 
 // PeerRecord is one peer object — live or departed-but-rejoinable.
@@ -131,11 +125,9 @@ type PeerRecord struct {
 }
 
 // DepartedRecord is one offline peer eligible to rejoin, with the
-// signing identity it left under (neither field set when it departed
-// without one).
+// signing identity it left under: a nil Signer is the null identity.
 type DepartedRecord struct {
 	Peer   PeerRecord
-	Null   bool
 	Signer *transport.SignerState
 }
 
@@ -224,21 +216,13 @@ type Snapshot struct {
 	RepCached []RepRecord // ascending peer ID
 	DirtyRep  []id.ID     // insertion order, verbatim
 
-	SMCache    []SMCacheRecord // ascending peer ID
-	SMDeps     []SMDepsRecord  // ascending owner ID
-	SMDepSlots int             // summed length of every SMDeps entry
+	SMCache []SMCacheRecord // ascending peer ID
+	SMDeps  []SMDepsRecord  // ascending owner ID
 
 	// Arrivals carries the in-flight arrival ticks (peers inside the
 	// waiting period), so a resumed run observes the same admission
 	// latencies the uncut run would.
 	Arrivals []ArrivalRecord // ascending peer ID
-
-	// Ordinals and OrdFree carry the peer arena verbatim — the assigned
-	// slot of every identifier in ascending ordinal order, and the
-	// free-list oldest-first — so snapshot∘restore∘snapshot is idempotent
-	// and a restored world hands out the same slots the uncut run would.
-	Ordinals []OrdinalRecord
-	OrdFree  []int32
 
 	Metrics Metrics
 }
@@ -248,12 +232,6 @@ type Snapshot struct {
 type ArrivalRecord struct {
 	Peer id.ID
 	At   sim.Tick
-}
-
-// OrdinalRecord is one assigned slot of the world's peer arena.
-type OrdinalRecord struct {
-	Peer id.ID
-	Ord  int32
 }
 
 // Snapshot captures the world's full state. The world must be started
@@ -292,7 +270,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		BusStats:     w.bus.Stats(),
 		RepSum:       w.repSum,
 		DirtyRep:     append([]id.ID(nil), w.dirtyRep...),
-		SMDepSlots:   w.smDepSlots,
 		Metrics:      w.m,
 	}
 	// The Cohorts slice would otherwise share its backing array with the
@@ -308,18 +285,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	// Every table is made once, at its final length: appending from nil
 	// grows a large table about 1.25x at a time, which allocates several
 	// times what it keeps.
-	s.Ordinals = slices.Grow(s.Ordinals, w.ords.Len())
-	for ord := range w.slots {
-		if pid, ok := w.ords.ID(arena.Ordinal(ord)); ok {
-			s.Ordinals = append(s.Ordinals, OrdinalRecord{Peer: pid, Ord: int32(ord)})
-		}
-	}
-	free := w.ords.FreeList()
-	s.OrdFree = slices.Grow(s.OrdFree, len(free))
-	for _, f := range free {
-		s.OrdFree = append(s.OrdFree, int32(f))
-	}
-
 	pending := w.engine.Pendings()
 	s.Events = slices.Grow(s.Events, len(pending))
 	for _, ev := range pending {
@@ -374,12 +339,10 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		if d := sl.departed; d != nil {
 			rec := DepartedRecord{Peer: peerRecord(d.peer)}
 			switch ident := d.ident.(type) {
-			case nil:
 			case *transport.Signer:
 				st := ident.Export()
 				rec.Signer = &st
 			case transport.NullIdentity:
-				rec.Null = true
 			default:
 				return nil, fmt.Errorf("world: cannot checkpoint departed identity type %T for %s", ident, pid.Short())
 			}
@@ -493,45 +456,25 @@ func Restore(s *Snapshot) (*World, error) {
 	}
 	w.policy = policy
 
-	// The peer arena comes first: every per-peer record below resolves to
-	// a slot through it, and installing the table plus free-list verbatim
-	// is what makes the restored world recycle slots in the uncut run's
-	// order.
-	assigned := make([]arena.Assignment, len(s.Ordinals))
-	for i, rec := range s.Ordinals {
-		assigned[i] = arena.Assignment{ID: rec.Peer, Ord: arena.Ordinal(rec.Ord)}
-	}
-	free := make([]arena.Ordinal, len(s.OrdFree))
-	for i, f := range s.OrdFree {
-		free[i] = arena.Ordinal(f)
-	}
-	if err := w.ords.Restore(assigned, free); err != nil {
-		return nil, fmt.Errorf("world: restore: %w", err)
-	}
-	w.slots = make([]worldSlot, w.ords.Cap())
 	// Size the restored tables to the snapshot's counts before filling
-	// them. The handle table interns every identity the books, stores and
-	// placements below name; the arena's count is its usual size.
-	w.handles.Reserve(len(s.Ordinals))
+	// them. The peer arena numbers its slots in restore order, as lending
+	// and ROCQ number theirs: each record below takes a slot on first
+	// touch. Live and departed peers are its usual size, and the handle
+	// table's, which interns every identity the books, stores and
+	// placements below name.
+	peers := len(s.Peers) + len(s.Departed)
+	w.ords.Reserve(peers)
+	w.slots = make([]worldSlot, 0, peers)
+	w.handles.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
 	w.smCache = make(map[id.ID]*smCacheEntry, len(s.SMCache))
 	w.smDeps = make(map[id.ID][]id.ID, len(s.SMDeps))
-	slotFor := func(pid id.ID) (*worldSlot, error) {
-		ord, ok := w.ords.Get(pid)
-		if !ok {
-			return nil, fmt.Errorf("world: restore: %s has no arena ordinal", pid.Short())
-		}
-		return &w.slots[ord], nil
-	}
 
 	// Peers and the overlay. Records arrive in ascending ID order and the
 	// ring's treap shape is a pure function of membership, so joining in
 	// record order rebuilds the exact structure.
 	for _, rec := range s.Peers {
-		sl, err := slotFor(rec.ID)
-		if err != nil {
-			return nil, err
-		}
+		sl := w.ensureSlot(rec.ID)
 		if sl.pr != nil {
 			return nil, fmt.Errorf("world: restore: duplicate peer %s", rec.ID.Short())
 		}
@@ -564,8 +507,7 @@ func Restore(s *Snapshot) (*World, error) {
 			return nil, fmt.Errorf("world: restore: admitted peer %s has no record", pid.Short())
 		}
 		w.admittedPeers = append(w.admittedPeers, p)
-		sl, _ := slotFor(pid)
-		sl.admitted = true
+		w.slotOf(pid).admitted = true
 	}
 	if s.Topology.Kind != w.cfg.Topology {
 		return nil, fmt.Errorf("world: restore: topology state kind %q does not match config %q", s.Topology.Kind, w.cfg.Topology)
@@ -577,10 +519,7 @@ func Restore(s *Snapshot) (*World, error) {
 	w.topo = topo
 
 	for _, rec := range s.Stores {
-		sl, err := slotFor(rec.Node)
-		if err != nil {
-			return nil, err
-		}
+		sl := w.ensureSlot(rec.Node)
 		if sl.store != nil {
 			return nil, fmt.Errorf("world: restore: duplicate store for %s", rec.Node.Short())
 		}
@@ -593,10 +532,7 @@ func Restore(s *Snapshot) (*World, error) {
 
 	for _, rec := range s.Departed {
 		pid := rec.Peer.ID
-		sl, err := slotFor(pid)
-		if err != nil {
-			return nil, err
-		}
+		sl := w.ensureSlot(pid)
 		if sl.departed != nil {
 			return nil, fmt.Errorf("world: restore: duplicate departed peer %s", pid.Short())
 		}
@@ -605,12 +541,9 @@ func Restore(s *Snapshot) (*World, error) {
 			return nil, err
 		}
 		d := &departedPeer{peer: p}
-		switch {
-		case rec.Null && rec.Signer != nil:
-			return nil, fmt.Errorf("world: restore: departed %s has both null and signer identity", pid.Short())
-		case rec.Null:
+		if rec.Signer == nil {
 			d.ident = transport.NewNullIdentity(pid)
-		case rec.Signer != nil:
+		} else {
 			signer, err := transport.SignerFromState(*rec.Signer)
 			if err != nil {
 				return nil, fmt.Errorf("world: restore: departed %s: %w", pid.Short(), err)
@@ -620,11 +553,7 @@ func Restore(s *Snapshot) (*World, error) {
 		sl.departed = d
 	}
 	for _, pid := range s.Wiped {
-		sl, err := slotFor(pid)
-		if err != nil {
-			return nil, err
-		}
-		sl.wiped = true
+		w.ensureSlot(pid).wiped = true
 	}
 
 	w.seq = s.Seq
@@ -643,18 +572,12 @@ func Restore(s *Snapshot) (*World, error) {
 
 	w.repSum = s.RepSum
 	for _, rec := range s.RepCached {
-		sl, err := slotFor(rec.Peer)
-		if err != nil {
-			return nil, err
-		}
+		sl := w.ensureSlot(rec.Peer)
 		sl.hasRep = true
 		sl.rep = rec.Rep
 	}
 	for _, pid := range s.DirtyRep {
-		sl, err := slotFor(pid)
-		if err != nil {
-			return nil, err
-		}
+		sl := w.ensureSlot(pid)
 		if sl.dirty {
 			return nil, fmt.Errorf("world: restore: duplicate dirty-reputation entry %s", pid.Short())
 		}
@@ -688,20 +611,13 @@ func Restore(s *Snapshot) (*World, error) {
 		}
 		w.smCache[rec.Peer] = e
 	}
-	indexed := 0
 	for _, rec := range s.SMDeps {
 		if _, dup := w.smDeps[rec.Owner]; dup {
 			return nil, fmt.Errorf("world: restore: duplicate placement-index owner %s", rec.Owner.Short())
 		}
 		w.smDeps[rec.Owner] = append([]id.ID(nil), rec.Peers...)
-		indexed += len(rec.Peers)
+		w.smDepSlots += len(rec.Peers)
 	}
-	// The slot count bounds stale index slots (it triggers the rebuild),
-	// so it must be the count it claims to be.
-	if s.SMDepSlots != indexed {
-		return nil, fmt.Errorf("world: restore: placement index holds %d slots, snapshot claims %d", indexed, s.SMDepSlots)
-	}
-	w.smDepSlots = s.SMDepSlots
 
 	w.m = s.Metrics
 	w.m.Cohorts = append([]CohortStats(nil), s.Metrics.Cohorts...)
@@ -724,20 +640,12 @@ func Restore(s *Snapshot) (*World, error) {
 		if w.livePeer(rec.Peer) == nil {
 			return nil, fmt.Errorf("world: restore: in-flight arrival %s has no peer record", rec.Peer.Short())
 		}
-		sl, _ := slotFor(rec.Peer)
+		sl := w.slotOf(rec.Peer)
 		if sl.inFlight {
 			return nil, fmt.Errorf("world: restore: duplicate in-flight arrival %s", rec.Peer.Short())
 		}
 		sl.inFlight = true
 		sl.arrivedAt = rec.At
-	}
-	// The world releases a slot once its last per-peer field clears, so
-	// every assigned ordinal a snapshot holds backs some state; an empty
-	// one would never be released.
-	for ord := range w.slots {
-		if pid, ok := w.ords.ID(arena.Ordinal(ord)); ok && w.slots[ord].empty() {
-			return nil, fmt.Errorf("world: restore: ordinal %d of %s backs no peer state", ord, pid.Short())
-		}
 	}
 
 	events := make([]sim.PendingEvent, len(s.Events))
@@ -757,7 +665,7 @@ func Restore(s *Snapshot) (*World, error) {
 // type, so the payload alone picks the record field; a payload no
 // record field holds fails the snapshot rather than dropping work.
 func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
-	rec := EventRecord{At: ev.At, Name: ev.Name, Seq: ev.Seq, Kind: ev.Name}
+	rec := EventRecord{At: ev.At, Seq: ev.Seq, Kind: ev.Name}
 	switch p := ev.Payload.(type) {
 	case nil:
 	case genPayload:
@@ -770,8 +678,6 @@ func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
 		rec.Intro = &p
 	case replayPayload:
 		rec.Replay = &p
-	case labeledDelta:
-		rec.Name, rec.Delta = p.Label, &deltaPayload{Delta: p.Delta}
 	default:
 		return rec, fmt.Errorf("world: cannot checkpoint pending event %q at tick %d (payload %T)", ev.Name, ev.At, ev.Payload)
 	}
@@ -779,10 +685,9 @@ func encodeEvent(ev sim.PendingEvent) (EventRecord, error) {
 }
 
 // decodeEvent turns an event record back into a pending event,
-// validating that the record carries exactly its kind's payload, under
-// the kind's own name unless it is a delta, and that a replay event
-// indexes an arrival of the configured trace. The engine resolves the
-// kind name to its handler.
+// validating that the record carries exactly its kind's payload and that
+// a replay event indexes an arrival of the configured trace. The engine
+// resolves the kind name to its handler.
 func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
 	pe := sim.PendingEvent{At: rec.At, Name: rec.Kind, Seq: rec.Seq}
 	switch rec.Kind {
@@ -815,18 +720,11 @@ func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
 			}
 			pe.Payload = *p
 		}
-	case "delta":
-		if rec.Delta != nil {
-			pe.Payload = labeledDelta{Label: rec.Name, Delta: rec.Delta.Delta}
-		}
 	default:
 		return pe, fmt.Errorf("world: unknown pending-event kind %q", rec.Kind)
 	}
-	if rec.Kind != "delta" && rec.Name != rec.Kind {
-		return pe, fmt.Errorf("world: event kind %q under name %q", rec.Kind, rec.Name)
-	}
 	set := 0
-	for _, present := range []bool{rec.Gen != nil, rec.Peer != nil, rec.Session != nil, rec.Intro != nil, rec.Replay != nil, rec.Delta != nil} {
+	for _, present := range []bool{rec.Gen != nil, rec.Peer != nil, rec.Session != nil, rec.Intro != nil, rec.Replay != nil} {
 		if present {
 			set++
 		}

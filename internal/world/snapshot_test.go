@@ -30,8 +30,8 @@ import (
 // every event kind but three: Poisson arrivals and departures, session
 // clocks with crashes and rejoins, waiting-period intro events, stake
 // timeouts and offline-stake expiries, beside the transaction and
-// sample processes. Record leases, trace replay and scheduled deltas
-// need more (see TestEveryEventKindCrossesACheckpoint).
+// sample processes. Record leases and trace replay need more (see
+// TestEveryEventKindCrossesACheckpoint).
 func churnyCfg(seed uint64) config.Config {
 	c := config.Default()
 	c.NumInit = 25
@@ -165,11 +165,11 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 }
 
 // TestEveryEventKindCrossesACheckpoint cuts three runs whose pending
-// queues hold, between them, all 13 event kinds the world and its
-// lending protocol register: churnyCfg with a delta scheduled past the
-// cut, churnyCfg with record leases, and a replay of churnyCfg's
-// recorded trace. Each cut must hold the kinds its case lists, and each
-// restored run must finish with its uncut run's fingerprint.
+// queues hold, between them, all 12 event kinds the world and its
+// lending protocol register: churnyCfg, churnyCfg with record leases,
+// and a replay of churnyCfg's recorded trace. Each cut must hold the
+// kinds its case lists, and each restored run must finish with its
+// uncut run's fingerprint.
 func TestEveryEventKindCrossesACheckpoint(t *testing.T) {
 	churny := churnyCfg(2)
 	lease := churny
@@ -192,12 +192,11 @@ func TestEveryEventKindCrossesACheckpoint(t *testing.T) {
 		want []string
 	}{
 		{"churny", churny, []string{"transaction", "sample", "arrival", "departure", "session-end", "rejoin",
-			"stake-timeout", "stake-expiry", "intro-refuse", "intro-lend", "delta"}},
+			"stake-timeout", "stake-expiry", "intro-refuse", "intro-lend"}},
 		{"lease", lease, []string{"lease-expiry"}},
 		{"replay", replay, []string{"wk-replay"}},
 	}
 	const cut = 1500
-	frac := 0.3
 	for _, tc := range cases {
 		run := func(cutting bool) []byte {
 			w, err := New(tc.cfg)
@@ -205,7 +204,6 @@ func TestEveryEventKindCrossesACheckpoint(t *testing.T) {
 				t.Fatalf("%s: New: %v", tc.name, err)
 			}
 			w.Start()
-			w.ScheduleDelta(3000, "late-wave", Delta{FracUncoop: &frac})
 			if cutting {
 				if err := w.RunFor(cut); err != nil {
 					t.Fatalf("%s: RunFor: %v", tc.name, err)
@@ -501,12 +499,12 @@ func TestDecodeSnapshotRejectsDefects(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsHostileArenas feeds Restore snapshots whose arena
-// table, placement-index count or event queue no world could have
-// written. Each is cut from a real snapshot, so it passes the decoder
-// and reaches the check it targets; Restore must refuse it rather than
-// build a corrupt arena or queue.
-func TestRestoreRejectsHostileArenas(t *testing.T) {
+// TestRestoreRejectsEventsSharingASequenceNumber feeds Restore a
+// snapshot whose event queue no world could have written: two events due
+// at one tick under one sequence number. It is cut from a real snapshot,
+// so it passes the decoder and reaches the check; Restore must refuse it
+// rather than let the heap, not the record, order the two.
+func TestRestoreRejectsEventsSharingASequenceNumber(t *testing.T) {
 	w, err := New(churnyCfg(7))
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -523,16 +521,14 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	// Two events due at the same tick: were they to share a sequence
-	// number, the heap, not the record, would order them.
 	sameTick := -1
 	for i := 1; i < len(snap.Events) && sameTick < 0; i++ {
 		if snap.Events[i].At == snap.Events[i-1].At {
 			sameTick = i
 		}
 	}
-	if len(snap.Ordinals) < 2 || snap.SMDepSlots == 0 || sameTick < 0 {
-		t.Fatalf("fixture too small: %d ordinals, %d placement slots, no two events at one tick", len(snap.Ordinals), snap.SMDepSlots)
+	if sameTick < 0 {
+		t.Fatal("fixture too small: no two events at one tick")
 	}
 	cases := []struct {
 		name   string
@@ -540,14 +536,6 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 		want   string
 	}{
 		{"pristine", func(*Snapshot) {}, ""},
-		{"duplicate ordinal", func(s *Snapshot) { s.Ordinals[1].Ord = s.Ordinals[0].Ord }, "claimed twice"},
-		{"free-list collision", func(s *Snapshot) { s.OrdFree = append(s.OrdFree, s.Ordinals[0].Ord) }, "claimed twice"},
-		{"negative ordinal", func(s *Snapshot) { s.Ordinals[0].Ord = -3 }, "out of range"},
-		{"unbacked ordinal", func(s *Snapshot) {
-			s.Ordinals = append(s.Ordinals, OrdinalRecord{Peer: id.HashString("unbacked"), Ord: int32(len(s.Ordinals) + len(s.OrdFree))})
-		}, "backs no peer state"},
-		{"placement slot count off by one", func(s *Snapshot) { s.SMDepSlots++ }, "placement index holds"},
-		{"negative placement slot count", func(s *Snapshot) { s.SMDepSlots = -1 << 40 }, "placement index holds"},
 		{"two events share a sequence number", func(s *Snapshot) { s.Events[sameTick].Seq = s.Events[sameTick-1].Seq }, "share seq"},
 	}
 	for _, tc := range cases {
@@ -564,25 +552,6 @@ func TestRestoreRejectsHostileArenas(t *testing.T) {
 			t.Errorf("%s: Restore accepted the snapshot", tc.name)
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-	// Several records out of range: every restore names the first of
-	// them in snapshot order, not whichever one a map walk meets first.
-	if len(snap.Ordinals) < 9 {
-		t.Fatalf("fixture too small: %d ordinals", len(snap.Ordinals))
-	}
-	total := int32(len(snap.Ordinals) + len(snap.OrdFree))
-	want := fmt.Sprintf("ordinal %d out of range", total+1)
-	for run := 0; run < 20; run++ {
-		s, err := openSnapshot(data)
-		if err != nil {
-			t.Fatalf("DecodeSnapshot: %v", err)
-		}
-		for i := 1; i <= 8; i++ {
-			s.Ordinals[i].Ord = total + int32(i)
-		}
-		if _, err := Restore(s); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("restore %d of eight out-of-range records: error %v, want one naming %q", run, err, want)
 		}
 	}
 }

@@ -91,11 +91,12 @@ type World struct {
 	// lets churn recycle slots, so million-peer worlds index one flat
 	// slice instead of chasing eight separate per-peer maps. Ordinals
 	// never feed output bytes — output iteration stays over sorted ids
-	// (Ordinals.SortedByID) or recorded insertion orders — except in
-	// snapshots, where the table itself is state so restored worlds
-	// recycle slots in the same order the original would. Peer objects
-	// come from peerSlab, which packs them into chunked, pointer-stable
-	// storage.
+	// (Ordinals.SortedByID) or recorded insertion orders — and no
+	// checkpoint carries them: Restore numbers slots in restore order,
+	// as lending and ROCQ number theirs. The one walk in ordinal order,
+	// forgetDeparted's store sweep, forgets one subject per store, so
+	// its order is unobservable. Peer objects come from peerSlab, which
+	// packs them into chunked, pointer-stable storage.
 	ords  *arena.Ordinals
 	slots []worldSlot
 	//replend:allow snapshotfields allocation pool, not state; restore re-allocates every peer object through newPeer
@@ -165,6 +166,10 @@ type World struct {
 	smScratch []id.ID
 	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
 	refScratch []rocq.Ref
+	// joinScratch collects the peers a join's repairs index under the
+	// joiner, so the joiner's index slice is made once, at its length.
+	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
+	joinScratch []id.ID
 
 	// repDirty is markRepDirty as a method value, built once by newBare
 	// and handed to every store as its change observer.
@@ -393,7 +398,7 @@ func New(cfg config.Config) (*World, error) {
 // registers its two waiting-period kinds itself.
 type eventKinds struct {
 	transaction, sample, arrival, departure, sessionEnd, rejoin sim.Kind
-	stakeTimeout, stakeExpiry, leaseExpiry, replay, delta       sim.Kind
+	stakeTimeout, stakeExpiry, leaseExpiry, replay              sim.Kind
 }
 
 // lendingParams maps a configuration onto the lending protocol's
@@ -454,7 +459,6 @@ func newBare(cfg config.Config) (*World, error) {
 		stakeExpiry:  e.Handle("stake-expiry", w.stakeExpiryEvent),
 		leaseExpiry:  e.Handle("lease-expiry", w.leaseExpiryEvent),
 		replay:       e.Handle("wk-replay", w.replayEvent),
-		delta:        e.Handle("delta", w.deltaEvent),
 	}
 	topo, err := topology.New(cfg.Topology, root.Split())
 	if err != nil {
@@ -801,7 +805,7 @@ func (w *World) noteRingJoin(x id.ID) {
 	if !ok {
 		return
 	}
-	live := peers[:0]
+	live, joined := peers[:0], w.joinScratch[:0]
 	for _, p := range peers {
 		e, ok := w.smCache[p]
 		if !ok || !e.dependsOn(succ) {
@@ -836,8 +840,7 @@ func (w *World) noteRingJoin(x id.ID) {
 		// patched arcs: requeue the peer for the sampling flush.
 		w.markRepDirty(p)
 		if w.rebuildEntry(p, e) {
-			w.smDeps[x] = append(w.smDeps[x], p)
-			w.smDepSlots++
+			joined = append(joined, p)
 			if e.dependsOn(succ) {
 				live = append(live, p)
 			}
@@ -845,7 +848,11 @@ func (w *World) noteRingJoin(x id.ID) {
 			w.evictEntry(p, e)
 		}
 	}
-	w.smDepSlots -= len(peers) - len(live)
+	w.joinScratch = joined
+	if len(joined) > 0 {
+		w.smDeps[x] = append(w.smDeps[x], joined...)
+	}
+	w.smDepSlots += len(joined) - (len(peers) - len(live))
 	if len(live) == 0 {
 		delete(w.smDeps, succ)
 	} else {

@@ -116,27 +116,6 @@ func TestApplyDeltaReachesLendingProtocol(t *testing.T) {
 	}
 }
 
-func TestScheduleDeltaFiresAtTick(t *testing.T) {
-	w, err := New(deltaTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := 0.9
-	w.ScheduleDelta(1_500, "churn-wave", Delta{FracUncoop: &frac})
-	if err := w.RunFor(1_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Config().FracUncoop; got != deltaTestConfig().FracUncoop {
-		t.Fatalf("delta applied early: FracUncoop=%v", got)
-	}
-	if err := w.RunFor(1_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Config().FracUncoop; got != frac {
-		t.Fatalf("delta not applied: FracUncoop=%v", got)
-	}
-}
-
 func TestArrivalClampKeepsPoissonRate(t *testing.T) {
 	// The tick grid caps arrivals at one per tick. Before the fix, a rate
 	// above the cap left the continuous clock permanently behind the
@@ -187,28 +166,5 @@ func TestDeltaDeterminismUnchangedWithoutDeltas(t *testing.T) {
 	if am, bm := a.Metrics(), b.Metrics(); am.ArrivalsCoop != bm.ArrivalsCoop ||
 		am.Served != bm.Served || am.CorrectDecisions != bm.CorrectDecisions {
 		t.Fatalf("identical runs diverged: %+v vs %+v", am, bm)
-	}
-}
-
-func TestScheduledDeltaFailureFailsWorldInsteadOfPanicking(t *testing.T) {
-	w, err := New(deltaTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := -1.0
-	w.ScheduleDelta(500, "bad-phase", Delta{FracUncoop: &bad})
-	err = w.RunFor(1_000)
-	if err == nil {
-		t.Fatal("invalid scheduled delta did not fail the run")
-	}
-	if w.Err() == nil {
-		t.Fatal("Err() nil after failed scheduled delta")
-	}
-	if w.Err().Error() != err.Error() {
-		t.Fatalf("RunFor error %q != Err() %q", err, w.Err())
-	}
-	// A failed world must refuse to keep simulating.
-	if err2 := w.RunFor(100); err2 == nil {
-		t.Fatal("failed world resumed simulating")
 	}
 }

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -425,4 +426,34 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal("fresh world clock not at 0")
 	}
 	var _ sim.Tick = w.Engine().Now()
+}
+
+// TestRunPathFailureFailsWorldInsteadOfPanicking fails a run from inside
+// an event handler, the way every run-path failure reaches World.fail:
+// RunFor must return the error and Err report it, the clock must stop at
+// the failing event instead of running on to the deadline, and the failed
+// world must refuse to keep simulating.
+func TestRunPathFailureFailsWorldInsteadOfPanicking(t *testing.T) {
+	w, err := New(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := w.engine.Handle("boom", func(any) { w.fail(errors.New("world: boom")) })
+	w.engine.Schedule(500, boom, nil)
+	err = w.RunFor(1_000)
+	if err == nil {
+		t.Fatal("a failing event did not fail the run")
+	}
+	if w.Err() == nil {
+		t.Fatal("Err() nil after a failed run")
+	}
+	if w.Err().Error() != err.Error() {
+		t.Fatalf("RunFor error %q != Err() %q", err, w.Err())
+	}
+	if now := w.Engine().Now(); now != 500 {
+		t.Fatalf("clock at tick %d after the failure at tick 500", now)
+	}
+	if err2 := w.RunFor(100); err2 == nil {
+		t.Fatal("failed world resumed simulating")
+	}
 }
