@@ -1,51 +1,48 @@
 // Package arena provides the dense per-peer memory layout under the
-// simulator: a stable peer-ordinal allocator with a free-list, and a
+// simulator: an intern-only handle table that numbers identities, and a
 // chunked, pointer-stable slab allocator. Together they flatten the
 // pointer webs that per-peer maps grow into at large populations —
-// million-peer worlds index flat slices by ordinal instead of chasing
+// million-peer worlds index flat slices by handle instead of chasing
 // heap-scattered map entries.
 //
-// Determinism contract: ordinal assignment is driven entirely by the
-// simulation's (deterministic) event order, and the free-list is LIFO,
-// so the same run always produces the same id→ordinal table. No
-// checkpoint carries the table: a restored world numbers its peers
-// afresh, in restore order. So nothing downstream may let ordinal order
-// reach an output byte — output iteration stays over sorted ids or
-// recorded insertion orders (see docs/determinism.md).
+// Determinism contract: a table numbers identities in first-sight order,
+// which the simulation's (deterministic) event order drives, and never
+// reuses a number, so the same run always produces the same id→handle
+// table. No checkpoint carries the table: a restored world numbers its
+// identities afresh, in restore order. So nothing downstream may let
+// handle order reach an output byte — output iteration stays over sorted
+// ids or recorded insertion orders (see docs/determinism.md).
 package arena
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 
 	"repro/internal/id"
 )
 
-// Ordinal is a dense index into per-peer arenas. Ordinals are stable
-// for the lifetime of a peer's record and recycled (LIFO) after
-// release, so arena slices stay packed under churn instead of growing
-// without bound.
+// Ordinal is a dense index into per-identity arenas: a handle. It names
+// one identity for the lifetime of its table.
 type Ordinal int32
 
 // None is the ordinal returned for unknown ids.
 const None Ordinal = -1
 
-// Ordinals allocates dense ordinals for peer ids. The zero value is not
-// usable; call NewOrdinals.
+// Ordinals is a handle table: it interns peer ids, numbering each from 0
+// on first sight, and never releases one, so a handle names one identity
+// for the table's lifetime. The zero value is not usable; call
+// NewOrdinals.
 type Ordinals struct {
 	index map[id.ID]Ordinal
-	ids   []id.ID   // ordinal → id; id.ID zero value marks a free slot
-	live  []bool    // ordinal → currently assigned
-	free  []Ordinal // LIFO free-list of released ordinals
+	ids   []id.ID // ordinal → id
 }
 
-// NewOrdinals returns an empty allocator.
+// NewOrdinals returns an empty table.
 func NewOrdinals() *Ordinals {
 	return &Ordinals{index: make(map[id.ID]Ordinal)}
 }
 
-// Get returns the ordinal assigned to pid, or (None, false).
+// Get returns the ordinal interned for pid, or (None, false).
 func (o *Ordinals) Get(pid id.ID) (Ordinal, bool) {
 	ord, ok := o.index[pid]
 	if !ok {
@@ -54,65 +51,27 @@ func (o *Ordinals) Get(pid id.ID) (Ordinal, bool) {
 	return ord, true
 }
 
-// Assign allocates an ordinal for pid, reusing the most recently
-// released slot if one exists. Assigning an id that already holds an
-// ordinal is a programming error.
-func (o *Ordinals) Assign(pid id.ID) Ordinal {
-	if _, ok := o.index[pid]; ok {
-		//replend:allow nopanic double-assignment is a programming error by design; admission and rejoin paths release before reassigning
-		panic(fmt.Sprintf("arena: ordinal already assigned for %v", pid))
-	}
-	var ord Ordinal
-	if n := len(o.free); n > 0 {
-		ord = o.free[n-1]
-		o.free = o.free[:n-1]
-	} else {
-		ord = Ordinal(len(o.ids))
-		o.ids = append(o.ids, id.ID{})
-		o.live = append(o.live, false)
-	}
-	o.index[pid] = ord
-	o.ids[ord] = pid
-	o.live[ord] = true
-	return ord
-}
-
-// Intern returns pid's ordinal, assigning one on first sight. A table
-// that only ever interns is a handle table: with no Release, ordinals
-// are never reused, so an ordinal names one identity for the table's
-// lifetime.
+// Intern returns pid's ordinal, assigning the next one on first sight.
 func (o *Ordinals) Intern(pid id.ID) Ordinal {
 	if ord, ok := o.index[pid]; ok {
 		return ord
 	}
-	return o.Assign(pid)
+	ord := Ordinal(len(o.ids))
+	o.index[pid] = ord
+	o.ids = append(o.ids, pid)
+	return ord
 }
 
-// Release returns pid's ordinal to the free-list. Releasing an unknown
-// id is a programming error.
-func (o *Ordinals) Release(pid id.ID) {
-	ord, ok := o.index[pid]
-	if !ok {
-		//replend:allow nopanic releasing an unassigned id is a programming error by design; callers hold the record they release
-		panic(fmt.Sprintf("arena: releasing unassigned ordinal for %v", pid))
-	}
-	delete(o.index, pid)
-	o.ids[ord] = id.ID{}
-	o.live[ord] = false
-	o.free = append(o.free, ord)
-}
-
-// ID returns the id currently holding ord, or (zero, false) if the slot
-// is free or out of range.
+// ID returns the id holding ord, or (zero, false) if ord is out of range.
 func (o *Ordinals) ID(ord Ordinal) (id.ID, bool) {
-	if ord < 0 || int(ord) >= len(o.ids) || !o.live[ord] {
+	if ord < 0 || int(ord) >= len(o.ids) {
 		return id.ID{}, false
 	}
 	return o.ids[ord], true
 }
 
-// Reserve makes room for n more assignments, so a table about to take n
-// identities (a restore refilling it) grows once instead of step by step.
+// Reserve makes room for n more identities, so a table about to take n
+// of them (a restore refilling it) grows once instead of step by step.
 func (o *Ordinals) Reserve(n int) {
 	if n <= 0 {
 		return
@@ -121,29 +80,21 @@ func (o *Ordinals) Reserve(n int) {
 	maps.Copy(index, o.index)
 	o.index = index
 	o.ids = slices.Grow(o.ids, n)
-	o.live = slices.Grow(o.live, n)
 }
 
-// SortedByID returns every assigned ordinal, in ascending order of the
-// identifier holding it: the one sorted walk a checkpoint export makes of
-// a table.
+// SortedByID returns every ordinal, in ascending order of the identifier
+// it names: the one sorted walk a checkpoint export makes of a table.
 func (o *Ordinals) SortedByID() []Ordinal {
-	out := make([]Ordinal, 0, len(o.index))
-	for ord, live := range o.live {
-		if live {
-			out = append(out, Ordinal(ord))
-		}
+	out := make([]Ordinal, len(o.ids))
+	for i := range out {
+		out[i] = Ordinal(i)
 	}
 	slices.SortFunc(out, func(a, b Ordinal) int { return o.ids[a].Cmp(o.ids[b]) })
 	return out
 }
 
-// Len returns the number of currently assigned ordinals.
-func (o *Ordinals) Len() int { return len(o.index) }
-
-// Cap returns the total number of slots ever allocated (live + free).
-// Arena slices indexed by ordinal must hold at least Cap entries.
-func (o *Ordinals) Cap() int { return len(o.ids) }
+// Len returns the number of identities interned.
+func (o *Ordinals) Len() int { return len(o.ids) }
 
 // slabChunk is the fixed allocation unit of a Slab. Chunks never move
 // once allocated, so pointers handed out by Alloc stay valid for the

@@ -34,6 +34,7 @@
 package lending
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -189,14 +190,13 @@ type smLendState struct {
 	flagged    map[id.ID]bool   // newcomers caught double-introducing
 }
 
-// lendSlot is the per-peer arena record of the protocol: the registered
+// lendSlot is the per-peer record of the protocol: the registered
 // signing identity and the node's score-manager bookkeeping, flattened
-// into one ordinal-indexed slice instead of two id-keyed maps. Slots are
-// recycled through the ordinal free-list when peers unregister, so
-// refusal-heavy and churn-heavy runs stay dense. Ordinal values never
-// feed output bytes — export iterates ids in sorted order — so a
-// restored protocol may assign different ordinals without observable
-// effect.
+// into one slice indexed by the peer's handle instead of two id-keyed
+// maps. Unregistering a peer zeroes its slot, which stays at its handle.
+// Handle values never feed output bytes — export iterates ids in sorted
+// order — so a restored protocol may sit at other handles without
+// observable effect.
 type lendSlot struct {
 	ident transport.Identity
 	sm    *smLendState
@@ -222,12 +222,12 @@ type Protocol struct {
 	//replend:allow snapshotfields wiring: the dispatch method value New builds once and registers for every peer
 	handler transport.Handler
 
-	// ords and slots are the protocol's per-peer arena: registration
-	// assigns a dense ordinal, unregistration releases it, and the slot
-	// slice holds identities and score-manager state in flat memory (see
-	// lendSlot). identCount/smCount track how many slots hold each.
-	ords  *arena.Ordinals
-	slots []lendSlot
+	// slots holds identities and score-manager state in flat memory,
+	// indexed by handles from the table the protocol shares with its world
+	// (see lendSlot). identCount/smCount track how many slots hold each.
+	//replend:allow snapshotfields handle table, not state: the restoring world rebuilds it, and export maps handles back to ids
+	handles *arena.Ordinals
+	slots   []lendSlot
 	//replend:allow snapshotfields derived slot-occupancy counter; restore re-registers every identity, which recounts it
 	identCount int
 	//replend:allow snapshotfields derived slot-occupancy counter; restore re-creates SM lending state on demand, which recounts it
@@ -236,17 +236,17 @@ type Protocol struct {
 	intro   map[id.ID]*introRecord
 	flagged map[id.ID]bool
 
-	// sigCache remembers envelopes that already verified, keyed by the
-	// signature bytes with the signed order and key held in the value (a
-	// hit must match all three — caching by signature alone would let a
-	// tampered order ride on a previously verified signature). The
-	// bipartite fan-out re-delivers the same envelope O(numSM²) times per
-	// introduction; verifying each copy afresh would make Ed25519 dominate
-	// the simulation. The memo lives for one fan-out: executeLend and
-	// Audit clear it when their fan-out returns, since delivery is
-	// synchronous and no copy of the envelope is left to verify.
+	// lastSig remembers the last signature the protocol produced or fully
+	// verified, with the order and key it covers (a hit must match all
+	// three — a memo by signature alone would let a tampered order ride on
+	// a verified signature). The bipartite fan-out re-delivers the same
+	// envelope O(numSM²) times per introduction; verifying each copy
+	// afresh would make Ed25519 dominate the simulation. One entry is
+	// enough: the bus delivers synchronously, so every copy a receiver
+	// verifies was signed inside the same fan-out, after any other
+	// signature.
 	//replend:allow snapshotfields pure verification memo: dropping it on restore re-verifies the same envelopes to the same results
-	sigCache map[string]verifiedSig
+	lastSig verifiedSig
 
 	// retainStakes keeps departed newcomers' stake records on the books
 	// so the audit-timeout clock can still resolve them; the world sets
@@ -296,24 +296,25 @@ func (m *rewardMsg) envelope(p *Protocol) transport.Envelope {
 	return m.env
 }
 
-// New builds a protocol instance over the given substrate.
-func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, events Events) (*Protocol, error) {
+// New builds a protocol instance over the given substrate. Its per-peer
+// slots sit at the handles of the given table, which the network's world
+// shares with its stores and opinion books.
+func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, handles *arena.Ordinals, events Events) (*Protocol, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if engine == nil || bus == nil || net == nil {
-		return nil, errors.New("lending: engine, bus and net are all required")
+	if engine == nil || bus == nil || net == nil || handles == nil {
+		return nil, errors.New("lending: engine, bus, net and handles are all required")
 	}
 	p := &Protocol{
-		params:   params,
-		engine:   engine,
-		bus:      bus,
-		net:      net,
-		events:   events,
-		ords:     arena.NewOrdinals(),
-		intro:    make(map[id.ID]*introRecord),
-		flagged:  make(map[id.ID]bool),
-		sigCache: make(map[string]verifiedSig),
+		params:  params,
+		engine:  engine,
+		bus:     bus,
+		net:     net,
+		events:  events,
+		handles: handles,
+		intro:   make(map[id.ID]*introRecord),
+		flagged: make(map[id.ID]bool),
 	}
 	p.refuseKind = engine.Handle("intro-refuse", p.refuseEvent)
 	p.lendKind = engine.Handle("intro-lend", p.lendEvent)
@@ -321,72 +322,70 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, eve
 	return p, nil
 }
 
-// ensureSlot returns the arena slot for pid, assigning an ordinal (and
-// a zeroed slot) if the peer has none. The returned pointer is only
-// valid until the next assignment — callers use it immediately.
+// ensureSlot returns pid's slot, interning its handle and growing the
+// slots up to it (zeroed) if the peer has none. The returned pointer is
+// only valid until the next growth — callers use it immediately.
 func (p *Protocol) ensureSlot(pid id.ID) *lendSlot {
-	if ord, ok := p.ords.Get(pid); ok {
-		return &p.slots[ord]
+	h := p.handles.Intern(pid)
+	if n := int(h) + 1; n > len(p.slots) {
+		p.slots = append(p.slots, make([]lendSlot, n-len(p.slots))...)
 	}
-	ord := p.ords.Assign(pid)
-	if int(ord) == len(p.slots) {
-		p.slots = append(p.slots, lendSlot{})
-	} else {
-		p.slots[ord] = lendSlot{}
-	}
-	return &p.slots[ord]
+	return &p.slots[h]
 }
 
 // identityOf returns the registered signing identity held in pid's slot.
 func (p *Protocol) identityOf(pid id.ID) (transport.Identity, bool) {
-	if ord, ok := p.ords.Get(pid); ok {
-		if ident := p.slots[ord].ident; ident != nil {
+	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
+		if ident := p.slots[h].ident; ident != nil {
 			return ident, true
 		}
 	}
 	return nil, false
 }
 
-// verifiedSig is the content a cached signature was verified over. LendOrder
-// is a comparable struct, so the hit check is a plain equality plus a byte
-// comparison of the key — no encoding, no allocation.
+// verifiedSig is a signature with the order and key it was produced or
+// verified over. It holds the envelope's own Sig slice, which no holder
+// of an envelope writes to; LendOrder is a comparable struct, so the hit
+// check is a plain equality plus two byte comparisons — no encoding, no
+// allocation.
 type verifiedSig struct {
+	sig   []byte
 	order transport.LendOrder
 	pub   ed25519.PublicKey
 }
 
-// sign produces a signed envelope for the order and primes the
-// verification cache with it: a signature this process just produced with
-// a registered key is valid by construction, so the receiving score
-// managers need not redo the Ed25519 math. Envelopes built any other way
-// (forged, tampered, replayed under a different order) miss the cache and
-// are verified in full. Null identities produce signatureless envelopes,
-// which bypass the cache entirely (there is nothing to cache).
+// sign produces a signed envelope for the order and memoizes it: a
+// signature this process just produced with a registered key is valid by
+// construction, so the receiving score managers need not redo the
+// Ed25519 math. Envelopes built any other way (forged, tampered, replayed
+// under a different order) miss the memo and are verified in full. Null
+// identities produce signatureless envelopes, which bypass the memo
+// entirely (there is nothing to memoize).
 func (p *Protocol) sign(ident transport.Identity, order transport.LendOrder) transport.Envelope {
 	env := ident.Sign(order)
 	if len(env.Sig) > 0 {
-		p.sigCache[string(env.Sig)] = verifiedSig{order: order, pub: env.Pub}
+		p.lastSig = verifiedSig{sig: env.Sig, order: order, pub: env.Pub}
 	}
 	return env
 }
 
 // verifyEnv verifies an envelope against the registered identity of
-// claimedBy, caching successful signature checks (the key-binding check
-// against the registered identity is repeated every time; only the
-// Ed25519 math is cached). An unregistered sender fails.
+// claimedBy, memoizing a successful signature check (the key-binding
+// check against the registered identity is repeated every time; only the
+// Ed25519 math is memoized). An unregistered sender fails.
 func (p *Protocol) verifyEnv(env transport.Envelope, claimedBy id.ID) bool {
 	ident, ok := p.identityOf(claimedBy)
 	if !ok || !ident.PublicEquals(env.Pub) {
 		return false
 	}
 	if len(env.Sig) > 0 {
-		if v, ok := p.sigCache[string(env.Sig)]; ok && v.order == env.Order && v.pub.Equal(env.Pub) {
+		if v := &p.lastSig; bytes.Equal(v.sig, env.Sig) && v.order == env.Order && v.pub.Equal(env.Pub) {
 			return true
 		}
 	}
 	if ident.VerifyEnvelope(env) {
 		if len(env.Sig) > 0 {
-			p.sigCache[string(env.Sig)] = verifiedSig{order: env.Order, pub: env.Pub}
+			p.lastSig = verifiedSig{sig: env.Sig, order: env.Order, pub: env.Pub}
 		}
 		return true
 	}
@@ -446,16 +445,15 @@ func (p *Protocol) Identity(pid id.ID) (transport.Identity, bool) {
 // without eviction a high-refusal workload accretes one signer and one
 // manager state per refused peer forever.
 func (p *Protocol) UnregisterPeer(pid id.ID) {
-	if ord, ok := p.ords.Get(pid); ok {
-		slot := &p.slots[ord]
+	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
+		slot := &p.slots[h]
 		if slot.ident != nil {
 			p.identCount--
 		}
 		if slot.sm != nil {
 			p.smCount--
 		}
-		p.slots[ord] = lendSlot{}
-		p.ords.Release(pid)
+		*slot = lendSlot{}
 	}
 	// Departed peers keep no intro record: a rejoin re-admits through its
 	// surviving reputation, not through the old introduction, and refused
@@ -477,12 +475,12 @@ func (p *Protocol) RegisteredPeers() int { return p.identCount }
 // states on record (leak instrumentation for tests).
 func (p *Protocol) ManagerStates() int { return p.smCount }
 
-// ArenaSlots returns (live, capacity) of the protocol's per-peer arena —
-// how many ordinals are assigned and how many slots exist in total.
-// Capacity bounded near the population's high-water mark is the
-// free-list working: churned slots are recycled, not leaked.
-func (p *Protocol) ArenaSlots() (live, capacity int) {
-	return p.ords.Len(), p.ords.Cap()
+// ArenaSlots reports the protocol's per-peer memory: how many slots
+// exist, one per handle up to the highest a registration or manager
+// state has touched, and how many identities the shared handle table
+// holds. Neither ever shrinks; an unregistered peer's slot stays, zeroed.
+func (p *Protocol) ArenaSlots() (slots, handles int) {
+	return len(p.slots), p.handles.Len()
 }
 
 // smState returns (allocating) the lending state of a node.
@@ -566,7 +564,6 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	// for every manager, so per-send interface boxing is pure allocation.
 	var payload any = env
 	p.bus.SendBatch(introducer, kindLend, payload, introSMs)
-	clear(p.sigCache)
 
 	// Admission check: did any of the newcomer's managers accept a credit?
 	accepted := false
@@ -736,7 +733,6 @@ func (p *Protocol) Audit(newcomer id.ID) {
 			msg := &rewardMsg{order: order, signer: signer, reward: p.params.Reward}
 			p.bus.SendBatch(from, kindReward, msg, introSMs)
 		}
-		clear(p.sigCache)
 	} else {
 		p.stats.AuditsForfeited++
 		p.close(rec, StakeSettled)

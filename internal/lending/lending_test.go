@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/id"
 	"repro/internal/rng"
 	"repro/internal/rocq"
@@ -96,7 +97,7 @@ func newHarnessWith(t *testing.T, p Params) *harness {
 		},
 		Flagged: func(p id.ID, at sim.Tick) { h.flagged = append(h.flagged, p) },
 	}
-	proto, err := New(p, h.engine, h.bus, h.net, events)
+	proto, err := New(p, h.engine, h.bus, h.net, arena.NewOrdinals(), events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewRequiresCollaborators(t *testing.T) {
-	if _, err := New(params(), nil, nil, nil, Events{}); err == nil {
+	if _, err := New(params(), nil, nil, nil, nil, Events{}); err == nil {
 		t.Fatal("nil collaborators accepted")
 	}
 }
@@ -442,21 +443,37 @@ func TestAuditIdempotentAndUnknownNoop(t *testing.T) {
 	}
 }
 
-// TestSignatureMemoLivesForOneFanOut checks that the verification memo
-// holds nothing once a lend or a satisfactory audit has returned: on the
-// synchronous bus no copy of the signed envelope is left to verify, and
-// a memo kept for the whole run grew by one entry per signature.
-func TestSignatureMemoLivesForOneFanOut(t *testing.T) {
+// countingIdentity is a signing identity that counts its full signature
+// verifications.
+type countingIdentity struct {
+	transport.Identity
+	verifies *int
+}
+
+func (c countingIdentity) VerifyEnvelope(env transport.Envelope) bool {
+	*c.verifies++
+	return c.Identity.VerifyEnvelope(env)
+}
+
+// TestSignatureMemoSkipsFullVerification checks the one-entry
+// verification memo both ways. A lend and a satisfied audit with every
+// manager live verify each copy of each envelope from the memo, with no
+// Ed25519 verification at all. An envelope that carries the memoized
+// signature over an order with another amount misses the memo, is
+// verified in full and is dropped.
+func TestSignatureMemoSkipsFullVerification(t *testing.T) {
 	h := newHarness(t)
 	intro, introSMs := h.addPeer("introducer", 1.0)
 	newcomer, newSMs := h.addPeer("newcomer", -1)
+	verifies := 0
+	for _, pid := range append(append([]id.ID{intro, newcomer}, introSMs...), newSMs...) {
+		ident, _ := h.proto.Identity(pid)
+		h.proto.RegisterPeer(pid, countingIdentity{ident, &verifies})
+	}
 	h.proto.Begin(newcomer, intro, true)
 	h.engine.RunUntil(1000)
 	if len(h.admitted) != 1 {
 		t.Fatalf("admitted = %v", h.admitted)
-	}
-	if n := len(h.proto.sigCache); n != 0 {
-		t.Fatalf("memo holds %d envelopes after the lend fan-out", n)
 	}
 	for _, sm := range newSMs {
 		h.net.Store(sm).Init(newcomer, 0.8)
@@ -468,13 +485,43 @@ func TestSignatureMemoLivesForOneFanOut(t *testing.T) {
 	if len(h.audits) != 1 || !h.audits[0] {
 		t.Fatalf("audits = %v", h.audits)
 	}
-	if n := len(h.proto.sigCache); n != 0 {
-		t.Fatalf("memo holds %d envelopes after the reward fan-out", n)
-	}
 	for _, sm := range introSMs {
 		if v, _ := h.net.Store(sm).Query(intro); math.Abs(v-0.82) > 1e-9 {
 			t.Fatalf("introducer SM balance %v, want 0.82", v)
 		}
+	}
+	if verifies != 0 {
+		t.Fatalf("a lend and a satisfied audit made %d full verifications, want 0", verifies)
+	}
+
+	// The memo now holds the stake return one of the newcomer's managers
+	// signed. Its signature, over the same order at twice the amount, goes
+	// from that manager to a node that has not credited this audit yet.
+	memo := h.proto.lastSig
+	from := -1
+	for i, sm := range newSMs {
+		if ident, _ := h.proto.Identity(sm); ident.PublicEquals(memo.pub) {
+			from = i
+		}
+	}
+	if len(memo.sig) == 0 || from < 0 {
+		t.Fatal("no newcomer manager's signature is memoized after the audit")
+	}
+	forged := transport.Envelope{Order: memo.order, Pub: memo.pub, Sig: memo.sig}
+	forged.Order.Amount *= 2
+	node := id.HashString("fresh-manager")
+	signer, err := transport.NewSigner(h.src.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.proto.RegisterPeer(node, signer)
+	msg := &rewardMsg{order: forged.Order, reward: h.proto.params.Reward, env: forged, signed: true}
+	h.bus.Send(transport.Message{From: newSMs[from], To: node, Kind: kindReward, Payload: msg})
+	if verifies != 1 {
+		t.Fatalf("the altered order made %d full verifications, want 1", verifies)
+	}
+	if _, known := h.net.Store(node).Query(intro); known {
+		t.Fatal("a stake return under an altered order was credited")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // restored run's future decisions can observe: identities (with their key
 // material and generator positions), per-node score-manager dedup tables,
 // stake records, the punishment set, the nonce counter and the activity
-// counters. The signature cache is a pure performance memo rebuilt on
+// counters. The signature memo is a pure performance memo rebuilt on
 // demand, and the waiting-period events in flight live in the engine's
 // queue — they are captured there, and restored under the kinds New
 // registers.
@@ -94,13 +94,16 @@ func sortedNonces(m map[uint64]bool) []uint64 {
 // identity kinds the format does not know about.
 func (p *Protocol) ExportState() (State, error) {
 	st := State{Nonce: p.nonce, Stats: p.stats}
-	// One walk of the arena in ascending identifier order fills both
+	// One walk of the slots in ascending identifier order fills both
 	// per-peer tables, each made at its final length from the slot counts.
 	st.Signers = slices.Grow(st.Signers, p.identCount)
 	st.SM = slices.Grow(st.SM, p.smCount)
-	for _, ord := range p.ords.SortedByID() {
-		pid, _ := p.ords.ID(ord)
-		slot := &p.slots[ord]
+	for _, h := range p.handles.SortedByID() {
+		if int(h) >= len(p.slots) {
+			continue
+		}
+		pid, _ := p.handles.ID(h)
+		slot := &p.slots[h]
 		switch ident := slot.ident.(type) {
 		case nil:
 		case *transport.Signer:
@@ -151,9 +154,10 @@ func (p *Protocol) RestoreState(st State) error {
 	if err := checkOrder(st); err != nil {
 		return fmt.Errorf("lending: restore: %w", err)
 	}
-	// Every signer takes a slot and a bus handler: grow both tables once.
-	p.ords.Reserve(len(st.Signers))
-	p.slots = slices.Grow(p.slots, len(st.Signers))
+	// Every signer takes a bus handler and a slot at its handle. The
+	// restoring world has interned every live peer already, so the slots
+	// grow once, to the handle table's length.
+	p.slots = slices.Grow(p.slots, p.handles.Len())
 	p.bus.Reserve(len(st.Signers))
 	for _, rec := range st.Signers {
 		var ident transport.Identity

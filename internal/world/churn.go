@@ -135,7 +135,7 @@ func (w *World) Rejoin(pid id.ID) error {
 		return fmt.Errorf("world: cannot rejoin %s: not a departed peer", pid.Short())
 	}
 	d := s.departed
-	s.departed = nil // the slot's ordinal carries straight over to the readmission
+	s.departed = nil // the slot carries straight over to the readmission
 	p := d.peer
 	if err := w.attachNodeIdentity(p, d.ident); err != nil {
 		return err
@@ -316,13 +316,12 @@ func (w *World) forgetDeparted(pid id.ID) {
 		w.peerSlab.Free(d.peer)
 	}
 	if h, ok := w.handles.Get(pid); ok {
-		for ord := range w.slots {
-			if st := w.slots[ord].store; st != nil {
+		for i := range w.slots {
+			if st := w.slots[i].store; st != nil {
 				st.ForgetHandle(h)
 			}
 		}
 	}
-	w.releaseIfEmpty(pid)
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ func (w *World) departBatch(batch []leaver) {
 		w.bus.Unregister(l.pid)
 		w.proto.UnregisterPeer(l.pid)
 		// Fetch the slot only now: noteRingLeave can mark reputation dirty,
-		// which may grow the slot arena and move earlier pointers.
+		// which may grow the slots and move earlier pointers.
 		s := w.slotOf(l.pid)
 		s.store = nil
 		s.pr = nil

@@ -51,9 +51,9 @@ func differentialCfgs() []config.Config {
 // TestResumedWorldMatchesUncutRun runs each configuration uncut, then
 // again with a checkpoint round trip at half its ticks, and requires the
 // two runs' fingerprints to be byte-identical. The restored world must
-// number some admitted peer's arena slot differently from the cut one:
-// checkpoints carry no ordinals, and the check proves the resumed arm
-// runs on a renumbered arena.
+// give some admitted peer another handle than the cut one: checkpoints
+// carry no handles, and the check proves the resumed arm runs on a
+// renumbered handle table.
 func TestResumedWorldMatchesUncutRun(t *testing.T) {
 	for i, cfg := range differentialCfgs() {
 		t.Run(fmt.Sprintf("cfg=%d", i), func(t *testing.T) {
@@ -81,13 +81,13 @@ func TestResumedWorldMatchesUncutRun(t *testing.T) {
 			restored := roundTrip(t, w)
 			renumbered := 0
 			for _, pid := range w.AdmittedPeers() {
-				was, _ := w.ords.Get(pid)
-				if now, _ := restored.ords.Get(pid); now != was {
+				was, _ := w.handles.Get(pid)
+				if now, _ := restored.handles.Get(pid); now != was {
 					renumbered++
 				}
 			}
 			if renumbered == 0 {
-				t.Fatalf("all %d admitted peers kept their arena ordinals across the round trip", w.PopulationSize())
+				t.Fatalf("all %d admitted peers kept their handles across the round trip", w.PopulationSize())
 			}
 			w = restored
 			if err := w.RunFor(sim.Tick(cfg.NumTrans) - cut); err != nil {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/config"
@@ -295,13 +296,13 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		s.Events = append(s.Events, rec)
 	}
 
-	// One walk of the arena in ascending identifier order fills every
+	// One walk of the slots in ascending identifier order fills every
 	// per-peer table: a first pass counts each table's records, a second
-	// appends them.
-	walk := w.ords.SortedByID()
+	// appends them. A handle past the last slot names no world state.
+	walk := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
 	var n struct{ arrivals, peers, departed, wiped, stores, reps int }
-	for _, ord := range walk {
-		sl := &w.slots[ord]
+	for _, h := range walk {
+		sl := &w.slots[h]
 		if sl.inFlight {
 			n.arrivals++
 		}
@@ -327,9 +328,9 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	s.Wiped = slices.Grow(s.Wiped, n.wiped)
 	s.Stores = slices.Grow(s.Stores, n.stores)
 	s.RepCached = slices.Grow(s.RepCached, n.reps)
-	for _, ord := range walk {
-		sl := &w.slots[ord]
-		pid, _ := w.ords.ID(ord)
+	for _, h := range walk {
+		sl := &w.slots[h]
+		pid, _ := w.handles.ID(h)
 		if sl.inFlight {
 			s.Arrivals = append(s.Arrivals, ArrivalRecord{Peer: pid, At: sl.arrivedAt})
 		}
@@ -432,11 +433,15 @@ func DecodeSnapshotBody(body []byte) (*Snapshot, error) {
 // Restore reconstructs a running world from a snapshot. The result is
 // started and continues byte-identically to the world the snapshot was
 // taken from; the snapshot itself is not retained. Defective snapshots
-// (dangling references, unknown event kinds, invalid configurations)
-// yield errors.
+// (dangling references, tables out of the ascending order every export
+// writes, records no export writes, unknown event kinds, invalid
+// configurations) yield errors.
 func Restore(s *Snapshot) (*World, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("world: snapshot version %d not supported (want %d)", s.Version, SnapshotVersion)
+	}
+	if err := checkOrder(s); err != nil {
+		return nil, fmt.Errorf("world: restore: %w", err)
 	}
 	w, err := newBare(s.Config)
 	if err != nil {
@@ -457,13 +462,12 @@ func Restore(s *Snapshot) (*World, error) {
 	w.policy = policy
 
 	// Size the restored tables to the snapshot's counts before filling
-	// them. The peer arena numbers its slots in restore order, as lending
-	// and ROCQ number theirs: each record below takes a slot on first
-	// touch. Live and departed peers are its usual size, and the handle
-	// table's, which interns every identity the books, stores and
-	// placements below name.
+	// them. The handle table numbers identities in restore order: each
+	// record below interns its peer on first touch, and the world's and
+	// lending's slots sit at those handles. Live and departed peers are
+	// the slots' usual count, and the table's, which also interns every
+	// identity the books, stores and placements below name.
 	peers := len(s.Peers) + len(s.Departed)
-	w.ords.Reserve(peers)
 	w.slots = make([]worldSlot, 0, peers)
 	w.handles.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
@@ -475,9 +479,6 @@ func Restore(s *Snapshot) (*World, error) {
 	// record order rebuilds the exact structure.
 	for _, rec := range s.Peers {
 		sl := w.ensureSlot(rec.ID)
-		if sl.pr != nil {
-			return nil, fmt.Errorf("world: restore: duplicate peer %s", rec.ID.Short())
-		}
 		p, err := w.restorePeer(rec)
 		if err != nil {
 			return nil, err
@@ -502,12 +503,15 @@ func Restore(s *Snapshot) (*World, error) {
 	w.bus.RestoreStats(s.BusStats)
 
 	for _, pid := range s.Admitted {
-		p := w.livePeer(pid)
-		if p == nil {
+		sl := w.slotOf(pid)
+		switch {
+		case sl == nil || sl.pr == nil:
 			return nil, fmt.Errorf("world: restore: admitted peer %s has no record", pid.Short())
+		case sl.admitted:
+			return nil, fmt.Errorf("world: restore: peer %s admitted twice", pid.Short())
 		}
-		w.admittedPeers = append(w.admittedPeers, p)
-		w.slotOf(pid).admitted = true
+		w.admittedPeers = append(w.admittedPeers, sl.pr)
+		sl.admitted = true
 	}
 	if s.Topology.Kind != w.cfg.Topology {
 		return nil, fmt.Errorf("world: restore: topology state kind %q does not match config %q", s.Topology.Kind, w.cfg.Topology)
@@ -519,9 +523,10 @@ func Restore(s *Snapshot) (*World, error) {
 	w.topo = topo
 
 	for _, rec := range s.Stores {
-		sl := w.ensureSlot(rec.Node)
-		if sl.store != nil {
-			return nil, fmt.Errorf("world: restore: duplicate store for %s", rec.Node.Short())
+		// Stores exist only at overlay members.
+		sl := w.slotOf(rec.Node)
+		if sl == nil || sl.pr == nil {
+			return nil, fmt.Errorf("world: restore: store at %s, which holds no live peer", rec.Node.Short())
 		}
 		st := w.newStore()
 		if err := st.RestoreState(rec.State); err != nil {
@@ -533,9 +538,6 @@ func Restore(s *Snapshot) (*World, error) {
 	for _, rec := range s.Departed {
 		pid := rec.Peer.ID
 		sl := w.ensureSlot(pid)
-		if sl.departed != nil {
-			return nil, fmt.Errorf("world: restore: duplicate departed peer %s", pid.Short())
-		}
 		p, err := w.restorePeer(rec.Peer)
 		if err != nil {
 			return nil, err
@@ -589,9 +591,6 @@ func Restore(s *Snapshot) (*World, error) {
 	// patch an entry's arcs and compact an owner's index slice in place,
 	// which would write through to the snapshot's records.
 	for _, rec := range s.SMCache {
-		if _, dup := w.smCache[rec.Peer]; dup {
-			return nil, fmt.Errorf("world: restore: duplicate placement entry %s", rec.Peer.Short())
-		}
 		e := &smCacheEntry{
 			sms:    append([]id.ID(nil), rec.SMs...),
 			deps:   make([]smDep, len(rec.Deps)),
@@ -612,9 +611,6 @@ func Restore(s *Snapshot) (*World, error) {
 		w.smCache[rec.Peer] = e
 	}
 	for _, rec := range s.SMDeps {
-		if _, dup := w.smDeps[rec.Owner]; dup {
-			return nil, fmt.Errorf("world: restore: duplicate placement-index owner %s", rec.Owner.Short())
-		}
 		w.smDeps[rec.Owner] = append([]id.ID(nil), rec.Peers...)
 		w.smDepSlots += len(rec.Peers)
 	}
@@ -637,12 +633,9 @@ func Restore(s *Snapshot) (*World, error) {
 	w.m.SessionLength = restoredHistogram(s.Metrics.SessionLength, "session-length")
 
 	for _, rec := range s.Arrivals {
-		if w.livePeer(rec.Peer) == nil {
-			return nil, fmt.Errorf("world: restore: in-flight arrival %s has no peer record", rec.Peer.Short())
-		}
 		sl := w.slotOf(rec.Peer)
-		if sl.inFlight {
-			return nil, fmt.Errorf("world: restore: duplicate in-flight arrival %s", rec.Peer.Short())
+		if sl == nil || sl.pr == nil {
+			return nil, fmt.Errorf("world: restore: in-flight arrival %s has no peer record", rec.Peer.Short())
 		}
 		sl.inFlight = true
 		sl.arrivedAt = rec.At
@@ -659,6 +652,32 @@ func Restore(s *Snapshot) (*World, error) {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
 	return w, nil
+}
+
+// checkOrder refuses any ID-keyed table of s that is not strictly
+// ascending, as every export writes it; that covers a duplicate record.
+// The admission list and the dirty-reputation queue keep insertion order.
+func checkOrder(s *Snapshot) error {
+	self := func(d id.ID) id.ID { return d }
+	for _, t := range []struct {
+		name string
+		err  error
+	}{
+		{"peer", id.Ascending(s.Peers, func(r PeerRecord) id.ID { return r.ID }, id.ID.Cmp)},
+		{"departed peer", id.Ascending(s.Departed, func(r DepartedRecord) id.ID { return r.Peer.ID }, id.ID.Cmp)},
+		{"wiped peer", id.Ascending(s.Wiped, self, id.ID.Cmp)},
+		{"store at", id.Ascending(s.Stores, func(r StoreRecord) id.ID { return r.Node }, id.ID.Cmp)},
+		{"crashed node", id.Ascending(s.Crashed, self, id.ID.Cmp)},
+		{"cached reputation of", id.Ascending(s.RepCached, func(r RepRecord) id.ID { return r.Peer }, id.ID.Cmp)},
+		{"placement entry", id.Ascending(s.SMCache, func(r SMCacheRecord) id.ID { return r.Peer }, id.ID.Cmp)},
+		{"placement-index owner", id.Ascending(s.SMDeps, func(r SMDepsRecord) id.ID { return r.Owner }, id.ID.Cmp)},
+		{"in-flight arrival", id.Ascending(s.Arrivals, func(r ArrivalRecord) id.ID { return r.Peer }, id.ID.Cmp)},
+	} {
+		if t.err != nil {
+			return fmt.Errorf("%s %w", t.name, t.err)
+		}
+	}
+	return nil
 }
 
 // encodeEvent serializes one pending event. Its kind fixes its payload

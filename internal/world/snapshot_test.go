@@ -753,3 +753,208 @@ func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
 		}
 	}
 }
+
+// wipeOutReputedPeer crashes, in one membership event, the whole manager
+// set of a reputed peer whose managers are all admitted, which wipes that
+// peer's record out, and returns the peer.
+func wipeOutReputedPeer(t *testing.T, w *World) id.ID {
+	t.Helper()
+	for _, pid := range w.AdmittedPeers() {
+		sms := slices.Clone(w.ScoreManagers(pid))
+		st, ok := w.storeAt(sms[0])
+		if id.Contains(sms, pid) || !ok || !st.Known(pid) ||
+			slices.ContainsFunc(sms, func(n id.ID) bool { return !w.IsAdmitted(n) }) {
+			continue
+		}
+		if err := w.DepartBatch(sms, false); err != nil {
+			t.Fatalf("crashing the managers of %s: %v", pid.Short(), err)
+		}
+		if !w.WipedOut(pid) {
+			t.Fatalf("crashing every manager of %s did not wipe its record out", pid.Short())
+		}
+		return pid
+	}
+	t.Fatal("fixture too small: no reputed peer whose managers are all admitted")
+	return id.ID{}
+}
+
+// forgottenWipedPeer runs churnyCfg(7) to tick 800 and wipes out a
+// reputed peer's record, then departs and forgets that peer: its wipe
+// mark, being sticky, outlives every other record of it.
+func forgottenWipedPeer(t *testing.T) (*World, id.ID) {
+	t.Helper()
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(800); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	pid := wipeOutReputedPeer(t, w)
+	if err := w.Depart(pid); err != nil {
+		t.Fatalf("Depart: %v", err)
+	}
+	w.forgetDeparted(pid)
+	return w, pid
+}
+
+// TestRestoreKeepsWipeMarksOfForgottenPeers: a wipe mark outlives the
+// permanent departure of its peer, so an export can write a peer in
+// Wiped and in neither Peers nor Departed. Restore must take it.
+func TestRestoreKeepsWipeMarksOfForgottenPeers(t *testing.T) {
+	w, pid := forgottenWipedPeer(t)
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if !slices.Contains(snap.Wiped, pid) ||
+		slices.ContainsFunc(snap.Peers, func(r PeerRecord) bool { return r.ID == pid }) ||
+		slices.ContainsFunc(snap.Departed, func(r DepartedRecord) bool { return r.Peer.ID == pid }) {
+		t.Fatalf("fixture: %s is not wiped and forgotten in the export", pid.Short())
+	}
+	restored := roundTrip(t, w)
+	if !restored.WipedOut(pid) {
+		t.Fatalf("restore dropped the wipe mark of %s", pid.Short())
+	}
+	if err := restored.RunFor(1000); err != nil {
+		t.Fatalf("RunFor after restore: %v", err)
+	}
+}
+
+// TestRestoreRejectsOutOfOrderWorldTables: a world table keyed by ID out
+// of the strictly ascending order every export writes — here with its
+// first two records swapped — must be refused with an error naming the
+// table and the record, not restored into a world that re-snapshots to
+// other bytes. The fixture gives every such table two records or more: a
+// second wiped-out peer, and two members whose nodes crashed.
+func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
+	w, _ := forgottenWipedPeer(t)
+	wipeOutReputedPeer(t, w)
+	for _, pid := range w.AdmittedPeers()[:2] {
+		w.Bus().Crash(pid)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	cases := []struct {
+		table string
+		keys  []id.ID
+		swap  func(s *Snapshot)
+	}{
+		{"peer", keysOf(snap.Peers, func(r PeerRecord) id.ID { return r.ID }), func(s *Snapshot) { swapFirstTwo(s.Peers) }},
+		{"departed peer", keysOf(snap.Departed, func(r DepartedRecord) id.ID { return r.Peer.ID }), func(s *Snapshot) { swapFirstTwo(s.Departed) }},
+		{"wiped peer", snap.Wiped, func(s *Snapshot) { swapFirstTwo(s.Wiped) }},
+		{"store at", keysOf(snap.Stores, func(r StoreRecord) id.ID { return r.Node }), func(s *Snapshot) { swapFirstTwo(s.Stores) }},
+		{"crashed node", snap.Crashed, func(s *Snapshot) { swapFirstTwo(s.Crashed) }},
+		{"cached reputation of", keysOf(snap.RepCached, func(r RepRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.RepCached) }},
+		{"placement entry", keysOf(snap.SMCache, func(r SMCacheRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.SMCache) }},
+		{"placement-index owner", keysOf(snap.SMDeps, func(r SMDepsRecord) id.ID { return r.Owner }), func(s *Snapshot) { swapFirstTwo(s.SMDeps) }},
+		{"in-flight arrival", keysOf(snap.Arrivals, func(r ArrivalRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.Arrivals) }},
+	}
+	if _, err := Restore(snap); err != nil {
+		t.Fatalf("pristine: Restore: %v", err)
+	}
+	for _, tc := range cases {
+		if len(tc.keys) < 2 {
+			t.Errorf("fixture too small: %d %s records", len(tc.keys), tc.table)
+			continue
+		}
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.swap(s)
+		_, err = Restore(s)
+		want := tc.table + " " + tc.keys[0].String() + " follows " + tc.keys[1].String() + ": not strictly ascending"
+		switch {
+		case err == nil:
+			t.Errorf("%s: Restore accepted the swapped table", tc.table)
+		case !strings.Contains(err.Error(), want):
+			t.Errorf("%s: error %q does not mention %q", tc.table, err, want)
+		}
+	}
+}
+
+// TestRestoreRejectsRecordsNoExportWrites feeds Restore per-peer records
+// no export writes, each cut from a real snapshot and kept in ascending
+// order: a store at a node that holds no live peer (stores exist only at
+// overlay members), and an admission list naming a peer twice, which
+// would count the peer twice in the population.
+func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
+	w, err := New(churnyCfg(7))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(800); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if len(snap.Departed) == 0 || len(snap.Admitted) == 0 {
+		t.Fatalf("fixture too small: %d departed, %d admitted", len(snap.Departed), len(snap.Admitted))
+	}
+	storeAt := func(node id.ID) func(s *Snapshot) {
+		return func(s *Snapshot) {
+			i, _ := slices.BinarySearchFunc(s.Stores, node, func(r StoreRecord, n id.ID) int { return r.Node.Cmp(n) })
+			s.Stores = slices.Insert(s.Stores, i, StoreRecord{Node: node})
+		}
+	}
+	ghost, departed, admitted := id.HashString("ghost"), snap.Departed[0].Peer.ID, snap.Admitted[0]
+	cases := []struct {
+		name   string
+		mutate func(s *Snapshot)
+		want   []string
+	}{
+		{"pristine", func(*Snapshot) {}, nil},
+		{"store at an unknown node", storeAt(ghost), []string{"store at " + ghost.Short(), "holds no live peer"}},
+		{"store at a departed peer", storeAt(departed), []string{"store at " + departed.Short(), "holds no live peer"}},
+		{"peer admitted twice", func(s *Snapshot) {
+			s.Admitted = append(s.Admitted, admitted)
+		}, []string{"peer " + admitted.Short(), "admitted twice"}},
+	}
+	for _, tc := range cases {
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.mutate(s)
+		_, err = Restore(s)
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want != nil && err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+		case tc.want != nil:
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+				}
+			}
+		}
+	}
+}
+
+// keysOf returns each record's key, in record order.
+func keysOf[T any](recs []T, key func(T) id.ID) []id.ID {
+	out := make([]id.ID, len(recs))
+	for i, r := range recs {
+		out[i] = key(r)
+	}
+	return out
+}
+
+// swapFirstTwo swaps a table's first two records.
+func swapFirstTwo[T any](recs []T) { recs[0], recs[1] = recs[1], recs[0] }

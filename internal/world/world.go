@@ -86,34 +86,32 @@ type World struct {
 	//replend:allow snapshotfields observability sink, not simulation state: attaching a recorder changes no draw, and a resumed run re-records from the cut
 	wkRecorder *workload.Recorder
 
-	// Per-peer simulation state lives in a dense ordinal-indexed arena:
-	// ords maps a peer id to its slot in slots, and the LIFO free-list
-	// lets churn recycle slots, so million-peer worlds index one flat
-	// slice instead of chasing eight separate per-peer maps. Ordinals
-	// never feed output bytes — output iteration stays over sorted ids
-	// (Ordinals.SortedByID) or recorded insertion orders — and no
-	// checkpoint carries them: Restore numbers slots in restore order,
-	// as lending and ROCQ number theirs. The one walk in ordinal order,
-	// forgetDeparted's store sweep, forgets one subject per store, so
-	// its order is unobservable. Peer objects come from peerSlab, which
-	// packs them into chunked, pointer-stable storage.
-	ords  *arena.Ordinals
+	// Per-peer simulation state lives in slots, indexed by the peer's
+	// handle (see handles), so million-peer worlds index one flat slice
+	// instead of chasing eight separate per-peer maps. Handles never feed
+	// output bytes — output iteration stays over sorted ids
+	// (Ordinals.SortedByID) or recorded insertion orders. The one walk in
+	// handle order, forgetDeparted's store sweep, forgets one subject per
+	// store, so its order is unobservable. Peer objects come from
+	// peerSlab, which packs them into chunked, pointer-stable storage.
 	slots []worldSlot
 	//replend:allow snapshotfields allocation pool, not state; restore re-allocates every peer object through newPeer
 	peerSlab      arena.Slab[peer.Peer]
 	admittedPeers []*peer.Peer // members in admission order
 
-	// handles numbers every identity the world's ROCQ state has seen —
-	// subjects, reporters and partners — for all stores and opinion
-	// books, which key their maps on these int32 handles instead of
-	// 20-byte ids. Unlike ords it never releases, so a handle is never
-	// reused: stores keep forgotten reporters' credibility and books keep
-	// opinions of forgotten partners. Handles never feed output bytes.
-	//replend:allow snapshotfields handle table, not state: restore rebuilds it as it restores stores and books, and exports map handles back to ids
+	// handles is the world's one identity table: it numbers every peer
+	// the world, its lending protocol and its ROCQ state have seen. The
+	// handle indexes the world's and the protocol's slots, and stores and
+	// opinion books key their columns on it instead of on 20-byte ids. It
+	// never releases, so a handle is never reused: stores keep forgotten
+	// reporters' credibility and books keep opinions of forgotten
+	// partners. No checkpoint carries it: Restore numbers identities in
+	// restore order.
+	//replend:allow snapshotfields handle table, not state: restore rebuilds it as it restores peers, stores and books, and exports map handles back to ids
 	handles *arena.Ordinals
 
 	// Membership churn (see churn.go): the departure process and clocks;
-	// departed peers and the wipeout marks live in the slot arena.
+	// departed peers and the wipeout marks live in the slots.
 	churnProc *churn.Process
 	departClk float64 // continuous departure clock (Poisson process)
 	departGen int64   // invalidates in-flight departure chains on μ changes
@@ -188,14 +186,13 @@ type World struct {
 // worldSlot is one peer's consolidated simulation state — previously
 // spread over eight id-keyed maps (peers, stores, departed, wiped,
 // repCached, arrivedAt, admittedSet, dirtyIn), now index-addressed by
-// the peer's arena ordinal. A slot stays assigned while any field is
-// live and returns to the free-list when the last one clears
-// (releaseIfEmpty), so sustained churn recycles slots instead of
-// growing the arena without bound.
+// the peer's handle. Handles are never released, so neither are slots:
+// a slot whose fields have all cleared stays, zeroed, at its handle.
 //
-// Slot pointers are invalidated by any call that can assign a fresh
-// ordinal (ensureSlot, Store, markRepDirty, smEntry): re-resolve
-// through the ordinal after such calls instead of holding the pointer.
+// Slots grow only in ensureSlot, so slot pointers are invalidated by any
+// call that can reach it (ensureSlot, Store, markRepDirty, smEntry):
+// re-resolve through the handle after such calls instead of holding the
+// pointer.
 type worldSlot struct {
 	pr       *peer.Peer    // attached peer object; nil when not in the system
 	store    *rocq.Store   // reputation store hosted at the peer's node
@@ -212,44 +209,22 @@ type worldSlot struct {
 	arrivedAt sim.Tick
 }
 
-// empty reports whether every per-peer field has cleared, making the
-// slot eligible for release.
-func (s *worldSlot) empty() bool {
-	return s.pr == nil && s.store == nil && s.departed == nil &&
-		!s.wiped && !s.admitted && !s.dirty && !s.hasRep && !s.inFlight
-}
-
-// slotOf returns the peer's slot, nil when no ordinal is assigned.
+// slotOf returns the peer's slot, nil when it has none.
 func (w *World) slotOf(pid id.ID) *worldSlot {
-	if ord, ok := w.ords.Get(pid); ok {
-		return &w.slots[ord]
+	if h, ok := w.handles.Get(pid); ok && int(h) < len(w.slots) {
+		return &w.slots[h]
 	}
 	return nil
 }
 
-// ensureSlot returns the peer's slot, assigning an ordinal (and zeroed
-// slot) on first touch.
+// ensureSlot returns the peer's slot, interning its handle and growing
+// the slots up to it (zeroed) on first touch.
 func (w *World) ensureSlot(pid id.ID) *worldSlot {
-	if ord, ok := w.ords.Get(pid); ok {
-		return &w.slots[ord]
+	h := w.handles.Intern(pid)
+	if n := int(h) + 1; n > len(w.slots) {
+		w.slots = append(w.slots, make([]worldSlot, n-len(w.slots))...)
 	}
-	ord := w.ords.Assign(pid)
-	if int(ord) == len(w.slots) {
-		w.slots = append(w.slots, worldSlot{})
-	}
-	return &w.slots[ord]
-}
-
-// releaseIfEmpty returns the peer's slot to the ordinal free-list once
-// every field has cleared. Call sites are the state-removal paths
-// (detachment, permanent departure, the sampling flush), all of which
-// run in deterministic event order — so the free-list, and with it every
-// future ordinal assignment, is identical across runs.
-func (w *World) releaseIfEmpty(pid id.ID) {
-	if ord, ok := w.ords.Get(pid); ok && w.slots[ord].empty() {
-		w.slots[ord] = worldSlot{} // clear value remnants before recycling
-		w.ords.Release(pid)
-	}
+	return &w.slots[h]
 }
 
 // livePeer returns the attached peer object, nil when the peer is not
@@ -271,10 +246,12 @@ func (w *World) newPeer(pid id.ID, class peer.Class, style peer.Style) *peer.Pee
 	return p
 }
 
-// ArenaSlots reports the slot arena's occupancy: currently assigned
-// ordinals and total slots ever allocated (live + free).
-func (w *World) ArenaSlots() (live, capacity int) {
-	return w.ords.Len(), w.ords.Cap()
+// ArenaSlots reports the world's per-peer memory: how many slots exist,
+// one per handle up to the highest a peer's state has touched, and how
+// many identities the handle table holds. Neither ever shrinks; a slot
+// whose peer has gone stays, zeroed.
+func (w *World) ArenaSlots() (slots, handles int) {
+	return len(w.slots), w.handles.Len()
 }
 
 // smCacheEntry is one peer's cached placement: the score-manager set, the
@@ -431,7 +408,6 @@ func newBare(cfg config.Config) (*World, error) {
 		workloadRand: root.Split(),
 		behaveRand:   root.Split(),
 		keyRand:      root.Split(),
-		ords:         arena.NewOrdinals(),
 		handles:      arena.NewOrdinals(),
 		smCache:      make(map[id.ID]*smCacheEntry),
 		smDeps:       make(map[id.ID][]id.ID),
@@ -486,7 +462,7 @@ func newBare(cfg config.Config) (*World, error) {
 		w.wkMaxDemand = wl.MaxDemand()
 	}
 
-	proto, err := lending.New(lendingParams(cfg), w.engine, w.bus, w, lending.Events{
+	proto, err := lending.New(lendingParams(cfg), w.engine, w.bus, w, w.handles, lending.Events{
 		Admitted:      w.onAdmitted,
 		Refused:       w.onRefused,
 		AuditOutcome:  w.onAuditOutcome,
@@ -1183,7 +1159,6 @@ func (w *World) detachNode(pid id.ID) {
 			}
 		}
 	}
-	w.releaseIfEmpty(pid)
 }
 
 // ---------------------------------------------------------------------------
@@ -1491,22 +1466,16 @@ func (w *World) markRepDirty(pid id.ID) {
 // simply discarded (their aggregate is not part of the sampled mean).
 func (w *World) flushDirtyRep() {
 	for _, pid := range w.dirtyRep {
-		ord, ok := w.ords.Get(pid)
-		if !ok {
-			continue
+		h, _ := w.handles.Get(pid) // markRepDirty gave the peer a slot
+		w.slots[h].dirty = false
+		if !w.slots[h].admitted {
+			continue // nothing for the sampled mean to read
 		}
-		w.slots[ord].dirty = false
-		if !w.slots[ord].admitted {
-			// Nothing left for the sampled mean to read; a slot holding no
-			// other state goes back to the free-list here.
-			w.releaseIfEmpty(pid)
-			continue
-		}
-		if p := w.slots[ord].pr; p == nil || p.Class != peer.Cooperative {
+		if p := w.slots[h].pr; p == nil || p.Class != peer.Cooperative {
 			continue
 		}
 		v := w.Reputation(pid)
-		s := &w.slots[ord] // re-resolve: Reputation may grow the slot arena
+		s := &w.slots[h] // re-resolve: Reputation may grow the slots
 		w.repSum += v - s.rep
 		s.rep = v
 	}

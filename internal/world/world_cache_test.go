@@ -222,10 +222,13 @@ func TestDetachEvictsAllPerPeerState(t *testing.T) {
 	check("ring", w.Ring().Size())
 	check("stores", len(w.slotIDsSorted(func(s *worldSlot) bool { return s.store != nil })))
 	check("smCache", len(w.smCache))
-	// The arena itself must not leak: every assigned ordinal belongs to a
-	// peer holding some live state, so slots track the live population too.
-	arenaLive, _ := w.ArenaSlots()
-	check("arena slots", arenaLive)
+	// Slots are never released, but those holding state track the live
+	// population too, and the handle table holds one entry per peer the
+	// run created.
+	check("slots holding state", len(w.slotIDsSorted(holdsState)))
+	if got, max := w.handles.Len(), m.Founders+m.ArrivalsCoop+m.ArrivalsUncoop; int64(got) > max {
+		t.Errorf("handle table holds %d identities, more than the %d founders and arrivals", got, max)
+	}
 	check("protocol signers", w.Protocol().RegisteredPeers())
 	check("protocol manager states", w.Protocol().ManagerStates())
 	if got := w.topo.Len(); got != w.PopulationSize() {

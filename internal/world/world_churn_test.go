@@ -447,13 +447,16 @@ func TestPermanentDeparturesDoNotAccrete(t *testing.T) {
 		t.Fatalf("%d stake records for %d live peers (TTL window %d): departed newcomers' stakes accreting",
 			got, w.PopulationSize(), ttlWindow)
 	}
-	// With every departure permanent the arena must recycle slots: assigned
-	// ordinals track the live population (plus wiped markers), not the
-	// cumulative arrival count.
-	arenaLive, _ := w.ArenaSlots()
-	if max := (w.PopulationSize()+int(m.Pending))*2 + int(m.Churn.Wipeouts); arenaLive > max {
-		t.Fatalf("arena holds %d assigned slots for %d live peers (slots of departed peers accreting)",
-			arenaLive, w.PopulationSize())
+	// With every departure permanent, the slots holding state track the
+	// live population (plus wiped markers), not the cumulative arrival
+	// count, and the handle table holds one entry per peer the run created.
+	held := len(w.slotIDsSorted(holdsState))
+	if max := (w.PopulationSize()+int(m.Pending))*2 + int(m.Churn.Wipeouts); held > max {
+		t.Fatalf("%d slots hold state for %d live peers (state of departed peers accreting)",
+			held, w.PopulationSize())
+	}
+	if got, max := w.handles.Len(), m.Founders+m.ArrivalsCoop+m.ArrivalsUncoop; int64(got) > max {
+		t.Fatalf("handle table holds %d identities, more than the %d founders and arrivals", got, max)
 	}
 }
 

@@ -17,13 +17,19 @@ import (
 // slot satisfies the predicate.
 func (w *World) slotIDsSorted(pred func(*worldSlot) bool) []id.ID {
 	var out []id.ID
-	for _, ord := range w.ords.SortedByID() {
-		if pred(&w.slots[ord]) {
-			pid, _ := w.ords.ID(ord)
+	for _, h := range w.handles.SortedByID() {
+		if int(h) < len(w.slots) && pred(&w.slots[h]) {
+			pid, _ := w.handles.ID(h)
 			out = append(out, pid)
 		}
 	}
 	return out
+}
+
+// holdsState reports whether any per-peer field of the slot is set.
+func holdsState(s *worldSlot) bool {
+	return s.pr != nil || s.store != nil || s.departed != nil ||
+		s.wiped || s.admitted || s.dirty || s.hasRep || s.inFlight
 }
 
 // smallCfg returns a configuration scaled down for fast integration tests:
