@@ -166,7 +166,13 @@ func checkpointCmd(args []string, out io.Writer) error {
 func printWorldInfo(out io.Writer, s *world.Snapshot) {
 	fmt.Fprintf(out, "tick:     %d of %d\n", s.Now, s.Config.NumTrans)
 	fmt.Fprintf(out, "seed:     %d\n", s.Config.Seed)
-	fmt.Fprintf(out, "peers:    %d present (%d admitted, %d departed)\n", len(s.Peers), len(s.Admitted), len(s.Departed))
+	departed := 0
+	for _, rec := range s.Peers {
+		if rec.Departed {
+			departed++
+		}
+	}
+	fmt.Fprintf(out, "peers:    %d present (%d admitted, %d departed)\n", len(s.Peers)-departed, len(s.Admitted), departed)
 	perKind := map[string]int{}
 	for _, ev := range s.Events {
 		perKind[ev.Kind]++

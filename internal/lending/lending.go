@@ -38,6 +38,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/id"
@@ -107,8 +108,10 @@ const (
 	// RefusedIntroducerRep: the introducer agreed but its reputation is
 	// below minIntroRep, so its score managers refuse the lend.
 	RefusedIntroducerRep
-	// RefusedProtocolFailure: no credit reached any of the newcomer's
-	// score managers (only possible under injected faults).
+	// RefusedProtocolFailure: the introducer left during the waiting
+	// period, so nobody could sign the lend order, or no newcomer manager
+	// took a credit because every introducer manager or every newcomer
+	// manager had crashed.
 	RefusedProtocolFailure
 )
 
@@ -181,11 +184,16 @@ type introRecord struct {
 }
 
 // smLendState is the lending bookkeeping one score-manager node keeps.
-// Each map is made by its first write: most managers never see an audit
-// reward or a double introduction, and reading a nil map is a miss.
+// Each map is made by its first write: most managers never see a double
+// introduction, and reading a nil map is a miss. Duplicate lend and
+// reward copies need no history: a nonce belongs to one executeLend or
+// one Audit, and the synchronous bus delivers every copy inside that
+// call, so a manager drops a copy whose nonce is the last it took, and
+// no later message can carry an earlier one. Nonces start at 1, so the
+// zero value matches none.
 type smLendState struct {
-	seenLend   map[uint64]bool  // lend nonces already debited here
-	seenReward map[uint64]bool  // audit-reward nonces already credited here
+	lastLend   uint64           // nonce of the last lend debited here
+	lastReward uint64           // nonce of the last audit reward credited here
 	bootNonce  map[id.ID]uint64 // newcomer -> nonce of its accepted credit
 	flagged    map[id.ID]bool   // newcomers caught double-introducing
 }
@@ -224,12 +232,10 @@ type Protocol struct {
 
 	// slots holds identities and score-manager state in flat memory,
 	// indexed by handles from the table the protocol shares with its world
-	// (see lendSlot). identCount/smCount track how many slots hold each.
+	// (see lendSlot). smCount tracks how many slots hold manager state.
 	//replend:allow snapshotfields handle table, not state: the restoring world rebuilds it, and export maps handles back to ids
 	handles *arena.Ordinals
 	slots   []lendSlot
-	//replend:allow snapshotfields derived slot-occupancy counter; restore re-registers every identity, which recounts it
-	identCount int
 	//replend:allow snapshotfields derived slot-occupancy counter; restore re-creates SM lending state on demand, which recounts it
 	smCount int
 
@@ -425,16 +431,20 @@ func (p *Protocol) SetParams(params Params) error {
 // score manager for someone). A rejoining peer re-registers with the
 // identity it departed with.
 func (p *Protocol) RegisterPeer(pid id.ID, ident transport.Identity) {
-	slot := p.ensureSlot(pid)
-	if slot.ident == nil {
-		p.identCount++
-	}
-	slot.ident = ident
+	p.ensureSlot(pid).ident = ident
 	p.bus.Register(pid, p.handler)
 }
 
-// Identity returns the registered signing identity of a member — the
-// world stashes it across a departure so a rejoining peer keeps its key.
+// Reserve makes room for n more slots, so registering a restored
+// community's members grows the slots once instead of step by step.
+func (p *Protocol) Reserve(n int) {
+	p.slots = slices.Grow(p.slots, n)
+}
+
+// Identity returns the registered signing identity of a member. The
+// world stashes it across a departure, so a rejoining peer keeps its key,
+// and writes it into the peer's checkpoint record: the protocol's own
+// state carries no identities.
 func (p *Protocol) Identity(pid id.ID) (transport.Identity, bool) {
 	return p.identityOf(pid)
 }
@@ -447,9 +457,6 @@ func (p *Protocol) Identity(pid id.ID) (transport.Identity, bool) {
 func (p *Protocol) UnregisterPeer(pid id.ID) {
 	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
 		slot := &p.slots[h]
-		if slot.ident != nil {
-			p.identCount--
-		}
 		if slot.sm != nil {
 			p.smCount--
 		}
@@ -468,8 +475,16 @@ func (p *Protocol) UnregisterPeer(pid id.ID) {
 }
 
 // RegisteredPeers returns the number of signing identities on record
-// (leak instrumentation for tests).
-func (p *Protocol) RegisteredPeers() int { return p.identCount }
+// (leak instrumentation for tests), counted over the slots.
+func (p *Protocol) RegisteredPeers() int {
+	n := 0
+	for i := range p.slots {
+		if p.slots[i].ident != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ManagerStates returns the number of per-node score-manager lending
 // states on record (leak instrumentation for tests).
@@ -617,16 +632,13 @@ func (p *Protocol) dispatch(m transport.Message) {
 func (p *Protocol) onLend(node id.ID, payload any) {
 	env := payload.(transport.Envelope)
 	st := p.smState(node)
-	if st.seenLend[env.Order.Nonce] {
+	if st.lastLend == env.Order.Nonce {
 		return // duplicate: dropped whatever the signature says
 	}
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return // forged or tampered order: drop silently
 	}
-	if st.seenLend == nil {
-		st.seenLend = make(map[uint64]bool)
-	}
-	st.seenLend[env.Order.Nonce] = true
+	st.lastLend = env.Order.Nonce
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
 
 	p.bus.SendBatch(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
@@ -740,9 +752,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 		// score managers is sent. The score managers of the new peer also
 		// reduce the stored reputation of the new entrant by introAmt
 		// subject to a minimum of 0."
-		for _, n := range newSMs {
-			p.net.Store(n).Debit(newcomer, rec.amount)
-		}
+		p.debitDistinct(newcomer, rec.amount)
 	}
 	if p.events.AuditOutcome != nil {
 		p.events.AuditOutcome(newcomer, rec.introducer, satisfactory, p.engine.Now())
@@ -754,7 +764,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 // reputation not exceeding 1" (Credit clamps), once per audit nonce.
 func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
 	st := p.smState(node)
-	if st.seenReward[msg.order.Nonce] {
+	if st.lastReward == msg.order.Nonce {
 		// Duplicate of an already-credited return: it would be dropped
 		// whatever the signature says, so drop it before asking the
 		// sender to materialise a signature. The audit fan-out delivers
@@ -766,9 +776,6 @@ func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
 	if !p.verifyEnv(env, from) {
 		return // the sender must be the peer whose key signed the return
 	}
-	if st.seenReward == nil {
-		st.seenReward = make(map[uint64]bool)
-	}
-	st.seenReward[env.Order.Nonce] = true
+	st.lastReward = env.Order.Nonce
 	p.net.Store(node).Credit(env.Order.Introducer, env.Order.Amount+msg.reward)
 }

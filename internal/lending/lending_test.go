@@ -443,6 +443,64 @@ func TestAuditIdempotentAndUnknownNoop(t *testing.T) {
 	}
 }
 
+// TestPaddedPlacementMovesEachStakeOnce: a padded manager set repeats a
+// manager (the ring holds fewer than numSM other members), and every
+// stake path must move the stake at that manager once. With the
+// introducer on [a, a, b] and the newcomer on [c, c, d], the lend debits
+// a and b once, a satisfied audit pays each once, and a forfeit debits c
+// and d once.
+func TestPaddedPlacementMovesEachStakeOnce(t *testing.T) {
+	// lend builds the padded pair, with the introducer at 0.8, and runs
+	// the lend.
+	lend := func(t *testing.T) (h *harness, intro, newcomer id.ID, introSMs, newSMs []id.ID) {
+		h = newHarness(t)
+		intro, ab := h.addPeer("introducer", -1)
+		newcomer, cd := h.addPeer("newcomer", -1)
+		introSMs = []id.ID{ab[0], ab[0], ab[1]}
+		newSMs = []id.ID{cd[0], cd[0], cd[1]}
+		h.net.sms[intro], h.net.sms[newcomer] = introSMs, newSMs
+		for _, sm := range introSMs[1:] {
+			h.net.Store(sm).Init(intro, 0.8)
+		}
+		h.proto.Begin(newcomer, intro, true)
+		h.engine.RunUntil(1000)
+		if len(h.admitted) != 1 {
+			t.Fatalf("admitted = %v", h.admitted)
+		}
+		return h, intro, newcomer, introSMs, newSMs
+	}
+	// expect checks the peer's reputation at each distinct manager.
+	expect := func(t *testing.T, h *harness, pid id.ID, sms []id.ID, want float64, what string) {
+		t.Helper()
+		for _, sm := range sms[1:] {
+			if v, _ := h.net.Store(sm).Query(pid); math.Abs(v-want) > 1e-9 {
+				t.Fatalf("%s: manager %s reads %v, want %v", what, sm.Short(), v, want)
+			}
+		}
+	}
+
+	h, intro, newcomer, introSMs, newSMs := lend(t)
+	expect(t, h, intro, introSMs, 0.7, "lend")
+	for _, sm := range newSMs[1:] {
+		h.net.Store(sm).Init(newcomer, 0.8)
+	}
+	h.proto.Audit(newcomer)
+	if len(h.audits) != 1 || !h.audits[0] {
+		t.Fatalf("audits = %v", h.audits)
+	}
+	expect(t, h, intro, introSMs, 0.82, "satisfied audit")
+
+	h, _, newcomer, _, newSMs = lend(t)
+	for _, sm := range newSMs[1:] {
+		h.net.Store(sm).Init(newcomer, 0.3)
+	}
+	h.proto.Audit(newcomer)
+	if len(h.audits) != 1 || h.audits[0] {
+		t.Fatalf("audits = %v", h.audits)
+	}
+	expect(t, h, newcomer, newSMs, 0.2, "forfeit")
+}
+
 // countingIdentity is a signing identity that counts its full signature
 // verifications.
 type countingIdentity struct {

@@ -1,18 +1,16 @@
 package lending
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/id"
-	"repro/internal/transport"
 )
 
 // Checkpoint support. The protocol's serializable state is everything a
-// restored run's future decisions can observe: identities (with their key
-// material and generator positions), per-node score-manager dedup tables,
+// restored run's future decisions can observe that the world's peer
+// records do not carry: per-node score-manager boot nonces and flags,
 // stake records, the punishment set, the nonce counter and the activity
 // counters. The signature memo is a pure performance memo rebuilt on
 // demand, and the waiting-period events in flight live in the engine's
@@ -27,14 +25,6 @@ type IntroWait struct {
 	Introducer id.ID
 }
 
-// SignerRecord is one registered identity: a real signer's captured
-// state, or, with a nil Signer, a stateless null identity re-derived from
-// the ID.
-type SignerRecord struct {
-	ID     id.ID
-	Signer *transport.SignerState
-}
-
 // BootNonceRecord is one accepted bootstrap credit at a score manager.
 type BootNonceRecord struct {
 	Peer  id.ID
@@ -43,11 +33,9 @@ type BootNonceRecord struct {
 
 // SMRecord is the lending bookkeeping of one score-manager node.
 type SMRecord struct {
-	Node       id.ID
-	SeenLend   []uint64
-	SeenReward []uint64
-	BootNonce  []BootNonceRecord
-	Flagged    []id.ID
+	Node      id.ID
+	BootNonce []BootNonceRecord
+	Flagged   []id.ID
 }
 
 // StakeRecord is one admission stake with its lifecycle state.
@@ -61,8 +49,11 @@ type StakeRecord struct {
 
 // State is the protocol's full serializable state, with every map-backed
 // structure flattened into ascending-key order for deterministic encoding.
+// It holds no signing identity, since each peer's world record carries
+// its own, and no manager's last lend or reward nonce, since every copy
+// those drop arrives inside the call that sent it and no checkpoint is
+// cut inside a call.
 type State struct {
-	Signers []SignerRecord
 	SM      []SMRecord
 	Stakes  []StakeRecord
 	Flagged []id.ID
@@ -80,53 +71,24 @@ func sortedIDKeys[V any](m map[id.ID]V) []id.ID {
 	return out
 }
 
-// sortedNonces returns the set's members in ascending order.
-func sortedNonces(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ExportState captures the protocol's state for a checkpoint. It fails on
-// identity kinds the format does not know about.
-func (p *Protocol) ExportState() (State, error) {
+// ExportState captures the protocol's state for a checkpoint.
+func (p *Protocol) ExportState() State {
 	st := State{Nonce: p.nonce, Stats: p.stats}
-	// One walk of the slots in ascending identifier order fills both
-	// per-peer tables, each made at its final length from the slot counts.
-	st.Signers = slices.Grow(st.Signers, p.identCount)
+	// One walk of the slots in ascending identifier order fills the
+	// manager table, made at its final length from the slot count.
 	st.SM = slices.Grow(st.SM, p.smCount)
 	for _, h := range p.handles.SortedByID() {
-		if int(h) >= len(p.slots) {
+		if int(h) >= len(p.slots) || p.slots[h].sm == nil {
 			continue
 		}
 		pid, _ := p.handles.ID(h)
-		slot := &p.slots[h]
-		switch ident := slot.ident.(type) {
-		case nil:
-		case *transport.Signer:
-			sst := ident.Export()
-			st.Signers = append(st.Signers, SignerRecord{ID: pid, Signer: &sst})
-		case transport.NullIdentity:
-			st.Signers = append(st.Signers, SignerRecord{ID: pid})
-		default:
-			return State{}, fmt.Errorf("lending: cannot checkpoint identity type %T for %s", ident, pid.Short())
+		sm := p.slots[h].sm
+		rec := SMRecord{Node: pid, Flagged: sortedIDKeys(sm.flagged)}
+		rec.BootNonce = slices.Grow(rec.BootNonce, len(sm.bootNonce))
+		for _, peer := range sortedIDKeys(sm.bootNonce) {
+			rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
 		}
-		if sm := slot.sm; sm != nil {
-			rec := SMRecord{
-				Node:       pid,
-				SeenLend:   sortedNonces(sm.seenLend),
-				SeenReward: sortedNonces(sm.seenReward),
-				Flagged:    sortedIDKeys(sm.flagged),
-			}
-			rec.BootNonce = slices.Grow(rec.BootNonce, len(sm.bootNonce))
-			for _, peer := range sortedIDKeys(sm.bootNonce) {
-				rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
-			}
-			st.SM = append(st.SM, rec)
-		}
+		st.SM = append(st.SM, rec)
 	}
 	st.Stakes = slices.Grow(st.Stakes, len(p.intro))
 	for _, newcomer := range sortedIDKeys(p.intro) {
@@ -140,42 +102,22 @@ func (p *Protocol) ExportState() (State, error) {
 		})
 	}
 	st.Flagged = sortedIDKeys(p.flagged)
-	return st, nil
+	return st
 }
 
 // RestoreState installs a checkpointed state into a freshly constructed
 // protocol (same params, engine, bus, net, events and retain flag as the
-// captured one). Signers are re-registered through RegisterPeer, which
-// also rebuilds the bus handlers; callers restoring bus crash flags must
-// do so afterwards. A table out of the strictly ascending order every
-// export writes (which covers a duplicate record) is refused with an
-// error naming the table and the record, before anything is installed.
+// captured one). It registers no peer: the restoring world registers
+// each live peer, with the identity its own record carries, through
+// RegisterPeer. A table out of the strictly ascending order every export
+// writes (which covers a duplicate record) is refused with an error
+// naming the table and the record, before anything is installed.
 func (p *Protocol) RestoreState(st State) error {
 	if err := checkOrder(st); err != nil {
 		return fmt.Errorf("lending: restore: %w", err)
 	}
-	// Every signer takes a bus handler and a slot at its handle. The
-	// restoring world has interned every live peer already, so the slots
-	// grow once, to the handle table's length.
-	p.slots = slices.Grow(p.slots, p.handles.Len())
-	p.bus.Reserve(len(st.Signers))
-	for _, rec := range st.Signers {
-		var ident transport.Identity
-		if rec.Signer == nil {
-			ident = transport.NewNullIdentity(rec.ID)
-		} else {
-			s, err := transport.SignerFromState(*rec.Signer)
-			if err != nil {
-				return fmt.Errorf("lending: restore: signer %s: %w", rec.ID.Short(), err)
-			}
-			ident = s
-		}
-		p.RegisterPeer(rec.ID, ident)
-	}
 	for _, rec := range st.SM {
 		sm := p.smState(rec.Node)
-		sm.seenLend = setOf(rec.SeenLend)
-		sm.seenReward = setOf(rec.SeenReward)
 		sm.flagged = setOf(rec.Flagged)
 		if len(rec.BootNonce) > 0 {
 			sm.bootNonce = make(map[id.ID]uint64, len(rec.BootNonce))
@@ -211,7 +153,6 @@ func checkOrder(st State) error {
 		name string
 		err  error
 	}{
-		{"signer", id.Ascending(st.Signers, func(r SignerRecord) id.ID { return r.ID }, id.ID.Cmp)},
 		{"score manager", id.Ascending(st.SM, func(r SMRecord) id.ID { return r.Node }, id.ID.Cmp)},
 		{"stake for", id.Ascending(st.Stakes, func(r StakeRecord) id.ID { return r.Newcomer }, id.ID.Cmp)},
 		{"flagged peer", id.Ascending(st.Flagged, self, id.ID.Cmp)},
@@ -220,14 +161,11 @@ func checkOrder(st State) error {
 			return fmt.Errorf("%s %w", t.name, t.err)
 		}
 	}
-	nonce := func(n uint64) uint64 { return n }
 	for _, rec := range st.SM {
 		for _, t := range []struct {
 			name string
 			err  error
 		}{
-			{"seen-lend nonce", id.Ascending(rec.SeenLend, nonce, cmp.Compare[uint64])},
-			{"seen-reward nonce", id.Ascending(rec.SeenReward, nonce, cmp.Compare[uint64])},
 			{"boot nonce for", id.Ascending(rec.BootNonce, func(r BootNonceRecord) id.ID { return r.Peer }, id.ID.Cmp)},
 			{"flagged peer", id.Ascending(rec.Flagged, self, id.ID.Cmp)},
 		} {

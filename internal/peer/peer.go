@@ -84,10 +84,6 @@ type Peer struct {
 	// is a founder or was admitted without introductions).
 	Introducer id.ID
 
-	// Flagged marks a peer caught cheating the admission protocol (for
-	// example by obtaining two concurrent introductions).
-	Flagged bool
-
 	// DefectAt, when positive, makes a cooperative peer turn traitor at
 	// that tick: from then on it freerides and lies like an uncooperative
 	// peer. This models the reputation-milking attacker of the extension

@@ -142,7 +142,8 @@ func FuzzSnapshotBody(f *testing.F) {
 	// of a store and of a placement-index owner; then ROCQ records, a store
 	// listing one subject twice, a store listing one reporter twice, and a
 	// partner record with count 0 and sum 1, whose next Record would read
-	// an opinion of 2.
+	// an opinion of 2; and a live peer without a signer in a signing world,
+	// which would receive no bus message.
 	for i, mutate := range []func(s *world.Snapshot){
 		func(s *world.Snapshot) { s.Peers = append(s.Peers, s.Peers[len(s.Peers)-1]) },
 		func(s *world.Snapshot) { s.Stores = append(s.Stores, s.Stores[len(s.Stores)-1]) },
@@ -163,6 +164,15 @@ func FuzzSnapshotBody(f *testing.F) {
 				}
 			}
 			f.Fatal("seed snapshot holds no opinions")
+		},
+		func(s *world.Snapshot) {
+			for i := len(s.Peers) - 1; i >= 0; i-- {
+				if !s.Peers[i].Departed {
+					s.Peers[i].Signer = nil
+					return
+				}
+			}
+			f.Fatal("seed snapshot holds no live peer")
 		},
 	} {
 		s, err := world.DecodeSnapshotBody(bodies[1])

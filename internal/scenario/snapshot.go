@@ -21,8 +21,9 @@ import (
 // RunStateVersion is the scenario checkpoint format version. Version 2
 // moved the body to the binary checkpoint codec; version 3 carried world
 // snapshot version 6; version 4 carries world snapshot version 7 and
-// drops the finished flag, which Snapshot only ever wrote false.
-const RunStateVersion = 4
+// drops the finished flag, which Snapshot only ever wrote false; version
+// 5 carries world snapshot version 8.
+const RunStateVersion = 5
 
 // LabelRecord is one bound injection label.
 type LabelRecord struct {

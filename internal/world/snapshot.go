@@ -62,7 +62,11 @@ import (
 // kind nothing schedules, the event name that repeated its kind, the
 // placement index's slot count (the sum of its slices' lengths) and the
 // null-identity markers (a departed peer without a signer is null).
-const SnapshotVersion = 7
+// Version 8 writes each peer once: live and departed peers share one
+// table, each record carrying its signing identity, so the departed table
+// and the lending protocol's signer table are gone, and score managers
+// keep no lend or reward nonce history.
+const SnapshotVersion = 8
 
 // Event payload types. Each pending-event kind the world schedules but
 // "transaction" and "sample" carries one, pinning everything its handler
@@ -107,29 +111,25 @@ type EventRecord struct {
 	Replay  *replayPayload
 }
 
-// PeerRecord is one peer object — live or departed-but-rejoinable.
+// PeerRecord is one peer object — live, or departed but eligible to
+// rejoin — with the signing identity it holds or left under: a nil
+// Signer is the null identity.
 type PeerRecord struct {
 	ID          id.ID
+	Departed    bool
+	Signer      *transport.SignerState
 	Class       peer.Class
 	Style       peer.Style
 	JoinedAt    sim.Tick
 	Completed   int
 	Audited     bool
 	Introducer  id.ID
-	Flagged     bool
 	DefectAt    sim.Tick
 	Cohort      string
 	PlanOrdinal int64
 	PlanSeq     int64
 	Plan        *workload.Plan
 	Opinions    []rocq.PartnerRecord
-}
-
-// DepartedRecord is one offline peer eligible to rejoin, with the
-// signing identity it left under: a nil Signer is the null identity.
-type DepartedRecord struct {
-	Peer   PeerRecord
-	Signer *transport.SignerState
 }
 
 // StoreRecord is the reputation store hosted at one overlay node.
@@ -201,10 +201,9 @@ type Snapshot struct {
 	DepartGen    int64
 	WkReplayNext int64
 
-	Peers    []PeerRecord     // every attached node, ascending ID
-	Admitted []id.ID          // members in admission order
-	Departed []DepartedRecord // ascending ID
-	Wiped    []id.ID          // ascending ID
+	Peers    []PeerRecord // every live or departed peer, ascending ID
+	Admitted []id.ID      // members in admission order
+	Wiped    []id.ID      // ascending ID
 
 	Stores   []StoreRecord // ascending node ID
 	Topology topology.State
@@ -300,17 +299,14 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	// per-peer table: a first pass counts each table's records, a second
 	// appends them. A handle past the last slot names no world state.
 	walk := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
-	var n struct{ arrivals, peers, departed, wiped, stores, reps int }
+	var n struct{ arrivals, peers, wiped, stores, reps int }
 	for _, h := range walk {
 		sl := &w.slots[h]
 		if sl.inFlight {
 			n.arrivals++
 		}
-		if sl.pr != nil {
+		if sl.pr != nil || sl.departed != nil {
 			n.peers++
-		}
-		if sl.departed != nil {
-			n.departed++
 		}
 		if sl.wiped {
 			n.wiped++
@@ -324,7 +320,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	}
 	s.Arrivals = slices.Grow(s.Arrivals, n.arrivals)
 	s.Peers = slices.Grow(s.Peers, n.peers)
-	s.Departed = slices.Grow(s.Departed, n.departed)
 	s.Wiped = slices.Grow(s.Wiped, n.wiped)
 	s.Stores = slices.Grow(s.Stores, n.stores)
 	s.RepCached = slices.Grow(s.RepCached, n.reps)
@@ -334,20 +329,12 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		if sl.inFlight {
 			s.Arrivals = append(s.Arrivals, ArrivalRecord{Peer: pid, At: sl.arrivedAt})
 		}
-		if sl.pr != nil {
-			s.Peers = append(s.Peers, peerRecord(sl.pr))
-		}
-		if d := sl.departed; d != nil {
-			rec := DepartedRecord{Peer: peerRecord(d.peer)}
-			switch ident := d.ident.(type) {
-			case *transport.Signer:
-				st := ident.Export()
-				rec.Signer = &st
-			case transport.NullIdentity:
-			default:
-				return nil, fmt.Errorf("world: cannot checkpoint departed identity type %T for %s", ident, pid.Short())
+		if sl.pr != nil || sl.departed != nil {
+			rec, err := w.peerRecord(pid, sl)
+			if err != nil {
+				return nil, err
 			}
-			s.Departed = append(s.Departed, rec)
+			s.Peers = append(s.Peers, rec)
 		}
 		if sl.wiped {
 			s.Wiped = append(s.Wiped, pid)
@@ -369,11 +356,7 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("world: %w", err)
 	}
 	s.Topology = topo
-	lend, err := w.proto.ExportState()
-	if err != nil {
-		return nil, fmt.Errorf("world: %w", err)
-	}
-	s.Lending = lend
+	s.Lending = w.proto.ExportState()
 
 	// The placement records' manager sets, arcs and index slices are cut
 	// from one backing array per table instead of one small slice each.
@@ -464,33 +447,44 @@ func Restore(s *Snapshot) (*World, error) {
 	// Size the restored tables to the snapshot's counts before filling
 	// them. The handle table numbers identities in restore order: each
 	// record below interns its peer on first touch, and the world's and
-	// lending's slots sit at those handles. Live and departed peers are
-	// the slots' usual count, and the table's, which also interns every
-	// identity the books, stores and placements below name.
-	peers := len(s.Peers) + len(s.Departed)
+	// lending's slots sit at those handles. Peer records are the slots'
+	// usual count, and the table's, which also interns every identity the
+	// books, stores and placements below name; they bound the live peers
+	// that take a lending slot and a bus handler.
+	peers := len(s.Peers)
 	w.slots = make([]worldSlot, 0, peers)
 	w.handles.Reserve(peers)
+	w.proto.Reserve(peers)
+	w.bus.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
 	w.smCache = make(map[id.ID]*smCacheEntry, len(s.SMCache))
 	w.smDeps = make(map[id.ID][]id.ID, len(s.SMDeps))
 
-	// Peers and the overlay. Records arrive in ascending ID order and the
-	// ring's treap shape is a pure function of membership, so joining in
-	// record order rebuilds the exact structure.
+	// Peers, their identities and the overlay. Records arrive in ascending
+	// ID order and the ring's treap shape is a pure function of membership,
+	// so joining in record order rebuilds the exact structure. Each live
+	// peer registers with lending as attachNode registers it; crash flags
+	// are reapplied afterwards, since registering clears them.
 	for _, rec := range s.Peers {
 		sl := w.ensureSlot(rec.ID)
 		p, err := w.restorePeer(rec)
 		if err != nil {
 			return nil, err
 		}
+		ident, err := w.restoreIdentity(rec)
+		if err != nil {
+			return nil, err
+		}
+		if rec.Departed {
+			sl.departed = &departedPeer{peer: p, ident: ident}
+			continue
+		}
 		if err := w.ring.Join(p.ID); err != nil {
 			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
 		}
+		w.proto.RegisterPeer(p.ID, ident)
 		sl.pr = p
 	}
-
-	// The lending protocol re-registers every live signer's bus handler;
-	// crash flags are reapplied afterwards, since Register clears them.
 	if err := w.proto.RestoreState(s.Lending); err != nil {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
@@ -535,25 +529,6 @@ func Restore(s *Snapshot) (*World, error) {
 		sl.store = st
 	}
 
-	for _, rec := range s.Departed {
-		pid := rec.Peer.ID
-		sl := w.ensureSlot(pid)
-		p, err := w.restorePeer(rec.Peer)
-		if err != nil {
-			return nil, err
-		}
-		d := &departedPeer{peer: p}
-		if rec.Signer == nil {
-			d.ident = transport.NewNullIdentity(pid)
-		} else {
-			signer, err := transport.SignerFromState(*rec.Signer)
-			if err != nil {
-				return nil, fmt.Errorf("world: restore: departed %s: %w", pid.Short(), err)
-			}
-			d.ident = signer
-		}
-		sl.departed = d
-	}
 	for _, pid := range s.Wiped {
 		w.ensureSlot(pid).wiped = true
 	}
@@ -664,7 +639,6 @@ func checkOrder(s *Snapshot) error {
 		err  error
 	}{
 		{"peer", id.Ascending(s.Peers, func(r PeerRecord) id.ID { return r.ID }, id.ID.Cmp)},
-		{"departed peer", id.Ascending(s.Departed, func(r DepartedRecord) id.ID { return r.Peer.ID }, id.ID.Cmp)},
 		{"wiped peer", id.Ascending(s.Wiped, self, id.ID.Cmp)},
 		{"store at", id.Ascending(s.Stores, func(r StoreRecord) id.ID { return r.Node }, id.ID.Cmp)},
 		{"crashed node", id.Ascending(s.Crashed, self, id.ID.Cmp)},
@@ -758,28 +732,45 @@ func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
 	return pe, nil
 }
 
-// peerRecord captures one peer object.
-func peerRecord(p *peer.Peer) PeerRecord {
+// peerRecord captures the peer a slot holds, live or departed, with its
+// signing identity. It fails on identity kinds the format does not know
+// about.
+func (w *World) peerRecord(pid id.ID, sl *worldSlot) (PeerRecord, error) {
+	p := sl.pr
+	var ident transport.Identity
+	if p != nil {
+		ident, _ = w.proto.Identity(pid)
+	} else {
+		p, ident = sl.departed.peer, sl.departed.ident
+	}
 	rec := PeerRecord{
 		ID:          p.ID,
+		Departed:    sl.pr == nil,
 		Class:       p.Class,
 		Style:       p.Style,
 		JoinedAt:    p.JoinedAt,
 		Completed:   p.Completed,
 		Audited:     p.Audited,
 		Introducer:  p.Introducer,
-		Flagged:     p.Flagged,
 		DefectAt:    p.DefectAt,
 		Cohort:      p.Cohort,
 		PlanOrdinal: p.PlanOrdinal,
 		PlanSeq:     p.PlanSeq,
 		Opinions:    p.Opinions.ExportState(),
 	}
+	switch ident := ident.(type) {
+	case *transport.Signer:
+		st := ident.Export()
+		rec.Signer = &st
+	case transport.NullIdentity:
+	default:
+		return rec, fmt.Errorf("world: cannot checkpoint identity type %T for %s", ident, pid.Short())
+	}
 	if p.Plan != nil {
 		cp := *p.Plan
 		rec.Plan = &cp
 	}
-	return rec
+	return rec, nil
 }
 
 // restorePeer rebuilds one peer object, in the world's slab, from its
@@ -790,7 +781,6 @@ func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
 	p.Completed = rec.Completed
 	p.Audited = rec.Audited
 	p.Introducer = rec.Introducer
-	p.Flagged = rec.Flagged
 	p.DefectAt = rec.DefectAt
 	p.Cohort = rec.Cohort
 	p.PlanOrdinal = rec.PlanOrdinal
@@ -803,6 +793,26 @@ func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
 		return nil, fmt.Errorf("world: restore: peer %s: %w", rec.ID.Short(), err)
 	}
 	return p, nil
+}
+
+// restoreIdentity rebuilds a peer record's signing identity: the null
+// identity in a null-signing world, the captured signer otherwise. A
+// record that contradicts cfg.NullSign, which fixes every identity a world
+// makes, is refused.
+func (w *World) restoreIdentity(rec PeerRecord) (transport.Identity, error) {
+	switch {
+	case w.cfg.NullSign && rec.Signer != nil:
+		return nil, fmt.Errorf("world: restore: peer %s has a signer in a null-signing world", rec.ID.Short())
+	case w.cfg.NullSign:
+		return transport.NewNullIdentity(rec.ID), nil
+	case rec.Signer == nil:
+		return nil, fmt.Errorf("world: restore: peer %s has no signer in a signing world", rec.ID.Short())
+	}
+	signer, err := transport.SignerFromState(*rec.Signer)
+	if err != nil {
+		return nil, fmt.Errorf("world: restore: peer %s: %w", rec.ID.Short(), err)
+	}
+	return signer, nil
 }
 
 // copySeries detaches a metrics series from the live world.

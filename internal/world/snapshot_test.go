@@ -669,25 +669,18 @@ func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	lend := snap.Lending
-	// The first manager records with two lend nonces, one reward nonce and
-	// two boot nonces carry the per-manager mutations.
-	lends, rewards, boots := -1, -1, -1
+	// The first manager record with two boot nonces carries the
+	// per-manager mutation.
+	boots := -1
 	for i, rec := range lend.SM {
-		if lends < 0 && len(rec.SeenLend) >= 2 {
-			lends = i
-		}
-		if rewards < 0 && len(rec.SeenReward) >= 1 {
-			rewards = i
-		}
 		if boots < 0 && len(rec.BootNonce) >= 2 {
 			boots = i
 		}
 	}
-	if len(lend.Signers) == 0 || len(lend.Stakes) < 2 || lends < 0 || rewards < 0 || boots < 0 {
-		t.Fatalf("fixture too small: %d signers, %d stakes, manager records with lends %d, rewards %d, boots %d",
-			len(lend.Signers), len(lend.Stakes), lends, rewards, boots)
+	if len(lend.Stakes) < 2 || boots < 0 {
+		t.Fatalf("fixture too small: %d stakes, manager record with boots %d", len(lend.Stakes), boots)
 	}
-	lastSigner := lend.Signers[len(lend.Signers)-1]
+	lastPeer := snap.Peers[len(snap.Peers)-1].ID
 	lastSM := lend.SM[len(lend.SM)-1]
 	manager := func(i int) string { return "score manager " + lend.SM[i].Node.Short() }
 	cases := []struct {
@@ -707,20 +700,9 @@ func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
 		{"duplicate manager record", func(l *lending.State) {
 			l.SM = append(l.SM, lastSM)
 		}, []string{"score manager " + lastSM.Node.Short(), "not strictly ascending"}},
-		{"duplicate signer", func(l *lending.State) {
-			l.Signers = append(l.Signers, lastSigner)
-		}, []string{"signer " + lastSigner.ID.Short(), "not strictly ascending"}},
 		{"duplicate flagged peer", func(l *lending.State) {
-			l.Flagged = append(l.Flagged, lastSigner.ID, lastSigner.ID)
-		}, []string{"flagged peer " + lastSigner.ID.Short(), "not strictly ascending"}},
-		{"swapped lend nonces", func(l *lending.State) {
-			ns := l.SM[lends].SeenLend
-			ns[0], ns[1] = ns[1], ns[0]
-		}, []string{manager(lends), "seen-lend nonce", "not strictly ascending"}},
-		{"duplicate reward nonce", func(l *lending.State) {
-			rec := &l.SM[rewards]
-			rec.SeenReward = append(rec.SeenReward, rec.SeenReward[len(rec.SeenReward)-1])
-		}, []string{manager(rewards), "seen-reward nonce", "not strictly ascending"}},
+			l.Flagged = append(l.Flagged, lastPeer, lastPeer)
+		}, []string{"flagged peer " + lastPeer.Short(), "not strictly ascending"}},
 		{"duplicate boot nonce", func(l *lending.State) {
 			rec := &l.SM[boots]
 			dup := rec.BootNonce[len(rec.BootNonce)-1]
@@ -729,8 +711,8 @@ func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
 		}, []string{manager(boots), "boot nonce for", "not strictly ascending"}},
 		{"duplicate peer a manager flagged", func(l *lending.State) {
 			rec := &l.SM[0]
-			rec.Flagged = append(rec.Flagged, lastSigner.ID, lastSigner.ID)
-		}, []string{manager(0), "flagged peer " + lastSigner.ID.Short(), "not strictly ascending"}},
+			rec.Flagged = append(rec.Flagged, lastPeer, lastPeer)
+		}, []string{manager(0), "flagged peer " + lastPeer.Short(), "not strictly ascending"}},
 	}
 	for _, tc := range cases {
 		s, err := openSnapshot(data)
@@ -801,7 +783,7 @@ func forgottenWipedPeer(t *testing.T) (*World, id.ID) {
 
 // TestRestoreKeepsWipeMarksOfForgottenPeers: a wipe mark outlives the
 // permanent departure of its peer, so an export can write a peer in
-// Wiped and in neither Peers nor Departed. Restore must take it.
+// Wiped and not in Peers, live or departed. Restore must take it.
 func TestRestoreKeepsWipeMarksOfForgottenPeers(t *testing.T) {
 	w, pid := forgottenWipedPeer(t)
 	snap, err := w.Snapshot()
@@ -809,8 +791,7 @@ func TestRestoreKeepsWipeMarksOfForgottenPeers(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if !slices.Contains(snap.Wiped, pid) ||
-		slices.ContainsFunc(snap.Peers, func(r PeerRecord) bool { return r.ID == pid }) ||
-		slices.ContainsFunc(snap.Departed, func(r DepartedRecord) bool { return r.Peer.ID == pid }) {
+		slices.ContainsFunc(snap.Peers, func(r PeerRecord) bool { return r.ID == pid }) {
 		t.Fatalf("fixture: %s is not wiped and forgotten in the export", pid.Short())
 	}
 	restored := roundTrip(t, w)
@@ -848,7 +829,6 @@ func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 		swap  func(s *Snapshot)
 	}{
 		{"peer", keysOf(snap.Peers, func(r PeerRecord) id.ID { return r.ID }), func(s *Snapshot) { swapFirstTwo(s.Peers) }},
-		{"departed peer", keysOf(snap.Departed, func(r DepartedRecord) id.ID { return r.Peer.ID }), func(s *Snapshot) { swapFirstTwo(s.Departed) }},
 		{"wiped peer", snap.Wiped, func(s *Snapshot) { swapFirstTwo(s.Wiped) }},
 		{"store at", keysOf(snap.Stores, func(r StoreRecord) id.ID { return r.Node }), func(s *Snapshot) { swapFirstTwo(s.Stores) }},
 		{"crashed node", snap.Crashed, func(s *Snapshot) { swapFirstTwo(s.Crashed) }},
@@ -882,10 +862,14 @@ func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 }
 
 // TestRestoreRejectsRecordsNoExportWrites feeds Restore per-peer records
-// no export writes, each cut from a real snapshot and kept in ascending
-// order: a store at a node that holds no live peer (stores exist only at
-// overlay members), and an admission list naming a peer twice, which
-// would count the peer twice in the population.
+// no export writes, each cut from a real snapshot: a store at a node that
+// holds no live peer (stores exist only at overlay members), an admission
+// list naming a peer twice, which would count the peer twice in the
+// population, a departed peer's record copied in as a live one (a peer
+// both live and departed, which one record per peer rules out), and
+// identities that contradict the world's signing mode, which fixes every
+// identity the world makes (a live peer without a signer in a signing
+// world, and the same snapshot with Config.NullSign set).
 func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 	w, err := New(churnyCfg(7))
 	if err != nil {
@@ -903,8 +887,9 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if len(snap.Departed) == 0 || len(snap.Admitted) == 0 {
-		t.Fatalf("fixture too small: %d departed, %d admitted", len(snap.Departed), len(snap.Admitted))
+	gone := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool { return r.Departed })
+	if gone < 0 || len(snap.Admitted) == 0 || snap.Config.NullSign {
+		t.Fatalf("fixture: departed record at %d, %d admitted, null signing %v", gone, len(snap.Admitted), snap.Config.NullSign)
 	}
 	storeAt := func(node id.ID) func(s *Snapshot) {
 		return func(s *Snapshot) {
@@ -912,7 +897,8 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 			s.Stores = slices.Insert(s.Stores, i, StoreRecord{Node: node})
 		}
 	}
-	ghost, departed, admitted := id.HashString("ghost"), snap.Departed[0].Peer.ID, snap.Admitted[0]
+	ghost, departed, admitted := id.HashString("ghost"), snap.Peers[gone].ID, snap.Admitted[0]
+	last := snap.Admitted[len(snap.Admitted)-1]
 	cases := []struct {
 		name   string
 		mutate func(s *Snapshot)
@@ -924,6 +910,18 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 		{"peer admitted twice", func(s *Snapshot) {
 			s.Admitted = append(s.Admitted, admitted)
 		}, []string{"peer " + admitted.Short(), "admitted twice"}},
+		{"departed peer copied in as a live one", func(s *Snapshot) {
+			live := s.Peers[gone]
+			live.Departed = false
+			s.Peers = slices.Insert(s.Peers, gone, live)
+		}, []string{"peer " + departed.String() + " follows " + departed.String(), "not strictly ascending"}},
+		{"live peer without a signer", func(s *Snapshot) {
+			i := slices.IndexFunc(s.Peers, func(r PeerRecord) bool { return r.ID == last })
+			s.Peers[i].Signer = nil
+		}, []string{"peer " + last.Short(), "no signer in a signing world"}},
+		{"signers in a null-signing world", func(s *Snapshot) {
+			s.Config.NullSign = true
+		}, []string{"peer " + snap.Peers[0].ID.Short(), "signer in a null-signing world"}},
 	}
 	for _, tc := range cases {
 		s, err := openSnapshot(data)

@@ -1103,9 +1103,6 @@ func (w *World) onAuditOutcome(newcomer, introducer id.ID, satisfactory bool, at
 func (w *World) onFlagged(pid id.ID, at sim.Tick) {
 	w.m.FlaggedPeers++
 	w.record(telemetry.Flagged, pid, id.ID{}, "duplicate introduction")
-	if p := w.livePeer(pid); p != nil {
-		p.Flagged = true
-	}
 }
 
 // detachNode removes a never-admitted peer's node from the overlay, the

@@ -67,7 +67,7 @@ func TestNewPeerFields(t *testing.T) {
 	if p.Opinions == nil || p.Opinions.Partners() != 0 {
 		t.Fatal("opinion book not initialised")
 	}
-	if p.Completed != 0 || p.Audited || p.Flagged {
+	if p.Completed != 0 || p.Audited {
 		t.Fatal("zero-state fields wrong")
 	}
 }
