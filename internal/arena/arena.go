@@ -83,7 +83,8 @@ func (o *Ordinals) Reserve(n int) {
 }
 
 // SortedByID returns every ordinal, in ascending order of the identifier
-// it names: the one sorted walk a checkpoint export makes of a table.
+// it names: the one sorted walk a checkpoint export makes of a table,
+// and the order the world rebuilds its placement index in.
 func (o *Ordinals) SortedByID() []Ordinal {
 	out := make([]Ordinal, len(o.ids))
 	for i := range out {

@@ -13,6 +13,13 @@
 // indices r = 0..numSM-1 — so, exactly as the paper notes, "the score
 // managers assigned to a peer change over time" as nodes join, and using
 // multiple score managers gives redundancy against that churn.
+//
+// The ring holds membership only, no per-peer placement state: each
+// placement query hashes the replica keys it consults. A caller that asks
+// for one peer's placement repeatedly caches it. The simulation world
+// does: it fills a peer's placement about once, and on each join or leave
+// it repairs the fills from the ownership arcs ScoreManagersTracked
+// reported, without hashing again.
 package overlay
 
 import (
@@ -48,19 +55,15 @@ type Node struct {
 // Membership lives in two structures kept in lockstep: a treap keyed by
 // identifier (O(log n) join/leave/ceiling, deterministic shape) and a
 // circular doubly-linked list threading the member nodes in ring order
-// (O(1) neighbour access).
+// (O(1) neighbour access). Placement is computed afresh on every query:
+// the replica keys are a pure function of the peer's identifier, and the
+// ring keeps no memo of them.
 type Ring struct {
 	nodes map[id.ID]*Node
 	slab  arena.Slab[Node] // node records; churn recycles slots
 	root  *Node            // ordered membership index (treap threaded through Nodes)
 	size  int
 	epoch int64 // bumped on every membership change
-
-	// replicaKeys memoises each member's score-manager replica keys
-	// Hash(peer ‖ r): they are a pure function of the identifier, but
-	// placement consults them on every recompute and the SHA-1 otherwise
-	// dominates. Entries are dropped when the member leaves.
-	replicaKeys map[id.ID][]id.ID
 }
 
 // Errors returned by Ring operations.
@@ -72,10 +75,7 @@ var (
 
 // NewRing returns an empty overlay.
 func NewRing() *Ring {
-	return &Ring{
-		nodes:       make(map[id.ID]*Node),
-		replicaKeys: make(map[id.ID][]id.ID),
-	}
+	return &Ring{nodes: make(map[id.ID]*Node)}
 }
 
 // Size returns the number of member nodes.
@@ -144,7 +144,6 @@ func (r *Ring) Leave(n id.ID) error {
 	node.next.prev = node.prev
 	r.root = treapRemove(r.root, n)
 	delete(r.nodes, n)
-	delete(r.replicaKeys, n)
 	r.slab.Free(node)
 	r.size--
 	r.epoch++
@@ -211,7 +210,7 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 	othersAvailable := r.size > 1 || !r.Contains(peer)
 	maxReplica := numSM * 8 // generous: hash collisions across replicas are rare
 	for rep := 0; rep < maxReplica && len(managers) < numSM; rep++ {
-		key := r.replicaKey(peer, rep, numSM)
+		key := peer.Replica(rep)
 		owner := r.successorID(key)
 		if track != nil {
 			track(key, owner)
@@ -243,30 +242,4 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 		managers = append(managers, managers[i%distinct])
 	}
 	return managers, nil
-}
-
-// replicaKey returns replica key rep for the peer, memoised for members:
-// the keys are a pure function of the identifier, so each is hashed at
-// most once per membership stint (the cache is dropped when the member
-// leaves). Non-member queries compute without caching — only Leave evicts,
-// so memoising them would leak for the ring's lifetime. A member's memo
-// is allocated once with room for numSM+2 keys: a placement reads numSM
-// keys plus, rarely, a few more when owners repeat, and growing by
-// doubling from one key would allocate four times per member.
-func (r *Ring) replicaKey(peer id.ID, rep, numSM int) id.ID {
-	keys := r.replicaKeys[peer]
-	if rep < len(keys) {
-		return keys[rep]
-	}
-	if !r.Contains(peer) {
-		return peer.Replica(rep)
-	}
-	if keys == nil {
-		keys = make([]id.ID, 0, numSM+2)
-	}
-	for len(keys) <= rep {
-		keys = append(keys, peer.Replica(len(keys)))
-	}
-	r.replicaKeys[peer] = keys
-	return keys[rep]
 }

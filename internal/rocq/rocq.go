@@ -500,6 +500,18 @@ func (s *Store) RefHandle(subject arena.Ordinal) Ref {
 	return Ref{store: s, idx: s.slotOf(subject)}
 }
 
+// HeldRef is RefHandle without the placeholder: it references the
+// subject's slot if the store holds one, and otherwise a slot-less
+// reference that Query reads as unknown. Nothing may write through a
+// slot-less reference; it serves read-only placements (of peers no
+// placement cache holds) that must not leave empty slots behind.
+func (s *Store) HeldRef(subject arena.Ordinal) Ref {
+	if pos, ok := s.find(subject); ok {
+		return Ref{store: s, idx: s.index[pos].slot}
+	}
+	return Ref{store: s, idx: -1}
+}
+
 // Store returns the store the reference points into.
 func (r Ref) Store() *Store { return r.store }
 
@@ -561,7 +573,7 @@ func (s *Store) recycle(pos int) {
 
 // Query is Store.Query through the pre-resolved reference.
 func (r Ref) Query() (float64, bool) {
-	if !r.store.meta[r.idx].present {
+	if r.idx < 0 || !r.store.meta[r.idx].present {
 		return 0, false
 	}
 	return r.store.value(r.idx), true

@@ -142,8 +142,9 @@ func FuzzSnapshotBody(f *testing.F) {
 	// of a store and of a placement-index owner; then ROCQ records, a store
 	// listing one subject twice, a store listing one reporter twice, and a
 	// partner record with count 0 and sum 1, whose next Record would read
-	// an opinion of 2; and a live peer without a signer in a signing world,
-	// which would receive no bus message.
+	// an opinion of 2; a live peer without a signer in a signing world,
+	// which would receive no bus message; and a placement whose first two
+	// managers are swapped, which its recorded arcs do not replay to.
 	for i, mutate := range []func(s *world.Snapshot){
 		func(s *world.Snapshot) { s.Peers = append(s.Peers, s.Peers[len(s.Peers)-1]) },
 		func(s *world.Snapshot) { s.Stores = append(s.Stores, s.Stores[len(s.Stores)-1]) },
@@ -173,6 +174,15 @@ func FuzzSnapshotBody(f *testing.F) {
 				}
 			}
 			f.Fatal("seed snapshot holds no live peer")
+		},
+		func(s *world.Snapshot) {
+			for _, rec := range s.SMCache {
+				if sms := rec.SMs; !rec.Padded && len(sms) > 1 && sms[0] != sms[1] {
+					sms[0], sms[1] = sms[1], sms[0]
+					return
+				}
+			}
+			f.Fatal("seed snapshot holds no placement with two distinct managers")
 		},
 	} {
 		s, err := world.DecodeSnapshotBody(bodies[1])

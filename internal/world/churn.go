@@ -29,7 +29,6 @@ package world
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/churn"
 	"repro/internal/id"
@@ -172,10 +171,6 @@ func (w *World) IsDeparted(pid id.ID) bool {
 func (w *World) WipedOut(pid id.ID) bool {
 	s := w.slotOf(pid)
 	return s != nil && s.wiped
-}
-
-func sortIDs(ids []id.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 }
 
 // ---------------------------------------------------------------------------

@@ -297,9 +297,11 @@ func (w *World) Snapshot() (*Snapshot, error) {
 
 	// One walk of the slots in ascending identifier order fills every
 	// per-peer table: a first pass counts each table's records, a second
-	// appends them. A handle past the last slot names no world state.
+	// appends them. A handle past the last slot names no world state. The
+	// placement records' manager sets, arcs and index lists are cut from
+	// one backing array per table instead of one small slice each.
 	walk := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
-	var n struct{ arrivals, peers, wiped, stores, reps int }
+	var n struct{ arrivals, peers, wiped, stores, reps, cached, sms, deps, owners int }
 	for _, h := range walk {
 		sl := &w.slots[h]
 		if sl.inFlight {
@@ -317,12 +319,24 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		if sl.hasRep {
 			n.reps++
 		}
+		if e := sl.sm; e != nil {
+			n.cached++
+			n.sms += len(e.sms)
+			n.deps += len(e.deps)
+		}
+		if len(sl.smDeps) > 0 {
+			n.owners++
+		}
 	}
 	s.Arrivals = slices.Grow(s.Arrivals, n.arrivals)
 	s.Peers = slices.Grow(s.Peers, n.peers)
 	s.Wiped = slices.Grow(s.Wiped, n.wiped)
 	s.Stores = slices.Grow(s.Stores, n.stores)
 	s.RepCached = slices.Grow(s.RepCached, n.reps)
+	s.SMCache = slices.Grow(s.SMCache, n.cached)
+	s.SMDeps = slices.Grow(s.SMDeps, n.owners)
+	sms, deps := make([]id.ID, 0, n.sms), make([]SMDepRecord, 0, n.deps)
+	indexed := make([]id.ID, 0, w.smDepSlots)
 	for _, h := range walk {
 		sl := &w.slots[h]
 		pid, _ := w.handles.ID(h)
@@ -345,6 +359,26 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		if sl.hasRep {
 			s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: sl.rep})
 		}
+		if e := sl.sm; e != nil {
+			from := len(sms)
+			sms = append(sms, e.sms...)
+			rec := SMCacheRecord{Peer: pid, SMs: piece(sms, from), Padded: e.padded}
+			from = len(deps)
+			for _, d := range e.deps {
+				owner, _ := w.handles.ID(d.owner)
+				deps = append(deps, SMDepRecord{Key: d.key, Owner: owner, Skip: d.skip})
+			}
+			rec.Deps = piece(deps, from)
+			s.SMCache = append(s.SMCache, rec)
+		}
+		if len(sl.smDeps) > 0 {
+			from := len(indexed)
+			for _, p := range sl.smDeps {
+				listed, _ := w.handles.ID(p)
+				indexed = append(indexed, listed)
+			}
+			s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: pid, Peers: piece(indexed, from)})
+		}
 	}
 	s.Admitted = slices.Grow(s.Admitted, len(w.admittedPeers))
 	for _, p := range w.admittedPeers {
@@ -357,37 +391,6 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	}
 	s.Topology = topo
 	s.Lending = w.proto.ExportState()
-
-	// The placement records' manager sets, arcs and index slices are cut
-	// from one backing array per table instead of one small slice each.
-	cached := sortedWorldIDs(w.smCache)
-	var nSMs, nDeps int
-	for _, pid := range cached {
-		nSMs += len(w.smCache[pid].sms)
-		nDeps += len(w.smCache[pid].deps)
-	}
-	s.SMCache = slices.Grow(s.SMCache, len(cached))
-	sms, deps := make([]id.ID, 0, nSMs), make([]SMDepRecord, 0, nDeps)
-	for _, pid := range cached {
-		e := w.smCache[pid]
-		from := len(sms)
-		sms = append(sms, e.sms...)
-		rec := SMCacheRecord{Peer: pid, SMs: piece(sms, from), Padded: e.padded}
-		from = len(deps)
-		for _, d := range e.deps {
-			deps = append(deps, SMDepRecord{Key: d.key, Owner: d.owner, Skip: d.skip})
-		}
-		rec.Deps = piece(deps, from)
-		s.SMCache = append(s.SMCache, rec)
-	}
-	owners := sortedWorldIDs(w.smDeps)
-	s.SMDeps = slices.Grow(s.SMDeps, len(owners))
-	indexed := make([]id.ID, 0, w.smDepSlots)
-	for _, owner := range owners {
-		from := len(indexed)
-		indexed = append(indexed, w.smDeps[owner]...)
-		s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: owner, Peers: piece(indexed, from)})
-	}
 	return s, nil
 }
 
@@ -457,8 +460,6 @@ func Restore(s *Snapshot) (*World, error) {
 	w.proto.Reserve(peers)
 	w.bus.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
-	w.smCache = make(map[id.ID]*smCacheEntry, len(s.SMCache))
-	w.smDeps = make(map[id.ID][]id.ID, len(s.SMDeps))
 
 	// Peers, their identities and the overlay. Records arrive in ascending
 	// ID order and the ring's treap shape is a pure function of membership,
@@ -563,19 +564,48 @@ func Restore(s *Snapshot) (*World, error) {
 	}
 
 	// Placements are copied out of the snapshot, never adopted: repairs
-	// patch an entry's arcs and compact an owner's index slice in place,
-	// which would write through to the snapshot's records.
+	// patch an entry's arcs and compact an owner's index list in place,
+	// which would write through to the snapshot's records. Each names its
+	// peers and owners by handle. An export writes a placement only for a
+	// ring member, each arc owner is a member, a non-padded entry's
+	// managers are what its arcs replay to, and a padded one's (which no
+	// repair replays) what the ring places, so anything else is refused.
 	for _, rec := range s.SMCache {
+		h, live := w.liveHandle(rec.Peer)
+		switch {
+		case !live:
+			return nil, fmt.Errorf("world: restore: placement of %s, which is not a live peer", rec.Peer.Short())
+		case len(rec.Deps) == 0:
+			return nil, fmt.Errorf("world: restore: placement of %s records no arcs", rec.Peer.Short())
+		}
 		e := &smCacheEntry{
 			sms:    append([]id.ID(nil), rec.SMs...),
 			deps:   make([]smDep, len(rec.Deps)),
 			padded: rec.Padded,
 		}
 		for i, d := range rec.Deps {
-			e.deps[i] = smDep{key: d.Key, owner: d.Owner, skip: d.Skip}
+			owner, live := w.liveHandle(d.Owner)
+			if !live {
+				return nil, fmt.Errorf("world: restore: placement of %s has an arc owned by %s, which is not a live peer", rec.Peer.Short(), d.Owner.Short())
+			}
+			e.deps[i] = smDep{key: d.Key, owner: owner, skip: d.Skip}
+		}
+		if e.padded != cycled(e.sms) {
+			return nil, fmt.Errorf("world: restore: placement of %s is marked padded %v against its managers", rec.Peer.Short(), e.padded)
+		}
+		if e.padded {
+			fresh, err := w.ring.ScoreManagers(rec.Peer, w.cfg.NumSM)
+			if err != nil || !slices.Equal(fresh, e.sms) {
+				return nil, fmt.Errorf("world: restore: padded placement of %s names managers the ring does not place", rec.Peer.Short())
+			}
+		} else {
+			sms, ok := w.replay(h, e, w.smScratch[:0])
+			w.smScratch = sms
+			if !ok || !slices.Equal(sms, e.sms) {
+				return nil, fmt.Errorf("world: restore: placement of %s names managers its arcs do not replay to", rec.Peer.Short())
+			}
 		}
 		e.refs = make([]rocq.Ref, len(e.sms))
-		h := w.handles.Intern(rec.Peer)
 		for i, n := range e.sms {
 			st, ok := w.storeAt(n)
 			if !ok {
@@ -583,11 +613,25 @@ func Restore(s *Snapshot) (*World, error) {
 			}
 			e.refs[i] = st.RefHandle(h)
 		}
-		w.smCache[rec.Peer] = e
+		w.slots[h].sm = e
+		w.smCached++
 	}
+	// An index list may name a peer that holds no slot: a stale handle of
+	// a forgotten peer, which repairs read through cachedAt.
 	for _, rec := range s.SMDeps {
-		w.smDeps[rec.Owner] = append([]id.ID(nil), rec.Peers...)
-		w.smDepSlots += len(rec.Peers)
+		owner, live := w.liveHandle(rec.Owner)
+		switch {
+		case !live:
+			return nil, fmt.Errorf("world: restore: placement index at %s, which is not a live peer", rec.Owner.Short())
+		case len(rec.Peers) == 0:
+			return nil, fmt.Errorf("world: restore: placement index at %s is empty", rec.Owner.Short())
+		}
+		list := make([]arena.Ordinal, len(rec.Peers))
+		for i, pid := range rec.Peers {
+			list[i] = w.handles.Intern(pid)
+		}
+		w.slots[owner].smDeps = list
+		w.smDepSlots += len(list)
 	}
 
 	w.m = s.Metrics
@@ -627,6 +671,13 @@ func Restore(s *Snapshot) (*World, error) {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
 	return w, nil
+}
+
+// liveHandle returns the handle of a peer whose slot holds it live, and
+// false for a departed or unknown one.
+func (w *World) liveHandle(pid id.ID) (arena.Ordinal, bool) {
+	h, ok := w.handles.Get(pid)
+	return h, ok && int(h) < len(w.slots) && w.slots[h].pr != nil
 }
 
 // checkOrder refuses any ID-keyed table of s that is not strictly
@@ -870,14 +921,4 @@ func piece[T any](table []T, from int) []T {
 		return nil
 	}
 	return table[from:len(table):len(table)]
-}
-
-// sortedWorldIDs returns a map's keys in ascending identifier order.
-func sortedWorldIDs[V any](m map[id.ID]V) []id.ID {
-	out := make([]id.ID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortIDs(out)
-	return out
 }

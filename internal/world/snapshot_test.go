@@ -347,9 +347,9 @@ func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	entries := make(map[id.ID]*smCacheEntry, len(first.smCache))
-	for pid, e := range first.smCache {
-		entries[pid] = e
+	entries := make(map[id.ID]*smCacheEntry)
+	for _, pid := range first.slotIDsSorted(func(s *worldSlot) bool { return s.sm != nil }) {
+		entries[pid] = first.slotOf(pid).sm
 	}
 	if err := first.RunFor(end - snap.Now); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -358,11 +358,12 @@ func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	// patched in place; with none the check below would prove nothing.
 	patched := 0
 	for pid, e := range entries {
-		if first.smCache[pid] != e {
+		if first.slotOf(pid).sm != e {
 			continue // evicted or recomputed
 		}
 		for i, d := range e.deps {
-			if r := recorded[pid][i]; d.key != r.Key || d.owner != r.Owner || d.skip != r.Skip {
+			owner, _ := first.handles.ID(d.owner)
+			if r := recorded[pid][i]; d.key != r.Key || owner != r.Owner || d.skip != r.Skip {
 				patched++
 				break
 			}
@@ -630,10 +631,14 @@ func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}
 		tc.mutate(s)
-		_, err = Restore(s)
+		r, err := Restore(s)
 		switch {
 		case tc.want == nil && err != nil:
 			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want == nil:
+			if err := r.RunFor(2000); err != nil {
+				t.Errorf("%s: running the restored world: %v", tc.name, err)
+			}
 		case tc.want != nil && err == nil:
 			t.Errorf("%s: Restore accepted the snapshot", tc.name)
 		case tc.want != nil:
@@ -869,7 +874,14 @@ func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 // both live and departed, which one record per peer rules out), and
 // identities that contradict the world's signing mode, which fixes every
 // identity the world makes (a live peer without a signer in a signing
-// world, and the same snapshot with Config.NullSign set).
+// world, and the same snapshot with Config.NullSign set). Placement
+// records follow the same rule: an export writes a placement only for a
+// ring member, with arcs, each arc owned by a member, marked padded
+// exactly when its managers repeat, and with the managers its arcs
+// replay to unless padded; it writes an owner index list only at a
+// member, and never an empty one. A list naming an unknown
+// peer is accepted, because a forgotten peer's stale index entry looks
+// exactly like that; the world restored from it must run on.
 func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 	w, err := New(churnyCfg(7))
 	if err != nil {
@@ -899,6 +911,35 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 	}
 	ghost, departed, admitted := id.HashString("ghost"), snap.Peers[gone].ID, snap.Admitted[0]
 	last := snap.Admitted[len(snap.Admitted)-1]
+	// placementOf copies the first placement record in under another peer.
+	placementOf := func(pid id.ID) func(s *Snapshot) {
+		return func(s *Snapshot) {
+			rec := s.SMCache[0]
+			rec.Peer = pid
+			i, _ := slices.BinarySearchFunc(s.SMCache, pid, func(r SMCacheRecord, n id.ID) int { return r.Peer.Cmp(n) })
+			s.SMCache = slices.Insert(s.SMCache, i, rec)
+		}
+	}
+	// indexAt inserts an owner index list naming one admitted peer.
+	indexAt := func(owner id.ID) func(s *Snapshot) {
+		return func(s *Snapshot) {
+			i, _ := slices.BinarySearchFunc(s.SMDeps, owner, func(r SMDepsRecord, n id.ID) int { return r.Owner.Cmp(n) })
+			s.SMDeps = slices.Insert(s.SMDeps, i, SMDepsRecord{Owner: owner, Peers: []id.ID{admitted}})
+		}
+	}
+	arcOwner := func(owner id.ID) func(s *Snapshot) {
+		return func(s *Snapshot) { s.SMCache[0].Deps[0].Owner = owner }
+	}
+	if len(snap.SMCache) == 0 || len(snap.SMDeps) == 0 {
+		t.Fatalf("fixture: %d placements, %d index lists", len(snap.SMCache), len(snap.SMDeps))
+	}
+	placed, owner := snap.SMCache[0].Peer, snap.SMDeps[0].Owner
+	// The first non-padded placement with two distinct managers.
+	swapped := slices.IndexFunc(snap.SMCache, func(r SMCacheRecord) bool { return !r.Padded && len(r.SMs) > 1 && r.SMs[0] != r.SMs[1] })
+	if swapped < 0 {
+		t.Fatal("fixture: no placement with two distinct managers")
+	}
+	reordered := snap.SMCache[swapped].Peer
 	cases := []struct {
 		name   string
 		mutate func(s *Snapshot)
@@ -922,6 +963,30 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 		{"signers in a null-signing world", func(s *Snapshot) {
 			s.Config.NullSign = true
 		}, []string{"peer " + snap.Peers[0].ID.Short(), "signer in a null-signing world"}},
+		{"placement of a departed peer", placementOf(departed), []string{"placement of " + departed.Short(), "not a live peer"}},
+		{"placement of an unknown peer", placementOf(ghost), []string{"placement of " + ghost.Short(), "not a live peer"}},
+		{"arc owned by an unknown node", arcOwner(ghost), []string{"placement of " + placed.Short(), "arc owned by " + ghost.Short()}},
+		{"arc owned by a departed peer", arcOwner(departed), []string{"placement of " + placed.Short(), "arc owned by " + departed.Short()}},
+		{"index list at a departed peer", indexAt(departed), []string{"placement index at " + departed.Short(), "not a live peer"}},
+		{"index list at an unknown node", indexAt(ghost), []string{"placement index at " + ghost.Short(), "not a live peer"}},
+		{"empty index list", func(s *Snapshot) {
+			s.SMDeps[0].Peers = nil
+		}, []string{"placement index at " + owner.Short(), "is empty"}},
+		{"placement without arcs", func(s *Snapshot) {
+			s.SMCache[0].Deps = nil
+		}, []string{"placement of " + placed.Short(), "records no arcs"}},
+		{"managers its arcs do not replay to", func(s *Snapshot) {
+			sms := s.SMCache[swapped].SMs
+			sms[0], sms[1] = sms[1], sms[0]
+		}, []string{"placement of " + reordered.Short(), "do not replay to"}},
+		{"distinct managers marked padded", func(s *Snapshot) {
+			s.SMCache[swapped].Padded = true
+		}, []string{"placement of " + reordered.Short(), "marked padded true"}},
+		{"index lists naming an unknown peer", func(s *Snapshot) {
+			for i := range s.SMDeps {
+				s.SMDeps[i].Peers = append(s.SMDeps[i].Peers, ghost)
+			}
+		}, nil},
 	}
 	for _, tc := range cases {
 		s, err := openSnapshot(data)
@@ -929,10 +994,14 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}
 		tc.mutate(s)
-		_, err = Restore(s)
+		r, err := Restore(s)
 		switch {
 		case tc.want == nil && err != nil:
 			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want == nil:
+			if err := r.RunFor(2000); err != nil {
+				t.Errorf("%s: running the restored world: %v", tc.name, err)
+			}
 		case tc.want != nil && err == nil:
 			t.Errorf("%s: Restore accepted the snapshot", tc.name)
 		case tc.want != nil:
@@ -941,6 +1010,64 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 					t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRestoreRejectsPaddedPlacementsNoExportWrites: on a ring too small
+// for numSM distinct managers every placement is padded, and no repair
+// replays a padded placement, so restore checks it against the ring. A
+// padded placement with its first two managers swapped, and one whose
+// padding flag is cleared, are refused, each naming the peer.
+func TestRestoreRejectsPaddedPlacementsNoExportWrites(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumInit = 3
+	cfg.Lambda = 0
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(50); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	i := slices.IndexFunc(snap.SMCache, func(r SMCacheRecord) bool { return r.Padded && r.SMs[0] != r.SMs[1] })
+	if i < 0 {
+		t.Fatal("fixture: no padded placement leading with two distinct managers")
+	}
+	pid := snap.SMCache[i].Peer
+	for _, tc := range []struct {
+		name   string
+		mutate func(r *SMCacheRecord)
+		want   string
+	}{
+		{"pristine", func(*SMCacheRecord) {}, ""},
+		{"managers swapped", func(r *SMCacheRecord) { r.SMs[0], r.SMs[1] = r.SMs[1], r.SMs[0] }, "names managers the ring does not place"},
+		{"padding flag cleared", func(r *SMCacheRecord) { r.Padded = false }, "marked padded false"},
+	} {
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("DecodeSnapshot: %v", err)
+		}
+		tc.mutate(&s.SMCache[i])
+		_, err = Restore(s)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Restore: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), "placement of "+pid.Short()):
+			t.Errorf("%s: error %q does not name the peer", tc.name, err)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

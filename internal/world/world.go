@@ -123,23 +123,18 @@ type World struct {
 	repSum   float64
 	dirtyRep []id.ID // insertion-ordered for deterministic flushing
 
-	// smCache caches score-manager assignments (and references to the
-	// peer's slot in each manager's store) per peer. Invalidation is
-	// incremental: each entry records the ownership arcs its placement
-	// consulted, and smDeps indexes the entries by the member that
-	// answered, so a join or leave evicts only the peers whose successor
+	// The placement cache: each member's score-manager assignment (and
+	// references to the peer's slot in each manager's store) sits in its
+	// world slot (worldSlot.sm). Invalidation is incremental: each entry
+	// records the ownership arcs its placement consulted, and the owner
+	// index (worldSlot.smDeps) lists the entries by the member that
+	// answered, so a join or leave repairs only the peers whose successor
 	// set can actually change instead of the whole cache (the old
 	// whole-epoch scheme collapsed to a ~0% hit rate under arrivals,
-	// recomputing placement on every transaction).
-	smCache map[id.ID]*smCacheEntry
-	// smDeps maps an owner member to the peers whose cached entry depended
-	// on it when filled. The index is lazy: eviction leaves stale slice
-	// entries behind (an O(1) eviction instead of per-dependency deletes),
-	// scans validate against the live entry and compact as they go, and a
-	// global rebuild runs when the slot count outgrows the live cache so
-	// staleness stays bounded.
-	smDeps     map[id.ID][]id.ID
-	smDepSlots int // total index slots, live and stale
+	// recomputing placement on every transaction). smCached counts the
+	// cached entries and smDepSlots the index slots, live and stale.
+	smCached   int
+	smDepSlots int
 
 	// snapScratch is the join-time migration's survivor buffer, reused
 	// record after record so a pull allocates nothing per record.
@@ -167,7 +162,7 @@ type World struct {
 	// joinScratch collects the peers a join's repairs index under the
 	// joiner, so the joiner's index slice is made once, at its length.
 	//replend:allow snapshotfields scratch buffer, not state: emptied before every use
-	joinScratch []id.ID
+	joinScratch []arena.Ordinal
 
 	// repDirty is markRepDirty as a method value, built once by newBare
 	// and handed to every store as its change observer.
@@ -189,19 +184,31 @@ type World struct {
 // the peer's handle. Handles are never released, so neither are slots:
 // a slot whose fields have all cleared stays, zeroed, at its handle.
 //
-// Slots grow only in ensureSlot, so slot pointers are invalidated by any
-// call that can reach it (ensureSlot, Store, markRepDirty, smEntry):
+// Slots grow only in slotAt, so slot pointers are invalidated by any call
+// that can reach it (slotAt, ensureSlot, Store, markRepDirty, smEntry):
 // re-resolve through the handle after such calls instead of holding the
 // pointer.
 type worldSlot struct {
 	pr       *peer.Peer    // attached peer object; nil when not in the system
 	store    *rocq.Store   // reputation store hosted at the peer's node
 	departed *departedPeer // offline but eligible to rejoin
-	wiped    bool          // every replica died in one membership event (sticky)
-	admitted bool          // currently in the admitted community
-	dirty    bool          // queued in dirtyRep for the sampling flush
-	hasRep   bool          // rep is part of the sampled cooperative sum
-	inFlight bool          // arrivedAt marks a live waiting period
+	// sm is the member's cached placement, nil when none is cached.
+	// smDeps is the owner index at this member: the peers whose cached
+	// entry recorded it as an arc owner when filled or repaired, in
+	// append order. The index is lazy: eviction leaves stale handles
+	// behind (an O(1) eviction instead of per-dependency deletes), scans
+	// validate against the live entry and compact as they go, and a
+	// global rebuild runs when the slot count outgrows the live cache so
+	// staleness stays bounded. A listed peer may have no slot (a stale
+	// handle of a forgotten peer a restore interned): read it through
+	// cachedAt.
+	sm       *smCacheEntry
+	smDeps   []arena.Ordinal
+	wiped    bool // every replica died in one membership event (sticky)
+	admitted bool // currently in the admitted community
+	dirty    bool // queued in dirtyRep for the sampling flush
+	hasRep   bool // rep is part of the sampled cooperative sum
+	inFlight bool // arrivedAt marks a live waiting period
 	// rep is the cached aggregate reputation feeding the incremental
 	// cooperative mean; arrivedAt is the tick the in-flight arrival asked
 	// for an introduction, observed by the admission-latency histogram.
@@ -220,11 +227,24 @@ func (w *World) slotOf(pid id.ID) *worldSlot {
 // ensureSlot returns the peer's slot, interning its handle and growing
 // the slots up to it (zeroed) on first touch.
 func (w *World) ensureSlot(pid id.ID) *worldSlot {
-	h := w.handles.Intern(pid)
+	return w.slotAt(w.handles.Intern(pid))
+}
+
+// slotAt returns the slot at a handle, growing the slots up to it.
+func (w *World) slotAt(h arena.Ordinal) *worldSlot {
 	if n := int(h) + 1; n > len(w.slots) {
 		w.slots = append(w.slots, make([]worldSlot, n-len(w.slots))...)
 	}
 	return &w.slots[h]
+}
+
+// cachedAt returns the placement cached at a handle, nil when the handle
+// has no slot or no cached entry.
+func (w *World) cachedAt(h arena.Ordinal) *smCacheEntry {
+	if int(h) < len(w.slots) {
+		return w.slots[h].sm
+	}
+	return nil
 }
 
 // livePeer returns the attached peer object, nil when the peer is not
@@ -260,7 +280,8 @@ func (w *World) ArenaSlots() (slots, handles int) {
 // ownership arcs the placement depends on. Each dep (key, owner) means
 // "owner was the first member clockwise from key"; the entry stays valid
 // exactly as long as every such decision would repeat, which eviction
-// enforces on membership changes.
+// enforces on membership changes. Owners are handles, so the repair
+// scans compare int32s.
 type smCacheEntry struct {
 	sms    []id.ID
 	refs   []rocq.Ref // refs[i]: the peer's slot in sms[i]'s store
@@ -269,9 +290,9 @@ type smCacheEntry struct {
 }
 
 type smDep struct {
-	key   id.ID // arc start (the replica key, or the peer for a self-skip)
-	owner id.ID // arc end: the member that answered
-	skip  bool  // this dep is the clockwise-skip taken after the previous, self-owned dep
+	key   id.ID         // arc start (the replica key, or the peer for a self-skip)
+	owner arena.Ordinal // arc end: the member that answered
+	skip  bool          // this dep is the clockwise-skip taken after the previous, self-owned dep
 }
 
 // Metrics collects everything the experiment harness needs.
@@ -409,8 +430,6 @@ func newBare(cfg config.Config) (*World, error) {
 		behaveRand:   root.Split(),
 		keyRand:      root.Split(),
 		handles:      arena.NewOrdinals(),
-		smCache:      make(map[id.ID]*smCacheEntry),
-		smDeps:       make(map[id.ID][]id.ID),
 		handoffSeen:  make(map[id.ID]struct{}),
 		policy:       baseline.MidSpectrum{},
 		m: Metrics{
@@ -582,25 +601,32 @@ func (w *World) ScoreManagers(p id.ID) []id.ID {
 var emptySMEntry = &smCacheEntry{}
 
 // smEntry returns the peer's cached placement, computing and indexing it
-// on a miss. Tiny rings (fewer than two members) are never cached: their
-// placement can take the self-managing branch, whose validity depends on
-// the ring size itself rather than on any ownership arc.
+// on a miss. Only members of a ring of two or more are cached: a tiny
+// ring's placement can take the self-managing branch, whose validity
+// depends on the ring size itself rather than on any ownership arc, and
+// leave-time eviction could not reach a non-member (a query about a
+// departed peer), so its entry would linger for the world's lifetime.
+//
+// A member's references pre-create its slot in each manager's store,
+// where its evidence lands. A non-member's references resolve only the
+// slots the stores already hold: nothing writes evidence through them,
+// and a placeholder made for one would back no cached placement, so no
+// repair or eviction would ever drop it.
 func (w *World) smEntry(p id.ID) *smCacheEntry {
-	if e, ok := w.smCache[p]; ok {
-		return e
+	if s := w.slotOf(p); s != nil && s.sm != nil {
+		return s.sm
 	}
+	member := w.ring.Contains(p)
+	cacheable := member && w.ring.Size() > 1
+	h := w.handles.Intern(p)
 	e := &smCacheEntry{}
 	var track func(key, owner id.ID)
-	// Non-members (post-run queries about departed peers) are never
-	// cached: leave-time eviction could not reach them, so an entry would
-	// linger for the world's lifetime.
-	cacheable := w.ring.Size() > 1 && w.ring.Contains(p)
 	if cacheable {
 		e.deps = make([]smDep, 0, w.cfg.NumSM+2)
 		track = func(key, owner id.ID) {
 			n := len(e.deps)
-			skip := key == p && n > 0 && !e.deps[n-1].skip && e.deps[n-1].owner == p
-			e.deps = append(e.deps, smDep{key: key, owner: owner, skip: skip})
+			skip := key == p && n > 0 && !e.deps[n-1].skip && e.deps[n-1].owner == h
+			e.deps = append(e.deps, smDep{key: key, owner: w.handles.Intern(owner), skip: skip})
 		}
 	}
 	sms, err := w.ring.ScoreManagersTracked(p, w.cfg.NumSM, track)
@@ -609,64 +635,74 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 		return emptySMEntry
 	}
 	e.sms = sms
-	e.padded = len(sms) > 1 && id.Contains(sms[:len(sms)-1], sms[len(sms)-1])
+	e.padded = cycled(sms)
 	e.refs = make([]rocq.Ref, len(sms))
-	h := w.handles.Intern(p)
 	for i, n := range sms {
-		e.refs[i] = w.Store(n).RefHandle(h)
+		if member {
+			e.refs[i] = w.Store(n).RefHandle(h)
+		} else {
+			e.refs[i] = w.Store(n).HeldRef(h)
+		}
 	}
 	if cacheable {
-		w.smCache[p] = e
-		w.indexDeps(p, e)
+		w.slotAt(h).sm = e
+		w.smCached++
+		w.indexDeps(h, e)
 		// Amortised staleness bound: when evicted fills have left more
 		// dead slots than the live cache could account for, rebuild the
 		// index from the cache. Keeps total index memory O(live entries).
-		if w.smDepSlots > 2*len(w.smCache)*(w.cfg.NumSM+2)+64 {
+		if w.smDepSlots > 2*w.smCached*(w.cfg.NumSM+2)+64 {
 			w.rebuildSMDeps()
 		}
 	}
 	return e
 }
 
+// cycled reports whether a manager set repeats its managers, as placement
+// pads it when fewer than numSM distinct owners exist: the last manager
+// then repeats an earlier one.
+func cycled(sms []id.ID) bool {
+	n := len(sms)
+	return n > 1 && id.Contains(sms[:n-1], sms[n-1])
+}
+
 // indexDeps appends the entry's dependency owners to the owner index.
-func (w *World) indexDeps(p id.ID, e *smCacheEntry) {
-	seen := id.ID{}
+func (w *World) indexDeps(p arena.Ordinal, e *smCacheEntry) {
 	for i, d := range e.deps {
 		// Owners repeat back-to-back (a replica arc followed by a
 		// self-skip arc, or consecutive replicas on one owner); skip
 		// the adjacent duplicates cheaply, tolerate the rest — the
 		// index is advisory and scans dedupe via the entry itself.
-		if i > 0 && d.owner == seen {
+		if i > 0 && d.owner == e.deps[i-1].owner {
 			continue
 		}
-		seen = d.owner
-		w.smDeps[d.owner] = append(w.smDeps[d.owner], p)
+		sl := w.slotAt(d.owner)
+		sl.smDeps = append(sl.smDeps, p)
 		w.smDepSlots++
 	}
 }
 
 // rebuildSMDeps drops every stale index slot by reindexing the live cache.
-// The cache is walked in ascending identifier order, not map order: the
-// index slices feed the join/leave invalidation scans, whose markRepDirty
-// calls set the accumulation order of the sampled reputation sum — a map
-// walk here let that float sum vary per process in its last ulps, which
-// the fleet's byte-identity contract (and any cross-process comparison of
-// high-churn runs) surfaces.
+// The cache is walked in ascending identifier order, not in handle order:
+// the index lists feed the join/leave repair scans, whose markRepDirty
+// calls set the accumulation order of the sampled reputation sum, and a
+// restored world numbers its handles afresh, so a walk in handle order
+// would let a resumed run's float sum part from the uncut run's in its
+// last ulps.
 func (w *World) rebuildSMDeps() {
-	clear(w.smDeps)
-	w.smDepSlots = 0
-	keys := make([]id.ID, 0, len(w.smCache))
-	for p := range w.smCache {
-		keys = append(keys, p)
+	for i := range w.slots {
+		w.slots[i].smDeps = nil
 	}
-	sortIDs(keys)
-	for _, p := range keys {
-		w.indexDeps(p, w.smCache[p])
+	w.smDepSlots = 0
+	for _, h := range w.handles.SortedByID() {
+		if e := w.cachedAt(h); e != nil {
+			w.indexDeps(h, e)
+		}
 	}
 }
 
 // dependsOn reports whether the entry recorded owner as a dependency.
-func (e *smCacheEntry) dependsOn(owner id.ID) bool {
+func (e *smCacheEntry) dependsOn(owner arena.Ordinal) bool {
 	for _, d := range e.deps {
 		if d.owner == owner {
 			return true
@@ -675,32 +711,14 @@ func (e *smCacheEntry) dependsOn(owner id.ID) bool {
 	return false
 }
 
-// rebuildEntry recomputes the entry's manager set purely from its patched
-// dependency arcs — the placement loop's dedup/skip logic replayed over
-// recorded owners, no ring queries and no hashing. It returns false when
-// the recorded arcs no longer pin the placement (a self-skip would be
-// needed that was never recorded, or dedup merged owners below numSM so
-// the real walk would examine further replicas); the caller evicts and the
-// next use recomputes from the ring.
-//
-// A repair usually swaps one manager, so managers that stay keep their
-// reference and only entrants resolve a slot, through the peer's handle
-// resolved once for the repair. A manager that left drops the peer's
-// slot if it never received evidence: nothing else references a
-// placeholder, which would otherwise last until the peer is forgotten.
-//
-// The new set and references are built in world-owned scratch, because
-// the old ones are read to carry references over and to drop
-// placeholders, and then copied into the entry's own arrays. Writing in
-// place is safe because no holder of a ScoreManagers result keeps it
-// across a ring join or leave, and repairs run only inside one (DESIGN.md,
-// "Performance model", lists every holder).
-func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
-	if e.padded {
-		return false
-	}
+// replay appends to sms the manager set the entry's recorded arcs pin for
+// the peer at handle p: the placement loop's dedup/skip logic replayed
+// over recorded owners, no ring queries and no hashing. It reports false
+// when the arcs no longer pin the placement: a self-skip would be needed
+// that was never recorded, or dedup merged owners below numSM, so the
+// real walk would examine further replicas.
+func (w *World) replay(p arena.Ordinal, e *smCacheEntry, sms []id.ID) ([]id.ID, bool) {
 	numSM := w.cfg.NumSM
-	sms := w.smScratch[:0]
 	for i := 0; i < len(e.deps) && len(sms) < numSM; i++ {
 		d := e.deps[i]
 		if d.skip {
@@ -710,33 +728,56 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 		if eff == p {
 			// Self-owned arc: the effective manager is the recorded
 			// clockwise skip, if the walk took one.
-			if i+1 < len(e.deps) && e.deps[i+1].skip {
-				eff = e.deps[i+1].owner
-			} else {
-				return false
+			if i+1 >= len(e.deps) || !e.deps[i+1].skip {
+				return sms, false
 			}
+			eff = e.deps[i+1].owner
 		}
-		if !id.Contains(sms, eff) {
-			sms = append(sms, eff)
+		if n, _ := w.handles.ID(eff); !id.Contains(sms, n) {
+			sms = append(sms, n)
 		}
 	}
+	return sms, len(sms) >= numSM
+}
+
+// rebuildEntry recomputes the entry's manager set purely from its patched
+// dependency arcs (replay). It returns false when the recorded arcs no
+// longer pin the placement; the caller evicts and the next use
+// recomputes from the ring.
+//
+// A repair usually swaps one manager, so managers that stay keep their
+// reference and only entrants resolve a slot, through the peer's handle.
+// A manager that left drops the peer's slot if it never received
+// evidence: nothing else references a placeholder, which would otherwise
+// last until the peer is forgotten.
+//
+// The new set and references are built in world-owned scratch, because
+// the old ones are read to carry references over and to drop
+// placeholders, and then copied into the entry's own arrays. Writing in
+// place is safe because no holder of a ScoreManagers result keeps it
+// across a ring join or leave, and repairs run only inside one (DESIGN.md,
+// "Performance model", lists every holder).
+func (w *World) rebuildEntry(p arena.Ordinal, e *smCacheEntry) bool {
+	if e.padded {
+		return false
+	}
+	sms, ok := w.replay(p, e, w.smScratch[:0])
 	w.smScratch = sms
-	if len(sms) < numSM {
+	if !ok {
 		return false
 	}
 	refs := w.refScratch[:0]
-	h := w.handles.Intern(p)
 	for _, n := range sms {
 		if j := slices.Index(e.sms, n); j >= 0 {
 			refs = append(refs, e.refs[j])
 		} else {
-			refs = append(refs, w.Store(n).RefHandle(h))
+			refs = append(refs, w.Store(n).RefHandle(p))
 		}
 	}
 	w.refScratch = refs
 	for j, n := range e.sms {
 		if !id.Contains(sms, n) {
-			e.refs[j].Store().DropPlaceholderHandle(h)
+			e.refs[j].Store().DropPlaceholderHandle(p)
 		}
 	}
 	e.sms = append(e.sms[:0], sms...)
@@ -744,14 +785,15 @@ func (w *World) rebuildEntry(p id.ID, e *smCacheEntry) bool {
 	return true
 }
 
-// evictEntry drops the peer's cached placement; the next use recomputes
-// it from the ring. Like a repair, it drops the evidence-free slots the
-// placement's references pre-created (repeats in a padded set are no-ops).
-func (w *World) evictEntry(p id.ID, e *smCacheEntry) {
-	delete(w.smCache, p)
-	h := w.handles.Intern(p)
+// evictEntry drops the cached placement at handle p; the next use
+// recomputes it from the ring. Like a repair, it drops the evidence-free
+// slots the placement's references pre-created (repeats in a padded set
+// are no-ops).
+func (w *World) evictEntry(p arena.Ordinal, e *smCacheEntry) {
+	w.slots[p].sm = nil
+	w.smCached--
 	for _, r := range e.refs {
-		r.Store().DropPlaceholderHandle(h)
+		r.Store().DropPlaceholderHandle(p)
 	}
 }
 
@@ -762,8 +804,8 @@ func (w *World) evictEntry(p id.ID, e *smCacheEntry) {
 // the hit rate high under sustained arrivals. Affected entries are patched
 // in place (the captured arcs now end at the joiner) and their manager
 // sets rebuilt from the recorded arcs without touching the ring; entries
-// the patch cannot pin down are evicted instead. The index slice for the
-// successor is compacted in the same pass.
+// the patch cannot pin down are evicted instead. The successor's index
+// list is compacted in the same pass.
 func (w *World) noteRingJoin(x id.ID) {
 	if w.ring.Size() == 2 {
 		// Leaving the single-member regime: the first member's placement
@@ -777,20 +819,22 @@ func (w *World) noteRingJoin(x id.ID) {
 	if !ok || succ == x {
 		return // first member: nothing was cached
 	}
-	peers, ok := w.smDeps[succ]
-	if !ok {
+	sh, ok := w.handles.Get(succ)
+	if !ok || int(sh) >= len(w.slots) || len(w.slots[sh].smDeps) == 0 {
 		return
 	}
+	peers := w.slots[sh].smDeps
+	xh := w.handles.Intern(x)
 	live, joined := peers[:0], w.joinScratch[:0]
 	for _, p := range peers {
-		e, ok := w.smCache[p]
-		if !ok || !e.dependsOn(succ) {
+		e := w.cachedAt(p)
+		if e == nil || !e.dependsOn(sh) {
 			continue // stale index entry from an evicted or refilled fill
 		}
 		patched := false
 		for j := range e.deps {
 			d := &e.deps[j]
-			if d.owner != succ || d.key == succ {
+			if d.owner != sh || d.key == succ {
 				// d.key == succ: the key is owned by itself; no joiner
 				// can take that ownership over.
 				continue
@@ -799,12 +843,12 @@ func (w *World) noteRingJoin(x id.ID) {
 				// Skip arc (member, succ]: x becomes the new clockwise
 				// neighbour iff it lands strictly inside.
 				if x.Between(d.key, succ) {
-					d.owner = x
+					d.owner = xh
 					patched = true
 				}
 			} else if x == d.key || x.Between(d.key, succ) {
 				// Replica arc: x captures ownership iff x ∈ [key, succ).
-				d.owner = x
+				d.owner = xh
 				patched = true
 			}
 		}
@@ -814,10 +858,11 @@ func (w *World) noteRingJoin(x id.ID) {
 		}
 		// The manager set (and so the aggregate read) may change with the
 		// patched arcs: requeue the peer for the sampling flush.
-		w.markRepDirty(p)
+		pid, _ := w.handles.ID(p)
+		w.markRepDirty(pid)
 		if w.rebuildEntry(p, e) {
 			joined = append(joined, p)
-			if e.dependsOn(succ) {
+			if e.dependsOn(sh) {
 				live = append(live, p)
 			}
 		} else {
@@ -826,14 +871,14 @@ func (w *World) noteRingJoin(x id.ID) {
 	}
 	w.joinScratch = joined
 	if len(joined) > 0 {
-		w.smDeps[x] = append(w.smDeps[x], joined...)
+		xs := w.slotAt(xh)
+		xs.smDeps = append(xs.smDeps, joined...)
 	}
 	w.smDepSlots += len(joined) - (len(peers) - len(live))
 	if len(live) == 0 {
-		delete(w.smDeps, succ)
-	} else {
-		w.smDeps[succ] = live
+		live = nil
 	}
+	w.slots[sh].smDeps = live
 }
 
 // noteRingLeave repairs or evicts the entries that depended on a departed
@@ -842,38 +887,48 @@ func (w *World) noteRingJoin(x id.ID) {
 // that consulted those keys recorded the leaver as a dependency, so the
 // affected set is exact. Patched entries whose arcs now degenerate (the
 // successor is the peer itself, or dedup merges owners short of numSM)
-// are evicted and recomputed on next use.
+// are evicted and recomputed on next use. The leaver's own placement and
+// index list go with it.
 func (w *World) noteRingLeave(x, succ id.ID) {
-	delete(w.smCache, x)
-	peers, ok := w.smDeps[x]
-	if !ok {
+	xh, ok := w.handles.Get(x)
+	if !ok || int(xh) >= len(w.slots) {
 		return
 	}
+	if w.slots[xh].sm != nil {
+		w.slots[xh].sm = nil
+		w.smCached--
+	}
+	peers := w.slots[xh].smDeps
+	if len(peers) == 0 {
+		return
+	}
+	sh, _ := w.handles.Get(succ)
 	for _, p := range peers {
-		e, ok := w.smCache[p]
-		if !ok || !e.dependsOn(x) {
+		e := w.cachedAt(p)
+		if e == nil || !e.dependsOn(xh) {
 			continue
 		}
-		w.markRepDirty(p) // the manager set changes with the leaver's arcs
-		if succ == p || succ == x || w.ring.Size() <= 1 {
+		pid, _ := w.handles.ID(p)
+		w.markRepDirty(pid) // the manager set changes with the leaver's arcs
+		if sh == p || sh == xh || w.ring.Size() <= 1 {
 			w.evictEntry(p, e)
 			continue
 		}
 		for j := range e.deps {
-			d := &e.deps[j]
-			if d.owner == x {
-				d.owner = succ
+			if e.deps[j].owner == xh {
+				e.deps[j].owner = sh
 			}
 		}
 		if w.rebuildEntry(p, e) {
-			w.smDeps[succ] = append(w.smDeps[succ], p)
+			ss := w.slotAt(sh)
+			ss.smDeps = append(ss.smDeps, p)
 			w.smDepSlots++
 		} else {
 			w.evictEntry(p, e)
 		}
 	}
 	w.smDepSlots -= len(peers)
-	delete(w.smDeps, x)
+	w.slots[xh].smDeps = nil
 }
 
 // QueryReputation aggregates the peer's reputation across its current

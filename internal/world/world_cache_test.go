@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/churn"
 	"repro/internal/config"
 	"repro/internal/id"
@@ -25,11 +26,54 @@ import (
 // after New. A repair writes in place: an entry that stays cached across
 // a membership change keeps its manager and handle arrays.
 func TestScoreManagerCacheMatchesFreshPlacement(t *testing.T) {
-	t.Run("static", func(t *testing.T) { testCacheOracle(t, churn.Params{}) })
-	t.Run("churn", func(t *testing.T) { testCacheOracle(t, churn.Params{Migrate: true}) })
+	for _, tc := range []struct {
+		name string
+		cp   churn.Params
+	}{{"static", churn.Params{}}, {"churn", churn.Params{Migrate: true}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testCacheOracle(t, tc.cp, 400, rng.New(99).Intn) == 0 {
+				t.Fatal("no membership change repaired a cached entry in place")
+			}
+		})
+	}
 }
 
-func testCacheOracle(t *testing.T, cp churn.Params) {
+// FuzzPlacementRepairs drives the cache oracle's join, detach and crash
+// steps from the fuzz input instead of a fixed random stream: migrate
+// picks churn with state migration over static placement, and the script
+// bytes are the oracle's draws, read cyclically, for one step per two
+// bytes, at most 64: longer inputs only slow the minimizer, which with
+// 200 steps spent a 10 s budget on one input. After every step the
+// oracle checks each cached placement against a fresh one and the owner
+// index against the cache.
+func FuzzPlacementRepairs(f *testing.F) {
+	src := rng.New(99)
+	script := make([]byte, 400)
+	for i := range script {
+		script[i] = byte(src.Intn(256))
+	}
+	f.Add(false, script)
+	f.Add(true, script)
+	f.Add(true, []byte{0, 5})
+	f.Fuzz(func(t *testing.T, migrate bool, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		pos := 0
+		draw := func(n int) int {
+			b := script[pos%len(script)]
+			pos++
+			return int(b) % n
+		}
+		testCacheOracle(t, churn.Params{Migrate: migrate}, min(len(script)/2, 64), draw)
+	})
+}
+
+// testCacheOracle runs the given number of steps on a 30-founder world,
+// each a join, a detach or a crash picked by draw(n), which returns a
+// number in [0, n). It returns how many times a repair rewrote a kept
+// entry in place.
+func testCacheOracle(t *testing.T, cp churn.Params, steps int, draw func(n int) int) int {
 	cfg := config.Default()
 	cfg.NumInit = 30
 	cfg.Lambda = 0
@@ -40,12 +84,12 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 		t.Fatal(err)
 	}
 
-	src := rng.New(99)
 	var extras []*peer.Peer
 	checkAll := func(step int) {
 		t.Helper()
-		for _, pid := range sortedWorldIDs(w.smCache) {
-			e := w.smCache[pid]
+		checkPlacementIndex(t, w, step)
+		for _, pid := range w.slotIDsSorted(cached) {
+			e := w.slotOf(pid).sm
 			if len(e.refs) != len(e.sms) {
 				t.Fatalf("step %d: peer %s: %d handles for %d managers", step, pid.Short(), len(e.refs), len(e.sms))
 			}
@@ -89,15 +133,15 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 	repaired := 0
 	noteHeld := func() {
 		held = held[:0]
-		for _, pid := range sortedWorldIDs(w.smCache) {
-			e := w.smCache[pid]
+		for _, pid := range w.slotIDsSorted(cached) {
+			e := w.slotOf(pid).sm
 			held = append(held, heldEntry{pid, e, &e.sms[0], &e.refs[0], slices.Clone(e.sms)})
 		}
 	}
 	checkKept := func(step int) {
 		t.Helper()
 		for _, h := range held {
-			if w.smCache[h.pid] != h.e {
+			if w.slotOf(h.pid).sm != h.e {
 				continue // evicted, perhaps refilled
 			}
 			if &h.e.sms[0] != h.sms || &h.e.refs[0] != h.refs {
@@ -114,9 +158,9 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 	}
 
 	checkAll(-1)
-	for step := 0; step < 400; step++ {
+	for step := 0; step < steps; step++ {
 		noteHeld()
-		switch op := src.Intn(10); {
+		switch op := draw(10); {
 		case op < 5: // join a new node
 			p := w.newPeer(id.HashString(fmt.Sprintf("cache-prop-%d", step)), peer.Cooperative, peer.Naive)
 			if err := w.attachNode(p); err != nil {
@@ -127,12 +171,12 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 			if len(extras) == 0 {
 				continue
 			}
-			i := src.Intn(len(extras))
+			i := draw(len(extras))
 			w.detachNode(extras[i].ID)
 			extras = append(extras[:i], extras[i+1:]...)
 		default: // crash a transport node: must not disturb placement
 			if len(extras) > 0 {
-				w.Bus().Crash(extras[src.Intn(len(extras))].ID)
+				w.Bus().Crash(extras[draw(len(extras))].ID)
 			}
 		}
 		checkKept(step)
@@ -151,8 +195,37 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 			t.Fatalf("step %d: world failed: %v", step, w.Err())
 		}
 	}
-	if repaired == 0 {
-		t.Fatal("no membership change repaired a cached entry in place")
+	return repaired
+}
+
+// checkPlacementIndex fails unless the owner index covers the placement
+// cache: each cached entry is listed under every owner its arcs name,
+// every owner with a list is a ring member, and the entry and index-slot
+// counts equal a recount.
+func checkPlacementIndex(t *testing.T, w *World, step int) {
+	t.Helper()
+	entries, slots := 0, 0
+	for i := range w.slots {
+		h := arena.Ordinal(i)
+		pid, _ := w.handles.ID(h)
+		sl := &w.slots[i]
+		if len(sl.smDeps) > 0 && !w.ring.Contains(pid) {
+			t.Fatalf("step %d: %s holds an index list but is not a ring member", step, pid.Short())
+		}
+		slots += len(sl.smDeps)
+		if sl.sm == nil {
+			continue
+		}
+		entries++
+		for _, d := range sl.sm.deps {
+			if int(d.owner) >= len(w.slots) || !slices.Contains(w.slots[d.owner].smDeps, h) {
+				owner, _ := w.handles.ID(d.owner)
+				t.Fatalf("step %d: placement of %s is not listed under its arc owner %s", step, pid.Short(), owner.Short())
+			}
+		}
+	}
+	if entries != w.smCached || slots != w.smDepSlots {
+		t.Fatalf("step %d: %d cached entries and %d index slots, counted %d and %d", step, w.smCached, w.smDepSlots, entries, slots)
 	}
 }
 
@@ -161,17 +234,49 @@ func testCacheOracle(t *testing.T, cp churn.Params) {
 // placement. With churn on, every founder join repairs cached placements;
 // a repair or eviction that moves a manager away must recycle the peer's
 // empty slot there, or it lingers unreachable until the peer is forgotten.
+// A run with churn and the stake clock also reads the placements of peers
+// that have left, which no cache holds (the stake clock, and a lend whose
+// introducer left during the waiting period): such a read must create no
+// slot either.
 func TestNewLeavesNoOrphanedPlaceholders(t *testing.T) {
-	cfg := config.Default()
-	cfg.Lambda = 0
-	cfg.Churn = churn.Params{Mu: 0.05, CrashFrac: 0.25}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("new", func(t *testing.T) {
+		cfg := config.Default()
+		cfg.Lambda = 0
+		cfg.Churn = churn.Params{Mu: 0.05, CrashFrac: 0.25}
+		w, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNoOrphanedPlaceholders(t, w)
+	})
+	t.Run("run", func(t *testing.T) {
+		cfg := config.Default()
+		cfg.NumInit = 200
+		cfg.NumTrans = 40000
+		cfg.Lambda = 0.05
+		cfg.StakeTimeout = 3000
+		cfg.Churn = churn.Params{Mu: 0.01}
+		w, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Metrics().Churn.Departures == 0 {
+			t.Fatal("fixture: no peer departed")
+		}
+		checkNoOrphanedPlaceholders(t, w)
+	})
+}
+
+// checkNoOrphanedPlaceholders fails unless every evidence-free store slot
+// backs a cached placement.
+func checkNoOrphanedPlaceholders(t *testing.T, w *World) {
+	t.Helper()
 	referenced := map[id.ID]int{} // store node -> evidence-free slots cached placements hold
-	for _, pid := range sortedWorldIDs(w.smCache) {
-		sms := w.smCache[pid].sms
+	for _, pid := range w.slotIDsSorted(cached) {
+		sms := w.slotOf(pid).sm.sms
 		for i, n := range sms {
 			if !id.Contains(sms[:i], n) && !w.Store(n).Known(pid) {
 				referenced[n]++
@@ -221,7 +326,7 @@ func TestDetachEvictsAllPerPeerState(t *testing.T) {
 	check("peers", len(w.slotIDsSorted(func(s *worldSlot) bool { return s.pr != nil })))
 	check("ring", w.Ring().Size())
 	check("stores", len(w.slotIDsSorted(func(s *worldSlot) bool { return s.store != nil })))
-	check("smCache", len(w.smCache))
+	check("placement cache", len(w.slotIDsSorted(cached)))
 	// Slots are never released, but those holding state track the live
 	// population too, and the handle table holds one entry per peer the
 	// run created.
@@ -238,8 +343,8 @@ func TestDetachEvictsAllPerPeerState(t *testing.T) {
 	// (peer, manager) pair for the live population by more than the
 	// transient slack of entries awaiting compaction.
 	slots := 0
-	for _, peers := range w.smDeps {
-		slots += len(peers)
+	for _, s := range w.slots {
+		slots += len(s.smDeps)
 	}
 	if max := int(live+1) * (c.NumSM + 2) * 2; slots > max {
 		t.Errorf("dependency index holds %d slots, want <= %d", slots, max)

@@ -28,9 +28,12 @@ func (w *World) slotIDsSorted(pred func(*worldSlot) bool) []id.ID {
 
 // holdsState reports whether any per-peer field of the slot is set.
 func holdsState(s *worldSlot) bool {
-	return s.pr != nil || s.store != nil || s.departed != nil ||
+	return s.pr != nil || s.store != nil || s.departed != nil || s.sm != nil || len(s.smDeps) > 0 ||
 		s.wiped || s.admitted || s.dirty || s.hasRep || s.inFlight
 }
+
+// cached reports whether the slot holds a cached placement.
+func cached(s *worldSlot) bool { return s.sm != nil }
 
 // smallCfg returns a configuration scaled down for fast integration tests:
 // 60 founders, 8000 ticks, brisk arrivals.
