@@ -281,10 +281,12 @@ func BenchmarkWorldNew(b *testing.B) {
 // tick 1,000 untimed. Each iteration snapshots it, seals the snapshot,
 // opens the file, decodes the body and restores a world from it.
 // allocs_per_peer (heap objects allocated per peer of the population, from
-// the runtime's malloc count) repeats exactly, so BENCH_10.json gates it.
-// One untimed round trip runs first: a process's first round trip also
-// builds the codec's per-type plans, so without it the count would depend
-// on whether an earlier benchmark in the process had made one.
+// the runtime's malloc count) repeats exactly, and bytes_per_peer (the
+// sealed checkpoint's length per peer of the population) is a function of
+// the world alone, so BENCH_10.json gates both. One untimed round trip
+// runs first: a process's first round trip also builds the codec's
+// per-type plans, so without it the count would depend on whether an
+// earlier benchmark in the process had made one.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	cfg := scenario.Mega().Base
 	cfg.NumInit = 5_000
@@ -296,6 +298,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	if err := w.RunFor(1_000); err != nil {
 		b.Fatal(err)
 	}
+	var sealed int
 	roundTrip := func() {
 		snap, err := w.Snapshot()
 		if err != nil {
@@ -305,6 +308,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sealed = len(data)
 		_, body, err := checkpoint.Open(data)
 		if err != nil {
 			b.Fatal(err)
@@ -326,6 +330,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*w.PopulationSize()), "allocs_per_peer")
+	b.ReportMetric(float64(sealed)/float64(w.PopulationSize()), "bytes_per_peer")
 }
 
 // BenchmarkGrowthFootprint measures the paper's headline run — the

@@ -183,19 +183,15 @@ type introRecord struct {
 	state      StakeState
 }
 
-// smLendState is the lending bookkeeping one score-manager node keeps.
-// Each map is made by its first write: most managers never see a double
-// introduction, and reading a nil map is a miss. Duplicate lend and
-// reward copies need no history: a nonce belongs to one executeLend or
-// one Audit, and the synchronous bus delivers every copy inside that
-// call, so a manager drops a copy whose nonce is the last it took, and
-// no later message can carry an earlier one. Nonces start at 1, so the
-// zero value matches none.
+// smLendState is the lending bookkeeping a score-manager node keeps
+// across calls: the credits it accepted and the newcomers it flagged. It
+// is made by the first credit a node accepts or the first flag it sets,
+// so every state holds one or the other. Each map is made by its first
+// write: most managers never see a double introduction, and reading a nil
+// map is a miss.
 type smLendState struct {
-	lastLend   uint64           // nonce of the last lend debited here
-	lastReward uint64           // nonce of the last audit reward credited here
-	bootNonce  map[id.ID]uint64 // newcomer -> nonce of its accepted credit
-	flagged    map[id.ID]bool   // newcomers caught double-introducing
+	bootNonce map[id.ID]uint64 // newcomer -> nonce of its accepted credit
+	flagged   map[id.ID]bool   // newcomers caught double-introducing
 }
 
 // lendSlot is the per-peer record of the protocol: the registered
@@ -205,9 +201,17 @@ type smLendState struct {
 // Handle values never feed output bytes — export iterates ids in sorted
 // order — so a restored protocol may sit at other handles without
 // observable effect.
+//
+// Duplicate lend and reward copies need no history: a nonce belongs to
+// one executeLend or one Audit, and the synchronous bus delivers every
+// copy inside that call, so a manager drops a copy whose nonce is the
+// last it took, and no later message can carry an earlier one. Nonces
+// start at 1, so the zero value matches none.
 type lendSlot struct {
-	ident transport.Identity
-	sm    *smLendState
+	ident      transport.Identity
+	sm         *smLendState
+	lastLend   uint64 // nonce of the last lend debited at this node
+	lastReward uint64 // nonce of the last audit reward credited at this node
 }
 
 // Protocol is the lending coordinator plus the per-node score-manager
@@ -339,12 +343,18 @@ func (p *Protocol) ensureSlot(pid id.ID) *lendSlot {
 	return &p.slots[h]
 }
 
+// slotOf returns pid's slot without making one, nil when it has none.
+func (p *Protocol) slotOf(pid id.ID) *lendSlot {
+	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
+		return &p.slots[h]
+	}
+	return nil
+}
+
 // identityOf returns the registered signing identity held in pid's slot.
 func (p *Protocol) identityOf(pid id.ID) (transport.Identity, bool) {
-	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
-		if ident := p.slots[h].ident; ident != nil {
-			return ident, true
-		}
+	if slot := p.slotOf(pid); slot != nil && slot.ident != nil {
+		return slot.ident, true
 	}
 	return nil, false
 }
@@ -498,7 +508,9 @@ func (p *Protocol) ArenaSlots() (slots, handles int) {
 	return len(p.slots), p.handles.Len()
 }
 
-// smState returns (allocating) the lending state of a node.
+// smState returns the lending state of a node, making it on first use:
+// only a credit the node accepts, a flag it sets or a restored record
+// reaches here.
 func (p *Protocol) smState(node id.ID) *smLendState {
 	slot := p.ensureSlot(node)
 	if slot.sm == nil {
@@ -581,11 +593,14 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	p.bus.SendBatch(introducer, kindLend, payload, introSMs)
 
 	// Admission check: did any of the newcomer's managers accept a credit?
+	// A manager that holds no state accepted none.
 	accepted := false
 	for _, smNode := range p.net.ScoreManagers(newcomer) {
-		if n, ok := p.smState(smNode).bootNonce[newcomer]; ok && n == order.Nonce {
-			accepted = true
-			break
+		if slot := p.slotOf(smNode); slot != nil && slot.sm != nil {
+			if n, ok := slot.sm.bootNonce[newcomer]; ok && n == order.Nonce {
+				accepted = true
+				break
+			}
 		}
 	}
 	if p.flagged[newcomer] {
@@ -631,14 +646,14 @@ func (p *Protocol) dispatch(m transport.Message) {
 // kind tells the two apart.
 func (p *Protocol) onLend(node id.ID, payload any) {
 	env := payload.(transport.Envelope)
-	st := p.smState(node)
-	if st.lastLend == env.Order.Nonce {
+	slot := p.ensureSlot(node)
+	if slot.lastLend == env.Order.Nonce {
 		return // duplicate: dropped whatever the signature says
 	}
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return // forged or tampered order: drop silently
 	}
-	st.lastLend = env.Order.Nonce
+	slot.lastLend = env.Order.Nonce
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
 
 	p.bus.SendBatch(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
@@ -763,8 +778,8 @@ func (p *Protocol) Audit(newcomer id.ID) {
 // after a satisfactory audit: credit introAmt + reward, "subject to the
 // reputation not exceeding 1" (Credit clamps), once per audit nonce.
 func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
-	st := p.smState(node)
-	if st.lastReward == msg.order.Nonce {
+	slot := p.ensureSlot(node)
+	if slot.lastReward == msg.order.Nonce {
 		// Duplicate of an already-credited return: it would be dropped
 		// whatever the signature says, so drop it before asking the
 		// sender to materialise a signature. The audit fan-out delivers
@@ -776,6 +791,6 @@ func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
 	if !p.verifyEnv(env, from) {
 		return // the sender must be the peer whose key signed the return
 	}
-	st.lastReward = env.Order.Nonce
+	slot.lastReward = env.Order.Nonce
 	p.net.Store(node).Credit(env.Order.Introducer, env.Order.Amount+msg.reward)
 }

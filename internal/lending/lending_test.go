@@ -302,6 +302,38 @@ func TestRedundancySurvivesCrashedNewcomerSM(t *testing.T) {
 	}
 }
 
+// TestManagerStateHoldsACreditOrAFlag: a score manager keeps lending state
+// only once it accepts a credit or sets a flag. A lend debits the
+// introducer's managers, an audit credits them back and the admission
+// check reads every manager of the newcomer, a crashed one included; none
+// of that makes state, so the export writes no record that holds neither
+// a boot nonce nor a flag.
+func TestManagerStateHoldsACreditOrAFlag(t *testing.T) {
+	h := newHarness(t)
+	intro, introSMs := h.addPeer("introducer", 1.0)
+	newcomer, newSMs := h.addPeer("newcomer", 0.8)
+	h.bus.Crash(newSMs[0])
+	h.proto.Begin(newcomer, intro, true)
+	h.engine.RunUntil(2000)
+	h.bus.Recover(newSMs[0])
+	for _, sm := range introSMs {
+		h.net.Store(sm).Init(intro, 0.7)
+	}
+	h.proto.Audit(newcomer)
+	if len(h.admitted) != 1 || len(h.audits) != 1 || !h.audits[0] {
+		t.Fatalf("fixture: admitted %v, audits %v", h.admitted, h.audits)
+	}
+	st := h.proto.ExportState()
+	if got, want := len(st.SM), len(newSMs)-1; got != want || h.proto.ManagerStates() != want {
+		t.Errorf("%d manager records and %d states, want one per manager that accepted the credit (%d)", got, h.proto.ManagerStates(), want)
+	}
+	for _, rec := range st.SM {
+		if len(rec.BootNonce) == 0 && len(rec.Flagged) == 0 {
+			t.Errorf("manager %s exports a record with no boot nonce and no flag", rec.Node.Short())
+		}
+	}
+}
+
 func TestAllIntroducerSMsCrashedIsProtocolFailure(t *testing.T) {
 	h := newHarness(t)
 	intro, introSMs := h.addPeer("introducer", 1.0)

@@ -111,12 +111,17 @@ func (p *Protocol) ExportState() State {
 // each live peer, with the identity its own record carries, through
 // RegisterPeer. A table out of the strictly ascending order every export
 // writes (which covers a duplicate record) is refused with an error
-// naming the table and the record, before anything is installed.
+// naming the table and the record, before anything is installed. So is a
+// manager record that holds neither a credit nor a flag, since a manager
+// keeps state only once it holds one or the other.
 func (p *Protocol) RestoreState(st State) error {
 	if err := checkOrder(st); err != nil {
 		return fmt.Errorf("lending: restore: %w", err)
 	}
 	for _, rec := range st.SM {
+		if len(rec.BootNonce) == 0 && len(rec.Flagged) == 0 {
+			return fmt.Errorf("lending: restore: score manager %s holds neither a credit nor a flag", rec.Node.Short())
+		}
 		sm := p.smState(rec.Node)
 		sm.flagged = setOf(rec.Flagged)
 		if len(rec.BootNonce) > 0 {

@@ -1,8 +1,10 @@
 package rocq
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/id"
 )
 
@@ -68,9 +70,13 @@ func TestSubjectIDsSortedAndPresentOnly(t *testing.T) {
 }
 
 func TestOnChangeObservesEveryMutation(t *testing.T) {
-	s := NewStore(DefaultParams())
+	handles := arena.NewOrdinals()
+	s := NewStoreOn(DefaultParams(), handles)
 	var events []id.ID
-	s.SetOnChange(func(subject id.ID) { events = append(events, subject) })
+	s.SetOnChange(func(subject arena.Ordinal) {
+		pid, _ := handles.ID(subject)
+		events = append(events, pid)
+	})
 	a, b := id.FromUint64(1), id.FromUint64(2)
 	s.Init(a, 0.5)
 	s.Report(id.FromUint64(3), a, Opinion{Value: 1, Quality: 0.5, Count: 1})
@@ -79,9 +85,10 @@ func TestOnChangeObservesEveryMutation(t *testing.T) {
 	s.Zero(b)
 	s.Adopt(a, Snapshot{S: 1, W: 2, Reports: 1, Prior: 0.5})
 	s.Forget(a)
-	wantLen := 7
-	if len(events) != wantLen {
-		t.Fatalf("observer saw %d events, want %d: %v", len(events), wantLen, events)
+	want := []id.ID{a, a, b, b, b, a, a}
+	wantLen := len(want)
+	if !slices.Equal(events, want) {
+		t.Fatalf("observer saw %v, want %v", events, want)
 	}
 	// A placeholder Ref and plain queries are not mutations.
 	s.Ref(id.FromUint64(4))
@@ -94,7 +101,7 @@ func TestOnChangeObservesEveryMutation(t *testing.T) {
 func TestDropPlaceholderRecyclesOnlyEmptySlots(t *testing.T) {
 	s := NewStore(DefaultParams())
 	notified := 0
-	s.SetOnChange(func(id.ID) { notified++ })
+	s.SetOnChange(func(arena.Ordinal) { notified++ })
 	empty, held := id.FromUint64(1), id.FromUint64(2)
 	s.Ref(empty)
 	s.Ref(held).Init(0.7)

@@ -314,10 +314,11 @@ type Store struct {
 
 	// onChange, when set, observes every mutation of a subject's stored
 	// evidence (reports, credits, debits, zeroing, init, adoption,
-	// forgetting). The simulation world uses it to dirty-track reputation
-	// reads so periodic sampling touches only subjects that changed.
+	// forgetting), naming the subject by its handle. The simulation world
+	// uses it to dirty-track reputation reads so periodic sampling touches
+	// only subjects that changed.
 	//replend:allow snapshotfields observer hook, re-attached by the restoring world (SetOnChange) — not serializable state
-	onChange func(subject id.ID)
+	onChange func(subject arena.Ordinal)
 }
 
 // subjectMeta is the cold half of one subject slot: reputation reads as
@@ -369,13 +370,14 @@ func (s *Store) Subjects() int { return s.known }
 // Reports returns the total number of reports folded in.
 func (s *Store) Reports() int64 { return s.reports }
 
-// SetOnChange attaches the evidence-mutation observer; nil detaches it.
-func (s *Store) SetOnChange(fn func(subject id.ID)) { s.onChange = fn }
+// SetOnChange attaches the evidence-mutation observer, which receives the
+// subject's handle in the store's table; nil detaches it.
+func (s *Store) SetOnChange(fn func(subject arena.Ordinal)) { s.onChange = fn }
 
 // notify reports a mutation of the slot's subject to the observer.
 func (s *Store) notify(idx int32) {
 	if s.onChange != nil {
-		s.onChange(s.subjectID(idx))
+		s.onChange(s.meta[idx].subject)
 	}
 }
 

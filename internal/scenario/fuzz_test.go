@@ -115,17 +115,17 @@ func sealedBody(f *testing.F, s *world.Snapshot) []byte {
 	return body
 }
 
-// storeWith returns the index of the snapshot's first store whose state
-// satisfies pred.
-func storeWith(f *testing.F, s *world.Snapshot, pred func(rocq.StoreState) bool) int {
+// storeWith returns the snapshot's first store whose state satisfies
+// pred.
+func storeWith(f *testing.F, s *world.Snapshot, pred func(*rocq.StoreState) bool) *rocq.StoreState {
 	f.Helper()
-	for i := range s.Stores {
-		if pred(s.Stores[i].State) {
-			return i
+	for i := range s.Peers {
+		if st := s.Peers[i].Store; st != nil && pred(st) {
+			return st
 		}
 	}
 	f.Fatal("seed snapshot holds no matching store")
-	return -1
+	return nil
 }
 
 // FuzzSnapshotBody skips the envelope digest (which rejects almost every
@@ -138,23 +138,48 @@ func FuzzSnapshotBody(f *testing.F) {
 	}
 	f.Add(sealedBody(f, &world.Snapshot{Version: 1}))
 	// Hostile records, cut from a real snapshot so they pass the decoder
-	// and reach Restore, which must refuse each: a second copy of a peer,
-	// of a store and of a placement-index owner; then ROCQ records, a store
+	// and reach Restore, which must refuse each: a second copy of a peer;
+	// the last live peer marked departed while it still hosts its store; a
+	// placement walk cut to one replica, which neither replays to numSM
+	// managers nor is the ring's padded walk; then ROCQ records, a store
 	// listing one subject twice, a store listing one reporter twice, and a
 	// partner record with count 0 and sum 1, whose next Record would read
 	// an opinion of 2; a live peer without a signer in a signing world,
-	// which would receive no bus message; and a placement whose first two
-	// managers are swapped, which its recorded arcs do not replay to.
+	// which would receive no bus message; and every store dropped, so a
+	// placement's manager hosts none.
+	lastLive := func(f *testing.F, s *world.Snapshot) *world.PeerRecord {
+		for i := len(s.Peers) - 1; i >= 0; i-- {
+			if !s.Peers[i].Departed {
+				return &s.Peers[i]
+			}
+		}
+		f.Fatal("seed snapshot holds no live peer")
+		return nil
+	}
 	for i, mutate := range []func(s *world.Snapshot){
 		func(s *world.Snapshot) { s.Peers = append(s.Peers, s.Peers[len(s.Peers)-1]) },
-		func(s *world.Snapshot) { s.Stores = append(s.Stores, s.Stores[len(s.Stores)-1]) },
-		func(s *world.Snapshot) { s.SMDeps = append(s.SMDeps, s.SMDeps[len(s.SMDeps)-1]) },
 		func(s *world.Snapshot) {
-			st := &s.Stores[storeWith(f, s, func(st rocq.StoreState) bool { return len(st.Subjects) > 0 })].State
+			rec := lastLive(f, s)
+			if rec.Store == nil {
+				f.Fatal("the seed snapshot's last live peer hosts no store")
+			}
+			rec.Departed = true
+		},
+		func(s *world.Snapshot) {
+			for i := range s.Peers {
+				if len(s.Peers[i].Walk) > 1 {
+					s.Peers[i].Walk = s.Peers[i].Walk[:1]
+					return
+				}
+			}
+			f.Fatal("seed snapshot holds no placement")
+		},
+		func(s *world.Snapshot) {
+			st := storeWith(f, s, func(st *rocq.StoreState) bool { return len(st.Subjects) > 0 })
 			st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1])
 		},
 		func(s *world.Snapshot) {
-			st := &s.Stores[storeWith(f, s, func(st rocq.StoreState) bool { return len(st.Cred) > 0 })].State
+			st := storeWith(f, s, func(st *rocq.StoreState) bool { return len(st.Cred) > 0 })
 			st.Cred = append([]rocq.CredRecord{st.Cred[0]}, st.Cred...)
 		},
 		func(s *world.Snapshot) {
@@ -166,23 +191,11 @@ func FuzzSnapshotBody(f *testing.F) {
 			}
 			f.Fatal("seed snapshot holds no opinions")
 		},
+		func(s *world.Snapshot) { lastLive(f, s).Signer = nil },
 		func(s *world.Snapshot) {
-			for i := len(s.Peers) - 1; i >= 0; i-- {
-				if !s.Peers[i].Departed {
-					s.Peers[i].Signer = nil
-					return
-				}
+			for i := range s.Peers {
+				s.Peers[i].Store = nil
 			}
-			f.Fatal("seed snapshot holds no live peer")
-		},
-		func(s *world.Snapshot) {
-			for _, rec := range s.SMCache {
-				if sms := rec.SMs; !rec.Padded && len(sms) > 1 && sms[0] != sms[1] {
-					sms[0], sms[1] = sms[1], sms[0]
-					return
-				}
-			}
-			f.Fatal("seed snapshot holds no placement with two distinct managers")
 		},
 	} {
 		s, err := world.DecodeSnapshotBody(bodies[1])

@@ -22,8 +22,9 @@ import (
 // moved the body to the binary checkpoint codec; version 3 carried world
 // snapshot version 6; version 4 carries world snapshot version 7 and
 // drops the finished flag, which Snapshot only ever wrote false; version
-// 5 carries world snapshot version 8.
-const RunStateVersion = 5
+// 5 carries world snapshot version 8, and version 6 world snapshot
+// version 9.
+const RunStateVersion = 6
 
 // LabelRecord is one bound injection label.
 type LabelRecord struct {

@@ -3,9 +3,7 @@ package transport
 import (
 	"crypto/ed25519"
 	"fmt"
-	"sort"
 
-	"repro/internal/id"
 	"repro/internal/rng"
 )
 
@@ -13,8 +11,10 @@ import (
 // observable behaviour is a pure function of (source state, materialized
 // keypair), so capturing those two is enough to continue the exact stream
 // of signatures and key derivations. The Bus carries run-relevant state in
-// its crash set and activity counters; handlers are re-registered by the
-// protocol layer on restore, so they are not part of the capture.
+// its crash set and activity counters: the world's peer records carry each
+// node's crash flag, which restore sets again with Crash, and handlers are
+// re-registered by the protocol layer on restore, so neither is part of
+// the capture here.
 
 // SignerState is the serializable state of a Signer. Priv is nil when the
 // keypair was never derived — the common case, since most simulated peers
@@ -45,26 +45,6 @@ func SignerFromState(st SignerState) (*Signer, error) {
 		s.pub = s.priv.Public().(ed25519.PublicKey)
 	}
 	return s, nil
-}
-
-// CrashedAddrs returns the currently crashed addresses in ascending ID
-// order, for deterministic encoding.
-func (b *Bus) CrashedAddrs() []id.ID {
-	out := make([]id.ID, 0, len(b.crashed))
-	for addr := range b.crashed {
-		out = append(out, addr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// RestoreCrashed re-marks the given addresses as crashed. Callers must
-// invoke it after all Register calls for the restored membership, since
-// Register clears crash flags.
-func (b *Bus) RestoreCrashed(addrs []id.ID) {
-	for _, addr := range addrs {
-		b.crashed[addr] = true
-	}
 }
 
 // RestoreStats overwrites the activity counters with checkpointed values.

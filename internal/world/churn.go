@@ -481,11 +481,8 @@ func (w *World) removeAdmitted(p *peer.Peer) {
 	}
 	if p.Class == peer.Cooperative {
 		w.m.CoopInSystem--
-		if s.hasRep {
-			w.repSum -= s.rep
-			s.rep = 0
-			s.hasRep = false
-		}
+		w.repSum -= s.rep
+		s.rep = 0
 	} else {
 		w.m.UncoopInSystem--
 	}
@@ -570,7 +567,7 @@ func (w *World) applyHandoff(records []handoffRecord) {
 			w.m.Churn.Wipeouts++
 			w.ensureSlot(rec.subject).wiped = true
 			w.record(telemetry.Wipeout, rec.subject, id.ID{}, "")
-			w.markRepDirty(rec.subject)
+			w.markRepDirty(w.handles.Intern(rec.subject))
 			continue
 		}
 		for _, r := range w.smEntry(rec.subject).refs { // placement after the leave

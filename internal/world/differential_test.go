@@ -50,7 +50,10 @@ func differentialCfgs() []config.Config {
 
 // TestResumedWorldMatchesUncutRun runs each configuration uncut, then
 // again with a checkpoint round trip at half its ticks, and requires the
-// two runs' fingerprints to be byte-identical. The restored world must
+// two runs' fingerprints to be byte-identical and their lending protocols
+// to hold as many score-manager states, which no fingerprint counts: a
+// restore makes one per exported record, the uncut run one per manager
+// that accepted a credit or set a flag. The restored world must
 // give some admitted peer another handle than the cut one: checkpoints
 // carry no handles, and the check proves the resumed arm runs on a
 // renumbered handle table.
@@ -97,6 +100,9 @@ func TestResumedWorldMatchesUncutRun(t *testing.T) {
 			got := fingerprint(t, w)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("cut-and-resumed run diverged from the uncut run (%d vs %d fingerprint bytes)", len(want), len(got))
+			}
+			if got, want := w.Protocol().ManagerStates(), ref.Protocol().ManagerStates(); got != want {
+				t.Fatalf("cut-and-resumed run holds %d score-manager states, the uncut run %d", got, want)
 			}
 		})
 	}

@@ -23,10 +23,14 @@ package world
 //     sequence number, so intra-tick FIFO order is preserved.
 //
 //   - Caches that are pure functions of captured state (ring structure,
-//     signature memos, store placeholder slots) are rebuilt, while
-//     caches whose *layout* feeds deterministic iteration (the
-//     placement cache and its owner index, including stale slots) are
-//     captured verbatim.
+//     signature memos, store placeholder slots) are rebuilt. The
+//     placement cache and its owner index feed deterministic iteration
+//     through their layout, so they are captured by walk and index
+//     order, not verbatim: a placement as the walk that filled it (which
+//     replica keys it consulted, and after which a clockwise skip arc
+//     followed), since each arc's key and owner are what the peer's ID
+//     and the ring give; an owner's index list in its exact order, stale
+//     slots included.
 
 import (
 	"fmt"
@@ -65,8 +69,12 @@ import (
 // Version 8 writes each peer once: live and departed peers share one
 // table, each record carrying its signing identity, so the departed table
 // and the lending protocol's signer table are gone, and score managers
-// keep no lend or reward nonce history.
-const SnapshotVersion = 8
+// keep no lend or reward nonce history. Version 9 folds every table whose
+// state only a live peer holds (stores, crash flags, sampled reputations,
+// in-flight arrivals, placements and owner-index lists) into the peer's
+// record, writes a placement as its walk alone, and writes no empty
+// score-manager record.
+const SnapshotVersion = 9
 
 // Event payload types. Each pending-event kind the world schedules but
 // "transaction" and "sample" carries one, pinning everything its handler
@@ -113,7 +121,8 @@ type EventRecord struct {
 
 // PeerRecord is one peer object — live, or departed but eligible to
 // rejoin — with the signing identity it holds or left under: a nil
-// Signer is the null identity.
+// Signer is the null identity. The fields after Opinions hold state only
+// a live peer has, so a departed record carries none of them.
 type PeerRecord struct {
 	ID          id.ID
 	Departed    bool
@@ -130,43 +139,32 @@ type PeerRecord struct {
 	PlanSeq     int64
 	Plan        *workload.Plan
 	Opinions    []rocq.PartnerRecord
+
+	// Crashed is the node's crash flag on the bus. Arrival is the tick an
+	// in-flight arrival asked for an introduction, so a resumed run
+	// observes the admission latency the uncut run would; nil outside
+	// the waiting period. Rep is the peer's term in the sampled
+	// cooperative sum, zero unless it is an admitted cooperative peer.
+	// Store is the reputation store its node hosts.
+	Crashed bool
+	Arrival *sim.Tick
+	Rep     float64
+	Store   *rocq.StoreState
+	// Walk is the peer's cached placement as the walk that filled it: one
+	// flag per replica key the placement consulted, set where a clockwise
+	// skip arc follows that replica's arc; empty when nothing is cached.
+	// Restore re-derives each arc, its managers and its padded mark.
+	// Index is the owner index at the peer's node: the peers whose cached
+	// placements recorded it as an arc owner, in its exact order, stale
+	// slots included, since scan order feeds the dirty-marking sequence.
+	Walk  []bool
+	Index []id.ID
 }
 
-// StoreRecord is the reputation store hosted at one overlay node.
-type StoreRecord struct {
-	Node  id.ID
-	State rocq.StoreState
-}
-
-// RepRecord is one entry of the sampling cache.
-type RepRecord struct {
-	Peer id.ID
-	Rep  float64
-}
-
-// SMDepRecord is one recorded ownership arc of a cached placement.
-type SMDepRecord struct {
-	Key   id.ID
-	Owner id.ID
-	Skip  bool
-}
-
-// SMCacheRecord is one peer's cached score-manager placement. Stores and
-// refs are re-resolved on restore; the manager set and the dependency
-// arcs are captured verbatim.
-type SMCacheRecord struct {
-	Peer   id.ID
-	SMs    []id.ID
-	Padded bool
-	Deps   []SMDepRecord
-}
-
-// SMDepsRecord is one owner's slice of the placement index, in its exact
-// live order — stale slots included, since scan order feeds the
-// deterministic dirty-marking sequence.
-type SMDepsRecord struct {
-	Owner id.ID
-	Peers []id.ID
+// live reports whether the record carries any state only a live peer
+// holds.
+func (r *PeerRecord) live() bool {
+	return r.Crashed || r.Arrival != nil || r.Rep != 0 || r.Store != nil || len(r.Walk) > 0 || len(r.Index) > 0
 }
 
 // RandState is the position of every random stream the world owns
@@ -203,35 +201,18 @@ type Snapshot struct {
 
 	Peers    []PeerRecord // every live or departed peer, ascending ID
 	Admitted []id.ID      // members in admission order
-	Wiped    []id.ID      // ascending ID
+	// Wiped names every peer whose record was wiped out, forgotten peers
+	// included, so it is a table of its own.
+	Wiped []id.ID // ascending ID
 
-	Stores   []StoreRecord // ascending node ID
 	Topology topology.State
 	Lending  lending.State
-
-	Crashed  []id.ID // ascending ID
 	BusStats transport.Stats
 
-	RepSum    float64
-	RepCached []RepRecord // ascending peer ID
-	DirtyRep  []id.ID     // insertion order, verbatim
-
-	SMCache []SMCacheRecord // ascending peer ID
-	SMDeps  []SMDepsRecord  // ascending owner ID
-
-	// Arrivals carries the in-flight arrival ticks (peers inside the
-	// waiting period), so a resumed run observes the same admission
-	// latencies the uncut run would.
-	Arrivals []ArrivalRecord // ascending peer ID
+	RepSum   float64
+	DirtyRep []id.ID // insertion order, verbatim
 
 	Metrics Metrics
-}
-
-// ArrivalRecord is one in-flight arrival: the tick the peer asked for an
-// introduction.
-type ArrivalRecord struct {
-	Peer id.ID
-	At   sim.Tick
 }
 
 // Snapshot captures the world's full state. The world must be started
@@ -266,11 +247,13 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		DepartClk:    w.departClk,
 		DepartGen:    w.departGen,
 		WkReplayNext: w.wkReplayNext,
-		Crashed:      w.bus.CrashedAddrs(),
 		BusStats:     w.bus.Stats(),
 		RepSum:       w.repSum,
-		DirtyRep:     append([]id.ID(nil), w.dirtyRep...),
+		DirtyRep:     make([]id.ID, len(w.dirtyRep)),
 		Metrics:      w.m,
+	}
+	for i, h := range w.dirtyRep {
+		s.DirtyRep[i], _ = w.handles.ID(h)
 	}
 	// The Cohorts slice would otherwise share its backing array with the
 	// live world, letting later increments mutate the snapshot.
@@ -295,81 +278,53 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		s.Events = append(s.Events, rec)
 	}
 
-	// One walk of the slots in ascending identifier order fills every
-	// per-peer table: a first pass counts each table's records, a second
-	// appends them. A handle past the last slot names no world state. The
-	// placement records' manager sets, arcs and index lists are cut from
-	// one backing array per table instead of one small slice each.
-	walk := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
-	var n struct{ arrivals, peers, wiped, stores, reps, cached, sms, deps, owners int }
-	for _, h := range walk {
+	// One walk of the slots in ascending identifier order fills both
+	// tables: a first pass counts their records, a second appends them. A
+	// handle past the last slot names no world state. Placement walks and
+	// index lists are cut from one backing array each instead of one small
+	// slice per record.
+	slots := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
+	var n struct{ peers, wiped, arcs int }
+	for _, h := range slots {
 		sl := &w.slots[h]
-		if sl.inFlight {
-			n.arrivals++
-		}
 		if sl.pr != nil || sl.departed != nil {
 			n.peers++
 		}
 		if sl.wiped {
 			n.wiped++
 		}
-		if sl.store != nil {
-			n.stores++
-		}
-		if sl.hasRep {
-			n.reps++
-		}
-		if e := sl.sm; e != nil {
-			n.cached++
-			n.sms += len(e.sms)
-			n.deps += len(e.deps)
-		}
-		if len(sl.smDeps) > 0 {
-			n.owners++
+		if sl.sm != nil {
+			n.arcs += len(sl.sm.deps)
 		}
 	}
-	s.Arrivals = slices.Grow(s.Arrivals, n.arrivals)
 	s.Peers = slices.Grow(s.Peers, n.peers)
 	s.Wiped = slices.Grow(s.Wiped, n.wiped)
-	s.Stores = slices.Grow(s.Stores, n.stores)
-	s.RepCached = slices.Grow(s.RepCached, n.reps)
-	s.SMCache = slices.Grow(s.SMCache, n.cached)
-	s.SMDeps = slices.Grow(s.SMDeps, n.owners)
-	sms, deps := make([]id.ID, 0, n.sms), make([]SMDepRecord, 0, n.deps)
-	indexed := make([]id.ID, 0, w.smDepSlots)
-	for _, h := range walk {
+	walks, indexed := make([]bool, 0, n.arcs), make([]id.ID, 0, w.smDepSlots)
+	for _, h := range slots {
 		sl := &w.slots[h]
 		pid, _ := w.handles.ID(h)
-		if sl.inFlight {
-			s.Arrivals = append(s.Arrivals, ArrivalRecord{Peer: pid, At: sl.arrivedAt})
-		}
-		if sl.pr != nil || sl.departed != nil {
-			rec, err := w.peerRecord(pid, sl)
-			if err != nil {
-				return nil, err
-			}
-			s.Peers = append(s.Peers, rec)
-		}
 		if sl.wiped {
 			s.Wiped = append(s.Wiped, pid)
 		}
-		if sl.store != nil {
-			s.Stores = append(s.Stores, StoreRecord{Node: pid, State: sl.store.ExportState()})
+		if sl.pr == nil && sl.departed == nil {
+			continue
 		}
-		if sl.hasRep {
-			s.RepCached = append(s.RepCached, RepRecord{Peer: pid, Rep: sl.rep})
+		rec, err := w.peerRecord(pid, sl)
+		if err != nil {
+			return nil, err
 		}
 		if e := sl.sm; e != nil {
-			from := len(sms)
-			sms = append(sms, e.sms...)
-			rec := SMCacheRecord{Peer: pid, SMs: piece(sms, from), Padded: e.padded}
-			from = len(deps)
+			// A skip arc always follows a replica arc: it flags the
+			// replica before it.
+			from := len(walks)
 			for _, d := range e.deps {
-				owner, _ := w.handles.ID(d.owner)
-				deps = append(deps, SMDepRecord{Key: d.key, Owner: owner, Skip: d.skip})
+				if d.skip {
+					walks[len(walks)-1] = true
+				} else {
+					walks = append(walks, false)
+				}
 			}
-			rec.Deps = piece(deps, from)
-			s.SMCache = append(s.SMCache, rec)
+			rec.Walk = piece(walks, from)
 		}
 		if len(sl.smDeps) > 0 {
 			from := len(indexed)
@@ -377,8 +332,9 @@ func (w *World) Snapshot() (*Snapshot, error) {
 				listed, _ := w.handles.ID(p)
 				indexed = append(indexed, listed)
 			}
-			s.SMDeps = append(s.SMDeps, SMDepsRecord{Owner: pid, Peers: piece(indexed, from)})
+			rec.Index = piece(indexed, from)
 		}
+		s.Peers = append(s.Peers, rec)
 	}
 	s.Admitted = slices.Grow(s.Admitted, len(w.admittedPeers))
 	for _, p := range w.admittedPeers {
@@ -452,8 +408,8 @@ func Restore(s *Snapshot) (*World, error) {
 	// record below interns its peer on first touch, and the world's and
 	// lending's slots sit at those handles. Peer records are the slots'
 	// usual count, and the table's, which also interns every identity the
-	// books, stores and placements below name; they bound the live peers
-	// that take a lending slot and a bus handler.
+	// books, stores and index lists name; they bound the live peers that
+	// take a lending slot and a bus handler.
 	peers := len(s.Peers)
 	w.slots = make([]worldSlot, 0, peers)
 	w.handles.Reserve(peers)
@@ -461,12 +417,14 @@ func Restore(s *Snapshot) (*World, error) {
 	w.bus.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
 
-	// Peers, their identities and the overlay. Records arrive in ascending
-	// ID order and the ring's treap shape is a pure function of membership,
-	// so joining in record order rebuilds the exact structure. Each live
-	// peer registers with lending as attachNode registers it; crash flags
-	// are reapplied afterwards, since registering clears them.
-	for _, rec := range s.Peers {
+	// Peers, their identities, the overlay and what each live node holds.
+	// Records arrive in ascending ID order and the ring's treap shape is a
+	// pure function of membership, so joining in record order rebuilds the
+	// exact structure. Each live peer registers with lending as attachNode
+	// registers it, and its crash flag is set after, since registering
+	// clears it.
+	for i := range s.Peers {
+		rec := &s.Peers[i]
 		sl := w.ensureSlot(rec.ID)
 		p, err := w.restorePeer(rec)
 		if err != nil {
@@ -477,6 +435,9 @@ func Restore(s *Snapshot) (*World, error) {
 			return nil, err
 		}
 		if rec.Departed {
+			if rec.live() {
+				return nil, fmt.Errorf("world: restore: departed peer %s carries state only a live peer holds", rec.ID.Short())
+			}
 			sl.departed = &departedPeer{peer: p, ident: ident}
 			continue
 		}
@@ -484,17 +445,25 @@ func Restore(s *Snapshot) (*World, error) {
 			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
 		}
 		w.proto.RegisterPeer(p.ID, ident)
+		if rec.Crashed {
+			w.bus.Crash(p.ID)
+		}
 		sl.pr = p
+		sl.rep = rec.Rep
+		if rec.Arrival != nil {
+			sl.inFlight, sl.arrivedAt = true, *rec.Arrival
+		}
+		if rec.Store != nil {
+			st := w.newStore()
+			if err := st.RestoreState(*rec.Store); err != nil {
+				return nil, fmt.Errorf("world: restore: store at %s: %w", rec.ID.Short(), err)
+			}
+			sl.store = st
+		}
 	}
 	if err := w.proto.RestoreState(s.Lending); err != nil {
 		return nil, fmt.Errorf("world: restore: %w", err)
 	}
-	for _, pid := range s.Crashed {
-		if w.livePeer(pid) == nil {
-			return nil, fmt.Errorf("world: restore: crashed node %s is not a member", pid.Short())
-		}
-	}
-	w.bus.RestoreCrashed(s.Crashed)
 	w.bus.RestoreStats(s.BusStats)
 
 	for _, pid := range s.Admitted {
@@ -517,19 +486,6 @@ func Restore(s *Snapshot) (*World, error) {
 	}
 	w.topo = topo
 
-	for _, rec := range s.Stores {
-		// Stores exist only at overlay members.
-		sl := w.slotOf(rec.Node)
-		if sl == nil || sl.pr == nil {
-			return nil, fmt.Errorf("world: restore: store at %s, which holds no live peer", rec.Node.Short())
-		}
-		st := w.newStore()
-		if err := st.RestoreState(rec.State); err != nil {
-			return nil, fmt.Errorf("world: restore: store at %s: %w", rec.Node.Short(), err)
-		}
-		sl.store = st
-	}
-
 	for _, pid := range s.Wiped {
 		w.ensureSlot(pid).wiped = true
 	}
@@ -549,89 +505,41 @@ func Restore(s *Snapshot) (*World, error) {
 	w.wkReplayNext = s.WkReplayNext
 
 	w.repSum = s.RepSum
-	for _, rec := range s.RepCached {
-		sl := w.ensureSlot(rec.Peer)
-		sl.hasRep = true
-		sl.rep = rec.Rep
-	}
 	for _, pid := range s.DirtyRep {
-		sl := w.ensureSlot(pid)
+		h := w.handles.Intern(pid)
+		sl := w.slotAt(h)
 		if sl.dirty {
 			return nil, fmt.Errorf("world: restore: duplicate dirty-reputation entry %s", pid.Short())
 		}
 		sl.dirty = true
-		w.dirtyRep = append(w.dirtyRep, pid)
+		w.dirtyRep = append(w.dirtyRep, h)
 	}
 
-	// Placements are copied out of the snapshot, never adopted: repairs
-	// patch an entry's arcs and compact an owner's index list in place,
-	// which would write through to the snapshot's records. Each names its
-	// peers and owners by handle. An export writes a placement only for a
-	// ring member, each arc owner is a member, a non-padded entry's
-	// managers are what its arcs replay to, and a padded one's (which no
-	// repair replays) what the ring places, so anything else is refused.
-	for _, rec := range s.SMCache {
-		h, live := w.liveHandle(rec.Peer)
-		switch {
-		case !live:
-			return nil, fmt.Errorf("world: restore: placement of %s, which is not a live peer", rec.Peer.Short())
-		case len(rec.Deps) == 0:
-			return nil, fmt.Errorf("world: restore: placement of %s records no arcs", rec.Peer.Short())
+	// Placements and index lists, once the ring and every store are whole:
+	// a walk's arcs are re-derived from the ring, and its managers must
+	// host stores. Index lists are copied out of the snapshot, never
+	// adopted, since repairs compact them in place. A list may name a peer
+	// that holds no slot: a stale handle of a forgotten peer, which repairs
+	// read through cachedAt.
+	for i := range s.Peers {
+		rec := &s.Peers[i]
+		if len(rec.Walk) == 0 && len(rec.Index) == 0 {
+			continue
 		}
-		e := &smCacheEntry{
-			sms:    append([]id.ID(nil), rec.SMs...),
-			deps:   make([]smDep, len(rec.Deps)),
-			padded: rec.Padded,
-		}
-		for i, d := range rec.Deps {
-			owner, live := w.liveHandle(d.Owner)
-			if !live {
-				return nil, fmt.Errorf("world: restore: placement of %s has an arc owned by %s, which is not a live peer", rec.Peer.Short(), d.Owner.Short())
-			}
-			e.deps[i] = smDep{key: d.Key, owner: owner, skip: d.Skip}
-		}
-		if e.padded != cycled(e.sms) {
-			return nil, fmt.Errorf("world: restore: placement of %s is marked padded %v against its managers", rec.Peer.Short(), e.padded)
-		}
-		if e.padded {
-			fresh, err := w.ring.ScoreManagers(rec.Peer, w.cfg.NumSM)
-			if err != nil || !slices.Equal(fresh, e.sms) {
-				return nil, fmt.Errorf("world: restore: padded placement of %s names managers the ring does not place", rec.Peer.Short())
-			}
-		} else {
-			sms, ok := w.replay(h, e, w.smScratch[:0])
-			w.smScratch = sms
-			if !ok || !slices.Equal(sms, e.sms) {
-				return nil, fmt.Errorf("world: restore: placement of %s names managers its arcs do not replay to", rec.Peer.Short())
+		h, _ := w.handles.Get(rec.ID)
+		if len(rec.Walk) > 0 {
+			if err := w.restorePlacement(rec.ID, h, rec.Walk); err != nil {
+				return nil, err
 			}
 		}
-		e.refs = make([]rocq.Ref, len(e.sms))
-		for i, n := range e.sms {
-			st, ok := w.storeAt(n)
-			if !ok {
-				return nil, fmt.Errorf("world: restore: placement of %s references missing store %s", rec.Peer.Short(), n.Short())
+		if len(rec.Index) > 0 {
+			list := make([]arena.Ordinal, len(rec.Index))
+			for j, pid := range rec.Index {
+				list[j] = w.handles.Intern(pid)
 			}
-			e.refs[i] = st.RefHandle(h)
+			w.slots[h].smDeps = list
+			w.smDepSlots += len(list)
 		}
-		w.slots[h].sm = e
-		w.smCached++
-	}
-	// An index list may name a peer that holds no slot: a stale handle of
-	// a forgotten peer, which repairs read through cachedAt.
-	for _, rec := range s.SMDeps {
-		owner, live := w.liveHandle(rec.Owner)
-		switch {
-		case !live:
-			return nil, fmt.Errorf("world: restore: placement index at %s, which is not a live peer", rec.Owner.Short())
-		case len(rec.Peers) == 0:
-			return nil, fmt.Errorf("world: restore: placement index at %s is empty", rec.Owner.Short())
-		}
-		list := make([]arena.Ordinal, len(rec.Peers))
-		for i, pid := range rec.Peers {
-			list[i] = w.handles.Intern(pid)
-		}
-		w.slots[owner].smDeps = list
-		w.smDepSlots += len(list)
 	}
 
 	w.m = s.Metrics
@@ -651,15 +559,6 @@ func Restore(s *Snapshot) (*World, error) {
 	w.m.AuditWait = restoredHistogram(s.Metrics.AuditWait, "audit-wait")
 	w.m.SessionLength = restoredHistogram(s.Metrics.SessionLength, "session-length")
 
-	for _, rec := range s.Arrivals {
-		sl := w.slotOf(rec.Peer)
-		if sl == nil || sl.pr == nil {
-			return nil, fmt.Errorf("world: restore: in-flight arrival %s has no peer record", rec.Peer.Short())
-		}
-		sl.inFlight = true
-		sl.arrivedAt = rec.At
-	}
-
 	events := make([]sim.PendingEvent, len(s.Events))
 	for i, rec := range s.Events {
 		if events[i], err = w.decodeEvent(rec); err != nil {
@@ -673,34 +572,63 @@ func Restore(s *Snapshot) (*World, error) {
 	return w, nil
 }
 
-// liveHandle returns the handle of a peer whose slot holds it live, and
-// false for a departed or unknown one.
-func (w *World) liveHandle(pid id.ID) (arena.Ordinal, bool) {
-	h, ok := w.handles.Get(pid)
-	return h, ok && int(h) < len(w.slots) && w.slots[h].pr != nil
+// restorePlacement caches the placement of the live peer pid, at handle h,
+// that the given walk filled. Replica arc r keys pid.Replica(r) and is
+// owned by the ring's successor of that key; a skip arc keys pid and is
+// owned by its next member: every repair keeps an arc so. The managers are
+// what the arcs replay to, unless the walk is padded: no repair replays a
+// padded placement, so a walk that does not replay must be the one the
+// ring walks now, which is then padded. Each manager must host a store,
+// where the placement's references point.
+func (w *World) restorePlacement(pid id.ID, h arena.Ordinal, walk []bool) error {
+	next, _ := w.ring.NextMember(pid)
+	skipTo := w.handles.Intern(next)
+	arcs := len(walk)
+	for _, skip := range walk {
+		if skip {
+			arcs++
+		}
+	}
+	e := &smCacheEntry{deps: make([]smDep, 0, arcs)}
+	for r, skip := range walk {
+		key := pid.Replica(r)
+		owner, _ := w.ring.Successor(key)
+		e.deps = append(e.deps, smDep{key: key, owner: w.handles.Intern(owner)})
+		if skip {
+			e.deps = append(e.deps, smDep{key: pid, owner: skipTo, skip: true})
+		}
+	}
+	if sms, ok := w.replay(h, e, make([]id.ID, 0, w.cfg.NumSM)); ok {
+		e.sms = sms
+	} else {
+		fresh, err := w.walk(pid, h, w.ring.Size() > 1)
+		if err != nil || !slices.Equal(fresh.deps, e.deps) {
+			return fmt.Errorf("world: restore: placement of %s has a walk that neither replays to %d managers nor is the ring's padded walk", pid.Short(), w.cfg.NumSM)
+		}
+		e = fresh
+	}
+	e.refs = make([]rocq.Ref, len(e.sms))
+	for i, n := range e.sms {
+		st, ok := w.storeAt(n)
+		if !ok {
+			return fmt.Errorf("world: restore: placement of %s has manager %s, which hosts no store", pid.Short(), n.Short())
+		}
+		e.refs[i] = st.RefHandle(h)
+	}
+	w.slots[h].sm = e
+	w.smCached++
+	return nil
 }
 
-// checkOrder refuses any ID-keyed table of s that is not strictly
+// checkOrder refuses a peer or wiped-peer table of s that is not strictly
 // ascending, as every export writes it; that covers a duplicate record.
 // The admission list and the dirty-reputation queue keep insertion order.
 func checkOrder(s *Snapshot) error {
-	self := func(d id.ID) id.ID { return d }
-	for _, t := range []struct {
-		name string
-		err  error
-	}{
-		{"peer", id.Ascending(s.Peers, func(r PeerRecord) id.ID { return r.ID }, id.ID.Cmp)},
-		{"wiped peer", id.Ascending(s.Wiped, self, id.ID.Cmp)},
-		{"store at", id.Ascending(s.Stores, func(r StoreRecord) id.ID { return r.Node }, id.ID.Cmp)},
-		{"crashed node", id.Ascending(s.Crashed, self, id.ID.Cmp)},
-		{"cached reputation of", id.Ascending(s.RepCached, func(r RepRecord) id.ID { return r.Peer }, id.ID.Cmp)},
-		{"placement entry", id.Ascending(s.SMCache, func(r SMCacheRecord) id.ID { return r.Peer }, id.ID.Cmp)},
-		{"placement-index owner", id.Ascending(s.SMDeps, func(r SMDepsRecord) id.ID { return r.Owner }, id.ID.Cmp)},
-		{"in-flight arrival", id.Ascending(s.Arrivals, func(r ArrivalRecord) id.ID { return r.Peer }, id.ID.Cmp)},
-	} {
-		if t.err != nil {
-			return fmt.Errorf("%s %w", t.name, t.err)
-		}
+	if err := id.Ascending(s.Peers, func(r PeerRecord) id.ID { return r.ID }, id.ID.Cmp); err != nil {
+		return fmt.Errorf("peer %w", err)
+	}
+	if err := id.Ascending(s.Wiped, func(d id.ID) id.ID { return d }, id.ID.Cmp); err != nil {
+		return fmt.Errorf("wiped peer %w", err)
 	}
 	return nil
 }
@@ -784,7 +712,8 @@ func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
 }
 
 // peerRecord captures the peer a slot holds, live or departed, with its
-// signing identity. It fails on identity kinds the format does not know
+// signing identity and, for a live peer, what its node holds but the
+// placement cache. It fails on identity kinds the format does not know
 // about.
 func (w *World) peerRecord(pid id.ID, sl *worldSlot) (PeerRecord, error) {
 	p := sl.pr
@@ -821,12 +750,25 @@ func (w *World) peerRecord(pid id.ID, sl *worldSlot) (PeerRecord, error) {
 		cp := *p.Plan
 		rec.Plan = &cp
 	}
+	if sl.pr == nil {
+		return rec, nil
+	}
+	rec.Crashed = w.bus.IsCrashed(pid)
+	if sl.inFlight {
+		at := sl.arrivedAt
+		rec.Arrival = &at
+	}
+	rec.Rep = sl.rep
+	if sl.store != nil {
+		st := sl.store.ExportState()
+		rec.Store = &st
+	}
 	return rec, nil
 }
 
 // restorePeer rebuilds one peer object, in the world's slab, from its
 // record.
-func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
+func (w *World) restorePeer(rec *PeerRecord) (*peer.Peer, error) {
 	p := w.newPeer(rec.ID, rec.Class, rec.Style)
 	p.JoinedAt = rec.JoinedAt
 	p.Completed = rec.Completed
@@ -850,7 +792,7 @@ func (w *World) restorePeer(rec PeerRecord) (*peer.Peer, error) {
 // identity in a null-signing world, the captured signer otherwise. A
 // record that contradicts cfg.NullSign, which fixes every identity a world
 // makes, is refused.
-func (w *World) restoreIdentity(rec PeerRecord) (transport.Identity, error) {
+func (w *World) restoreIdentity(rec *PeerRecord) (transport.Identity, error) {
 	switch {
 	case w.cfg.NullSign && rec.Signer != nil:
 		return nil, fmt.Errorf("world: restore: peer %s has a signer in a null-signing world", rec.ID.Short())

@@ -301,11 +301,12 @@ func TestSnapshotScriptedChurn(t *testing.T) {
 
 // TestRestoreNeverWritesThroughToSnapshot restores one snapshot twice.
 // The first restored world runs until joins and leaves have patched
-// restored placements in place; the snapshot must still encode to its
-// original bytes, and the second world, restored from it afterwards, must
-// finish with the uncut run's fingerprint. A snapshot cuts its placement
-// records from shared backing arrays, so appending to one record must
-// leave the next one unchanged.
+// restored placements in place and compacted restored index lists; the
+// snapshot must still encode to its original bytes, and the second world,
+// restored from it afterwards, must finish with the uncut run's
+// fingerprint. A snapshot cuts its placement walks and index lists from
+// shared backing arrays, so appending to one record's must leave the next
+// one unchanged.
 func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	cfg := churnyCfg(8)
 	end := sim.Tick(cfg.NumTrans)
@@ -334,22 +335,18 @@ func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	orig, err := openSnapshot(data)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
-	}
-	recorded := make(map[id.ID][]SMDepRecord, len(orig.SMCache))
-	for _, rec := range orig.SMCache {
-		recorded[rec.Peer] = rec.Deps
-	}
-
 	first, err := Restore(snap)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	entries := make(map[id.ID]*smCacheEntry)
-	for _, pid := range first.slotIDsSorted(func(s *worldSlot) bool { return s.sm != nil }) {
-		entries[pid] = first.slotOf(pid).sm
+	type restored struct {
+		e    *smCacheEntry
+		deps []smDep
+	}
+	entries := make(map[id.ID]restored)
+	for _, pid := range first.slotIDsSorted(cached) {
+		e := first.slotOf(pid).sm
+		entries[pid] = restored{e, slices.Clone(e.deps)}
 	}
 	if err := first.RunFor(end - snap.Now); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -357,16 +354,9 @@ func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	// Count the restored entries that survived the run with their arcs
 	// patched in place; with none the check below would prove nothing.
 	patched := 0
-	for pid, e := range entries {
-		if first.slotOf(pid).sm != e {
-			continue // evicted or recomputed
-		}
-		for i, d := range e.deps {
-			owner, _ := first.handles.ID(d.owner)
-			if r := recorded[pid][i]; d.key != r.Key || owner != r.Owner || d.skip != r.Skip {
-				patched++
-				break
-			}
+	for pid, r := range entries {
+		if first.slotOf(pid).sm == r.e && !slices.Equal(r.e.deps, r.deps) {
+			patched++
 		}
 	}
 	if patched == 0 {
@@ -392,28 +382,32 @@ func TestRestoreNeverWritesThroughToSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	// Each table's first two records that both hold entries.
-	pair := func(n int, size func(int) int) int {
-		for i := 0; i+1 < n; i++ {
-			if size(i) > 0 && size(i+1) > 0 {
-				return i
+	// The first record with a field after which another record has one.
+	pair := func(size func(r *PeerRecord) int) (int, int) {
+		for i := range fresh.Peers {
+			if size(&fresh.Peers[i]) == 0 {
+				continue
+			}
+			for j := i + 1; j < len(fresh.Peers); j++ {
+				if size(&fresh.Peers[j]) > 0 {
+					return i, j
+				}
 			}
 		}
-		t.Fatal("fixture too small: no two neighbouring records with entries")
-		return 0
+		t.Fatal("fixture too small: no two records with entries")
+		return 0, 0
 	}
-	c := pair(len(fresh.SMCache), func(i int) int { return len(fresh.SMCache[i].Deps) })
-	nextSMs, nextDeps := slices.Clone(fresh.SMCache[c+1].SMs), slices.Clone(fresh.SMCache[c+1].Deps)
-	_ = append(fresh.SMCache[c].SMs, id.ID{})
-	_ = append(fresh.SMCache[c].Deps, SMDepRecord{})
-	if !slices.Equal(fresh.SMCache[c+1].SMs, nextSMs) || !slices.Equal(fresh.SMCache[c+1].Deps, nextDeps) {
-		t.Fatal("appending to one placement record changed the next one")
+	c, d := pair(func(r *PeerRecord) int { return len(r.Walk) })
+	nextWalk := slices.Clone(fresh.Peers[d].Walk)
+	_ = append(fresh.Peers[c].Walk, true)
+	if !slices.Equal(fresh.Peers[d].Walk, nextWalk) {
+		t.Fatal("appending to one placement walk changed the next one")
 	}
-	o := pair(len(fresh.SMDeps), func(i int) int { return len(fresh.SMDeps[i].Peers) })
-	nextPeers := slices.Clone(fresh.SMDeps[o+1].Peers)
-	_ = append(fresh.SMDeps[o].Peers, id.ID{})
-	if !slices.Equal(fresh.SMDeps[o+1].Peers, nextPeers) {
-		t.Fatal("appending to one placement-index record changed the next one")
+	o, q := pair(func(r *PeerRecord) int { return len(r.Index) })
+	nextIndex := slices.Clone(fresh.Peers[q].Index)
+	_ = append(fresh.Peers[o].Index, id.ID{})
+	if !slices.Equal(fresh.Peers[q].Index, nextIndex) {
+		t.Fatal("appending to one index list changed the next one")
 	}
 }
 
@@ -584,18 +578,15 @@ func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
 	// The first store with subjects, the first with credibilities and the
 	// first peer with opinions carry the mutations.
 	subjects, creds, opinions := -1, -1, -1
-	for i, st := range snap.Stores {
-		if subjects < 0 && len(st.State.Subjects) > 0 {
+	for i, p := range snap.Peers {
+		if st := p.Store; st != nil && subjects < 0 && len(st.Subjects) > 0 {
 			subjects = i
 		}
-		if creds < 0 && len(st.State.Cred) > 0 {
+		if st := p.Store; st != nil && creds < 0 && len(st.Cred) > 0 {
 			creds = i
 		}
-	}
-	for i, p := range snap.Peers {
-		if len(p.Opinions) > 0 {
+		if opinions < 0 && len(p.Opinions) > 0 {
 			opinions = i
-			break
 		}
 	}
 	if subjects < 0 || creds < 0 || opinions < 0 {
@@ -608,15 +599,15 @@ func TestRestoreRejectsHostileROCQRecords(t *testing.T) {
 	}{
 		{"pristine", func(*Snapshot) {}, nil},
 		{"duplicate subject", func(s *Snapshot) {
-			st := &s.Stores[subjects].State
+			st := s.Peers[subjects].Store
 			st.Subjects = append(st.Subjects, st.Subjects[len(st.Subjects)-1])
-		}, []string{"store at " + snap.Stores[subjects].Node.Short(), "not strictly ascending"}},
+		}, []string{"store at " + snap.Peers[subjects].ID.Short(), "not strictly ascending"}},
 		{"duplicate reporter", func(s *Snapshot) {
-			st := &s.Stores[creds].State
+			st := s.Peers[creds].Store
 			dup := st.Cred[0]
 			dup.Cred /= 2
 			st.Cred = append([]rocq.CredRecord{dup}, st.Cred...)
-		}, []string{"store at " + snap.Stores[creds].Node.Short(), "not strictly ascending"}},
+		}, []string{"store at " + snap.Peers[creds].ID.Short(), "not strictly ascending"}},
 		{"partner count zero", func(s *Snapshot) {
 			s.Peers[opinions].Opinions[0].Count, s.Peers[opinions].Opinions[0].Sum = 0, 1
 		}, []string{"peer " + snap.Peers[opinions].ID.Short(), "count 0"}},
@@ -718,6 +709,10 @@ func TestRestoreRejectsHostileLendingRecords(t *testing.T) {
 			rec := &l.SM[0]
 			rec.Flagged = append(rec.Flagged, lastPeer, lastPeer)
 		}, []string{manager(0), "flagged peer " + lastPeer.Short(), "not strictly ascending"}},
+		{"manager record with neither a credit nor a flag", func(l *lending.State) {
+			l.SM[boots].BootNonce = nil
+			l.SM[boots].Flagged = nil
+		}, []string{manager(boots), "neither a credit nor a flag"}},
 	}
 	for _, tc := range cases {
 		s, err := openSnapshot(data)
@@ -812,14 +807,11 @@ func TestRestoreKeepsWipeMarksOfForgottenPeers(t *testing.T) {
 // of the strictly ascending order every export writes — here with its
 // first two records swapped — must be refused with an error naming the
 // table and the record, not restored into a world that re-snapshots to
-// other bytes. The fixture gives every such table two records or more: a
-// second wiped-out peer, and two members whose nodes crashed.
+// other bytes. The fixture gives both such tables two records or more: a
+// second wiped-out peer beside the forgotten one.
 func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 	w, _ := forgottenWipedPeer(t)
 	wipeOutReputedPeer(t, w)
-	for _, pid := range w.AdmittedPeers()[:2] {
-		w.Bus().Crash(pid)
-	}
 	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -835,12 +827,6 @@ func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 	}{
 		{"peer", keysOf(snap.Peers, func(r PeerRecord) id.ID { return r.ID }), func(s *Snapshot) { swapFirstTwo(s.Peers) }},
 		{"wiped peer", snap.Wiped, func(s *Snapshot) { swapFirstTwo(s.Wiped) }},
-		{"store at", keysOf(snap.Stores, func(r StoreRecord) id.ID { return r.Node }), func(s *Snapshot) { swapFirstTwo(s.Stores) }},
-		{"crashed node", snap.Crashed, func(s *Snapshot) { swapFirstTwo(s.Crashed) }},
-		{"cached reputation of", keysOf(snap.RepCached, func(r RepRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.RepCached) }},
-		{"placement entry", keysOf(snap.SMCache, func(r SMCacheRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.SMCache) }},
-		{"placement-index owner", keysOf(snap.SMDeps, func(r SMDepsRecord) id.ID { return r.Owner }), func(s *Snapshot) { swapFirstTwo(s.SMDeps) }},
-		{"in-flight arrival", keysOf(snap.Arrivals, func(r ArrivalRecord) id.ID { return r.Peer }), func(s *Snapshot) { swapFirstTwo(s.Arrivals) }},
 	}
 	if _, err := Restore(snap); err != nil {
 		t.Fatalf("pristine: Restore: %v", err)
@@ -867,21 +853,20 @@ func TestRestoreRejectsOutOfOrderWorldTables(t *testing.T) {
 }
 
 // TestRestoreRejectsRecordsNoExportWrites feeds Restore per-peer records
-// no export writes, each cut from a real snapshot: a store at a node that
-// holds no live peer (stores exist only at overlay members), an admission
-// list naming a peer twice, which would count the peer twice in the
-// population, a departed peer's record copied in as a live one (a peer
-// both live and departed, which one record per peer rules out), and
-// identities that contradict the world's signing mode, which fixes every
-// identity the world makes (a live peer without a signer in a signing
-// world, and the same snapshot with Config.NullSign set). Placement
-// records follow the same rule: an export writes a placement only for a
-// ring member, with arcs, each arc owned by a member, marked padded
-// exactly when its managers repeat, and with the managers its arcs
-// replay to unless padded; it writes an owner index list only at a
-// member, and never an empty one. A list naming an unknown
-// peer is accepted, because a forgotten peer's stale index entry looks
-// exactly like that; the world restored from it must run on.
+// no export writes, each cut from a real snapshot, and requires an error
+// naming the peer: an admission list naming a peer twice, which would
+// count the peer twice in the population; a departed peer's record copied
+// in as a live one (a peer both live and departed, which one record per
+// peer rules out); identities that contradict the world's signing mode,
+// which fixes every identity the world makes (a live peer without a signer
+// in a signing world, and the same snapshot with Config.NullSign set); a
+// departed record carrying any state only a live peer holds (a crash flag,
+// an in-flight arrival, a sampled reputation, a store, a placement walk or
+// an index list); a walk that neither replays to numSM managers nor is
+// the ring's padded walk, here one cut to its first replica; and a
+// placement whose manager hosts no store. A list naming an unknown peer is
+// accepted, because a forgotten peer's stale index entry looks exactly
+// like that; the world restored from it must run on.
 func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 	w, err := New(churnyCfg(7))
 	if err != nil {
@@ -900,54 +885,31 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	gone := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool { return r.Departed })
-	if gone < 0 || len(snap.Admitted) == 0 || snap.Config.NullSign {
-		t.Fatalf("fixture: departed record at %d, %d admitted, null signing %v", gone, len(snap.Admitted), snap.Config.NullSign)
+	placed := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool { return len(r.Walk) > 1 })
+	if gone < 0 || placed < 0 || len(snap.Admitted) == 0 || snap.Config.NullSign {
+		t.Fatalf("fixture: departed record at %d, placement at %d, %d admitted, null signing %v", gone, placed, len(snap.Admitted), snap.Config.NullSign)
 	}
-	storeAt := func(node id.ID) func(s *Snapshot) {
-		return func(s *Snapshot) {
-			i, _ := slices.BinarySearchFunc(s.Stores, node, func(r StoreRecord, n id.ID) int { return r.Node.Cmp(n) })
-			s.Stores = slices.Insert(s.Stores, i, StoreRecord{Node: node})
-		}
-	}
-	ghost, departed, admitted := id.HashString("ghost"), snap.Peers[gone].ID, snap.Admitted[0]
+	departed, admitted := snap.Peers[gone].ID, snap.Admitted[0]
 	last := snap.Admitted[len(snap.Admitted)-1]
-	// placementOf copies the first placement record in under another peer.
-	placementOf := func(pid id.ID) func(s *Snapshot) {
-		return func(s *Snapshot) {
-			rec := s.SMCache[0]
-			rec.Peer = pid
-			i, _ := slices.BinarySearchFunc(s.SMCache, pid, func(r SMCacheRecord, n id.ID) int { return r.Peer.Cmp(n) })
-			s.SMCache = slices.Insert(s.SMCache, i, rec)
-		}
+	// The manager of the placed peer that loses its store, and the first
+	// peer in restore order whose placement names it.
+	manager := w.ScoreManagers(snap.Peers[placed].ID)[0]
+	host := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool { return r.ID == manager })
+	named := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool {
+		return len(r.Walk) > 0 && id.Contains(w.slotOf(r.ID).sm.sms, manager)
+	})
+	// carrying gives the departed record one field only a live peer has.
+	carrying := func(set func(r *PeerRecord)) func(s *Snapshot) {
+		return func(s *Snapshot) { set(&s.Peers[gone]) }
 	}
-	// indexAt inserts an owner index list naming one admitted peer.
-	indexAt := func(owner id.ID) func(s *Snapshot) {
-		return func(s *Snapshot) {
-			i, _ := slices.BinarySearchFunc(s.SMDeps, owner, func(r SMDepsRecord, n id.ID) int { return r.Owner.Cmp(n) })
-			s.SMDeps = slices.Insert(s.SMDeps, i, SMDepsRecord{Owner: owner, Peers: []id.ID{admitted}})
-		}
-	}
-	arcOwner := func(owner id.ID) func(s *Snapshot) {
-		return func(s *Snapshot) { s.SMCache[0].Deps[0].Owner = owner }
-	}
-	if len(snap.SMCache) == 0 || len(snap.SMDeps) == 0 {
-		t.Fatalf("fixture: %d placements, %d index lists", len(snap.SMCache), len(snap.SMDeps))
-	}
-	placed, owner := snap.SMCache[0].Peer, snap.SMDeps[0].Owner
-	// The first non-padded placement with two distinct managers.
-	swapped := slices.IndexFunc(snap.SMCache, func(r SMCacheRecord) bool { return !r.Padded && len(r.SMs) > 1 && r.SMs[0] != r.SMs[1] })
-	if swapped < 0 {
-		t.Fatal("fixture: no placement with two distinct managers")
-	}
-	reordered := snap.SMCache[swapped].Peer
+	tick := sim.Tick(1)
+	liveOnly := []string{"departed peer " + departed.Short(), "only a live peer holds"}
 	cases := []struct {
 		name   string
 		mutate func(s *Snapshot)
 		want   []string
 	}{
 		{"pristine", func(*Snapshot) {}, nil},
-		{"store at an unknown node", storeAt(ghost), []string{"store at " + ghost.Short(), "holds no live peer"}},
-		{"store at a departed peer", storeAt(departed), []string{"store at " + departed.Short(), "holds no live peer"}},
 		{"peer admitted twice", func(s *Snapshot) {
 			s.Admitted = append(s.Admitted, admitted)
 		}, []string{"peer " + admitted.Short(), "admitted twice"}},
@@ -963,28 +925,23 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 		{"signers in a null-signing world", func(s *Snapshot) {
 			s.Config.NullSign = true
 		}, []string{"peer " + snap.Peers[0].ID.Short(), "signer in a null-signing world"}},
-		{"placement of a departed peer", placementOf(departed), []string{"placement of " + departed.Short(), "not a live peer"}},
-		{"placement of an unknown peer", placementOf(ghost), []string{"placement of " + ghost.Short(), "not a live peer"}},
-		{"arc owned by an unknown node", arcOwner(ghost), []string{"placement of " + placed.Short(), "arc owned by " + ghost.Short()}},
-		{"arc owned by a departed peer", arcOwner(departed), []string{"placement of " + placed.Short(), "arc owned by " + departed.Short()}},
-		{"index list at a departed peer", indexAt(departed), []string{"placement index at " + departed.Short(), "not a live peer"}},
-		{"index list at an unknown node", indexAt(ghost), []string{"placement index at " + ghost.Short(), "not a live peer"}},
-		{"empty index list", func(s *Snapshot) {
-			s.SMDeps[0].Peers = nil
-		}, []string{"placement index at " + owner.Short(), "is empty"}},
-		{"placement without arcs", func(s *Snapshot) {
-			s.SMCache[0].Deps = nil
-		}, []string{"placement of " + placed.Short(), "records no arcs"}},
-		{"managers its arcs do not replay to", func(s *Snapshot) {
-			sms := s.SMCache[swapped].SMs
-			sms[0], sms[1] = sms[1], sms[0]
-		}, []string{"placement of " + reordered.Short(), "do not replay to"}},
-		{"distinct managers marked padded", func(s *Snapshot) {
-			s.SMCache[swapped].Padded = true
-		}, []string{"placement of " + reordered.Short(), "marked padded true"}},
+		{"departed peer crashed", carrying(func(r *PeerRecord) { r.Crashed = true }), liveOnly},
+		{"departed peer in flight", carrying(func(r *PeerRecord) { r.Arrival = &tick }), liveOnly},
+		{"departed peer sampled", carrying(func(r *PeerRecord) { r.Rep = 0.5 }), liveOnly},
+		{"departed peer hosting a store", carrying(func(r *PeerRecord) { r.Store = &rocq.StoreState{} }), liveOnly},
+		{"departed peer with a placement", carrying(func(r *PeerRecord) { r.Walk = make([]bool, 4*snap.Config.NumSM) }), liveOnly},
+		{"departed peer with an index list", carrying(func(r *PeerRecord) { r.Index = []id.ID{admitted} }), liveOnly},
+		{"walk cut to its first replica", func(s *Snapshot) {
+			s.Peers[placed].Walk = s.Peers[placed].Walk[:1]
+		}, []string{"placement of " + snap.Peers[placed].ID.Short(), "neither replays to"}},
+		{"manager without a store", func(s *Snapshot) {
+			s.Peers[host].Store = nil
+		}, []string{"placement of " + snap.Peers[named].ID.Short(), "manager " + manager.Short() + ", which hosts no store"}},
 		{"index lists naming an unknown peer", func(s *Snapshot) {
-			for i := range s.SMDeps {
-				s.SMDeps[i].Peers = append(s.SMDeps[i].Peers, ghost)
+			for i := range s.Peers {
+				if len(s.Peers[i].Index) > 0 {
+					s.Peers[i].Index = append(s.Peers[i].Index, id.HashString("ghost"))
+				}
 			}
 		}, nil},
 	}
@@ -1016,9 +973,9 @@ func TestRestoreRejectsRecordsNoExportWrites(t *testing.T) {
 
 // TestRestoreRejectsPaddedPlacementsNoExportWrites: on a ring too small
 // for numSM distinct managers every placement is padded, and no repair
-// replays a padded placement, so restore checks it against the ring. A
-// padded placement with its first two managers swapped, and one whose
-// padding flag is cleared, are refused, each naming the peer.
+// replays a padded placement, so restore requires its walk to be the one
+// the ring walks now. A padded walk cut short, one grown by a replica and
+// one with a skip arc taken off are refused, each naming the peer.
 func TestRestoreRejectsPaddedPlacementsNoExportWrites(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumInit = 3
@@ -1039,25 +996,26 @@ func TestRestoreRejectsPaddedPlacementsNoExportWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	i := slices.IndexFunc(snap.SMCache, func(r SMCacheRecord) bool { return r.Padded && r.SMs[0] != r.SMs[1] })
-	if i < 0 {
-		t.Fatal("fixture: no padded placement leading with two distinct managers")
+	i := slices.IndexFunc(snap.Peers, func(r PeerRecord) bool { return slices.Contains(r.Walk, true) })
+	if i < 0 || !w.slotOf(snap.Peers[i].ID).sm.padded {
+		t.Fatal("fixture: no padded placement with a skip arc")
 	}
-	pid := snap.SMCache[i].Peer
+	pid, skip := snap.Peers[i].ID, slices.Index(snap.Peers[i].Walk, true)
 	for _, tc := range []struct {
 		name   string
-		mutate func(r *SMCacheRecord)
+		mutate func(r *PeerRecord)
 		want   string
 	}{
-		{"pristine", func(*SMCacheRecord) {}, ""},
-		{"managers swapped", func(r *SMCacheRecord) { r.SMs[0], r.SMs[1] = r.SMs[1], r.SMs[0] }, "names managers the ring does not place"},
-		{"padding flag cleared", func(r *SMCacheRecord) { r.Padded = false }, "marked padded false"},
+		{"pristine", func(*PeerRecord) {}, ""},
+		{"walk cut short", func(r *PeerRecord) { r.Walk = r.Walk[:len(r.Walk)-1] }, "the ring's padded walk"},
+		{"walk grown by a replica", func(r *PeerRecord) { r.Walk = append(r.Walk, false) }, "the ring's padded walk"},
+		{"skip arc taken off", func(r *PeerRecord) { r.Walk[skip] = false }, "the ring's padded walk"},
 	} {
 		s, err := openSnapshot(data)
 		if err != nil {
 			t.Fatalf("DecodeSnapshot: %v", err)
 		}
-		tc.mutate(&s.SMCache[i])
+		tc.mutate(&s.Peers[i])
 		_, err = Restore(s)
 		switch {
 		case tc.want == "" && err != nil:

@@ -118,10 +118,10 @@ type World struct {
 
 	// Incremental sampling state: the running sum of cached cooperative
 	// reputations and the dirty queue of peers whose reputation may have
-	// moved since the last flush (see sample). Membership of the queue is
-	// the dirty bit in each slot.
+	// moved since the last flush (see sample), by handle. Membership of the
+	// queue is the dirty bit in each slot.
 	repSum   float64
-	dirtyRep []id.ID // insertion-ordered for deterministic flushing
+	dirtyRep []arena.Ordinal // insertion-ordered for deterministic flushing
 
 	// The placement cache: each member's score-manager assignment (and
 	// references to the peer's slot in each manager's store) sits in its
@@ -165,9 +165,10 @@ type World struct {
 	joinScratch []arena.Ordinal
 
 	// repDirty is markRepDirty as a method value, built once by newBare
-	// and handed to every store as its change observer.
+	// and handed to every store as its change observer: stores name the
+	// changed subject by its handle in the world's table.
 	//replend:allow snapshotfields observer wiring, rebuilt by newBare; restore hands it to every store it rebuilds
-	repDirty func(id.ID)
+	repDirty func(arena.Ordinal)
 
 	seq        int64   // peer id sequence
 	arrClock   float64 // continuous arrival clock for the Poisson process
@@ -207,11 +208,12 @@ type worldSlot struct {
 	wiped    bool // every replica died in one membership event (sticky)
 	admitted bool // currently in the admitted community
 	dirty    bool // queued in dirtyRep for the sampling flush
-	hasRep   bool // rep is part of the sampled cooperative sum
 	inFlight bool // arrivedAt marks a live waiting period
 	// rep is the cached aggregate reputation feeding the incremental
-	// cooperative mean; arrivedAt is the tick the in-flight arrival asked
-	// for an introduction, observed by the admission-latency histogram.
+	// cooperative mean: part of the sum exactly while the peer is an
+	// admitted cooperative one, and zero otherwise. arrivedAt is the tick
+	// the in-flight arrival asked for an introduction, observed by the
+	// admission-latency histogram.
 	rep       float64
 	arrivedAt sim.Tick
 }
@@ -619,25 +621,13 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 	member := w.ring.Contains(p)
 	cacheable := member && w.ring.Size() > 1
 	h := w.handles.Intern(p)
-	e := &smCacheEntry{}
-	var track func(key, owner id.ID)
-	if cacheable {
-		e.deps = make([]smDep, 0, w.cfg.NumSM+2)
-		track = func(key, owner id.ID) {
-			n := len(e.deps)
-			skip := key == p && n > 0 && !e.deps[n-1].skip && e.deps[n-1].owner == h
-			e.deps = append(e.deps, smDep{key: key, owner: w.handles.Intern(owner), skip: skip})
-		}
-	}
-	sms, err := w.ring.ScoreManagersTracked(p, w.cfg.NumSM, track)
+	e, err := w.walk(p, h, cacheable)
 	if err != nil {
 		w.fail(fmt.Errorf("sim: score managers for %s: %w", p.Short(), err))
 		return emptySMEntry
 	}
-	e.sms = sms
-	e.padded = cycled(sms)
-	e.refs = make([]rocq.Ref, len(sms))
-	for i, n := range sms {
+	e.refs = make([]rocq.Ref, len(e.sms))
+	for i, n := range e.sms {
 		if member {
 			e.refs[i] = w.Store(n).RefHandle(h)
 		} else {
@@ -656,6 +646,30 @@ func (w *World) smEntry(p id.ID) *smCacheEntry {
 		}
 	}
 	return e
+}
+
+// walk computes the peer's placement from the ring: its manager set and
+// padded mark and, with arcs set (a member of a ring of two or more), each
+// ownership arc the walk consulted, a skip arc marked where self-ownership
+// sent it clockwise. Filling the cache and checking a restored padded
+// placement both walk through here.
+func (w *World) walk(p id.ID, h arena.Ordinal, arcs bool) (*smCacheEntry, error) {
+	e := &smCacheEntry{}
+	var track func(key, owner id.ID)
+	if arcs {
+		e.deps = make([]smDep, 0, w.cfg.NumSM+2)
+		track = func(key, owner id.ID) {
+			n := len(e.deps)
+			skip := key == p && n > 0 && !e.deps[n-1].skip && e.deps[n-1].owner == h
+			e.deps = append(e.deps, smDep{key: key, owner: w.handles.Intern(owner), skip: skip})
+		}
+	}
+	sms, err := w.ring.ScoreManagersTracked(p, w.cfg.NumSM, track)
+	if err != nil {
+		return nil, err
+	}
+	e.sms, e.padded = sms, cycled(sms)
+	return e, nil
 }
 
 // cycled reports whether a manager set repeats its managers, as placement
@@ -812,7 +826,7 @@ func (w *World) noteRingJoin(x id.ID) {
 		// was computed uncached (self-managed) and now changes, so requeue
 		// everyone for the sampling flush by hand.
 		for _, p := range w.admittedPeers {
-			w.markRepDirty(p.ID)
+			w.markRepDirty(w.handles.Intern(p.ID))
 		}
 	}
 	succ, ok := w.ring.NextMember(x)
@@ -858,8 +872,7 @@ func (w *World) noteRingJoin(x id.ID) {
 		}
 		// The manager set (and so the aggregate read) may change with the
 		// patched arcs: requeue the peer for the sampling flush.
-		pid, _ := w.handles.ID(p)
-		w.markRepDirty(pid)
+		w.markRepDirty(p)
 		if w.rebuildEntry(p, e) {
 			joined = append(joined, p)
 			if e.dependsOn(sh) {
@@ -908,8 +921,7 @@ func (w *World) noteRingLeave(x, succ id.ID) {
 		if e == nil || !e.dependsOn(xh) {
 			continue
 		}
-		pid, _ := w.handles.ID(p)
-		w.markRepDirty(pid) // the manager set changes with the leaver's arcs
+		w.markRepDirty(p) // the manager set changes with the leaver's arcs
 		if sh == p || sh == xh || w.ring.Size() <= 1 {
 			w.evictEntry(p, e)
 			continue
@@ -1037,7 +1049,8 @@ func (w *World) attachNodeIdentity(p *peer.Peer, ident transport.Identity) error
 func (w *World) admit(p *peer.Peer, at sim.Tick) {
 	p.JoinedAt = at
 	w.admittedPeers = append(w.admittedPeers, p)
-	s := w.ensureSlot(p.ID)
+	h := w.handles.Intern(p.ID)
+	s := w.slotAt(h)
 	s.admitted = true
 	w.topo.Add(p.ID)
 	if p.Class == peer.Cooperative {
@@ -1046,8 +1059,7 @@ func (w *World) admit(p *peer.Peer, at sim.Tick) {
 		// real value: the bootstrap credit (or founder Init) lands through
 		// the store hooks and dirties the peer anyway.
 		s.rep = 0
-		s.hasRep = true
-		w.markRepDirty(p.ID)
+		w.markRepDirty(h)
 	} else {
 		w.m.UncoopInSystem++
 	}
@@ -1501,33 +1513,36 @@ func (w *World) sample() {
 	}
 }
 
-// markRepDirty queues a subject whose aggregate reputation may have moved
-// (evidence mutation, placement change, migration). Insertion order is
-// preserved so the flush is deterministic.
-func (w *World) markRepDirty(pid id.ID) {
-	s := w.ensureSlot(pid)
+// markRepDirty queues the subject at handle h, whose aggregate reputation
+// may have moved (evidence mutation, placement change, migration).
+// Insertion order is preserved so the flush is deterministic.
+func (w *World) markRepDirty(h arena.Ordinal) {
+	s := w.slotAt(h)
 	if s.dirty {
 		return
 	}
 	s.dirty = true
-	w.dirtyRep = append(w.dirtyRep, pid)
+	w.dirtyRep = append(w.dirtyRep, h)
 }
 
 // flushDirtyRep folds the dirty set into the running cooperative
 // reputation sum. Subjects that are not admitted cooperative peers are
-// simply discarded (their aggregate is not part of the sampled mean).
+// simply discarded (their aggregate is not part of the sampled mean). An
+// admitted peer is a ring member, so its placement is usually cached in
+// its slot; only a miss resolves it by identifier.
 func (w *World) flushDirtyRep() {
-	for _, pid := range w.dirtyRep {
-		h, _ := w.handles.Get(pid) // markRepDirty gave the peer a slot
-		w.slots[h].dirty = false
-		if !w.slots[h].admitted {
+	for _, h := range w.dirtyRep {
+		s := &w.slots[h] // markRepDirty gave the peer a slot
+		s.dirty = false
+		if p := s.pr; !s.admitted || p == nil || p.Class != peer.Cooperative {
 			continue // nothing for the sampled mean to read
 		}
-		if p := w.slots[h].pr; p == nil || p.Class != peer.Cooperative {
-			continue
+		e := s.sm
+		if e == nil {
+			e = w.smEntry(s.pr.ID)
 		}
-		v := w.Reputation(pid)
-		s := &w.slots[h] // re-resolve: Reputation may grow the slots
+		v, _ := rocq.QueryRefs(e.refs)
+		s = &w.slots[h] // re-resolve: smEntry may grow the slots
 		w.repSum += v - s.rep
 		s.rep = v
 	}

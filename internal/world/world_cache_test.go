@@ -201,7 +201,11 @@ func testCacheOracle(t *testing.T, cp churn.Params, steps int, draw func(n int) 
 // checkPlacementIndex fails unless the owner index covers the placement
 // cache: each cached entry is listed under every owner its arcs name,
 // every owner with a list is a ring member, and the entry and index-slot
-// counts equal a recount.
+// counts equal a recount. It also requires each cached arc to be what a
+// restore derives from the entry's walk, which is all a checkpoint keeps
+// of it: replica arc r keys the peer's Replica(r) and is owned by the
+// ring's successor of that key, and a skip arc keys the peer, directly
+// follows a replica arc and is owned by the peer's next member.
 func checkPlacementIndex(t *testing.T, w *World, step int) {
 	t.Helper()
 	entries, slots := 0, 0
@@ -217,10 +221,24 @@ func checkPlacementIndex(t *testing.T, w *World, step int) {
 			continue
 		}
 		entries++
-		for _, d := range sl.sm.deps {
+		next, _ := w.ring.NextMember(pid)
+		replica := 0
+		for j, d := range sl.sm.deps {
+			owner, _ := w.handles.ID(d.owner)
 			if int(d.owner) >= len(w.slots) || !slices.Contains(w.slots[d.owner].smDeps, h) {
-				owner, _ := w.handles.ID(d.owner)
 				t.Fatalf("step %d: placement of %s is not listed under its arc owner %s", step, pid.Short(), owner.Short())
+			}
+			key, want := pid, next
+			if !d.skip {
+				key = pid.Replica(replica)
+				want, _ = w.ring.Successor(key)
+				replica++
+			} else if j == 0 || sl.sm.deps[j-1].skip {
+				t.Fatalf("step %d: placement of %s has skip arc %d after no replica arc", step, pid.Short(), j)
+			}
+			if d.key != key || owner != want {
+				t.Fatalf("step %d: placement of %s has arc %d (skip %v) keyed %s and owned by %s; the ring derives %s owned by %s",
+					step, pid.Short(), j, d.skip, d.key.Short(), owner.Short(), key.Short(), want.Short())
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func (w *World) slotIDsSorted(pred func(*worldSlot) bool) []id.ID {
 // holdsState reports whether any per-peer field of the slot is set.
 func holdsState(s *worldSlot) bool {
 	return s.pr != nil || s.store != nil || s.departed != nil || s.sm != nil || len(s.smDeps) > 0 ||
-		s.wiped || s.admitted || s.dirty || s.hasRep || s.inFlight
+		s.wiped || s.admitted || s.dirty || s.rep != 0 || s.inFlight
 }
 
 // cached reports whether the slot holds a cached placement.
