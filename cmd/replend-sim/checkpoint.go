@@ -162,15 +162,18 @@ func checkpointCmd(args []string, out io.Writer) error {
 }
 
 // printWorldInfo prints the embedded world's headline numbers: peers,
-// cached placements and owner-index lists, and the pending events counted
-// per kind in name order.
+// crashed nodes, cached placements and owner-index lists, and the pending
+// events counted per kind in name order.
 func printWorldInfo(out io.Writer, s *world.Snapshot) {
 	fmt.Fprintf(out, "tick:     %d of %d\n", s.Now, s.Config.NumTrans)
 	fmt.Fprintf(out, "seed:     %d\n", s.Config.Seed)
-	departed, placed, indexed := 0, 0, 0
+	departed, crashed, placed, indexed := 0, 0, 0, 0
 	for _, rec := range s.Peers {
 		if rec.Departed {
 			departed++
+		}
+		if rec.Crashed {
+			crashed++
 		}
 		if len(rec.Walk) > 0 {
 			placed++
@@ -180,6 +183,7 @@ func printWorldInfo(out io.Writer, s *world.Snapshot) {
 		}
 	}
 	fmt.Fprintf(out, "peers:    %d present (%d admitted, %d departed)\n", len(s.Peers)-departed, len(s.Admitted), departed)
+	fmt.Fprintf(out, "crashed:  %d live peers\n", crashed)
 	fmt.Fprintf(out, "cache:    %d placements, %d owner-index lists\n", placed, indexed)
 	perKind := map[string]int{}
 	for _, ev := range s.Events {

@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/cli"
@@ -88,6 +90,11 @@ func run(args []string, stdout io.Writer) error {
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	fs.BoolVar(&cfg.NullSign, "null-sign", cfg.NullSign, "replace Ed25519 signing with cheap null identities (fidelity opt-out for huge sweeps)")
 	fs.Int64Var(&cfg.StakeTimeout, "stake-timeout", cfg.StakeTimeout, "audit deadline in ticks for admission stakes: pending stakes are refunded to survivors (or stranded), offline peers' stake records expire under the same TTL; 0 disables")
+	// The flags above write cfg; a run that takes its configuration from
+	// a file ignores them, and with them the flag-built world's switches.
+	var ignoredByFile []string
+	fs.VisitAll(func(f *flag.Flag) { ignoredByFile = append(ignoredByFile, f.Name) })
+	ignoredByFile = append(ignoredByFile, "no-introductions", "mu")
 	var (
 		configPath = fs.String("config", "", "JSON configuration file (fields default to Table 1)")
 		scenPath   = fs.String("scenario", "", "scenario file (or built-in name) to execute instead of a flag-built config")
@@ -161,6 +168,9 @@ func run(args []string, stdout io.Writer) error {
 		if useFleet {
 			return fmt.Errorf("-checkpoint-in runs in-process; it takes no fleet flags")
 		}
+		if err := rejectIgnored(fs, "-checkpoint-in resumes the state sealed in the file", append(ignoredByFile, "policy")); err != nil {
+			return err
+		}
 		return one.resume(*ckptIn)
 	}
 	if *ckptOut != "" && *ckptAt <= 0 {
@@ -169,6 +179,9 @@ func run(args []string, stdout io.Writer) error {
 	if *scenPath != "" {
 		if *configPath != "" {
 			return fmt.Errorf("-scenario and -config are mutually exclusive")
+		}
+		if err := rejectIgnored(fs, "-scenario runs the configuration its spec gives", append(ignoredByFile, "policy")); err != nil {
+			return err
 		}
 		if *ckptOut != "" && (*runs > 1 || useFleet) {
 			return fmt.Errorf("-checkpoint-out captures a single run; it is mutually exclusive with -runs > 1 and fleet flags")
@@ -217,12 +230,20 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *configPath != "" {
+		if err := rejectIgnored(fs, "-config runs the configuration the file gives", ignoredByFile); err != nil {
+			return err
+		}
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
 			return err
 		}
 		if cfg, err = config.Load(data); err != nil {
 			return err
+		}
+		if cfg.RequireIntroductions {
+			if err := rejectIgnored(fs, "a -config file that requires introductions uses no bootstrap policy", []string{"policy"}); err != nil {
+				return err
+			}
 		}
 	} else {
 		cfg.RequireIntroductions = !*noIntro
@@ -258,6 +279,22 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return worldResult(w), nil
 	})
+}
+
+// rejectIgnored fails when the user set any of the named flags, which the
+// run ignores for the reason why gives, and names each one: a flag that
+// silently does nothing reads as a run that honoured it.
+func rejectIgnored(fs *flag.FlagSet, why string, names []string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s, so the run ignores %s", why, strings.Join(set, ", "))
 }
 
 // single routes one in-process run's results: the -csv series, the

@@ -73,6 +73,35 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-intro-amt", "0.9"}, io.Discard); err == nil {
 		t.Fatal("intro-amt above the floor accepted")
 	}
+
+	// A run that takes its configuration from a scenario, a config file or
+	// a checkpoint refuses every flag it would ignore, naming each one.
+	dir := t.TempDir()
+	lending := filepath.Join(dir, "lending.json")
+	noIntro := filepath.Join(dir, "no-intro.json")
+	os.WriteFile(lending, []byte(`{"numInit": 30, "numTrans": 200}`), 0o644)
+	os.WriteFile(noIntro, []byte(`{"numInit": 30, "numTrans": 200, "requireIntroductions": false}`), 0o644)
+	absent := filepath.Join(dir, "absent.ckpt")
+	for _, c := range []struct {
+		args  []string
+		names []string
+	}{
+		{[]string{"-scenario", "quickstart", "-ticks", "10", "-seed", "5", "-lambda", "0.3"}, []string{"-lambda", "-seed", "-ticks"}},
+		{[]string{"-scenario", "quickstart", "-topology", "random", "-no-introductions", "-mu", "0.1", "-policy", "fixed-credit"}, []string{"-topology", "-no-introductions", "-mu", "-policy"}},
+		{[]string{"-config", lending, "-null-sign", "-stake-timeout", "9", "-no-introductions", "-mu", "0.1"}, []string{"-null-sign", "-stake-timeout", "-no-introductions", "-mu"}},
+		{[]string{"-config", lending, "-policy", "fixed-credit"}, []string{"-policy"}},
+		{[]string{"-checkpoint-in", absent, "-init", "9", "-mu", "0.1", "-policy", "fixed-credit"}, []string{"-init", "-mu", "-policy"}},
+	} {
+		err := run(c.args, io.Discard)
+		for _, name := range c.names {
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("run(%q) = %v, want an error naming %s", c.args, err, name)
+			}
+		}
+	}
+	if err := run([]string{"-config", noIntro, "-policy", "fixed-credit"}, io.Discard); err != nil {
+		t.Errorf("-policy with a config that disables introductions: %v", err)
+	}
 }
 
 // TestRunRejectsStrayArguments: a positional argument the flag parser
@@ -325,7 +354,7 @@ func TestCheckpointRoundTripScenarioCLI(t *testing.T) {
 	if err := checkpointCmd([]string{"info", ckpt}, &info); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:", "pending (", "transaction 1"} {
+	for _, want := range []string{"kind:     scenario", "scenario: quickstart", "seed:", "crashed:  0 live peers", "pending (", "transaction 1"} {
 		if !strings.Contains(info.String(), want) {
 			t.Fatalf("checkpoint info output missing %q:\n%s", want, info.String())
 		}

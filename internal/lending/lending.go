@@ -197,21 +197,14 @@ type smLendState struct {
 // lendSlot is the per-peer record of the protocol: the registered
 // signing identity and the node's score-manager bookkeeping, flattened
 // into one slice indexed by the peer's handle instead of two id-keyed
-// maps. Unregistering a peer zeroes its slot, which stays at its handle.
-// Handle values never feed output bytes — export iterates ids in sorted
-// order — so a restored protocol may sit at other handles without
-// observable effect.
-//
-// Duplicate lend and reward copies need no history: a nonce belongs to
-// one executeLend or one Audit, and the synchronous bus delivers every
-// copy inside that call, so a manager drops a copy whose nonce is the
-// last it took, and no later message can carry an earlier one. Nonces
-// start at 1, so the zero value matches none.
+// maps. A registered identity is also the node's route: the fan-out
+// delivers only to nodes whose slot holds one. Unregistering a peer
+// zeroes its slot, which stays at its handle. Handle values never feed
+// output bytes — export iterates ids in sorted order — so a restored
+// protocol may sit at other handles without observable effect.
 type lendSlot struct {
-	ident      transport.Identity
-	sm         *smLendState
-	lastLend   uint64 // nonce of the last lend debited at this node
-	lastReward uint64 // nonce of the last audit reward credited at this node
+	ident transport.Identity
+	sm    *smLendState
 }
 
 // Protocol is the lending coordinator plus the per-node score-manager
@@ -231,8 +224,6 @@ type Protocol struct {
 	refuseKind sim.Kind
 	//replend:allow snapshotfields registered by New on the engine; pending waiting-period events cross a checkpoint by kind name
 	lendKind sim.Kind
-	//replend:allow snapshotfields wiring: the dispatch method value New builds once and registers for every peer
-	handler transport.Handler
 
 	// slots holds identities and score-manager state in flat memory,
 	// indexed by handles from the table the protocol shares with its world
@@ -252,11 +243,16 @@ type Protocol struct {
 	// a verified signature). The bipartite fan-out re-delivers the same
 	// envelope O(numSM²) times per introduction; verifying each copy
 	// afresh would make Ed25519 dominate the simulation. One entry is
-	// enough: the bus delivers synchronously, so every copy a receiver
-	// verifies was signed inside the same fan-out, after any other
-	// signature.
+	// enough: every copy arrives inside the call that sent it, so every
+	// copy a receiver verifies was signed inside the same fan-out, after
+	// any other signature.
 	//replend:allow snapshotfields pure verification memo: dropping it on restore re-verifies the same envelopes to the same results
 	lastSig verifiedSig
+
+	// credited lists the introducer managers a satisfied audit has paid,
+	// reused from audit to audit (see Audit).
+	//replend:allow snapshotfields scratch list, empty between audits
+	credited []id.ID
 
 	// retainStakes keeps departed newcomers' stake records on the books
 	// so the audit-timeout clock can still resolve them; the world sets
@@ -272,38 +268,6 @@ type Protocol struct {
 
 	nonce uint64
 	stats Stats
-}
-
-// Message kinds used on the bus.
-const (
-	kindLend   = "lend"
-	kindCredit = "credit"
-	kindReward = "reward"
-)
-
-// rewardMsg tells an introducer's score manager to return the stake plus
-// reward after a satisfactory audit; the payload is a pointer, one per
-// sending manager. The signed envelope is materialised lazily: the bus
-// delivers synchronously, and a receiving manager that has already
-// credited this audit's nonce drops the message before examining the
-// signature, so an envelope every receiver dedups is never signed at all
-// — without that, the audit fan-out costs numSM signatures apiece.
-type rewardMsg struct {
-	order  transport.LendOrder // for the pre-verification nonce dedup
-	signer transport.Identity  // the sending manager's key
-	reward float64
-	env    transport.Envelope // the signed order, once signed is set
-	signed bool
-}
-
-// envelope signs the order on first need and returns the same envelope
-// on every later call.
-func (m *rewardMsg) envelope(p *Protocol) transport.Envelope {
-	if !m.signed {
-		m.env = p.sign(m.signer, m.order)
-		m.signed = true
-	}
-	return m.env
 }
 
 // New builds a protocol instance over the given substrate. Its per-peer
@@ -328,7 +292,6 @@ func New(params Params, engine *sim.Engine, bus *transport.Bus, net Network, han
 	}
 	p.refuseKind = engine.Handle("intro-refuse", p.refuseEvent)
 	p.lendKind = engine.Handle("intro-lend", p.lendEvent)
-	p.handler = p.dispatch
 	return p, nil
 }
 
@@ -436,13 +399,13 @@ func (p *Protocol) SetParams(params Params) error {
 	return nil
 }
 
-// RegisterPeer records a member's signing identity and attaches the
-// score-manager message handler to its node (every member can become a
-// score manager for someone). A rejoining peer re-registers with the
-// identity it departed with.
+// RegisterPeer records a member's signing identity, which makes its node
+// a recipient of the fan-out (every member can become a score manager for
+// someone), and clears the node's crash flag: a registering node is up.
+// A rejoining peer re-registers with the identity it departed with.
 func (p *Protocol) RegisterPeer(pid id.ID, ident transport.Identity) {
 	p.ensureSlot(pid).ident = ident
-	p.bus.Register(pid, p.handler)
+	p.bus.Recover(pid)
 }
 
 // Reserve makes room for n more slots, so registering a restored
@@ -460,10 +423,11 @@ func (p *Protocol) Identity(pid id.ID) (transport.Identity, bool) {
 }
 
 // UnregisterPeer forgets a departed member's signing identity and its
-// score-manager state. Both are unreachable once the node has left the
-// overlay — no placement returns it, so no message can arrive — but
-// without eviction a high-refusal workload accretes one signer and one
-// manager state per refused peer forever.
+// score-manager state, and clears its node's crash flag. The identity
+// and the state are unreachable once the node has left the overlay — no
+// placement returns it, so no message can arrive — but without eviction
+// a high-refusal workload accretes one signer and one manager state per
+// refused peer forever.
 func (p *Protocol) UnregisterPeer(pid id.ID) {
 	if h, ok := p.handles.Get(pid); ok && int(h) < len(p.slots) {
 		slot := &p.slots[h]
@@ -472,6 +436,7 @@ func (p *Protocol) UnregisterPeer(pid id.ID) {
 		}
 		*slot = lendSlot{}
 	}
+	p.bus.Recover(pid)
 	// Departed peers keep no intro record: a rejoin re-admits through its
 	// surviving reputation, not through the old introduction, and refused
 	// peers must not leak records. The flagged set is deliberately kept:
@@ -587,10 +552,14 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	}
 	env := p.sign(signer, order)
 
-	// Box the payload once: the fan-out reuses the same immutable envelope
-	// for every manager, so per-send interface boxing is pure allocation.
-	var payload any = env
-	p.bus.SendBatch(introducer, kindLend, payload, introSMs)
+	// Each of the introducer's managers debits the stake and fans the
+	// credit out before the next one hears the lend. A padded set repeats
+	// managers: a repeat is counted like any message but debits nothing.
+	for i, node := range introSMs {
+		if p.deliver(node) && !id.Contains(introSMs[:i], node) {
+			p.onLend(node, env)
+		}
+	}
 
 	// Admission check: did any of the newcomer's managers accept a credit?
 	// A manager that holds no state accepted none.
@@ -622,41 +591,27 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	}
 }
 
-// dispatch is the bus handler of every registered node, dispatching the
-// lending message kinds to the destination node. Unknown kinds are a
-// programming error.
-func (p *Protocol) dispatch(m transport.Message) {
-	switch m.Kind {
-	case kindLend:
-		p.onLend(m.To, m.Payload)
-	case kindCredit:
-		p.onCredit(m.To, m.Payload.(transport.Envelope))
-	case kindReward:
-		p.onReward(m.To, m.From, m.Payload.(*rewardMsg))
-	default:
-		//replend:allow nopanic the kind set is closed within this process: only this package sends on the in-memory bus
-		panic(fmt.Sprintf("lending: node %s got unknown message kind %q", m.To.Short(), m.Kind))
-	}
+// deliver counts one fan-out message to node on the bus and reports
+// whether it arrives. Its route is a registered identity in node's slot:
+// every member registers one, and a departed peer's is cleared.
+func (p *Protocol) deliver(node id.ID) bool {
+	_, routed := p.identityOf(node)
+	return p.bus.Deliver(node, routed)
 }
 
 // onLend is the introducer's score manager receiving the signed order:
-// verify, deduplicate, debit the stake and fan the credit out to every
-// score manager of the newcomer. The credit carries the same signed
-// order, so the lend's boxed envelope is forwarded as it is; the message
-// kind tells the two apart.
-func (p *Protocol) onLend(node id.ID, payload any) {
-	env := payload.(transport.Envelope)
-	slot := p.ensureSlot(node)
-	if slot.lastLend == env.Order.Nonce {
-		return // duplicate: dropped whatever the signature says
-	}
+// verify, debit the stake and fan the credit, which carries the same
+// signed order, out to every score manager of the newcomer.
+func (p *Protocol) onLend(node id.ID, env transport.Envelope) {
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return // forged or tampered order: drop silently
 	}
-	slot.lastLend = env.Order.Nonce
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
-
-	p.bus.SendBatch(node, kindCredit, payload, p.net.ScoreManagers(env.Order.NewPeer))
+	for _, sm := range p.net.ScoreManagers(env.Order.NewPeer) {
+		if p.deliver(sm) {
+			p.onCredit(sm, env)
+		}
+	}
 }
 
 // onCredit is the newcomer's score manager receiving the bootstrap credit.
@@ -739,9 +694,12 @@ func (p *Protocol) Audit(newcomer id.ID) {
 		}
 		p.close(rec, StakeSettled)
 		// The newcomer's managers tell the introducer's managers to return
-		// the stake and pay the reward; same bipartite fan-out and nonce
-		// deduplication as the lend itself. Each manager signs with its own
-		// key (score managers are ordinary peers and have one).
+		// the stake and pay the reward, in the same bipartite fan-out as
+		// the lend. Each manager signs with its own key (score managers are
+		// ordinary peers and have one), and only on first need: an
+		// introducer manager is credited once per audit, so a copy to one
+		// already in credited is dropped before anything is signed, and
+		// the redundant copies cost no signature.
 		order := transport.LendOrder{
 			Introducer: rec.introducer,
 			NewPeer:    newcomer,
@@ -749,6 +707,7 @@ func (p *Protocol) Audit(newcomer id.ID) {
 			Nonce:      rec.nonce,
 		}
 		introSMs := p.net.ScoreManagers(rec.introducer)
+		credited := p.credited[:0]
 		for _, from := range newSMs {
 			if p.bus.IsCrashed(from) {
 				continue // a crashed manager cannot initiate the return
@@ -757,9 +716,21 @@ func (p *Protocol) Audit(newcomer id.ID) {
 			if !ok {
 				continue
 			}
-			msg := &rewardMsg{order: order, signer: signer, reward: p.params.Reward}
-			p.bus.SendBatch(from, kindReward, msg, introSMs)
+			var env transport.Envelope
+			signed := false
+			for _, node := range introSMs {
+				if !p.deliver(node) || id.Contains(credited, node) {
+					continue
+				}
+				if !signed {
+					env, signed = p.sign(signer, order), true
+				}
+				if p.onReward(node, from, env) {
+					credited = append(credited, node)
+				}
+			}
 		}
+		p.credited = credited
 	} else {
 		p.stats.AuditsForfeited++
 		p.close(rec, StakeSettled)
@@ -775,22 +746,13 @@ func (p *Protocol) Audit(newcomer id.ID) {
 }
 
 // onReward is the introducer's score manager receiving the stake return
-// after a satisfactory audit: credit introAmt + reward, "subject to the
-// reputation not exceeding 1" (Credit clamps), once per audit nonce.
-func (p *Protocol) onReward(node, from id.ID, msg *rewardMsg) {
-	slot := p.ensureSlot(node)
-	if slot.lastReward == msg.order.Nonce {
-		// Duplicate of an already-credited return: it would be dropped
-		// whatever the signature says, so drop it before asking the
-		// sender to materialise a signature. The audit fan-out delivers
-		// numSM copies per manager, each signed by a different manager;
-		// this ordering keeps the redundant copies free.
-		return
-	}
-	env := msg.envelope(p)
+// that the newcomer's manager from signed after a satisfactory audit:
+// credit introAmt + reward, "subject to the reputation not exceeding 1"
+// (Credit clamps). It reports whether the return was credited.
+func (p *Protocol) onReward(node, from id.ID, env transport.Envelope) bool {
 	if !p.verifyEnv(env, from) {
-		return // the sender must be the peer whose key signed the return
+		return false // the sender must be the peer whose key signed the return
 	}
-	slot.lastReward = env.Order.Nonce
-	p.net.Store(node).Credit(env.Order.Introducer, env.Order.Amount+msg.reward)
+	p.net.Store(node).Credit(env.Order.Introducer, env.Order.Amount+p.params.Reward)
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arena"
 	"repro/internal/id"
@@ -115,8 +116,8 @@ func (h *harness) addPeer(name string, rep float64) (id.ID, []id.ID) {
 		h.t.Fatal(err)
 	}
 	h.proto.RegisterPeer(pid, signer)
-	// SM nodes need handlers too (they receive lend/credit/reward); they
-	// are peers in the real world, so register them as such.
+	// SM nodes must be registered too, since the fan-out delivers only to
+	// registered nodes; they are peers in the real world.
 	for _, sm := range sms {
 		if _, ok := h.net.stores[sm]; !ok {
 			s, err := transport.NewSigner(h.src.Split())
@@ -533,11 +534,16 @@ func TestPaddedPlacementMovesEachStakeOnce(t *testing.T) {
 	expect(t, h, newcomer, newSMs, 0.2, "forfeit")
 }
 
-// countingIdentity is a signing identity that counts its full signature
-// verifications.
+// countingIdentity is a signing identity that counts its signatures and
+// its full signature verifications.
 type countingIdentity struct {
 	transport.Identity
-	verifies *int
+	signs, verifies *int
+}
+
+func (c countingIdentity) Sign(o transport.LendOrder) transport.Envelope {
+	*c.signs++
+	return c.Identity.Sign(o)
 }
 
 func (c countingIdentity) VerifyEnvelope(env transport.Envelope) bool {
@@ -555,10 +561,10 @@ func TestSignatureMemoSkipsFullVerification(t *testing.T) {
 	h := newHarness(t)
 	intro, introSMs := h.addPeer("introducer", 1.0)
 	newcomer, newSMs := h.addPeer("newcomer", -1)
-	verifies := 0
+	signs, verifies := 0, 0
 	for _, pid := range append(append([]id.ID{intro, newcomer}, introSMs...), newSMs...) {
 		ident, _ := h.proto.Identity(pid)
-		h.proto.RegisterPeer(pid, countingIdentity{ident, &verifies})
+		h.proto.RegisterPeer(pid, countingIdentity{ident, &signs, &verifies})
 	}
 	h.proto.Begin(newcomer, intro, true)
 	h.engine.RunUntil(1000)
@@ -605,8 +611,9 @@ func TestSignatureMemoSkipsFullVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.proto.RegisterPeer(node, signer)
-	msg := &rewardMsg{order: forged.Order, reward: h.proto.params.Reward, env: forged, signed: true}
-	h.bus.Send(transport.Message{From: newSMs[from], To: node, Kind: kindReward, Payload: msg})
+	if h.proto.onReward(node, newSMs[from], forged) {
+		t.Fatal("onReward reports a stake return under an altered order credited")
+	}
 	if verifies != 1 {
 		t.Fatalf("the altered order made %d full verifications, want 1", verifies)
 	}
@@ -688,5 +695,14 @@ func TestReasonString(t *testing.T) {
 	}
 	if Reason(42).String() == "" {
 		t.Fatal("unknown reason must render")
+	}
+}
+
+// TestLendSlotSize pins a lending slot at three words, its identity and
+// its manager-state pointer: every identity a run ever sees keeps one,
+// so a field added to it is paid once per identity.
+func TestLendSlotSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(lendSlot{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("lendSlot is %d B, want %d", got, want)
 	}
 }

@@ -53,13 +53,12 @@ type Node struct {
 // what stabilisation would converge to.
 //
 // Membership lives in two structures kept in lockstep: a treap keyed by
-// identifier (O(log n) join/leave/ceiling, deterministic shape) and a
-// circular doubly-linked list threading the member nodes in ring order
+// identifier (O(log n) join/leave/lookup/ceiling, deterministic shape) and
+// a circular doubly-linked list threading the member nodes in ring order
 // (O(1) neighbour access). Placement is computed afresh on every query:
 // the replica keys are a pure function of the peer's identifier, and the
 // ring keeps no memo of them.
 type Ring struct {
-	nodes map[id.ID]*Node
 	slab  arena.Slab[Node] // node records; churn recycles slots
 	root  *Node            // ordered membership index (treap threaded through Nodes)
 	size  int
@@ -74,9 +73,7 @@ var (
 )
 
 // NewRing returns an empty overlay.
-func NewRing() *Ring {
-	return &Ring{nodes: make(map[id.ID]*Node)}
-}
+func NewRing() *Ring { return &Ring{} }
 
 // Size returns the number of member nodes.
 func (r *Ring) Size() int { return r.size }
@@ -99,15 +96,15 @@ func (r *Ring) Members() []id.ID {
 }
 
 // Contains reports membership.
-func (r *Ring) Contains(n id.ID) bool {
-	_, ok := r.nodes[n]
-	return ok
-}
+func (r *Ring) Contains(n id.ID) bool { return treapFind(r.root, n) != nil }
 
 // Join adds a node to the ring: O(log n) index insert plus an O(1) splice
 // into the neighbour list.
 func (r *Ring) Join(n id.ID) error {
-	if _, ok := r.nodes[n]; ok {
+	// The first member clockwise from n takes n as its new predecessor;
+	// the same search finds n itself if it is already a member.
+	succ := treapCeiling(r.root, n)
+	if succ != nil && succ.ID == n {
 		return fmt.Errorf("%w: %s", ErrDuplicate, n.Short())
 	}
 	node := r.slab.Alloc()
@@ -115,9 +112,7 @@ func (r *Ring) Join(n id.ID) error {
 	if r.size == 0 {
 		node.next, node.prev = node, node
 	} else {
-		// The first member clockwise from n takes n as its new
-		// predecessor; splice n in front of it.
-		succ := treapCeiling(r.root, n)
+		// Splice n in front of its successor.
 		if succ == nil {
 			succ = treapMin(r.root)
 		}
@@ -129,21 +124,19 @@ func (r *Ring) Join(n id.ID) error {
 	r.root = treapInsert(r.root, node)
 	r.size++
 	r.epoch++
-	r.nodes[n] = node
 	return nil
 }
 
 // Leave removes a node (graceful departure or crash — ring-wise they are
 // the same once neighbours repair).
 func (r *Ring) Leave(n id.ID) error {
-	node, ok := r.nodes[n]
-	if !ok {
+	node := treapFind(r.root, n)
+	if node == nil {
 		return fmt.Errorf("%w: %s", ErrNotMember, n.Short())
 	}
 	node.prev.next = node.next
 	node.next.prev = node.prev
 	r.root = treapRemove(r.root, n)
-	delete(r.nodes, n)
 	r.slab.Free(node)
 	r.size--
 	r.epoch++
@@ -154,24 +147,24 @@ func (r *Ring) Leave(n id.ID) error {
 // successor), and false if n is not a member. On a single-member ring it
 // returns n itself.
 func (r *Ring) NextMember(n id.ID) (id.ID, bool) {
-	node, ok := r.nodes[n]
-	if !ok {
+	node := treapFind(r.root, n)
+	if node == nil {
 		return id.ID{}, false
 	}
 	return node.next.ID, true
 }
 
-// successorID returns the owner of key: the first member clockwise from it.
-func (r *Ring) successorID(key id.ID) id.ID {
+// successor returns the member owning key: the first clockwise from it.
+func (r *Ring) successor(key id.ID) *Node {
 	if r.size == 0 {
 		//replend:allow nopanic callers query ownership only on non-empty rings (worlds start with founders); an empty-ring query is a caller bug
-		panic("overlay: successorID on empty ring")
+		panic("overlay: successor on empty ring")
 	}
 	owner := treapCeiling(r.root, key)
 	if owner == nil {
 		owner = treapMin(r.root)
 	}
-	return owner.ID
+	return owner
 }
 
 // Successor returns the node owning key, per the ring oracle (no routing).
@@ -179,7 +172,7 @@ func (r *Ring) Successor(key id.ID) (id.ID, error) {
 	if r.size == 0 {
 		return id.ID{}, ErrEmpty
 	}
-	return r.successorID(key), nil
+	return r.successor(key).ID, nil
 }
 
 // ScoreManagers returns the numSM owners of the peer's replica keys —
@@ -207,16 +200,16 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 		return nil, ErrEmpty
 	}
 	managers := make([]id.ID, 0, numSM)
-	othersAvailable := r.size > 1 || !r.Contains(peer)
 	maxReplica := numSM * 8 // generous: hash collisions across replicas are rare
 	for rep := 0; rep < maxReplica && len(managers) < numSM; rep++ {
 		key := peer.Replica(rep)
-		owner := r.successorID(key)
+		node := r.successor(key)
+		owner := node.ID
 		if track != nil {
 			track(key, owner)
 		}
 		if owner == peer {
-			if !othersAvailable {
+			if r.size == 1 {
 				// Single-member ring: the peer must self-manage.
 				if !id.Contains(managers, owner) {
 					managers = append(managers, owner)
@@ -226,7 +219,7 @@ func (r *Ring) ScoreManagersTracked(peer id.ID, numSM int, track func(key, owner
 			// A peer must not manage its own reputation: walk clockwise to
 			// the next member, like replica placement past a responsible
 			// node in a real DHT.
-			owner = r.nodes[peer].next.ID
+			owner = node.next.ID
 			if track != nil {
 				track(peer, owner)
 			}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -96,6 +97,9 @@ func TestNeighbourPointers(t *testing.T) {
 			if got, ok := r.NextMember(m); !ok || got != want {
 				t.Fatalf("%s: NextMember(%s) = %s, %v; want %s", when, m.Short(), got.Short(), ok, want.Short())
 			}
+			if !r.Contains(m) {
+				t.Fatalf("%s: Contains(%s) = false for a member", when, m.Short())
+			}
 		}
 	}
 	check("built")
@@ -115,7 +119,25 @@ func TestNeighbourPointers(t *testing.T) {
 		if _, ok := r.NextMember(n); ok {
 			t.Fatalf("NextMember(%s) answered for a non-member", n.Short())
 		}
+		if r.Contains(n) {
+			t.Fatalf("Contains(%s) = true for a non-member", n.Short())
+		}
+		if err := r.Leave(n); !errors.Is(err, ErrNotMember) {
+			t.Fatalf("Leave(%s) of a non-member: %v", n.Short(), err)
+		}
 	}
+	// A second join of any member, the lowest and highest included, is
+	// refused and changes nothing.
+	size, epoch := r.Size(), r.Epoch()
+	for _, m := range r.Members() {
+		if err := r.Join(m); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("second Join(%s): %v", m.Short(), err)
+		}
+	}
+	if r.Size() != size || r.Epoch() != epoch {
+		t.Fatalf("refused joins moved size %d -> %d, epoch %d -> %d", size, r.Size(), epoch, r.Epoch())
+	}
+	check("after refused joins")
 }
 
 func TestSingleNodeRing(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // member identifier with heap priorities derived deterministically from
 // the identifier itself — so the index shape, and therefore every query,
 // depends only on the membership set, never on insertion order or a
-// random source. Joins, leaves and ceiling queries are O(log n) expected,
-// replacing the O(n) memmove of a sorted slice.
+// random source. Joins, leaves, lookups and ceiling queries are O(log n)
+// expected, replacing the O(n) memmove of a sorted slice.
 
 // keyHi extracts the 8 most significant bytes of an identifier. IDs are
 // hash outputs, so two distinct IDs almost never share them; descent
@@ -105,6 +105,23 @@ func rotateLeft(t *Node) *Node {
 	t.tRight = r.tLeft
 	r.tLeft = t
 	return r
+}
+
+// treapFind returns the member node keyed by n, or nil when n is not a
+// member.
+func treapFind(root *Node, n id.ID) *Node {
+	hi := keyHi(n)
+	for root != nil {
+		switch c := cmpKey(hi, n, root); {
+		case c < 0:
+			root = root.tLeft
+		case c > 0:
+			root = root.tRight
+		default:
+			return root
+		}
+	}
+	return nil
 }
 
 // treapCeiling returns the node with the smallest ID >= key, or nil when

@@ -6,6 +6,8 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -32,6 +34,10 @@ func openRunState(data []byte) (*RunState, error) {
 	return DecodeRunStateBody(body)
 }
 
+// TestScenarioCheckpointResumeByteIdentity cuts every built-in at half
+// its ticks and right after each phase that crashes managers, where the
+// cut holds bus crash flags (or, for an abrupt departure, wiped stores),
+// and requires the resumed run to print what the uncut run prints.
 func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -51,53 +57,76 @@ func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 			}
 			want := runOutput(t, ref)
 
-			spec2, err := Get(name)
-			if err != nil {
-				t.Fatalf("Get: %v", err)
+			cuts := []sim.Tick{sim.Tick(spec.Base.NumTrans / 2)}
+			busCrash := map[sim.Tick]bool{} // cuts right after a phase that sets bus crash flags
+			for _, ph := range spec.Phases {
+				at := sim.Tick(ph.At)
+				crashes := ph.Crash != nil || ph.Depart != nil && ph.Depart.Crash
+				if crashes && at < sim.Tick(spec.Base.NumTrans) && !slices.Contains(cuts, at) {
+					cuts = append(cuts, at)
+					busCrash[at] = ph.Crash != nil
+				}
 			}
-			r, err := spec2.Start()
-			if err != nil {
-				t.Fatalf("Start: %v", err)
-			}
-			cut := sim.Tick(spec2.Base.NumTrans / 2)
-			if err := r.RunToTick(cut); err != nil {
-				t.Fatalf("RunToTick(%d): %v", cut, err)
-			}
-			st, err := r.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-			data, err := st.Encode()
-			if err != nil {
-				t.Fatalf("Encode: %v", err)
-			}
-			dec, err := openRunState(data)
-			if err != nil {
-				t.Fatalf("opening run state: %v", err)
-			}
-			resumed, err := Resume(dec)
-			if err != nil {
-				t.Fatalf("Resume: %v", err)
-			}
-			// Double-checkpoint idempotence at the scenario layer.
-			st2, err := resumed.Snapshot()
-			if err != nil {
-				t.Fatalf("re-Snapshot: %v", err)
-			}
-			data2, err := st2.Encode()
-			if err != nil {
-				t.Fatalf("re-Encode: %v", err)
-			}
-			if !bytes.Equal(data, data2) {
-				t.Fatalf("snapshot(resume(s)) != s (%d vs %d bytes)", len(data), len(data2))
-			}
-			res, err := resumed.Finish()
-			if err != nil {
-				t.Fatalf("Finish after resume: %v", err)
-			}
-			got := runOutput(t, res)
-			if got != want {
-				t.Fatalf("resumed run diverged from uninterrupted run:\nwant %d bytes, got %d bytes", len(want), len(got))
+			for _, cut := range cuts {
+				t.Run(fmt.Sprintf("cut %d", cut), func(t *testing.T) {
+					spec, err := Get(name)
+					if err != nil {
+						t.Fatalf("Get: %v", err)
+					}
+					r, err := spec.Start()
+					if err != nil {
+						t.Fatalf("Start: %v", err)
+					}
+					if err := r.RunToTick(cut); err != nil {
+						t.Fatalf("RunToTick(%d): %v", cut, err)
+					}
+					st, err := r.Snapshot()
+					if err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+					if busCrash[cut] {
+						crashed := 0
+						for _, rec := range st.World.Peers {
+							if rec.Crashed {
+								crashed++
+							}
+						}
+						if crashed == 0 {
+							t.Fatalf("the cut after a crash phase holds no crashed node")
+						}
+					}
+					data, err := st.Encode()
+					if err != nil {
+						t.Fatalf("Encode: %v", err)
+					}
+					dec, err := openRunState(data)
+					if err != nil {
+						t.Fatalf("opening run state: %v", err)
+					}
+					resumed, err := Resume(dec)
+					if err != nil {
+						t.Fatalf("Resume: %v", err)
+					}
+					// Double-checkpoint idempotence at the scenario layer.
+					st2, err := resumed.Snapshot()
+					if err != nil {
+						t.Fatalf("re-Snapshot: %v", err)
+					}
+					data2, err := st2.Encode()
+					if err != nil {
+						t.Fatalf("re-Encode: %v", err)
+					}
+					if !bytes.Equal(data, data2) {
+						t.Fatalf("snapshot(resume(s)) != s (%d vs %d bytes)", len(data), len(data2))
+					}
+					res, err := resumed.Finish()
+					if err != nil {
+						t.Fatalf("Finish after resume: %v", err)
+					}
+					if got := runOutput(t, res); got != want {
+						t.Fatalf("resumed run diverged from uninterrupted run:\nwant %d bytes, got %d bytes", len(want), len(got))
+					}
+				})
 			}
 		})
 	}

@@ -10,11 +10,10 @@ import (
 // Checkpoint support for the transport layer. A Signer's externally
 // observable behaviour is a pure function of (source state, materialized
 // keypair), so capturing those two is enough to continue the exact stream
-// of signatures and key derivations. The Bus carries run-relevant state in
-// its crash set and activity counters: the world's peer records carry each
-// node's crash flag, which restore sets again with Crash, and handlers are
-// re-registered by the protocol layer on restore, so neither is part of
-// the capture here.
+// of signatures and key derivations. The Bus's only state is its crash
+// flags and activity counters: the world's peer records carry each node's
+// crash flag, which restore sets again with Crash, and the world's
+// snapshot carries the counters, which RestoreStats sets again.
 
 // SignerState is the serializable state of a Signer. Priv is nil when the
 // keypair was never derived — the common case, since most simulated peers

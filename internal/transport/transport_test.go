@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,130 +12,52 @@ import (
 	"repro/internal/rng"
 )
 
+// TestSynchronousDelivery: a routed message to a live node arrives at
+// once, each one counted as Sent and Delivered, with nothing queued.
 func TestSynchronousDelivery(t *testing.T) {
 	b := NewBus()
-	a, c := id.FromUint64(1), id.FromUint64(2)
-	var got []Message
-	b.Register(c, func(m Message) { got = append(got, m) })
-	b.Send(Message{From: a, To: c, Kind: "ping", Payload: 7})
-	if len(got) != 1 || got[0].Kind != "ping" || got[0].Payload.(int) != 7 {
-		t.Fatalf("delivery failed: %+v", got)
-	}
-	st := b.Stats()
-	if st.Sent != 1 || st.Delivered != 1 {
-		t.Fatalf("stats = %+v", st)
+	dst := id.FromUint64(2)
+	for i := int64(1); i <= 2; i++ {
+		if !b.Deliver(dst, true) {
+			t.Fatalf("message %d to a live routed node did not arrive", i)
+		}
+		if st := b.Stats(); st != (Stats{Sent: i, Delivered: i}) {
+			t.Fatalf("after message %d: stats = %+v", i, st)
+		}
 	}
 }
 
 func TestNoRouteCounted(t *testing.T) {
 	b := NewBus()
-	b.Send(Message{To: id.FromUint64(99), Kind: "x"})
-	if st := b.Stats(); st.NoRoute != 1 || st.Delivered != 0 {
+	if b.Deliver(id.FromUint64(99), false) {
+		t.Fatal("an unrouted message arrived")
+	}
+	if st := b.Stats(); st != (Stats{Sent: 1, NoRoute: 1}) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestCrashSwallowsAndRecoverRestores pins Deliver's counters around a
+// crash: every call counts as Sent and as exactly one of Delivered,
+// Crashed and NoRoute, and a crashed node swallows a message whether or
+// not it is routed, so the crash flag is checked before the route.
 func TestCrashSwallowsAndRecoverRestores(t *testing.T) {
 	b := NewBus()
 	dst := id.FromUint64(5)
-	delivered := 0
-	b.Register(dst, func(Message) { delivered++ })
 	b.Crash(dst)
 	if !b.IsCrashed(dst) {
 		t.Fatal("IsCrashed should be true")
 	}
-	b.Send(Message{To: dst, Kind: "x"})
-	if delivered != 0 {
+	if b.Deliver(dst, true) || b.Deliver(dst, false) {
 		t.Fatal("crashed node received a message")
 	}
 	b.Recover(dst)
-	b.Send(Message{To: dst, Kind: "x"})
-	if delivered != 1 {
+	if b.IsCrashed(dst) || !b.Deliver(dst, true) {
 		t.Fatal("recovered node did not receive")
 	}
-	if st := b.Stats(); st.Crashed != 1 {
+	if st := b.Stats(); st != (Stats{Sent: 3, Delivered: 1, Crashed: 2}) {
 		t.Fatalf("stats = %+v", st)
 	}
-}
-
-func TestRegisterClearsCrash(t *testing.T) {
-	b := NewBus()
-	dst := id.FromUint64(5)
-	b.Register(dst, func(Message) {})
-	b.Crash(dst)
-	b.Register(dst, func(Message) {})
-	if b.IsCrashed(dst) {
-		t.Fatal("Register should clear crash state")
-	}
-}
-
-func TestUnregister(t *testing.T) {
-	b := NewBus()
-	dst := id.FromUint64(5)
-	b.Register(dst, func(Message) {})
-	b.Unregister(dst)
-	b.Send(Message{To: dst})
-	if st := b.Stats(); st.NoRoute != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestSendBatchContract pins what SendBatch promises: one Send per
-// destination in to order, crash and route checks at each destination's
-// own turn, and a message a handler sends mid-batch delivered before the
-// next destination.
-func TestSendBatchContract(t *testing.T) {
-	b := NewBus()
-	from, echo := id.FromUint64(9), id.FromUint64(10)
-	first, crashed, unrouted, second, third := id.FromUint64(1), id.FromUint64(2), id.FromUint64(3), id.FromUint64(4), id.FromUint64(5)
-	var log []string
-	b.Register(first, func(Message) {
-		if st := b.Stats(); st.Crashed != 0 || st.NoRoute != 0 {
-			t.Errorf("first destination saw later destinations counted: %+v", st)
-		}
-		log = append(log, "first")
-		b.Send(Message{From: first, To: echo, Kind: "echo"})
-		b.Crash(third) // checked at its own turn, so it must not receive
-	})
-	b.Register(echo, func(Message) { log = append(log, "echo") })
-	b.Register(crashed, func(Message) { log = append(log, "crashed") })
-	b.Crash(crashed)
-	b.Register(second, func(m Message) {
-		if st := b.Stats(); st.Crashed != 1 || st.NoRoute != 1 {
-			t.Errorf("second destination's turn: stats %+v, want one crashed and one unrouted counted", st)
-		}
-		if m.From != from || m.Kind != "credit" || m.Payload != "pay" {
-			t.Errorf("second destination got %+v", m)
-		}
-		log = append(log, "second")
-	})
-	b.Register(third, func(Message) { log = append(log, "third") })
-
-	b.SendBatch(from, "credit", "pay", []id.ID{first, crashed, unrouted, second, third})
-	if got, want := fmt.Sprint(log), "[first echo second]"; got != want {
-		t.Fatalf("delivery order %s, want %s", got, want)
-	}
-	want := Stats{Sent: 6, Delivered: 3, Crashed: 2, NoRoute: 1}
-	if st := b.Stats(); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestSendBatchEmpty(t *testing.T) {
-	b := NewBus()
-	b.SendBatch(id.FromUint64(1), "credit", nil, nil)
-	if st := b.Stats(); st != (Stats{}) {
-		t.Fatalf("empty batch touched stats: %+v", st)
-	}
-}
-
-func TestRegisterNilHandlerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBus().Register(id.FromUint64(1), nil)
 }
 
 // decodeLendOrder parses LendOrder.Encode's canonical byte form. It is

@@ -361,7 +361,6 @@ func (w *World) departBatch(batch []leaver) {
 			return
 		}
 		w.noteRingLeave(l.pid, succ)
-		w.bus.Unregister(l.pid)
 		w.proto.UnregisterPeer(l.pid)
 		// Fetch the slot only now: noteRingLeave can mark reputation dirty,
 		// which may grow the slots and move earlier pointers.

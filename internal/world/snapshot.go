@@ -409,12 +409,11 @@ func Restore(s *Snapshot) (*World, error) {
 	// lending's slots sit at those handles. Peer records are the slots'
 	// usual count, and the table's, which also interns every identity the
 	// books, stores and index lists name; they bound the live peers that
-	// take a lending slot and a bus handler.
+	// take a lending slot.
 	peers := len(s.Peers)
 	w.slots = make([]worldSlot, 0, peers)
 	w.handles.Reserve(peers)
 	w.proto.Reserve(peers)
-	w.bus.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
 
 	// Peers, their identities, the overlay and what each live node holds.

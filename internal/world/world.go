@@ -1212,7 +1212,6 @@ func (w *World) detachNode(pid id.ID) {
 		w.noteRingLeave(pid, succ)
 		w.applyHandoff(records)
 	}
-	w.bus.Unregister(pid)
 	w.proto.UnregisterPeer(pid)
 	if s := w.slotOf(pid); s != nil {
 		s.store = nil
