@@ -158,6 +158,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-record captures a single uninterrupted in-process run; it is mutually exclusive with -runs > 1, fleet flags and checkpointing")
 	}
 	one := single{csvPath: *csvPath, recPath: *recPath, telemetryPath: *telemPath, progress: *progress, stdout: stdout}
+	if *ckptOut == "" {
+		if err := rejectIgnored(fs, "-checkpoint-at is the tick -checkpoint-out captures at, and no -checkpoint-out is given", []string{"checkpoint-at"}); err != nil {
+			return err
+		}
+	}
 	if *ckptIn != "" {
 		if *scenPath != "" || *configPath != "" || *ckptOut != "" {
 			return fmt.Errorf("-checkpoint-in resumes a finished state description; it is mutually exclusive with -scenario, -config and -checkpoint-out")
@@ -168,7 +173,7 @@ func run(args []string, stdout io.Writer) error {
 		if useFleet {
 			return fmt.Errorf("-checkpoint-in runs in-process; it takes no fleet flags")
 		}
-		if err := rejectIgnored(fs, "-checkpoint-in resumes the state sealed in the file", append(ignoredByFile, "policy")); err != nil {
+		if err := rejectIgnored(fs, "-checkpoint-in resumes the state sealed in the file", append(ignoredByFile, "policy", "runs")); err != nil {
 			return err
 		}
 		return one.resume(*ckptIn)
@@ -227,6 +232,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *journal != "" {
 		return fmt.Errorf("-fleet-journal needs a fleet (-workers or -fleet-listen)")
+	}
+	if err := rejectIgnored(fs, "-runs replicates a -scenario, and a flag-built or -config world runs once", []string{"runs"}); err != nil {
+		return err
 	}
 
 	if *configPath != "" {

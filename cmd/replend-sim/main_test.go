@@ -91,6 +91,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-config", lending, "-null-sign", "-stake-timeout", "9", "-no-introductions", "-mu", "0.1"}, []string{"-null-sign", "-stake-timeout", "-no-introductions", "-mu"}},
 		{[]string{"-config", lending, "-policy", "fixed-credit"}, []string{"-policy"}},
 		{[]string{"-checkpoint-in", absent, "-init", "9", "-mu", "0.1", "-policy", "fixed-credit"}, []string{"-init", "-mu", "-policy"}},
+		// -checkpoint-at without -checkpoint-out, and -runs outside a
+		// scenario, change nothing either.
+		{[]string{"-init", "20", "-ticks", "100", "-checkpoint-at", "50"}, []string{"-checkpoint-at"}},
+		{[]string{"-scenario", "quickstart", "-checkpoint-at", "50"}, []string{"-checkpoint-at"}},
+		{[]string{"-checkpoint-in", absent, "-checkpoint-at", "50"}, []string{"-checkpoint-at"}},
+		{[]string{"-init", "20", "-ticks", "100", "-runs", "3"}, []string{"-runs"}},
+		{[]string{"-checkpoint-in", absent, "-runs", "5"}, []string{"-runs"}},
+		{[]string{"-config", lending, "-runs", "3"}, []string{"-runs"}},
 	} {
 		err := run(c.args, io.Discard)
 		for _, name := range c.names {

@@ -97,6 +97,33 @@ func (o *Ordinals) SortedByID() []Ordinal {
 // Len returns the number of identities interned.
 func (o *Ordinals) Len() int { return len(o.ids) }
 
+// Piece returns table[from:] capped at its length, or nil when empty: one
+// record's share of a backing array its whole table is cut from. The cap
+// means an append to one record's piece reallocates instead of writing
+// into the next record's.
+func Piece[T any](table []T, from int) []T {
+	if from == len(table) {
+		return nil
+	}
+	return table[from:len(table):len(table)]
+}
+
+// Take cuts the next n elements off the front of *table and returns them
+// capped at n, or nil when n is 0: a table sized for every record it
+// backs hands out each record's piece without allocating. A table with
+// fewer than n elements left gives a fresh array instead.
+func Take[T any](table *[]T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case len(*table) < n:
+		return make([]T, n)
+	}
+	p := (*table)[:n:n]
+	*table = (*table)[n:]
+	return p
+}
+
 // slabChunk is the fixed allocation unit of a Slab. Chunks never move
 // once allocated, so pointers handed out by Alloc stay valid for the
 // life of the slab.

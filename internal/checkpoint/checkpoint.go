@@ -138,7 +138,7 @@ func Unmarshal(body []byte, dst any) error {
 	if len(body) < fingerprintLen || !bytes.Equal(body[:fingerprintLen], s.fingerprint[:]) {
 		return fmt.Errorf("checkpoint: schema fingerprint mismatch: the body was not written for this binary's %s layout", v.Type().Elem())
 	}
-	d := decoder{buf: body, off: fingerprintLen}
+	d := decoder{buf: body, off: fingerprintLen, chunks: make([]chunk, s.plans)}
 	if err := s.plan.decode(&d, v.Elem()); err != nil {
 		return fmt.Errorf("checkpoint: decoding body at offset %d: %w", d.off, at(v.Type().Elem().String(), err))
 	}

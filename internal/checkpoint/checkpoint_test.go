@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -293,6 +294,44 @@ func TestRoundTripEveryKind(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+// TestDecodeAllocationBound decodes a body of fifty thousand one-element
+// slices, the body that holds the most slices for its length. Each slice
+// takes two body bytes and 32 bytes of memory (its header and its one
+// element), so the decoder may allocate 16 bytes per body byte, plus the
+// unused tail of one chunk for each of the two element types and 4 KiB
+// for its own bookkeeping: decoder.length's bound on a length prefix
+// still caps what a hostile body can make it allocate. It must do so in
+// a few chunks, not one object per slice.
+func TestDecodeAllocationBound(t *testing.T) {
+	type ones struct{ Lists [][]int64 }
+	in := ones{Lists: make([][]int64, 50_000)}
+	for i := range in.Lists {
+		in.Lists[i] = []int64{int64(i % 50)}
+	}
+	body := bodyOf(t, in)
+	var out ones
+	if err := Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := Unmarshal(body, &out)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatal("round trip changed the lists")
+	}
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if limit := uint64(16*len(body) + 2*chunkBytes + 4<<10); bytes > limit {
+		t.Errorf("decoding a %d-byte body allocated %d bytes, want at most %d", len(body), bytes, limit)
+	}
+	if limit := uint64(16*len(body)/chunkBytes + 8); objects > limit {
+		t.Errorf("decoding %d one-element slices made %d objects, want at most %d", len(in.Lists), objects, limit)
 	}
 }
 

@@ -21,6 +21,14 @@ package checkpoint
 //
 // A plan is built once per Go type and cached; plans are immutable once
 // published, so concurrent callers share them freely.
+//
+// Decoding cuts every slice's elements and every pointer's pointee from
+// chunks the decode call owns, one chunk per element type at a time, and
+// writes each slice straight into its destination, capped at its length:
+// a body of a hundred thousand small records costs a few hundred chunks,
+// not a few hundred thousand objects. The cap means an append to one
+// decoded slice reallocates instead of writing into the next one's
+// elements.
 
 import (
 	"crypto/sha256"
@@ -31,14 +39,28 @@ import (
 	"math/bits"
 	"reflect"
 	"sync"
+	"unsafe"
 )
 
 // fingerprintLen is the width of the schema fingerprint that opens
 // every body.
 const fingerprintLen = 8
 
+// chunkBytes is the size of the chunks a decode call cuts slices and
+// pointees from. A piece longer than a quarter chunk gets an array of its
+// own, so moving to a fresh chunk abandons less than a quarter of the old
+// one, and a decode call wastes at most that per chunk plus the unused
+// tail of one chunk per element type.
+const chunkBytes = 16 << 10
+
 // plan encodes and decodes values of one Go type.
 type plan struct {
+	// id numbers the plan among every plan built, so a decode call keeps
+	// its chunks in a slice indexed by the id of their element type.
+	id int
+	// typ is the Go type the plan handles; chunk is the array type of one
+	// chunk of its values, at least one element long.
+	typ, chunk reflect.Type
 	// min is the fewest bytes any value of the type encodes to. Decoding
 	// bounds a length prefix by the remaining bytes divided by it, which
 	// caps what hostile input can make the decoder allocate.
@@ -56,16 +78,19 @@ type plan struct {
 }
 
 // schema is a root type's plan with the fingerprint of its layout.
+// plans bounds the id of every plan the root reaches.
 type schema struct {
 	plan        *plan
 	fingerprint [fingerprintLen]byte
+	plans       int
 }
 
 var (
-	// buildMu guards plans and serializes plan construction; schemas is
-	// read without it.
+	// buildMu guards plans and built and serializes plan construction;
+	// schemas is read without it.
 	buildMu sync.Mutex
 	plans   = map[reflect.Type]*plan{} // every complete plan
+	built   int                        // plans ever started, the next id
 	schemas sync.Map                   // root reflect.Type -> *schema
 )
 
@@ -90,7 +115,7 @@ func schemaFor(t reflect.Type) (*schema, error) {
 	for bt, bp := range b.building {
 		plans[bt] = bp
 	}
-	s := &schema{plan: p, fingerprint: fingerprint(t)}
+	s := &schema{plan: p, fingerprint: fingerprint(t), plans: built}
 	schemas.Store(t, s)
 	return s, nil
 }
@@ -110,7 +135,8 @@ func (b *builder) build(t reflect.Type) (*plan, error) {
 	if p, ok := b.building[t]; ok {
 		return p, nil
 	}
-	p := &plan{}
+	p := &plan{id: built, typ: t, chunk: reflect.ArrayOf(max(1, chunkBytes/max(1, int(t.Size()))), t)}
+	built++
 	b.building[t] = p
 	b.open[t] = true
 	defer delete(b.open, t)
@@ -202,6 +228,10 @@ func (b *builder) build(t reflect.Type) (*plan, error) {
 		}
 		b.array(p, t.Len(), elem)
 	case reflect.Slice:
+		elem, err := b.build(t.Elem())
+		if err != nil {
+			return nil, err
+		}
 		if t.Elem().Kind() == reflect.Uint8 {
 			p.min = 1
 			p.measure = measureBytes
@@ -214,14 +244,11 @@ func (b *builder) build(t reflect.Type) (*plan, error) {
 					v.SetZero()
 					return err
 				}
-				v.SetBytes(append([]byte(nil), raw...))
+				d.setPiece(v, elem, len(raw))
+				copy(v.Bytes(), raw)
 				return nil
 			}
 			break
-		}
-		elem, err := b.build(t.Elem())
-		if err != nil {
-			return nil, err
 		}
 		if err := b.slice(p, t, elem); err != nil {
 			return nil, err
@@ -276,12 +303,8 @@ func (b *builder) slice(p *plan, t reflect.Type, elem *plan) error {
 			v.SetZero()
 			return err
 		}
-		s := reflect.MakeSlice(t, n, n)
-		if err := decodeElems(d, elem, s, n); err != nil {
-			return err
-		}
-		v.Set(s)
-		return nil
+		d.setPiece(v, elem, n)
+		return decodeElems(d, elem, v, n)
 	}
 	return nil
 }
@@ -343,12 +366,8 @@ func (b *builder) pointer(p *plan, t reflect.Type, elem *plan) {
 			v.SetZero()
 			return err
 		}
-		pv := reflect.New(t.Elem())
-		if err := elem.decode(d, pv.Elem()); err != nil {
-			return err
-		}
-		v.Set(pv)
-		return nil
+		v.Set(reflect.NewAt(elem.typ, d.cut(elem, 1)))
+		return elem.decode(d, v.Elem())
 	}
 }
 
@@ -451,10 +470,55 @@ func fingerprint(t reflect.Type) [fingerprintLen]byte {
 
 // decoder reads a body front to back. Every read checks the remaining
 // length; nothing it decodes can make it read out of bounds or allocate
-// more than the input can describe.
+// more than the input can describe, give or take a chunk per element
+// type. chunks holds, by plan id, the unused tail of the chunk each
+// element type's slices and pointees are cut from.
 type decoder struct {
-	buf []byte
-	off int
+	buf    []byte
+	off    int
+	chunks []chunk
+}
+
+// chunk is the unused tail of an element type's current chunk: free
+// zeroed elements from next on. next is nil once none are left, so it
+// never points past the end of its array.
+type chunk struct {
+	next unsafe.Pointer
+	free int
+}
+
+// cut returns the address of n zeroed elements of elem's type that
+// nothing else refers to. A piece longer than a quarter chunk is an array
+// of its own; shorter ones come from the type's chunk, which is replaced
+// by a fresh one when it cannot hold them.
+func (d *decoder) cut(elem *plan, n int) unsafe.Pointer {
+	if n > elem.chunk.Len()/4 {
+		return reflect.MakeSlice(reflect.SliceOf(elem.typ), n, n).UnsafePointer()
+	}
+	c := &d.chunks[elem.id]
+	if c.free < n {
+		c.next, c.free = reflect.New(elem.chunk).UnsafePointer(), elem.chunk.Len()
+	}
+	p := c.next
+	c.free -= n
+	if c.free == 0 {
+		c.next = nil
+	} else {
+		c.next = unsafe.Add(p, n*int(elem.typ.Size()))
+	}
+	return p
+}
+
+// sliceHeader is the runtime layout of a slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
+// setPiece points the settable slice v at n elements cut for it, with
+// capacity n.
+func (d *decoder) setPiece(v reflect.Value, elem *plan, n int) {
+	*(*sliceHeader)(v.Addr().UnsafePointer()) = sliceHeader{data: d.cut(elem, n), len: n, cap: n}
 }
 
 var errTruncated = errors.New("body truncated")

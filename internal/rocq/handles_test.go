@@ -59,13 +59,13 @@ func TestHandlesNeverReachOutput(t *testing.T) {
 	}
 
 	a, b := sides[0], sides[1]
-	if st := a.store.ExportState(); len(st.Subjects) == 0 || len(st.Cred) == 0 || a.book.Partners() == 0 {
+	if st := exportStore(a.store); len(st.Subjects) == 0 || len(st.Cred) == 0 || a.book.Partners() == 0 {
 		t.Fatalf("fixture: %d subjects, %d reporters, %d partners", len(st.Subjects), len(st.Cred), a.book.Partners())
 	}
-	if got, want := b.store.ExportState(), a.store.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := exportStore(b.store), exportStore(a.store); !reflect.DeepEqual(got, want) {
 		t.Fatalf("store exports differ across handle orders:\n%+v\n%+v", got, want)
 	}
-	if got, want := b.book.ExportState(), a.book.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := exportBook(b.book), exportBook(a.book); !reflect.DeepEqual(got, want) {
 		t.Fatalf("opinion book exports differ across handle orders:\n%+v\n%+v", got, want)
 	}
 	if got, want := b.store.SubjectIDs(nil), a.store.SubjectIDs(nil); !reflect.DeepEqual(got, want) {
@@ -111,7 +111,7 @@ func TestForgetKeepsReporterCredibility(t *testing.T) {
 	if got := s.Credibility(x); got != cred {
 		t.Fatalf("credibility of a forgotten reporter = %v, want %v", got, cred)
 	}
-	if got := s.ExportState().Cred; len(got) != 1 || got[0].Reporter != x || got[0].Cred != cred {
+	if got := exportStore(s).Cred; len(got) != 1 || got[0].Reporter != x || got[0].Cred != cred {
 		t.Fatalf("exported credibilities %+v, want x at %v", got, cred)
 	}
 }

@@ -213,13 +213,17 @@ func runOracleScript(t *testing.T, script []byte) {
 			}
 		case 10:
 			what = "restore"
-			st, recs := store.ExportState(), book.ExportState()
+			st, recs := exportStore(store), exportBook(book)
 			table = internedTable(b, c)
-			store, book = NewStoreOn(p, table), NewOpinionBookOn(p, table)
-			if err := store.RestoreState(st); err != nil {
+			// Sized exactly, as a world restore sizes its restorer: every
+			// column is a piece capped at its length, which the steps
+			// after grow out of.
+			r := NewRestorer(p, table, RestoreSizes{Stores: 1, Subjects: len(st.Subjects), Reporters: len(st.Cred), Books: 1, Partners: len(recs)})
+			var err error
+			if store, err = r.Store(st); err != nil {
 				t.Fatalf("step %d: store restore: %v", step, err)
 			}
-			if err := book.RestoreState(recs); err != nil {
+			if book, err = r.Book(recs); err != nil {
 				t.Fatalf("step %d: book restore: %v", step, err)
 			}
 		}
@@ -265,7 +269,7 @@ func compareWithOracle(t *testing.T, step int, what string, store *Store, book *
 			fail("Opinion(%s) = %+v, %v; oracle %+v, %v", x.Short(), got, ok, wantOp, had)
 		}
 	}
-	got, want := store.ExportState(), o.exportState()
+	got, want := exportStore(store), o.exportState()
 	if got.Reports != want.Reports || len(got.Subjects) != len(want.Subjects) || len(got.Cred) != len(want.Cred) {
 		fail("ExportState = %+v, oracle %+v", got, want)
 	}
@@ -289,7 +293,7 @@ func compareWithOracle(t *testing.T, step int, what string, store *Store, book *
 			fail("SubjectIDs()[%d] = %s, oracle %s", i, x.Short(), want.Subjects[i].Subject.Short())
 		}
 	}
-	gotP, wantP := book.ExportState(), o.exportPartners()
+	gotP, wantP := exportBook(book), o.exportPartners()
 	if len(gotP) != len(wantP) {
 		fail("book exports %d partners, oracle %d", len(gotP), len(wantP))
 	}

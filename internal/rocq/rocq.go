@@ -301,7 +301,8 @@ type Store struct {
 	s       []float64       // weighted opinion sums (plus lending adjustments), by slot
 	w       []float64       // total opinion weights, by slot
 	meta    []subjectMeta
-	free    []int32 // LIFO free-list of forgotten slots
+	//replend:allow snapshotfields recycled slot indices hold no evidence; a restored store packs its present slots and starts with an empty free-list
+	free []int32 // LIFO free-list of forgotten slots
 	// credH and cred hold the reporter credibilities as parallel columns
 	// ascending by reporter handle. The first report allocates them: most
 	// stores in a freshly built world hold only initialised subjects and

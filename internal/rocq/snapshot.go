@@ -41,85 +41,147 @@ type StoreState struct {
 }
 
 // ExportState captures the store's evidence, credibilities and report
-// counter in deterministic order.
-func (s *Store) ExportState() StoreState {
+// counter in deterministic order. It appends the records to the tables
+// subjects and cred and returns them extended; the state's slices are the
+// records it appended, capped at their length (arena.Piece), so a
+// snapshot cuts every store's records from one array of each kind. Nil
+// tables give the state arrays of its own.
+func (s *Store) ExportState(subjects []SubjectRecord, cred []CredRecord) (StoreState, []SubjectRecord, []CredRecord) {
 	out := StoreState{Reports: s.reports}
-	if s.known > 0 {
-		out.Subjects = make([]SubjectRecord, 0, s.known)
-		for i := range s.meta {
-			if s.meta[i].present {
-				out.Subjects = append(out.Subjects, SubjectRecord{Subject: s.subjectID(int32(i)), S: s.s[i], W: s.w[i], Reports: s.meta[i].reports})
-			}
+	from := len(subjects)
+	for i := range s.meta {
+		if s.meta[i].present {
+			subjects = append(subjects, SubjectRecord{Subject: s.subjectID(int32(i)), S: s.s[i], W: s.w[i], Reports: s.meta[i].reports})
 		}
-		slices.SortFunc(out.Subjects, func(a, b SubjectRecord) int { return a.Subject.Cmp(b.Subject) })
 	}
-	if len(s.credH) > 0 {
-		out.Cred = make([]CredRecord, len(s.credH))
-		for i, reporter := range s.credH {
-			pid, _ := s.handles.ID(reporter)
-			out.Cred[i] = CredRecord{Reporter: pid, Cred: s.cred[i]}
-		}
-		slices.SortFunc(out.Cred, func(a, b CredRecord) int { return a.Reporter.Cmp(b.Reporter) })
+	out.Subjects = arena.Piece(subjects, from)
+	slices.SortFunc(out.Subjects, func(a, b SubjectRecord) int { return a.Subject.Cmp(b.Subject) })
+	from = len(cred)
+	for i, reporter := range s.credH {
+		pid, _ := s.handles.ID(reporter)
+		cred = append(cred, CredRecord{Reporter: pid, Cred: s.cred[i]})
 	}
-	return out
+	out.Cred = arena.Piece(cred, from)
+	slices.SortFunc(out.Cred, func(a, b CredRecord) int { return a.Reporter.Cmp(b.Reporter) })
+	return out, subjects, cred
 }
 
-// RestoreState overwrites the store's evidence, credibilities and report
-// counter with checkpointed values. Existing slots — including non-present
-// placeholders — are discarded; callers re-resolve any Refs they held.
-// A state no run could have written is refused with an error and leaves
-// the store untouched: subjects or reporters not in strictly ascending
-// order (which covers duplicates), a credibility outside [CredMin, 1], a
-// negative or non-finite S or W, or a negative report count. Reports add
-// non-negative weight, adjustments clamp S at 0 and the credibility
-// update floors and clamps, so every run stays inside these bounds; a
-// restored state outside them could make Query return NaN.
-func (s *Store) RestoreState(st StoreState) error {
+// Reporters returns the number of reporters the store holds a
+// credibility for: the credibility records ExportState writes.
+func (s *Store) Reporters() int { return len(s.credH) }
+
+// Restorer rebuilds the stores and opinion books of a checkpoint on one
+// handle table. Every store, book and column it makes is cut from one
+// array of its kind (arena.Take), sized up front by the counts
+// NewRestorer is given, so restoring a world allocates a fixed number of
+// arrays instead of several objects per store and book. Nothing is ever
+// recycled into those arrays: a column grows out of its piece into an
+// array of its own on its first insert, and a store or book nothing
+// references any more keeps its share alive only as long as the rest of
+// its array. A count too small is no error; what does not fit gets an
+// array of its own.
+type Restorer struct {
+	params   *Params
+	handles  *arena.Ordinals
+	stores   []Store
+	books    []OpinionBook
+	index    []indexEntry
+	sw       []float64 // each store's S column, then its W column
+	meta     []subjectMeta
+	credH    []arena.Ordinal
+	cred     []float64
+	partnerH []arena.Ordinal
+	partners []opinionState
+	// credBuf and partnerBuf are the scratch a table is sorted by handle
+	// in before it is split into columns; no store or book keeps them.
+	credBuf    []handleValue[float64]
+	partnerBuf []handleValue[opinionState]
+}
+
+// RestoreSizes counts what a Restorer rebuilds: Stores stores holding
+// Subjects subject records and Reporters credibility records in all, and
+// Books opinion books holding Partners partner records.
+type RestoreSizes struct {
+	Stores, Subjects, Reporters int
+	Books, Partners             int
+}
+
+// NewRestorer returns a restorer of stores and books with the given
+// parameters, numbering identities in the given shared handle table, with
+// arrays sized for n.
+func NewRestorer(p Params, handles *arena.Ordinals, n RestoreSizes) *Restorer {
+	if err := p.Validate(); err != nil {
+		//replend:allow nopanic construction-time misuse guard: params are validated by config before any run starts
+		panic(err)
+	}
+	return &Restorer{
+		params:   sharedParams(p),
+		handles:  handles,
+		stores:   make([]Store, n.Stores),
+		books:    make([]OpinionBook, n.Books),
+		index:    make([]indexEntry, n.Subjects),
+		sw:       make([]float64, 2*n.Subjects),
+		meta:     make([]subjectMeta, n.Subjects),
+		credH:    make([]arena.Ordinal, n.Reporters),
+		cred:     make([]float64, n.Reporters),
+		partnerH: make([]arena.Ordinal, n.Partners),
+		partners: make([]opinionState, n.Partners),
+	}
+}
+
+// Store rebuilds a store from its checkpointed evidence, credibilities
+// and report counter. A state no run could have written is refused with
+// an error: subjects or reporters not in strictly ascending order (which
+// covers duplicates), a credibility outside [CredMin, 1], a negative or
+// non-finite S or W, or a negative report count. Reports add non-negative
+// weight, adjustments clamp S at 0 and the credibility update floors and
+// clamps, so every run stays inside these bounds; a restored state
+// outside them could make Query return NaN.
+func (r *Restorer) Store(st StoreState) (*Store, error) {
 	if err := id.Ascending(st.Subjects, func(r SubjectRecord) id.ID { return r.Subject }, id.ID.Cmp); err != nil {
-		return fmt.Errorf("rocq: restore: subject %w", err)
+		return nil, fmt.Errorf("rocq: restore: subject %w", err)
 	}
 	if err := id.Ascending(st.Cred, func(r CredRecord) id.ID { return r.Reporter }, id.ID.Cmp); err != nil {
-		return fmt.Errorf("rocq: restore: reporter %w", err)
+		return nil, fmt.Errorf("rocq: restore: reporter %w", err)
 	}
 	if st.Reports < 0 {
-		return fmt.Errorf("rocq: restore: report count %d is negative", st.Reports)
+		return nil, fmt.Errorf("rocq: restore: report count %d is negative", st.Reports)
 	}
 	for _, rec := range st.Subjects {
 		switch {
 		case !nonNegative(rec.S) || !nonNegative(rec.W):
-			return fmt.Errorf("rocq: restore: subject %s has S %v, W %v, want finite and non-negative", rec.Subject.Short(), rec.S, rec.W)
+			return nil, fmt.Errorf("rocq: restore: subject %s has S %v, W %v, want finite and non-negative", rec.Subject.Short(), rec.S, rec.W)
 		case rec.Reports < 0:
-			return fmt.Errorf("rocq: restore: subject %s has report count %d, want non-negative", rec.Subject.Short(), rec.Reports)
+			return nil, fmt.Errorf("rocq: restore: subject %s has report count %d, want non-negative", rec.Subject.Short(), rec.Reports)
 		}
 	}
 	for _, rec := range st.Cred {
-		if !(rec.Cred >= s.params.CredMin && rec.Cred <= 1) {
-			return fmt.Errorf("rocq: restore: reporter %s has credibility %v outside [%v, 1]", rec.Reporter.Short(), rec.Cred, s.params.CredMin)
+		if !(rec.Cred >= r.params.CredMin && rec.Cred <= 1) {
+			return nil, fmt.Errorf("rocq: restore: reporter %s has credibility %v outside [%v, 1]", rec.Reporter.Short(), rec.Cred, r.params.CredMin)
 		}
 	}
-	s.index = make([]indexEntry, len(st.Subjects))
-	s.s = make([]float64, 0, len(st.Subjects))
-	s.w = make([]float64, 0, len(st.Subjects))
-	s.meta = make([]subjectMeta, 0, len(st.Subjects))
-	s.free = nil
-	s.known = len(st.Subjects)
-	s.reports = st.Reports
+	n := len(st.Subjects)
+	s := &arena.Take(&r.stores, 1)[0]
+	s.params, s.handles = r.params, r.handles
+	s.index, s.meta = arena.Take(&r.index, n), arena.Take(&r.meta, n)
+	s.s, s.w = arena.Take(&r.sw, n), arena.Take(&r.sw, n)
+	s.known, s.reports = n, st.Reports
 	for i, rec := range st.Subjects {
-		h := s.handles.Intern(rec.Subject)
+		h := r.handles.Intern(rec.Subject)
 		s.index[i] = indexEntry{subject: h, slot: int32(i)}
-		s.s = append(s.s, rec.S)
-		s.w = append(s.w, rec.W)
-		s.meta = append(s.meta, subjectMeta{subject: h, reports: rec.Reports, present: true})
+		s.s[i], s.w[i] = rec.S, rec.W
+		s.meta[i] = subjectMeta{subject: h, reports: rec.Reports, present: true}
 	}
 	// Records arrive in identifier order, and the table may have numbered
 	// these identities in any order: sort each table by handle once.
 	slices.SortFunc(s.index, func(a, b indexEntry) int { return bySubject(a, b.subject) })
-	cred := make([]handleValue[float64], len(st.Cred))
-	for i, rec := range st.Cred {
-		cred[i] = handleValue[float64]{s.handles.Intern(rec.Reporter), rec.Cred}
+	cred := r.credBuf[:0]
+	for _, rec := range st.Cred {
+		cred = append(cred, handleValue[float64]{r.handles.Intern(rec.Reporter), rec.Cred})
 	}
-	s.credH, s.cred = columns(cred)
-	return nil
+	r.credBuf = cred
+	s.credH, s.cred = columns(cred, &r.credH, &r.cred)
+	return s, nil
 }
 
 // nonNegative reports whether v is a finite number no less than 0.
@@ -133,19 +195,15 @@ type handleValue[V any] struct {
 }
 
 // columns sorts restored entries by handle and splits them into a handle
-// column and a parallel value column, each of exactly the needed
-// capacity. No entries give nil columns.
-func columns[V any](entries []handleValue[V]) ([]arena.Ordinal, []V) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
+// column and a parallel value column, cut from the tables hs and vs. No
+// entries give nil columns.
+func columns[V any](entries []handleValue[V], hs *[]arena.Ordinal, vs *[]V) ([]arena.Ordinal, []V) {
 	slices.SortFunc(entries, func(a, b handleValue[V]) int { return cmp.Compare(a.h, b.h) })
-	hs := make([]arena.Ordinal, len(entries))
-	vs := make([]V, len(entries))
+	h, v := arena.Take(hs, len(entries)), arena.Take(vs, len(entries))
 	for i, e := range entries {
-		hs[i], vs[i] = e.h, e.v
+		h[i], v[i] = e.h, e.v
 	}
-	return hs, vs
+	return h, v
 }
 
 // PartnerRecord is the serializable first-hand experience a peer holds
@@ -157,41 +215,43 @@ type PartnerRecord struct {
 }
 
 // ExportState captures the opinion book's experience in ascending partner
-// order.
-func (b *OpinionBook) ExportState() []PartnerRecord {
-	if len(b.partnerH) == 0 {
-		return nil
-	}
-	out := make([]PartnerRecord, len(b.partnerH))
+// order. It appends the records to the table recs and returns them, a
+// piece capped at their length, with the extended table.
+func (b *OpinionBook) ExportState(recs []PartnerRecord) ([]PartnerRecord, []PartnerRecord) {
+	from := len(recs)
 	for i, partner := range b.partnerH {
 		pid, _ := b.handles.ID(partner)
-		out[i] = PartnerRecord{Partner: pid, Sum: b.partners[i].sum, Count: b.partners[i].count}
+		recs = append(recs, PartnerRecord{Partner: pid, Sum: b.partners[i].sum, Count: b.partners[i].count})
 	}
+	out := arena.Piece(recs, from)
 	slices.SortFunc(out, func(a, b PartnerRecord) int { return a.Partner.Cmp(b.Partner) })
-	return out
+	return out, recs
 }
 
-// RestoreState overwrites the opinion book's experience with checkpointed
-// values. Records Record could not have produced — partners not in
-// strictly ascending order, a count below one, or a sum outside
-// [0, count] — are refused with an error and leave the book untouched:
-// the next Record would otherwise return an opinion outside [0,1].
-func (b *OpinionBook) RestoreState(recs []PartnerRecord) error {
+// Book rebuilds an opinion book from its checkpointed experience. Records
+// Record could not have produced — partners not in strictly ascending
+// order, a count below one, or a sum outside [0, count] — are refused with
+// an error: the next Record would otherwise return an opinion outside
+// [0,1].
+func (r *Restorer) Book(recs []PartnerRecord) (*OpinionBook, error) {
 	if err := id.Ascending(recs, func(r PartnerRecord) id.ID { return r.Partner }, id.ID.Cmp); err != nil {
-		return fmt.Errorf("rocq: restore: partner %w", err)
+		return nil, fmt.Errorf("rocq: restore: partner %w", err)
 	}
 	for _, rec := range recs {
 		switch {
 		case rec.Count < 1:
-			return fmt.Errorf("rocq: restore: partner %s has count %d, want at least 1", rec.Partner.Short(), rec.Count)
+			return nil, fmt.Errorf("rocq: restore: partner %s has count %d, want at least 1", rec.Partner.Short(), rec.Count)
 		case !(rec.Sum >= 0 && rec.Sum <= float64(rec.Count)):
-			return fmt.Errorf("rocq: restore: partner %s has sum %v outside [0, %d]", rec.Partner.Short(), rec.Sum, rec.Count)
+			return nil, fmt.Errorf("rocq: restore: partner %s has sum %v outside [0, %d]", rec.Partner.Short(), rec.Sum, rec.Count)
 		}
 	}
-	partners := make([]handleValue[opinionState], len(recs))
-	for i, rec := range recs {
-		partners[i] = handleValue[opinionState]{b.handles.Intern(rec.Partner), opinionState{sum: rec.Sum, count: rec.Count}}
+	b := &arena.Take(&r.books, 1)[0]
+	b.params, b.handles = r.params, r.handles
+	partners := r.partnerBuf[:0]
+	for _, rec := range recs {
+		partners = append(partners, handleValue[opinionState]{r.handles.Intern(rec.Partner), opinionState{sum: rec.Sum, count: rec.Count}})
 	}
-	b.partnerH, b.partners = columns(partners)
-	return nil
+	r.partnerBuf = partners
+	b.partnerH, b.partners = columns(partners, &r.partnerH, &r.partners)
+	return b, nil
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/arena"
 )
 
 // sampleStore builds a store with evidence for three subjects and
@@ -20,18 +22,73 @@ func sampleStore() *Store {
 	return s
 }
 
+// exportStore and exportBook export into tables of their own.
+func exportStore(s *Store) StoreState {
+	st, _, _ := s.ExportState(nil, nil)
+	return st
+}
+
+func exportBook(b *OpinionBook) []PartnerRecord {
+	recs, _ := b.ExportState(nil)
+	return recs
+}
+
+// restorer returns a restorer with a handle table of its own and no
+// arrays sized up front, so each store and book gets arrays of its own.
+func restorer() *Restorer { return NewRestorer(DefaultParams(), arena.NewOrdinals(), RestoreSizes{}) }
+
 func TestStoreStateRoundTrip(t *testing.T) {
-	st := sampleStore().ExportState()
-	s := NewStore(DefaultParams())
-	if err := s.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	st := exportStore(sampleStore())
+	s, err := restorer().Store(st)
+	if err != nil {
+		t.Fatalf("Store: %v", err)
 	}
-	if got := s.ExportState(); !reflect.DeepEqual(got, st) {
+	if got := exportStore(s); !reflect.DeepEqual(got, st) {
 		t.Fatalf("export after restore differs:\n got %+v\nwant %+v", got, st)
 	}
 }
 
-// TestStoreRestoreRejectsHostileStates feeds RestoreState states no
+// TestRestoredPiecesStayApart restores two stores and two books from one
+// restorer sized exactly for them, so each column is a piece of an array
+// the other's column is cut from too, then grows every column of the
+// first: the second must export exactly what it restored. An uncapped
+// piece would let the first store's growth write into the second's
+// columns.
+func TestRestoredPiecesStayApart(t *testing.T) {
+	st := exportStore(sampleStore())
+	b := NewOpinionBook(DefaultParams())
+	for _, v := range []uint64{5, 2, 9} {
+		b.Record(pid(v), 1)
+	}
+	recs := exportBook(b)
+	r := NewRestorer(DefaultParams(), arena.NewOrdinals(), RestoreSizes{
+		Stores: 2, Subjects: 2 * len(st.Subjects), Reporters: 2 * len(st.Cred),
+		Books: 2, Partners: 2 * len(recs),
+	})
+	var stores [2]*Store
+	var books [2]*OpinionBook
+	for i := range stores {
+		var err error
+		if stores[i], err = r.Store(st); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+		if books[i], err = r.Book(recs); err != nil {
+			t.Fatalf("Book: %v", err)
+		}
+	}
+	for _, v := range []uint64{4, 40, 0} {
+		stores[0].Report(pid(v), pid(v+100), Opinion{Value: 0.5, Quality: 0.5, Count: 1})
+		books[0].Record(pid(v+100), 0)
+	}
+	if got := exportStore(stores[1]); !reflect.DeepEqual(got, st) {
+		t.Fatalf("growing one restored store changed its neighbour:\n got %+v\nwant %+v", got, st)
+	}
+	if got := exportBook(books[1]); !reflect.DeepEqual(got, recs) {
+		t.Fatalf("growing one restored book changed its neighbour:\n got %+v\nwant %+v", got, recs)
+	}
+}
+
+// TestStoreRestoreRejectsHostileStates feeds Restorer.Store states no
 // export could have written. A duplicated subject used to restore as two
 // subjects, a duplicated reporter silently kept the last value, and a
 // subject with S 0 and W -PriorWeight restored a store whose Query
@@ -62,23 +119,21 @@ func TestStoreRestoreRejectsHostileStates(t *testing.T) {
 		{"NaN credibility", func(st *StoreState) { st.Cred[1].Cred = math.NaN() }, "outside [0.05, 1]"},
 	}
 	for _, tc := range cases {
-		st := sampleStore().ExportState()
+		st := exportStore(sampleStore())
 		tc.mutate(&st)
-		s := sampleStore()
-		before := s.ExportState()
-		err := s.RestoreState(st)
+		s, err := restorer().Store(st)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: RestoreState error = %v, want one mentioning %q", tc.name, err, tc.want)
+			t.Errorf("%s: Store error = %v, want one mentioning %q", tc.name, err, tc.want)
 			continue
 		}
-		if got := s.ExportState(); !reflect.DeepEqual(got, before) {
-			t.Errorf("%s: a refused restore modified the store", tc.name)
+		if s != nil {
+			t.Errorf("%s: a refused restore returned a store", tc.name)
 		}
 	}
 }
 
 // TestStoreRestoreAcceptsBounds restores evidence on the edges of the
-// bounds RestoreState enforces, all reachable by a run. S one ulp above
+// bounds Restorer.Store enforces, all reachable by a run. S one ulp above
 // W + PriorWeight is among them: floating-point rounding can put
 // a legitimate S there, so restore must not bound S from above.
 func TestStoreRestoreAcceptsBounds(t *testing.T) {
@@ -88,9 +143,9 @@ func TestStoreRestoreAcceptsBounds(t *testing.T) {
 		Cred:     []CredRecord{{Reporter: pid(3), Cred: p.CredMin}, {Reporter: pid(4), Cred: 1}},
 		Reports:  0,
 	}
-	s := NewStore(p)
-	if err := s.RestoreState(st); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	s, err := restorer().Store(st)
+	if err != nil {
+		t.Fatalf("Store: %v", err)
 	}
 	if v, ok := s.Query(pid(2)); !ok || v != 1 {
 		t.Fatalf("Query = %v, %v; want 1, true", v, ok)
@@ -102,17 +157,17 @@ func TestOpinionBookStateRoundTrip(t *testing.T) {
 	for i, v := range []uint64{5, 2, 5, 9} {
 		b.Record(pid(v), float64(i%2))
 	}
-	recs := b.ExportState()
-	c := NewOpinionBook(DefaultParams())
-	if err := c.RestoreState(recs); err != nil {
-		t.Fatalf("RestoreState: %v", err)
+	recs := exportBook(b)
+	c, err := restorer().Book(recs)
+	if err != nil {
+		t.Fatalf("Book: %v", err)
 	}
-	if got := c.ExportState(); !reflect.DeepEqual(got, recs) {
+	if got := exportBook(c); !reflect.DeepEqual(got, recs) {
 		t.Fatalf("export after restore differs:\n got %+v\nwant %+v", got, recs)
 	}
 }
 
-// TestOpinionBookRestoreRejectsHostileRecords feeds RestoreState partner
+// TestOpinionBookRestoreRejectsHostileRecords feeds Restorer.Book partner
 // records Record could not have produced. A record with Count 0 and
 // Sum 1 used to restore, after which the next Record returned an opinion
 // of 2 and the report carrying it panicked in the store.
@@ -131,15 +186,13 @@ func TestOpinionBookRestoreRejectsHostileRecords(t *testing.T) {
 		{"descending partners", []PartnerRecord{{Partner: pid(2), Sum: 1, Count: 1}, {Partner: pid(1), Sum: 0, Count: 1}}, "not strictly ascending"},
 	}
 	for _, tc := range cases {
-		b := NewOpinionBook(DefaultParams())
-		b.Record(pid(7), 1)
-		err := b.RestoreState(tc.recs)
+		b, err := restorer().Book(tc.recs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: RestoreState error = %v, want one mentioning %q", tc.name, err, tc.want)
+			t.Errorf("%s: Book error = %v, want one mentioning %q", tc.name, err, tc.want)
 			continue
 		}
-		if b.Partners() != 1 {
-			t.Errorf("%s: a refused restore modified the book", tc.name)
+		if b != nil {
+			t.Errorf("%s: a refused restore returned a book", tc.name)
 		}
 	}
 }

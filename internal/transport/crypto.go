@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -105,26 +106,41 @@ const nullTag = "null-sign///"
 // the owner's identifier padded with a marker — matches the claimed
 // sender. Identity binding (a lend order is attributed to exactly one
 // node) survives; cryptographic unforgeability is explicitly given up.
-type NullIdentity struct{ pub ed25519.PublicKey }
+// It is one pointer, to its pseudo key, so storing it in an Identity
+// allocates nothing; NullKeys makes the keys.
+type NullIdentity struct{ pub *[ed25519.PublicKeySize]byte }
 
-// NewNullIdentity derives the null identity of a node.
-func NewNullIdentity(owner id.ID) NullIdentity {
-	pub := make(ed25519.PublicKey, ed25519.PublicKeySize)
-	copy(pub, owner[:])
-	copy(pub[id.Bytes:], nullTag)
-	return NullIdentity{pub: pub}
+// nullChunk is how many pseudo keys NullKeys cuts from one array.
+const nullChunk = 1024
+
+// NullKeys makes null identities, cutting their pseudo keys from arrays
+// of nullChunk keys: n identities cost n/nullChunk allocations, not n.
+// A key is never recycled, so an identity stays valid for as long as
+// anything holds it. The zero value is ready to use.
+type NullKeys struct{ free [][ed25519.PublicKeySize]byte }
+
+// Identity derives the null identity of a node.
+func (k *NullKeys) Identity(owner id.ID) NullIdentity {
+	if len(k.free) == 0 {
+		k.free = make([][ed25519.PublicKeySize]byte, nullChunk)
+	}
+	key := &k.free[0]
+	k.free = k.free[1:]
+	copy(key[:], owner[:])
+	copy(key[id.Bytes:], nullTag)
+	return NullIdentity{pub: key}
 }
 
 // Sign wraps the order in an unsigned envelope carrying the pseudo key.
-func (n NullIdentity) Sign(o LendOrder) Envelope { return Envelope{Order: o, Pub: n.pub} }
+func (n NullIdentity) Sign(o LendOrder) Envelope { return Envelope{Order: o, Pub: n.pub[:]} }
 
 // PublicEquals reports whether pub is this identity's pseudo key.
-func (n NullIdentity) PublicEquals(pub ed25519.PublicKey) bool { return n.pub.Equal(pub) }
+func (n NullIdentity) PublicEquals(pub ed25519.PublicKey) bool { return bytes.Equal(n.pub[:], pub) }
 
 // VerifyEnvelope accepts exactly the unsigned envelopes this identity
 // produces.
 func (n NullIdentity) VerifyEnvelope(env Envelope) bool {
-	return len(env.Sig) == 0 && n.pub.Equal(env.Pub)
+	return len(env.Sig) == 0 && bytes.Equal(n.pub[:], env.Pub)
 }
 
 // LendOrder is the canonical content of a signed lend instruction: who

@@ -28,8 +28,9 @@ func TestSignerImplementsIdentity(t *testing.T) {
 }
 
 func TestNullIdentity(t *testing.T) {
+	var keys NullKeys
 	owner := id.HashString("null-peer")
-	n := NewNullIdentity(owner)
+	n := keys.Identity(owner)
 	order := LendOrder{Introducer: owner, NewPeer: id.FromUint64(5), Amount: 0.1, Nonce: 3}
 	env := n.Sign(order)
 	if len(env.Sig) != 0 {
@@ -40,7 +41,7 @@ func TestNullIdentity(t *testing.T) {
 	}
 	// Identity binding survives: another node's null identity must not
 	// accept this envelope.
-	other := NewNullIdentity(id.HashString("other-peer"))
+	other := keys.Identity(id.HashString("other-peer"))
 	if other.PublicEquals(env.Pub) || other.VerifyEnvelope(env) {
 		t.Fatal("null envelope verified against the wrong identity")
 	}
@@ -48,5 +49,27 @@ func TestNullIdentity(t *testing.T) {
 	env.Sig = []byte{1, 2, 3}
 	if n.VerifyEnvelope(env) {
 		t.Fatal("null identity accepted a signed envelope")
+	}
+}
+
+// TestNullKeysCutFromChunks pins what a null identity costs: a chunk of
+// keys per nullChunk identities, and nothing to store one in an Identity.
+func TestNullKeysCutFromChunks(t *testing.T) {
+	var keys NullKeys
+	idents := make([]Identity, nullChunk)
+	owner := id.HashString("chunked")
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := range idents {
+			idents[i] = keys.Identity(owner)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d null identities made %v allocations, want 1", nullChunk, allocs)
+	}
+	env := idents[0].Sign(LendOrder{Introducer: owner})
+	for i, ident := range idents {
+		if !ident.PublicEquals(env.Pub) {
+			t.Fatalf("identity %d does not recognise its owner's key", i)
+		}
 	}
 }

@@ -116,7 +116,8 @@ func TestVerifyRejectsTruncatedKey(t *testing.T) {
 	s, _ := NewSigner(rng.New(5))
 	owner := id.FromUint64(5)
 	env := s.Sign(LendOrder{Introducer: owner, Nonce: 1})
-	null := NewNullIdentity(owner)
+	var keys NullKeys
+	null := keys.Identity(owner)
 	for _, c := range []struct {
 		name  string
 		ident Identity

@@ -279,27 +279,61 @@ func (w *World) Snapshot() (*Snapshot, error) {
 	}
 
 	// One walk of the slots in ascending identifier order fills both
-	// tables: a first pass counts their records, a second appends them. A
-	// handle past the last slot names no world state. Placement walks and
-	// index lists are cut from one backing array each instead of one small
-	// slice per record.
+	// tables: a first pass counts their records and what the records hold,
+	// a second appends them. A handle past the last slot names no world
+	// state. Every slice and pointee a record holds is cut from one backing
+	// array of its kind, made at its final length, instead of one small
+	// object per record.
 	slots := slices.DeleteFunc(w.handles.SortedByID(), func(h arena.Ordinal) bool { return int(h) >= len(w.slots) })
-	var n struct{ peers, wiped, arcs int }
+	var n struct{ peers, wiped, arcs, partners, plans, signers, arrivals, stores, subjects, reporters int }
 	for _, h := range slots {
 		sl := &w.slots[h]
-		if sl.pr != nil || sl.departed != nil {
-			n.peers++
-		}
 		if sl.wiped {
 			n.wiped++
 		}
 		if sl.sm != nil {
 			n.arcs += len(sl.sm.deps)
 		}
+		p := sl.pr
+		if p == nil && sl.departed != nil {
+			p = sl.departed.peer
+		}
+		if p == nil {
+			continue
+		}
+		n.peers++
+		n.partners += p.Opinions.Partners()
+		if p.Plan != nil {
+			n.plans++
+		}
+		if sl.pr == nil {
+			continue
+		}
+		if sl.inFlight {
+			n.arrivals++
+		}
+		if st := sl.store; st != nil {
+			n.stores++
+			n.subjects += st.Subjects()
+			n.reporters += st.Reporters()
+		}
+	}
+	if !w.cfg.NullSign {
+		n.signers = n.peers
 	}
 	s.Peers = slices.Grow(s.Peers, n.peers)
 	s.Wiped = slices.Grow(s.Wiped, n.wiped)
-	walks, indexed := make([]bool, 0, n.arcs), make([]id.ID, 0, w.smDepSlots)
+	t := &snapTables{
+		walks:    make([]bool, 0, n.arcs),
+		indexed:  make([]id.ID, 0, w.smDepSlots),
+		opinions: make([]rocq.PartnerRecord, 0, n.partners),
+		plans:    make([]workload.Plan, 0, n.plans),
+		signers:  make([]transport.SignerState, 0, n.signers),
+		arrivals: make([]sim.Tick, 0, n.arrivals),
+		stores:   make([]rocq.StoreState, 0, n.stores),
+		subjects: make([]rocq.SubjectRecord, 0, n.subjects),
+		cred:     make([]rocq.CredRecord, 0, n.reporters),
+	}
 	for _, h := range slots {
 		sl := &w.slots[h]
 		pid, _ := w.handles.ID(h)
@@ -309,30 +343,30 @@ func (w *World) Snapshot() (*Snapshot, error) {
 		if sl.pr == nil && sl.departed == nil {
 			continue
 		}
-		rec, err := w.peerRecord(pid, sl)
+		rec, err := w.peerRecord(pid, sl, t)
 		if err != nil {
 			return nil, err
 		}
 		if e := sl.sm; e != nil {
 			// A skip arc always follows a replica arc: it flags the
 			// replica before it.
-			from := len(walks)
+			from := len(t.walks)
 			for _, d := range e.deps {
 				if d.skip {
-					walks[len(walks)-1] = true
+					t.walks[len(t.walks)-1] = true
 				} else {
-					walks = append(walks, false)
+					t.walks = append(t.walks, false)
 				}
 			}
-			rec.Walk = piece(walks, from)
+			rec.Walk = arena.Piece(t.walks, from)
 		}
 		if len(sl.smDeps) > 0 {
-			from := len(indexed)
+			from := len(t.indexed)
 			for _, p := range sl.smDeps {
 				listed, _ := w.handles.ID(p)
-				indexed = append(indexed, listed)
+				t.indexed = append(t.indexed, listed)
 			}
-			rec.Index = piece(indexed, from)
+			rec.Index = arena.Piece(t.indexed, from)
 		}
 		s.Peers = append(s.Peers, rec)
 	}
@@ -416,6 +450,46 @@ func Restore(s *Snapshot) (*World, error) {
 	w.proto.Reserve(peers)
 	w.admittedPeers = make([]*peer.Peer, 0, len(s.Admitted))
 
+	// One counting pass sizes every array the records' state is cut from:
+	// stores, books and their columns, departed peers, plans, placements
+	// and index lists. Nothing is adopted from the snapshot, so the
+	// restored world shares no memory with it.
+	n := rocq.RestoreSizes{Books: peers}
+	var departed, plans, placements, arcs, managers, indexed int
+	for i := range s.Peers {
+		rec := &s.Peers[i]
+		n.Partners += len(rec.Opinions)
+		if rec.Departed {
+			departed++
+		}
+		if rec.Plan != nil {
+			plans++
+		}
+		if st := rec.Store; st != nil {
+			n.Stores++
+			n.Subjects += len(st.Subjects)
+			n.Reporters += len(st.Cred)
+		}
+		if len(rec.Walk) > 0 {
+			placements++
+			arcs += walkArcs(rec.Walk)
+			managers += min(w.cfg.NumSM, len(rec.Walk))
+		}
+		indexed += len(rec.Index)
+	}
+	rs := rocq.NewRestorer(rocq.DefaultParams(), w.handles, n)
+	gone := make([]departedPeer, 0, departed)
+	t := &restoreTables{
+		live:    make([]id.ID, 0, peers),
+		liveH:   make([]arena.Ordinal, 0, peers),
+		plans:   make([]workload.Plan, 0, plans),
+		entries: make([]smCacheEntry, placements),
+		deps:    make([]smDep, arcs),
+		sms:     make([]id.ID, managers),
+		refs:    make([]rocq.Ref, managers),
+		index:   make([]arena.Ordinal, indexed),
+	}
+
 	// Peers, their identities, the overlay and what each live node holds.
 	// Records arrive in ascending ID order and the ring's treap shape is a
 	// pure function of membership, so joining in record order rebuilds the
@@ -424,8 +498,9 @@ func Restore(s *Snapshot) (*World, error) {
 	// clears it.
 	for i := range s.Peers {
 		rec := &s.Peers[i]
-		sl := w.ensureSlot(rec.ID)
-		p, err := w.restorePeer(rec)
+		h := w.handles.Intern(rec.ID)
+		sl := w.slotAt(h)
+		p, err := w.restorePeer(rec, rs, t)
 		if err != nil {
 			return nil, err
 		}
@@ -437,12 +512,13 @@ func Restore(s *Snapshot) (*World, error) {
 			if rec.live() {
 				return nil, fmt.Errorf("world: restore: departed peer %s carries state only a live peer holds", rec.ID.Short())
 			}
-			sl.departed = &departedPeer{peer: p, ident: ident}
+			sl.departed = add(&gone, departedPeer{peer: p, ident: ident})
 			continue
 		}
 		if err := w.ring.Join(p.ID); err != nil {
 			return nil, fmt.Errorf("world: restore: joining %s: %w", p.ID.Short(), err)
 		}
+		t.live, t.liveH = append(t.live, p.ID), append(t.liveH, h)
 		w.proto.RegisterPeer(p.ID, ident)
 		if rec.Crashed {
 			w.bus.Crash(p.ID)
@@ -453,10 +529,11 @@ func Restore(s *Snapshot) (*World, error) {
 			sl.inFlight, sl.arrivedAt = true, *rec.Arrival
 		}
 		if rec.Store != nil {
-			st := w.newStore()
-			if err := st.RestoreState(*rec.Store); err != nil {
+			st, err := rs.Store(*rec.Store)
+			if err != nil {
 				return nil, fmt.Errorf("world: restore: store at %s: %w", rec.ID.Short(), err)
 			}
+			st.SetOnChange(w.repDirty)
 			sl.store = st
 		}
 	}
@@ -520,19 +597,23 @@ func Restore(s *Snapshot) (*World, error) {
 	// adopted, since repairs compact them in place. A list may name a peer
 	// that holds no slot: a stale handle of a forgotten peer, which repairs
 	// read through cachedAt.
+	at := -1 // the record's position among the live peers
 	for i := range s.Peers {
 		rec := &s.Peers[i]
+		if !rec.Departed {
+			at++
+		}
 		if len(rec.Walk) == 0 && len(rec.Index) == 0 {
 			continue
 		}
 		h, _ := w.handles.Get(rec.ID)
 		if len(rec.Walk) > 0 {
-			if err := w.restorePlacement(rec.ID, h, rec.Walk); err != nil {
+			if err := w.restorePlacement(rec.ID, h, at, rec.Walk, t); err != nil {
 				return nil, err
 			}
 		}
 		if len(rec.Index) > 0 {
-			list := make([]arena.Ordinal, len(rec.Index))
+			list := arena.Take(&t.index, len(rec.Index))
 			for j, pid := range rec.Index {
 				list[j] = w.handles.Intern(pid)
 			}
@@ -571,33 +652,57 @@ func Restore(s *Snapshot) (*World, error) {
 	return w, nil
 }
 
-// restorePlacement caches the placement of the live peer pid, at handle h,
-// that the given walk filled. Replica arc r keys pid.Replica(r) and is
-// owned by the ring's successor of that key; a skip arc keys pid and is
-// owned by its next member: every repair keeps an arc so. The managers are
-// what the arcs replay to, unless the walk is padded: no repair replays a
-// padded placement, so a walk that does not replay must be the one the
-// ring walks now, which is then padded. Each manager must host a store,
-// where the placement's references point.
-func (w *World) restorePlacement(pid id.ID, h arena.Ordinal, walk []bool) error {
-	next, _ := w.ring.NextMember(pid)
-	skipTo := w.handles.Intern(next)
+// restoreTables holds the live peers in ascending ID order with their
+// handles, the ring's members among which each arc's owner is found by
+// binary search, and the arrays a restore cuts plans, placements and
+// index lists from, each sized by Restore's counting pass.
+type restoreTables struct {
+	live    []id.ID
+	liveH   []arena.Ordinal
+	plans   []workload.Plan
+	entries []smCacheEntry
+	deps    []smDep
+	sms     []id.ID
+	refs    []rocq.Ref
+	index   []arena.Ordinal
+}
+
+// walkArcs returns how many arcs a placement walk records: one per
+// replica key it consulted, and one per skip arc that followed one.
+func walkArcs(walk []bool) int {
 	arcs := len(walk)
 	for _, skip := range walk {
 		if skip {
 			arcs++
 		}
 	}
-	e := &smCacheEntry{deps: make([]smDep, 0, arcs)}
+	return arcs
+}
+
+// restorePlacement caches the placement of the live peer pid, at handle h
+// and position at among the live peers, that the given walk filled.
+// Replica arc r keys pid.Replica(r) and is owned by the ring's successor
+// of that key, the first live peer at or after it; a skip arc keys pid and
+// is owned by its next member: every repair keeps an arc so. The managers
+// are what the arcs replay to, unless the walk is padded: no repair
+// replays a padded placement, so a walk that does not replay must be the
+// one the ring walks now, which is then padded. Each manager must host a
+// store, where the placement's references point.
+func (w *World) restorePlacement(pid id.ID, h arena.Ordinal, at int, walk []bool, t *restoreTables) error {
+	skipTo := t.liveH[(at+1)%len(t.live)]
+	e := &arena.Take(&t.entries, 1)[0]
+	e.deps = arena.Take(&t.deps, walkArcs(walk))[:0]
 	for r, skip := range walk {
 		key := pid.Replica(r)
-		owner, _ := w.ring.Successor(key)
-		e.deps = append(e.deps, smDep{key: key, owner: w.handles.Intern(owner)})
+		owner, _ := slices.BinarySearchFunc(t.live, key, id.ID.Cmp)
+		e.deps = append(e.deps, smDep{key: key, owner: t.liveH[owner%len(t.live)]})
 		if skip {
 			e.deps = append(e.deps, smDep{key: pid, owner: skipTo, skip: true})
 		}
 	}
-	if sms, ok := w.replay(h, e, make([]id.ID, 0, w.cfg.NumSM)); ok {
+	// Each manager a walk replays to is a distinct replica arc's owner, so
+	// a walk of fewer replica arcs than numSM never replays.
+	if sms, ok := w.replay(h, e, arena.Take(&t.sms, min(w.cfg.NumSM, len(walk)))[:0]); ok {
 		e.sms = sms
 	} else {
 		fresh, err := w.walk(pid, h, w.ring.Size() > 1)
@@ -606,7 +711,7 @@ func (w *World) restorePlacement(pid id.ID, h arena.Ordinal, walk []bool) error 
 		}
 		e = fresh
 	}
-	e.refs = make([]rocq.Ref, len(e.sms))
+	e.refs = arena.Take(&t.refs, len(e.sms))
 	for i, n := range e.sms {
 		st, ok := w.storeAt(n)
 		if !ok {
@@ -710,11 +815,33 @@ func (w *World) decodeEvent(rec EventRecord) (sim.PendingEvent, error) {
 	return pe, nil
 }
 
+// snapTables holds the backing arrays a snapshot cuts its peer records'
+// slices and pointees from, each made once at its final length, so the
+// pointers into one stay valid while it fills.
+type snapTables struct {
+	walks    []bool
+	indexed  []id.ID
+	opinions []rocq.PartnerRecord
+	plans    []workload.Plan
+	signers  []transport.SignerState
+	arrivals []sim.Tick
+	stores   []rocq.StoreState
+	subjects []rocq.SubjectRecord
+	cred     []rocq.CredRecord
+}
+
+// add appends v to *table and returns the address of the appended
+// element: a record's pointee in the array its whole table shares.
+func add[T any](table *[]T, v T) *T {
+	*table = append(*table, v)
+	return &(*table)[len(*table)-1]
+}
+
 // peerRecord captures the peer a slot holds, live or departed, with its
 // signing identity and, for a live peer, what its node holds but the
-// placement cache. It fails on identity kinds the format does not know
-// about.
-func (w *World) peerRecord(pid id.ID, sl *worldSlot) (PeerRecord, error) {
+// placement cache, cutting its slices and pointees from t. It fails on
+// identity kinds the format does not know about.
+func (w *World) peerRecord(pid id.ID, sl *worldSlot, t *snapTables) (PeerRecord, error) {
 	p := sl.pr
 	var ident transport.Identity
 	if p != nil {
@@ -735,40 +862,43 @@ func (w *World) peerRecord(pid id.ID, sl *worldSlot) (PeerRecord, error) {
 		Cohort:      p.Cohort,
 		PlanOrdinal: p.PlanOrdinal,
 		PlanSeq:     p.PlanSeq,
-		Opinions:    p.Opinions.ExportState(),
 	}
+	rec.Opinions, t.opinions = p.Opinions.ExportState(t.opinions)
 	switch ident := ident.(type) {
 	case *transport.Signer:
-		st := ident.Export()
-		rec.Signer = &st
+		rec.Signer = add(&t.signers, ident.Export())
 	case transport.NullIdentity:
 	default:
 		return rec, fmt.Errorf("world: cannot checkpoint identity type %T for %s", ident, pid.Short())
 	}
 	if p.Plan != nil {
-		cp := *p.Plan
-		rec.Plan = &cp
+		rec.Plan = add(&t.plans, *p.Plan)
 	}
 	if sl.pr == nil {
 		return rec, nil
 	}
 	rec.Crashed = w.bus.IsCrashed(pid)
 	if sl.inFlight {
-		at := sl.arrivedAt
-		rec.Arrival = &at
+		rec.Arrival = add(&t.arrivals, sl.arrivedAt)
 	}
 	rec.Rep = sl.rep
 	if sl.store != nil {
-		st := sl.store.ExportState()
-		rec.Store = &st
+		var st rocq.StoreState
+		st, t.subjects, t.cred = sl.store.ExportState(t.subjects, t.cred)
+		rec.Store = add(&t.stores, st)
 	}
 	return rec, nil
 }
 
 // restorePeer rebuilds one peer object, in the world's slab, from its
-// record.
-func (w *World) restorePeer(rec *PeerRecord) (*peer.Peer, error) {
-	p := w.newPeer(rec.ID, rec.Class, rec.Style)
+// record, with its opinion book from rs and its plan from t.
+func (w *World) restorePeer(rec *PeerRecord, rs *rocq.Restorer, t *restoreTables) (*peer.Peer, error) {
+	book, err := rs.Book(rec.Opinions)
+	if err != nil {
+		return nil, fmt.Errorf("world: restore: peer %s: %w", rec.ID.Short(), err)
+	}
+	p := w.peerSlab.Alloc()
+	p.ID, p.Class, p.Style, p.Opinions = rec.ID, rec.Class, rec.Style, book
 	p.JoinedAt = rec.JoinedAt
 	p.Completed = rec.Completed
 	p.Audited = rec.Audited
@@ -778,11 +908,7 @@ func (w *World) restorePeer(rec *PeerRecord) (*peer.Peer, error) {
 	p.PlanOrdinal = rec.PlanOrdinal
 	p.PlanSeq = rec.PlanSeq
 	if rec.Plan != nil {
-		cp := *rec.Plan
-		p.Plan = &cp
-	}
-	if err := p.Opinions.RestoreState(rec.Opinions); err != nil {
-		return nil, fmt.Errorf("world: restore: peer %s: %w", rec.ID.Short(), err)
+		p.Plan = add(&t.plans, *rec.Plan)
 	}
 	return p, nil
 }
@@ -796,7 +922,7 @@ func (w *World) restoreIdentity(rec *PeerRecord) (transport.Identity, error) {
 	case w.cfg.NullSign && rec.Signer != nil:
 		return nil, fmt.Errorf("world: restore: peer %s has a signer in a null-signing world", rec.ID.Short())
 	case w.cfg.NullSign:
-		return transport.NewNullIdentity(rec.ID), nil
+		return w.nullKeys.Identity(rec.ID), nil
 	case rec.Signer == nil:
 		return nil, fmt.Errorf("world: restore: peer %s has no signer in a signing world", rec.ID.Short())
 	}
@@ -851,15 +977,4 @@ func restoredSeries(s *metrics.Series, name string, now sim.Tick) (*metrics.Seri
 		}
 	}
 	return out, nil
-}
-
-// piece returns table[from:] capped at its length, or nil when empty: one
-// record's share of a backing array its whole table is cut from. The cap
-// means an append to one record's piece reallocates instead of writing
-// into the next record's.
-func piece[T any](table []T, from int) []T {
-	if from == len(table) {
-		return nil
-	}
-	return table[from:len(table):len(table)]
 }

@@ -11,6 +11,7 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -1041,3 +1042,99 @@ func keysOf[T any](recs []T, key func(T) id.ID) []id.ID {
 
 // swapFirstTwo swaps a table's first two records.
 func swapFirstTwo[T any](recs []T) { recs[0], recs[1] = recs[1], recs[0] }
+
+// TestRestoreNeverAdoptsSnapshotMemory is the reverse of
+// TestRestoreNeverWritesThroughToSnapshot: it restores a world from a
+// decoded checkpoint, then overwrites every slice element and pointee of
+// the decoded snapshot, and the world must still finish with the uncut
+// run's fingerprint. The decoder cuts a snapshot's slices from chunks
+// shared by many records, so a restored world that kept one would both
+// pin the chunk and change with the snapshot. The Config is left alone:
+// restore adopts it as the world's configuration, and it is the one
+// decoded value restore keeps.
+func TestRestoreNeverAdoptsSnapshotMemory(t *testing.T) {
+	nullSign := churnyCfg(9)
+	nullSign.NullSign = true
+	for i, cfg := range append(differentialCfgs(), nullSign) {
+		t.Run(fmt.Sprintf("cfg=%d", i), func(t *testing.T) {
+			end := sim.Tick(cfg.NumTrans)
+			ref, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := ref.Run(); err != nil {
+				t.Fatalf("uncut run: %v", err)
+			}
+			want := fingerprint(t, ref)
+
+			w, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			w.Start()
+			if err := w.RunFor(end / 2); err != nil {
+				t.Fatalf("RunFor: %v", err)
+			}
+			snap, err := w.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			data, err := snap.Encode()
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			decoded, err := openSnapshot(data)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			resumed, err := Restore(decoded)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			sv := reflect.ValueOf(decoded).Elem()
+			overwritten := 0
+			for f := 0; f < sv.NumField(); f++ {
+				if sv.Type().Field(f).Name != "Config" {
+					overwritten += scribble(sv.Field(f))
+				}
+			}
+			if overwritten == 0 {
+				t.Fatal("fixture: the snapshot holds nothing to overwrite")
+			}
+			if err := resumed.RunFor(end - decoded.Now); err != nil {
+				t.Fatalf("RunFor: %v", err)
+			}
+			resumed.Finish()
+			if got := fingerprint(t, resumed); !bytes.Equal(want, got) {
+				t.Fatalf("overwriting the decoded snapshot after restore changed the resumed run (%d values overwritten)", overwritten)
+			}
+		})
+	}
+}
+
+// scribble zeroes every slice element and pointee reachable from v, each
+// after what it holds, and returns how many it zeroed.
+func scribble(v reflect.Value) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			n += scribble(v.Elem()) + 1
+			v.Elem().SetZero()
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			n += scribble(v.Index(i)) + 1
+			v.Index(i).SetZero()
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			n += scribble(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += scribble(v.Field(i))
+		}
+	}
+	return n
+}

@@ -95,8 +95,11 @@ type World struct {
 	// store, so its order is unobservable. Peer objects come from
 	// peerSlab, which packs them into chunked, pointer-stable storage.
 	slots []worldSlot
-	//replend:allow snapshotfields allocation pool, not state; restore re-allocates every peer object through newPeer
-	peerSlab      arena.Slab[peer.Peer]
+	//replend:allow snapshotfields allocation pool, not state; restore re-allocates every peer object from it
+	peerSlab arena.Slab[peer.Peer]
+	// nullKeys makes the null identities of a null-signing world.
+	//replend:allow snapshotfields allocation pool, not state; restore re-derives each null identity from its peer's ID
+	nullKeys      transport.NullKeys
 	admittedPeers []*peer.Peer // members in admission order
 
 	// handles is the world's one identity table: it numbers every peer
@@ -1015,7 +1018,7 @@ func (w *World) createFounders() error {
 func (w *World) attachNode(p *peer.Peer) error {
 	var ident transport.Identity
 	if w.cfg.NullSign {
-		ident = transport.NewNullIdentity(p.ID)
+		ident = w.nullKeys.Identity(p.ID)
 	} else {
 		signer, err := transport.NewSigner(w.keyRand.Split())
 		if err != nil {
