@@ -29,7 +29,7 @@ type Config struct {
 	// exactly one per simulation time unit, so this is also the run length
 	// in ticks.
 	NumTrans int64 `json:"numTrans"`
-	// NumSM is the number of score managers per peer.
+	// NumSM is the number of score managers per peer, at most MaxNumSM.
 	NumSM int `json:"numSM"`
 	// Lambda is the rate of new peer arrival (Poisson, per tick).
 	Lambda float64 `json:"lambda"`
@@ -105,6 +105,12 @@ type Config struct {
 	Workload *workload.Spec `json:"workload,omitempty"`
 }
 
+// MaxNumSM bounds NumSM. A peer's placement keeps NumSM managers and
+// walks up to 8·NumSM replica keys to find them, so an unbounded value
+// (from a hostile config or checkpoint) would exhaust memory before the
+// first walk ends. The paper uses 6.
+const MaxNumSM = 256
+
 // Default returns the paper's Table 1 defaults.
 func Default() Config {
 	return Config{
@@ -149,6 +155,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: NumTrans %d must be positive", c.NumTrans)
 	case c.NumSM <= 0:
 		return fmt.Errorf("config: NumSM %d must be positive", c.NumSM)
+	case c.NumSM > MaxNumSM:
+		return fmt.Errorf("config: NumSM %d exceeds MaxNumSM (%d)", c.NumSM, MaxNumSM)
 	case c.Lambda < 0:
 		return fmt.Errorf("config: Lambda %v negative", c.Lambda)
 	case c.FracUncoop < 0 || c.FracUncoop > 1:

@@ -68,6 +68,23 @@ func TestWithIntroAmt(t *testing.T) {
 	}
 }
 
+// TestNumSMBound accepts MaxNumSM and refuses anything above it with an
+// error that names the bound.
+func TestNumSMBound(t *testing.T) {
+	c := Default()
+	c.NumSM = MaxNumSM
+	if err := c.Validate(); err != nil {
+		t.Fatalf("NumSM = MaxNumSM refused: %v", err)
+	}
+	for _, n := range []int{MaxNumSM + 1, 1 << 20, 1 << 40} {
+		c.NumSM = n
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "MaxNumSM") {
+			t.Errorf("NumSM %d: Validate = %v, want an error naming MaxNumSM", n, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadValues(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -76,6 +93,8 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"negative NumInit", func(c *Config) { c.NumInit = -1 }},
 		{"zero NumTrans", func(c *Config) { c.NumTrans = 0 }},
 		{"zero NumSM", func(c *Config) { c.NumSM = 0 }},
+		{"NumSM above MaxNumSM", func(c *Config) { c.NumSM = MaxNumSM + 1 }},
+		{"NumSM 2^40", func(c *Config) { c.NumSM = 1 << 40 }},
 		{"negative Lambda", func(c *Config) { c.Lambda = -0.1 }},
 		{"FracUncoop > 1", func(c *Config) { c.FracUncoop = 1.1 }},
 		{"FracNaive < 0", func(c *Config) { c.FracNaive = -0.1 }},

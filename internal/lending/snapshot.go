@@ -3,8 +3,8 @@ package lending
 import (
 	"fmt"
 	"slices"
-	"sort"
 
+	"repro/internal/arena"
 	"repro/internal/id"
 )
 
@@ -61,37 +61,58 @@ type State struct {
 	Stats   Stats
 }
 
-// sortedIDKeys returns the map's keys in ascending identifier order.
-func sortedIDKeys[V any](m map[id.ID]V) []id.ID {
-	out := make([]id.ID, 0, len(m))
+// sortedKeys refills buf with the map's keys in ascending identifier
+// order and returns it, so a caller that passes the result back sorts
+// every map in one buffer.
+func sortedKeys[V any](buf []id.ID, m map[id.ID]V) []id.ID {
+	buf = slices.Grow(buf[:0], len(m))
 	for k := range m {
-		out = append(out, k)
+		buf = append(buf, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(buf, id.ID.Cmp)
+	return buf
 }
 
-// ExportState captures the protocol's state for a checkpoint.
+// ExportState captures the protocol's state for a checkpoint. One pass
+// counts the managers' credits and flags, so that every manager record's
+// lists are cut from one table of each kind (arena.Piece), and each
+// manager's keys are sorted in one reused buffer.
 func (p *Protocol) ExportState() State {
 	st := State{Nonce: p.nonce, Stats: p.stats}
+	var credits, flags int
+	for i := range p.slots {
+		if sm := p.slots[i].sm; sm != nil {
+			credits += len(sm.bootNonce)
+			flags += len(sm.flagged)
+		}
+	}
 	// One walk of the slots in ascending identifier order fills the
 	// manager table, made at its final length from the slot count.
 	st.SM = slices.Grow(st.SM, p.smCount)
+	nonces := make([]BootNonceRecord, 0, credits)
+	flagged := make([]id.ID, 0, flags)
+	var keys []id.ID
 	for _, h := range p.handles.SortedByID() {
 		if int(h) >= len(p.slots) || p.slots[h].sm == nil {
 			continue
 		}
 		pid, _ := p.handles.ID(h)
 		sm := p.slots[h].sm
-		rec := SMRecord{Node: pid, Flagged: sortedIDKeys(sm.flagged)}
-		rec.BootNonce = slices.Grow(rec.BootNonce, len(sm.bootNonce))
-		for _, peer := range sortedIDKeys(sm.bootNonce) {
-			rec.BootNonce = append(rec.BootNonce, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
+		rec := SMRecord{Node: pid}
+		keys = sortedKeys(keys, sm.flagged)
+		from := len(flagged)
+		flagged = append(flagged, keys...)
+		rec.Flagged = arena.Piece(flagged, from)
+		keys = sortedKeys(keys, sm.bootNonce)
+		from = len(nonces)
+		for _, peer := range keys {
+			nonces = append(nonces, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
 		}
+		rec.BootNonce = arena.Piece(nonces, from)
 		st.SM = append(st.SM, rec)
 	}
 	st.Stakes = slices.Grow(st.Stakes, len(p.intro))
-	for _, newcomer := range sortedIDKeys(p.intro) {
+	for _, newcomer := range sortedKeys(nil, p.intro) {
 		rec := p.intro[newcomer]
 		st.Stakes = append(st.Stakes, StakeRecord{
 			Newcomer:   newcomer,
@@ -101,7 +122,7 @@ func (p *Protocol) ExportState() State {
 			State:      rec.state,
 		})
 	}
-	st.Flagged = sortedIDKeys(p.flagged)
+	st.Flagged = sortedKeys(nil, p.flagged)
 	return st
 }
 
@@ -113,16 +134,21 @@ func (p *Protocol) ExportState() State {
 // writes (which covers a duplicate record) is refused with an error
 // naming the table and the record, before anything is installed. So is a
 // manager record that holds neither a credit nor a flag, since a manager
-// keeps state only once it holds one or the other.
+// keeps state only once it holds one or the other. The managers' states
+// are cut from one array, one per record: a fresh protocol holds none,
+// and the ascending order names each node once.
 func (p *Protocol) RestoreState(st State) error {
 	if err := checkOrder(st); err != nil {
 		return fmt.Errorf("lending: restore: %w", err)
 	}
-	for _, rec := range st.SM {
+	states := make([]smLendState, len(st.SM))
+	for i, rec := range st.SM {
 		if len(rec.BootNonce) == 0 && len(rec.Flagged) == 0 {
 			return fmt.Errorf("lending: restore: score manager %s holds neither a credit nor a flag", rec.Node.Short())
 		}
-		sm := p.smState(rec.Node)
+		sm := &states[i]
+		p.ensureSlot(rec.Node).sm = sm
+		p.smCount++
 		sm.flagged = setOf(rec.Flagged)
 		if len(rec.BootNonce) > 0 {
 			sm.bootNonce = make(map[id.ID]uint64, len(rec.BootNonce))

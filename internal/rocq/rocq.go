@@ -46,7 +46,9 @@
 // credibility. The handle table interns identities in first-seen order,
 // so a reporter or partner seen for the first time is usually the
 // newest identity of all and its entry lands at the end of its column:
-// inserting by shifting the tail costs little here.
+// inserting by shifting the tail costs little here. The index points
+// into a store's one column of subject slots, a 32-byte record each (see
+// Store), which grows by the same rule.
 package rocq
 
 import (
@@ -139,9 +141,10 @@ func (p Params) Validate() error {
 }
 
 // insertAt inserts v at position i of a column, shifting the tail up by
-// one. A full column doubles its capacity, starting from 8, so parallel
-// columns that see the same inserts keep the same capacity and grow in
-// lockstep.
+// one; i = len(col) appends. A full column doubles its capacity,
+// starting from 8, so parallel columns that see the same inserts keep
+// the same capacity and grow in lockstep, and a small column is made
+// once instead of at every power of two.
 func insertAt[T any](col []T, i int, v T) []T {
 	if len(col) == cap(col) {
 		grown := make([]T, len(col)+1, max(8, 2*cap(col)))
@@ -284,25 +287,25 @@ func minf(a, b float64) float64 {
 // subjects it is responsible for, together with its private credibility
 // estimates of reporters. A Store is not safe for concurrent use.
 //
-// Memory layout: subject slots live in a struct-of-arrays arena — the
-// hot weighted sums and weights (read on every Query) in two flat
-// float64 slices, the cold bookkeeping in a parallel meta slice — and
-// the index, a column of (handle, slot) pairs sorted by handle, finds a
-// subject's slot. Forget returns slots to a LIFO free-list, so churn
-// recycles them instead of growing the arena without bound. Neither
-// slot indices nor handles feed output bytes: SubjectIDs and
-// ExportState sort by identifier, exactly as the old map-backed layout
-// did.
+// Memory layout: each subject the store holds a slot for has one
+// 32-byte record in the slots column (subjectSlot), so a query reads the
+// weighted sum, the weight and the present flag from one record, and the
+// index, a column of (handle, slot) pairs sorted by handle, finds a
+// subject's slot. Forget and DropPlaceholder free a slot onto a LIFO
+// chain threaded through the freed records themselves: the store holds
+// the head, and each freed record's subject field links to the slot
+// freed before it. Churn thus reuses slots instead of growing the column
+// without bound, and neither freeing nor reusing a slot allocates.
+// Neither slot indices nor handles feed output bytes: SubjectIDs and
+// ExportState sort by identifier.
 type Store struct {
 	//replend:allow snapshotfields points at the shared DefaultParams value for every store (world.Restore rebuilds them so); params carry no run state
 	params  *Params
 	handles *arena.Ordinals // numbers subjects and reporters (see the package doc)
 	index   []indexEntry    // subject handle → slot, ascending by handle
-	s       []float64       // weighted opinion sums (plus lending adjustments), by slot
-	w       []float64       // total opinion weights, by slot
-	meta    []subjectMeta
-	//replend:allow snapshotfields recycled slot indices hold no evidence; a restored store packs its present slots and starts with an empty free-list
-	free []int32 // LIFO free-list of forgotten slots
+	slots   []subjectSlot   // subject records, by slot
+	//replend:allow snapshotfields freed slots hold no evidence; a restored store packs its present slots and starts with none free
+	free int32 // head of the free chain: 1 + the last slot freed, 0 when none is free
 	// credH and cred hold the reporter credibilities as parallel columns
 	// ascending by reporter handle. The first report allocates them: most
 	// stores in a freshly built world hold only initialised subjects and
@@ -322,20 +325,25 @@ type Store struct {
 	onChange func(subject arena.Ordinal)
 }
 
-// subjectMeta is the cold half of one subject slot: reputation reads as
-// s[i] / (w[i] + PriorWeight), the weighted average of received opinions
-// anchored at the prior 0. Lending credits and debits shift s[i] by
-// amount·(w[i] + PriorWeight), which moves the read value by exactly
+// subjectSlot is one subject's record: reputation reads as
+// s / (w + PriorWeight), the weighted average of received opinions
+// anchored at the prior 0. Lending credits and debits shift s by
+// amount·(w + PriorWeight), which moves the read value by exactly
 // ±amount and then fades as further evidence accumulates — the paper's
 // "recoup … by behaving cooperatively".
 // A slot may exist before any evidence arrives (Ref pre-resolves slots so
 // hot query paths are array reads instead of index searches); present
 // distinguishes real evidence from such placeholders, and is what Query,
 // Known and Subjects report. A slot index stays bound to its subject
-// until Forget or DropPlaceholder recycles it, so a Ref stays valid as
-// long as its subject is not forgotten and its placeholder not dropped.
-type subjectMeta struct {
-	reports int64
+// until Forget or DropPlaceholder frees it, so a Ref stays valid as long
+// as its subject is not forgotten and its placeholder not dropped. A
+// freed record is zero but for its subject field, which links the free
+// chain the way Store.free heads it: 1 + the slot freed before it, 0 at
+// the end.
+type subjectSlot struct {
+	s       float64       // weighted opinion sum, plus lending adjustments
+	w       float64       // total opinion weight
+	reports int64         // reports folded into this slot
 	subject arena.Ordinal // the subject this slot is about (for change notification)
 	present bool          // the store has actually heard about this subject
 }
@@ -376,9 +384,9 @@ func (s *Store) Reports() int64 { return s.reports }
 func (s *Store) SetOnChange(fn func(subject arena.Ordinal)) { s.onChange = fn }
 
 // notify reports a mutation of the slot's subject to the observer.
-func (s *Store) notify(idx int32) {
+func (s *Store) notify(sl *subjectSlot) {
 	if s.onChange != nil {
-		s.onChange(s.meta[idx].subject)
+		s.onChange(sl.subject)
 	}
 }
 
@@ -403,8 +411,8 @@ func (s *Store) find(subject arena.Ordinal) (int, bool) {
 }
 
 // slot returns the subject's slot index, interning the subject and
-// creating an empty (non-present) placeholder — from the free-list if
-// churn released one — if the store has no slot for it yet.
+// creating an empty (non-present) placeholder — the last slot freed, if
+// churn freed one — if the store has no slot for it yet.
 func (s *Store) slot(subject id.ID) int32 {
 	return s.slotOf(s.handles.Intern(subject))
 }
@@ -415,26 +423,22 @@ func (s *Store) slotOf(subject arena.Ordinal) int32 {
 	if ok {
 		return s.index[pos].slot
 	}
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.s[idx], s.w[idx] = 0, 0
-		s.meta[idx] = subjectMeta{subject: subject}
+	idx := s.free - 1
+	if idx >= 0 {
+		s.free = int32(s.slots[idx].subject)
+		s.slots[idx] = subjectSlot{subject: subject}
 	} else {
-		idx = int32(len(s.meta))
-		s.s = append(s.s, 0)
-		s.w = append(s.w, 0)
-		s.meta = append(s.meta, subjectMeta{subject: subject})
+		idx = int32(len(s.slots))
+		s.slots = insertAt(s.slots, len(s.slots), subjectSlot{subject: subject})
 	}
 	s.index = insertAt(s.index, pos, indexEntry{subject: subject, slot: idx})
 	return idx
 }
 
 // materialize marks a slot as holding real evidence.
-func (s *Store) materialize(idx int32) {
-	if !s.meta[idx].present {
-		s.meta[idx].present = true
+func (s *Store) materialize(sl *subjectSlot) {
+	if !sl.present {
+		sl.present = true
 		s.known++
 	}
 }
@@ -452,22 +456,21 @@ func (s *Store) Init(subject id.ID, rep float64) {
 }
 
 func (s *Store) initSlot(idx int32, rep float64) {
-	s.materialize(idx)
-	s.meta[idx] = subjectMeta{subject: s.meta[idx].subject, present: true}
-	s.w[idx] = initWeight
-	s.s[idx] = clamp01(rep) * (initWeight + s.params.PriorWeight)
-	s.notify(idx)
+	sl := &s.slots[idx]
+	s.materialize(sl)
+	sl.s, sl.w, sl.reports = clamp01(rep)*(initWeight+s.params.PriorWeight), initWeight, 0
+	s.notify(sl)
 }
 
 // Known reports whether the store holds state for the subject.
 func (s *Store) Known(subject id.ID) bool {
 	idx, ok := s.lookup(subject)
-	return ok && s.meta[idx].present
+	return ok && s.slots[idx].present
 }
 
 // value reads the reputation of one subject slot.
-func (s *Store) value(idx int32) float64 {
-	return clamp01(s.s[idx] / (s.w[idx] + s.params.PriorWeight))
+func (s *Store) value(sl *subjectSlot) float64 {
+	return clamp01(sl.s / (sl.w + s.params.PriorWeight))
 }
 
 // Query returns the stored reputation of the subject, and false if the
@@ -475,17 +478,17 @@ func (s *Store) value(idx int32) float64 {
 // peer that was never admitted).
 func (s *Store) Query(subject id.ID) (float64, bool) {
 	idx, ok := s.lookup(subject)
-	if !ok || !s.meta[idx].present {
+	if !ok || !s.slots[idx].present {
 		return 0, false
 	}
-	return s.value(idx), true
+	return s.value(&s.slots[idx]), true
 }
 
 // Ref is a stable reference to one subject's slot in this store: Query
-// through it is two array reads, no hashing. The reference stays valid as
-// long as its subject is not forgotten (slots are reset in place, and a
-// slot index stays bound to its subject until Forget recycles it) and
-// observes evidence that arrives after it was taken.
+// through it reads one slot record, no hashing. The reference stays
+// valid as long as its subject is not forgotten (slots are reset in
+// place, and a slot index stays bound to its subject until Forget frees
+// it) and observes evidence that arrives after it was taken.
 type Ref struct {
 	store *Store
 	idx   int32
@@ -521,7 +524,7 @@ func (r Ref) Store() *Store { return r.store }
 // Init is Store.Init through the pre-resolved reference.
 func (r Ref) Init(rep float64) { r.store.initSlot(r.idx, rep) }
 
-// Forget drops the subject's slot entirely and recycles its index —
+// Forget drops the subject's slot entirely and frees its index —
 // used when the subject's node has left the network for good, so the
 // store need not retain (or keep a placeholder for) evidence nobody can
 // query again. Callers must ensure no Ref for the subject outlives the
@@ -539,14 +542,14 @@ func (s *Store) ForgetHandle(subject arena.Ordinal) {
 	if !ok {
 		return
 	}
-	if idx := s.index[pos].slot; s.meta[idx].present {
+	if sl := &s.slots[s.index[pos].slot]; sl.present {
 		s.known--
-		s.notify(idx)
+		s.notify(sl)
 	}
 	s.recycle(pos)
 }
 
-// DropPlaceholder recycles the subject's slot if it holds no evidence —
+// DropPlaceholder frees the subject's slot if it holds no evidence —
 // the placement that pre-resolved it has moved to other managers, so
 // nothing can read the placeholder again. A slot with evidence stays.
 // Dropping twice is a no-op, and a drop never notifies the observer.
@@ -559,27 +562,26 @@ func (s *Store) DropPlaceholder(subject id.ID) {
 // DropPlaceholderHandle is DropPlaceholder for a subject already numbered
 // in the store's handle table.
 func (s *Store) DropPlaceholderHandle(subject arena.Ordinal) {
-	if pos, ok := s.find(subject); ok && !s.meta[s.index[pos].slot].present {
+	if pos, ok := s.find(subject); ok && !s.slots[s.index[pos].slot].present {
 		s.recycle(pos)
 	}
 }
 
-// recycle removes the index entry at pos and returns its slot to the
-// free-list.
+// recycle removes the index entry at pos and pushes its slot onto the
+// free chain.
 func (s *Store) recycle(pos int) {
 	idx := s.index[pos].slot
 	s.index = slices.Delete(s.index, pos, pos+1)
-	s.s[idx], s.w[idx] = 0, 0
-	s.meta[idx] = subjectMeta{}
-	s.free = append(s.free, idx)
+	s.slots[idx] = subjectSlot{subject: arena.Ordinal(s.free)}
+	s.free = idx + 1
 }
 
 // Query is Store.Query through the pre-resolved reference.
 func (r Ref) Query() (float64, bool) {
-	if r.idx < 0 || !r.store.meta[r.idx].present {
+	if r.idx < 0 || !r.store.slots[r.idx].present {
 		return 0, false
 	}
-	return r.store.value(r.idx), true
+	return r.store.value(&r.store.slots[r.idx]), true
 }
 
 // Credibility returns the store's current credibility for a reporter.
@@ -626,25 +628,26 @@ func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 	if found {
 		cred = s.cred[pos]
 	}
-	s.materialize(idx)
+	sl := &s.slots[idx]
+	s.materialize(sl)
 	w := cred * op.Quality
-	s.s[idx] += w * op.Value
-	s.w[idx] += w
+	sl.s += w * op.Value
+	sl.w += w
 	// Sliding window: beyond WindowWeight, scale old evidence down so the
 	// aggregate stays responsive to recent behaviour.
-	if s.w[idx] > s.params.WindowWeight {
-		f := s.params.WindowWeight / s.w[idx]
-		s.s[idx] *= f
-		s.w[idx] = s.params.WindowWeight
+	if sl.w > s.params.WindowWeight {
+		f := s.params.WindowWeight / sl.w
+		sl.s *= f
+		sl.w = s.params.WindowWeight
 	}
-	s.meta[idx].reports++
-	if c := s.nextCred(cred, op.Value, s.value(idx)); found {
+	sl.reports++
+	if c := s.nextCred(cred, op.Value, s.value(sl)); found {
 		s.cred[pos] = c
 	} else {
 		s.credH = insertAt(s.credH, pos, reporter)
 		s.cred = insertAt(s.cred, pos, c)
 	}
-	s.notify(idx)
+	s.notify(sl)
 }
 
 // nextCred moves a reporter's credibility toward 1−|opinion−aggregate|:
@@ -668,18 +671,18 @@ func (s *Store) nextCred(cred, opinion, aggregate float64) float64 {
 // clamping) by moving the weighted sum, creating the subject at the zero
 // prior first if unknown.
 func (s *Store) adjust(subject id.ID, delta float64) {
-	idx := s.slot(subject)
-	s.materialize(idx)
-	s.s[idx] += delta * (s.w[idx] + s.params.PriorWeight)
+	sl := &s.slots[s.slot(subject)]
+	s.materialize(sl)
+	sl.s += delta * (sl.w + s.params.PriorWeight)
 	// Keep the evidence sum inside the representable [0,1] value range so
 	// clamped adjustments do not bank hidden credit or debt.
-	if max := s.w[idx] + s.params.PriorWeight; s.s[idx] > max {
-		s.s[idx] = max
+	if max := sl.w + s.params.PriorWeight; sl.s > max {
+		sl.s = max
 	}
-	if s.s[idx] < 0 {
-		s.s[idx] = 0
+	if sl.s < 0 {
+		sl.s = 0
 	}
-	s.notify(idx)
+	s.notify(sl)
 }
 
 // Credit raises the subject's stored reputation by amount (clamped to 1),
@@ -708,10 +711,10 @@ func (s *Store) Debit(subject id.ID, amount float64) {
 // Zero forces the subject's stored reputation to 0; the punishment for a
 // peer caught soliciting duplicate introductions.
 func (s *Store) Zero(subject id.ID) {
-	idx := s.slot(subject)
-	s.materialize(idx)
-	s.s[idx] = 0
-	s.notify(idx)
+	sl := &s.slots[s.slot(subject)]
+	s.materialize(sl)
+	sl.s = 0
+	s.notify(sl)
 }
 
 // ---------------------------------------------------------------------------
@@ -737,26 +740,27 @@ func (sn Snapshot) Value() float64 {
 // holds none.
 func (s *Store) Export(subject id.ID) (Snapshot, bool) {
 	idx, ok := s.lookup(subject)
-	if !ok || !s.meta[idx].present {
+	if !ok || !s.slots[idx].present {
 		return Snapshot{}, false
 	}
-	return Snapshot{S: s.s[idx], W: s.w[idx], Reports: s.meta[idx].reports, Prior: s.params.PriorWeight}, true
+	sl := &s.slots[idx]
+	return Snapshot{S: sl.s, W: sl.w, Reports: sl.reports, Prior: s.params.PriorWeight}, true
 }
 
 // Adopt installs a migrated snapshot as the subject's stored evidence,
 // replacing whatever the store held. The slot is reset in place, so Refs
 // taken before the adoption keep observing the subject.
 func (s *Store) Adopt(subject id.ID, sn Snapshot) {
-	idx := s.slot(subject)
-	s.materialize(idx)
-	s.s[idx], s.w[idx], s.meta[idx].reports = sn.S, sn.W, sn.Reports
-	s.notify(idx)
+	sl := &s.slots[s.slot(subject)]
+	s.materialize(sl)
+	sl.s, sl.w, sl.reports = sn.S, sn.W, sn.Reports
+	s.notify(sl)
 }
 
 // SubjectIDs appends the subjects with stored evidence to buf in
 // ascending identifier order and returns the extended slice — the
 // deterministic iteration the churn handoff needs when a node's store is
-// enumerated at departure. The arena makes this a linear slice scan
+// enumerated at departure. The slot column makes this a linear scan
 // instead of a map iteration, and a caller that passes the same buffer
 // back scans without allocating. A store without evidence returns buf
 // unchanged: every founder's join scans its successor's store before any
@@ -766,9 +770,9 @@ func (s *Store) SubjectIDs(buf []id.ID) []id.ID {
 		return buf
 	}
 	out := slices.Grow(buf, s.known)
-	for i := range s.meta {
-		if s.meta[i].present {
-			out = append(out, s.subjectID(int32(i)))
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.present {
+			out = append(out, s.subjectID(sl))
 		}
 	}
 	slices.SortFunc(out[len(buf):], id.ID.Cmp)
@@ -776,17 +780,17 @@ func (s *Store) SubjectIDs(buf []id.ID) []id.ID {
 }
 
 // subjectID returns the identifier of the slot's subject.
-func (s *Store) subjectID(idx int32) id.ID {
-	pid, _ := s.handles.ID(s.meta[idx].subject)
+func (s *Store) subjectID(sl *subjectSlot) id.ID {
+	pid, _ := s.handles.ID(sl.subject)
 	return pid
 }
 
-// ArenaSlots returns (live, capacity) of the store's subject arena: how
+// ArenaSlots returns (live, capacity) of the store's subject slots: how
 // many subjects hold an index and how many slots exist in total. A
-// capacity bounded near the subject high-water mark is the free-list
+// capacity bounded near the subject high-water mark is the free chain
 // working under churn.
 func (s *Store) ArenaSlots() (live, capacity int) {
-	return len(s.index), len(s.meta)
+	return len(s.index), len(s.slots)
 }
 
 // ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ type StoreState struct {
 func (s *Store) ExportState(subjects []SubjectRecord, cred []CredRecord) (StoreState, []SubjectRecord, []CredRecord) {
 	out := StoreState{Reports: s.reports}
 	from := len(subjects)
-	for i := range s.meta {
-		if s.meta[i].present {
-			subjects = append(subjects, SubjectRecord{Subject: s.subjectID(int32(i)), S: s.s[i], W: s.w[i], Reports: s.meta[i].reports})
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.present {
+			subjects = append(subjects, SubjectRecord{Subject: s.subjectID(sl), S: sl.s, W: sl.w, Reports: sl.reports})
 		}
 	}
 	out.Subjects = arena.Piece(subjects, from)
@@ -86,8 +86,7 @@ type Restorer struct {
 	stores   []Store
 	books    []OpinionBook
 	index    []indexEntry
-	sw       []float64 // each store's S column, then its W column
-	meta     []subjectMeta
+	slots    []subjectSlot
 	credH    []arena.Ordinal
 	cred     []float64
 	partnerH []arena.Ordinal
@@ -120,8 +119,7 @@ func NewRestorer(p Params, handles *arena.Ordinals, n RestoreSizes) *Restorer {
 		stores:   make([]Store, n.Stores),
 		books:    make([]OpinionBook, n.Books),
 		index:    make([]indexEntry, n.Subjects),
-		sw:       make([]float64, 2*n.Subjects),
-		meta:     make([]subjectMeta, n.Subjects),
+		slots:    make([]subjectSlot, n.Subjects),
 		credH:    make([]arena.Ordinal, n.Reporters),
 		cred:     make([]float64, n.Reporters),
 		partnerH: make([]arena.Ordinal, n.Partners),
@@ -163,14 +161,12 @@ func (r *Restorer) Store(st StoreState) (*Store, error) {
 	n := len(st.Subjects)
 	s := &arena.Take(&r.stores, 1)[0]
 	s.params, s.handles = r.params, r.handles
-	s.index, s.meta = arena.Take(&r.index, n), arena.Take(&r.meta, n)
-	s.s, s.w = arena.Take(&r.sw, n), arena.Take(&r.sw, n)
+	s.index, s.slots = arena.Take(&r.index, n), arena.Take(&r.slots, n)
 	s.known, s.reports = n, st.Reports
 	for i, rec := range st.Subjects {
 		h := r.handles.Intern(rec.Subject)
 		s.index[i] = indexEntry{subject: h, slot: int32(i)}
-		s.s[i], s.w[i] = rec.S, rec.W
-		s.meta[i] = subjectMeta{subject: h, reports: rec.Reports, present: true}
+		s.slots[i] = subjectSlot{s: rec.S, w: rec.W, reports: rec.Reports, subject: h, present: true}
 	}
 	// Records arrive in identifier order, and the table may have numbered
 	// these identities in any order: sort each table by handle once.

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -453,6 +454,48 @@ func TestSnapshotPreconditions(t *testing.T) {
 	w.Start()
 	if _, err := w.Snapshot(); err != nil {
 		t.Fatalf("Snapshot after Start: %v", err)
+	}
+}
+
+// TestRestoreRefusesHugeNumSM restores a churning world's checkpoint
+// with NumSM raised to 2^20 and to 2^40. Without an upper bound, such a
+// restore failed only after a placement walk had made a slice of
+// capacity NumSM (20 MB at 2^20), and at 2^40 the process died in the
+// allocator. Validation must refuse both, naming config.MaxNumSM, before
+// restore allocates anything of that size.
+func TestRestoreRefusesHugeNumSM(t *testing.T) {
+	w, err := New(churnyCfg(3))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	w.Start()
+	if err := w.RunFor(500); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for _, numSM := range []int{1 << 20, 1 << 40} {
+		s, err := openSnapshot(data)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		s.Config.NumSM = numSM
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Restore(s)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "MaxNumSM") {
+			t.Errorf("NumSM %d: Restore error = %v, want one naming MaxNumSM", numSM, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("NumSM %d: the refused restore allocated %d B, want under 1 MiB", numSM, grew)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package world
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/arena"
 	"repro/internal/baseline"
@@ -983,9 +984,17 @@ func (w *World) storeAt(node id.ID) (*rocq.Store, bool) {
 // ---------------------------------------------------------------------------
 // Setup.
 
+// newPeerID numbers the next peer: the hash of "peer-<seq>-seed-<seed>",
+// with the digits appended into a stack buffer, so naming a founder or
+// an arrival allocates nothing.
 func (w *World) newPeerID() id.ID {
 	w.seq++
-	return id.HashString(fmt.Sprintf("peer-%d-seed-%d", w.seq, w.cfg.Seed))
+	var buf [64]byte
+	name := append(buf[:0], "peer-"...)
+	name = strconv.AppendInt(name, w.seq, 10)
+	name = append(name, "-seed-"...)
+	name = strconv.AppendUint(name, w.cfg.Seed, 10)
+	return id.Hash(name)
 }
 
 // createFounders builds the initial community: cfg.NumInit cooperative

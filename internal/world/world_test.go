@@ -2,6 +2,7 @@ package world
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,6 +54,25 @@ func TestNewValidatesConfig(t *testing.T) {
 	c.NumSM = 0
 	if _, err := New(c); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestNewPeerIDMatchesFormattedName pins newPeerID to the name it has
+// always hashed, "peer-<seq>-seed-<seed>" as fmt formats it, over every
+// digit count of seq up to 10,000 and at the ends of the seed range, and
+// checks that naming a peer allocates nothing.
+func TestNewPeerIDMatchesFormattedName(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 10, math.MaxUint64} {
+		w := &World{cfg: config.Config{Seed: seed}}
+		for seq := 1; seq <= 10_000; seq++ {
+			if got, want := w.newPeerID(), id.HashString(fmt.Sprintf("peer-%d-seed-%d", seq, seed)); got != want {
+				t.Fatalf("seed %d, seq %d: newPeerID = %s, want %s", seed, seq, got.Short(), want.Short())
+			}
+		}
+	}
+	w := &World{cfg: config.Config{Seed: math.MaxUint64}}
+	if allocs := testing.AllocsPerRun(100, func() { w.newPeerID() }); allocs != 0 {
+		t.Fatalf("newPeerID allocates %v objects a call, want 0", allocs)
 	}
 }
 
