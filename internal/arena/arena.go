@@ -1,9 +1,10 @@
 // Package arena provides the dense per-peer memory layout under the
-// simulator: an intern-only handle table that numbers identities, and a
-// chunked, pointer-stable slab allocator. Together they flatten the
-// pointer webs that per-peer maps grow into at large populations —
-// million-peer worlds index flat slices by handle instead of chasing
-// heap-scattered map entries.
+// simulator: an intern-only handle table that numbers identities, the
+// growth rule and packed 64-bit word of the record columns that ROCQ and
+// lending keep sorted by handle, and a chunked, pointer-stable slab
+// allocator. Together they flatten the pointer webs that per-peer maps
+// grow into at large populations — million-peer worlds index flat slices
+// by handle instead of chasing heap-scattered map entries.
 //
 // Determinism contract: a table numbers identities in first-sight order,
 // which the simulation's (deterministic) event order drives, and never
@@ -16,6 +17,7 @@ package arena
 
 import (
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/id"
@@ -123,6 +125,50 @@ func Take[T any](table *[]T, n int) []T {
 	*table = (*table)[n:]
 	return p
 }
+
+// InsertAt inserts v at position i of a column, shifting the tail up by
+// one; i = len(col) appends. A full column doubles its capacity,
+// starting from 8, so a small column is made once instead of at every
+// power of two: 64 inserts into a nil column make it four times, at 8,
+// 16, 32 and 64.
+func InsertAt[T any](col []T, i int, v T) []T {
+	if len(col) == cap(col) {
+		grown := make([]T, len(col)+1, max(8, 2*cap(col)))
+		copy(grown, col[:i])
+		grown[i] = v
+		copy(grown[i+1:], col[i:])
+		return grown
+	}
+	col = col[:len(col)+1]
+	copy(col[i+1:], col[i:])
+	col[i] = v
+	return col
+}
+
+// Word is a 64-bit value held as two 32-bit halves, low half first. It
+// is aligned to 4 bytes, so a record that pairs it with a handle packs
+// to 12 B where a float64, int64 or uint64 field would pad the record
+// to 16. Every conversion keeps the exact bits: a value reads back as it
+// was stored, signed zeros and NaN payloads included.
+type Word [2]uint32
+
+// Uint64Word packs u.
+func Uint64Word(u uint64) Word { return Word{uint32(u), uint32(u >> 32)} }
+
+// Uint64 returns the packed value.
+func (w Word) Uint64() uint64 { return uint64(w[0]) | uint64(w[1])<<32 }
+
+// Float64Word packs f's bits.
+func Float64Word(f float64) Word { return Uint64Word(math.Float64bits(f)) }
+
+// Float64 returns the packed float.
+func (w Word) Float64() float64 { return math.Float64frombits(w.Uint64()) }
+
+// Int64Word packs i.
+func Int64Word(i int64) Word { return Uint64Word(uint64(i)) }
+
+// Int64 returns the packed integer.
+func (w Word) Int64() int64 { return int64(w.Uint64()) }
 
 // slabChunk is the fixed allocation unit of a Slab. Chunks never move
 // once allocated, so pointers handed out by Alloc stay valid for the

@@ -1,7 +1,10 @@
 package arena
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"repro/internal/id"
 )
@@ -80,5 +83,43 @@ func TestSlabFreeZeroesAndRecycles(t *testing.T) {
 	}
 	if b.v != 0 || b.next != nil {
 		t.Fatalf("recycled record not zeroed: %+v", b)
+	}
+}
+
+// TestWordRoundTripsExactBits packs the values a lossy conversion would
+// change, and 10,000 random bit patterns, and reads each back bit for
+// bit as a float64, an int64 and a uint64. A Word is 8 B aligned to 4,
+// so it adds no padding after a 4-byte handle.
+func TestWordRoundTripsExactBits(t *testing.T) {
+	if size, align := unsafe.Sizeof(Word{}), unsafe.Alignof(Word{}); size != 8 || align != 4 {
+		t.Fatalf("Word is %d B aligned to %d, want 8 aligned to 4", size, align)
+	}
+	for _, f := range []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // a quiet NaN with a payload
+	} {
+		if got := Float64Word(f).Float64(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("float %v (bits %#016x) reads back as bits %#016x", f, math.Float64bits(f), math.Float64bits(got))
+		}
+	}
+	for _, i := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64} {
+		if got := Int64Word(i).Int64(); got != i {
+			t.Errorf("int %d reads back as %d", i, got)
+		}
+	}
+	src := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n < 10000; n++ {
+		u := src.Uint64()
+		if got := Uint64Word(u).Uint64(); got != u {
+			t.Fatalf("uint %#016x reads back as %#016x", u, got)
+		}
+		if got := Int64Word(int64(u)).Int64(); got != int64(u) {
+			t.Fatalf("int %d reads back as %d", int64(u), got)
+		}
+		if got := Float64Word(math.Float64frombits(u)).Float64(); math.Float64bits(got) != u {
+			t.Fatalf("float bits %#016x read back as %#016x", u, math.Float64bits(got))
+		}
 	}
 }

@@ -35,6 +35,7 @@ package lending
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -184,14 +185,35 @@ type introRecord struct {
 }
 
 // smLendState is the lending bookkeeping a score-manager node keeps
-// across calls: the credits it accepted and the newcomers it flagged. It
-// is made by the first credit a node accepts or the first flag it sets,
-// so every state holds one or the other. Each map is made by its first
-// write: most managers never see a double introduction, and reading a nil
-// map is a miss.
+// across calls: the credits it accepted and the newcomers it flagged,
+// each a column sorted by the newcomer's handle and grown by
+// arena.InsertAt, as ROCQ's tables are. It is made by the first credit a
+// node accepts or the first flag it sets, so every state holds one or
+// the other. Each column is nil until its first write: most managers
+// never see a double introduction.
 type smLendState struct {
-	bootNonce map[id.ID]uint64 // newcomer -> nonce of its accepted credit
-	flagged   map[id.ID]bool   // newcomers caught double-introducing
+	bootNonce []nonceEntry    // accepted credits
+	flagged   []arena.Ordinal // newcomers caught double-introducing
+}
+
+// nonceEntry is the nonce of the credit a manager accepted for one
+// newcomer, 12 B: the uint64 is packed into an arena.Word.
+type nonceEntry struct {
+	newcomer arena.Ordinal
+	nonce    arena.Word // uint64
+}
+
+// byNewcomer orders accepted credits by newcomer handle.
+func byNewcomer(e nonceEntry, newcomer arena.Ordinal) int { return cmp.Compare(e.newcomer, newcomer) }
+
+// nonce returns the nonce of the credit the manager accepted for the
+// newcomer, and false if it accepted none.
+func (st *smLendState) nonce(newcomer arena.Ordinal) (uint64, bool) {
+	i, ok := slices.BinarySearchFunc(st.bootNonce, newcomer, byNewcomer)
+	if !ok {
+		return 0, false
+	}
+	return st.bootNonce[i].nonce.Uint64(), true
 }
 
 // lendSlot is the per-peer record of the protocol: the registered
@@ -562,11 +584,14 @@ func (p *Protocol) executeLend(newcomer, introducer id.ID) {
 	}
 
 	// Admission check: did any of the newcomer's managers accept a credit?
-	// A manager that holds no state accepted none.
+	// A manager that holds no state accepted none, and a newcomer no
+	// credit interned has handle None, which no manager holds a credit
+	// for.
+	nh, _ := p.handles.Get(newcomer)
 	accepted := false
 	for _, smNode := range p.net.ScoreManagers(newcomer) {
 		if slot := p.slotOf(smNode); slot != nil && slot.sm != nil {
-			if n, ok := slot.sm.bootNonce[newcomer]; ok && n == order.Nonce {
+			if n, ok := slot.sm.nonce(nh); ok && n == order.Nonce {
 				accepted = true
 				break
 			}
@@ -607,35 +632,36 @@ func (p *Protocol) onLend(node id.ID, env transport.Envelope) {
 		return // forged or tampered order: drop silently
 	}
 	p.net.Store(node).Debit(env.Order.Introducer, env.Order.Amount)
+	nh := p.handles.Intern(env.Order.NewPeer)
 	for _, sm := range p.net.ScoreManagers(env.Order.NewPeer) {
 		if p.deliver(sm) {
-			p.onCredit(sm, env)
+			p.onCredit(sm, env, nh)
 		}
 	}
 }
 
-// onCredit is the newcomer's score manager receiving the bootstrap credit.
-func (p *Protocol) onCredit(node id.ID, env transport.Envelope) {
+// onCredit is the newcomer's score manager receiving the bootstrap
+// credit; nh is the newcomer's handle.
+func (p *Protocol) onCredit(node id.ID, env transport.Envelope, nh arena.Ordinal) {
 	if !p.verifyEnv(env, env.Order.Introducer) {
 		return
 	}
 	st := p.smState(node)
 	newcomer := env.Order.NewPeer
-	if st.flagged[newcomer] {
+	f, flagged := slices.BinarySearch(st.flagged, nh)
+	if flagged {
 		return
 	}
-	if prev, ok := st.bootNonce[newcomer]; ok {
-		if prev == env.Order.Nonce {
+	i, credited := slices.BinarySearchFunc(st.bootNonce, nh, byNewcomer)
+	if credited {
+		if st.bootNonce[i].nonce.Uint64() == env.Order.Nonce {
 			return // redundant copy of the same introduction
 		}
 		// Two different introductions for the same peer: "they realize
 		// that the new peer is trying to gain unfair advantage and
 		// therefore reduce its reputation to zero … and may flag it as a
 		// malicious peer."
-		if st.flagged == nil {
-			st.flagged = make(map[id.ID]bool)
-		}
-		st.flagged[newcomer] = true
+		st.flagged = arena.InsertAt(st.flagged, f, nh)
 		p.net.Store(node).Zero(newcomer)
 		if !p.flagged[newcomer] {
 			p.flagged[newcomer] = true
@@ -646,10 +672,7 @@ func (p *Protocol) onCredit(node id.ID, env transport.Envelope) {
 		}
 		return
 	}
-	if st.bootNonce == nil {
-		st.bootNonce = make(map[id.ID]uint64)
-	}
-	st.bootNonce[newcomer] = env.Order.Nonce
+	st.bootNonce = arena.InsertAt(st.bootNonce, i, nonceEntry{newcomer: nh, nonce: arena.Uint64Word(env.Order.Nonce)})
 	p.net.Store(node).Credit(newcomer, env.Order.Amount)
 }
 

@@ -700,9 +700,54 @@ func TestReasonString(t *testing.T) {
 
 // TestLendSlotSize pins a lending slot at three words, its identity and
 // its manager-state pointer: every identity a run ever sees keeps one,
-// so a field added to it is paid once per identity.
+// so a field added to it is paid once per identity. It also pins a
+// manager's boot-nonce record at 12 B, a handle and a packed nonce.
 func TestLendSlotSize(t *testing.T) {
 	if got, want := unsafe.Sizeof(lendSlot{}), 3*unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("lendSlot is %d B, want %d", got, want)
+	}
+	if got := unsafe.Sizeof(nonceEntry{}); got != 12 {
+		t.Fatalf("nonceEntry is %d B, want 12", got)
+	}
+}
+
+// TestManagerColumnAllocations pins what a manager's accepted credits
+// cost: 64 credits for distinct newcomers at one manager make its state
+// once and its boot-nonce column four times (8, 16, 32 and 64 records),
+// and leave the column in newcomer-handle order.
+func TestManagerColumnAllocations(t *testing.T) {
+	h := newHarness(t)
+	var keys transport.NullKeys
+	intro, manager := id.HashString("peer-introducer"), id.HashString("peer-manager")
+	h.proto.RegisterPeer(intro, keys.Identity(intro))
+	h.proto.RegisterPeer(manager, keys.Identity(manager))
+	signer, _ := h.proto.identityOf(intro)
+	store := h.net.Store(manager)
+	envs := make([]transport.Envelope, 64)
+	handles := make([]arena.Ordinal, len(envs))
+	for i := range envs {
+		newcomer := id.HashString(fmt.Sprintf("peer-newcomer-%d", i))
+		handles[i] = h.proto.handles.Intern(newcomer)
+		store.Init(newcomer, 0.5) // the credits then write into slots the store holds
+		envs[i] = signer.Sign(transport.LendOrder{Introducer: intro, NewPeer: newcomer, Amount: 0.1, Nonce: uint64(i + 1)})
+	}
+	slot := h.proto.slotOf(manager)
+	credits := testing.AllocsPerRun(20, func() {
+		slot.sm, h.proto.smCount = nil, 0
+		for i, env := range envs {
+			h.proto.onCredit(manager, env, handles[i])
+		}
+	})
+	if credits != 1+4 {
+		t.Errorf("64 credits at one manager allocate %v objects, want 5 (the state and 4 column doublings)", credits)
+	}
+	col := slot.sm.bootNonce
+	if len(col) != 64 || cap(col) != 64 {
+		t.Fatalf("after 64 credits the boot-nonce column holds %d of %d, want 64 of 64", len(col), cap(col))
+	}
+	for i, e := range col {
+		if e.newcomer != handles[i] || e.nonce.Uint64() != uint64(i+1) {
+			t.Fatalf("boot-nonce record %d = (%d, %d), want (%d, %d)", i, e.newcomer, e.nonce.Uint64(), handles[i], i+1)
+		}
 	}
 }

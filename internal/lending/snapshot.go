@@ -61,22 +61,21 @@ type State struct {
 	Stats   Stats
 }
 
-// sortedKeys refills buf with the map's keys in ascending identifier
-// order and returns it, so a caller that passes the result back sorts
-// every map in one buffer.
-func sortedKeys[V any](buf []id.ID, m map[id.ID]V) []id.ID {
-	buf = slices.Grow(buf[:0], len(m))
+// sortedKeys returns the map's keys in ascending identifier order, nil
+// for an empty map.
+func sortedKeys[V any](m map[id.ID]V) []id.ID {
+	keys := slices.Grow([]id.ID(nil), len(m))
 	for k := range m {
-		buf = append(buf, k)
+		keys = append(keys, k)
 	}
-	slices.SortFunc(buf, id.ID.Cmp)
-	return buf
+	slices.SortFunc(keys, id.ID.Cmp)
+	return keys
 }
 
 // ExportState captures the protocol's state for a checkpoint. One pass
 // counts the managers' credits and flags, so that every manager record's
-// lists are cut from one table of each kind (arena.Piece), and each
-// manager's keys are sorted in one reused buffer.
+// lists are cut from one table of each kind (arena.Piece); each list maps
+// its column's handles back to identifiers and is sorted in place.
 func (p *Protocol) ExportState() State {
 	st := State{Nonce: p.nonce, Stats: p.stats}
 	var credits, flags int
@@ -91,7 +90,6 @@ func (p *Protocol) ExportState() State {
 	st.SM = slices.Grow(st.SM, p.smCount)
 	nonces := make([]BootNonceRecord, 0, credits)
 	flagged := make([]id.ID, 0, flags)
-	var keys []id.ID
 	for _, h := range p.handles.SortedByID() {
 		if int(h) >= len(p.slots) || p.slots[h].sm == nil {
 			continue
@@ -99,20 +97,24 @@ func (p *Protocol) ExportState() State {
 		pid, _ := p.handles.ID(h)
 		sm := p.slots[h].sm
 		rec := SMRecord{Node: pid}
-		keys = sortedKeys(keys, sm.flagged)
 		from := len(flagged)
-		flagged = append(flagged, keys...)
+		for _, f := range sm.flagged {
+			peer, _ := p.handles.ID(f)
+			flagged = append(flagged, peer)
+		}
 		rec.Flagged = arena.Piece(flagged, from)
-		keys = sortedKeys(keys, sm.bootNonce)
+		slices.SortFunc(rec.Flagged, id.ID.Cmp)
 		from = len(nonces)
-		for _, peer := range keys {
-			nonces = append(nonces, BootNonceRecord{Peer: peer, Nonce: sm.bootNonce[peer]})
+		for _, e := range sm.bootNonce {
+			peer, _ := p.handles.ID(e.newcomer)
+			nonces = append(nonces, BootNonceRecord{Peer: peer, Nonce: e.nonce.Uint64()})
 		}
 		rec.BootNonce = arena.Piece(nonces, from)
+		slices.SortFunc(rec.BootNonce, func(a, b BootNonceRecord) int { return a.Peer.Cmp(b.Peer) })
 		st.SM = append(st.SM, rec)
 	}
 	st.Stakes = slices.Grow(st.Stakes, len(p.intro))
-	for _, newcomer := range sortedKeys(nil, p.intro) {
+	for _, newcomer := range sortedKeys(p.intro) {
 		rec := p.intro[newcomer]
 		st.Stakes = append(st.Stakes, StakeRecord{
 			Newcomer:   newcomer,
@@ -122,7 +124,7 @@ func (p *Protocol) ExportState() State {
 			State:      rec.state,
 		})
 	}
-	st.Flagged = sortedKeys(nil, p.flagged)
+	st.Flagged = sortedKeys(p.flagged)
 	return st
 }
 
@@ -136,26 +138,38 @@ func (p *Protocol) ExportState() State {
 // manager record that holds neither a credit nor a flag, since a manager
 // keeps state only once it holds one or the other. The managers' states
 // are cut from one array, one per record: a fresh protocol holds none,
-// and the ascending order names each node once.
+// and the ascending order names each node once. Their columns are cut
+// from one table of each kind, sized by a counting pass, filled in
+// identifier order and sorted by handle in place.
 func (p *Protocol) RestoreState(st State) error {
 	if err := checkOrder(st); err != nil {
 		return fmt.Errorf("lending: restore: %w", err)
 	}
-	states := make([]smLendState, len(st.SM))
-	for i, rec := range st.SM {
+	var credits, flags int
+	for _, rec := range st.SM {
 		if len(rec.BootNonce) == 0 && len(rec.Flagged) == 0 {
 			return fmt.Errorf("lending: restore: score manager %s holds neither a credit nor a flag", rec.Node.Short())
 		}
+		credits += len(rec.BootNonce)
+		flags += len(rec.Flagged)
+	}
+	states := make([]smLendState, len(st.SM))
+	nonces := make([]nonceEntry, credits)
+	flagged := make([]arena.Ordinal, flags)
+	for i, rec := range st.SM {
 		sm := &states[i]
 		p.ensureSlot(rec.Node).sm = sm
 		p.smCount++
-		sm.flagged = setOf(rec.Flagged)
-		if len(rec.BootNonce) > 0 {
-			sm.bootNonce = make(map[id.ID]uint64, len(rec.BootNonce))
-			for _, bn := range rec.BootNonce {
-				sm.bootNonce[bn.Peer] = bn.Nonce
-			}
+		sm.bootNonce = arena.Take(&nonces, len(rec.BootNonce))
+		for j, bn := range rec.BootNonce {
+			sm.bootNonce[j] = nonceEntry{newcomer: p.handles.Intern(bn.Peer), nonce: arena.Uint64Word(bn.Nonce)}
 		}
+		slices.SortFunc(sm.bootNonce, func(a, b nonceEntry) int { return byNewcomer(a, b.newcomer) })
+		sm.flagged = arena.Take(&flagged, len(rec.Flagged))
+		for j, f := range rec.Flagged {
+			sm.flagged[j] = p.handles.Intern(f)
+		}
+		slices.Sort(sm.flagged)
 	}
 	for _, rec := range st.Stakes {
 		if rec.State < StakePending || rec.State > StakeStranded {
@@ -206,17 +220,4 @@ func checkOrder(st State) error {
 		}
 	}
 	return nil
-}
-
-// setOf returns the keys as a set, or nil for none: a manager's map is
-// made by its first write.
-func setOf[K comparable](keys []K) map[K]bool {
-	if len(keys) == 0 {
-		return nil
-	}
-	set := make(map[K]bool, len(keys))
-	for _, k := range keys {
-		set[k] = true
-	}
-	return set
 }

@@ -38,17 +38,21 @@
 // bytes: exports map them back to identifiers and sort, and restores
 // intern again.
 //
-// Each per-handle table is a set of columns kept sorted by handle and
-// searched by binary search, nil until its first write: a handle column
-// and a parallel value column for credibilities (12 B an entry) and
-// partners (20 B), one column of (handle, slot) pairs for a store's
-// subject index (8 B). A Swiss map spent about 31 B on each 12-byte
-// credibility. The handle table interns identities in first-seen order,
-// so a reporter or partner seen for the first time is usually the
-// newest identity of all and its entry lands at the end of its column:
-// inserting by shifting the tail costs little here. The index points
-// into a store's one column of subject slots, a 32-byte record each (see
-// Store), which grows by the same rule.
+// Each per-handle table is one column of records kept sorted by handle,
+// searched by binary search and nil until its first write: (reporter,
+// credibility) records for a store's credibilities (12 B each),
+// (partner, sum, count) records for a book's partners (20 B) and
+// (subject, slot) records for a store's subject index (8 B). Each 64-bit
+// value is held as an arena.Word, two 32-bit halves, so no record pads
+// past its handle and values: a float64 field would make the first two
+// 16 and 24 B. A Swiss map spent about 31 B on each 12-byte credibility.
+// A column grows by arena.InsertAt, doubling from 8, so a new entry is
+// one insert and a doubling makes one object. The handle table interns
+// identities in first-seen order, so a reporter or partner seen for the
+// first time is usually the newest identity of all and its entry lands
+// at the end of its column: inserting by shifting the tail costs little
+// here. The index points into a store's one column of subject slots, a
+// 32-byte record each (see Store), which grows by the same rule.
 package rocq
 
 import (
@@ -140,25 +144,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// insertAt inserts v at position i of a column, shifting the tail up by
-// one; i = len(col) appends. A full column doubles its capacity,
-// starting from 8, so parallel columns that see the same inserts keep
-// the same capacity and grow in lockstep, and a small column is made
-// once instead of at every power of two.
-func insertAt[T any](col []T, i int, v T) []T {
-	if len(col) == cap(col) {
-		grown := make([]T, len(col)+1, max(8, 2*cap(col)))
-		copy(grown, col[:i])
-		grown[i] = v
-		copy(grown[i+1:], col[i:])
-		return grown
-	}
-	col = col[:len(col)+1]
-	copy(col[i+1:], col[i:])
-	col[i] = v
-	return col
-}
-
 // clamp01 restricts v to [0,1].
 func clamp01(v float64) float64 {
 	switch {
@@ -184,21 +169,36 @@ type Opinion struct {
 }
 
 // OpinionBook tracks a peer's first-hand experience with every partner it
-// has transacted with, in two parallel columns sorted by partner handle.
-// The columns are allocated by the first Record: a founding community of
+// has transacted with, in one column of records sorted by partner handle.
+// The column is allocated by the first Record: a founding community of
 // n peers would otherwise hold n empty tables before the first
 // transaction.
 type OpinionBook struct {
 	//replend:allow snapshotfields points at the shared DefaultParams value for every peer (restorePeer rebuilds books with it); params carry no run state
 	params   *Params
 	handles  *arena.Ordinals
-	partnerH []arena.Ordinal // partner handles, ascending
-	partners []opinionState  // partners[i] is the experience with partnerH[i]
+	partners []partnerEntry // ascending by partner handle
 }
 
+// partnerEntry is a book's experience with one partner, 20 B: the sum of
+// its ratings and their count, each packed into an arena.Word.
+type partnerEntry struct {
+	partner arena.Ordinal
+	sum     arena.Word // float64
+	count   arena.Word // int64
+}
+
+// byPartner orders partner records by handle.
+func byPartner(e partnerEntry, partner arena.Ordinal) int { return cmp.Compare(e.partner, partner) }
+
+// opinionState is a partner record's experience, unpacked.
 type opinionState struct {
 	sum   float64
 	count int64
+}
+
+func (e *partnerEntry) state() opinionState {
+	return opinionState{sum: e.sum.Float64(), count: e.count.Int64()}
 }
 
 // NewOpinionBook returns an empty book using the given parameters, with a
@@ -231,15 +231,16 @@ func (b *OpinionBook) RecordHandle(partner arena.Ordinal, rating float64) Opinio
 		//replend:allow nopanic caller-contract invariant: behaviour styles emit only 0 or 1 ratings
 		panic(fmt.Sprintf("rocq: rating %v out of [0,1]", rating))
 	}
-	i, ok := slices.BinarySearch(b.partnerH, partner)
+	i, ok := slices.BinarySearchFunc(b.partners, partner, byPartner)
 	if !ok {
-		b.partnerH = insertAt(b.partnerH, i, partner)
-		b.partners = insertAt(b.partners, i, opinionState{})
+		b.partners = arena.InsertAt(b.partners, i, partnerEntry{partner: partner})
 	}
-	st := &b.partners[i]
+	e := &b.partners[i]
+	st := e.state()
 	st.sum += rating
 	st.count++
-	return b.opinion(*st)
+	e.sum, e.count = arena.Float64Word(st.sum), arena.Int64Word(st.count)
+	return b.opinion(st)
 }
 
 // Opinion returns the current opinion of a partner and whether any
@@ -249,16 +250,16 @@ func (b *OpinionBook) Opinion(partner id.ID) (Opinion, bool) {
 	if !ok {
 		return Opinion{}, false
 	}
-	i, ok := slices.BinarySearch(b.partnerH, h)
+	i, ok := slices.BinarySearchFunc(b.partners, h, byPartner)
 	if !ok {
 		return Opinion{}, false
 	}
-	return b.opinion(b.partners[i]), true
+	return b.opinion(b.partners[i].state()), true
 }
 
 // Partners returns the number of distinct partners with recorded
 // experience.
-func (b *OpinionBook) Partners() int { return len(b.partnerH) }
+func (b *OpinionBook) Partners() int { return len(b.partners) }
 
 func (b *OpinionBook) opinion(st opinionState) Opinion {
 	mean := st.sum / float64(st.count)
@@ -291,13 +292,14 @@ func minf(a, b float64) float64 {
 // 32-byte record in the slots column (subjectSlot), so a query reads the
 // weighted sum, the weight and the present flag from one record, and the
 // index, a column of (handle, slot) pairs sorted by handle, finds a
-// subject's slot. Forget and DropPlaceholder free a slot onto a LIFO
-// chain threaded through the freed records themselves: the store holds
-// the head, and each freed record's subject field links to the slot
-// freed before it. Churn thus reuses slots instead of growing the column
-// without bound, and neither freeing nor reusing a slot allocates.
-// Neither slot indices nor handles feed output bytes: SubjectIDs and
-// ExportState sort by identifier.
+// subject's slot. Each reporter the store has heard from has one 12-byte
+// record in the creds column (credEntry), sorted by handle. Forget and
+// DropPlaceholder free a slot onto a LIFO chain threaded through the
+// freed records themselves: the store holds the head, and each freed
+// record's subject field links to the slot freed before it. Churn thus
+// reuses slots instead of growing the column without bound, and neither
+// freeing nor reusing a slot allocates. Neither slot indices nor handles
+// feed output bytes: SubjectIDs and ExportState sort by identifier.
 type Store struct {
 	//replend:allow snapshotfields points at the shared DefaultParams value for every store (world.Restore rebuilds them so); params carry no run state
 	params  *Params
@@ -306,12 +308,10 @@ type Store struct {
 	slots   []subjectSlot   // subject records, by slot
 	//replend:allow snapshotfields freed slots hold no evidence; a restored store packs its present slots and starts with none free
 	free int32 // head of the free chain: 1 + the last slot freed, 0 when none is free
-	// credH and cred hold the reporter credibilities as parallel columns
-	// ascending by reporter handle. The first report allocates them: most
-	// stores in a freshly built world hold only initialised subjects and
-	// hear from no one.
-	credH []arena.Ordinal
-	cred  []float64
+	// creds holds the reporter credibilities, ascending by reporter
+	// handle. The first report allocates it: most stores in a freshly
+	// built world hold only initialised subjects and hear from no one.
+	creds []credEntry
 
 	known   int // subjects with evidence (present slots)
 	reports int64
@@ -347,6 +347,16 @@ type subjectSlot struct {
 	subject arena.Ordinal // the subject this slot is about (for change notification)
 	present bool          // the store has actually heard about this subject
 }
+
+// credEntry is a store's credibility for one reporter, 12 B: the float64
+// is packed into an arena.Word.
+type credEntry struct {
+	reporter arena.Ordinal
+	cred     arena.Word // float64
+}
+
+// byReporter orders credibility records by handle.
+func byReporter(e credEntry, reporter arena.Ordinal) int { return cmp.Compare(e.reporter, reporter) }
 
 // indexEntry binds a subject's handle to its slot.
 type indexEntry struct {
@@ -429,9 +439,9 @@ func (s *Store) slotOf(subject arena.Ordinal) int32 {
 		s.slots[idx] = subjectSlot{subject: subject}
 	} else {
 		idx = int32(len(s.slots))
-		s.slots = insertAt(s.slots, len(s.slots), subjectSlot{subject: subject})
+		s.slots = arena.InsertAt(s.slots, len(s.slots), subjectSlot{subject: subject})
 	}
-	s.index = insertAt(s.index, pos, indexEntry{subject: subject, slot: idx})
+	s.index = arena.InsertAt(s.index, pos, indexEntry{subject: subject, slot: idx})
 	return idx
 }
 
@@ -587,8 +597,8 @@ func (r Ref) Query() (float64, bool) {
 // Credibility returns the store's current credibility for a reporter.
 func (s *Store) Credibility(reporter id.ID) float64 {
 	if h, ok := s.handles.Get(reporter); ok {
-		if i, ok := slices.BinarySearch(s.credH, h); ok {
-			return s.cred[i]
+		if i, ok := slices.BinarySearchFunc(s.creds, h, byReporter); ok {
+			return s.creds[i].cred.Float64()
 		}
 	}
 	return s.params.CredInit
@@ -623,10 +633,10 @@ func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 	}
 	s.reports++
 	// One search serves both the read and the write of the credibility.
-	pos, found := slices.BinarySearch(s.credH, reporter)
+	pos, found := slices.BinarySearchFunc(s.creds, reporter, byReporter)
 	cred := s.params.CredInit
 	if found {
-		cred = s.cred[pos]
+		cred = s.creds[pos].cred.Float64()
 	}
 	sl := &s.slots[idx]
 	s.materialize(sl)
@@ -641,11 +651,10 @@ func (s *Store) reportTo(idx int32, reporter arena.Ordinal, op Opinion) {
 		sl.w = s.params.WindowWeight
 	}
 	sl.reports++
-	if c := s.nextCred(cred, op.Value, s.value(sl)); found {
-		s.cred[pos] = c
+	if c := arena.Float64Word(s.nextCred(cred, op.Value, s.value(sl))); found {
+		s.creds[pos].cred = c
 	} else {
-		s.credH = insertAt(s.credH, pos, reporter)
-		s.cred = insertAt(s.cred, pos, c)
+		s.creds = arena.InsertAt(s.creds, pos, credEntry{reporter: reporter, cred: c})
 	}
 	s.notify(sl)
 }

@@ -115,17 +115,71 @@ func TestFreedSlotsReusedLastFreedFirst(t *testing.T) {
 	}
 }
 
+// TestRecordColumnAllocations pins what a store's credibilities and a
+// book's partners cost: each is one column of records grown by
+// arena.InsertAt, so 64 new reporters to one store make the column four
+// times (8, 16, 32 and 64 records), and so do 64 new partners in one
+// book. Two parallel columns would make eight objects each.
+func TestRecordColumnAllocations(t *testing.T) {
+	table := arena.NewOrdinals()
+	hs := make([]arena.Ordinal, 65)
+	for i := range hs {
+		hs[i] = table.Intern(pid(uint64(i)))
+	}
+	s := NewStoreOn(DefaultParams(), table)
+	ref := s.RefHandle(hs[64])
+	reports := testing.AllocsPerRun(20, func() {
+		s.creds = nil
+		for _, h := range hs[:64] {
+			ref.ReportHandle(h, Opinion{Value: 1, Quality: 0.5})
+		}
+	})
+	if reports != 4 {
+		t.Errorf("64 new reporters to one store allocate %v objects, want 4", reports)
+	}
+	if len(s.creds) != 64 || cap(s.creds) != 64 {
+		t.Errorf("after 64 reporters the credibility column holds %d of %d, want 64 of 64", len(s.creds), cap(s.creds))
+	}
+	b := NewOpinionBookOn(DefaultParams(), table)
+	records := testing.AllocsPerRun(20, func() {
+		b.partners = nil
+		for _, h := range hs[:64] {
+			b.RecordHandle(h, 1)
+		}
+	})
+	if records != 4 {
+		t.Errorf("64 new partners in one book allocate %v objects, want 4", records)
+	}
+	if len(b.partners) != 64 || cap(b.partners) != 64 {
+		t.Errorf("after 64 partners the partner column holds %d of %d, want 64 of 64", len(b.partners), cap(b.partners))
+	}
+}
+
 // TestSlotRecordSize pins what the layout spends: a slot record is 32 B
 // (two float64s, then a report count, a handle and a flag padded to
-// 16 B), and a store on a 64-bit platform is 144 B, with one slice
-// header for its slots and an int32 heading the free chain.
+// 16 B); a credibility record is 12 B and a partner record 20 B, a
+// handle and packed words that add no padding; and on a 64-bit platform
+// a store is 120 B, with one slice header for its slots, one for its
+// credibilities and an int32 heading the free chain, and a book 40 B.
 func TestSlotRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(subjectSlot{}); got != 32 {
-		t.Errorf("subjectSlot is %d B, want 32", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"subjectSlot", unsafe.Sizeof(subjectSlot{}), 32},
+		{"credEntry", unsafe.Sizeof(credEntry{}), 12},
+		{"partnerEntry", unsafe.Sizeof(partnerEntry{}), 20},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
 	}
 	if unsafe.Sizeof(uintptr(0)) == 8 {
-		if got := unsafe.Sizeof(Store{}); got != 144 {
-			t.Errorf("Store is %d B, want 144", got)
+		if got := unsafe.Sizeof(Store{}); got != 120 {
+			t.Errorf("Store is %d B, want 120", got)
+		}
+		if got := unsafe.Sizeof(OpinionBook{}); got != 40 {
+			t.Errorf("OpinionBook is %d B, want 40", got)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package rocq
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -57,9 +56,9 @@ func (s *Store) ExportState(subjects []SubjectRecord, cred []CredRecord) (StoreS
 	out.Subjects = arena.Piece(subjects, from)
 	slices.SortFunc(out.Subjects, func(a, b SubjectRecord) int { return a.Subject.Cmp(b.Subject) })
 	from = len(cred)
-	for i, reporter := range s.credH {
-		pid, _ := s.handles.ID(reporter)
-		cred = append(cred, CredRecord{Reporter: pid, Cred: s.cred[i]})
+	for _, e := range s.creds {
+		pid, _ := s.handles.ID(e.reporter)
+		cred = append(cred, CredRecord{Reporter: pid, Cred: e.cred.Float64()})
 	}
 	out.Cred = arena.Piece(cred, from)
 	slices.SortFunc(out.Cred, func(a, b CredRecord) int { return a.Reporter.Cmp(b.Reporter) })
@@ -68,18 +67,19 @@ func (s *Store) ExportState(subjects []SubjectRecord, cred []CredRecord) (StoreS
 
 // Reporters returns the number of reporters the store holds a
 // credibility for: the credibility records ExportState writes.
-func (s *Store) Reporters() int { return len(s.credH) }
+func (s *Store) Reporters() int { return len(s.creds) }
 
 // Restorer rebuilds the stores and opinion books of a checkpoint on one
 // handle table. Every store, book and column it makes is cut from one
 // array of its kind (arena.Take), sized up front by the counts
 // NewRestorer is given, so restoring a world allocates a fixed number of
-// arrays instead of several objects per store and book. Nothing is ever
-// recycled into those arrays: a column grows out of its piece into an
-// array of its own on its first insert, and a store or book nothing
-// references any more keeps its share alive only as long as the rest of
-// its array. A count too small is no error; what does not fit gets an
-// array of its own.
+// arrays instead of several objects per store and book. Each column is
+// filled in the checkpoint's identifier order and then sorted by handle
+// in place. Nothing is ever recycled into those arrays: a column grows
+// out of its piece into an array of its own on its first insert, and a
+// store or book nothing references any more keeps its share alive only
+// as long as the rest of its array. A count too small is no error; what
+// does not fit gets an array of its own.
 type Restorer struct {
 	params   *Params
 	handles  *arena.Ordinals
@@ -87,14 +87,8 @@ type Restorer struct {
 	books    []OpinionBook
 	index    []indexEntry
 	slots    []subjectSlot
-	credH    []arena.Ordinal
-	cred     []float64
-	partnerH []arena.Ordinal
-	partners []opinionState
-	// credBuf and partnerBuf are the scratch a table is sorted by handle
-	// in before it is split into columns; no store or book keeps them.
-	credBuf    []handleValue[float64]
-	partnerBuf []handleValue[opinionState]
+	creds    []credEntry
+	partners []partnerEntry
 }
 
 // RestoreSizes counts what a Restorer rebuilds: Stores stores holding
@@ -120,10 +114,8 @@ func NewRestorer(p Params, handles *arena.Ordinals, n RestoreSizes) *Restorer {
 		books:    make([]OpinionBook, n.Books),
 		index:    make([]indexEntry, n.Subjects),
 		slots:    make([]subjectSlot, n.Subjects),
-		credH:    make([]arena.Ordinal, n.Reporters),
-		cred:     make([]float64, n.Reporters),
-		partnerH: make([]arena.Ordinal, n.Partners),
-		partners: make([]opinionState, n.Partners),
+		creds:    make([]credEntry, n.Reporters),
+		partners: make([]partnerEntry, n.Partners),
 	}
 }
 
@@ -171,36 +163,16 @@ func (r *Restorer) Store(st StoreState) (*Store, error) {
 	// Records arrive in identifier order, and the table may have numbered
 	// these identities in any order: sort each table by handle once.
 	slices.SortFunc(s.index, func(a, b indexEntry) int { return bySubject(a, b.subject) })
-	cred := r.credBuf[:0]
-	for _, rec := range st.Cred {
-		cred = append(cred, handleValue[float64]{r.handles.Intern(rec.Reporter), rec.Cred})
+	s.creds = arena.Take(&r.creds, len(st.Cred))
+	for i, rec := range st.Cred {
+		s.creds[i] = credEntry{reporter: r.handles.Intern(rec.Reporter), cred: arena.Float64Word(rec.Cred)}
 	}
-	r.credBuf = cred
-	s.credH, s.cred = columns(cred, &r.credH, &r.cred)
+	slices.SortFunc(s.creds, func(a, b credEntry) int { return byReporter(a, b.reporter) })
 	return s, nil
 }
 
 // nonNegative reports whether v is a finite number no less than 0.
 func nonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-
-// handleValue is one entry of a handle-keyed table on its way from a
-// checkpoint into columns.
-type handleValue[V any] struct {
-	h arena.Ordinal
-	v V
-}
-
-// columns sorts restored entries by handle and splits them into a handle
-// column and a parallel value column, cut from the tables hs and vs. No
-// entries give nil columns.
-func columns[V any](entries []handleValue[V], hs *[]arena.Ordinal, vs *[]V) ([]arena.Ordinal, []V) {
-	slices.SortFunc(entries, func(a, b handleValue[V]) int { return cmp.Compare(a.h, b.h) })
-	h, v := arena.Take(hs, len(entries)), arena.Take(vs, len(entries))
-	for i, e := range entries {
-		h[i], v[i] = e.h, e.v
-	}
-	return h, v
-}
 
 // PartnerRecord is the serializable first-hand experience a peer holds
 // about one partner.
@@ -215,9 +187,10 @@ type PartnerRecord struct {
 // piece capped at their length, with the extended table.
 func (b *OpinionBook) ExportState(recs []PartnerRecord) ([]PartnerRecord, []PartnerRecord) {
 	from := len(recs)
-	for i, partner := range b.partnerH {
-		pid, _ := b.handles.ID(partner)
-		recs = append(recs, PartnerRecord{Partner: pid, Sum: b.partners[i].sum, Count: b.partners[i].count})
+	for i := range b.partners {
+		e := &b.partners[i]
+		pid, _ := b.handles.ID(e.partner)
+		recs = append(recs, PartnerRecord{Partner: pid, Sum: e.sum.Float64(), Count: e.count.Int64()})
 	}
 	out := arena.Piece(recs, from)
 	slices.SortFunc(out, func(a, b PartnerRecord) int { return a.Partner.Cmp(b.Partner) })
@@ -243,11 +216,10 @@ func (r *Restorer) Book(recs []PartnerRecord) (*OpinionBook, error) {
 	}
 	b := &arena.Take(&r.books, 1)[0]
 	b.params, b.handles = r.params, r.handles
-	partners := r.partnerBuf[:0]
-	for _, rec := range recs {
-		partners = append(partners, handleValue[opinionState]{r.handles.Intern(rec.Partner), opinionState{sum: rec.Sum, count: rec.Count}})
+	b.partners = arena.Take(&r.partners, len(recs))
+	for i, rec := range recs {
+		b.partners[i] = partnerEntry{partner: r.handles.Intern(rec.Partner), sum: arena.Float64Word(rec.Sum), count: arena.Int64Word(rec.Count)}
 	}
-	r.partnerBuf = partners
-	b.partnerH, b.partners = columns(partners, &r.partnerH, &r.partners)
+	slices.SortFunc(b.partners, func(a, b partnerEntry) int { return byPartner(a, b.partner) })
 	return b, nil
 }
